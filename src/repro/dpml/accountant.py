@@ -19,10 +19,11 @@ Special cases covered exactly: ``q == 0`` gives 0 (no data touched),
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy import special
 
 #: Default RDP orders, matching TF-Privacy's ladder.
@@ -58,18 +59,95 @@ def rdp_sampled_gaussian(q: float, sigma: float, order: int) -> float:
     return float(special.logsumexp(log_terms)) / (order - 1)
 
 
-@lru_cache(maxsize=512)
-def _single_step_rdp(q: float, sigma: float,
-                     orders: tuple[int, ...]) -> tuple[float, ...]:
-    """One step's RDP curve, memoized per ``(q, sigma, orders)``.
+def rdp_table(qs: ArrayLike, sigmas: ArrayLike,
+              orders: tuple[int, ...] = DEFAULT_ORDERS) -> np.ndarray:
+    """Per-step RDP of many mechanisms: ``(len(qs), len(orders))``.
+
+    Row ``i`` is bitwise ``[rdp_sampled_gaussian(qs[i], sigmas[i], a)
+    for a in orders]``: each order's log-terms form one
+    ``(pairs x order+1)`` grid, evaluated in the scalar expression's
+    operation order and reduced by one row-wise ``logsumexp``.  The
+    logs of ``q`` come from :mod:`math` per pair, because NumPy's
+    ``log``/``log1p`` can differ from them by an ulp.
+    """
+    qs = np.asarray(qs, dtype=float)
+    sigmas = np.asarray(sigmas, dtype=float)
+    bad = ~((qs >= 0.0) & (qs <= 1.0))
+    if bad.any():
+        raise ValueError(
+            f"sampling rate must be in [0, 1], got {qs[bad][0]}")
+    for order in orders:
+        if order < 2 or int(order) != order:
+            raise ValueError(f"order must be an integer >= 2, got {order}")
+    table = np.zeros((qs.size, len(orders)))
+    infinite = (qs != 0.0) & (sigmas <= 0.0)
+    table[infinite] = math.inf
+    gaussian = (qs == 1.0) & ~infinite
+    if gaussian.any():
+        two_var = 2.0 * sigmas[gaussian] * sigmas[gaussian]
+        table[gaussian] = np.array(orders)[None, :] / two_var[:, None]
+    rows = np.nonzero((qs != 0.0) & (qs != 1.0) & ~infinite)[0]
+    if rows.size == 0:
+        return table
+    log_1mq = np.array([math.log1p(-q) for q in qs[rows].tolist()])[:, None]
+    log_q = np.array([math.log(q) for q in qs[rows].tolist()])[:, None]
+    two_var = (2.0 * sigmas[rows] * sigmas[rows])[:, None]
+    for col, order in enumerate(orders):
+        order = int(order)
+        k = np.arange(order + 1)
+        log_comb = (special.gammaln(order + 1) - special.gammaln(k + 1)
+                    - special.gammaln(order - k + 1))
+        log_terms = (log_comb + (order - k) * log_1mq + k * log_q
+                     + k * (k - 1) / two_var)
+        table[rows, col] = special.logsumexp(log_terms, axis=1) / (order - 1)
+    return table
+
+
+#: Most distinct ``(q, sigma, orders)`` per-step curves kept memoized.
+_STEP_RDP_MEMO_SIZE = 512
+_step_rdp_memo: OrderedDict[tuple[float, float, tuple[int, ...]],
+                            tuple[float, ...]] = OrderedDict()
+
+
+def step_rdp_rows(qs: ArrayLike, sigmas: ArrayLike,
+                  orders: tuple[int, ...] = DEFAULT_ORDERS) -> np.ndarray:
+    """Memoized per-step RDP curves, one row per ``(q, sigma)`` pair.
 
     The curve is the expensive part of accounting (~66 orders with up
     to ``order + 1`` logsumexp terms each) and admission control /
     budget searches evaluate it for the same handful of mechanism
-    parameters over and over.  Returned as a tuple so cache hits can
-    never alias a mutable array.
+    parameters over and over.  Pairs missing from the LRU memo are
+    priced together in one :func:`rdp_table` call; memo entries are
+    tuples so a hit can never alias a mutable array.
     """
-    return tuple(rdp_sampled_gaussian(q, sigma, order) for order in orders)
+    orders = tuple(orders)
+    keys = [(q, sigma, orders) for q, sigma in
+            zip(np.asarray(qs, dtype=float).tolist(),
+                np.asarray(sigmas, dtype=float).tolist())]
+    missing = [key for key in dict.fromkeys(keys)
+               if key not in _step_rdp_memo]
+    if missing:
+        fresh = rdp_table([key[0] for key in missing],
+                          [key[1] for key in missing], orders)
+        _step_rdp_memo.update(zip(missing, map(tuple, fresh.tolist())))
+    rows = np.array([_step_rdp_memo[key] for key in keys],
+                    dtype=float).reshape(len(keys), len(orders))
+    for key in keys:
+        _step_rdp_memo.move_to_end(key)
+    while len(_step_rdp_memo) > _STEP_RDP_MEMO_SIZE:
+        _step_rdp_memo.popitem(last=False)
+    return rows
+
+
+def _single_step_rdp(q: float, sigma: float,
+                     orders: tuple[int, ...]) -> tuple[float, ...]:
+    """One step's RDP curve: a row of :func:`step_rdp_rows`' memo."""
+    key = (q, sigma, orders)
+    if key in _step_rdp_memo:
+        _step_rdp_memo.move_to_end(key)
+    else:
+        step_rdp_rows([q], [sigma], orders)
+    return _step_rdp_memo[key]
 
 
 def compute_rdp(q: float, sigma: float, steps: int,

@@ -32,12 +32,12 @@ from numpy.typing import NDArray
 
 from repro.dpml.accountant import (
     DEFAULT_ORDERS,
-    _single_step_rdp,
     compute_rdp,
     max_steps_for_budget,
     rdp_to_epsilon,
+    step_rdp_rows,
 )
-from repro.serve.job import TraceArrays, TrainingJob
+from repro.serve.job import TraceArrays, TrainingJob, unique_rows
 
 #: Jobs per chunk of the batched admission prefix pass — bounds the
 #: cumulative-RDP scratch matrix regardless of trace length.
@@ -303,13 +303,10 @@ class AdmissionController:
             return BatchAdmissionDecisions(status, granted, eps_after)
 
         is_private = trace.is_private
-        pairs = np.stack([trace.sampling_rate, trace.noise_multiplier],
-                         axis=1)
-        unique_pairs, class_of = np.unique(pairs, axis=0,
-                                           return_inverse=True)
-        per_step_table = np.stack([
-            np.array(_single_step_rdp(float(q), float(sigma), self.orders))
-            for q, sigma in unique_pairs])
+        unique_pairs, class_of = unique_rows(trace.sampling_rate,
+                                             trace.noise_multiplier)
+        per_step_table = step_rdp_rows(unique_pairs[:, 0],
+                                       unique_pairs[:, 1], self.orders)
 
         # Tenants register in first-arrival order (scalar setdefault).
         _, first_seen = np.unique(trace.tenant, return_index=True)
@@ -472,9 +469,8 @@ class AdmissionController:
                 eps_after[seg] = spent
                 tally["admitted"] += total - pos
                 return
-            keys = np.stack([classes[rem_priv], steps[rem_priv]], axis=1)
-            unique_keys, inverse = np.unique(keys, axis=0,
-                                             return_inverse=True)
+            unique_keys, inverse = unique_rows(classes[rem_priv],
+                                               steps[rem_priv])
             rdp_full = (ledger + unique_keys[:, 1][:, None]
                         * per_step_table[unique_keys[:, 0]])
             eps_full = np.where(

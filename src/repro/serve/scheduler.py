@@ -52,7 +52,7 @@ from repro.serve.budget import (
     BatchAdmissionDecisions,
 )
 from repro.serve.faults import FaultModel, FaultRun
-from repro.serve.job import TraceArrays, TrainingJob
+from repro.serve.job import TraceArrays, TrainingJob, unique_rows
 from repro.serve.metrics import (
     FleetReport,
     build_report,
@@ -546,8 +546,7 @@ def _job_step_table(
     """
     width = fleet.dp
     rounded = np.ceil(trace.batch / width).astype(np.int64) * width
-    configs = np.stack([trace.model, trace.algorithm, rounded], axis=1)
-    unique, inverse = np.unique(configs, axis=0, return_inverse=True)
+    unique, inverse = unique_rows(trace.model, trace.algorithm, rounded)
     table = predict_step_seconds_batch(
         fleet,
         [trace.models[int(row[0])] for row in unique],

@@ -1,6 +1,7 @@
 """Tests for the RDP accountant (repro.dpml.accountant)."""
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from repro.dpml import (
     rdp_sampled_gaussian,
     rdp_to_epsilon,
 )
+from repro.dpml import accountant
+from repro.dpml.accountant import rdp_table, step_rdp_rows
 
 
 class TestRdpClosedForms:
@@ -62,6 +65,73 @@ class TestRdpMonotonicity:
     @given(q=st.floats(0.001, 0.3), sigma=st.floats(0.5, 4.0))
     def test_nonnegative(self, q, sigma):
         assert rdp_sampled_gaussian(q, sigma, 8) >= 0.0
+
+
+class TestRdpTable:
+    """``rdp_table`` is the scalar reference evaluated over a pair grid,
+    bit for bit."""
+
+    ORDERS = (2, 3, 7, 32, 65, 300)
+
+    @staticmethod
+    def _reference(qs, sigmas, orders):
+        return np.array([[rdp_sampled_gaussian(q, sigma, order)
+                          for order in orders]
+                         for q, sigma in zip(qs, sigmas)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=st.lists(
+        st.tuples(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                  st.floats(0.05, 50.0)),
+        min_size=1, max_size=12))
+    def test_bitwise_equal_to_scalar(self, pairs):
+        # Special rows ride in the same call: q=0 (free), q=1 (plain
+        # Gaussian), and sigma <= 0 (infinite), including q=0 with
+        # sigma <= 0, which is still free.
+        qs = [q for q, _ in pairs] + [0.0, 1.0, 0.3, 1.0, 0.0]
+        sigmas = [s for _, s in pairs] + [1.0, 1.7, 0.0, -2.0, -1.0]
+        table = rdp_table(qs, sigmas, self.ORDERS)
+        reference = self._reference(qs, sigmas, self.ORDERS)
+        assert table.shape == (len(qs), len(self.ORDERS))
+        np.testing.assert_array_equal(table.view(np.int64),
+                                      reference.view(np.int64))
+
+    def test_default_orders_and_empty(self):
+        qs, sigmas = [0.01, 0.37, 0.999], [0.7, 1.3, 4.0]
+        np.testing.assert_array_equal(
+            rdp_table(qs, sigmas),
+            self._reference(qs, sigmas, DEFAULT_ORDERS))
+        assert rdp_table([], [], self.ORDERS).shape == (0, len(self.ORDERS))
+
+    @pytest.mark.parametrize("q", [-0.1, 1.5, math.nan])
+    def test_out_of_range_q_raises(self, q):
+        with pytest.raises(ValueError):
+            rdp_table([0.1, q], [1.0, 1.0], self.ORDERS)
+
+    @pytest.mark.parametrize("orders", [(2, 2.5), (1, 4), (0,), (2, -3)])
+    def test_bad_orders_raise(self, orders):
+        with pytest.raises(ValueError):
+            rdp_table([0.1], [1.0], orders)
+
+    def test_memo_prices_only_missing_pairs(self, monkeypatch):
+        """Rows land in the memo ``compute_rdp`` reads: once a batch has
+        priced a pair, scalar accounting never recomputes it."""
+        priced = []
+
+        def counting(qs, sigmas, orders):
+            priced.extend(zip(qs, sigmas))
+            return rdp_table(qs, sigmas, orders)
+
+        monkeypatch.setattr(accountant, "_step_rdp_memo", OrderedDict())
+        monkeypatch.setattr(accountant, "rdp_table", counting)
+        qs, sigmas = [0.0123, 0.0456, 0.0123], [1.11, 1.11, 1.11]
+        rows = step_rdp_rows(qs, sigmas, self.ORDERS)
+        assert priced == [(0.0123, 1.11), (0.0456, 1.11)]
+        np.testing.assert_array_equal(rows[0], rows[2])
+        np.testing.assert_array_equal(
+            compute_rdp(0.0456, 1.11, 3, self.ORDERS), 3 * rows[1])
+        max_steps_for_budget(0.0123, 1.11, 2.0, 1e-5, orders=self.ORDERS)
+        assert len(priced) == 2
 
 
 class TestComposition:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collections import OrderedDict
 from functools import lru_cache
 
 from repro.serve import (
@@ -29,7 +30,10 @@ from repro.serve import (
     simulate_fleet,
     simulate_fleet_streaming,
 )
+from repro.dpml import accountant
+from repro.serve import TrainingJob
 from repro.serve.budget import BatchAdmissionDecisions
+from repro.serve.job import unique_rows
 
 _STATUS_CODE = {"admitted": BatchAdmissionDecisions.ADMITTED,
                 "truncated": BatchAdmissionDecisions.TRUNCATED,
@@ -101,6 +105,137 @@ class TestBatchAdmission:
         result = controller.admit_batch(
             generate_trace_arrays(TraceConfig(jobs=0)))
         assert len(result) == 0
+
+    def test_non_private_zero_sigma(self):
+        """SGD jobs may carry ``noise_multiplier=0``: their per-step row
+        is infinite but never read, so batched admission stays finite
+        and decision-identical to the sequential controller."""
+        trace = tuple(
+            TrainingJob(job_id=i, tenant=f"t{i % 2}", model="ResNet-50",
+                        algorithm="SGD" if i % 3 else "DP-SGD",
+                        batch=256, steps=400 + 50 * i,
+                        noise_multiplier=0.0 if i % 3 else 1.0,
+                        dataset_size=50_000, arrival_s=float(i))
+            for i in range(30))
+        sequential = AdmissionController(TenantBudget(epsilon=1.0))
+        expected = [sequential.admit(job) for job in trace]
+        # An inf row that leaked into arithmetic would raise here.
+        with np.errstate(invalid="raise"):
+            result = AdmissionController(TenantBudget(epsilon=1.0)) \
+                .admit_batch(TraceArrays.from_jobs(trace))
+        assert not np.isnan(result.epsilon_after).any()
+        assert {d.status.value for d in expected} >= {"admitted",
+                                                      "rejected"}
+        for i, decision in enumerate(expected):
+            assert int(result.status[i]) == \
+                _STATUS_CODE[decision.status.value]
+            assert int(result.granted_steps[i]) == decision.granted_steps
+            assert float(result.epsilon_after[i]) == decision.epsilon_after
+
+    def test_batch_rows_feed_the_scalar_memo(self, monkeypatch):
+        """The per-step curves ``admit_batch`` prices land in the memo the
+        scalar ledger reads, so later admits, reprices and refunds of
+        the same mechanisms price nothing."""
+        calls, priced = [], []
+        real = accountant.rdp_table
+
+        def counting(qs, sigmas, orders):
+            calls.append(len(qs))
+            priced.extend(zip(qs, sigmas))
+            return real(qs, sigmas, orders)
+
+        monkeypatch.setattr(accountant, "_step_rdp_memo", OrderedDict())
+        monkeypatch.setattr(accountant, "rdp_table", counting)
+        arrays = generate_trace_arrays(TraceConfig(jobs=300, seed=21))
+        controller = AdmissionController(TenantBudget(epsilon=3.0))
+        controller.admit_batch(arrays)
+        distinct = {(float(q), float(sigma)) for q, sigma in
+                    zip(arrays.sampling_rate, arrays.noise_multiplier)}
+        assert calls == [len(distinct)]
+        assert set(priced) == distinct
+        priced.clear()
+        for job in arrays.jobs()[:40]:
+            controller.admit(job)
+            controller.reprice_steps(job.tenant, job.sampling_rate,
+                                     job.noise_multiplier, 10)
+            controller.refund_steps(job.tenant, job.sampling_rate,
+                                    job.noise_multiplier, 5)
+        assert priced == []
+
+
+def _reuse_trace(n, algorithms, pick):
+    """A trace whose columns ``pick`` from short value lists, so rows
+    repeat."""
+
+    def column(values, dtype):
+        return np.array([pick(values) for _ in range(n)], dtype=dtype)
+
+    return TraceArrays(
+        tenants=("a", "b", "c"), models=("m0", "m1", "m2"),
+        algorithms=algorithms,
+        arrival_s=np.arange(n, dtype=float),
+        tenant=column([0, 1, 2], np.int32),
+        model=column([0, 1, 2], np.int32),
+        algorithm=column(list(range(len(algorithms))), np.int32),
+        batch=column([1, 63, 64, 256, 1000], np.int64),
+        steps=column([1, 7, 100, 2**40], np.int64),
+        noise_multiplier=column([0.0, 0.7, 1.3, 2.5], float),
+        dataset_size=column([100, 5_000, 60_000], np.int64))
+
+
+@st.composite
+def _trace_arrays(draw):
+    n = draw(st.integers(0, 40))
+    algorithms = draw(st.sampled_from(
+        [("SGD",), ("SGD", "DP-SGD"), ("DP-SGD", "SGD", "DP-SGD(R)")]))
+    return _reuse_trace(n, algorithms,
+                        lambda values: draw(st.sampled_from(values)))
+
+
+class TestPackedKeyDedup:
+    """``unique_rows`` is ``np.unique(axis=0)`` on every dedup site."""
+
+    @staticmethod
+    def _check(*columns):
+        rows, inverse = unique_rows(*columns)
+        want_rows, want_inverse = np.unique(
+            np.stack(columns, axis=1), axis=0, return_inverse=True)
+        assert rows.dtype == want_rows.dtype
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(inverse, want_inverse)
+        return inverse
+
+    @settings(max_examples=60, deadline=None)
+    @given(trace=_trace_arrays(), width=st.sampled_from([1, 2, 4, 8]))
+    def test_matches_axis0_unique(self, trace, width):
+        self._check_sites(trace, width)
+
+    @pytest.mark.parametrize("jobs,algorithms", [
+        (0, ("SGD", "DP-SGD")),   # empty
+        (1, ("DP-SGD",)),         # single job
+        (50, ("SGD",)),           # all non-private
+    ])
+    def test_edge_traces(self, jobs, algorithms):
+        rng = np.random.default_rng(jobs)
+        self._check_sites(
+            _reuse_trace(jobs, algorithms,
+                         lambda values: values[rng.integers(len(values))]),
+            width=2)
+
+    def _check_sites(self, trace, width):
+        # Admission mechanism classes.
+        class_of = self._check(trace.sampling_rate, trace.noise_multiplier)
+        # Reject-regime (class, steps) keys over the private jobs.
+        private = trace.is_private
+        self._check(class_of[private], trace.steps[private])
+        # Service-table (model, algorithm, rounded batch) configs.
+        rounded = np.ceil(trace.batch / width).astype(np.int64) * width
+        self._check(trace.model, trace.algorithm, rounded)
+
+    def test_wide_keys_rerank_instead_of_overflowing(self):
+        rng = np.random.default_rng(4)
+        columns = [rng.permutation(70_000) for _ in range(4)]
+        self._check(*columns)
 
 
 class TestStreamingQuantiles:
