@@ -9,9 +9,11 @@ a CI artifact like the other perf records, and floor-checked by
 
 A final instrumented point replays the 1M-job trace with full
 observability (``repro.obs.FleetObs`` tracing + metrics) attached and
-records the in-loop overhead ratio against the uninstrumented run;
-``tools/check_bench.py`` caps it at ``OVERHEAD_CEILING`` so the
-zero-overhead-when-disabled contract cannot silently erode.
+records the in-loop overhead ratio against the uninstrumented run, and
+the export's cost as a ratio of that loop (``export_ratio``);
+``tools/check_bench.py`` caps them at ``OVERHEAD_CEILING`` and
+``EXPORT_RATIO_CEILING`` so neither the zero-overhead-when-disabled
+contract nor the bulk export can silently erode.
 """
 
 import json
@@ -136,6 +138,9 @@ def test_streaming_serve_throughput(capsys):
     obs.export()
     export_wall = time.perf_counter() - start
     overhead = instrumented_wall / plain_wall
+    # Export against the loop it describes: tools/check_bench.py caps
+    # it at EXPORT_RATIO_CEILING so export cannot regrow per-row work.
+    export_ratio = export_wall / instrumented_wall
     points.append({
         "jobs": jobs,
         "autoscale": False,
@@ -144,6 +149,7 @@ def test_streaming_serve_throughput(capsys):
         "plain_wall_seconds": plain_wall,
         "overhead_ratio": overhead,
         "export_seconds": export_wall,
+        "export_ratio": export_ratio,
         "trace_events": len(obs.recorder.events),
         "jobs_per_sec": jobs / instrumented_wall,
         "peak_rss_mb": _peak_rss_mb(),
@@ -157,9 +163,12 @@ def test_streaming_serve_throughput(capsys):
     # floors the faulty jobs/s and caps the zero-failure overhead
     # ratio, so neither the faulty event loop nor the clean-run tax
     # can silently regress.
+    # The zero-failure run is timed twice (best kept), like plain_wall,
+    # so the ratio compares best against best.
     fault_walls = {}
     fault_report = None
-    for tag, mtbf_hours in (("zero_failure", 1e9), ("faulty", 2.0)):
+    for tag, mtbf_hours in (("zero_failure", 1e9), ("zero_failure", 1e9),
+                            ("faulty", 2.0)):
         faults = FaultModel(FaultConfig(
             mtbf_hours=mtbf_hours, repair_hours=0.05,
             degrade_fraction=0.5, seed=11))
@@ -169,7 +178,8 @@ def test_streaming_serve_throughput(capsys):
         report = simulate_fleet_streaming(
             trace, fleet, policy="fifo",
             admission=admission, decisions=decisions, faults=faults)
-        fault_walls[tag] = time.perf_counter() - start
+        fault_walls[tag] = min(fault_walls.get(tag, float("inf")),
+                               time.perf_counter() - start)
         assert report.completed + report.failed + report.rejected == jobs
         if tag == "faulty":
             fault_report = report
@@ -212,7 +222,8 @@ def test_streaming_serve_throughput(capsys):
                   f"{point['peak_rss_mb']:.0f} MB) -> {BENCH_JSON.name}")
         print(f"serve streaming — observability in-loop overhead "
               f"{overhead:.3f}x, export {export_wall:.1f}s for "
-              f"{len(obs.recorder.events):,} events")
+              f"{len(obs.recorder.events):,} events "
+              f"({export_ratio:.2f}x the loop)")
         print(f"serve streaming — fault machinery zero-failure "
               f"overhead {fault_overhead:.3f}x, "
               f"{fault_report.retries:,} retries under fire")

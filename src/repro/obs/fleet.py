@@ -3,30 +3,45 @@
 One :class:`FleetObs` observes one fleet simulation.  The contract is
 split to keep the event loops fast:
 
-* **During the run** the schedulers touch only two O(1) surfaces: an
-  inline ``(job_id, start_s)`` append per dispatch (streaming path
-  only — the scalar path's :class:`~repro.serve.scheduler.JobRecord`
-  list already carries dispatch times) and one
-  :meth:`~FleetObs.sample` call per elapsed metrics window.  Nothing
-  else runs in-loop, which is what keeps the measured
+* **During the run** the schedulers touch only O(1) surfaces: an
+  inline ``(job_id, start_s)`` append per dispatch and, in the faulty
+  loop, one finish-time store per completion (streaming path only — the scalar path's
+  :class:`~repro.serve.scheduler.JobRecord` list already carries both)
+  plus one :meth:`~FleetObs.sample` call per elapsed metrics window.
+  Nothing else runs in-loop, which is what keeps the measured
   enabled-vs-disabled overhead inside the ``check_bench`` ceiling.
 * **At the end of the run** the scheduler attaches its raw materials
   (:meth:`~FleetObs.attach_scalar` / :meth:`~FleetObs.attach_streaming`
   — references, no copies).  All span construction and metric folding
-  happens later, in :meth:`~FleetObs.export`, outside any timed
-  region.
+  happens in :meth:`~FleetObs.export`, which the caller runs after
+  the simulation; it is a separate cost, not a free one — benchmarks
+  time it on its own (``export_seconds``, ``obs.fleet.export.s``).
 
-Both attach paths normalize to the same per-job rows before emitting,
-so a scalar and a streaming run of the same trace — which the
-differential tests pin to identical dispatch schedules — produce
-*identical span sets*, and a multi-policy comparison can share one
-:class:`~repro.obs.trace.TraceRecorder` (each run gets its own trace
-process, named after its policy).
+Both attach paths normalize to the same per-job NumPy columns
+(:class:`_JobColumns`) before emitting, so a scalar and a streaming run
+of the same trace — which the differential tests pin to identical
+dispatch schedules — produce *identical span sets and metrics*, with
+or without fault injection, and a multi-policy comparison can share
+one :class:`~repro.obs.trace.TraceRecorder` (each run gets its own
+trace process, named after its policy).  Under faults a job's ``wait``
+span runs from arrival to its *first* dispatch and its ``run`` span
+from there to its final finish; an abandoned job gets the wait span
+only.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+import gc
+import math
+from array import array
+from collections import Counter
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Sequence
+
+import numpy as np
+from numpy.typing import NDArray
+
+from repro.obs.trace import US_PER_S
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -37,14 +52,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.job import TraceArrays
     from repro.serve.scheduler import JobRecord
 
-#: Normalized job row: (job_id, tenant, model, arrival_s, status code,
-#: granted_steps, requested_steps, epsilon_after, start_s, finish_s).
-#: Status codes are :class:`~repro.serve.budget.BatchAdmissionDecisions`'s
-#: (0 admitted, 1 truncated, 2 rejected); start/finish are None for
-#: rejected jobs.
-JobRow = "tuple[int, str, str, float, int, int, int, float, float | None, float | None]"
-
 _OUTCOMES = ("admitted", "truncated", "rejected")
+
+
+@dataclass(frozen=True)
+class _JobColumns:
+    """Per-job lifecycle columns, one entry per job in arrival order.
+
+    Both attach modes normalize to these.  ``status`` uses
+    :class:`~repro.serve.budget.BatchAdmissionDecisions`'s codes
+    (0 admitted, 1 truncated, 2 rejected); ``tenant`` / ``model`` index
+    the ``tenants`` / ``models`` vocabularies.  ``start_s`` is the
+    *first* dispatch (NaN if the job never ran) and ``finish_s`` the
+    final completion (NaN if it never completed: rejected or
+    abandoned).
+    """
+
+    job_id: NDArray[np.int64]
+    tenant: NDArray[np.int64]
+    tenants: Sequence[str]
+    model: NDArray[np.int64]
+    models: Sequence[str]
+    arrival_s: NDArray[np.float64]
+    status: NDArray[np.int64]
+    granted: NDArray[np.int64]
+    requested: NDArray[np.int64]
+    epsilon_after: NDArray[np.float64]
+    start_s: NDArray[np.float64]
+    finish_s: NDArray[np.float64]
 
 
 class FleetObs:
@@ -69,6 +104,8 @@ class FleetObs:
         #: Streaming-path dispatch sink: ``(job_id, start_s)`` appended
         #: inline by the scheduler's dispatch loop.
         self.dispatches: list[tuple[int, float]] = []
+        #: Faulty streaming-path completion sink (:meth:`finish_sink`).
+        self.finishes: "array[float] | None" = None
         #: Windowed load samples: ``(t, queued, idle, active, pending)``.
         self.samples: list[tuple[float, int, int, int, int]] = []
         #: Next simulated time at which the scheduler should sample.
@@ -84,6 +121,15 @@ class FleetObs:
         self.samples.append((now, queued, idle, active, pending))
         self.next_sample_s = (int(now // self.window_s) + 1) \
             * self.window_s
+
+    def finish_sink(self, jobs: int) -> "array[float]":
+        """Per-job final-finish slots (NaN until the job completes).
+
+        The faulty streaming loop stores each completion's finish time
+        at its job id — one O(1) store, 8 bytes per job.
+        """
+        self.finishes = array("d", [math.nan]) * jobs
+        return self.finishes
 
     # -- end-of-run attachment (references only, O(1)) ---------------------
 
@@ -124,93 +170,162 @@ class FleetObs:
         run = self._run
         policy: str = run["policy"]
         state: "AutoscalerState | None" = run["state"]
-        faults: "FaultRun | None" = run.get("faults")
+        faults: "FaultRun | None" = run["faults"]
         scale_events: "tuple[ScaleEvent, ...]" = \
             tuple(state.events) if state is not None else ()
         fault_events: "list[FaultEvent]" = \
             faults.events if faults is not None else []
-        if run["mode"] == "scalar":
-            rows: Iterable[Any] = _scalar_rows(run["records"])
-        else:
-            rows = _streaming_rows(run["trace"], run["decisions"],
-                                   run["service"], self.dispatches)
-        if self.recorder is not None and self.metrics is not None:
-            rows = list(rows)
-        if self.recorder is not None:
-            _emit_spans(self.recorder, policy, rows, self.samples,
-                        scale_events, fault_events)
-        if self.metrics is not None:
-            _fold_metrics(self.metrics, policy, rows, self.samples,
-                          scale_events, fault_events)
+        # Export allocates one dict per event and nothing cyclic, so the
+        # cyclic collector would only rescan the growing event list
+        # (about 45 % of a 1M-job export); pause it for the duration.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            if run["mode"] == "scalar":
+                jobs = _scalar_columns(run["records"])
+            else:
+                jobs = _streaming_columns(
+                    run["trace"], run["decisions"], run["service"],
+                    self.dispatches, self.finishes)
+            if self.recorder is not None:
+                _emit_spans(self.recorder, policy, jobs, self.samples,
+                            scale_events, fault_events)
+            if self.metrics is not None:
+                _fold_metrics(self.metrics, policy, jobs, self.samples,
+                              scale_events, fault_events)
+        finally:
+            if collecting:
+                gc.enable()
 
 
-def _scalar_rows(records: "list[JobRecord]") -> "Iterator[Any]":
+def _scalar_columns(records: "list[JobRecord]") -> _JobColumns:
+    """Columns from the scalar simulator's finished records."""
     from repro.serve.budget import AdmissionStatus
 
     code = {AdmissionStatus.ADMITTED: 0, AdmissionStatus.TRUNCATED: 1,
             AdmissionStatus.REJECTED: 2}
-    for rec in records:
-        yield (rec.job.job_id, rec.job.tenant, rec.job.model,
-               float(rec.job.arrival_s), code[rec.decision.status],
-               int(rec.decision.granted_steps), int(rec.job.steps),
-               float(rec.decision.epsilon_after),
-               rec.start_s, rec.finish_s)
+    tenants: dict[str, int] = {}
+    models: dict[str, int] = {}
+    nan = math.nan
+    return _JobColumns(
+        job_id=np.array([r.job.job_id for r in records], dtype=np.int64),
+        tenant=np.array([tenants.setdefault(r.job.tenant, len(tenants))
+                         for r in records], dtype=np.int64),
+        tenants=tuple(tenants),
+        model=np.array([models.setdefault(r.job.model, len(models))
+                        for r in records], dtype=np.int64),
+        models=tuple(models),
+        arrival_s=np.array([r.job.arrival_s for r in records], dtype=float),
+        status=np.array([code[r.decision.status] for r in records],
+                        dtype=np.int64),
+        granted=np.array([r.decision.granted_steps for r in records],
+                         dtype=np.int64),
+        requested=np.array([r.job.steps for r in records], dtype=np.int64),
+        epsilon_after=np.array([r.decision.epsilon_after for r in records],
+                               dtype=float),
+        start_s=np.array([nan if r.start_s is None else r.start_s
+                          for r in records], dtype=float),
+        finish_s=np.array([nan if r.finish_s is None else r.finish_s
+                           for r in records], dtype=float))
 
 
-def _streaming_rows(trace: "TraceArrays",
-                    decisions: "BatchAdmissionDecisions",
-                    service: Any,
-                    dispatches: "list[tuple[int, float]]"
-                    ) -> "Iterator[Any]":
-    """Reconstruct per-job rows from the streaming run's arrays.
+def _streaming_columns(trace: "TraceArrays",
+                       decisions: "BatchAdmissionDecisions",
+                       service: NDArray[np.float64],
+                       dispatches: "list[tuple[int, float]]",
+                       finishes: "array[float] | None"
+                       ) -> _JobColumns:
+    """Columns rebuilt from the streaming run's arrays and sinks.
 
-    The streaming loop never materializes job records — its completion
-    heap holds only times — so lifecycles are rebuilt here: arrival
-    and admission from the trace + batched decisions, dispatch from
-    the inline sink, completion as ``start + service`` (bitwise the
-    float the loop pushed onto its heap, so spans match the scalar
-    simulator's exactly).
+    The streaming loops never materialize job records, so lifecycles
+    are rebuilt here: arrival and admission from the trace and the
+    batched decisions, the first dispatch from the dispatch sink.  The
+    faulty loop's finish sink gives each job's final finish; the
+    zero-fault loop runs every job exactly once, so its finish is
+    ``start + service`` — bitwise the float the loop pushed onto its
+    completion heap.
     """
-    starts: dict[int, float] = dict(dispatches)
-    for job in range(len(trace)):
-        start = starts.get(job)
-        finish = float(start + service[job]) if start is not None \
-            else None
-        yield (job, trace.tenants[int(trace.tenant[job])],
-               trace.models[int(trace.model[job])],
-               float(trace.arrival_s[job]),
-               int(decisions.status[job]),
-               int(decisions.granted_steps[job]),
-               int(trace.steps[job]),
-               float(decisions.epsilon_after[job]),
-               start, finish)
+    n = len(trace)
+    start = np.full(n, np.nan)
+    if dispatches:
+        sink = np.array(dispatches)  # job ids stay exact below 2**53
+        ids = sink[:, 0].astype(np.int64)
+        _, first = np.unique(ids, return_index=True)
+        start[ids[first]] = sink[first, 1]
+    if finishes is None:
+        finish = start + service
+    else:
+        finish = np.frombuffer(finishes, dtype=float)
+    return _JobColumns(
+        job_id=np.arange(n, dtype=np.int64),
+        tenant=np.asarray(trace.tenant, dtype=np.int64),
+        tenants=trace.tenants,
+        model=np.asarray(trace.model, dtype=np.int64),
+        models=trace.models,
+        arrival_s=np.asarray(trace.arrival_s, dtype=float),
+        status=np.asarray(decisions.status, dtype=np.int64),
+        granted=np.asarray(decisions.granted_steps, dtype=np.int64),
+        requested=np.asarray(trace.steps, dtype=np.int64),
+        epsilon_after=np.asarray(decisions.epsilon_after, dtype=float),
+        start_s=start,
+        finish_s=finish)
 
 
 def _emit_spans(recorder: "TraceRecorder", policy: str,
-                rows: Iterable[Any],
+                jobs: _JobColumns,
                 samples: "list[tuple[float, int, int, int, int]]",
                 scale_events: "tuple[ScaleEvent, ...]",
-                fault_events: "list[FaultEvent]" = []) -> None:
+                fault_events: "list[FaultEvent]") -> None:
+    """Job-lifecycle spans, autoscaler / fault instants, load counters.
+
+    Per job: a rejected job is one ``admission`` instant at arrival;
+    a dispatched job gets a ``wait`` span (arrival to first dispatch)
+    and, if it completed, a ``run`` span (first dispatch to final
+    finish).  Event dicts are built inline with
+    :meth:`~repro.obs.trace.TraceRecorder.span` /
+    :meth:`~repro.obs.trace.TraceRecorder.instant`'s key layout, and
+    each tenant's thread is named where it is first used.
+    """
     pid = recorder.pid(f"fleet: {policy}")
-    for (job, tenant, model, arrival, status, granted, requested,
-         eps_after, start, finish) in rows:
-        tid = recorder.tid(pid, tenant)
-        if status == 2 or start is None:
-            recorder.instant(
-                f"job-{job} rejected", arrival, pid=pid, tid=tid,
-                cat="admission",
-                args={"model": model, "requested_steps": requested,
-                      "epsilon_after": eps_after})
+    append = recorder.events.append
+    start, finish = jobs.start_s, jobs.finish_s
+    rejected = (jobs.status == 2) | np.isnan(start)
+    # 0: rejected instant, 1: wait span only (abandoned), 2: wait + run.
+    kind = np.where(rejected, 0, np.where(np.isnan(finish), 1, 2))
+    arrival_us = (jobs.arrival_s * US_PER_S).tolist()
+    wait_us = ((start - jobs.arrival_s) * US_PER_S).tolist()
+    start_us = (start * US_PER_S).tolist()
+    run_us = ((finish - start) * US_PER_S).tolist()
+    models = [jobs.models[m] for m in jobs.model.tolist()]
+    tenant_names = jobs.tenants
+    tids: list[int | None] = [None] * len(tenant_names)
+    for (job, tenant, model, what, status, granted, requested, eps_after,
+         ts, wait, run_ts, run) in zip(
+            jobs.job_id.tolist(), jobs.tenant.tolist(), models,
+            kind.tolist(), jobs.status.tolist(), jobs.granted.tolist(),
+            jobs.requested.tolist(), jobs.epsilon_after.tolist(),
+            arrival_us, wait_us, start_us, run_us):
+        tid = tids[tenant]
+        if tid is None:
+            tid = tids[tenant] = recorder.tid(pid, tenant_names[tenant])
+        if what == 0:
+            append({"name": f"job-{job} rejected", "ph": "i",
+                    "cat": "admission", "s": "t", "ts": ts, "pid": pid,
+                    "tid": tid,
+                    "args": {"model": model, "requested_steps": requested,
+                             "epsilon_after": eps_after}})
             continue
-        args = {"model": model, "granted_steps": granted,
-                "requested_steps": requested,
-                "epsilon_after": eps_after}
-        if status == 1:
-            args["truncated"] = True
-        recorder.span(f"job-{job} wait", arrival, start - arrival,
-                      pid=pid, tid=tid, cat="queue")
-        recorder.span(f"job-{job} run", start, finish - start,
-                      pid=pid, tid=tid, cat="run", args=args)
+        append({"name": f"job-{job} wait", "ph": "X", "cat": "queue",
+                "ts": ts, "dur": wait, "pid": pid, "tid": tid})
+        if what == 2:
+            args = {"model": model, "granted_steps": granted,
+                    "requested_steps": requested,
+                    "epsilon_after": eps_after}
+            if status == 1:
+                args["truncated"] = True
+            append({"name": f"job-{job} run", "ph": "X", "cat": "run",
+                    "ts": run_ts, "dur": run, "pid": pid, "tid": tid,
+                    "args": args})
     scale_tid = recorder.tid(pid, "autoscaler")
     for event in scale_events:
         recorder.instant(
@@ -222,18 +337,18 @@ def _emit_spans(recorder: "TraceRecorder", policy: str,
         # failure instant — render it as a span, the rest as instants.
         crash_at = {(e.job_id, e.attempt): e.time_s
                     for e in fault_events if e.kind == "failure"}
-        for event in fault_events:
-            args = {"job": event.job_id, "attempt": event.attempt}
-            if event.kind == "retry":
-                crash_s = crash_at[(event.job_id, event.attempt)]
+        for fault in fault_events:
+            fault_args = {"job": fault.job_id, "attempt": fault.attempt}
+            if fault.kind == "retry":
+                crash_s = crash_at[(fault.job_id, fault.attempt)]
                 recorder.span(
-                    f"job-{event.job_id} backoff", crash_s,
-                    event.time_s - crash_s, pid=pid, tid=fault_tid,
-                    cat="fault", args=args)
+                    f"job-{fault.job_id} backoff", crash_s,
+                    fault.time_s - crash_s, pid=pid, tid=fault_tid,
+                    cat="fault", args=fault_args)
             else:
                 recorder.instant(
-                    f"job-{event.job_id} {event.kind}", event.time_s,
-                    pid=pid, tid=fault_tid, cat="fault", args=args)
+                    f"job-{fault.job_id} {fault.kind}", fault.time_s,
+                    pid=pid, tid=fault_tid, cat="fault", args=fault_args)
     for t, queued, idle, active, pending in samples:
         recorder.counter("queue depth", t, {"queued": queued}, pid=pid)
         recorder.counter("clusters", t,
@@ -242,38 +357,62 @@ def _emit_spans(recorder: "TraceRecorder", policy: str,
 
 
 def _fold_metrics(metrics: "MetricsRegistry", policy: str,
-                  rows: Iterable[Any],
+                  jobs: _JobColumns,
                   samples: "list[tuple[float, int, int, int, int]]",
                   scale_events: "tuple[ScaleEvent, ...]",
-                  fault_events: "list[FaultEvent]" = []) -> None:
-    """Fold one run into counters / histograms / windowed series."""
+                  fault_events: "list[FaultEvent]") -> None:
+    """Fold one run into counters / histograms / windowed series.
+
+    One registry lookup per metric, not per job: counters from one
+    ``bincount`` over (tenant, outcome), series through
+    :meth:`~repro.obs.metrics.TimeSeries.add_many`.  Waits cover every
+    dispatched job, service times every completed one.
+    """
     waits = metrics.histogram("wait_s", policy=policy)
     service = metrics.histogram("service_s", policy=policy)
-    for (job, tenant, model, arrival, status, granted, requested,
-         eps_after, start, finish) in rows:
-        outcome = _OUTCOMES[status]
-        metrics.counter("jobs", policy=policy, tenant=tenant,
-                        outcome=outcome).inc()
+    outcomes = len(_OUTCOMES)
+    counts = np.bincount(jobs.tenant * outcomes + jobs.status,
+                         minlength=len(jobs.tenants) * outcomes)
+    for key in np.flatnonzero(counts).tolist():
+        tenant, status = divmod(key, outcomes)
+        metrics.counter("jobs", policy=policy,
+                        tenant=jobs.tenants[tenant],
+                        outcome=_OUTCOMES[status]).inc(int(counts[key]))
+    arrival = jobs.arrival_s
+    for status in np.unique(jobs.status).tolist():
+        times = arrival[jobs.status == status]
         metrics.series("arrival_rate", policy=policy,
-                       outcome=outcome).add(arrival, 1.0)
+                       outcome=_OUTCOMES[status]).add_many(
+            times, [1.0] * len(times))
+    for tenant in np.unique(jobs.tenant).tolist():
+        mine = jobs.tenant == tenant
         metrics.series("tenant_epsilon_spent", policy=policy,
-                       tenant=tenant).add(arrival, eps_after)
-        if start is not None:
-            waits.observe(start - arrival)
-            service.observe(finish - start)
-    for t, queued, idle, active, pending in samples:
-        running = active - idle
-        metrics.series("queue_depth", policy=policy).add(t, queued)
-        metrics.series("running_jobs", policy=policy).add(t, running)
-        metrics.series("active_clusters", policy=policy).add(t, active)
-        metrics.series("utilization", policy=policy).add(
-            t, running / active if active > 0 else 0.0)
-    for event in scale_events:
-        metrics.counter("scale_decisions", policy=policy,
-                        action=event.action, reason=event.reason).inc()
-    for fault in fault_events:
-        metrics.counter("fault_events", policy=policy,
-                        kind=fault.kind).inc()
+                       tenant=jobs.tenants[tenant]).add_many(
+            arrival[mine], jobs.epsilon_after[mine].tolist())
+    dispatched = ~np.isnan(jobs.start_s)
+    waits.observe_many(
+        (jobs.start_s - arrival)[dispatched].tolist())
+    completed = ~np.isnan(jobs.finish_s)
+    service.observe_many(
+        (jobs.finish_s - jobs.start_s)[completed].tolist())
     if samples:
-        metrics.gauge("peak_queue_depth", policy=policy).set(
-            max(sample[1] for sample in samples))
+        times_s, queued, idle, active, _ = (list(column)
+                                            for column in zip(*samples))
+        running = [a - i for a, i in zip(active, idle)]
+        metrics.series("queue_depth", policy=policy).add_many(
+            times_s, queued)
+        metrics.series("running_jobs", policy=policy).add_many(
+            times_s, running)
+        metrics.series("active_clusters", policy=policy).add_many(
+            times_s, active)
+        metrics.series("utilization", policy=policy).add_many(
+            times_s, [r / a if a > 0 else 0.0
+                      for r, a in zip(running, active)])
+        metrics.gauge("peak_queue_depth", policy=policy).set(max(queued))
+    for (action, reason), count in Counter(
+            (event.action, event.reason) for event in scale_events).items():
+        metrics.counter("scale_decisions", policy=policy,
+                        action=action, reason=reason).inc(count)
+    for kind, count in Counter(
+            fault.kind for fault in fault_events).items():
+        metrics.counter("fault_events", policy=policy, kind=kind).inc(count)

@@ -23,8 +23,13 @@ identical runs serialize byte-identically.
 from __future__ import annotations
 
 import json
+from functools import reduce
+from operator import add
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.serve.stream import StreamingStats
 
@@ -88,6 +93,12 @@ class Histogram:
     def observe(self, value: float) -> None:
         self._stats.add(float(value))
 
+    def observe_many(self, values: Iterable[float]) -> None:
+        """``observe`` each float of ``values`` in order."""
+        add_one = self._stats.add
+        for value in values:
+            add_one(value)
+
     def quantile(self, p: float) -> float:
         return self._stats.quantile(p)
 
@@ -150,6 +161,51 @@ class TimeSeries:
         self._count += 1
         self._total += value
         self._last = value
+
+    def add_many(self, times: ArrayLike, values: Sequence[Any]) -> None:
+        """Fold time-ordered samples; bitwise equal to ``add`` per sample.
+
+        Window indices come from one vectorized floor division.  Each
+        closed window's min / max / last come from the builtins over its
+        slice (the same left fold ``add`` performs), and its sum is a
+        sequential left fold (``functools.reduce``), never a pairwise
+        NumPy sum, so totals match ``add``'s running ``+=`` exactly.
+        ``values`` keep their Python types (int samples stay ints).
+        """
+        stamps = np.asarray(times, dtype=float)
+        windows = (stamps // self.window_s).astype(np.int64)
+        n = len(windows)
+        if not n:
+            return
+        if (self._window is not None and windows[0] < self._window) \
+                or np.any(windows[1:] < windows[:-1]):
+            raise ValueError("samples must arrive in nondecreasing time, "
+                             "at or after the open window")
+        lo = 0
+        if windows[0] == self._window:
+            # Samples joining the already-open window fold one by one.
+            lo = int(np.searchsorted(windows, windows[0], side="right"))
+            for t, value in zip(stamps[:lo].tolist(), values[:lo]):
+                self.add(t, value)
+            if lo == n:
+                return
+        cuts = (np.flatnonzero(np.diff(windows[lo:])) + lo + 1).tolist()
+        firsts = [lo, *cuts]
+        chunks = [values[a:b] for a, b in zip(firsts, [*cuts, n])]
+        opened = windows[firsts].tolist()
+        self._close()
+        self.points.extend(
+            {"t": window * self.window_s, "count": len(chunk),
+             "sum": reduce(add, chunk, 0.0), "min": min(chunk),
+             "max": max(chunk), "last": chunk[-1]}
+            for window, chunk in zip(opened[:-1], chunks[:-1]))
+        chunk = chunks[-1]
+        self._window = opened[-1]
+        self._count = len(chunk)
+        self._total = reduce(add, chunk, 0.0)
+        self._min = min(chunk)
+        self._max = max(chunk)
+        self._last = chunk[-1]
 
     def to_dict(self) -> dict[str, Any]:
         self._close()

@@ -44,8 +44,12 @@ no matter how crashes and retries interleave.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, overload
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.training.simulate import (
     CheckpointConfig,
@@ -77,17 +81,35 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _S_FAIL, _S_STRAGGLE, _S_SCOPE, _S_REPAIR, _S_DEGRADE = range(5)
 
 
-def _mix64(value: int) -> int:
-    """splitmix64 finalizer: one avalanche round over 64 bits."""
+def _mix64(value: Any) -> Any:
+    """splitmix64 finalizer: one avalanche round over 64 bits.
+
+    Works unchanged on Python ints and on ``uint64`` arrays (whose
+    arithmetic wraps modulo 2**64, exactly what the masks emulate).
+    """
     z = (value + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
 
 
+@overload
 def _keyed_uniform(seed: int, job_id: int, attempt: int,
-                   stream: int) -> float:
-    """Uniform in (0, 1), a pure function of its key — no RNG state."""
+                   stream: int) -> float: ...
+
+
+@overload
+def _keyed_uniform(seed: int, job_id: NDArray[np.uint64], attempt: int,
+                   stream: int) -> NDArray[np.float64]: ...
+
+
+def _keyed_uniform(seed: int, job_id: Any, attempt: int,
+                   stream: int) -> Any:
+    """Uniform in (0, 1), a pure function of its key — no RNG state.
+
+    ``job_id`` may be a ``uint64`` array: the draws are then computed
+    for every id at once and equal the scalar ones bit for bit.
+    """
     h = _mix64(seed)
     h = _mix64(h ^ _mix64(job_id))
     h = _mix64(h ^ _mix64(attempt))
@@ -217,6 +239,23 @@ class FaultModel:
         scale = self._chip_scale_s / n_chips ** (1.0 / shape)
         return scale * (-math.log(u)) ** (1.0 / shape)
 
+    def first_failures_s(self, n_jobs: int, n_chips: int) -> list[float]:
+        """``time_to_failure_s(job, 1, n_chips)`` for jobs ``0..n_jobs-1``.
+
+        One array hash draws every job's first-attempt uniform; the log
+        and power stay per-value ``math`` calls, since NumPy's
+        vectorized ``log`` may round differently from libm.  Equal to
+        the scalar draws bit for bit.
+        """
+        shape = self.config.weibull_shape
+        draws = _keyed_uniform(self.config.seed,
+                               np.arange(n_jobs, dtype=np.uint64), 1,
+                               _S_FAIL)
+        scale = self._chip_scale_s / n_chips ** (1.0 / shape)
+        exponent = 1.0 / shape
+        log = math.log
+        return [scale * (-log(u)) ** exponent for u in draws.tolist()]
+
     def straggler_multiplier(self, job_id: int, attempt: int) -> float:
         """Step-latency multiplier for this attempt (1.0 = healthy)."""
         rate = self.config.straggler_rate
@@ -342,6 +381,17 @@ class FaultRun:
         self._jobs: dict[int, _JobState] = {}
         self._ckpt: dict[tuple[str, float], tuple[float, int]] = {}
         self._degraded: dict[tuple[str, str, int, int], float | None] = {}
+        self._first_failure_s: "array[float]" = array("d")
+
+    def prime_first_failures(self, n_jobs: int) -> None:
+        """Draw the first-attempt failure time of jobs ``0..n_jobs-1`` now.
+
+        Both event loops call this once before their first dispatch;
+        :meth:`begin_attempt` then reads first attempts from the table
+        and draws retries (and ids outside it) one by one.
+        """
+        self._first_failure_s = array("d", self.model.first_failures_s(
+            n_jobs, self.fleet.chips_per_cluster))
 
     # -- checkpoint cadence ------------------------------------------------
 
@@ -460,8 +510,11 @@ class FaultRun:
         mult = self.model.straggler_multiplier(job_id, attempt)
         eff = step_s * mult + write_s / interval
         duration = remaining * eff
-        fail_after = self.model.time_to_failure_s(
-            job_id, attempt, fleet.chips_per_cluster)
+        if attempt == 1 and 0 <= job_id < len(self._first_failure_s):
+            fail_after = self._first_failure_s[job_id]
+        else:
+            fail_after = self.model.time_to_failure_s(
+                job_id, attempt, fleet.chips_per_cluster)
 
         if fail_after >= duration:
             # Clean run to completion.

@@ -218,20 +218,28 @@ def predict_step_seconds(
         cache=cache))
 
 
-def _policy_key(
+def _policy_select(
     policy: str, admission: AdmissionController,
-) -> Callable[[JobRecord], tuple[float | int, ...]]:
-    """Dispatch-priority key function; lower sorts first."""
+) -> Callable[[list[JobRecord]], JobRecord]:
+    """Dispatch selector: the queued record whose priority key is lowest."""
     if policy == "fifo":
-        return lambda rec: (rec.job.arrival_s, rec.job.job_id)
+        return lambda queue: min(
+            queue, key=lambda rec: (rec.job.arrival_s, rec.job.job_id))
     if policy == "sjf":
-        return lambda rec: (rec.service_s, rec.job.arrival_s,
-                            rec.job.job_id)
+        return lambda queue: min(
+            queue, key=lambda rec: (rec.service_s, rec.job.arrival_s,
+                                    rec.job.job_id))
     if policy == "budget":
         # remaining_fraction is read at dispatch time: each grant a
-        # tenant burns pushes its queued jobs further back.
-        return lambda rec: (-admission.remaining_fraction(rec.job.tenant),
-                            rec.job.arrival_s, rec.job.job_id)
+        # tenant burns pushes its queued jobs further back.  The ledger
+        # cannot move during one selection, so read it once per tenant.
+        def select(queue: list[JobRecord]) -> JobRecord:
+            remaining = {tenant: admission.remaining_fraction(tenant)
+                         for tenant in {rec.job.tenant for rec in queue}}
+            return min(queue, key=lambda rec: (-remaining[rec.job.tenant],
+                                               rec.job.arrival_s,
+                                               rec.job.job_id))
+        return select
     raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
 
 
@@ -288,13 +296,15 @@ def simulate_fleet(
     """
     if admission is None:
         admission = AdmissionController()
-    select_key = _policy_key(policy, admission)
+    select = _policy_select(policy, admission)
     state = (AutoscalerState(autoscaler,
                              initial_clusters=fleet.n_clusters,
                              chips_per_cluster=fleet.chips_per_cluster)
              if autoscaler is not None else None)
     frun = (FaultRun(faults, fleet, admission, cache=cache)
             if faults is not None else None)
+    if frun is not None:
+        frun.prime_first_failures(len(trace))
 
     # Event heap: (time, priority, seq, kind, payload).  priority
     # orders simultaneous events across kinds, seq within a kind;
@@ -364,7 +374,7 @@ def simulate_fleet(
             assert record.cluster_index is not None
             heapq.heappush(idle, record.cluster_index)
         while idle and queue:
-            nxt = min(queue, key=select_key)
+            nxt = select(queue)
             queue.remove(nxt)
             nxt.cluster_index = heapq.heappop(idle)
             if frun is None:
@@ -609,7 +619,8 @@ def simulate_fleet_streaming(
 
     ``obs`` also mirrors :func:`simulate_fleet` — with one extra
     in-loop hook: since this loop keeps no per-job records, each
-    dispatch appends ``(job_id, start_s)`` to the observer's sink so
+    dispatch appends ``(job_id, start_s)`` to the observer's sink (and,
+    with faults on, each completion stores its finish time) so
     ``obs.export()`` can rebuild job lifecycles afterwards.  The
     sampling points are event-for-event identical to the scalar
     loop's, which makes the two simulators' exported span sets (and
@@ -811,6 +822,7 @@ def _simulate_streaming_faulty(
       both simulators execute bit-identical float arithmetic.
     """
     frun = FaultRun(faults, fleet, admission, cache=cache)
+    frun.prime_first_failures(len(trace))
     unique, inverse, table = _job_step_table(trace, fleet, cache=cache)
     # Checkpoint-amortized step per unique config, through the same
     # scalar helper (and memo) the scalar loop uses per job.
@@ -888,6 +900,7 @@ def _simulate_streaming_faulty(
 
     waits = state.waits if state is not None else StreamingStats()
     obs_dispatch = obs.dispatches.append if obs is not None else None
+    obs_finish_s = obs.finish_sink(total) if obs is not None else None
     obs_next_sample_s = obs.next_sample_s if obs is not None else math.inf
     # Completions, repairs and retries in one heap; the priority slot
     # reuses the scalar loop's constants, so popping order is the
@@ -942,6 +955,9 @@ def _simulate_streaming_faulty(
                 heapq.heappush(pending, (outcome.free_s,
                                          _PRIO_COMPLETION, pseq, jid))
                 pseq += 1
+                if obs_finish_s is not None:
+                    assert outcome.finish_s is not None  # completed
+                    obs_finish_s[jid] = outcome.finish_s
             else:
                 heapq.heappush(pending, (outcome.free_s, _PRIO_REPAIR,
                                          pseq, jid))

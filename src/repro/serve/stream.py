@@ -49,37 +49,43 @@ class P2Quantile:
             p = self.p
         else:
             self.p = p
-        self._count += 1
+        count = self._count = self._count + 1
         q = self._heights
-        if self._count <= 5:
+        if count <= 5:
             q.append(x)
             q.sort()
             return
         n = self._positions
-        # Locate the marker cell and clamp the extreme heights.
+        # Locate the marker cell, clamp the extreme heights, and shift
+        # every marker above the cell one position up.
         if x < q[0]:
             q[0] = x
-            k = 0
+            n[1] += 1.0
+            n[2] += 1.0
+            n[3] += 1.0
         elif x >= q[4]:
             q[4] = x
-            k = 3
         elif x < q[1]:
-            k = 0
+            n[1] += 1.0
+            n[2] += 1.0
+            n[3] += 1.0
         elif x < q[2]:
-            k = 1
+            n[2] += 1.0
+            n[3] += 1.0
         elif x < q[3]:
-            k = 2
-        else:
-            k = 3
-        for i in range(k + 1, 5):
-            n[i] += 1.0
+            n[3] += 1.0
+        n[4] += 1.0
         # Desired marker positions from the *current* count and target
         # (not incrementally accumulated): with a drifting target the
         # stale early increments would otherwise bias the markers for
         # the rest of the stream.
-        span = self._count - 1.0
+        span = count - 1.0
         desired = (1.0, 1.0 + span * p / 2.0, 1.0 + span * p,
-                   1.0 + span * (1.0 + p) / 2.0, 1.0 + span)
+                   1.0 + span * (1.0 + p) / 2.0)
+        if -1.0 < desired[1] - n[1] < 1.0 \
+                and -1.0 < desired[2] - n[2] < 1.0 \
+                and -1.0 < desired[3] - n[3] < 1.0:
+            return  # every marker within one position: nothing moves
         # Adjust the three interior markers toward their desired
         # positions, parabolically when the result stays monotone.
         for i in (1, 2, 3):

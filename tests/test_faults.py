@@ -107,6 +107,47 @@ class TestKeyedDraws:
         assert abs(np.mean(draws) - 0.5) < 0.02
         assert min(draws) < 0.01 and max(draws) > 0.99
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32), attempt=st.integers(1, 8),
+           stream=st.integers(0, 4),
+           job_ids=st.lists(st.integers(0, 2**63), min_size=1,
+                            max_size=40))
+    def test_array_draws_equal_scalar_draws(self, seed, attempt, stream,
+                                            job_ids):
+        draws = _keyed_uniform(seed, np.array(job_ids, dtype=np.uint64),
+                               attempt, stream)
+        assert draws.tolist() == [
+            _keyed_uniform(seed, job, attempt, stream) for job in job_ids]
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=st.floats(0.3, 4.0).filter(lambda k: k != 1.0),
+           mtbf_hours=st.floats(0.01, 1e4), seed=st.integers(0, 2**32),
+           n_chips=st.sampled_from([1, 2, 3, 8, 64]),
+           n_jobs=st.integers(0, 300))
+    def test_first_failure_table_equals_scalar_draws(self, shape,
+                                                     mtbf_hours, seed,
+                                                     n_chips, n_jobs):
+        model = FaultModel(FaultConfig(mtbf_hours=mtbf_hours,
+                                       weibull_shape=shape, seed=seed))
+        assert model.first_failures_s(n_jobs, n_chips) == [
+            model.time_to_failure_s(job, 1, n_chips)
+            for job in range(n_jobs)]
+
+    def test_primed_run_matches_unprimed_run(self):
+        # The table is an exact cache: a run that never primes draws
+        # every attempt through time_to_failure_s and ends identical.
+        def drive(prime):
+            frun, _ = _run(AGGRESSIVE,
+                           FleetConfig(chips=4, chips_per_cluster=2))
+            if prime:
+                frun.prime_first_failures(40)
+            outcomes = [_attempt(frun, job_id=job, now=10.0 * job,
+                                 granted=400, requested=400)
+                        for job in range(50)]
+            return outcomes, frun.events, frun.busy_s, frun.wasted_s
+
+        assert drive(True) == drive(False)
+
 
 class TestFaultModel:
     def test_cluster_mtbf_min_stability(self):

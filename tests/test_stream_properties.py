@@ -136,3 +136,68 @@ class TestStreamingStatsProperties:
             stats.add(value)
         for p in _QUANTILES:
             assert stats.quantile(p) == _exact(data, p)
+
+
+def _reference_p2_add(estimator, x, p):
+    """The textbook P² update, loop for loop: the oracle for
+    :meth:`P2Quantile.add`, whose marker shifts are unrolled and which
+    returns early when no marker is a full position off target."""
+    estimator.p = p
+    estimator._count += 1
+    q, n = estimator._heights, estimator._positions
+    if estimator._count <= 5:
+        q.append(x)
+        q.sort()
+        return
+    if x < q[0]:
+        q[0] = x
+        k = 0
+    elif x >= q[4]:
+        q[4] = x
+        k = 3
+    else:
+        k = next(i for i in range(3) if x < q[i + 1]) if x < q[3] else 3
+    for i in range(k + 1, 5):
+        n[i] += 1.0
+    span = estimator._count - 1.0
+    desired = (1.0, 1.0 + span * p / 2.0, 1.0 + span * p,
+               1.0 + span * (1.0 + p) / 2.0, 1.0 + span)
+    for i in (1, 2, 3):
+        d = desired[i] - n[i]
+        if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or \
+                (d <= -1.0 and n[i - 1] - n[i] < -1.0):
+            d = 1.0 if d > 0 else -1.0
+            qi = q[i] + d / (n[i + 1] - n[i - 1]) * (
+                (n[i] - n[i - 1] + d) * (q[i + 1] - q[i])
+                / (n[i + 1] - n[i])
+                + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1])
+                / (n[i] - n[i - 1]))
+            if not q[i - 1] < qi < q[i + 1]:
+                j = i + int(d)
+                qi = q[i] + d * (q[j] - q[i]) / (n[j] - n[i])
+            q[i] = qi
+            n[i] += d
+
+
+class TestP2QuantileBitwise:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6),
+           # Dyadic targets land desired positions exactly one marker
+           # position away, the boundary of the no-adjust early return.
+           p=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                       st.floats(0.0, 1.0)),
+           n=st.integers(1, 3000), ties=st.booleans(),
+           drift=st.booleans())
+    def test_add_matches_reference_update(self, seed, p, n, ties, drift):
+        rng = np.random.default_rng(seed)
+        data = rng.lognormal(0.0, 2.0, n)
+        if ties:
+            data = np.round(data)
+        targets = rng.uniform(0.0, 1.0, n) if drift else np.full(n, p)
+        fast, slow = P2Quantile(p), P2Quantile(p)
+        for value, target in zip(data.tolist(), targets.tolist()):
+            fast.add(value, target)
+            _reference_p2_add(slow, value, target)
+        assert fast._heights == slow._heights
+        assert fast._positions == slow._positions
+        assert (fast._count, fast.p) == (slow._count, slow.p)
