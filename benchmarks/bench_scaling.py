@@ -87,9 +87,15 @@ def test_scaling_smoke_sweep(capsys):
 
 
 def _timed(fn, *args, **kwargs):
+    """Time ``fn`` cold: no GEMM stats, lowered schedules or networks
+    memoized by earlier tests in this process."""
     from repro.arch.engine import clear_gemm_stats_cache
+    from repro.training.batch import clear_lowered_step_cache
+    from repro.workloads.zoo import clear_model_cache
 
     clear_gemm_stats_cache()
+    clear_lowered_step_cache()
+    clear_model_cache()
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start

@@ -18,7 +18,7 @@ from repro.training import (
     max_batch_size,
     simulate_training_step,
 )
-from repro.workloads import MODEL_NAMES, Network, build_model
+from repro.workloads import MODEL_NAMES, build_model
 
 #: The models of Figures 13-17's detailed subset.
 DETAIL_MODELS = ("VGG-16", "ResNet-152", "BERT-large", "LSTM-large")
@@ -34,17 +34,9 @@ DESIGN_POINTS = (
 
 
 @lru_cache(maxsize=64)
-def get_model(name: str, input_size: int = 32, seq_len: int = 32,
-              native_groups: bool = False) -> Network:
-    """Cached model construction."""
-    return build_model(name, input_size=input_size, seq_len=seq_len,
-                       native_groups=native_groups)
-
-
-@lru_cache(maxsize=64)
 def default_batch(name: str, input_size: int = 32, seq_len: int = 32) -> int:
     """The paper's batch policy: max DP-SGD batch under 16 GB."""
-    return max_batch_size(get_model(name, input_size, seq_len),
+    return max_batch_size(build_model(name, input_size, seq_len),
                           Algorithm.DP_SGD)
 
 
@@ -60,7 +52,7 @@ def get_accelerator(kind: str, with_ppu: bool) -> Accelerator:
 def simulate(name: str, algorithm: Algorithm, kind: str, with_ppu: bool,
              input_size: int = 32, seq_len: int = 32) -> TrainingReport:
     """Cached training-step simulation at the default batch policy."""
-    network = get_model(name, input_size, seq_len)
+    network = build_model(name, input_size, seq_len)
     batch = default_batch(name, input_size, seq_len)
     accel = get_accelerator(kind, with_ppu)
     return simulate_training_step(network, algorithm, accel, batch)
@@ -72,7 +64,8 @@ def all_models() -> tuple[str, ...]:
 
 
 def clear_caches() -> None:
-    """Reset every harness memo (model/accelerator/simulation/stats).
+    """Reset every harness memo (models, accelerators, simulations,
+    lowered GEMM schedules and GEMM stats).
 
     ``benchmarks/bench_gemm_sweep.py`` calls this between timing rounds
     to measure the cold path; sweep worker processes inherit warm parent
@@ -80,8 +73,11 @@ def clear_caches() -> None:
     cold start.
     """
     from repro.arch.engine import clear_gemm_stats_cache
+    from repro.training.batch import clear_lowered_step_cache
+    from repro.workloads.zoo import clear_model_cache
 
-    get_model.cache_clear()
+    clear_model_cache()
+    clear_lowered_step_cache()
     default_batch.cache_clear()
     get_accelerator.cache_clear()
     simulate.cache_clear()

@@ -91,7 +91,6 @@ def evaluate_points_batched(points: list[tuple]) -> list[dict]:
     from repro.training.batch import training_step_batch
     from repro.workloads import build_model
 
-    networks: dict[tuple, object] = {}
     batches: dict[tuple, int] = {}
     accelerators: dict[tuple, object] = {}
     specs = []
@@ -101,10 +100,8 @@ def evaluate_points_batched(points: list[tuple]) -> list[dict]:
         input_size = point[3] if len(point) > 3 else 32
         seq_len = point[4] if len(point) > 4 else 32
         net_key = (name, input_size, seq_len)
-        network = networks.get(net_key)
-        if network is None:
-            network = networks[net_key] = build_model(
-                name, input_size=input_size, seq_len=seq_len)
+        network = build_model(name, input_size=input_size, seq_len=seq_len)
+        if net_key not in batches:
             batches[net_key] = max_batch_size(network, Algorithm.DP_SGD)
         batch = batches[net_key]
         pair = []

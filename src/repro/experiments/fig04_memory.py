@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import all_models, default_batch, get_model
+from repro.experiments.common import all_models, default_batch
 from repro.experiments.report import format_table, mean
 from repro.training import Algorithm, MemoryBreakdown, memory_breakdown
+from repro.workloads import build_model
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ def run(models: tuple[str, ...] | None = None) -> list[Fig4Row]:
     """Compute every Figure 4 bar."""
     rows: list[Fig4Row] = []
     for name in models or all_models():
-        network = get_model(name)
+        network = build_model(name)
         batch = default_batch(name)
         sgd_total = memory_breakdown(network, Algorithm.SGD, batch).total
         for algorithm in Algorithm:

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import all_models, default_batch, \
-    get_accelerator, get_model
+    get_accelerator
 from repro.experiments.report import format_table
 from repro.training import stage_utilization
-from repro.workloads import GemmKind
+from repro.workloads import GemmKind, build_model
 
 #: Figure 7's x-axis stages, in order.
 STAGES = (GemmKind.FORWARD, GemmKind.ACT_GRAD, GemmKind.WGRAD_BATCH,
@@ -43,7 +43,7 @@ def run(models: tuple[str, ...] | None = None,
     accel = get_accelerator(kind, with_ppu)
     rows: list[Fig7Row] = []
     for name in models or all_models():
-        network = get_model(name)
+        network = build_model(name)
         batch = default_batch(name)
         util = {
             stage: stage_utilization(accel, network.gemms(stage, batch))

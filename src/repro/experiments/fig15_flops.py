@@ -14,12 +14,11 @@ from repro.experiments.common import (
     all_models,
     default_batch,
     get_accelerator,
-    get_model,
 )
 from repro.experiments.fig07_utilization import STAGES
 from repro.experiments.report import format_table, mean
 from repro.training import stage_utilization
-from repro.workloads import GemmKind
+from repro.workloads import GemmKind, build_model
 from repro.workloads.model import ModelFamily
 
 _ENGINES = (("WS", "ws"), ("OS", "os"), ("DiVa", "diva"))
@@ -41,7 +40,7 @@ def run(models: tuple[str, ...] | None = None) -> list[Fig15Row]:
     """Compute utilization improvements for every engine and stage."""
     rows: list[Fig15Row] = []
     for name in models or DETAIL_MODELS:
-        network = get_model(name)
+        network = build_model(name)
         batch = default_batch(name)
         per_engine: dict[str, dict[GemmKind, float]] = {}
         for label, kind in _ENGINES:

@@ -16,10 +16,10 @@ from repro.experiments.common import (
     all_models,
     default_batch,
     get_accelerator,
-    get_model,
 )
 from repro.experiments.report import format_table, mean
 from repro.training import Algorithm, bottleneck_gemms
+from repro.workloads import build_model
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ _DEVICES = (
 def _diva_seconds(model: str, batch: int) -> float:
     """DiVa latency over the DP-SGD(R) backprop GEMM stages."""
     accel = get_accelerator("diva", True)
-    network = get_model(model)
+    network = build_model(model)
     total = 0
     for gemm in bottleneck_gemms(network, Algorithm.DP_SGD_R, batch):
         total += accel.run_gemm(gemm).cycles
@@ -60,7 +60,7 @@ def run(models: tuple[str, ...] | None = None) -> list[Fig17Row]:
         batch = default_batch(name)
         # GPUs execute grouped convolutions natively (dedicated
         # depthwise kernels); the arrays use the dense lowering.
-        gpu_network = get_model(name, native_groups=True)
+        gpu_network = build_model(name, native_groups=True)
         gemms = bottleneck_gemms(gpu_network, Algorithm.DP_SGD_R, batch)
         seconds: dict[str, float] = {}
         for label, config, tensor_cores in _DEVICES:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import all_models, get_model
+from repro.experiments.common import all_models
 from repro.experiments.report import format_table
 from repro.training import Algorithm, max_batch_size
+from repro.workloads import build_model
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ def run(models: tuple[str, ...] | None = None) -> list[MaxBatchRow]:
     """Compute the max-batch table."""
     rows: list[MaxBatchRow] = []
     for name in models or all_models():
-        network = get_model(name)
+        network = build_model(name)
         rows.append(MaxBatchRow(
             model=name,
             sgd=max_batch_size(network, Algorithm.SGD),

@@ -15,10 +15,9 @@ from repro.experiments.common import (
     all_models,
     default_batch,
     get_accelerator,
-    get_model,
 )
 from repro.experiments.report import format_table, mean
-from repro.workloads import GemmKind
+from repro.workloads import GemmKind, build_model
 
 _KINDS = ("ws", "os", "diva")
 
@@ -43,7 +42,7 @@ def effective_tflops(kind: str,
     accel = get_accelerator(kind, kind != "ws")
     per_model = []
     for name in models or all_models():
-        network = get_model(name)
+        network = build_model(name)
         batch = default_batch(name)
         flops = 0
         cycles = 0

@@ -30,6 +30,7 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.arch.batch import unique_rows
 from repro.dpml.accountant import (
     DEFAULT_ORDERS,
     compute_rdp,
@@ -37,7 +38,7 @@ from repro.dpml.accountant import (
     rdp_to_epsilon,
     step_rdp_rows,
 )
-from repro.serve.job import TraceArrays, TrainingJob, unique_rows
+from repro.serve.job import TraceArrays, TrainingJob
 
 #: Jobs per chunk of the batched admission prefix pass — bounds the
 #: cumulative-RDP scratch matrix regardless of trace length.

@@ -435,33 +435,6 @@ class TraceArrays:
         )
 
 
-def unique_rows(*columns: NDArray[Any]
-                ) -> tuple[NDArray[Any], NDArray[Any]]:
-    """``np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)``
-    through one packed int64 key per row.
-
-    Each column is ranked by its own 1-D ``np.unique``; the ranks pack
-    mixed-radix into a key whose order is the rows' lexicographic
-    order, so a 1-D ``np.unique`` over the keys yields the same unique
-    rows, in the same order, with the same inverse — without the
-    structured-dtype sort that ``axis=0`` runs, which costs over an
-    order of magnitude more.
-    """
-    key = np.zeros(len(columns[0]), dtype=np.int64)
-    radix = 1
-    for column in columns:
-        values, rank = np.unique(column, return_inverse=True)
-        if radix * len(values) > np.iinfo(np.int64).max:
-            # Re-rank the key so far (order-preserving, < len(key)).
-            _, key = np.unique(key, return_inverse=True)
-            radix = len(key)
-        key = key * len(values) + rank
-        radix *= len(values)
-    _, first, inverse = np.unique(key, return_index=True,
-                                  return_inverse=True)
-    return np.stack([column[first] for column in columns], axis=1), inverse
-
-
 def _thinned_arrivals_array(config: TraceConfig, rng: np.random.Generator,
                             jobs: int, *, base_hz: float, phase: float
                             ) -> NDArray[Any]:

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.arch.batch import unique_rows
 from repro.arch.interconnect import InterconnectConfig
 from repro.experiments import runner
 from repro.serve.autoscale import AutoscalerPolicy, AutoscalerState
@@ -52,7 +53,7 @@ from repro.serve.budget import (
     BatchAdmissionDecisions,
 )
 from repro.serve.faults import FaultModel, FaultRun
-from repro.serve.job import TraceArrays, TrainingJob, unique_rows
+from repro.serve.job import TraceArrays, TrainingJob
 from repro.serve.metrics import (
     FleetReport,
     build_report,

@@ -7,13 +7,21 @@ evaluates the *same* analytic model over a struct-of-arrays grid of
 configurations — workload x chips x bucket_bytes x topology x DP mode —
 in a few NumPy broadcast passes:
 
+* :func:`lowered_step` lowers one step's GEMM schedule once per
+  process: a bounded LRU keyed by everything
+  :func:`~repro.training.simulate.step_gemm_ops` reads (network
+  identity, algorithm, dataflow, norm fusion, batch, tp) holds the op
+  tuple plus read-only NumPy columns of it.  Misses call
+  ``step_gemm_ops`` itself, so the phase rules have one implementation.
 * :func:`training_step_batch` prices a list of single-chip step specs
-  by collecting every GEMM of every spec into one flat array per
-  engine, deduplicating shapes, and pushing them through
-  :func:`repro.arch.batch.gemm_stats_batch`; the handful of vector-unit
-  kernels per spec reuse the scalar
-  :func:`~repro.training.simulate.step_vector_runs` directly (they are
-  O(1) per spec and sharing the code path guarantees equality).
+  by concatenating their lowered columns into one flat array per
+  engine, deduplicating shapes through packed int64 keys
+  (:func:`repro.arch.batch.unique_rows`), and pushing them through
+  :func:`repro.arch.batch.gemm_stats_batch`; no per-op Python object
+  is built.  The handful of vector-unit kernels per spec reuse the
+  scalar :func:`~repro.training.simulate.step_vector_runs` directly
+  (they are O(1) per spec and sharing the code path guarantees
+  equality).
 * :func:`sharded_step_batch` adds the vectorized collective model of
   :mod:`repro.arch.batch` (bucketing, topology, overlap exposure) on
   top, reusing one shard evaluation for every grid point that shares a
@@ -36,6 +44,7 @@ module; the process-pool runner remains for non-analytic work.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ContextManager, Sequence
@@ -50,6 +59,7 @@ from repro.arch.batch import (
     link_bytes_per_chip_batch,
     n_buckets_batch,
     topology_codes,
+    unique_rows,
 )
 from repro.arch.cluster import ParallelPlan
 from repro.arch.interconnect import (
@@ -64,6 +74,7 @@ from repro.training.algorithms import Algorithm
 from repro.training.phases import PHASE_ORDER, Phase
 from repro.training.simulate import (
     GRAD_BYTES,
+    GemmOp,
     step_gemm_ops,
     step_vector_runs,
 )
@@ -120,6 +131,85 @@ class StepBatch:
 StepSpec = "tuple[Accelerator, Network, Algorithm, int]"
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
+class LoweredStep:
+    """One step's GEMM schedule, lowered once.
+
+    ``ops`` is the :func:`~repro.training.simulate.step_gemm_ops` list
+    as a tuple; the read-only columns hold the same ops field by field
+    (``phase`` as a :data:`STEP_PHASES` index), ready to concatenate
+    into a batched pricing pass.
+    """
+
+    #: Held so the identity key stays valid while the entry lives.
+    network: Network
+    ops: tuple[GemmOp, ...]
+    phase: np.ndarray
+    m: np.ndarray
+    k: np.ndarray
+    n: np.ndarray
+    count: np.ndarray
+    write_output: np.ndarray
+    fuse_norm: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+
+#: Upper bound on memoized :class:`LoweredStep` entries (LRU eviction).
+LOWERED_STEP_CACHE_MAXSIZE = 512
+
+#: Shared bounded LRU keyed by everything :func:`step_gemm_ops` reads:
+#: ``(id(network), algorithm, dataflow, can_fuse_norm, batch, tp)``.
+#: Networks key by identity (zoo variants share names); entries hold
+#: their network, so a live key's id cannot be reused.
+_LOWERED_STEPS: "OrderedDict[tuple, LoweredStep]" = OrderedDict()
+
+
+def clear_lowered_step_cache() -> None:
+    """Drop every memoized :class:`LoweredStep` (mainly for benchmarks)."""
+    _LOWERED_STEPS.clear()
+
+
+def lowered_step(network: Network, algorithm: Algorithm,
+                 accelerator: Accelerator, batch: int,
+                 tp: int = 1) -> LoweredStep:
+    """:func:`step_gemm_ops` for one step, memoized with its columns.
+
+    Misses call ``step_gemm_ops`` itself, so the phase rules keep one
+    implementation; accelerators with the same dataflow and norm-fusion
+    ability share entries.
+    """
+    key = (id(network), algorithm, accelerator.engine.dataflow,
+           accelerator.can_fuse_norm, batch, tp)
+    entry = _LOWERED_STEPS.get(key)
+    if entry is not None:
+        _LOWERED_STEPS.move_to_end(key)
+        return entry
+    ops = tuple(step_gemm_ops(network, algorithm, accelerator, batch, tp=tp))
+    entry = LoweredStep(
+        network=network,
+        ops=ops,
+        phase=_frozen([_PHASE_INDEX[op.phase] for op in ops], np.int64),
+        m=_frozen([op.gemm.m for op in ops], np.int64),
+        k=_frozen([op.gemm.k for op in ops], np.int64),
+        n=_frozen([op.gemm.n for op in ops], np.int64),
+        count=_frozen([op.gemm.count for op in ops], np.int64),
+        write_output=_frozen([op.write_output for op in ops], bool),
+        fuse_norm=_frozen([op.fuse_norm for op in ops], bool),
+    )
+    _LOWERED_STEPS[key] = entry
+    if len(_LOWERED_STEPS) > LOWERED_STEP_CACHE_MAXSIZE:
+        _LOWERED_STEPS.popitem(last=False)
+    return entry
+
+
 def training_step_batch(
     specs: Sequence[tuple],
     profiler: "Profiler | None" = None,
@@ -152,7 +242,7 @@ def training_step_batch(
     if profiler is not None:
         profiler.count("step_specs", len(specs))
 
-    groups: dict[int, tuple[Accelerator, list[tuple]]] = {}
+    groups: dict[int, tuple[Accelerator, list[int], list[LoweredStep]]] = {}
     with _stage(profiler, "step-batch/vector"):
         for index, (accel, network, algorithm, batch,
                     *rest) in enumerate(specs):
@@ -160,24 +250,24 @@ def training_step_batch(
             runs = step_vector_runs(network, algorithm, accel, batch, tp=tp)
             for phase, run in runs.items():
                 matrix[index, _PHASE_INDEX[phase]] += run.cycles
-            _, ops = groups.setdefault(id(accel), (accel, []))
-            for op in step_gemm_ops(network, algorithm, accel, batch, tp=tp):
-                ops.append((index, _PHASE_INDEX[op.phase],
-                            op.gemm.m, op.gemm.k, op.gemm.n,
-                            op.gemm.count,
-                            op.write_output, op.fuse_norm))
+            _, indices, steps = groups.setdefault(id(accel),
+                                                  (accel, [], []))
+            indices.append(index)
+            steps.append(lowered_step(network, algorithm, accel, batch, tp))
 
     with _stage(profiler, "step-batch/gemm"):
-        for accel, ops in groups.values():
-            if not ops:
+        for accel, indices, steps in groups.values():
+            lengths = np.array([len(step) for step in steps], dtype=np.int64)
+            if not lengths.sum():
                 continue
-            (spec_idx, phase_idx, m, k, n, count, write_out,
-             fuse) = (np.array(col) for col in zip(*ops))
-            shapes = np.stack([m, k, n], axis=1)
-            unique, inverse = np.unique(shapes, axis=0,
-                                        return_inverse=True)
+            spec_idx = np.repeat(np.array(indices, dtype=np.int64), lengths)
+            phase_idx, m, k, n, count, write_out, fuse = (
+                np.concatenate([getattr(step, column) for step in steps])
+                for column in ("phase", "m", "k", "n", "count",
+                              "write_output", "fuse_norm"))
+            unique, inverse = unique_rows(m, k, n)
             if profiler is not None:
-                profiler.count("gemm_ops", len(ops))
+                profiler.count("gemm_ops", len(m))
                 profiler.count("unique_gemm_shapes", len(unique))
             stats = gemm_stats_batch(
                 accel.engine, unique[:, 0], unique[:, 1], unique[:, 2], 1)
@@ -209,13 +299,12 @@ def training_step_batch(
             cycles = np.maximum(compute, transfer)
             np.add.at(matrix, (spec_idx, phase_idx), cycles)
             if op_store is not None:
-                # spec_idx ascends within a group (ops append spec by
-                # spec), so each spec's ops are one contiguous run in
-                # schedule order.
-                uniq, starts, counts = np.unique(
-                    spec_idx, return_index=True, return_counts=True)
-                for u, s0, c in zip(uniq, starts, counts):
-                    op_store[int(u)] = cycles[s0:s0 + c]
+                # Each spec's ops are one contiguous block, in schedule
+                # order.
+                ends = np.cumsum(lengths)
+                for u, end, size in zip(indices, ends, lengths):
+                    if size:
+                        op_store[u] = cycles[end - size:end]
 
     return StepBatch(phase_cycles=matrix, frequency_hz=frequency,
                      op_cycles=op_store)
@@ -428,7 +517,6 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
             "topology")
 
     local_batch = global_batch // dp
-    networks: dict[str, Network] = {}
     accels: dict[str, Accelerator] = {}
     shard_keys: list[tuple] = []
     shard_index = np.empty(length, dtype=np.int64)
@@ -448,10 +536,8 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
         accel = accels.get(kind)
         if accel is None:
             accel = accels[kind] = build_accelerator(kind, config=config)
-        network = networks.get(model)
-        if network is None:
-            network = networks[model] = build_model(model)
-        specs.append((accel, network, Algorithm(algorithm), batch, tp))
+        specs.append((accel, build_model(model), Algorithm(algorithm),
+                      batch, tp))
     if profiler is not None:
         profiler.count("grid_points", length)
         profiler.count("unique_shards", len(shard_keys))
@@ -462,7 +548,8 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
     shard_cycles = step.total_cycles[shard_index]
     frequency = step.frequency_hz[shard_index]
     private = np.array([Algorithm(a).is_private for a in algorithm_names])
-    params = np.array([networks[m].params for m in models], dtype=np.int64)
+    params = np.array([build_model(m).params for m in models],
+                      dtype=np.int64)
     # Which backward phase the gradient allreduce may hide behind
     # (overlappable_backward_cycles): the clipping pass under DP-SGD,
     # the per-batch weight-gradient GEMMs otherwise.
@@ -495,13 +582,10 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
             sched_key = (u, int(pp_col[i]))
             sched = schedules.get(sched_key)
             if sched is None:
-                kind, model, algorithm, batch, tp = shard_keys[u]
-                accel = accels[kind]
-                network = networks[model]
-                ops = step_gemm_ops(
-                    network, Algorithm(algorithm), accel, batch, tp=tp)
+                accel, network, algorithm, batch, tp = specs[u]
+                ops = lowered_step(network, algorithm, accel, batch, tp).ops
                 sched = build_pipeline_schedule(
-                    network, Algorithm(algorithm), ops,
+                    network, algorithm, ops,
                     [int(c) for c in step.op_cycles.get(u, ())],
                     {p: int(step.phase_cycles[u, _PHASE_INDEX[p]])
                      for p in PHASE_ORDER},

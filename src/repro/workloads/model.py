@@ -102,7 +102,7 @@ class Network:
         """Activation elements stored per example for backpropagation."""
         return self.input_elems + sum(layer.out_elems for layer in self.layers)
 
-    @property
+    @cached_property
     def weight_layers(self) -> tuple[Layer, ...]:
         """Layers owning learnable weights."""
         return tuple(layer for layer in self.layers if layer.has_weights)

@@ -2,11 +2,14 @@
 
 Use :func:`build_model` to construct any benchmark by its paper name;
 ``input_size`` applies to CNNs and ``seq_len`` to Transformers/RNNs
-(the Section VI-C sensitivity knobs).
+(the Section VI-C sensitivity knobs).  Networks are immutable, so
+:func:`build_model` builds each argument tuple once per process and
+hands every caller the same shared object.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 from repro.workloads.model import ModelFamily, Network
@@ -54,7 +57,18 @@ def build_model(name: str, input_size: int = 32, seq_len: int = 32,
         Keep grouped convolutions as per-group GEMMs (GPU execution
         model) instead of the dense TPU lowering.  Only affects
         MobileNet.
+
+    Equal arguments return the same (frozen) :class:`Network` object,
+    so its cached aggregates and identity-keyed memos such as
+    :func:`repro.training.batch.lowered_step` are shared by every
+    caller.
     """
+    return _build_model(name, input_size, seq_len, native_groups)
+
+
+@lru_cache(maxsize=128)
+def _build_model(name: str, input_size: int, seq_len: int,
+                 native_groups: bool) -> Network:
     if name == "MobileNet":
         return build_mobilenet(input_size=input_size,
                                native_groups=native_groups)
@@ -65,6 +79,11 @@ def build_model(name: str, input_size: int = 32, seq_len: int = 32,
     raise KeyError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
 
 
+def clear_model_cache() -> None:
+    """Drop every shared :class:`Network` (mainly for benchmarks)."""
+    _build_model.cache_clear()
+
+
 __all__ = [
     "CNN_MODELS",
     "TRANSFORMER_MODELS",
@@ -72,6 +91,7 @@ __all__ = [
     "MODEL_NAMES",
     "ModelFamily",
     "build_model",
+    "clear_model_cache",
     "build_vgg16",
     "build_resnet50",
     "build_resnet152",

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.arch.interconnect import InterconnectConfig
-from repro.core import build_accelerator, build_cluster
+from repro.core import ACCELERATOR_KINDS, build_accelerator, build_cluster
 from repro.training import (
     Algorithm,
     sharded_step_batch,
@@ -21,7 +21,13 @@ from repro.training import (
     simulate_training_step,
     training_step_batch,
 )
-from repro.training.batch import _PHASE_INDEX
+from repro.training import batch as batch_mod
+from repro.training.batch import (
+    _PHASE_INDEX,
+    clear_lowered_step_cache,
+    lowered_step,
+)
+from repro.training.simulate import step_gemm_ops
 from repro.workloads import build_model
 
 MODELS = ("SqueezeNet", "MobileNet")
@@ -53,6 +59,102 @@ class TestTrainingStepBatch:
 
     def test_empty_specs(self):
         assert len(training_step_batch([])) == 0
+
+
+def _accelerators():
+    """One accelerator per kind, plus the PPU-less OS/DiVa variants (the
+    only other input the lowering reads is the norm-fusion ability)."""
+    accels = [build_accelerator(kind) for kind in ACCELERATOR_KINDS]
+    accels += [build_accelerator(kind, with_ppu=False)
+               for kind in ACCELERATOR_KINDS if kind != "ws"]
+    return accels
+
+
+_COLUMNS = ("phase", "m", "k", "n", "count", "write_output", "fuse_norm")
+
+
+class TestLoweredStepMemo:
+    @pytest.mark.parametrize("accel", _accelerators(),
+                             ids=lambda a: f"{a.name}-ppu{a.ppu is not None}")
+    def test_entries_match_fresh_lowering(self, accel):
+        network = build_model("SqueezeNet")
+        for algorithm, tp, batch in itertools.product(
+                ALGORITHMS, (1, 2, 3), (8, 32)):
+            algorithm = Algorithm(algorithm)
+            entry = lowered_step(network, algorithm, accel, batch, tp)
+            fresh = step_gemm_ops(network, algorithm, accel, batch, tp=tp)
+            assert entry.ops == tuple(fresh)
+            want = {
+                "phase": [_PHASE_INDEX[op.phase] for op in fresh],
+                "m": [op.gemm.m for op in fresh],
+                "k": [op.gemm.k for op in fresh],
+                "n": [op.gemm.n for op in fresh],
+                "count": [op.gemm.count for op in fresh],
+                "write_output": [op.write_output for op in fresh],
+                "fuse_norm": [op.fuse_norm for op in fresh],
+            }
+            for column in _COLUMNS:
+                np.testing.assert_array_equal(
+                    getattr(entry, column), want[column], err_msg=column)
+            assert lowered_step(network, algorithm, accel, batch,
+                                tp) is entry
+
+    def test_entries_are_immutable(self):
+        entry = lowered_step(build_model("SqueezeNet"), Algorithm.DP_SGD,
+                             build_accelerator("diva"), 16)
+        assert isinstance(entry.ops, tuple)
+        for column in _COLUMNS:
+            array = getattr(entry, column)
+            assert not array.flags.writeable, column
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+
+    def test_networks_key_by_identity_not_name(self):
+        accel = build_accelerator("diva")
+        variants = (build_model("MobileNet"),
+                    build_model("MobileNet", native_groups=True),
+                    build_model("MobileNet", input_size=64))
+        assert len({net.name for net in variants}) == 1
+        entries = [lowered_step(net, Algorithm.DP_SGD, accel, 8)
+                   for net in variants]
+        assert len({id(entry) for entry in entries}) == 3
+        for net, entry in zip(variants, entries):
+            assert entry.network is net
+            assert entry.ops == tuple(
+                step_gemm_ops(net, Algorithm.DP_SGD, accel, 8))
+        assert entries[0].ops != entries[1].ops
+        assert entries[0].ops != entries[2].ops
+
+    def test_lru_holds_its_bound(self, monkeypatch):
+        monkeypatch.setattr(batch_mod, "LOWERED_STEP_CACHE_MAXSIZE", 4)
+        clear_lowered_step_cache()
+        network = build_model("SqueezeNet")
+        accel = build_accelerator("os")
+        entries = [lowered_step(network, Algorithm.SGD, accel, batch)
+                   for batch in range(1, 6)]
+        assert len(batch_mod._LOWERED_STEPS) == 4
+        # The oldest key was evicted: asking again lowers it anew.
+        assert lowered_step(network, Algorithm.SGD, accel, 1) \
+            is not entries[0]
+        assert len(batch_mod._LOWERED_STEPS) == 4
+        clear_lowered_step_cache()
+
+    def test_cold_and_warm_memo_price_identically(self):
+        accels = [build_accelerator(kind) for kind in ACCELERATOR_KINDS]
+        specs = [(accel, build_model(model), Algorithm(algorithm), 16, tp)
+                 for accel in accels for model in MODELS
+                 for algorithm in ALGORITHMS for tp in (1, 2)]
+        clear_lowered_step_cache()
+        cold = training_step_batch(specs, collect_ops=True)
+        warm = training_step_batch(specs, collect_ops=True)
+        np.testing.assert_array_equal(cold.phase_cycles, warm.phase_cycles)
+        assert cold.op_cycles.keys() == warm.op_cycles.keys() \
+            == set(range(len(specs)))
+        for u, (accel, network, algorithm, batch, tp) in enumerate(specs):
+            np.testing.assert_array_equal(cold.op_cycles[u],
+                                          warm.op_cycles[u])
+            assert len(cold.op_cycles[u]) == len(
+                lowered_step(network, algorithm, accel, batch, tp))
 
 
 def _grid():

@@ -33,7 +33,7 @@ from repro.serve import (
 from repro.dpml import accountant
 from repro.serve import TrainingJob
 from repro.serve.budget import BatchAdmissionDecisions
-from repro.serve.job import unique_rows
+from repro.arch.batch import unique_rows
 
 _STATUS_CODE = {"admitted": BatchAdmissionDecisions.ADMITTED,
                 "truncated": BatchAdmissionDecisions.TRUNCATED,
@@ -236,6 +236,15 @@ class TestPackedKeyDedup:
         rng = np.random.default_rng(4)
         columns = [rng.permutation(70_000) for _ in range(4)]
         self._check(*columns)
+
+    def test_gemm_shapes(self):
+        # The batched training step's (m, k, n) dedup: int64 dimensions
+        # up to ~1e6 drawn from a small pool, so rows repeat heavily.
+        rng = np.random.default_rng(7)
+        pool = rng.integers(1, 1_000_000, size=(300, 3), dtype=np.int64)
+        shapes = pool[rng.integers(len(pool), size=20_000)]
+        inverse = self._check(shapes[:, 0], shapes[:, 1], shapes[:, 2])
+        assert inverse.max() < len(pool)
 
 
 class TestStreamingQuantiles:

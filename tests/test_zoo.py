@@ -1,5 +1,7 @@
 """Tests for the nine-model zoo (repro.workloads.zoo)."""
 
+import dataclasses
+
 import pytest
 
 from repro.workloads import MODEL_NAMES, GemmKind, build_model
@@ -134,3 +136,35 @@ class TestKnownShapes:
         net = build_model("LSTM-large")
         ih = [l for l in net.layers if l.name.endswith(".ih")]
         assert len(ih) == 2
+
+
+class TestSharedNetworks:
+    def test_equal_arguments_share_one_object(self):
+        assert build_model("ResNet-50") is build_model("ResNet-50")
+        assert build_model("ResNet-50") is build_model(
+            "ResNet-50", input_size=32)
+        assert build_model("BERT-base", seq_len=64) is build_model(
+            "BERT-base", 32, 64)
+
+    def test_distinct_arguments_distinct_objects(self):
+        assert build_model("ResNet-50") is not build_model("VGG-16")
+        assert build_model("MobileNet") is not build_model(
+            "MobileNet", native_groups=True)
+        assert build_model("MobileNet", input_size=32) is not build_model(
+            "MobileNet", input_size=64)
+        assert build_model("BERT-base", seq_len=32) is not build_model(
+            "BERT-base", seq_len=64)
+
+    def test_shared_network_stays_frozen(self):
+        net = build_model("SqueezeNet")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.name = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.layers = ()
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_cached_weight_layers(self, name):
+        net = build_model(name)
+        want = tuple(l for l in net.layers if l.has_weights)
+        assert net.weight_layers == want
+        assert net.weight_layers is net.weight_layers
