@@ -188,7 +188,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fabric=args.fabric,
             epsilon_budget=args.epsilon_budget,
             delta=args.delta,
-            streaming=args.streaming,
             trace_shape=args.trace_shape,
             mean_interarrival_s=args.mean_interarrival,
             autoscale=autoscale,
@@ -389,14 +388,7 @@ def main(argv: list[str] | None = None) -> int:
              "privacy-budget admission control")
     serve.add_argument("--jobs", "--trace-jobs", dest="trace_jobs",
                        type=int, default=60, metavar="N",
-                       help="synthetic trace length (default: 60); "
-                            "traces of 10k+ jobs stream through the "
-                            "array-backed simulator")
-    serve.add_argument("--streaming", default=None,
-                       action=argparse.BooleanOptionalAction,
-                       help="force the streaming (array-backed, O(1)-"
-                            "metric) simulator on or off (default: "
-                            "auto by trace length)")
+                       help="synthetic trace length (default: 60)")
     serve.add_argument("--seed", type=int, default=7,
                        help="trace generator seed (default: 7)")
     serve.add_argument("--chips", type=int, default=4,

@@ -1,15 +1,16 @@
 """R008: fault-path RNG isolation — keyed draws only near faults.
 
-The fault injector (:mod:`repro.serve.faults`) promises that the
-scalar and streaming fleet simulators make *identical* failure
-decisions even though they visit jobs in different internal orders.
+The fault injector (:mod:`repro.serve.faults`) promises that any
+fleet loop dispatching the same jobs at the same times — the
+simulator, its vectorized first-attempt table, a reference loop —
+makes *identical* failure decisions, whatever its internal order.
 That only holds because every stochastic choice is a pure keyed hash
 of ``(seed, job_id, attempt, stream)`` — there is no generator object
 whose output depends on how many draws happened before.
 
 A single stateful RNG call anywhere on the fault path silently breaks
-that contract: the two simulators would consume the stream in
-different orders and diverge.  This rule therefore bans *all* RNG
+that contract: two loops would consume the stream in different
+orders and diverge.  This rule therefore bans *all* RNG
 machinery — not just the unseeded kind R004 already flags — from any
 module that imports :mod:`repro.serve.faults` (and from ``faults.py``
 itself):
@@ -21,7 +22,7 @@ itself):
 * bare ``default_rng(...)`` imported from ``numpy.random``.
 
 Trace *generation* (:mod:`repro.serve.job`) rightly uses a seeded
-``default_rng`` — it runs once, before either simulator — and stays
+``default_rng`` — it runs once, before the simulator — and stays
 legal because it does not import the faults module.  Test files are
 not linted.
 """
@@ -37,8 +38,8 @@ from repro.analysis.core import Finding, Module, Project, Rule, register
 _FAULTS_MODULE = "repro.serve.faults"
 
 _HINT = ("derive the value from a keyed hash instead "
-         "(repro.serve.faults._keyed_uniform) so both simulators "
-         "draw it identically regardless of call order")
+         "(repro.serve.faults._keyed_uniform) so every loop "
+         "draws it identically regardless of call order")
 
 
 def _dotted(node: ast.expr) -> list[str]:

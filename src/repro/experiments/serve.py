@@ -11,12 +11,11 @@ isolates *scheduling* effects under a fixed privacy regime.
 Run it from the CLI::
 
     python -m repro serve --trace-jobs 200 --chips 4 --policy sjf
-    python -m repro serve --jobs 1000000          # streaming simulator
+    python -m repro serve --jobs 1000000
 
-Traces of 10k+ jobs automatically stream through the array-backed
-simulator (vectorized trace + batched admission + P² metrics, see
-``docs/performance.md``); ``--streaming`` / ``--no-streaming`` forces
-the choice.
+Every trace runs through the array-backed simulator (vectorized trace
++ batched admission + P² metrics, see ``docs/performance.md``), so a
+row depends only on its configuration and seed.
 """
 
 from __future__ import annotations
@@ -48,10 +47,6 @@ def _stage(profiler: "Profiler | None", name: str):
 DEFAULT_EPSILON_BUDGET = 3.0
 DEFAULT_DELTA = 1e-5
 
-#: Trace length at which ``run`` switches to the streaming simulator.
-STREAMING_THRESHOLD = 10_000
-
-
 def run(
     policies: tuple[str, ...] | None = None,
     trace_jobs: int = 60,
@@ -67,7 +62,6 @@ def run(
     fabric: str | None = None,
     epsilon_budget: float = DEFAULT_EPSILON_BUDGET,
     delta: float = DEFAULT_DELTA,
-    streaming: bool | None = None,
     trace_shape: str = "poisson",
     mean_interarrival_s: float = 8.0,
     autoscale: "AutoscalerPolicy | None" = None,
@@ -88,21 +82,18 @@ def run(
     persisted when a cache is given), so the sweep costs one set of
     closed-form simulations regardless of policy count.
 
-    ``streaming`` picks the simulator: the record-keeping
-    :func:`~repro.serve.simulate_fleet` (exact percentiles, per-job
-    records) or the array-backed
+    The trace replays through
     :func:`~repro.serve.simulate_fleet_streaming` (vectorized trace +
     admission, O(1) metric memory — million-job traces run in
-    seconds).  ``None`` (default) streams from
-    :data:`STREAMING_THRESHOLD` jobs up.  The streaming path shares
-    one admission pass across policies — admission happens at arrival
-    and is therefore policy-invariant.
+    seconds).  Without faults one admission pass is shared across
+    policies — admission happens at arrival and is therefore
+    policy-invariant.
 
     ``trace_shape`` / ``mean_interarrival_s`` pick the arrival
     process (:data:`repro.serve.TRACE_SHAPES`); ``autoscale`` (an
     :class:`repro.serve.AutoscalerPolicy`) turns the static fleet
-    into a reactive one — both simulators drive the identical scaling
-    state, so the comparison stays policy-apples-to-apples.
+    into a reactive one; every policy starts from the same fleet, so
+    the comparison stays policy-apples-to-apples.
 
     ``pp`` / ``tp`` / ``fabric`` shape each cluster's 3D parallel plan
     (see :class:`repro.serve.FleetConfig`): jobs data-parallelize
@@ -115,8 +106,7 @@ def run(
     or the Young/Daly optimum when ``None``) with up to
     ``max_retries`` backed-off retries, and ``straggler_rate`` slows
     a seeded fraction of attempts.  ``None`` (default) is the exact
-    fault-free code path — reports are byte-identical to a build
-    without the faults module.
+    fault-free code path.
 
     Observability is opt-in and changes nothing when off:
     ``trace_path`` writes one Chrome-trace JSON file covering every
@@ -132,9 +122,7 @@ def run(
         FleetConfig,
         TenantBudget,
         TraceConfig,
-        generate_trace,
         generate_trace_arrays,
-        simulate_fleet,
         simulate_fleet_streaming,
     )
     from repro.serve.scheduler import POLICIES
@@ -143,8 +131,6 @@ def run(
         policies = POLICIES
     if not policies:
         raise ValueError("policies must name at least one policy")
-    if streaming is None:
-        streaming = trace_jobs >= STREAMING_THRESHOLD
     recorder = None
     if trace_path is not None:
         from repro.obs import TraceRecorder
@@ -198,43 +184,24 @@ def run(
         profiler.count("trace_jobs", trace_jobs)
         profiler.count("policies", len(policies))
     rows = []
-    if streaming:
-        with _stage(profiler, "serve/trace"):
-            trace = generate_trace_arrays(config)
-        admission = AdmissionController(
-            TenantBudget(epsilon=epsilon_budget, delta=delta))
-        with _stage(profiler, "serve/admission"):
-            decisions = admission.admit_batch(trace)
-        for policy in policies:
-            if faults is not None:
-                # Retries re-price the ledger during the run, so the
-                # faulty path cannot share one admission pass: each
-                # policy replays against a fresh controller.
-                admission = AdmissionController(
-                    TenantBudget(epsilon=epsilon_budget, delta=delta))
-                with _stage(profiler, "serve/admission"):
-                    decisions = admission.admit_batch(trace)
-            obs = _observe(policy)
-            with _stage(profiler, "serve/simulate"):
-                report = simulate_fleet_streaming(
-                    trace, fleet, policy=policy, admission=admission,
-                    decisions=decisions, autoscaler=autoscale,
-                    faults=faults, cache=cache, obs=obs)
-            _export(obs)
-            rows.append(report.to_dict())
-        _write_outputs()
-        return rows
     with _stage(profiler, "serve/trace"):
-        trace = generate_trace(config)
+        trace = generate_trace_arrays(config)
+    decisions = None
     for policy in policies:
-        admission = AdmissionController(
-            TenantBudget(epsilon=epsilon_budget, delta=delta))
+        if decisions is None or faults is not None:
+            # Admission happens at arrival, so one pass serves every
+            # policy — unless retries re-price the ledger during the
+            # run: then each policy replays against a fresh controller.
+            admission = AdmissionController(
+                TenantBudget(epsilon=epsilon_budget, delta=delta))
+            with _stage(profiler, "serve/admission"):
+                decisions = admission.admit_batch(trace)
         obs = _observe(policy)
         with _stage(profiler, "serve/simulate"):
-            report = simulate_fleet(trace, fleet, policy=policy,
-                                    admission=admission,
-                                    autoscaler=autoscale, faults=faults,
-                                    cache=cache, obs=obs)
+            report = simulate_fleet_streaming(
+                trace, fleet, policy=policy, admission=admission,
+                decisions=decisions, autoscaler=autoscale,
+                faults=faults, cache=cache, obs=obs)
         _export(obs)
         rows.append(report.to_dict())
     _write_outputs()

@@ -3,30 +3,26 @@
 One :class:`FleetObs` observes one fleet simulation.  The contract is
 split to keep the event loops fast:
 
-* **During the run** the schedulers touch only O(1) surfaces: an
-  inline ``(job_id, start_s)`` append per dispatch and, in the faulty
-  loop, one finish-time store per completion (streaming path only — the scalar path's
-  :class:`~repro.serve.scheduler.JobRecord` list already carries both)
-  plus one :meth:`~FleetObs.sample` call per elapsed metrics window.
-  Nothing else runs in-loop, which is what keeps the measured
+* **During the run** the simulator touches only O(1) surfaces: an
+  inline ``(job_id, start_s)`` append per dispatch, one finish-time
+  store per completion in the faulty loop, and one
+  :meth:`~FleetObs.sample` call per elapsed metrics window.  Nothing
+  else runs in-loop, which is what keeps the measured
   enabled-vs-disabled overhead inside the ``check_bench`` ceiling.
-* **At the end of the run** the scheduler attaches its raw materials
-  (:meth:`~FleetObs.attach_scalar` / :meth:`~FleetObs.attach_streaming`
-  — references, no copies).  All span construction and metric folding
-  happens in :meth:`~FleetObs.export`, which the caller runs after
-  the simulation; it is a separate cost, not a free one — benchmarks
-  time it on its own (``export_seconds``, ``obs.fleet.export.s``).
+* **At the end of the run** the simulator attaches its raw materials
+  (:meth:`~FleetObs.attach` — references, no copies).  All
+  span construction and metric folding happens in
+  :meth:`~FleetObs.export`, which the caller runs after the
+  simulation; it is a separate cost, not a free one — benchmarks time
+  it on its own (``export_seconds``, ``obs.fleet.export.s``).
 
-Both attach paths normalize to the same per-job NumPy columns
-(:class:`_JobColumns`) before emitting, so a scalar and a streaming run
-of the same trace — which the differential tests pin to identical
-dispatch schedules — produce *identical span sets and metrics*, with
-or without fault injection, and a multi-policy comparison can share
-one :class:`~repro.obs.trace.TraceRecorder` (each run gets its own
-trace process, named after its policy).  Under faults a job's ``wait``
-span runs from arrival to its *first* dispatch and its ``run`` span
-from there to its final finish; an abandoned job gets the wait span
-only.
+Export rebuilds per-job NumPy columns (:func:`job_columns`, which
+:func:`~repro.serve.scheduler.simulate_fleet` also uses for its job
+records) before emitting, and a multi-policy comparison can share one
+:class:`~repro.obs.trace.TraceRecorder` (each run gets its own trace
+process, named after its policy).  Under faults a job's ``wait`` span
+runs from arrival to its *first* dispatch and its ``run`` span from
+there to its final finish; an abandoned job gets the wait span only.
 """
 
 from __future__ import annotations
@@ -50,16 +46,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.budget import BatchAdmissionDecisions
     from repro.serve.faults import FaultEvent, FaultRun
     from repro.serve.job import TraceArrays
-    from repro.serve.scheduler import JobRecord
 
 _OUTCOMES = ("admitted", "truncated", "rejected")
 
 
 @dataclass(frozen=True)
-class _JobColumns:
+class JobColumns:
     """Per-job lifecycle columns, one entry per job in arrival order.
 
-    Both attach modes normalize to these.  ``status`` uses
+    Rebuilt by :func:`job_columns` from one run.  ``status`` uses
     :class:`~repro.serve.budget.BatchAdmissionDecisions`'s codes
     (0 admitted, 1 truncated, 2 rejected); ``tenant`` / ``model`` index
     the ``tenants`` / ``models`` vocabularies.  ``start_s`` is the
@@ -101,10 +96,10 @@ class FleetObs:
         self.metrics = metrics
         self.window_s = metrics.window_s if metrics is not None \
             else window_s
-        #: Streaming-path dispatch sink: ``(job_id, start_s)`` appended
-        #: inline by the scheduler's dispatch loop.
+        #: Dispatch sink: ``(job_id, start_s)`` appended inline by the
+        #: scheduler's dispatch loop.
         self.dispatches: list[tuple[int, float]] = []
-        #: Faulty streaming-path completion sink (:meth:`finish_sink`).
+        #: Faulty-loop completion sink (:meth:`finish_sink`).
         self.finishes: "array[float] | None" = None
         #: Windowed load samples: ``(t, queued, idle, active, pending)``.
         self.samples: list[tuple[float, int, int, int, int]] = []
@@ -125,7 +120,7 @@ class FleetObs:
     def finish_sink(self, jobs: int) -> "array[float]":
         """Per-job final-finish slots (NaN until the job completes).
 
-        The faulty streaming loop stores each completion's finish time
+        The faulty loop stores each completion's finish time
         at its job id — one O(1) store, 8 bytes per job.
         """
         self.finishes = array("d", [math.nan]) * jobs
@@ -133,30 +128,17 @@ class FleetObs:
 
     # -- end-of-run attachment (references only, O(1)) ---------------------
 
-    def _attach(self, run: dict[str, Any]) -> None:
+    def attach(self, *, policy: str, trace: "TraceArrays",
+               decisions: "BatchAdmissionDecisions", service: Any,
+               state: "AutoscalerState | None",
+               faults: "FaultRun | None" = None) -> None:
         if self._run is not None:
             raise RuntimeError(
                 "FleetObs already observed a run; use one instance per "
                 "simulate_fleet/simulate_fleet_streaming call")
-        self._run = run
-
-    def attach_scalar(self, *, policy: str,
-                      records: "list[JobRecord]",
-                      state: "AutoscalerState | None",
-                      faults: "FaultRun | None" = None) -> None:
-        self._attach({"mode": "scalar", "policy": policy,
-                      "records": records, "state": state,
-                      "faults": faults})
-
-    def attach_streaming(self, *, policy: str, trace: "TraceArrays",
-                         decisions: "BatchAdmissionDecisions",
-                         service: Any,
-                         state: "AutoscalerState | None",
-                         faults: "FaultRun | None" = None) -> None:
-        self._attach({"mode": "streaming", "policy": policy,
-                      "trace": trace, "decisions": decisions,
-                      "service": service, "state": state,
-                      "faults": faults})
+        self._run = {"policy": policy, "trace": trace,
+                     "decisions": decisions, "service": service,
+                     "state": state, "faults": faults}
 
     # -- export ------------------------------------------------------------
 
@@ -181,12 +163,9 @@ class FleetObs:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            if run["mode"] == "scalar":
-                jobs = _scalar_columns(run["records"])
-            else:
-                jobs = _streaming_columns(
-                    run["trace"], run["decisions"], run["service"],
-                    self.dispatches, self.finishes)
+            jobs = job_columns(run["trace"], run["decisions"],
+                               run["service"], self.dispatches,
+                               self.finishes)
             if self.recorder is not None:
                 _emit_spans(self.recorder, policy, jobs, self.samples,
                             scale_events, fault_events)
@@ -198,47 +177,15 @@ class FleetObs:
                 gc.enable()
 
 
-def _scalar_columns(records: "list[JobRecord]") -> _JobColumns:
-    """Columns from the scalar simulator's finished records."""
-    from repro.serve.budget import AdmissionStatus
+def job_columns(trace: "TraceArrays",
+                decisions: "BatchAdmissionDecisions",
+                service: NDArray[np.float64],
+                dispatches: "list[tuple[int, float]]",
+                finishes: "array[float] | None") -> JobColumns:
+    """Columns rebuilt from one run's arrays and sinks.
 
-    code = {AdmissionStatus.ADMITTED: 0, AdmissionStatus.TRUNCATED: 1,
-            AdmissionStatus.REJECTED: 2}
-    tenants: dict[str, int] = {}
-    models: dict[str, int] = {}
-    nan = math.nan
-    return _JobColumns(
-        job_id=np.array([r.job.job_id for r in records], dtype=np.int64),
-        tenant=np.array([tenants.setdefault(r.job.tenant, len(tenants))
-                         for r in records], dtype=np.int64),
-        tenants=tuple(tenants),
-        model=np.array([models.setdefault(r.job.model, len(models))
-                        for r in records], dtype=np.int64),
-        models=tuple(models),
-        arrival_s=np.array([r.job.arrival_s for r in records], dtype=float),
-        status=np.array([code[r.decision.status] for r in records],
-                        dtype=np.int64),
-        granted=np.array([r.decision.granted_steps for r in records],
-                         dtype=np.int64),
-        requested=np.array([r.job.steps for r in records], dtype=np.int64),
-        epsilon_after=np.array([r.decision.epsilon_after for r in records],
-                               dtype=float),
-        start_s=np.array([nan if r.start_s is None else r.start_s
-                          for r in records], dtype=float),
-        finish_s=np.array([nan if r.finish_s is None else r.finish_s
-                           for r in records], dtype=float))
-
-
-def _streaming_columns(trace: "TraceArrays",
-                       decisions: "BatchAdmissionDecisions",
-                       service: NDArray[np.float64],
-                       dispatches: "list[tuple[int, float]]",
-                       finishes: "array[float] | None"
-                       ) -> _JobColumns:
-    """Columns rebuilt from the streaming run's arrays and sinks.
-
-    The streaming loops never materialize job records, so lifecycles
-    are rebuilt here: arrival and admission from the trace and the
+    The event loops never materialize job records, so lifecycles are
+    rebuilt here: arrival and admission from the trace and the
     batched decisions, the first dispatch from the dispatch sink.  The
     faulty loop's finish sink gives each job's final finish; the
     zero-fault loop runs every job exactly once, so its finish is
@@ -256,7 +203,7 @@ def _streaming_columns(trace: "TraceArrays",
         finish = start + service
     else:
         finish = np.frombuffer(finishes, dtype=float)
-    return _JobColumns(
+    return JobColumns(
         job_id=np.arange(n, dtype=np.int64),
         tenant=np.asarray(trace.tenant, dtype=np.int64),
         tenants=trace.tenants,
@@ -272,7 +219,7 @@ def _streaming_columns(trace: "TraceArrays",
 
 
 def _emit_spans(recorder: "TraceRecorder", policy: str,
-                jobs: _JobColumns,
+                jobs: JobColumns,
                 samples: "list[tuple[float, int, int, int, int]]",
                 scale_events: "tuple[ScaleEvent, ...]",
                 fault_events: "list[FaultEvent]") -> None:
@@ -357,7 +304,7 @@ def _emit_spans(recorder: "TraceRecorder", policy: str,
 
 
 def _fold_metrics(metrics: "MetricsRegistry", policy: str,
-                  jobs: _JobColumns,
+                  jobs: JobColumns,
                   samples: "list[tuple[float, int, int, int, int]]",
                   scale_events: "tuple[ScaleEvent, ...]",
                   fault_events: "list[FaultEvent]") -> None:

@@ -41,7 +41,6 @@ from repro.serve.job import (
 from repro.serve.metrics import (
     FleetReport,
     TenantUsage,
-    build_report,
     build_streaming_report,
     percentile,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "simulate_fleet_streaming",
     "FleetReport",
     "TenantUsage",
-    "build_report",
     "build_streaming_report",
     "percentile",
     "P2Quantile",

@@ -5,14 +5,12 @@ load once arrivals outpace capacity (``BENCH_serve.json`` records ~80%
 rejects at the benchmark's arrival rate), which makes the *reactive*
 regime the interesting one: a real operator adds clusters when the
 queue builds and retires them when they fall idle.  This module is
-that reactive controller, written once and shared **verbatim** by both
-fleet simulators — the record-keeping :func:`~repro.serve.scheduler.
-simulate_fleet` and the array-backed :func:`~repro.serve.scheduler.
-simulate_fleet_streaming` drive one :class:`AutoscalerState` through
-the identical sequence of observations, so their scale decisions (and
-the resulting dispatch schedules) are decision-identical by
-construction.  ``tests/test_serve_streaming.py`` pins that equivalence
-on 10k-job traces.
+that reactive controller, a component of the fleet simulator
+(:func:`~repro.serve.scheduler.simulate_fleet_streaming`): both of its
+event loops, zero-fault and faulty, drive one :class:`AutoscalerState`
+through the same sequence of observations.  A naive reference loop in
+the tests drives it the same way and pins the resulting scale
+decisions and dispatch schedules.
 
 Model:
 
@@ -158,16 +156,16 @@ class ScaleEvent:
 
 
 class AutoscalerState:
-    """Mutable per-run scaling state shared by both event loops.
+    """Mutable per-run scaling state an event loop drives.
 
     The loops own event ordering and dispatch; this object owns the
     capacity ledger: how many clusters are active, which activation
     times are pending, the wait-percentile signal, the scale-event log
-    and the chip-hour integral.  Both simulators drive it through the
-    same call sequence — ``record_wait`` per dispatch, ``decide`` per
-    settled event, ``activate_one`` per provision event,
-    ``finalize`` at the end — which is what makes their scale
-    decisions identical.
+    and the chip-hour integral.  A loop drives it through one call
+    sequence — a wait per dispatch (``record_wait``, or ``waits``
+    directly), ``decide`` per settled event, ``activate_one`` per
+    provision event, ``finalize`` at the end — so scale decisions
+    depend on that sequence alone.
     """
 
     __slots__ = ("policy", "chips_per_cluster", "min_clusters", "active",
@@ -190,8 +188,8 @@ class AutoscalerState:
         #: Min-heap of pending activation times.
         self.pending: list[float] = []
         self.events: list[ScaleEvent] = []
-        #: Queueing-wait stream, fed in dispatch order.  The streaming
-        #: simulator shares this object with its metric accumulator.
+        #: Queueing-wait stream, fed in dispatch order.  The simulator
+        #: shares this object with its metric accumulator.
         self.waits = StreamingStats()
         self._last_scale_s = -math.inf
         self._chip_seconds = 0.0

@@ -1,15 +1,17 @@
-"""Seeded fault injection for the fleet simulators.
+"""Seeded fault injection for the fleet simulator.
 
-Real fleets lose chips.  This module gives the serving simulators a
+Real fleets lose chips.  This module gives the serving simulator a
 failure model that is **deterministic by construction**: every random
 quantity — time-to-failure, straggler slowdown, blast radius, repair
 downtime, the degrade-vs-requeue preference — is a pure function of
 ``(seed, job_id, attempt)`` through a splitmix64-style counter hash.
 No RNG object is ever constructed and no call-order state exists, so
-:func:`~repro.serve.scheduler.simulate_fleet` and
-:func:`~repro.serve.scheduler.simulate_fleet_streaming` draw the exact
-same failure schedule even though they walk the trace with different
-data structures (lint rule R008 pins consumers to this stream).
+the vectorized first-attempt table equals the one-by-one draws and
+any loop that dispatches the same jobs at the same times draws the
+exact same failure schedule, however it walks the trace (lint rule
+R008 pins consumers to this stream).  ``job_id`` is the job's arrival
+position in the :class:`~repro.serve.job.TraceArrays` the simulator
+replays.
 
 The pieces:
 
@@ -21,9 +23,8 @@ The pieces:
     repair downtime; capped exponential retry backoff.
 
 :class:`FaultRun`
-    The per-simulation state machine both event loops drive through an
-    identical call sequence — :meth:`FaultRun.begin_attempt` per
-    dispatch.  It owns checkpoint amortization (cadence from the
+    The per-simulation state machine the faulty event loop drives
+    through one call per dispatch — :meth:`FaultRun.begin_attempt`.  It owns checkpoint amortization (cadence from the
     :class:`~repro.training.simulate.CheckpointConfig`, Young/Daly
     when unset), the crash ledger transactions
     (:meth:`~repro.serve.budget.AdmissionController.reprice_steps` /
@@ -342,10 +343,9 @@ class _JobState:
 class FaultRun:
     """Failure bookkeeping one simulation drives through its dispatches.
 
-    Both event loops call :meth:`begin_attempt` once per dispatch with
-    identical arguments in identical order, so every counter, ledger
-    transaction and outcome below is decision-identical between the
-    scalar and streaming simulators.
+    The event loop calls :meth:`begin_attempt` once per dispatch; every
+    counter, ledger transaction and outcome below is a function of that
+    call sequence alone.
 
     The step-count ledger per job is ``target = done + reserved``:
     ``done`` steps executed *and checkpointed*, ``reserved`` steps
@@ -361,7 +361,7 @@ class FaultRun:
     admission: "AdmissionController"
     cache: "runner.ResultCache | None" = None
 
-    # -- outcome counters (identical across both simulators) --
+    # -- outcome counters --
     completed: int = 0
     truncated: int = 0
     failed: int = 0
@@ -386,7 +386,7 @@ class FaultRun:
     def prime_first_failures(self, n_jobs: int) -> None:
         """Draw the first-attempt failure time of jobs ``0..n_jobs-1`` now.
 
-        Both event loops call this once before their first dispatch;
+        The event loop calls this once before its first dispatch;
         :meth:`begin_attempt` then reads first attempts from the table
         and draws retries (and ids outside it) one by one.
         """

@@ -8,23 +8,22 @@ cost of a job follows from exactly three of its fields — sampling rate
 what lets admission control (:mod:`repro.serve.budget`) price a job
 before a single cycle is simulated.
 
-:func:`generate_trace` produces a seeded synthetic arrival stream:
-Poisson arrivals (exponential inter-arrival times) over a configurable
-tenant / workload / algorithm mix, in the spirit of the
-budget-and-model diversity documented by Jayaraman & Evans
-("Evaluating Differentially Private Machine Learning in Practice").
-The generator is deterministic in ``TraceConfig.seed``: the same
-config always yields the identical tuple of jobs, which the scheduler
-tests rely on (same seed => identical fleet report).
+:func:`generate_trace_arrays` produces a seeded synthetic arrival
+stream as a :class:`TraceArrays` struct of arrays: Poisson (or
+diurnal / bursty / multiregion) arrivals over a configurable tenant /
+workload / algorithm mix, in the spirit of the budget-and-model
+diversity documented by Jayaraman & Evans ("Evaluating Differentially
+Private Machine Learning in Practice").  :func:`generate_trace` is the
+same trace materialized as :class:`TrainingJob` objects.  There is one
+sampler, deterministic in ``TraceConfig.seed``: the same config always
+yields the identical trace, so the same seed gives the identical
+fleet report through either simulator entry point.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
-
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
@@ -210,13 +209,6 @@ class TraceConfig:
                      for i in range(self.n_tenants))
 
 
-def _diurnal_rate(config: TraceConfig, t_s: float, *, base_hz: float,
-                  phase: float = 0.0) -> float:
-    """Instantaneous arrival rate of a (phase-shifted) diurnal cycle."""
-    return base_hz * (1.0 + config.diurnal_amplitude * math.sin(
-        2.0 * math.pi * (t_s / config.diurnal_period_s + phase)))
-
-
 def _bursty_rates(config: TraceConfig) -> tuple[float, float]:
     """(calm, burst) arrival rates whose time-average is the mean rate.
 
@@ -236,117 +228,16 @@ def _region_tenants(config: TraceConfig, region: int) -> tuple[str, ...]:
     return config.tenants[region::config.regions]
 
 
-def _poisson_arrivals(config: TraceConfig, rng: random.Random
-                      ) -> Iterator[tuple[float, int | None]]:
-    clock = 0.0
-    while True:
-        clock += rng.expovariate(1.0 / config.mean_interarrival_s)
-        yield clock, None
-
-
-def _thinned_arrival(config: TraceConfig, rng: random.Random,
-                     clock: float, *, base_hz: float, phase: float
-                     ) -> float:
-    """Next arrival of one diurnal cycle, by Lewis-Shedler thinning."""
-    peak_hz = base_hz * (1.0 + config.diurnal_amplitude)
-    while True:
-        clock += rng.expovariate(peak_hz)
-        if rng.random() * peak_hz <= _diurnal_rate(
-                config, clock, base_hz=base_hz, phase=phase):
-            return clock
-
-
-def _diurnal_arrivals(config: TraceConfig, rng: random.Random
-                      ) -> Iterator[tuple[float, int | None]]:
-    base_hz = 1.0 / config.mean_interarrival_s
-    clock = 0.0
-    while True:
-        clock = _thinned_arrival(config, rng, clock,
-                                 base_hz=base_hz, phase=0.0)
-        yield clock, None
-
-
-def _bursty_arrivals(config: TraceConfig, rng: random.Random
-                     ) -> Iterator[tuple[float, int | None]]:
-    calm_hz, burst_hz = _bursty_rates(config)
-    fraction = config.burst_fraction
-    # Mean sojourns chosen so the stationary burst fraction is f.
-    calm_mean_s = config.burst_mean_s * (1.0 - fraction) / fraction
-    in_burst = False
-    clock = 0.0
-    switch_s = rng.expovariate(1.0 / calm_mean_s)
-    while True:
-        while True:
-            gap = rng.expovariate(burst_hz if in_burst else calm_hz)
-            if clock + gap < switch_s:
-                clock += gap
-                break
-            # State flips before the candidate arrival; the
-            # exponential is memoryless, so redraw in the new state.
-            clock = switch_s
-            in_burst = not in_burst
-            switch_s = clock + rng.expovariate(
-                1.0 / (config.burst_mean_s if in_burst else calm_mean_s))
-        yield clock, None
-
-
-def _multiregion_arrivals(config: TraceConfig, rng: random.Random
-                          ) -> Iterator[tuple[float, int | None]]:
-    regions = config.regions
-    base_hz = 1.0 / config.mean_interarrival_s / regions
-    # Evenly spaced phases: region peaks cover the day and (for
-    # regions >= 2) the superposed rate stays at the configured mean.
-    nxt = [_thinned_arrival(config, rng, 0.0, base_hz=base_hz,
-                            phase=region / regions)
-           for region in range(regions)]
-    while True:
-        region = min(range(regions), key=lambda r: nxt[r])
-        clock = nxt[region]
-        nxt[region] = _thinned_arrival(config, rng, clock,
-                                       base_hz=base_hz,
-                                       phase=region / regions)
-        yield clock, region
-
-
-_SCALAR_ARRIVALS = {
-    "poisson": _poisson_arrivals,
-    "diurnal": _diurnal_arrivals,
-    "bursty": _bursty_arrivals,
-    "multiregion": _multiregion_arrivals,
-}
-
-
 def generate_trace(config: TraceConfig = TraceConfig()
                    ) -> tuple[TrainingJob, ...]:
     """Draw a deterministic synthetic job stream from ``config``.
 
-    The arrival process follows ``config.shape`` (see
-    :data:`TRACE_SHAPES`); the ``poisson`` stream is draw-for-draw
-    identical to what this generator always produced.  Under
-    ``multiregion`` each arrival carries its region, and the tenant is
-    drawn from that region's slice of the tenant population.
+    The materialized view of :func:`generate_trace_arrays` — the same
+    PCG64 draws as :class:`TrainingJob` objects with ``job_id`` equal
+    to the arrival position — so a config and seed name one trace no
+    matter which simulator entry point replays it.
     """
-    rng = random.Random(config.seed)
-    lo, hi = config.steps_range
-    arrivals = _SCALAR_ARRIVALS[config.shape](config, rng)
-    jobs = []
-    for job_id in range(config.jobs):
-        clock, region = next(arrivals)
-        tenant = rng.choice(config.tenants if region is None
-                            else _region_tenants(config, region))
-        jobs.append(TrainingJob(
-            job_id=job_id,
-            tenant=tenant,
-            model=rng.choice(config.models),
-            algorithm=rng.choices(config.algorithms,
-                                  weights=config.algorithm_weights)[0],
-            batch=rng.choice(config.batches),
-            steps=rng.randint(lo, hi),
-            noise_multiplier=rng.choice(config.noise_multipliers),
-            dataset_size=rng.choice(config.dataset_sizes),
-            arrival_s=clock,
-        ))
-    return tuple(jobs)
+    return generate_trace_arrays(config).jobs()
 
 
 @dataclass(frozen=True)
@@ -354,10 +245,10 @@ class TraceArrays:
     """A job trace as a struct of NumPy arrays (one entry per job).
 
     The memory-flat counterpart of a ``tuple[TrainingJob, ...]`` —
-    ~50 bytes per job instead of a Python object graph — consumed by
-    the streaming fleet simulator
+    ~50 bytes per job instead of a Python object graph — and the only
+    trace representation the fleet simulator
     (:func:`repro.serve.scheduler.simulate_fleet_streaming`) and the
-    batched admission controller.  ``tenant`` / ``model`` /
+    batched admission controller consume.  ``tenant`` / ``model`` /
     ``algorithm`` are indices into the ``tenants`` / ``models`` /
     ``algorithms`` vocabularies; job ids are implicit array positions
     and arrivals are nondecreasing.
@@ -441,8 +332,7 @@ def _thinned_arrivals_array(config: TraceConfig, rng: np.random.Generator,
     """``jobs`` diurnal arrival times by chunked Lewis-Shedler thinning.
 
     Candidates stream at the peak rate in chunks; each keeps with
-    probability ``rate(t) / peak`` — the vector form of the scalar
-    sampler's accept loop.
+    probability ``rate(t) / peak`` (Lewis-Shedler's accept test).
     """
     peak_hz = base_hz * (1.0 + config.diurnal_amplitude)
     kept: list[NDArray[Any]] = [np.zeros(0)]
@@ -465,8 +355,9 @@ def _bursty_arrivals_array(config: TraceConfig, rng: np.random.Generator,
     """``jobs`` MMPP arrival times, one sojourn interval at a time.
 
     Conditioned on a sojourn, arrivals are a Poisson count placed
-    uniformly in the interval — equivalent in law to the scalar
-    competing-exponentials sampler, and vectorized per interval.
+    uniformly in the interval — equivalent in law to racing the
+    arrival and state-switch exponentials, and vectorized per
+    interval.
     """
     calm_hz, burst_hz = _bursty_rates(config)
     fraction = config.burst_fraction
@@ -519,9 +410,7 @@ def generate_trace_arrays(config: TraceConfig = TraceConfig()
     :data:`TRACE_SHAPES` entry has a vectorized sampler here (chunked
     thinning for diurnal, per-sojourn Poisson counts for bursty, a
     stable ``regions``-way merge for multiregion).  Deterministic in
-    ``config.seed`` (PCG64), though the stream differs from the
-    scalar :func:`generate_trace` (different RNG); both are seeded,
-    deterministic samplers of the same configured mix.
+    ``config.seed`` (PCG64).
     """
     rng = np.random.default_rng(config.seed)
     jobs = config.jobs

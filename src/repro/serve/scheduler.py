@@ -1,7 +1,9 @@
 """Discrete-event fleet scheduler for multi-tenant DP training.
 
-:func:`simulate_fleet` replays a job trace against a pool of identical
-:class:`~repro.arch.cluster.Cluster`\\ s:
+:func:`simulate_fleet_streaming` replays an array trace
+(:class:`~repro.serve.job.TraceArrays`) against a pool of identical
+:class:`~repro.arch.cluster.Cluster`\\ s; :func:`simulate_fleet` is
+its job-list front end, which adds one :class:`JobRecord` per job.
 
 1. **Arrival** — the admission controller prices the job against its
    tenant's ``(epsilon, delta)`` budget (reject / truncate / admit) and
@@ -9,10 +11,10 @@
 2. **Dispatch** — whenever a cluster is idle and jobs are queued, the
    scheduling policy picks the next job.  Service time is
    ``granted_steps x step latency``, where the step latency comes from
-   :func:`repro.training.simulate.simulate_sharded_training_step` via
-   the closed-form cycle engine — memoized in-process and optionally
-   persisted through :func:`repro.experiments.runner.run_cached`,
-   since traces repeat workload configurations.
+   the batched closed-form sharded step
+   (:func:`predict_step_seconds_batch`) — one evaluation per unique
+   workload configuration, optionally persisted through the
+   experiment runner's JSON cache.
 3. **Completion** — the cluster frees and the dispatch loop runs again.
 
 Scheduling policies (:data:`POLICIES`):
@@ -33,12 +35,14 @@ deterministic given a trace and a policy.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -50,21 +54,18 @@ from repro.serve.autoscale import AutoscalerPolicy, AutoscalerState
 from repro.serve.budget import (
     AdmissionController,
     AdmissionDecision,
+    AdmissionStatus,
     BatchAdmissionDecisions,
 )
 from repro.serve.faults import FaultModel, FaultRun
 from repro.serve.job import TraceArrays, TrainingJob
-from repro.serve.metrics import (
-    FleetReport,
-    build_report,
-    build_streaming_report,
-)
+from repro.serve.metrics import FleetReport, build_streaming_report
 from repro.serve.stream import StreamingStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.fleet import FleetObs
 
-#: Scheduling policies simulate_fleet understands.
+#: Scheduling policies the fleet simulator understands.
 POLICIES = ("fifo", "sjf", "budget")
 
 
@@ -142,20 +143,26 @@ class FleetConfig:
 
 @dataclass
 class JobRecord:
-    """Lifecycle of one job through the fleet."""
+    """Lifecycle of one job through the fleet.
+
+    ``service_s`` is the planned service time of the granted steps
+    (checkpoint-amortized under fault injection).  ``start_s`` is the
+    first dispatch and ``finish_s`` the final completion; both stay
+    ``None`` for a rejected job, and a job abandoned after its retry
+    cap keeps its ``start_s``, has no ``finish_s`` and is ``failed``.
+    """
 
     job: TrainingJob
     decision: AdmissionDecision
     service_s: float = 0.0
     start_s: float | None = None
     finish_s: float | None = None
-    cluster_index: int | None = None
     #: Abandoned after exhausting its retries (fault injection only).
     failed: bool = False
 
     @property
     def wait_s(self) -> float:
-        """Queueing delay between arrival and dispatch."""
+        """Queueing delay between arrival and first dispatch."""
         if self.start_s is None:
             return 0.0
         return self.start_s - self.job.arrival_s
@@ -219,38 +226,11 @@ def predict_step_seconds(
         cache=cache))
 
 
-def _policy_select(
-    policy: str, admission: AdmissionController,
-) -> Callable[[list[JobRecord]], JobRecord]:
-    """Dispatch selector: the queued record whose priority key is lowest."""
-    if policy == "fifo":
-        return lambda queue: min(
-            queue, key=lambda rec: (rec.job.arrival_s, rec.job.job_id))
-    if policy == "sjf":
-        return lambda queue: min(
-            queue, key=lambda rec: (rec.service_s, rec.job.arrival_s,
-                                    rec.job.job_id))
-    if policy == "budget":
-        # remaining_fraction is read at dispatch time: each grant a
-        # tenant burns pushes its queued jobs further back.  The ledger
-        # cannot move during one selection, so read it once per tenant.
-        def select(queue: list[JobRecord]) -> JobRecord:
-            remaining = {tenant: admission.remaining_fraction(tenant)
-                         for tenant in {rec.job.tenant for rec in queue}}
-            return min(queue, key=lambda rec: (-remaining[rec.job.tenant],
-                                               rec.job.arrival_s,
-                                               rec.job.job_id))
-        return select
-    raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
-
-
-#: Same-timestamp event order: arrivals, then provisioned clusters
-#: coming online, then completions, then repaired clusters rejoining,
-#: then retried jobs requeueing.  Both simulators implement this
-#: order, which keeps their schedules identical under autoscaling and
-#: fault injection alike.
-_PRIO_ARRIVAL, _PRIO_PROVISION, _PRIO_COMPLETION = 0, 1, 2
-_PRIO_REPAIR, _PRIO_RETRY = 3, 4
+#: Same-timestamp order of the faulty loop's pending events:
+#: completions, then repaired clusters rejoining, then retried jobs
+#: requeueing.  Arrivals precede all three, and provisioned clusters
+#: come online after arrivals and before any of them.
+_PRIO_COMPLETION, _PRIO_REPAIR, _PRIO_RETRY = 0, 1, 2
 
 
 def simulate_fleet(
@@ -265,232 +245,68 @@ def simulate_fleet(
     dispatch_log: "list[tuple[int, float]] | None" = None,
     obs: "FleetObs | None" = None,
 ) -> FleetReport:
-    """Replay ``trace`` on ``fleet`` under ``policy`` and report.
+    """Replay a list of jobs on ``fleet`` and report, with per-job records.
 
-    Deterministic: the same trace, fleet, policy and admission
-    configuration always produce the identical report.
+    The job-list front end of :func:`simulate_fleet_streaming`: the
+    trace converts to :class:`~repro.serve.job.TraceArrays` (arrival
+    order, ties on ``job_id``), runs through the array path, and the
+    report gains one :class:`JobRecord` per job in that order.  The
+    summary is therefore exactly the array path's, whichever entry
+    point replays a trace.
 
-    ``autoscaler`` turns the static cluster pool into a reactive one
-    (see :mod:`repro.serve.autoscale`): after each event's dispatch
-    loop settles, the policy may request new clusters (online after
-    its provisioning delay) or retire idle ones, and the report gains
-    scale events plus chip-hour cost.  ``dispatch_log``, when given,
-    receives ``(job_id, start_s)`` per dispatch in dispatch order —
-    the observable the streaming-equivalence tests pin.
-
-    ``obs`` (a :class:`repro.obs.fleet.FleetObs`) observes the run:
-    one windowed load sample per elapsed metrics window in-loop, and
-    the finished records attached at the end for span building /
-    metric folding in ``obs.export()``.  ``None`` (default) is the
-    exact pre-observability code path.
-
-    ``faults`` (a :class:`~repro.serve.faults.FaultModel`) injects
-    seeded failures: attempts crash mid-service, jobs requeue with
-    capped backoff or continue degraded at a smaller ``dp'``, clusters
-    repair after a downtime, and the admission ledger is re-priced per
-    crash (see :mod:`repro.serve.faults`).  With faults on, the whole
-    trace is admitted upfront in arrival order — decision-identical to
-    the streaming loop's batched admission — so crash-time ledger
-    transactions interleave identically in both simulators.  ``None``
-    (default) is the exact zero-failure code path, byte-identical to
-    the pre-fault-injection simulator.
+    Records and ``dispatch_log`` carry the caller's job ids.
+    Each record's ``decision`` is what :meth:`AdmissionController.admit`
+    would have returned job by job; ``start_s`` is the first dispatch
+    and ``finish_s`` the final finish.  Fault draws, and the job names
+    ``obs`` exports, are keyed by arrival position, which equals
+    ``job_id`` for every generated trace.
     """
+    from repro.obs.fleet import job_columns
+
     if admission is None:
         admission = AdmissionController()
-    select = _policy_select(policy, admission)
-    state = (AutoscalerState(autoscaler,
-                             initial_clusters=fleet.n_clusters,
-                             chips_per_cluster=fleet.chips_per_cluster)
-             if autoscaler is not None else None)
-    frun = (FaultRun(faults, fleet, admission, cache=cache)
-            if faults is not None else None)
-    if frun is not None:
-        frun.prime_first_failures(len(trace))
-
-    # Event heap: (time, priority, seq, kind, payload).  priority
-    # orders simultaneous events across kinds, seq within a kind;
-    # payloads are never compared.
-    events: list[tuple[float, int, int, str,
-                       JobRecord | TrainingJob | int | None]] = []
-    seq = 0
-    predecided: dict[int, AdmissionDecision] = {}
-    for job in sorted(trace, key=lambda j: (j.arrival_s, j.job_id)):
-        heapq.heappush(events,
-                       (job.arrival_s, _PRIO_ARRIVAL, seq, "arrival", job))
-        seq += 1
-        if frun is not None:
-            # Upfront admission in arrival order — the scalar twin of
-            # admit_batch, so retry re-pricing sees the same ledger in
-            # both simulators.
-            predecided[job.job_id] = admission.admit(job)
-
-    idle: list[int] = list(range(fleet.n_clusters))
-    heapq.heapify(idle)
-    next_cluster = fleet.n_clusters
-    queue: list[JobRecord] = []
-    records: list[JobRecord] = []
-    # With faults on, wait percentiles fold into the same streaming
-    # accumulator the streaming loop uses (per-dispatch, retries
-    # included), keeping the two reports identical.
-    step_by_job: dict[int, float] = {}
-    waits = (state.waits if state is not None else StreamingStats()) \
-        if frun is not None else None
-    # Local mirror of the observer's sampling deadline: the per-event
-    # guard is one float compare whether observability is on or off.
-    obs_next_sample_s = obs.next_sample_s if obs is not None else math.inf
-    now = 0.0
-
-    while events:
-        now, _, _, kind, payload = heapq.heappop(events)
-        if kind == "arrival":
-            assert isinstance(payload, TrainingJob)
-            job = payload
-            decision = (predecided[job.job_id] if frun is not None
-                        else admission.admit(job))
-            record = JobRecord(job=job, decision=decision)
-            records.append(record)
-            if decision.admitted:
-                step_s = predict_step_seconds(fleet, job, cache=cache)
-                if frun is not None:
-                    step_by_job[job.job_id] = step_s
-                    record.service_s = decision.granted_steps * \
-                        frun.effective_step_seconds(job.model, step_s)
-                else:
-                    record.service_s = decision.granted_steps * step_s
-                queue.append(record)
-        elif kind == "provision":
-            assert state is not None
-            state.activate_one(now)
-            heapq.heappush(idle, next_cluster)
-            next_cluster += 1
-        elif kind == "repair":
-            assert isinstance(payload, int)
-            heapq.heappush(idle, payload)
-        elif kind == "retry":
-            assert isinstance(payload, JobRecord)
-            queue.append(payload)
-        else:  # completion
-            assert isinstance(payload, JobRecord)
-            record = payload
-            assert record.cluster_index is not None
-            heapq.heappush(idle, record.cluster_index)
-        while idle and queue:
-            nxt = select(queue)
-            queue.remove(nxt)
-            nxt.cluster_index = heapq.heappop(idle)
-            if frun is None:
-                nxt.start_s = now
-                nxt.finish_s = now + nxt.service_s
-                heapq.heappush(events, (nxt.finish_s, _PRIO_COMPLETION,
-                                        seq, "completion", nxt))
-                seq += 1
-                if state is not None:
-                    state.record_wait(nxt.wait_s)
-            else:
-                job_id = nxt.job.job_id
-                if nxt.start_s is None:
-                    nxt.start_s = now
-                assert waits is not None
-                waits.add(float(now - frun.ready_s(job_id,
-                                                   nxt.job.arrival_s)))
-                outcome = frun.begin_attempt(
-                    job_id, now,
-                    step_s=step_by_job[job_id],
-                    granted=nxt.decision.granted_steps,
-                    requested=nxt.job.steps,
-                    tenant=nxt.job.tenant,
-                    sampling_rate=nxt.job.sampling_rate,
-                    noise_multiplier=nxt.job.noise_multiplier,
-                    private=nxt.job.is_private,
-                    model_name=nxt.job.model,
-                    algorithm=nxt.job.algorithm,
-                    batch=nxt.job.batch)
-                if outcome.completed:
-                    nxt.finish_s = outcome.finish_s
-                    heapq.heappush(events, (outcome.free_s,
-                                            _PRIO_COMPLETION, seq,
-                                            "completion", nxt))
-                    seq += 1
-                else:
-                    # The cluster goes down for repair; the job either
-                    # requeues after its backoff or is abandoned.
-                    assert nxt.cluster_index is not None
-                    heapq.heappush(events, (outcome.free_s, _PRIO_REPAIR,
-                                            seq, "repair",
-                                            nxt.cluster_index))
-                    seq += 1
-                    if outcome.retry_s is not None:
-                        nxt.service_s = frun.remaining_steps(
-                            job_id, nxt.decision.granted_steps) * \
-                            frun.effective_step_seconds(
-                                nxt.job.model, step_by_job[job_id])
-                        heapq.heappush(events, (outcome.retry_s,
-                                                _PRIO_RETRY, seq,
-                                                "retry", nxt))
-                        seq += 1
-                    else:
-                        nxt.failed = outcome.failed
-            if dispatch_log is not None:
-                dispatch_log.append((nxt.job.job_id, now))
-        if state is not None:
-            delta = state.decide(now, len(queue), len(idle))
-            if delta > 0:
-                for _ in range(delta):
-                    heapq.heappush(
-                        events,
-                        (now + state.policy.provision_delay_s,
-                         _PRIO_PROVISION, seq, "provision", None))
-                    seq += 1
-            elif delta < 0:
-                # Retire the newest idle clusters first, keeping the
-                # base fleet's low indices stable.
-                for _ in range(-delta):
-                    idle.remove(max(idle))
-                heapq.heapify(idle)
-        if now >= obs_next_sample_s:
-            assert obs is not None  # deadline is +inf otherwise
-            obs.sample(now, len(queue), len(idle),
-                       state.active if state is not None
-                       else fleet.n_clusters,
-                       len(state.pending) if state is not None else 0)
-            obs_next_sample_s = obs.next_sample_s
-
-    if state is not None:
-        state.finalize(now)
+    jobs = sorted(trace, key=lambda j: (j.arrival_s, j.job_id))
+    arrays = TraceArrays.from_jobs(jobs)
+    spent = {name: admission.epsilon_spent(name) for name in arrays.tenants}
+    decisions = admission.admit_batch(arrays)
+    positions: list[tuple[int, float]] = []
+    # The faulty loop's finish sink; obs brings its own when given.
+    finishes = (array("d", [math.nan]) * len(jobs)
+                if faults is not None and obs is None else None)
+    report = simulate_fleet_streaming(
+        arrays, fleet, policy=policy, admission=admission,
+        decisions=decisions, autoscaler=autoscaler, faults=faults,
+        cache=cache, dispatch_log=positions, obs=obs,
+        _finishes=finishes)
     if obs is not None:
-        obs.attach_scalar(policy=policy, records=records, state=state,
-                          faults=frun)
-    if frun is not None:
-        # Fault metrics live in the FaultRun, fed by both loops in the
-        # same dispatch order — so the faulty scalar report is built by
-        # the same fold as the streaming one (plus the records).
-        assert waits is not None
-        return build_streaming_report(
-            policy=policy,
-            chips=fleet.chips,
-            n_clusters=fleet.n_clusters,
-            chips_per_cluster=fleet.chips_per_cluster,
-            submitted=len(records),
-            completed=frun.completed,
-            truncated=frun.truncated,
-            rejected=sum(1 for r in records if not r.decision.admitted),
-            makespan_s=frun.makespan_s,
-            busy_s=frun.busy_s,
-            waits=waits,
-            admission=admission,
-            autoscale=state,
-            faults=frun,
-            records=tuple(records),
-        )
-    return build_report(
-        policy=policy,
-        chips=fleet.chips,
-        n_clusters=fleet.n_clusters,
-        chips_per_cluster=fleet.chips_per_cluster,
-        records=records,
-        admission=admission,
-        autoscale=state,
-    )
+        finishes = obs.finishes
+    if dispatch_log is not None:
+        dispatch_log.extend((jobs[pos].job_id, now)
+                            for pos, now in positions)
+    _, service = _job_service_seconds(
+        arrays, decisions, fleet, cache=cache,
+        faults=(FaultRun(faults, fleet, admission, cache=cache)
+                if faults is not None else None))
+    columns = job_columns(arrays, decisions, service, positions, finishes)
+    statuses = (AdmissionStatus.ADMITTED, AdmissionStatus.TRUNCATED,
+                AdmissionStatus.REJECTED)
+    records: list[JobRecord] = []
+    for job, status, granted, eps_after, service_s, start, finish in zip(
+            jobs, columns.status.tolist(), columns.granted.tolist(),
+            columns.epsilon_after.tolist(), service.tolist(),
+            columns.start_s.tolist(), columns.finish_s.tolist()):
+        cost = eps_after - spent[job.tenant]
+        spent[job.tenant] = eps_after
+        ran, done = not math.isnan(start), not math.isnan(finish)
+        records.append(JobRecord(
+            job=job,
+            decision=AdmissionDecision(statuses[status], granted, cost,
+                                       eps_after),
+            service_s=service_s,
+            start_s=start if ran else None,
+            finish_s=finish if done else None,
+            failed=ran and not done))
+    return dataclasses.replace(report, records=tuple(records))
 
 
 def predict_step_seconds_batch(
@@ -544,16 +360,20 @@ def predict_step_seconds_batch(
     return np.array(seconds, dtype=float)
 
 
-def _job_step_table(
+def _job_service_seconds(
     trace: TraceArrays,
+    decisions: BatchAdmissionDecisions,
     fleet: FleetConfig,
     cache: "runner.ResultCache | None" = None,
-) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
-    """``(unique configs, inverse, step table)`` over the trace.
+    faults: FaultRun | None = None,
+) -> tuple[NDArray[Any], NDArray[Any]]:
+    """Per-job ``(base step latency, service time)`` from one table.
 
     One batched evaluation prices every unique
-    (model, algorithm, rounded-batch) configuration; ``table[inverse]``
-    is the per-job base step latency.
+    (model, algorithm, rounded-batch) configuration of the trace; the
+    service time is ``granted_steps x step latency``.  With ``faults``
+    the step latency is checkpoint-amortized, through the same scalar
+    helper (and memo) the fault model uses per attempt.
     """
     width = fleet.dp
     rounded = np.ceil(trace.batch / width).astype(np.int64) * width
@@ -564,23 +384,13 @@ def _job_step_table(
         [trace.algorithms[int(row[1])] for row in unique],
         unique[:, 2].tolist(),
         cache=cache)
-    return unique, inverse, table
-
-
-def _job_service_seconds(
-    trace: TraceArrays,
-    decisions: BatchAdmissionDecisions,
-    fleet: FleetConfig,
-    cache: "runner.ResultCache | None" = None,
-) -> NDArray[Any]:
-    """Per-job service times from one batched service-time table.
-
-    Builds the (model, algorithm, rounded-batch) table with a single
-    batched evaluation over the trace's unique configurations, then
-    gathers ``granted_steps x step latency`` per job.
-    """
-    _, inverse, table = _job_step_table(trace, fleet, cache=cache)
-    return decisions.granted_steps * table[inverse]
+    effective = table
+    if faults is not None:
+        effective = np.array([
+            faults.effective_step_seconds(trace.models[int(row[0])],
+                                          float(table[pos]))
+            for pos, row in enumerate(unique)])
+    return table[inverse], decisions.granted_steps * effective[inverse]
 
 
 def simulate_fleet_streaming(
@@ -595,37 +405,47 @@ def simulate_fleet_streaming(
     cache: "runner.ResultCache | None" = None,
     dispatch_log: "list[tuple[int, float]] | None" = None,
     obs: "FleetObs | None" = None,
+    _finishes: "array[float] | None" = None,
 ) -> FleetReport:
     """Replay an array trace on ``fleet`` with O(1) metric memory.
 
-    The million-job counterpart of :func:`simulate_fleet`: admission
-    decides the whole trace in one batched pass (decision-identical to
-    the scalar controller), service times come from one precomputed
-    batched step-latency table, the event loop walks the arrival
-    arrays directly (the completion heap never exceeds the cluster
-    count), and metrics fold into streaming accumulators — no per-job
-    record list is ever materialized, so the report's ``records`` are
-    empty and the wait percentiles are exact below the warmup size and
-    P² estimates beyond it.
+    The fleet simulator.  Admission decides the whole trace in one
+    batched pass (decision-identical to
+    :meth:`~repro.serve.budget.AdmissionController.admit` job by job),
+    service times come from one precomputed batched step-latency
+    table, the event loop walks the arrival arrays directly (the
+    completion heap never exceeds the cluster count), and metrics fold
+    into streaming accumulators.  No per-job record list is ever
+    materialized, so the report's ``records`` are empty (use
+    :func:`simulate_fleet` for records) and the wait percentiles are
+    exact below the warmup size and P² estimates beyond it.  Job ids
+    are array positions.  Deterministic: the same trace, fleet, policy
+    and admission configuration always produce the identical report.
 
     Pass ``decisions`` to reuse one admission pass across policies
     (admission happens at arrival, so it is policy-invariant); the
     ``admission`` controller must then be the one that produced them.
 
-    ``autoscaler`` and ``dispatch_log`` mirror :func:`simulate_fleet`
-    exactly: the same :class:`~repro.serve.autoscale.AutoscalerState`
-    drives both loops through the same observation sequence, so scale
-    events, dispatch order and the chip-hour ledger are
-    decision-identical between the two simulators.
+    ``autoscaler`` turns the static cluster pool into a reactive one
+    (see :mod:`repro.serve.autoscale`): after each event's dispatch
+    loop settles, the policy may request new clusters (online after
+    its provisioning delay) or retire idle ones, and the report gains
+    scale events plus chip-hour cost.  ``dispatch_log``, when given,
+    receives ``(job_id, start_s)`` per dispatch in dispatch order.
 
-    ``obs`` also mirrors :func:`simulate_fleet` — with one extra
-    in-loop hook: since this loop keeps no per-job records, each
-    dispatch appends ``(job_id, start_s)`` to the observer's sink (and,
-    with faults on, each completion stores its finish time) so
-    ``obs.export()`` can rebuild job lifecycles afterwards.  The
-    sampling points are event-for-event identical to the scalar
-    loop's, which makes the two simulators' exported span sets (and
-    windowed metric series) identical too.
+    ``faults`` (a :class:`~repro.serve.faults.FaultModel`) injects
+    seeded failures: attempts crash mid-service, jobs requeue with
+    capped backoff or continue degraded at a smaller ``dp'``, clusters
+    repair after a downtime, and the admission ledger is re-priced per
+    crash (see :mod:`repro.serve.faults`).  ``None`` (default) is the
+    zero-failure loop, which the fault machinery never touches.
+
+    ``obs`` (a :class:`repro.obs.fleet.FleetObs`) observes the run:
+    each dispatch appends ``(job_id, start_s)`` to the observer's sink
+    (and, with faults on, each completion stores its finish time), one
+    windowed load sample is taken per elapsed metrics window, and
+    ``obs.export()`` rebuilds job lifecycles afterwards.  ``None``
+    (default) skips every hook.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; "
@@ -641,8 +461,9 @@ def simulate_fleet_streaming(
         return _simulate_streaming_faulty(
             trace, fleet, policy=policy, admission=admission,
             decisions=decisions, autoscaler=autoscaler, faults=faults,
-            cache=cache, dispatch_log=dispatch_log, obs=obs)
-    service = _job_service_seconds(trace, decisions, fleet, cache=cache)
+            cache=cache, dispatch_log=dispatch_log, obs=obs,
+            finishes=_finishes)
+    _, service = _job_service_seconds(trace, decisions, fleet, cache=cache)
     state = (AutoscalerState(autoscaler,
                              initial_clusters=fleet.n_clusters,
                              chips_per_cluster=fleet.chips_per_cluster)
@@ -655,7 +476,7 @@ def simulate_fleet_streaming(
     n_tenants = len(trace.tenants)
     # The budget policy reads each tenant's remaining fraction at
     # dispatch time; spend only moves at arrivals, so tracking the
-    # decision stream's epsilon_after reproduces the scalar ledger.
+    # decision stream's epsilon_after reproduces the live ledger.
     tenant_spent = np.zeros(n_tenants)
     budget_eps = np.array([admission.budget_for(name).epsilon
                            for name in trace.tenants], dtype=float)
@@ -698,8 +519,7 @@ def simulate_fleet_streaming(
         return tenant_queues[best].popleft()
 
     # When autoscaling, the metric accumulator IS the autoscaler's p99
-    # signal — one object, fed once per dispatch, exactly as the
-    # scalar loop feeds it through record_wait.
+    # signal — one object, fed once per dispatch.
     waits = state.waits if state is not None else StreamingStats()
     # Pre-bound dispatch sink: one local-None check per dispatch when
     # observability is off, one list append when it is on.  The
@@ -718,8 +538,8 @@ def simulate_fleet_streaming(
 
     while index < total or completions \
             or (state is not None and state.pending):
-        # Same-time order matches the scalar event heap: arrival,
-        # then provision, then completion (arrivals win ties).
+        # Same-time order: arrival, then provision, then completion
+        # (arrivals win ties).
         t_arrival = arrival[index] if index < total else math.inf
         t_provision = (state.next_provision_s() if state is not None
                        else math.inf)
@@ -773,9 +593,9 @@ def simulate_fleet_streaming(
     if state is not None:
         state.finalize(now)
     if obs is not None:
-        obs.attach_streaming(policy=policy, trace=trace,
-                             decisions=decisions, service=service,
-                             state=state)
+        obs.attach(policy=policy, trace=trace,
+                   decisions=decisions, service=service,
+                   state=state)
     return build_streaming_report(
         policy=policy,
         chips=fleet.chips,
@@ -805,34 +625,29 @@ def _simulate_streaming_faulty(
     cache: "runner.ResultCache | None",
     dispatch_log: "list[tuple[int, float]] | None",
     obs: "FleetObs | None",
+    finishes: "array[float] | None",
 ) -> FleetReport:
-    """The fault-injecting twin of :func:`simulate_fleet_streaming`.
+    """The fault-injecting loop of :func:`simulate_fleet_streaming`.
 
-    Differences from the zero-failure loop, each mirroring the scalar
-    simulator exactly:
+    Differences from the zero-failure loop:
 
     - Completions, cluster repairs and job retries share one pending
-      heap keyed ``(time, priority, seq)`` — the same total order the
-      scalar event heap imposes.
+      heap keyed ``(time, priority, seq)``; arrivals and provisioned
+      clusters precede them at equal times.
     - Queues re-sort requeued jobs by their *original* arrival (and
-      remaining service under SJF), so every policy keeps the scalar
+      remaining service under SJF), so every policy keeps its
       ``min(queue, key)`` semantics; the budget policy reads the live
       ledger, which moves at crash time, not only at arrivals.
     - Every per-dispatch quantity is coerced to Python scalars before
-      entering the shared :class:`~repro.serve.faults.FaultRun`, so
-      both simulators execute bit-identical float arithmetic.
+      entering the :class:`~repro.serve.faults.FaultRun`, whose float
+      arithmetic is pinned against a naive reference loop in the tests.
+    - ``finishes`` (or ``obs``'s sink, when observing) receives each
+      job's final finish time at its job id.
     """
     frun = FaultRun(faults, fleet, admission, cache=cache)
     frun.prime_first_failures(len(trace))
-    unique, inverse, table = _job_step_table(trace, fleet, cache=cache)
-    # Checkpoint-amortized step per unique config, through the same
-    # scalar helper (and memo) the scalar loop uses per job.
-    eff_table = np.array([
-        frun.effective_step_seconds(trace.models[int(row[0])],
-                                    float(table[pos]))
-        for pos, row in enumerate(unique)])
-    step = table[inverse]
-    service = decisions.granted_steps * eff_table[inverse]
+    step, service = _job_service_seconds(trace, decisions, fleet,
+                                         cache=cache, faults=frun)
     state = (AutoscalerState(autoscaler,
                              initial_clusters=fleet.n_clusters,
                              chips_per_cluster=fleet.chips_per_cluster)
@@ -855,7 +670,7 @@ def _simulate_streaming_faulty(
     priv_arr = trace.is_private
 
     #: Live remaining-service predictions for the SJF key; retries
-    #: shrink them exactly as the scalar loop rewrites ``service_s``.
+    #: shrink them to the remaining reservation's service time.
     service_live = [0.0] * total if policy == "sjf" else []
     if policy == "sjf":
         for job in range(total):
@@ -901,11 +716,10 @@ def _simulate_streaming_faulty(
 
     waits = state.waits if state is not None else StreamingStats()
     obs_dispatch = obs.dispatches.append if obs is not None else None
-    obs_finish_s = obs.finish_sink(total) if obs is not None else None
+    obs_finish_s = obs.finish_sink(total) if obs is not None else finishes
     obs_next_sample_s = obs.next_sample_s if obs is not None else math.inf
     # Completions, repairs and retries in one heap; the priority slot
-    # reuses the scalar loop's constants, so popping order is the
-    # scalar event heap's order restricted to these kinds.
+    # orders same-time events across kinds, the sequence within one.
     pending: list[tuple[float, int, int, int]] = []
     pseq = 0
     idle = fleet.n_clusters
@@ -992,9 +806,9 @@ def _simulate_streaming_faulty(
     if state is not None:
         state.finalize(now)
     if obs is not None:
-        obs.attach_streaming(policy=policy, trace=trace,
-                             decisions=decisions, service=service,
-                             state=state, faults=frun)
+        obs.attach(policy=policy, trace=trace,
+                   decisions=decisions, service=service,
+                   state=state, faults=frun)
     return build_streaming_report(
         policy=policy,
         chips=fleet.chips,

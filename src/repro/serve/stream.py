@@ -1,7 +1,7 @@
 """Streaming (O(1)-memory) metric accumulators for the fleet simulator.
 
 Million-job traces cannot afford per-job metric lists: this module
-provides the constant-space accumulators the streaming scheduler
+provides the constant-space accumulators the fleet scheduler
 (:func:`repro.serve.scheduler.simulate_fleet_streaming`) folds each
 job into as it dispatches —
 

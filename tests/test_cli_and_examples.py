@@ -55,7 +55,8 @@ class TestCli:
                          "--chips", "2", "--policy", "fifo"]) == 0
         out = capsys.readouterr().out
         assert "Fleet serving" in out
-        assert "tenant-0" in out
+        # 12 seeded jobs need not reach every tenant: any tenant row.
+        assert "Per-tenant privacy budget" in out and "tenant-" in out
         assert "Rejected" in out
 
     def test_serve_rejects_bad_fleet_cleanly(self, capsys):

@@ -2,14 +2,15 @@
 
 Pins the three contracts ``repro.serve.faults`` makes:
 
-* **Zero-failure identity** — with ``faults=None`` both simulators
-  reproduce the pre-faults golden dispatch logs and reports byte for
-  byte (``tests/data/golden_fleet_zero_fault.json``).
-* **Decision identity under faults** — the scalar and streaming
-  simulators draw the same failures, make the same ledger
-  transactions, and emit identical dispatch logs and reports, across
-  every policy, with and without the autoscaler, up to a 10k-job
-  trace.
+* **Zero-failure identity** — with ``faults=None`` both entry points
+  (arrays and job list) reproduce the pre-faults golden dispatch logs
+  and reports byte for byte
+  (``tests/data/golden_fleet_zero_fault.json``).
+* **Decision identity under faults** — both entry points draw the
+  same failures, make the same ledger transactions, and emit
+  identical dispatch logs and reports, across every policy, with and
+  without the autoscaler (the naive reference loop of
+  ``test_fleet_oracle.py`` pins the loop itself).
 * **Budget safety** — no crash/retry/refund interleaving ever pushes
   a tenant's spent epsilon past its ``(epsilon, delta)`` budget
   (hypothesis property), and the checkpoint math behaves (overhead
@@ -503,29 +504,24 @@ class TestZeroFailureGolden:
                 scaler = AutoscalerPolicy(max_clusters=12,
                                           provision_delay_s=30.0) \
                     if auto else None
-                key = f"{policy}-{'auto' if auto else 'static'}"
-                log = []
-                report = simulate_fleet(
-                    generate_trace(config), fleet, policy=policy,
-                    admission=AdmissionController(TenantBudget(epsilon=3.0)),
-                    autoscaler=scaler, dispatch_log=log)
-                assert _digest(log) \
-                    == golden[f"scalar/{key}"]["dispatch_sha256"], key
-                assert report.to_dict() \
-                    == golden[f"scalar/{key}"]["report"], key
-                log = []
-                report = simulate_fleet_streaming(
-                    generate_trace_arrays(config), fleet, policy=policy,
-                    admission=AdmissionController(TenantBudget(epsilon=3.0)),
-                    autoscaler=scaler, dispatch_log=log)
-                assert _digest(log) \
-                    == golden[f"streaming/{key}"]["dispatch_sha256"], key
-                assert report.to_dict() \
-                    == golden[f"streaming/{key}"]["report"], key
+                expected = golden[
+                    f"streaming/{policy}-{'auto' if auto else 'static'}"]
+                for simulate, trace in (
+                        (simulate_fleet_streaming,
+                         generate_trace_arrays(config)),
+                        (simulate_fleet, generate_trace(config))):
+                    log = []
+                    report = simulate(
+                        trace, fleet, policy=policy,
+                        admission=AdmissionController(
+                            TenantBudget(epsilon=3.0)),
+                        autoscaler=scaler, dispatch_log=log)
+                    assert _digest(log) == expected["dispatch_sha256"]
+                    assert report.to_dict() == expected["report"]
 
 
 # ---------------------------------------------------------------------------
-# Scalar/streaming decision identity under faults
+# Job-list/array decision identity under faults
 # ---------------------------------------------------------------------------
 
 
@@ -546,43 +542,19 @@ class TestFaultyDifferential:
         faults = FaultModel(AGGRESSIVE)
         scaler = AutoscalerPolicy(max_clusters=10,
                                   provision_delay_s=20.0) if auto else None
-        scalar_log, stream_log = [], []
-        scalar = simulate_fleet(
+        jobs_log, stream_log = [], []
+        from_jobs = simulate_fleet(
             trace, fleet, policy=policy,
             admission=AdmissionController(TenantBudget(epsilon=3.0)),
-            autoscaler=scaler, faults=faults, dispatch_log=scalar_log)
+            autoscaler=scaler, faults=faults, dispatch_log=jobs_log)
         stream = simulate_fleet_streaming(
             arrays, fleet, policy=policy,
             admission=AdmissionController(TenantBudget(epsilon=3.0)),
             autoscaler=scaler, faults=faults, dispatch_log=stream_log)
-        assert scalar_log == stream_log
-        assert scalar.to_dict() == stream.to_dict()
-        assert scalar.faults_enabled
-        assert scalar.retries > 0  # the trace actually exercised faults
-
-    def test_ten_thousand_jobs_identical(self):
-        # Satellite: the 10k-job differential (kept to one policy so
-        # the suite stays fast; the policy grid above covers the rest).
-        trace = generate_trace(TraceConfig(jobs=10_000, seed=5,
-                                           shape="bursty",
-                                           mean_interarrival_s=0.3))
-        fleet = FleetConfig(chips=8, chips_per_cluster=2)
-        faults = FaultModel(FaultConfig(
-            mtbf_hours=0.2, straggler_rate=0.1, degrade_fraction=0.5,
-            repair_hours=0.02,
-            checkpoint=CheckpointConfig(interval_steps=100), seed=3))
-        scalar_log, stream_log = [], []
-        scalar = simulate_fleet(
-            trace, fleet, policy="fifo",
-            admission=AdmissionController(TenantBudget(epsilon=3.0)),
-            faults=faults, dispatch_log=scalar_log)
-        stream = simulate_fleet_streaming(
-            TraceArrays.from_jobs(trace), fleet, policy="fifo",
-            admission=AdmissionController(TenantBudget(epsilon=3.0)),
-            faults=faults, dispatch_log=stream_log)
-        assert scalar_log == stream_log
-        assert scalar.to_dict() == stream.to_dict()
-        assert scalar.failed + scalar.retries + scalar.degradations > 0
+        assert jobs_log == stream_log
+        assert from_jobs.to_dict() == stream.to_dict()
+        assert from_jobs.faults_enabled
+        assert from_jobs.retries > 0  # the trace actually exercised faults
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ the two:
 * over fifo / sjf / budget on static and autoscaled fleets at
   ``epsilon=3`` (rejects and truncations present), plus a fully
   admitted run and a faulty run whose 5k observations cross the P²
-  warmup of the ``wait_s`` / ``service_s`` histograms;
-* between the scalar and streaming simulators under faults, for a
+  warmup of the ``wait_s`` / ``service_s`` histograms — the faulty
+  reference rows come from ``simulate_fleet``'s job records;
+* between the job-list and array entry points under faults, for a
   retry/degrade failure process and one that abandons jobs.
 
 Hypothesis pins the batched ``TimeSeries.add_many`` to repeated
@@ -61,7 +62,7 @@ FAULTY_FLEET = FleetConfig(chips=16, chips_per_cluster=2)
 # ---------------------------------------------------------------------------
 
 
-def _scalar_rows(records):
+def _record_rows(records):
     code = {AdmissionStatus.ADMITTED: 0, AdmissionStatus.TRUNCATED: 1,
             AdmissionStatus.REJECTED: 2}
     for rec in records:
@@ -177,11 +178,15 @@ def _fold_metrics(metrics, policy, rows, samples, scale_events,
             max(sample[1] for sample in samples))
 
 
-def _reference(obs):
-    """Per-row trace + metrics JSON of the run ``obs`` observed."""
+def _reference(obs, records=None):
+    """Per-row trace + metrics JSON of the run ``obs`` observed.
+
+    Faulty runs need ``records`` (``simulate_fleet``'s job records):
+    the per-row zero-fault rows cannot see retries.
+    """
     run = obs._run
-    if run["mode"] == "scalar":
-        rows = list(_scalar_rows(run["records"]))
+    if records is not None:
+        rows = list(_record_rows(records))
     else:
         assert run["faults"] is None  # the per-row twin is zero-fault
         rows = list(_streaming_rows(run["trace"], run["decisions"],
@@ -269,7 +274,7 @@ class TestReferenceExport:
             admission=AdmissionController(TenantBudget(epsilon=1e6)),
             faults=FaultModel(RETRY_FAULTS), obs=obs)
         assert report.retries > 0 and report.degradations > 0
-        expected = _reference(obs)
+        expected = _reference(obs, report.records)
         exported = _exported(obs)
         _assert_identical(exported, expected)
         waits = next(m for m in json.loads(exported[1])["metrics"]
@@ -278,7 +283,7 @@ class TestReferenceExport:
 
 
 # ---------------------------------------------------------------------------
-# Scalar and streaming exports agree under faults
+# Job-list and array exports agree under faults
 # ---------------------------------------------------------------------------
 
 
@@ -294,10 +299,10 @@ class TestFaultyExportDifferential:
     def test_scalar_and_streaming_exports_identical(self, faulty_trace,
                                                     config):
         outputs, reports = [], []
-        for mode in ("scalar", "streaming"):
+        for mode in ("jobs", "arrays"):
             obs = _observer()
             admission = AdmissionController(TenantBudget(epsilon=1e6))
-            if mode == "scalar":
+            if mode == "jobs":
                 reports.append(simulate_fleet(
                     faulty_trace.jobs(), FAULTY_FLEET,
                     admission=admission, faults=FaultModel(config),

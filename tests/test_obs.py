@@ -263,16 +263,17 @@ class TestFleetObs:
                              ids=("static", "autoscaled"))
     def test_scalar_and_streaming_spans_identical(self, policy,
                                                   autoscaled):
-        """Same trace, either simulator: identical events and metrics."""
-        arrays, jobs, fleet = _fleet_inputs(jobs=10_000)
+        """Same trace, either entry point (job list or arrays):
+        identical events and metrics."""
+        arrays, jobs, fleet = _fleet_inputs()
         autoscaler = AUTOSCALE if autoscaled else None
         outputs = []
-        for mode in ("scalar", "streaming"):
+        for mode in ("jobs", "arrays"):
             recorder = TraceRecorder()
             metrics = MetricsRegistry()
             obs = FleetObs(recorder=recorder, metrics=metrics)
             admission = AdmissionController(TenantBudget(epsilon=3.0))
-            if mode == "scalar":
+            if mode == "jobs":
                 simulate_fleet(jobs, fleet, policy=policy,
                                autoscaler=autoscaler,
                                admission=admission, obs=obs)
@@ -509,17 +510,17 @@ class TestCacheStats:
 # ---------------------------------------------------------------------------
 GOLDEN_RENDER = """\
 Fleet: 4 chips as 4 x 1-chip clusters, policy=fifo
-Jobs: 40 submitted, 31 completed (8 truncated), 9 rejected
-Makespan 608 s, 183.6 jobs/h, chip utilization 84.3%
-Queueing wait p50/p95/p99: 97.9 / 207.8 / 235.8 s
+Jobs: 40 submitted, 16 completed (11 truncated), 24 rejected
+Makespan 267 s, 215.7 jobs/h, chip utilization 31.4%
+Queueing wait p50/p95/p99: 0.0 / 0.0 / 0.0 s
 
 Per-tenant privacy budget
 Tenant   | Budget eps | Spent eps | Used | Admitted | Truncated | Rejected
 ---------+------------+-----------+------+----------+-----------+---------
-tenant-0 |       3.00 |      3.00 | 100% |        4 |         2 |        0
-tenant-1 |       3.00 |      3.00 | 100% |        7 |         1 |        1
-tenant-2 |       3.00 |      3.00 | 100% |        8 |         3 |        2
-tenant-3 |       3.00 |      3.00 | 100% |        4 |         2 |        6"""
+tenant-0 |       3.00 |      3.00 | 100% |        3 |         2 |        3
+tenant-1 |       3.00 |      3.00 | 100% |        0 |         3 |        8
+tenant-2 |       3.00 |      3.00 | 100% |        2 |         4 |        3
+tenant-3 |       3.00 |      3.00 | 100% |        0 |         2 |       10"""
 
 
 class TestFleetReportGolden:

@@ -1,21 +1,30 @@
 """Tests for the multi-tenant fleet simulator (repro.serve)."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
 from repro.experiments import serve as serve_experiment
+from repro.obs import FleetObs, MetricsRegistry
 from repro.serve import (
     AdmissionController,
     AdmissionStatus,
+    FaultConfig,
+    FaultModel,
     FleetConfig,
     TenantBudget,
+    TraceArrays,
     TraceConfig,
     TrainingJob,
     generate_trace,
+    generate_trace_arrays,
     percentile,
     simulate_fleet,
+    simulate_fleet_streaming,
 )
+from repro.training import CheckpointConfig
 
 
 def _job(job_id, *, tenant="t0", model="SqueezeNet", algorithm="SGD",
@@ -266,6 +275,128 @@ class TestFleetInvariants:
         report = simulate_fleet(trace, FleetConfig(chips=2))
         payload = json.dumps(report.to_dict())
         assert "tenant-0" in payload
+
+
+class TestPathIndependence:
+    """A fleet result is a function of config and seed alone: the serve
+    experiment, the job-list entry point and the array entry point
+    report the same numbers for one config."""
+
+    @pytest.mark.parametrize("mtbf_hours", (None, 0.25),
+                             ids=("zero-fault", "faulty"))
+    def test_every_entry_point_reports_the_same(self, mtbf_hours):
+        config = TraceConfig(jobs=2_000, seed=7)
+        fleet = FleetConfig(chips=4)
+        rows = serve_experiment.run(trace_jobs=config.jobs,
+                                    seed=config.seed, chips=fleet.chips,
+                                    mtbf_hours=mtbf_hours)
+
+        def replay(simulate, trace, policy):
+            faults = None
+            if mtbf_hours is not None:
+                faults = FaultModel(FaultConfig(
+                    mtbf_hours=mtbf_hours, seed=config.seed,
+                    checkpoint=CheckpointConfig(interval_steps=None)))
+            return simulate(
+                trace, fleet, policy=policy, faults=faults,
+                admission=AdmissionController(TenantBudget(
+                    epsilon=serve_experiment.DEFAULT_EPSILON_BUDGET,
+                    delta=serve_experiment.DEFAULT_DELTA))).to_dict()
+
+        jobs, arrays = generate_trace(config), generate_trace_arrays(config)
+        for row in rows:
+            assert replay(simulate_fleet, jobs, row["policy"]) == row
+            assert replay(simulate_fleet_streaming, arrays,
+                          row["policy"]) == row
+        assert rows[0]["completed"] > 0 and rows[0]["rejected"] > 0
+        if mtbf_hours is not None:
+            assert rows[0]["faults"]["retries"] > 0
+
+
+#: Hot enough that some job exhausts its retries on a short trace.
+AGGRESSIVE = FaultConfig(
+    mtbf_hours=0.05, straggler_rate=0.2, correlated_fraction=0.3,
+    degrade_fraction=0.7, repair_hours=0.02,
+    checkpoint=CheckpointConfig(interval_steps=100), seed=3)
+
+
+def _caller_trace():
+    """Jobs with descending, non-contiguous ids (id order is not arrival
+    order), two of them arriving together, handed over shuffled."""
+    base = generate_trace(TraceConfig(jobs=200, seed=5, shape="bursty",
+                                      mean_interarrival_s=0.3))
+    jobs = [dataclasses.replace(job, job_id=10_000 - 7 * i)
+            for i, job in enumerate(base)]
+    jobs[1] = dataclasses.replace(jobs[1], arrival_s=jobs[0].arrival_s)
+    return jobs[1::2][::-1] + jobs[::2]
+
+
+class TestJobListAdapter:
+    """``simulate_fleet`` rebuilds per-job records from the array run."""
+
+    FLEET = FleetConfig(chips=4, chips_per_cluster=2)
+
+    @pytest.mark.parametrize("faulty", (False, True),
+                             ids=("zero-fault", "faulty"))
+    def test_records_follow_the_array_run(self, faulty):
+        jobs = _caller_trace()
+        faults = FaultModel(AGGRESSIVE) if faulty else None
+        log: list = []
+        report = simulate_fleet(
+            jobs, self.FLEET, faults=faults, dispatch_log=log,
+            admission=AdmissionController(TenantBudget(epsilon=3.0)))
+        # The same run on arrays, observed: its finish sink holds every
+        # job's final finish, keyed by arrival position.
+        ordered = sorted(jobs, key=lambda j: (j.arrival_s, j.job_id))
+        assert ordered[0].job_id < ordered[1].job_id
+        obs = FleetObs(metrics=MetricsRegistry())
+        positions: list = []
+        simulate_fleet_streaming(
+            TraceArrays.from_jobs(jobs), self.FLEET, faults=faults,
+            dispatch_log=positions, obs=obs,
+            admission=AdmissionController(TenantBudget(epsilon=3.0)))
+
+        assert [r.job for r in report.records] == ordered
+        assert log == [(ordered[pos].job_id, now) for pos, now in positions]
+        first: dict = {}
+        for job_id, now in log:
+            first.setdefault(job_id, now)
+        for pos, record in enumerate(report.records):
+            if record.job.job_id not in first:
+                assert not record.decision.admitted
+                assert record.start_s is record.finish_s is None
+                assert not record.failed
+                continue
+            assert record.start_s == first[record.job.job_id]
+            assert record.wait_s == record.start_s - record.job.arrival_s
+            if faulty:
+                finish = obs.finishes[pos]
+                assert record.finish_s == (None if math.isnan(finish)
+                                           else finish)
+            else:
+                assert record.finish_s == record.start_s + record.service_s
+            assert record.failed == (record.finish_s is None)
+        assert sum(r.finish_s is not None for r in report.records) \
+            == report.completed
+        assert sum(r.failed for r in report.records) == report.failed
+        if faulty:
+            assert report.failed > 0 and report.retries > 0
+
+    def test_decisions_match_sequential_admission(self):
+        jobs = _caller_trace()
+        ordered = sorted(jobs, key=lambda j: (j.arrival_s, j.job_id))
+        # Both controllers arrive with the same partly spent ledger.
+        prior = dataclasses.replace(ordered[0], job_id=-1,
+                                    algorithm="DP-SGD")
+        sequential = AdmissionController(TenantBudget(epsilon=3.0))
+        admission = AdmissionController(TenantBudget(epsilon=3.0))
+        sequential.admit(prior)
+        admission.admit(prior)
+        expected = [sequential.admit(job) for job in ordered]
+        report = simulate_fleet(jobs, self.FLEET, admission=admission)
+        assert [r.decision for r in report.records] == expected
+        assert {d.status for d in expected} == set(AdmissionStatus)
+        assert any(d.epsilon_cost > 0 for d in expected)
 
 
 class TestPercentile:

@@ -1,10 +1,11 @@
-"""Streaming serve path: array traces, batched admission, P² metrics.
+"""Array serve path: array traces, batched admission, P² metrics.
 
-Equivalence contract: on traces the scalar simulator can afford, the
-streaming path must reproduce its decisions and counts *exactly*
-(admission is decision-identical by construction) and its percentiles
-exactly below the warmup buffer; only aggregate floats accumulated in
-a different order (utilization) get a tolerance.
+Batched admission must reproduce the sequential controller's decisions
+exactly, the streaming percentiles must be exact below the warmup
+buffer, and the job-list front end (``simulate_fleet``) must report
+exactly what the array path reports.  The decision-for-decision
+differential against a naive reference loop is in
+``test_fleet_oracle.py``.
 """
 
 import numpy as np
@@ -13,11 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collections import OrderedDict
-from functools import lru_cache
 
 from repro.serve import (
     AdmissionController,
-    AutoscalerPolicy,
     FleetConfig,
     P2Quantile,
     StreamingStats,
@@ -294,25 +293,19 @@ class TestStreamingQuantiles:
 class TestStreamingFleetEquivalence:
     @pytest.mark.parametrize("policy", ("fifo", "sjf", "budget"))
     def test_matches_scalar_simulator(self, policy):
+        """The job-list entry point reports exactly what the array path
+        reports, and only it attaches per-job records."""
         trace = generate_trace(TraceConfig(jobs=120, seed=7))
         arrays = TraceArrays.from_jobs(trace)
         fleet = FleetConfig(chips=4, chips_per_cluster=2)
-        scalar = simulate_fleet(
+        from_jobs = simulate_fleet(
             trace, fleet, policy=policy,
             admission=AdmissionController(TenantBudget(epsilon=3.0)))
         streaming = simulate_fleet_streaming(
             arrays, fleet, policy=policy,
             admission=AdmissionController(TenantBudget(epsilon=3.0)))
-        a, b = scalar.to_dict(), streaming.to_dict()
-        # busy time accumulates in dispatch order instead of record
-        # order, so utilization may differ in the last ulp.
-        assert b.pop("utilization") == pytest.approx(
-            a.pop("utilization"), rel=1e-12)
-        assert b.pop("throughput_jobs_per_h") == pytest.approx(
-            a.pop("throughput_jobs_per_h"), rel=1e-12)
-        assert b.pop("makespan_s") == pytest.approx(
-            a.pop("makespan_s"), rel=1e-12)
-        assert a == b
+        assert from_jobs.to_dict() == streaming.to_dict()
+        assert len(from_jobs.records) == len(trace)
         assert streaming.records == ()
 
     def test_empty_trace(self):
@@ -359,64 +352,11 @@ class TestStreamingFleetEquivalence:
             assert float(batched[i]) == predict_step_seconds(fleet, job)
 
 
-@lru_cache(maxsize=1)
-def _differential_trace() -> tuple[TraceArrays, tuple]:
-    """One shared 10k-job trace; arrays and jobs carry identical floats."""
-    arrays = generate_trace_arrays(
-        TraceConfig(jobs=10_000, seed=13, mean_interarrival_s=0.5))
-    return arrays, arrays.jobs()
-
-
 class TestAutoscaledDifferential:
-    """simulate_fleet vs simulate_fleet_streaming, decision for decision.
-
-    The acceptance contract of the autoscaler: on the same 10k-job
-    trace, both simulators admit the same jobs, dispatch them in the
-    same order at the same times, emit the same scale events, and
-    settle the same per-tenant ledger — for every policy, with and
-    without autoscaling.
-    """
-
-    POLICY = AutoscalerPolicy(max_clusters=32, provision_delay_s=30.0,
-                              cooldown_s=20.0, target_p99_wait_s=60.0)
-
-    @pytest.mark.parametrize("policy", ("fifo", "sjf", "budget"))
-    @pytest.mark.parametrize("autoscaled", (False, True),
-                             ids=("static", "autoscaled"))
-    def test_decision_identical_on_10k_jobs(self, policy, autoscaled):
-        arrays, jobs = _differential_trace()
-        fleet = FleetConfig(chips=4)
-        autoscaler = self.POLICY if autoscaled else None
-        scalar_log: list = []
-        streaming_log: list = []
-        scalar = simulate_fleet(
-            jobs, fleet, policy=policy, autoscaler=autoscaler,
-            admission=AdmissionController(TenantBudget(epsilon=3.0)),
-            dispatch_log=scalar_log)
-        streaming = simulate_fleet_streaming(
-            arrays, fleet, policy=policy, autoscaler=autoscaler,
-            admission=AdmissionController(TenantBudget(epsilon=3.0)),
-            dispatch_log=streaming_log)
-        # Dispatch order and times, job for job.
-        assert scalar_log == streaming_log
-        a, b = scalar.to_dict(), streaming.to_dict()
-        # Aggregates folded in a different order tolerate float drift;
-        # everything else (admissions, counts, scale events, ledger,
-        # percentiles below the warmup buffer) must match exactly.
-        for key in ("utilization", "throughput_jobs_per_h",
-                    "makespan_s", "chip_hours", "cost"):
-            assert b.pop(key) == pytest.approx(a.pop(key), rel=1e-9)
-        assert a == b
-        if autoscaled:
-            assert scalar.scale_events
-            assert scalar.peak_clusters > fleet.n_clusters
-        else:
-            assert scalar.scale_events == ()
-            assert scalar.chip_hours == 0.0
-
     def test_static_run_identical_to_pre_autoscaler_model(self):
-        """autoscaler=None is byte-for-byte the original simulator."""
-        arrays, jobs = _differential_trace()
+        """autoscaler=None is byte-for-byte the static simulator."""
+        jobs = generate_trace(
+            TraceConfig(jobs=2_000, seed=13, mean_interarrival_s=0.5))
         fleet = FleetConfig(chips=4)
         log: list = []
         default = simulate_fleet(
@@ -428,6 +368,8 @@ class TestAutoscaledDifferential:
             dispatch_log=log)
         assert default.to_dict() == explicit.to_dict()
         assert len(log) == default.completed
+        assert default.scale_events == ()
+        assert default.chip_hours == 0.0
 
 
 class TestServeExperimentStreaming:
@@ -435,19 +377,9 @@ class TestServeExperimentStreaming:
         from repro.experiments import serve as serve_experiment
 
         rows = serve_experiment.run(policies=("fifo",), trace_jobs=300,
-                                    chips=2, streaming=True)
+                                    chips=2)
         assert len(rows) == 1
         assert rows[0]["submitted"] == 300
         assert rows[0]["completed"] + rows[0]["rejected"] == 300
         text = serve_experiment.render(rows)
         assert "Policy" in text
-
-    def test_auto_threshold_prefers_scalar_for_small_traces(self):
-        from repro.experiments import serve as serve_experiment
-
-        scalar_rows = serve_experiment.run(policies=("fifo",),
-                                           trace_jobs=20, chips=2)
-        explicit = serve_experiment.run(policies=("fifo",),
-                                        trace_jobs=20, chips=2,
-                                        streaming=False)
-        assert scalar_rows == explicit

@@ -79,14 +79,10 @@ class TestSeedDeterminism:
 
 class TestStatisticalSanity:
     @pytest.mark.parametrize("shape", TRACE_SHAPES)
-    @pytest.mark.parametrize("generator", ("scalar", "arrays"))
+    @pytest.mark.parametrize("generator", ("arrays",))
     def test_empirical_rate_matches_configured(self, shape, generator):
         config = _shape_config(shape)
-        if generator == "scalar":
-            trace = generate_trace(config)
-            arrivals = np.array([job.arrival_s for job in trace])
-        else:
-            arrivals = generate_trace_arrays(config).arrival_s
+        arrivals = generate_trace_arrays(config).arrival_s
         empirical_mean = arrivals[-1] / len(arrivals)
         assert empirical_mean == pytest.approx(
             config.mean_interarrival_s, rel=_RATE_TOLERANCE)
@@ -120,7 +116,7 @@ class TestStatisticalSanity:
         assert bursty_dispersion > 2.0 * poisson_dispersion
 
     def test_multiregion_partitions_tenants(self):
-        """Tenant i belongs to region i % regions, both generators."""
+        """Tenant i belongs to region i % regions, on arrays and jobs."""
         config = _shape_config("multiregion")
         arrays = generate_trace_arrays(config)
         assert set(np.unique(arrays.tenant)) <= set(
