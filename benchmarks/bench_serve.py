@@ -2,7 +2,8 @@
 
 Replays a 10k-job and a 1M-job synthetic trace through the array-backed
 streaming scheduler (vectorized trace generation, batched admission,
-P²-streaming metrics) and persists jobs/sec and peak RSS to
+an 8-byte-per-dispatch wait column with exact percentiles) and
+persists jobs/sec and peak RSS to
 ``BENCH_serve.json`` at the repo root — gitignored locally, uploaded as
 a CI artifact like the other perf records, and floor-checked by
 ``tools/check_bench.py`` so a throughput regression fails the build.

@@ -14,8 +14,9 @@ Run it from the CLI::
     python -m repro serve --jobs 1000000
 
 Every trace runs through the array-backed simulator (vectorized trace
-+ batched admission + P² metrics, see ``docs/performance.md``), so a
-row depends only on its configuration and seed.
++ batched admission + exact wait percentiles, see
+``docs/performance.md``), so a row depends only on its configuration
+and seed.
 """
 
 from __future__ import annotations

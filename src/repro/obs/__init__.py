@@ -9,7 +9,7 @@ pin the disabled path byte-identical to the pre-observability code):
   job lifecycles, autoscaler instants), plus the ``python -m repro
   trace`` inspector's loader.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of labeled
-  counters / gauges / P²-streamed histograms / windowed time series.
+  counters / gauges / exact-quantile histograms / windowed time series.
 * :mod:`repro.obs.profile` — :class:`Profiler`, *wall-clock*
   self-profiling of the experiment harness (cache stage timings,
   hit/miss counts) written to a per-run JSON manifest.

@@ -5,11 +5,10 @@ model, clocked on *simulated* time:
 
 * :class:`Counter` — monotone count (jobs admitted, cache hits).
 * :class:`Gauge` — last-write-wins level (active clusters).
-* :class:`Histogram` — streamed distribution over observations,
-  backed by :class:`repro.serve.stream.StreamingStats` (exact below
-  the warmup size, P² quantile estimates beyond — the same
-  machinery the streaming fleet simulator uses for its wait
-  percentiles, so a million observations cost O(1) memory).
+* :class:`Histogram` — distribution over observations, stored as one
+  8-byte column: count / mean / max and exact nearest-rank p50 / p95 /
+  p99 through :func:`repro.serve.metrics.percentile`, the helper the
+  fleet report's wait percentiles use.
 * :class:`TimeSeries` — per-window aggregates (count / sum / min /
   max / last) of a sampled value, the "queue depth over time" shape
   Perfetto counters and dashboards want.
@@ -23,6 +22,8 @@ identical runs serialize byte-identically.
 from __future__ import annotations
 
 import json
+import math
+from array import array
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -31,10 +32,13 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.serve.stream import StreamingStats
+from repro.serve.metrics import percentile
 
 #: A metric's identity: name plus its sorted label pairs.
 MetricKey = "tuple[str, tuple[tuple[str, str], ...]]"
+
+#: Percentiles every :class:`Histogram` reports, as ``p50``-style keys.
+HISTOGRAM_PERCENTILES = (50, 95, 99)
 
 
 class Counter:
@@ -70,40 +74,48 @@ class Gauge:
 
 
 class Histogram:
-    """Streamed distribution; quantiles via the shared P² machinery."""
+    """Distribution over observations, kept as one float column."""
 
     kind = "histogram"
 
-    def __init__(self, quantiles: tuple[float, ...] = (0.5, 0.95, 0.99)
-                 ) -> None:
-        self._stats = StreamingStats(quantiles)
+    def __init__(self) -> None:
+        self._values: array[float] = array("d")
 
     @property
     def count(self) -> int:
-        return self._stats.count
+        return len(self._values)
 
     @property
     def mean(self) -> float:
-        return self._stats.mean
+        """Correctly rounded mean (``math.fsum``): independent of the
+        observation order and of the Python version's ``sum``."""
+        values = self._values
+        return math.fsum(values) / len(values) if values else 0.0
 
     @property
     def maximum(self) -> float:
-        return self._stats.maximum
+        return max(self._values, default=0.0)
 
     def observe(self, value: float) -> None:
-        self._stats.add(float(value))
+        self._values.append(float(value))
 
     def observe_many(self, values: Iterable[float]) -> None:
         """``observe`` each float of ``values`` in order."""
-        add_one = self._stats.add
-        for value in values:
-            add_one(value)
+        self._values.extend(values)
 
     def quantile(self, p: float) -> float:
-        return self._stats.quantile(p)
+        """Exact nearest-rank ``p`` quantile (``p`` in [0, 1])."""
+        return percentile(self._values, 100 * p)
 
     def to_dict(self) -> dict[str, Any]:
-        return dict(self._stats.to_dict())
+        summary: dict[str, Any] = {
+            "count": float(self.count),
+            "mean": self.mean,
+            "max": self.maximum,
+        }
+        for pct in HISTOGRAM_PERCENTILES:
+            summary[f"p{pct}"] = percentile(self._values, pct)
+        return summary
 
 
 class TimeSeries:

@@ -53,7 +53,6 @@ from repro.serve.scheduler import (
     simulate_fleet,
     simulate_fleet_streaming,
 )
-from repro.serve.stream import P2Quantile, StreamingStats
 
 __all__ = [
     "JOB_ALGORITHMS",
@@ -91,6 +90,4 @@ __all__ = [
     "TenantUsage",
     "build_streaming_report",
     "percentile",
-    "P2Quantile",
-    "StreamingStats",
 ]

@@ -16,12 +16,14 @@ Model:
 
 * **Signals.**  At every simulation event (arrival, completion,
   provision), after the dispatch loop settles, the controller sees the
-  queue depth, the idle-cluster count, and a streaming P² estimate of
-  the p99 queueing wait (:class:`~repro.serve.stream.StreamingStats`,
-  fed in dispatch order).
+  queue depth, the idle-cluster count, and whether the exact
+  nearest-rank p99 of every queueing wait so far exceeds the latency
+  target.  That yes/no needs no quantile estimate: with ``n`` waits of
+  which ``over`` exceed the target, the p99 exceeds it exactly when
+  ``n - over < ceil(0.99 n)``, so two integer counters answer it.
 * **Scale up.**  When the queue exceeds
   ``up_queue_per_cluster x active`` clusters' worth of jobs — or the
-  p99 wait estimate exceeds ``target_p99_wait_s`` while jobs queue —
+  p99 wait exceeds ``target_p99_wait_s`` while jobs queue —
   ``step_clusters`` new clusters are *requested*.  Each becomes
   usable ``provision_delay_s`` later (machines take time to arrive),
   and counts toward ``max_clusters`` from the moment of the request.
@@ -44,8 +46,6 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.serve.stream import StreamingStats
-
 #: Reasons a :class:`ScaleEvent` may carry.
 SCALE_REASONS = ("queue_depth", "p99_wait", "idle")
 
@@ -64,8 +64,8 @@ class AutoscalerPolicy:
     up_queue_per_cluster:
         Scale up when ``queued > up_queue_per_cluster x active``.
     target_p99_wait_s:
-        Optional latency SLO: scale up whenever the streaming p99
-        queueing-wait estimate exceeds this while jobs are queued.
+        Optional latency SLO: scale up whenever the p99 of the
+        queueing waits so far exceeds this while jobs are queued.
         ``None`` disables the latency trigger.
     down_idle_fraction:
         Scale down when the queue is empty and strictly more than this
@@ -160,17 +160,17 @@ class AutoscalerState:
 
     The loops own event ordering and dispatch; this object owns the
     capacity ledger: how many clusters are active, which activation
-    times are pending, the wait-percentile signal, the scale-event log
-    and the chip-hour integral.  A loop drives it through one call
-    sequence — a wait per dispatch (``record_wait``, or ``waits``
-    directly), ``decide`` per settled event, ``activate_one`` per
-    provision event, ``finalize`` at the end — so scale decisions
-    depend on that sequence alone.
+    times are pending, the p99-wait counters, the scale-event log and
+    the chip-hour integral.  A loop drives it through one call
+    sequence — ``record_wait`` per dispatch, ``decide`` per settled
+    event, ``activate_one`` per provision event, ``finalize`` at the
+    end — so scale decisions depend on that sequence alone.
     """
 
     __slots__ = ("policy", "chips_per_cluster", "min_clusters", "active",
-                 "pending", "events", "waits", "peak_clusters",
-                 "_last_scale_s", "_chip_seconds", "_accrued_to_s")
+                 "pending", "events", "waits_recorded", "waits_over_target",
+                 "peak_clusters", "_last_scale_s", "_chip_seconds",
+                 "_accrued_to_s")
 
     def __init__(self, policy: AutoscalerPolicy, *, initial_clusters: int,
                  chips_per_cluster: int) -> None:
@@ -188,9 +188,9 @@ class AutoscalerState:
         #: Min-heap of pending activation times.
         self.pending: list[float] = []
         self.events: list[ScaleEvent] = []
-        #: Queueing-wait stream, fed in dispatch order.  The simulator
-        #: shares this object with its metric accumulator.
-        self.waits = StreamingStats()
+        #: Waits recorded, and how many of them exceed the p99 target.
+        self.waits_recorded = 0
+        self.waits_over_target = 0
         self._last_scale_s = -math.inf
         self._chip_seconds = 0.0
         self._accrued_to_s = 0.0
@@ -231,8 +231,11 @@ class AutoscalerState:
     # -- signals -----------------------------------------------------------
 
     def record_wait(self, wait_s: float) -> None:
-        """Fold one dispatch's queueing wait into the p99 signal."""
-        self.waits.add(float(wait_s))
+        """Count one dispatch's queueing wait toward the p99 signal."""
+        self.waits_recorded += 1
+        target = self.policy.target_p99_wait_s
+        if target is not None and wait_s > target:
+            self.waits_over_target += 1
 
     # -- the decision ------------------------------------------------------
 
@@ -253,10 +256,11 @@ class AutoscalerState:
             reason = None
             if queued > policy.up_queue_per_cluster * self.active:
                 reason = "queue_depth"
-            elif (policy.target_p99_wait_s is not None
-                  and self.waits.count > 0
-                  and self.waits.quantile(0.99)
-                  > policy.target_p99_wait_s):
+            elif (self.waits_recorded - self.waits_over_target
+                  < -(-self.waits_recorded * 99 // 100)):
+                # The nearest-rank p99 (the ceil(0.99 n)-th smallest
+                # wait) exceeds the target exactly when fewer waits than
+                # that rank sit at or below it; never with no target.
                 reason = "p99_wait"
             if reason is not None:
                 grow = min(policy.step_clusters,

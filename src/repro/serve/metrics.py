@@ -1,16 +1,19 @@
 """Fleet-level serving metrics: latency percentiles, utilization, budgets.
 
-The scheduler hands this module its streaming accumulators plus the
-admission controller, and gets back a :class:`FleetReport` — the
-JSON-serializable summary the ``serve`` experiment renders: throughput,
-queueing-latency percentiles, chip utilization, admission tallies, and
-the per-tenant epsilon spend against its configured budget.
+The scheduler hands this module its running totals, its per-dispatch
+wait column and the admission controller, and gets back a
+:class:`FleetReport` — the JSON-serializable summary the ``serve``
+experiment renders: throughput, exact nearest-rank queueing-wait
+percentiles (:func:`percentile`), chip utilization, admission tallies,
+and the per-tenant epsilon spend against its configured budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
+
+import numpy as np
 
 from repro.experiments.report import format_table
 
@@ -19,22 +22,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.budget import AdmissionController
     from repro.serve.faults import FaultRun
     from repro.serve.scheduler import JobRecord
-    from repro.serve.stream import StreamingStats
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
     """Nearest-rank percentile; 0.0 for an empty sample.
 
-    The exact reference :class:`~repro.serve.stream.StreamingStats`
-    reproduces below its warmup size.
+    The rank is an integer ceiling (no float-ranked interpolation), and
+    one ``np.partition`` selects it, so the answer depends only on the
+    multiset of ``values``, never on their order.
     """
     if not 0.0 <= pct <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {pct}")
-    data = sorted(values)
-    if not data:
+    data = np.asarray(values, dtype=float)
+    if not data.size:
         return 0.0
-    rank = max(1, -(-len(data) * pct // 100))  # ceil without float drift
-    return float(data[int(rank) - 1])
+    rank = int(max(1, -(-data.size * pct // 100))) - 1  # no float drift
+    return float(np.partition(data, rank)[rank])
 
 
 @dataclass(frozen=True)
@@ -276,17 +279,17 @@ def build_streaming_report(
     rejected: int,
     makespan_s: float,
     busy_s: float,
-    waits: "StreamingStats",
+    waits: Sequence[float],
     admission: "AdmissionController",
     autoscale: "AutoscalerState | None" = None,
     faults: "FaultRun | None" = None,
 ) -> FleetReport:
-    """Fold streaming accumulators into a :class:`FleetReport`.
+    """Fold the scheduler's running totals into a :class:`FleetReport`.
 
-    O(1) memory: ``waits`` is the scheduler's
-    :class:`~repro.serve.stream.StreamingStats` over queueing delays
-    (its percentiles are exact for small traces, P² estimates past the
-    warmup), and no per-job records are attached.
+    ``waits`` holds one queueing wait per dispatch (the scheduler's
+    8-byte ``array('d')`` column); its p50/p95/p99 are exact
+    nearest-rank values (:func:`percentile`) at every trace size.  No
+    per-job records are attached.
 
     ``faults`` (a finished :class:`~repro.serve.faults.FaultRun`)
     switches on the failure block: goodput, wasted and repair
@@ -335,8 +338,8 @@ def build_streaming_report(
         makespan_s=makespan_s,
         throughput_jobs_per_h=throughput,
         utilization=utilization,
-        wait_p50_s=waits.quantile(0.5),
-        wait_p95_s=waits.quantile(0.95),
-        wait_p99_s=waits.quantile(0.99),
+        wait_p50_s=percentile(waits, 50),
+        wait_p95_s=percentile(waits, 95),
+        wait_p99_s=percentile(waits, 99),
         tenants=tenant_usages(admission),
     )

@@ -17,6 +17,11 @@ its job-list front end, which adds one :class:`JobRecord` per job.
    experiment runner's JSON cache.
 3. **Completion** — the cluster frees and the dispatch loop runs again.
 
+Each dispatch appends its queueing wait to one ``array('d')`` column;
+the report's p50/p95/p99 are exact nearest-rank percentiles over it
+(:func:`~repro.serve.metrics.build_streaming_report`), so they depend
+on the wait multiset alone, never on dispatch order.
+
 Scheduling policies (:data:`POLICIES`):
 
 ``fifo``
@@ -60,7 +65,6 @@ from repro.serve.budget import (
 from repro.serve.faults import FaultModel, FaultRun
 from repro.serve.job import TraceArrays, TrainingJob
 from repro.serve.metrics import FleetReport, build_streaming_report
-from repro.serve.stream import StreamingStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.fleet import FleetObs
@@ -407,7 +411,7 @@ def simulate_fleet_streaming(
     obs: "FleetObs | None" = None,
     _finishes: "array[float] | None" = None,
 ) -> FleetReport:
-    """Replay an array trace on ``fleet`` with O(1) metric memory.
+    """Replay an array trace on ``fleet``; 8 bytes of metrics per dispatch.
 
     The fleet simulator.  Admission decides the whole trace in one
     batched pass (decision-identical to
@@ -415,10 +419,10 @@ def simulate_fleet_streaming(
     service times come from one precomputed batched step-latency
     table, the event loop walks the arrival arrays directly (the
     completion heap never exceeds the cluster count), and metrics fold
-    into streaming accumulators.  No per-job record list is ever
-    materialized, so the report's ``records`` are empty (use
-    :func:`simulate_fleet` for records) and the wait percentiles are
-    exact below the warmup size and P² estimates beyond it.  Job ids
+    into running totals plus one 8-byte wait per dispatch.  No per-job
+    record list is ever materialized, so the report's ``records`` are
+    empty (use :func:`simulate_fleet` for records); the wait
+    percentiles are exact nearest-rank over the wait column.  Job ids
     are array positions.  Deterministic: the same trace, fleet, policy
     and admission configuration always produce the identical report.
 
@@ -518,9 +522,9 @@ def simulate_fleet_streaming(
         assert best is not None  # callers guarantee a queued job
         return tenant_queues[best].popleft()
 
-    # When autoscaling, the metric accumulator IS the autoscaler's p99
-    # signal — one object, fed once per dispatch.
-    waits = state.waits if state is not None else StreamingStats()
+    # One 8-byte wait per dispatch; the report's percentiles are exact
+    # over this column.  The autoscaler keeps its own p99 counters.
+    waits: array[float] = array("d")
     # Pre-bound dispatch sink: one local-None check per dispatch when
     # observability is off, one list append when it is on.  The
     # sampling deadline is mirrored into a local for the same reason —
@@ -563,7 +567,10 @@ def simulate_fleet_streaming(
         while idle and queued:
             job = pop()
             idle -= 1
-            waits.add(float(now - arrival[job]))
+            wait = float(now - arrival[job])
+            waits.append(wait)
+            if state is not None:
+                state.record_wait(wait)
             if dispatch_log is not None:
                 dispatch_log.append((job, now))
             if obs_dispatch is not None:
@@ -714,7 +721,7 @@ def _simulate_streaming_faulty(
         assert best is not None  # callers guarantee a queued job
         return heapq.heappop(tenant_heaps[best])[1]
 
-    waits = state.waits if state is not None else StreamingStats()
+    waits: array[float] = array("d")
     obs_dispatch = obs.dispatches.append if obs is not None else None
     obs_finish_s = obs.finish_sink(total) if obs is not None else finishes
     obs_next_sample_s = obs.next_sample_s if obs is not None else math.inf
@@ -753,7 +760,10 @@ def _simulate_streaming_faulty(
             job = pop()
             jid = int(job)
             idle -= 1
-            waits.add(float(now - frun.ready_s(jid, float(arrival[job]))))
+            wait = float(now - frun.ready_s(jid, float(arrival[job])))
+            waits.append(wait)
+            if state is not None:
+                state.record_wait(wait)
             outcome = frun.begin_attempt(
                 jid, now,
                 step_s=float(step[job]),

@@ -21,6 +21,7 @@ integral, and event serialization.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,7 @@ from repro.serve import (
     TenantBudget,
     TraceConfig,
     generate_trace_arrays,
+    percentile,
     simulate_fleet_streaming,
 )
 
@@ -146,6 +148,35 @@ class TestDecisionRule:
             state.record_wait(60.0)
         assert state.decide(100.0, queued=1, idle=0) == 1
         assert state.events[0].reason == "p99_wait"
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 12_000),
+           zero_frac=st.floats(0.0, 0.995), ties=st.booleans(),
+           on_a_wait=st.booleans())
+    def test_p99_trigger_is_exact(self, seed, n, zero_frac, ties,
+                                  on_a_wait):
+        """The two-counter trigger fires iff the exact p99 exceeds the
+        target, at prefixes of a zero-heavy, tied wait stream — with
+        the target often equal to one of the waits."""
+        rng = np.random.default_rng(seed)
+        waits = rng.exponential(30.0, n)
+        waits[rng.random(n) < zero_frac] = 0.0
+        if ties:
+            waits = np.round(waits / 10.0) * 10.0
+        positive = waits[waits > 0.0]
+        target = (float(rng.choice(positive)) if on_a_wait and positive.size
+                  else float(rng.uniform(1.0, 120.0)))
+        state = self._state(AutoscalerPolicy(
+            max_clusters=10**6, up_queue_per_cluster=10**9,
+            target_p99_wait_s=target, cooldown_s=0.0))
+        checkpoints = {n, *rng.integers(1, n + 1, 20).tolist()}
+        for i, wait in enumerate(waits.tolist(), start=1):
+            state.record_wait(wait)
+            if i in checkpoints:
+                fired = state.decide(float(i), queued=1, idle=0) > 0
+                assert fired == (percentile(waits[:i], 99) > target)
+                if fired:
+                    assert state.events[-1].reason == "p99_wait"
 
     def test_idle_fleet_scales_down_to_min(self):
         policy = AutoscalerPolicy(min_clusters=2, max_clusters=8,

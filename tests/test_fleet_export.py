@@ -8,9 +8,9 @@ the two:
 
 * over fifo / sjf / budget on static and autoscaled fleets at
   ``epsilon=3`` (rejects and truncations present), plus a fully
-  admitted run and a faulty run whose 5k observations cross the P²
-  warmup of the ``wait_s`` / ``service_s`` histograms — the faulty
-  reference rows come from ``simulate_fleet``'s job records;
+  admitted run and a faulty run whose ``wait_s`` / ``service_s``
+  histograms hold over 4,096 observations each — the faulty reference
+  rows come from ``simulate_fleet``'s job records;
 * between the job-list and array entry points under faults, for a
   retry/degrade failure process and one that abandons jobs.
 

@@ -27,7 +27,6 @@ from repro.serve import (
     FaultModel,
     FaultRun,
     FleetConfig,
-    StreamingStats,
     TenantBudget,
     TraceArrays,
     TraceConfig,
@@ -64,7 +63,6 @@ def reference_fleet(trace, fleet, *, policy, admission, autoscaler=None,
     granted, step, service = {}, {}, {}
     queue = []
     idle = fleet.n_clusters
-    stats = state.waits if state is not None else StreamingStats()
     log, waits = [], []
     rejected = completed = truncated = 0
     busy_s = makespan_s = now = 0.0
@@ -136,7 +134,8 @@ def reference_fleet(trace, fleet, *, policy, admission, autoscaler=None,
                         heapq.heappush(events, (outcome.retry_s, _RETRY,
                                                 next(seq), job))
             waits.append(wait)
-            stats.add(wait)
+            if state is not None:
+                state.record_wait(wait)
         if state is not None:
             delta = state.decide(now, len(queue), idle)
             for _ in range(delta):
@@ -154,7 +153,7 @@ def reference_fleet(trace, fleet, *, policy, admission, autoscaler=None,
         policy, fleet.chips, fleet.n_clusters, fleet.chips_per_cluster,
         submitted=len(jobs), completed=completed, truncated=truncated,
         rejected=rejected, makespan_s=makespan_s, busy_s=busy_s,
-        waits=stats, admission=admission, autoscale=state, faults=frun)
+        waits=waits, admission=admission, autoscale=state, faults=frun)
     return log, report, waits
 
 
@@ -206,7 +205,7 @@ class TestMatchesReferenceLoop:
 
         assert log == ref_log
         assert report.to_dict() == ref.to_dict()
-        # Below the P² warmup the percentiles are exact nearest-rank.
+        # The percentiles are exact nearest-rank over the waits.
         for pct in (50, 95, 99):
             assert getattr(report, f"wait_p{pct}_s") \
                 == percentile(ref_waits, pct)

@@ -347,10 +347,10 @@ class TestMetrics:
         assert histogram.count == 100
         assert histogram.mean == pytest.approx(49.5)
         assert histogram.maximum == 99.0
-        assert histogram.quantile(0.5) == pytest.approx(49.0, abs=1.0)
-        doc = histogram.to_dict()
-        assert doc["count"] == 100
-        assert "p50" in doc and "p99" in doc
+        assert histogram.quantile(0.5) == 49.0
+        assert histogram.to_dict() == {
+            "count": 100.0, "mean": 49.5, "max": 99.0,
+            "p50": 49.0, "p95": 94.0, "p99": 98.0}
 
     def test_timeseries_windows(self):
         series = TimeSeries(window_s=10.0)

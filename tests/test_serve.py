@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments import serve as serve_experiment
 from repro.obs import FleetObs, MetricsRegistry
+from repro.serve import scheduler
 from repro.serve import (
     AdmissionController,
     AdmissionStatus,
@@ -311,6 +312,57 @@ class TestPathIndependence:
         assert rows[0]["completed"] > 0 and rows[0]["rejected"] > 0
         if mtbf_hours is not None:
             assert rows[0]["faults"]["retries"] > 0
+
+    @pytest.mark.parametrize("mtbf_hours", (None, 0.25),
+                             ids=("zero-fault", "faulty"))
+    def test_wait_percentiles_exact_past_4096_dispatches(
+            self, monkeypatch, mtbf_hours):
+        """Past 4,096 dispatches the report's p50/p95/p99 are still the
+        nearest-rank percentiles of the per-dispatch waits, rebuilt here
+        from the dispatch log: a wait runs from arrival, or, for a
+        retried attempt, from the job's retry (backoff-end) time."""
+        runs = []
+
+        class RecordingFaultRun(scheduler.FaultRun):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runs.append(self)
+
+        monkeypatch.setattr(scheduler, "FaultRun", RecordingFaultRun)
+        trace = generate_trace_arrays(TraceConfig(
+            jobs=6_000, seed=11, mean_interarrival_s=4.0))
+        faults = None
+        if mtbf_hours is not None:
+            faults = FaultModel(FaultConfig(
+                mtbf_hours=mtbf_hours, seed=11,
+                checkpoint=CheckpointConfig(interval_steps=100)))
+        log: list = []
+        report = simulate_fleet_streaming(
+            trace, FleetConfig(chips=4), faults=faults, dispatch_log=log,
+            admission=AdmissionController(TenantBudget(epsilon=1e9)))
+
+        retries: dict = {}
+        for run in runs:
+            for event in run.events:
+                if event.kind == "retry":
+                    retries.setdefault(event.job_id, []).append(
+                        event.time_s)
+        ready = {job: [float(trace.arrival_s[job]), *times]
+                 for job, times in retries.items()}
+        attempts: dict = {}
+        waits = []
+        for job, start_s in log:
+            attempt = attempts[job] = attempts.get(job, -1) + 1
+            origin = (ready[job][attempt] if job in ready
+                      else float(trace.arrival_s[job]))
+            waits.append(start_s - origin)
+
+        assert len(waits) > 4_096
+        assert (report.retries > 0) == (faults is not None)
+        assert report.wait_p50_s < report.wait_p99_s
+        for pct in (50, 95, 99):
+            assert getattr(report, f"wait_p{pct}_s") \
+                == percentile(waits, pct)
 
 
 #: Hot enough that some job exhausts its retries on a short trace.

@@ -1,12 +1,15 @@
-"""Array serve path: array traces, batched admission, P² metrics.
+"""Array serve path: array traces, batched admission, exact metrics.
 
 Batched admission must reproduce the sequential controller's decisions
-exactly, the streaming percentiles must be exact below the warmup
-buffer, and the job-list front end (``simulate_fleet``) must report
-exactly what the array path reports.  The decision-for-decision
+exactly, the report's wait percentiles must be exact nearest-rank at
+every size, and the job-list front end (``simulate_fleet``) must
+report exactly what the array path reports.  The decision-for-decision
 differential against a naive reference loop is in
 ``test_fleet_oracle.py``.
 """
+
+import math
+from array import array
 
 import numpy as np
 import pytest
@@ -18,11 +21,10 @@ from collections import OrderedDict
 from repro.serve import (
     AdmissionController,
     FleetConfig,
-    P2Quantile,
-    StreamingStats,
     TenantBudget,
     TraceArrays,
     TraceConfig,
+    build_streaming_report,
     generate_trace,
     generate_trace_arrays,
     percentile,
@@ -30,6 +32,7 @@ from repro.serve import (
     simulate_fleet_streaming,
 )
 from repro.dpml import accountant
+from repro.obs.metrics import Histogram
 from repro.serve import TrainingJob
 from repro.serve.budget import BatchAdmissionDecisions
 from repro.arch.batch import unique_rows
@@ -246,48 +249,70 @@ class TestPackedKeyDedup:
         assert inverse.max() < len(pool)
 
 
+def _report_over(waits):
+    """A report folded from one wait column (every other field zero)."""
+    return build_streaming_report(
+        "fifo", 1, 1, 1, submitted=len(waits), completed=len(waits),
+        truncated=0, rejected=0, makespan_s=0.0, busy_s=0.0,
+        waits=waits, admission=AdmissionController())
+
+
 class TestStreamingQuantiles:
+    """Report and histogram quantiles are exact nearest-rank
+    :func:`percentile` values over the stored column, at every size."""
+
     def test_exact_below_warmup(self):
         rng = np.random.default_rng(0)
         data = np.concatenate([np.zeros(150), rng.exponential(5.0, 350)])
         rng.shuffle(data)
-        stats = StreamingStats()
-        for value in data:
-            stats.add(float(value))
-        for pct in (0.5, 0.95, 0.99):
-            assert stats.quantile(pct) == percentile(list(data), pct * 100)
+        report = _report_over(array("d", data))
+        histogram = Histogram()
+        histogram.observe_many(data.tolist())
+        for pct in (50, 95, 99):
+            exact = percentile(list(data), pct)
+            assert getattr(report, f"wait_p{pct}_s") == exact
+            assert histogram.to_dict()[f"p{pct}"] == exact
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10**6), zero_frac=st.floats(0.0, 0.8))
-    def test_p2_within_tolerance_past_warmup(self, seed, zero_frac):
+    def test_exact_past_4096_observations(self, seed, zero_frac):
         rng = np.random.default_rng(seed)
         total = 20_000
         zeros = int(total * zero_frac)
         data = np.concatenate([np.zeros(zeros),
                                rng.exponential(10.0, total - zeros)])
         rng.shuffle(data)
-        stats = StreamingStats()
-        for value in data:
-            stats.add(float(value))
-        scale = float(np.max(data))
-        for pct in (0.5, 0.95, 0.99):
-            exact = percentile(list(data), pct * 100)
-            estimate = stats.quantile(pct)
-            # 5% of the stream's range covers the stationary-stream
-            # P² error with a wide margin.
-            assert abs(estimate - exact) <= 0.05 * scale + 1e-12
+        report = _report_over(array("d", data))
+        ordered = sorted(data.tolist())
+        for pct in (50, 95, 99):
+            exact = ordered[-(-total * pct // 100) - 1]
+            assert percentile(data, pct) == exact
+            assert getattr(report, f"wait_p{pct}_s") == exact
 
-    def test_p2_validation(self):
+    def test_percentile_validation(self):
         with pytest.raises(ValueError):
-            P2Quantile(1.5)
+            percentile([1.0], 150)
+        assert percentile([], 99) == 0.0
 
     def test_mean_and_extremes(self):
-        stats = StreamingStats()
+        histogram = Histogram()
         for value in (0.0, 1.0, 3.0):
-            stats.add(value)
-        assert stats.count == 3
-        assert stats.maximum == 3.0
-        assert stats.mean == pytest.approx(4.0 / 3.0)
+            histogram.observe(value)
+        assert histogram.count == 3
+        assert histogram.maximum == 3.0
+        assert histogram.mean == pytest.approx(4.0 / 3.0)
+        assert Histogram().to_dict() == {
+            "count": 0.0, "mean": 0.0, "max": 0.0,
+            "p50": 0.0, "p95": 0.0, "p99": 0.0}
+
+    def test_mean_is_order_independent(self):
+        """``fsum`` rounds once, so any permutation gives the same mean
+        (a running ``+=`` does not on these magnitudes)."""
+        values = [1e16, 1.0, -1e16, 3.0, 1e-3] * 50
+        forward, backward = Histogram(), Histogram()
+        forward.observe_many(values)
+        backward.observe_many(values[::-1])
+        assert forward.mean == backward.mean == math.fsum(values) / 250
 
 
 class TestStreamingFleetEquivalence:
