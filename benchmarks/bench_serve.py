@@ -162,7 +162,7 @@ def test_streaming_serve_throughput(capsys):
     # against ``plain_wall``) and once under real fire (crashes,
     # checkpoint restarts, backed-off retries).  ``tools/check_bench.py``
     # floors the faulty jobs/s and caps the zero-failure overhead
-    # ratio, so neither the faulty event loop nor the clean-run tax
+    # ratio, so neither the fault path nor the clean-run tax
     # can silently regress.
     # The zero-failure run is timed twice (best kept), like plain_wall,
     # so the ratio compares best against best.

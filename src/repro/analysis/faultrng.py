@@ -9,11 +9,11 @@ of ``(seed, job_id, attempt, stream)`` — there is no generator object
 whose output depends on how many draws happened before.
 
 A single stateful RNG call anywhere on the fault path silently breaks
-that contract: two loops would consume the stream in different
-orders and diverge.  This rule therefore bans *all* RNG
-machinery — not just the unseeded kind R004 already flags — from any
-module that imports :mod:`repro.serve.faults` (and from ``faults.py``
-itself):
+that contract: the simulator and a reference loop would consume the
+stream in different orders and diverge.  This rule therefore bans
+*all* RNG machinery — not just the unseeded kind R004 already flags —
+from any module that imports :mod:`repro.serve.faults` (and from
+``faults.py`` itself):
 
 * ``np.random.<anything>`` — including seeded ``default_rng(...)`` /
   ``Generator`` construction, which R004 permits elsewhere;

@@ -1,11 +1,11 @@
 """Fleet-simulator observability: job-lifecycle spans + windowed metrics.
 
 One :class:`FleetObs` observes one fleet simulation.  The contract is
-split to keep the event loops fast:
+split to keep the event loop fast:
 
 * **During the run** the simulator touches only O(1) surfaces: an
   inline ``(job_id, start_s)`` append per dispatch, one finish-time
-  store per completion in the faulty loop, and one
+  store per completion under fault injection, and one
   :meth:`~FleetObs.sample` call per elapsed metrics window.  Nothing
   else runs in-loop, which is what keeps the measured
   enabled-vs-disabled overhead inside the ``check_bench`` ceiling.
@@ -120,8 +120,8 @@ class FleetObs:
     def finish_sink(self, jobs: int) -> "array[float]":
         """Per-job final-finish slots (NaN until the job completes).
 
-        The faulty loop stores each completion's finish time
-        at its job id — one O(1) store, 8 bytes per job.
+        Under fault injection the simulator stores each completion's
+        finish time at its job id — one O(1) store, 8 bytes per job.
         """
         self.finishes = array("d", [math.nan]) * jobs
         return self.finishes
@@ -184,13 +184,13 @@ def job_columns(trace: "TraceArrays",
                 finishes: "array[float] | None") -> JobColumns:
     """Columns rebuilt from one run's arrays and sinks.
 
-    The event loops never materialize job records, so lifecycles are
+    The event loop never materializes job records, so lifecycles are
     rebuilt here: arrival and admission from the trace and the
-    batched decisions, the first dispatch from the dispatch sink.  The
-    faulty loop's finish sink gives each job's final finish; the
-    zero-fault loop runs every job exactly once, so its finish is
+    batched decisions, the first dispatch from the dispatch sink.  Under
+    faults the finish sink gives each job's final finish; without
+    faults every job runs exactly once, so its finish is
     ``start + service`` — bitwise the float the loop pushed onto its
-    completion heap.
+    pending heap.
     """
     n = len(trace)
     start = np.full(n, np.nan)

@@ -6,8 +6,8 @@ rejects at the benchmark's arrival rate), which makes the *reactive*
 regime the interesting one: a real operator adds clusters when the
 queue builds and retires them when they fall idle.  This module is
 that reactive controller, a component of the fleet simulator
-(:func:`~repro.serve.scheduler.simulate_fleet_streaming`): both of its
-event loops, zero-fault and faulty, drive one :class:`AutoscalerState`
+(:func:`~repro.serve.scheduler.simulate_fleet_streaming`): its one
+event loop, with or without faults, drives one :class:`AutoscalerState`
 through the same sequence of observations.  A naive reference loop in
 the tests drives it the same way and pins the resulting scale
 decisions and dispatch schedules.

@@ -23,9 +23,10 @@ The pieces:
     repair downtime; capped exponential retry backoff.
 
 :class:`FaultRun`
-    The per-simulation state machine the faulty event loop drives
-    through one call per dispatch — :meth:`FaultRun.begin_attempt`.  It owns checkpoint amortization (cadence from the
-    :class:`~repro.training.simulate.CheckpointConfig`, Young/Daly
+    The per-simulation state machine the fleet event loop drives,
+    when faults are on, through one :meth:`FaultRun.begin_attempt`
+    call per dispatch.  It owns checkpoint amortization (cadence from
+    the :class:`~repro.training.simulate.CheckpointConfig`, Young/Daly
     when unset), the crash ledger transactions
     (:meth:`~repro.serve.budget.AdmissionController.reprice_steps` /
     :meth:`~repro.serve.budget.AdmissionController.refund_steps`),
@@ -214,8 +215,8 @@ class FaultModel:
     """Keyed draws from :class:`FaultConfig`'s distributions.
 
     Stateless: every method is a pure function of its arguments and
-    the config, so the two fleet simulators (and any re-run) observe
-    identical failures without sharing any mutable object.
+    the config, so the simulator, a reference loop and any re-run
+    observe identical failures without sharing any mutable object.
     """
 
     __slots__ = ("config", "_chip_scale_s")
@@ -311,7 +312,7 @@ class FaultEvent:
     attempt: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AttemptOutcome:
     """What one dispatched attempt did with its cluster.
 
@@ -422,7 +423,7 @@ class FaultRun:
         write_s, interval = self._checkpoint(model_name, step_s)
         return step_s + write_s / interval
 
-    # -- requeue bookkeeping the loops read ---------------------------------
+    # -- requeue bookkeeping the loop reads ----------------------------------
 
     def remaining_steps(self, job_id: int, granted: int) -> int:
         """Steps the next attempt will run (the job's live reservation)."""

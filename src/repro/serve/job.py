@@ -266,6 +266,15 @@ class TraceArrays:
     noise_multiplier: NDArray[Any]
     dataset_size: NDArray[Any]
 
+    def __post_init__(self) -> None:
+        lengths = sorted({len(value) for value in vars(self).values()
+                          if isinstance(value, np.ndarray)})
+        if len(lengths) > 1:
+            raise ValueError(f"trace columns differ in length: {lengths}")
+        # The simulator's queues order jobs by array position.
+        if not np.all(self.arrival_s[1:] >= self.arrival_s[:-1]):
+            raise ValueError("arrival_s must be nondecreasing")
+
     def __len__(self) -> int:
         return self.arrival_s.shape[0]
 

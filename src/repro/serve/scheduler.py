@@ -15,7 +15,8 @@ its job-list front end, which adds one :class:`JobRecord` per job.
    (:func:`predict_step_seconds_batch`) — one evaluation per unique
    workload configuration, optionally persisted through the
    experiment runner's JSON cache.
-3. **Completion** — the cluster frees and the dispatch loop runs again.
+3. **Completion** — the cluster frees and the dispatch loop runs again
+   (under ``faults`` an attempt may crash instead, then requeue).
 
 Each dispatch appends its queueing wait to one ``array('d')`` column;
 the report's p50/p95/p99 are exact nearest-rank percentiles over it
@@ -44,7 +45,6 @@ import dataclasses
 import heapq
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Sequence
@@ -230,10 +230,10 @@ def predict_step_seconds(
         cache=cache))
 
 
-#: Same-timestamp order of the faulty loop's pending events:
-#: completions, then repaired clusters rejoining, then retried jobs
-#: requeueing.  Arrivals precede all three, and provisioned clusters
-#: come online after arrivals and before any of them.
+#: Same-timestamp order of pending events: completions, then repaired
+#: clusters rejoining, then retried jobs requeueing (only fault runs
+#: push the last two).  Arrivals precede all three, and provisioned
+#: clusters come online after arrivals and before any of them.
 _PRIO_COMPLETION, _PRIO_REPAIR, _PRIO_RETRY = 0, 1, 2
 
 
@@ -274,7 +274,7 @@ def simulate_fleet(
     spent = {name: admission.epsilon_spent(name) for name in arrays.tenants}
     decisions = admission.admit_batch(arrays)
     positions: list[tuple[int, float]] = []
-    # The faulty loop's finish sink; obs brings its own when given.
+    # Fault runs' finish sink; obs brings its own when given.
     finishes = (array("d", [math.nan]) * len(jobs)
                 if faults is not None and obs is None else None)
     report = simulate_fleet_streaming(
@@ -417,14 +417,15 @@ def simulate_fleet_streaming(
     batched pass (decision-identical to
     :meth:`~repro.serve.budget.AdmissionController.admit` job by job),
     service times come from one precomputed batched step-latency
-    table, the event loop walks the arrival arrays directly (the
-    completion heap never exceeds the cluster count), and metrics fold
-    into running totals plus one 8-byte wait per dispatch.  No per-job
-    record list is ever materialized, so the report's ``records`` are
-    empty (use :func:`simulate_fleet` for records); the wait
-    percentiles are exact nearest-rank over the wait column.  Job ids
-    are array positions.  Deterministic: the same trace, fleet, policy
-    and admission configuration always produce the identical report.
+    table, the event loop walks the arrival arrays directly beside one
+    heap of pending completions (plus repairs and retries under
+    faults), and metrics fold into running totals plus one 8-byte wait
+    per dispatch.  No per-job record list is ever materialized, so the
+    report's ``records`` are empty (use :func:`simulate_fleet` for
+    records); the wait percentiles are exact nearest-rank over the wait
+    column.  Job ids are array positions.  Deterministic: the same
+    trace, fleet, policy and admission configuration always produce
+    the identical report.
 
     Pass ``decisions`` to reuse one admission pass across policies
     (admission happens at arrival, so it is policy-invariant); the
@@ -441,8 +442,9 @@ def simulate_fleet_streaming(
     seeded failures: attempts crash mid-service, jobs requeue with
     capped backoff or continue degraded at a smaller ``dp'``, clusters
     repair after a downtime, and the admission ledger is re-priced per
-    crash (see :mod:`repro.serve.faults`).  ``None`` (default) is the
-    zero-failure loop, which the fault machinery never touches.
+    crash (see :mod:`repro.serve.faults`).  Only then does a
+    :class:`~repro.serve.faults.FaultRun` exist to book attempts;
+    ``None`` (default) books every dispatch as a clean completion.
 
     ``obs`` (a :class:`repro.obs.fleet.FleetObs`) observes the run:
     each dispatch appends ``(job_id, start_s)`` to the observer's sink
@@ -458,69 +460,78 @@ def simulate_fleet_streaming(
         admission = AdmissionController()
     if decisions is None:
         decisions = admission.admit_batch(trace)
+    total = len(trace)
+    frun: FaultRun | None = None
     if faults is not None:
-        # Fault injection restructures the event set (repairs, retries)
-        # and the queues (requeued jobs re-sort by arrival), so it gets
-        # its own loop; the zero-failure path below stays untouched.
-        return _simulate_streaming_faulty(
-            trace, fleet, policy=policy, admission=admission,
-            decisions=decisions, autoscaler=autoscaler, faults=faults,
-            cache=cache, dispatch_log=dispatch_log, obs=obs,
-            finishes=_finishes)
-    _, service = _job_service_seconds(trace, decisions, fleet, cache=cache)
+        frun = FaultRun(faults, fleet, admission, cache=cache)
+        frun.prime_first_failures(total)
+        # Attempts take Python scalars; these two columns are derived.
+        sampling_rate, private = trace.sampling_rate, trace.is_private
+        if obs is not None:
+            _finishes = obs.finish_sink(total)
+    step, service = _job_service_seconds(trace, decisions, fleet,
+                                         cache=cache, faults=frun)
     state = (AutoscalerState(autoscaler,
                              initial_clusters=fleet.n_clusters,
                              chips_per_cluster=fleet.chips_per_cluster)
              if autoscaler is not None else None)
 
-    total = len(trace)
     arrival = trace.arrival_s
     admitted = decisions.admitted
     granted = decisions.granted_steps
-    n_tenants = len(trace.tenants)
-    # The budget policy reads each tenant's remaining fraction at
-    # dispatch time; spend only moves at arrivals, so tracking the
-    # decision stream's epsilon_after reproduces the live ledger.
-    tenant_spent = np.zeros(n_tenants)
-    budget_eps = np.array([admission.budget_for(name).epsilon
-                           for name in trace.tenants], dtype=float)
+    short = granted < trace.steps  # truncated by admission
 
-    fifo: deque[int] = deque()
-    sjf_heap: list[tuple[float, float, int]] = []
-    tenant_queues: list[deque[int]] = [deque() for _ in range(n_tenants)]
+    # Queues hold array positions.  Arrivals are nondecreasing, so
+    # position order is (arrival, job_id) order, and a requeued retry
+    # re-sorts by its original arrival with no extra key.
+    fifo: list[int] = []
+    sjf: list[tuple[float, int]] = []
+    tenant_queues: list[list[int]] = [[] for _ in trace.tenants]
+    #: SJF's remaining-service predictions; a retry shrinks its job's
+    #: to the remaining reservation's service time.
+    service_live: list[float] = service.tolist() if policy == "sjf" else []
     queued = 0
+
+    # The budget policy ranks tenants by unspent epsilon fraction.  A
+    # faulty run reads the live ledger, which crashes re-price.  A clean
+    # run's ledger holds every grant from the start, so it tracks each
+    # tenant's epsilon_after per arrival: the ledger as of that moment.
+    track_spend = policy == "budget" and frun is None
+    spent = [0.0] * len(trace.tenants)
+    budget_eps = [admission.budget_for(t).epsilon for t in trace.tenants]
+    ledger_remaining = admission.remaining_fraction
+
+    if frun is None:
+        def remaining(tenant: int) -> float:
+            return max(0.0, 1.0 - spent[tenant] / budget_eps[tenant])
+    else:
+        def remaining(tenant: int) -> float:
+            return ledger_remaining(trace.tenants[tenant])
 
     def push(job: int) -> None:
         nonlocal queued
         queued += 1
         if policy == "fifo":
-            fifo.append(job)
+            heapq.heappush(fifo, job)
         elif policy == "sjf":
-            heapq.heappush(sjf_heap,
-                           (service[job], arrival[job], job))
+            heapq.heappush(sjf, (service_live[job], job))
         else:
-            tenant_queues[trace.tenant[job]].append(job)
+            heapq.heappush(tenant_queues[trace.tenant[job]], job)
 
     def pop() -> int:
         nonlocal queued
         queued -= 1
         if policy == "fifo":
-            return fifo.popleft()
+            return heapq.heappop(fifo)
         if policy == "sjf":
-            return heapq.heappop(sjf_heap)[2]
-        best: int | None = None
-        best_key: tuple[float, float, int] | None = None
+            return heapq.heappop(sjf)[1]
+        best, best_key = 0, (math.inf, 0)
         for tenant, backlog in enumerate(tenant_queues):
-            if not backlog:
-                continue
-            head = backlog[0]
-            remaining = max(0.0, 1.0 - tenant_spent[tenant]
-                            / budget_eps[tenant])
-            key = (-remaining, float(arrival[head]), head)
-            if best_key is None or key < best_key:
-                best, best_key = tenant, key
-        assert best is not None  # callers guarantee a queued job
-        return tenant_queues[best].popleft()
+            if backlog:
+                key = (-remaining(tenant), backlog[0])
+                if key < best_key:
+                    best, best_key = tenant, key
+        return heapq.heappop(tenant_queues[best])
 
     # One 8-byte wait per dispatch; the report's percentiles are exact
     # over this column.  The autoscaler keeps its own p99 counters.
@@ -531,43 +542,84 @@ def simulate_fleet_streaming(
     # the per-event guard stays one float compare either way.
     obs_dispatch = obs.dispatches.append if obs is not None else None
     obs_next_sample_s = obs.next_sample_s if obs is not None else math.inf
-    completions: list[float] = []
+    # Completions, repairs and retries in one heap; the priority slot
+    # orders same-time events across kinds, the sequence within one.
+    pending: list[tuple[float, int, int, int]] = []
     idle = fleet.n_clusters
-    busy_s = 0.0
-    finished = 0
-    truncated = 0
-    makespan = 0.0
-    index = 0
-    now = 0.0
+    busy_s = makespan = now = 0.0
+    completed = truncated = index = seq = 0
 
-    while index < total or completions \
+    while index < total or pending \
             or (state is not None and state.pending):
-        # Same-time order: arrival, then provision, then completion
-        # (arrivals win ties).
         t_arrival = arrival[index] if index < total else math.inf
         t_provision = (state.next_provision_s() if state is not None
                        else math.inf)
-        t_completion = completions[0] if completions else math.inf
-        if t_arrival <= t_provision and t_arrival <= t_completion:
+        t_pending = pending[0][0] if pending else math.inf
+        if t_arrival <= t_provision and t_arrival <= t_pending:
             job = index
             now = float(t_arrival)
             index += 1
-            tenant_spent[trace.tenant[job]] = \
-                decisions.epsilon_after[job]
+            if track_spend:
+                spent[trace.tenant[job]] = decisions.epsilon_after[job]
             if admitted[job]:
                 push(job)
-        elif t_provision <= t_completion:
+        elif t_provision <= t_pending:
             assert state is not None
             now = t_provision
             state.activate_one(now)
             idle += 1
         else:
-            now = heapq.heappop(completions)
-            idle += 1
+            now, prio, _, job = heapq.heappop(pending)
+            if prio == _PRIO_RETRY:
+                push(job)
+            else:  # completion or repair: capacity returns either way
+                idle += 1
         while idle and queued:
             job = pop()
             idle -= 1
-            wait = float(now - arrival[job])
+            if frun is None:
+                wait = float(now - arrival[job])
+                service_s = float(service[job])
+                finish = now + service_s
+                heapq.heappush(pending, (finish, _PRIO_COMPLETION, seq, job))
+                seq += 1
+                busy_s += service_s
+                completed += 1
+                if short[job]:
+                    truncated += 1
+                if finish > makespan:
+                    makespan = finish
+            else:
+                wait = float(now - frun.ready_s(job, float(arrival[job])))
+                model_name = trace.models[int(trace.model[job])]
+                outcome = frun.begin_attempt(
+                    job, now,
+                    step_s=float(step[job]),
+                    granted=int(granted[job]),
+                    requested=int(trace.steps[job]),
+                    tenant=trace.tenants[int(trace.tenant[job])],
+                    sampling_rate=float(sampling_rate[job]),
+                    noise_multiplier=float(trace.noise_multiplier[job]),
+                    private=bool(private[job]),
+                    model_name=model_name,
+                    algorithm=trace.algorithms[int(trace.algorithm[job])],
+                    batch=int(trace.batch[job]))
+                prio = _PRIO_COMPLETION if outcome.completed else _PRIO_REPAIR
+                heapq.heappush(pending, (outcome.free_s, prio, seq, job))
+                seq += 1
+                if outcome.completed:
+                    if _finishes is not None:
+                        assert outcome.finish_s is not None  # completed
+                        _finishes[job] = outcome.finish_s
+                elif outcome.retry_s is not None:
+                    if policy == "sjf":
+                        service_live[job] = frun.remaining_steps(
+                            job, int(granted[job])) * \
+                            frun.effective_step_seconds(model_name,
+                                                        float(step[job]))
+                    heapq.heappush(pending, (outcome.retry_s, _PRIO_RETRY,
+                                             seq, job))
+                    seq += 1
             waits.append(wait)
             if state is not None:
                 state.record_wait(wait)
@@ -575,14 +627,6 @@ def simulate_fleet_streaming(
                 dispatch_log.append((job, now))
             if obs_dispatch is not None:
                 obs_dispatch((job, now))
-            finish = float(now + service[job])
-            heapq.heappush(completions, finish)
-            busy_s += float(service[job])
-            finished += 1
-            if granted[job] < trace.steps[job]:
-                truncated += 1
-            if finish > makespan:
-                makespan = finish
         if state is not None:
             delta = state.decide(now, queued, idle)
             if delta < 0:
@@ -599,222 +643,9 @@ def simulate_fleet_streaming(
 
     if state is not None:
         state.finalize(now)
-    if obs is not None:
-        obs.attach(policy=policy, trace=trace,
-                   decisions=decisions, service=service,
-                   state=state)
-    return build_streaming_report(
-        policy=policy,
-        chips=fleet.chips,
-        n_clusters=fleet.n_clusters,
-        chips_per_cluster=fleet.chips_per_cluster,
-        submitted=total,
-        completed=finished,
-        truncated=truncated,
-        rejected=int((~admitted).sum()),
-        makespan_s=makespan,
-        busy_s=busy_s,
-        waits=waits,
-        admission=admission,
-        autoscale=state,
-    )
-
-
-def _simulate_streaming_faulty(
-    trace: TraceArrays,
-    fleet: FleetConfig,
-    *,
-    policy: str,
-    admission: AdmissionController,
-    decisions: BatchAdmissionDecisions,
-    autoscaler: AutoscalerPolicy | None,
-    faults: FaultModel,
-    cache: "runner.ResultCache | None",
-    dispatch_log: "list[tuple[int, float]] | None",
-    obs: "FleetObs | None",
-    finishes: "array[float] | None",
-) -> FleetReport:
-    """The fault-injecting loop of :func:`simulate_fleet_streaming`.
-
-    Differences from the zero-failure loop:
-
-    - Completions, cluster repairs and job retries share one pending
-      heap keyed ``(time, priority, seq)``; arrivals and provisioned
-      clusters precede them at equal times.
-    - Queues re-sort requeued jobs by their *original* arrival (and
-      remaining service under SJF), so every policy keeps its
-      ``min(queue, key)`` semantics; the budget policy reads the live
-      ledger, which moves at crash time, not only at arrivals.
-    - Every per-dispatch quantity is coerced to Python scalars before
-      entering the :class:`~repro.serve.faults.FaultRun`, whose float
-      arithmetic is pinned against a naive reference loop in the tests.
-    - ``finishes`` (or ``obs``'s sink, when observing) receives each
-      job's final finish time at its job id.
-    """
-    frun = FaultRun(faults, fleet, admission, cache=cache)
-    frun.prime_first_failures(len(trace))
-    step, service = _job_service_seconds(trace, decisions, fleet,
-                                         cache=cache, faults=frun)
-    state = (AutoscalerState(autoscaler,
-                             initial_clusters=fleet.n_clusters,
-                             chips_per_cluster=fleet.chips_per_cluster)
-             if autoscaler is not None else None)
-
-    total = len(trace)
-    arrival = trace.arrival_s
-    admitted = decisions.admitted
-    granted = decisions.granted_steps
-    steps_requested = trace.steps
-    tenant_idx = trace.tenant
-    tenant_names = trace.tenants
-    model_idx = trace.model
-    model_names = trace.models
-    algo_idx = trace.algorithm
-    algo_names = trace.algorithms
-    batch_arr = trace.batch
-    q_arr = trace.sampling_rate
-    nm_arr = trace.noise_multiplier
-    priv_arr = trace.is_private
-
-    #: Live remaining-service predictions for the SJF key; retries
-    #: shrink them to the remaining reservation's service time.
-    service_live = [0.0] * total if policy == "sjf" else []
-    if policy == "sjf":
-        for job in range(total):
-            service_live[job] = float(service[job])
-
-    fifo_heap: list[tuple[float, int]] = []
-    sjf_heap: list[tuple[float, float, int]] = []
-    tenant_heaps: list[list[tuple[float, int]]] = \
-        [[] for _ in range(len(tenant_names))]
-    queued = 0
-
-    def push(job: int) -> None:
-        nonlocal queued
-        queued += 1
-        if policy == "fifo":
-            heapq.heappush(fifo_heap, (float(arrival[job]), job))
-        elif policy == "sjf":
-            heapq.heappush(sjf_heap, (service_live[job],
-                                      float(arrival[job]), job))
-        else:
-            heapq.heappush(tenant_heaps[int(tenant_idx[job])],
-                           (float(arrival[job]), job))
-
-    def pop() -> int:
-        nonlocal queued
-        queued -= 1
-        if policy == "fifo":
-            return heapq.heappop(fifo_heap)[1]
-        if policy == "sjf":
-            return heapq.heappop(sjf_heap)[2]
-        best: int | None = None
-        best_key: tuple[float, float, int] | None = None
-        for tenant, backlog in enumerate(tenant_heaps):
-            if not backlog:
-                continue
-            head_arrival, head = backlog[0]
-            remaining = admission.remaining_fraction(tenant_names[tenant])
-            key = (-remaining, head_arrival, head)
-            if best_key is None or key < best_key:
-                best, best_key = tenant, key
-        assert best is not None  # callers guarantee a queued job
-        return heapq.heappop(tenant_heaps[best])[1]
-
-    waits: array[float] = array("d")
-    obs_dispatch = obs.dispatches.append if obs is not None else None
-    obs_finish_s = obs.finish_sink(total) if obs is not None else finishes
-    obs_next_sample_s = obs.next_sample_s if obs is not None else math.inf
-    # Completions, repairs and retries in one heap; the priority slot
-    # orders same-time events across kinds, the sequence within one.
-    pending: list[tuple[float, int, int, int]] = []
-    pseq = 0
-    idle = fleet.n_clusters
-    index = 0
-    now = 0.0
-
-    while index < total or pending \
-            or (state is not None and state.pending):
-        t_arrival = arrival[index] if index < total else math.inf
-        t_provision = (state.next_provision_s() if state is not None
-                       else math.inf)
-        t_pending = pending[0][0] if pending else math.inf
-        if t_arrival <= t_provision and t_arrival <= t_pending:
-            job = index
-            now = float(t_arrival)
-            index += 1
-            if admitted[job]:
-                push(job)
-        elif t_provision <= t_pending:
-            assert state is not None
-            now = t_provision
-            state.activate_one(now)
-            idle += 1
-        else:
-            now, prio, _, jid = heapq.heappop(pending)
-            if prio == _PRIO_RETRY:
-                push(jid)
-            else:  # completion or repair: capacity returns either way
-                idle += 1
-        while idle and queued:
-            job = pop()
-            jid = int(job)
-            idle -= 1
-            wait = float(now - frun.ready_s(jid, float(arrival[job])))
-            waits.append(wait)
-            if state is not None:
-                state.record_wait(wait)
-            outcome = frun.begin_attempt(
-                jid, now,
-                step_s=float(step[job]),
-                granted=int(granted[job]),
-                requested=int(steps_requested[job]),
-                tenant=tenant_names[int(tenant_idx[job])],
-                sampling_rate=float(q_arr[job]),
-                noise_multiplier=float(nm_arr[job]),
-                private=bool(priv_arr[job]),
-                model_name=model_names[int(model_idx[job])],
-                algorithm=algo_names[int(algo_idx[job])],
-                batch=int(batch_arr[job]))
-            if outcome.completed:
-                heapq.heappush(pending, (outcome.free_s,
-                                         _PRIO_COMPLETION, pseq, jid))
-                pseq += 1
-                if obs_finish_s is not None:
-                    assert outcome.finish_s is not None  # completed
-                    obs_finish_s[jid] = outcome.finish_s
-            else:
-                heapq.heappush(pending, (outcome.free_s, _PRIO_REPAIR,
-                                         pseq, jid))
-                pseq += 1
-                if outcome.retry_s is not None:
-                    if policy == "sjf":
-                        service_live[jid] = frun.remaining_steps(
-                            jid, int(granted[job])) * \
-                            frun.effective_step_seconds(
-                                model_names[int(model_idx[job])],
-                                float(step[job]))
-                    heapq.heappush(pending, (outcome.retry_s,
-                                             _PRIO_RETRY, pseq, jid))
-                    pseq += 1
-            if dispatch_log is not None:
-                dispatch_log.append((jid, now))
-            if obs_dispatch is not None:
-                obs_dispatch((jid, now))
-        if state is not None:
-            delta = state.decide(now, queued, idle)
-            if delta < 0:
-                idle += delta
-        if now >= obs_next_sample_s:
-            assert obs is not None  # deadline is +inf otherwise
-            obs.sample(now, queued, idle,
-                       state.active if state is not None
-                       else fleet.n_clusters,
-                       len(state.pending) if state is not None else 0)
-            obs_next_sample_s = obs.next_sample_s
-
-    if state is not None:
-        state.finalize(now)
+    if frun is not None:
+        completed, truncated = frun.completed, frun.truncated
+        busy_s, makespan = frun.busy_s, frun.makespan_s
     if obs is not None:
         obs.attach(policy=policy, trace=trace,
                    decisions=decisions, service=service,
@@ -825,11 +656,11 @@ def _simulate_streaming_faulty(
         n_clusters=fleet.n_clusters,
         chips_per_cluster=fleet.chips_per_cluster,
         submitted=total,
-        completed=frun.completed,
-        truncated=frun.truncated,
+        completed=completed,
+        truncated=truncated,
         rejected=int((~admitted).sum()),
-        makespan_s=frun.makespan_s,
-        busy_s=frun.busy_s,
+        makespan_s=makespan,
+        busy_s=busy_s,
         waits=waits,
         admission=admission,
         autoscale=state,

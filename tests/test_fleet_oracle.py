@@ -14,8 +14,10 @@ dispatch log and report exactly — for every policy, on static and
 autoscaled fleets, with and without fault injection.
 """
 
+import dataclasses
 import heapq
 import itertools
+import math
 
 import pytest
 
@@ -178,6 +180,12 @@ def traces():
             for config in (ZERO_FAULT_TRACE, FAULTY_TRACE)}
 
 
+def _floored(jobs):
+    """``jobs`` with arrivals floored to whole seconds, so many tie."""
+    return [dataclasses.replace(job, arrival_s=float(math.floor(
+        job.arrival_s))) for job in jobs]
+
+
 class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("autoscaled", (False, True),
@@ -187,7 +195,20 @@ class TestMatchesReferenceLoop:
     def test_dispatch_log_and_report(self, traces, policy, autoscaled,
                                      faulty):
         config = FAULTY_TRACE if faulty else ZERO_FAULT_TRACE
-        jobs = traces[config]
+        self._check(traces[config], policy, autoscaled, faulty)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("autoscaled", (False, True),
+                             ids=("static", "autoscaled"))
+    @pytest.mark.parametrize("faulty", (False, True),
+                             ids=("zero-fault", "faulty"))
+    def test_tied_arrivals(self, traces, policy, autoscaled, faulty):
+        # Position-keyed queues must keep the (arrival, job_id) tie-break.
+        config = FAULTY_TRACE if faulty else ZERO_FAULT_TRACE
+        self._check(_floored(traces[config]), policy, autoscaled, faulty)
+
+    @staticmethod
+    def _check(jobs, policy, autoscaled, faulty):
         fleet = FleetConfig(chips=8, chips_per_cluster=2) if faulty \
             else FleetConfig(chips=4)
         autoscaler = AUTOSCALE if autoscaled else None

@@ -8,6 +8,7 @@ differential against a naive reference loop is in
 ``test_fleet_oracle.py``.
 """
 
+import dataclasses
 import math
 from array import array
 
@@ -66,6 +67,17 @@ class TestTraceArrays:
 
     def test_empty(self):
         assert len(generate_trace_arrays(TraceConfig(jobs=0))) == 0
+
+    def test_rejects_decreasing_arrivals(self):
+        trace = generate_trace_arrays(TraceConfig(jobs=200, seed=3))
+        shuffled = np.random.default_rng(0).permutation(trace.arrival_s)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            dataclasses.replace(trace, arrival_s=shuffled)
+
+    def test_rejects_ragged_columns(self):
+        trace = generate_trace_arrays(TraceConfig(jobs=200, seed=3))
+        with pytest.raises(ValueError, match="differ in length"):
+            dataclasses.replace(trace, tenant=trace.tenant[:-1])
 
     def test_private_mask_and_sampling_rate(self):
         trace = generate_trace(TraceConfig(jobs=30, seed=5))
