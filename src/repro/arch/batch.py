@@ -17,6 +17,11 @@ GEMM dimensions tile onto the PE grid (rows chunk by ``height``,
 columns by ``width``).  Engines without ``grid_axes`` (no closed form)
 fall back to a scalar loop, so the function is total.
 
+The collective cost forms (:func:`allreduce_seconds_batch`,
+:func:`first_bucket_seconds_batch`, :func:`link_bytes_per_chip_batch`,
+:func:`n_buckets_batch`, :func:`topology_codes`) are defined once in
+:mod:`repro.arch.interconnect` and re-exported here.
+
 This module is the foundation of the batched sweep/serving hot paths:
 :mod:`repro.training.batch` builds whole-training-step evaluation on
 top of it, and the ``scaling`` / ``design-space`` experiments and the
@@ -27,21 +32,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from repro.arch.engine import GemmEngine
 from repro.arch.interconnect import (
-    DEFAULT_LINK_BANDWIDTH_BYTES_PER_S,
-    DEFAULT_LINK_LATENCY_S,
-    TOPOLOGIES,
+    allreduce_seconds_batch as allreduce_seconds_batch,
+    first_bucket_seconds_batch as first_bucket_seconds_batch,
+    link_bytes_per_chip_batch as link_bytes_per_chip_batch,
+    n_buckets_batch as n_buckets_batch,
+    topology_codes as topology_codes,
 )
 from repro.workloads.gemms import Gemm
-
-#: Integer codes the vectorized collective model uses for topologies.
-TOPOLOGY_CODES = {name: code for code, name in enumerate(TOPOLOGIES)}
 
 
 @dataclass(frozen=True)
@@ -253,144 +257,3 @@ def unique_rows(*columns: NDArray[Any]
     _, first, inverse = np.unique(key, return_index=True,
                                   return_inverse=True)
     return np.stack([column[first] for column in columns], axis=1), inverse
-
-
-# -- vectorized collective cost model ---------------------------------------
-#
-# Array mirrors of :class:`repro.arch.interconnect.Interconnect`, one
-# entry per (payload, cluster) configuration.  Every floating-point
-# expression repeats the scalar model's operation order exactly, so the
-# batched sharded-step evaluator stays bitwise-identical to the serial
-# one.  ``topology`` is a :data:`TOPOLOGY_CODES` integer array and
-# ``bucket_bytes`` uses 0 as the "monolithic" (None) sentinel.
-
-def topology_codes(names: Iterable[str]) -> NDArray[Any]:
-    """Map topology-name sequences onto :data:`TOPOLOGY_CODES` ints."""
-    try:
-        return np.array([TOPOLOGY_CODES[name] for name in names],
-                        dtype=np.int64)
-    except KeyError as error:
-        raise ValueError(
-            f"unknown topology {error.args[0]!r}; "
-            f"choose from {TOPOLOGIES}") from None
-
-
-def _bucket_shape_batch(
-    payload_bytes: NDArray[Any], bucket_bytes: NDArray[Any],
-) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
-    """``(full, size, remainder)`` arrays of the DDP bucket split."""
-    mono = (bucket_bytes <= 0) | (bucket_bytes >= payload_bytes)
-    divisor = np.maximum(bucket_bytes, 1)
-    full = np.where(mono, 1, payload_bytes // divisor)
-    size = np.where(mono, payload_bytes, bucket_bytes)
-    rem = np.where(mono, 0, payload_bytes % divisor)
-    empty = payload_bytes <= 0
-    return (np.where(empty, 0, full), np.where(empty, 0, size),
-            np.where(empty, 0, rem))
-
-
-def n_buckets_batch(payload_bytes: NDArray[Any], bucket_bytes: NDArray[Any]) -> NDArray[Any]:
-    """Vectorized :meth:`Interconnect.n_buckets`."""
-    full, _, rem = _bucket_shape_batch(payload_bytes, bucket_bytes)
-    return full + (rem > 0)
-
-
-def _one_allreduce_seconds_batch(
-    payload_bytes: NDArray[Any], n_chips: NDArray[Any], topology: NDArray[Any],
-    chips_per_node: NDArray[Any],
-    bandwidth: "float | NDArray[Any]", latency: "float | NDArray[Any]",
-    intra_bandwidth: "float | NDArray[Any] | None" = None,
-    intra_latency: "float | NDArray[Any] | None" = None,
-) -> NDArray[Any]:
-    """Seconds of one unbucketed allreduce, per topology code.
-
-    ``bandwidth`` / ``latency`` describe the cross-node link class;
-    ``intra_bandwidth`` / ``intra_latency`` (defaulting to the same
-    values — the uniform fabric) price the hierarchical topology's
-    in-node stage, mirroring the scalar fabric resolution.
-    """
-    if intra_bandwidth is None:
-        intra_bandwidth = bandwidth
-    if intra_latency is None:
-        intra_latency = latency
-    n = n_chips
-    ring = 2 * (n - 1) * (payload_bytes / (n * bandwidth) + latency)
-    a2a = 2 * (payload_bytes / (n * bandwidth) + latency)
-    m = chips_per_node
-    # Guard k against degenerate (masked-out) entries so the eager
-    # numpy arithmetic never divides by zero; valid entries have k >= 1.
-    k = np.maximum(n // np.maximum(m, 1), 1)
-    in_node = 2 * (payload_bytes / (m * intra_bandwidth) + intra_latency)
-    cross = 2 * (k - 1) * (payload_bytes / ((m * k) * bandwidth) + latency)
-    hier = (np.where(m > 1, in_node, 0.0)
-            + np.where(k > 1, cross, 0.0))
-    return np.select(
-        [topology == TOPOLOGY_CODES["ring"],
-         topology == TOPOLOGY_CODES["all_to_all"]],
-        [ring, a2a], default=hier)
-
-
-def allreduce_seconds_batch(
-    payload_bytes: NDArray[Any], n_chips: NDArray[Any], topology: NDArray[Any],
-    bucket_bytes: NDArray[Any], chips_per_node: NDArray[Any],
-    bandwidth: "float | NDArray[Any]" = DEFAULT_LINK_BANDWIDTH_BYTES_PER_S,
-    latency: "float | NDArray[Any]" = DEFAULT_LINK_LATENCY_S,
-    intra_bandwidth: "float | NDArray[Any] | None" = None,
-    intra_latency: "float | NDArray[Any] | None" = None,
-) -> NDArray[Any]:
-    """Vectorized :meth:`Interconnect.allreduce_seconds` (total wire time)."""
-    links = (bandwidth, latency, intra_bandwidth, intra_latency)
-    full, size, rem = _bucket_shape_batch(payload_bytes, bucket_bytes)
-    seconds = full * _one_allreduce_seconds_batch(
-        size, n_chips, topology, chips_per_node, *links)
-    rem_seconds = _one_allreduce_seconds_batch(
-        rem, n_chips, topology, chips_per_node, *links)
-    seconds = np.where(rem > 0, seconds + rem_seconds, seconds)
-    return np.where((n_chips <= 1) | (payload_bytes <= 0), 0.0, seconds)
-
-
-def first_bucket_seconds_batch(
-    payload_bytes: NDArray[Any], n_chips: NDArray[Any], topology: NDArray[Any],
-    bucket_bytes: NDArray[Any], chips_per_node: NDArray[Any],
-    bandwidth: "float | NDArray[Any]" = DEFAULT_LINK_BANDWIDTH_BYTES_PER_S,
-    latency: "float | NDArray[Any]" = DEFAULT_LINK_LATENCY_S,
-    intra_bandwidth: "float | NDArray[Any] | None" = None,
-    intra_latency: "float | NDArray[Any] | None" = None,
-) -> NDArray[Any]:
-    """Vectorized :meth:`Interconnect.first_bucket_seconds`."""
-    _, size, _ = _bucket_shape_batch(payload_bytes, bucket_bytes)
-    seconds = _one_allreduce_seconds_batch(
-        size, n_chips, topology, chips_per_node, bandwidth, latency,
-        intra_bandwidth, intra_latency)
-    return np.where((n_chips <= 1) | (payload_bytes <= 0), 0.0, seconds)
-
-
-def _one_link_bytes_batch(
-    payload_bytes: NDArray[Any], n_chips: NDArray[Any], topology: NDArray[Any],
-    chips_per_node: NDArray[Any],
-) -> NDArray[Any]:
-    """Per-chip wire bytes of one unbucketed allreduce."""
-    n = n_chips
-    flat = 2 * (n - 1) * np.ceil(payload_bytes / n).astype(np.int64)
-    m = chips_per_node
-    k = np.maximum(n // np.maximum(m, 1), 1)
-    shard = np.ceil(payload_bytes / m).astype(np.int64)
-    in_node = np.where(m > 1, 2 * (m - 1) * shard, 0)
-    cross = np.where(
-        k > 1, 2 * (k - 1) * np.ceil(shard / k).astype(np.int64), 0)
-    return np.where(topology == TOPOLOGY_CODES["hierarchical"],
-                    in_node + cross, flat)
-
-
-def link_bytes_per_chip_batch(
-    payload_bytes: NDArray[Any], n_chips: NDArray[Any], topology: NDArray[Any],
-    bucket_bytes: NDArray[Any], chips_per_node: NDArray[Any],
-) -> NDArray[Any]:
-    """Vectorized :meth:`Interconnect.link_bytes_per_chip`."""
-    full, size, rem = _bucket_shape_batch(payload_bytes, bucket_bytes)
-    total = full * _one_link_bytes_batch(
-        size, n_chips, topology, chips_per_node)
-    total = total + np.where(
-        rem > 0,
-        _one_link_bytes_batch(rem, n_chips, topology, chips_per_node), 0)
-    return np.where((n_chips <= 1) | (payload_bytes <= 0), 0, total)

@@ -159,9 +159,10 @@ class Cluster:
         cycles; ``link_bytes`` records the per-chip wire traffic.  On a
         single-chip cluster every collective is free (a zero OpRun), so
         the N=1 cluster is cycle-identical to a bare accelerator.  The
-        sharded training step does *not* sum these records — it
-        accumulates :meth:`allreduce_seconds` across its collectives
-        and ceils once (see :mod:`repro.training.simulate`).
+        sharded training step does *not* sum these records — it prices
+        its collectives with
+        :func:`~repro.training.batch.step_comm_cycles`, which
+        accumulates float seconds across them and ceils once.
         """
         return OpRun(
             cycles=self.cycles(self.allreduce_seconds(payload_bytes)),
@@ -176,6 +177,6 @@ class Cluster:
         """Convert cluster-domain cycles to wall-clock seconds."""
         return cycles / self.frequency_hz
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return (f"Cluster({self.chip.name} x {self.n_chips}, "
                 f"{self.interconnect!r})")

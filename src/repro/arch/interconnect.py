@@ -72,12 +72,23 @@ while its cross-node ring uses the other.  The default
 (``fabric=None``) resolves to a *uniform* fabric built from the
 config's scalar ``link_bandwidth_bytes_per_s`` / ``link_latency_s``,
 which reproduces the single-link-class model bit for bit.
+
+One implementation
+------------------
+Every cost above is written once, as an array form over NumPy columns
+(:func:`allreduce_seconds_batch` and friends).  The
+:class:`Interconnect` methods evaluate those forms on length-1
+columns; :func:`repro.training.batch.step_comm_cycles` evaluates them
+over a whole config grid for both sharded-step drivers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Any, Iterable
+
+import numpy as np
+from numpy.typing import NDArray
 
 #: Supported interconnect topologies.
 TOPOLOGIES = ("ring", "all_to_all", "hierarchical")
@@ -130,6 +141,16 @@ class Fabric:
         link = LinkClass("uniform", bandwidth_bytes_per_s, latency_s)
         return Fabric(intra_node=link, cross_node=link)
 
+    def link_params(self) -> tuple[float, float, float, float]:
+        """``(cross bw, cross latency, intra bw, intra latency)``.
+
+        The link operands of the collective forms, in their positional
+        order (``bandwidth, latency, intra_bandwidth, intra_latency``).
+        """
+        cross, intra = self.cross_node, self.intra_node
+        return (cross.bandwidth_bytes_per_s, cross.latency_s,
+                intra.bandwidth_bytes_per_s, intra.latency_s)
+
 
 #: Named fabric presets for the CLI (``--fabric``).
 FABRICS: dict[str, Fabric] = {
@@ -151,15 +172,29 @@ def fabric_named(name: str) -> Fabric:
         ) from None
 
 
-# -- link-polymorphic collective forms ---------------------------------------
+# -- collective forms ---------------------------------------------------------
 #
-# Closed-form costs shared verbatim by the scalar Interconnect methods
-# and the NumPy batched evaluator (repro.arch.batch): both call these
-# with the same operand order, so scalar floats and float64 arrays walk
-# the identical expression tree and stay bitwise-equal.
+# One entry per collective; Python scalars broadcast.  ``topology`` is a
+# :data:`TOPOLOGY_CODES` integer column and ``bucket_bytes`` uses 0 as
+# the "monolithic" (None) sentinel.
 
-def tensor_collective_seconds(payload_bytes, collectives, tp,
-                              bandwidth, latency):
+#: Integer codes the collective forms use for topologies.
+TOPOLOGY_CODES = {name: code for code, name in enumerate(TOPOLOGIES)}
+
+
+def topology_codes(names: Iterable[str]) -> NDArray[Any]:
+    """Map topology-name sequences onto :data:`TOPOLOGY_CODES` ints."""
+    try:
+        return np.array([TOPOLOGY_CODES[name] for name in names],
+                        dtype=np.int64)
+    except KeyError as error:
+        raise ValueError(
+            f"unknown topology {error.args[0]!r}; "
+            f"choose from {TOPOLOGIES}") from None
+
+
+def tensor_collective_seconds(payload_bytes: Any, collectives: Any,
+                              tp: Any, bandwidth: Any, latency: Any) -> Any:
     """Aggregate time of ``collectives`` ring allgathers over a TP group.
 
     Each allgather of a ``p_g``-byte gathered tensor over ``tp`` ranks
@@ -171,7 +206,8 @@ def tensor_collective_seconds(payload_bytes, collectives, tp,
                        + collectives * latency)
 
 
-def pipeline_boundary_seconds(micro_cut_bytes, cuts, bandwidth, latency):
+def pipeline_boundary_seconds(micro_cut_bytes: Any, cuts: Any,
+                              bandwidth: Any, latency: Any) -> Any:
     """Exposed fill+drain time of the pipeline's boundary transfers.
 
     One microbatch's activations cross every cut going forward and its
@@ -179,6 +215,131 @@ def pipeline_boundary_seconds(micro_cut_bytes, cuts, bandwidth, latency):
     transfers overlap with compute and are not exposed.
     """
     return 2 * (micro_cut_bytes / bandwidth + cuts * latency)
+
+
+def _bucket_split(
+    payload_bytes: NDArray[Any], bucket_bytes: NDArray[Any],
+) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
+    """``(full, size, remainder)`` columns of the DDP bucket split."""
+    mono = (bucket_bytes <= 0) | (bucket_bytes >= payload_bytes)
+    divisor = np.maximum(bucket_bytes, 1)
+    full = np.where(mono, 1, payload_bytes // divisor)
+    size = np.where(mono, payload_bytes, bucket_bytes)
+    rem = np.where(mono, 0, payload_bytes % divisor)
+    empty = payload_bytes <= 0
+    return (np.where(empty, 0, full), np.where(empty, 0, size),
+            np.where(empty, 0, rem))
+
+
+def n_buckets_batch(payload_bytes: NDArray[Any],
+                    bucket_bytes: NDArray[Any]) -> NDArray[Any]:
+    """Number of wire buckets each payload splits into (0 if empty)."""
+    full, _, rem = _bucket_split(payload_bytes, bucket_bytes)
+    return full + (rem > 0)
+
+
+def _unbucketed_seconds(
+    payload_bytes: NDArray[Any], n_chips: NDArray[Any], topology: NDArray[Any],
+    chips_per_node: NDArray[Any],
+    bandwidth: "float | NDArray[Any]", latency: "float | NDArray[Any]",
+    intra_bandwidth: "float | NDArray[Any] | None" = None,
+    intra_latency: "float | NDArray[Any] | None" = None,
+) -> NDArray[Any]:
+    """Seconds of one unbucketed allreduce, per topology code.
+
+    ``bandwidth`` / ``latency`` describe the cross-node link class;
+    ``intra_bandwidth`` / ``intra_latency`` (defaulting to the same
+    values — the uniform fabric) price the hierarchical topology's
+    in-node stage.
+    """
+    if intra_bandwidth is None:
+        intra_bandwidth = bandwidth
+    if intra_latency is None:
+        intra_latency = latency
+    n = n_chips
+    shard_hop = payload_bytes / (n * bandwidth) + latency
+    ring = 2 * (n - 1) * shard_hop
+    a2a = 2 * shard_hop
+    m = chips_per_node
+    # Guard k against degenerate (masked-out) entries so the eager
+    # numpy arithmetic never divides by zero; valid entries have k >= 1.
+    k = np.maximum(n // np.maximum(m, 1), 1)
+    in_node = 2 * (payload_bytes / (m * intra_bandwidth) + intra_latency)
+    cross = 2 * (k - 1) * (payload_bytes / ((m * k) * bandwidth) + latency)
+    hier = (np.where(m > 1, in_node, 0.0)
+            + np.where(k > 1, cross, 0.0))
+    return np.where(topology == TOPOLOGY_CODES["ring"], ring,
+                    np.where(topology == TOPOLOGY_CODES["all_to_all"],
+                             a2a, hier))
+
+
+def allreduce_seconds_batch(
+    payload_bytes: NDArray[Any], n_chips: NDArray[Any], topology: NDArray[Any],
+    bucket_bytes: NDArray[Any], chips_per_node: NDArray[Any],
+    bandwidth: "float | NDArray[Any]" = DEFAULT_LINK_BANDWIDTH_BYTES_PER_S,
+    latency: "float | NDArray[Any]" = DEFAULT_LINK_LATENCY_S,
+    intra_bandwidth: "float | NDArray[Any] | None" = None,
+    intra_latency: "float | NDArray[Any] | None" = None,
+) -> NDArray[Any]:
+    """Total wire seconds of each allreduce (sum over its buckets)."""
+    full, size, rem = _bucket_split(payload_bytes, bucket_bytes)
+    # Full and remainder buckets priced in one pass (stacked at the
+    # grid's broadcast shape).
+    size_seconds, rem_seconds = _unbucketed_seconds(
+        np.stack(np.broadcast_arrays(
+            size, rem, n_chips, topology, chips_per_node)[:2]),
+        n_chips, topology, chips_per_node,
+        bandwidth, latency, intra_bandwidth, intra_latency)
+    seconds = full * size_seconds
+    seconds = np.where(rem > 0, seconds + rem_seconds, seconds)
+    return np.where((n_chips <= 1) | (payload_bytes <= 0), 0.0, seconds)
+
+
+def first_bucket_seconds_batch(
+    payload_bytes: NDArray[Any], n_chips: NDArray[Any], topology: NDArray[Any],
+    bucket_bytes: NDArray[Any], chips_per_node: NDArray[Any],
+    bandwidth: "float | NDArray[Any]" = DEFAULT_LINK_BANDWIDTH_BYTES_PER_S,
+    latency: "float | NDArray[Any]" = DEFAULT_LINK_LATENCY_S,
+    intra_bandwidth: "float | NDArray[Any] | None" = None,
+    intra_latency: "float | NDArray[Any] | None" = None,
+) -> NDArray[Any]:
+    """Seconds of each allreduce's first (largest) bucket."""
+    _, size, _ = _bucket_split(payload_bytes, bucket_bytes)
+    seconds = _unbucketed_seconds(
+        size, n_chips, topology, chips_per_node, bandwidth, latency,
+        intra_bandwidth, intra_latency)
+    return np.where((n_chips <= 1) | (payload_bytes <= 0), 0.0, seconds)
+
+
+def _unbucketed_link_bytes(
+    payload_bytes: NDArray[Any], n_chips: NDArray[Any], topology: NDArray[Any],
+    chips_per_node: NDArray[Any],
+) -> NDArray[Any]:
+    """Per-chip wire bytes of one unbucketed allreduce (shard-first)."""
+    n = n_chips
+    flat = 2 * (n - 1) * np.ceil(payload_bytes / n).astype(np.int64)
+    m = chips_per_node
+    k = np.maximum(n // np.maximum(m, 1), 1)
+    shard = np.ceil(payload_bytes / m).astype(np.int64)
+    in_node = np.where(m > 1, 2 * (m - 1) * shard, 0)
+    cross = np.where(
+        k > 1, 2 * (k - 1) * np.ceil(shard / k).astype(np.int64), 0)
+    return np.where(topology == TOPOLOGY_CODES["hierarchical"],
+                    in_node + cross, flat)
+
+
+def link_bytes_per_chip_batch(
+    payload_bytes: NDArray[Any], n_chips: NDArray[Any], topology: NDArray[Any],
+    bucket_bytes: NDArray[Any], chips_per_node: NDArray[Any],
+) -> NDArray[Any]:
+    """Scheduled per-chip wire bytes of each allreduce, over its buckets."""
+    full, size, rem = _bucket_split(payload_bytes, bucket_bytes)
+    size_bytes, rem_bytes = _unbucketed_link_bytes(
+        np.stack(np.broadcast_arrays(
+            size, rem, n_chips, topology, chips_per_node)[:2]),
+        n_chips, topology, chips_per_node)
+    total = full * size_bytes + np.where(rem > 0, rem_bytes, 0)
+    return np.where((n_chips <= 1) | (payload_bytes <= 0), 0, total)
 
 
 @dataclass(frozen=True)
@@ -236,7 +397,11 @@ class InterconnectConfig:
 
 
 class Interconnect:
-    """Closed-form collective cost model over an :class:`InterconnectConfig`."""
+    """Closed-form collective cost model over an :class:`InterconnectConfig`.
+
+    The cost methods evaluate the module's array forms on length-1
+    columns built from the config.
+    """
 
     def __init__(self, config: InterconnectConfig | None = None) -> None:
         self.config = config or InterconnectConfig()
@@ -244,43 +409,6 @@ class Interconnect:
     @property
     def topology(self) -> str:
         return self.config.topology
-
-    # -- bucketing -----------------------------------------------------------
-
-    def _bucket_shape(self, payload_bytes: int) -> tuple[int, int, int]:
-        """``(full_buckets, bucket_size, remainder)`` of the split.
-
-        The closed-form view of the bucket schedule — every cost method
-        prices ``full`` identical buckets plus one remainder analytically
-        instead of materializing an O(payload/bucket) list.
-        """
-        if payload_bytes <= 0:
-            return 0, 0, 0
-        size = self.config.bucket_bytes
-        if size is None or size >= payload_bytes:
-            return 1, payload_bytes, 0
-        full, rem = divmod(payload_bytes, size)
-        return full, size, rem
-
-    def bucket_sizes(self, payload_bytes: int) -> list[int]:
-        """The payload split into wire buckets, in schedule order.
-
-        ``bucket_bytes=None`` (or a bucket at least as large as the
-        payload) yields one monolithic bucket; otherwise full buckets
-        of ``bucket_bytes`` plus one remainder bucket.  Inspection
-        helper — the cost methods use the closed-form
-        ``(full, size, remainder)`` shape and never materialize this
-        list.
-        """
-        full, size, rem = self._bucket_shape(payload_bytes)
-        return [size] * full + ([rem] if rem else [])
-
-    def n_buckets(self, payload_bytes: int) -> int:
-        """Number of wire buckets the payload splits into (0 if empty)."""
-        full, _, rem = self._bucket_shape(payload_bytes)
-        return full + (1 if rem else 0)
-
-    # -- time ----------------------------------------------------------------
 
     def _node_shape(self, n_chips: int) -> tuple[int, int]:
         """``(chips_per_node, n_nodes)`` of the hierarchical fabric."""
@@ -291,28 +419,43 @@ class Interconnect:
                 f"of {m}")
         return m, n_chips // m
 
-    def _one_allreduce_seconds(self, payload_bytes: int,
-                               n_chips: int) -> float:
-        """Wall-clock seconds of one *unbucketed* allreduce."""
+    def _columns(self, payload_bytes: int, n_chips: int,
+                 ) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any],
+                            NDArray[Any], NDArray[Any]]:
+        """Length-1 columns of one collective; validates the node shape."""
         cfg = self.config
-        fab = cfg.links
-        bw = fab.cross_node.bandwidth_bytes_per_s
-        lat = fab.cross_node.latency_s
-        if cfg.topology == "ring":
-            return 2 * (n_chips - 1) * (
-                payload_bytes / (n_chips * bw) + lat)
-        if cfg.topology == "all_to_all":
-            return 2 * (payload_bytes / (n_chips * bw) + lat)
-        m, k = self._node_shape(n_chips)
-        seconds = 0.0
-        if m > 1:  # in-node reduce-scatter + all-gather (direct, fast link)
-            seconds += 2 * (
-                payload_bytes / (m * fab.intra_node.bandwidth_bytes_per_s)
-                + fab.intra_node.latency_s)
-        if k > 1:  # cross-node ring allreduce of the payload/M shard
-            seconds += 2 * (k - 1) * (
-                payload_bytes / (m * k * bw) + lat)
-        return seconds
+        if cfg.topology == "hierarchical" and n_chips > 1 \
+                and payload_bytes > 0:
+            self._node_shape(n_chips)
+        return (np.array([payload_bytes]), np.array([n_chips]),
+                np.array([TOPOLOGY_CODES[cfg.topology]]),
+                np.array([cfg.bucket_bytes or 0]),
+                np.array([cfg.chips_per_node]))
+
+    # -- bucketing -----------------------------------------------------------
+
+    def bucket_sizes(self, payload_bytes: int) -> list[int]:
+        """The payload split into wire buckets, in schedule order.
+
+        ``bucket_bytes=None`` (or a bucket at least as large as the
+        payload) yields one monolithic bucket; otherwise full buckets
+        of ``bucket_bytes`` plus one remainder bucket.  Inspection
+        helper — the cost forms use the closed-form
+        ``(full, size, remainder)`` split and never materialize this
+        list.
+        """
+        full, size, rem = (int(column[0]) for column in _bucket_split(
+            np.array([payload_bytes]),
+            np.array([self.config.bucket_bytes or 0])))
+        return [size] * full + ([rem] if rem else [])
+
+    def n_buckets(self, payload_bytes: int) -> int:
+        """Number of wire buckets the payload splits into (0 if empty)."""
+        return int(n_buckets_batch(
+            np.array([payload_bytes]),
+            np.array([self.config.bucket_bytes or 0]))[0])
+
+    # -- time ----------------------------------------------------------------
 
     def allreduce_seconds(self, payload_bytes: int, n_chips: int) -> float:
         """Wall-clock seconds of one allreduce over ``payload_bytes``.
@@ -322,13 +465,9 @@ class Interconnect:
         :mod:`repro.training.simulate` decides how much of it lands on
         the critical path.
         """
-        if n_chips <= 1 or payload_bytes <= 0:
-            return 0.0
-        full, size, rem = self._bucket_shape(payload_bytes)
-        seconds = full * self._one_allreduce_seconds(size, n_chips)
-        if rem:
-            seconds += self._one_allreduce_seconds(rem, n_chips)
-        return seconds
+        return float(allreduce_seconds_batch(
+            *self._columns(payload_bytes, n_chips),
+            *self.config.links.link_params())[0])
 
     def first_bucket_seconds(self, payload_bytes: int,
                              n_chips: int) -> float:
@@ -339,69 +478,9 @@ class Interconnect:
         is never larger than the first, so at least one full-bucket
         allreduce always sticks out past the backward pass.
         """
-        if n_chips <= 1 or payload_bytes <= 0:
-            return 0.0
-        return self._one_allreduce_seconds(
-            self._bucket_shape(payload_bytes)[1], n_chips)
-
-    # -- model-parallel collectives ------------------------------------------
-
-    def tp_collective_seconds(self, payload_bytes: int, collectives: int,
-                              tp: int) -> float:
-        """Aggregate tensor-parallel allgather time on the intra-node link.
-
-        ``payload_bytes`` is the step's total *gathered* activation
-        traffic across ``collectives`` per-layer allgathers; a TP group
-        of 1 is free.
-        """
-        if tp <= 1 or payload_bytes <= 0:
-            return 0.0
-        link = self.config.links.intra_node
-        return tensor_collective_seconds(
-            payload_bytes, collectives, tp,
-            link.bandwidth_bytes_per_s, link.latency_s)
-
-    def pp_boundary_seconds(self, micro_cut_bytes: int, cuts: int) -> float:
-        """Exposed pipeline fill+drain transfer time on the cross-node link."""
-        if cuts <= 0 or micro_cut_bytes <= 0:
-            return 0.0
-        link = self.config.links.cross_node
-        return pipeline_boundary_seconds(
-            micro_cut_bytes, cuts,
-            link.bandwidth_bytes_per_s, link.latency_s)
-
-    @staticmethod
-    def tp_link_bytes_per_chip(payload_bytes: int, collectives: int,
-                               tp: int) -> int:
-        """Per-chip wire bytes of the step's TP ring allgathers.
-
-        Each rank forwards ``tp - 1`` shards per allgather; shards are
-        rounded per collective (``ceil`` of the average gathered size),
-        mirroring the flat-allreduce shard-first rounding.
-        """
-        if tp <= 1 or payload_bytes <= 0 or collectives <= 0:
-            return 0
-        # Integer ceil-divs (no float round trip) so the NumPy batched
-        # mirror reproduces the bytes exactly at any payload size.
-        shard = -(-(-(-payload_bytes // collectives)) // tp)
-        return collectives * (tp - 1) * shard
-
-    @staticmethod
-    def pp_link_bytes_per_chip(micro_cut_bytes: int, cuts: int,
-                               microbatches: int, pp: int) -> int:
-        """Per-chip wire bytes of the pipeline's boundary transfers.
-
-        Charges the busiest (interior) stage: it sends and receives one
-        boundary tensor per microbatch in each direction, so over the
-        whole step it moves ``2 * M`` passes over its adjacent cuts —
-        approximated by the average per-cut bytes times the (at most
-        two) cuts a stage touches.
-        """
-        if cuts <= 0 or micro_cut_bytes <= 0 or pp <= 1:
-            return 0
-        per_cut = -(-micro_cut_bytes // cuts)
-        touched = 2 if pp > 2 else 1
-        return 2 * microbatches * touched * per_cut
+        return float(first_bucket_seconds_batch(
+            *self._columns(payload_bytes, n_chips),
+            *self.config.links.link_params())[0])
 
     # -- wire bytes ----------------------------------------------------------
 
@@ -409,31 +488,17 @@ class Interconnect:
     def allreduce_bytes_per_chip(payload_bytes: int, n_chips: int) -> int:
         """Wire bytes each chip moves for one *flat-topology* allreduce.
 
-        ``2*(N-1) * ceil(payload/N)`` — the shard is rounded *first*,
-        because the flat schedules move ``2*(N-1)`` transfers of a
-        ``ceil(payload/N)``-byte shard; rounding the product instead
-        could undercount the scheduled transfers.  The hierarchical
-        topology rounds per its own stages (a ``ceil(payload/M)``
-        in-node shard, then ``ceil(shard/K)`` across nodes) and so can
-        land slightly above or below this flat reference — use the
-        instance method :meth:`link_bytes_per_chip` for the scheduled
-        bytes of a configured fabric; every topology stays at or above
-        the unrounded ``2*(N-1)/N * payload`` lower bound.
+        ``2*(N-1) * ceil(payload/N)``: the shard is rounded *first*, so
+        the bytes never undercount the ``2*(N-1)`` scheduled transfers.
+        The hierarchical topology rounds per stage (``ceil(payload/M)``
+        in-node, then ``ceil(shard/K)``) and can land slightly off this
+        reference; :meth:`link_bytes_per_chip` gives the scheduled bytes
+        of the configured fabric.  Every topology stays at or above the
+        unrounded ``2*(N-1)/N * payload`` lower bound.
         """
-        if n_chips <= 1 or payload_bytes <= 0:
-            return 0
-        return 2 * (n_chips - 1) * math.ceil(payload_bytes / n_chips)
-
-    def _one_link_bytes(self, payload_bytes: int, n_chips: int) -> int:
-        """Per-chip wire bytes of one unbucketed allreduce, per topology."""
-        cfg = self.config
-        if cfg.topology != "hierarchical":
-            return self.allreduce_bytes_per_chip(payload_bytes, n_chips)
-        m, k = self._node_shape(n_chips)
-        shard = math.ceil(payload_bytes / m)
-        in_node = 2 * (m - 1) * shard if m > 1 else 0
-        cross = 2 * (k - 1) * math.ceil(shard / k) if k > 1 else 0
-        return in_node + cross
+        return int(link_bytes_per_chip_batch(
+            np.array([payload_bytes]), np.array([n_chips]),
+            topology_codes(["ring"]), np.array([0]), np.array([1]))[0])
 
     def link_bytes_per_chip(self, payload_bytes: int, n_chips: int) -> int:
         """Scheduled per-chip wire bytes, bucket- and topology-aware.
@@ -442,21 +507,23 @@ class Interconnect:
         reported traffic can never undercount what the schedule moves
         (bucketing pays its rounding overhead per bucket).
         """
-        if n_chips <= 1 or payload_bytes <= 0:
-            return 0
-        full, size, rem = self._bucket_shape(payload_bytes)
-        total = full * self._one_link_bytes(size, n_chips)
-        if rem:
-            total += self._one_link_bytes(rem, n_chips)
-        return total
+        return int(link_bytes_per_chip_batch(
+            *self._columns(payload_bytes, n_chips))[0])
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         cfg = self.config
+        cross, intra = cfg.links.cross_node, cfg.links.intra_node
+
+        def link(lc: LinkClass) -> str:
+            return (f"{lc.bandwidth_bytes_per_s / 1e9:.0f} GB/s, "
+                    f"{lc.latency_s * 1e6:.1f} us")
+
+        links = link(cross) if cross == intra else (
+            f"cross {cross.name} {link(cross)}; "
+            f"intra {intra.name} {link(intra)}")
         extras = ""
         if cfg.topology == "hierarchical":
             extras += f", {cfg.chips_per_node}/node"
         if cfg.bucket_bytes is not None:
             extras += f", {cfg.bucket_bytes / 2**20:.1f} MiB buckets"
-        return (f"Interconnect({cfg.topology}, "
-                f"{cfg.link_bandwidth_bytes_per_s / 1e9:.0f} GB/s, "
-                f"{cfg.link_latency_s * 1e6:.1f} us{extras})")
+        return f"Interconnect({cfg.topology}, {links}{extras})"

@@ -22,24 +22,23 @@ in a few NumPy broadcast passes:
   scalar :func:`~repro.training.simulate.step_vector_runs` directly
   (they are O(1) per spec and sharing the code path guarantees
   equality).
-* :func:`sharded_step_batch` adds the vectorized collective model of
-  :mod:`repro.arch.batch` (bucketing, topology, overlap exposure) on
-  top, reusing one shard evaluation for every grid point that shares a
-  ``(kind, model, algorithm, local batch, tp)``.  3D grid points
-  (``pp``/``tp`` columns > 1) reuse the batched per-op cycle arrays to
-  build the same :class:`~repro.training.parallel.PipelineSchedule`
-  the scalar driver builds — the schedule consumes only integers, so
-  it is bit-identical by construction — and their serial TP/PP
-  charges walk the shared link-polymorphic collective forms of
-  :mod:`repro.arch.interconnect` in the scalar operation order.
+* :func:`sharded_step_batch` reuses one shard evaluation for every
+  grid point that shares a ``(kind, model, algorithm, local batch,
+  tp)``.  3D grid points (``pp``/``tp`` columns > 1) reuse the batched
+  per-op cycle arrays to build the same
+  :class:`~repro.training.parallel.PipelineSchedule` the scalar driver
+  builds — the schedule consumes only integers, so it is bit-identical
+  by construction.
+* :func:`step_comm_cycles` is the one composition of a sharded step's
+  collective charge; the scalar
+  :func:`~repro.training.simulate.simulate_sharded_training_step`
+  calls it on length-1 columns and :func:`sharded_step_batch` on grids.
 
-Both are pinned cycle- and seconds-identical to the scalar drivers by
-the equivalence tests in ``tests/test_batch_step.py`` — every
-floating-point expression repeats the scalar operation order, so the
-results are bitwise equal, not merely close.  The ``scaling`` and
-``design-space`` experiments and the fleet simulator's service-time
-table (:mod:`repro.serve.scheduler`) run their grids through this
-module; the process-pool runner remains for non-analytic work.
+``tests/test_batch_step.py`` pins the batched steps bitwise-identical
+to the scalar drivers.  The ``scaling`` and ``design-space``
+experiments and the fleet simulator's service-time table
+(:mod:`repro.serve.scheduler`) run their grids through this module;
+the process-pool runner remains for non-analytic work.
 """
 
 from __future__ import annotations
@@ -65,6 +64,7 @@ from repro.arch.cluster import ParallelPlan
 from repro.arch.interconnect import (
     DEFAULT_LINK_BANDWIDTH_BYTES_PER_S,
     DEFAULT_LINK_LATENCY_S,
+    TOPOLOGY_CODES,
     Fabric,
     fabric_named,
     pipeline_boundary_seconds,
@@ -396,18 +396,85 @@ def _fabric_links(fabrics, length: int,
     fabrics = list(fabrics)
     if len(fabrics) != length:
         raise ValueError("grid columns must broadcast to one length")
-    columns = np.empty((4, length), dtype=float)
-    for i, fab in enumerate(fabrics):
-        if isinstance(fab, str):
-            fab = fabric_named(fab)
-        if fab is None:
-            columns[:, i] = (bandwidth, latency, bandwidth, latency)
-        else:
-            columns[:, i] = (fab.cross_node.bandwidth_bytes_per_s,
-                             fab.cross_node.latency_s,
-                             fab.intra_node.bandwidth_bytes_per_s,
-                             fab.intra_node.latency_s)
-    return columns[0], columns[1], columns[2], columns[3]
+    uniform = Fabric.uniform(bandwidth, latency)
+    return tuple(np.array([
+        (fabric_named(fab) if isinstance(fab, str) else fab or uniform
+         ).link_params() for fab in fabrics], dtype=float).reshape(-1, 4).T)
+
+
+def step_comm_cycles(
+    grad_payload, norm_payload, dp, topology, bucket, chips_per_node,
+    links, overlappable, frequency, overlap, *,
+    tp=1, pp=1, tp_payload=0, tp_collectives=0, boundary=0, cuts=0,
+    microbatches=1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Price sharded steps' communication: ``(exposed cycles, total
+    cycles, per-chip wire bytes)`` per grid entry.
+
+    The one composition of the collective charge, called by
+    :func:`sharded_step_batch` on its grid and by the scalar
+    :func:`~repro.training.simulate.simulate_sharded_training_step` on
+    length-1 columns.  ``norm_payload`` is 0 for non-private
+    algorithms, ``links`` is :meth:`Fabric.link_params` order, and the
+    keyword fields carry a 3D plan's TP allgathers and pipeline
+    boundary transfers (the pure-DP defaults add exact zeros).
+    Collective seconds accumulate in float and quantize to cycles once.
+    """
+    cross_bw, cross_lat, intra_bw, intra_lat = links
+    hier = topology == TOPOLOGY_CODES["hierarchical"]
+    lopsided = hier & (dp > 1) & (dp % np.maximum(chips_per_node, 1) != 0)
+    if lopsided.any():
+        bad = int(np.argmax(lopsided))
+        raise ValueError(
+            f"{int(dp[bad])} chips do not group into hierarchical "
+            f"nodes of {int(chips_per_node[bad])}")
+
+    # One stacked pass prices both data-parallel collectives: row 0 is
+    # the gradient sum, row 1 the norm bookkeeping.
+    payloads = np.stack(np.broadcast_arrays(grad_payload, norm_payload))
+    comm_args = (dp, topology, bucket, chips_per_node)
+    grad_s, norm_s = allreduce_seconds_batch(payloads, *comm_args, *links)
+    total_s = grad_s + norm_s
+    wire = link_bytes_per_chip_batch(payloads, *comm_args).sum(axis=0)
+
+    # Overlap exposure: only the gradient-sum allreduce hides behind
+    # backward compute; the norm-bookkeeping collective stays serial.
+    buckets = np.maximum(n_buckets_batch(payloads[0], bucket), 1)
+    window_s = ((overlappable / frequency) * (buckets - 1)) / buckets
+    exposed_grad_s = np.maximum(
+        first_bucket_seconds_batch(payloads[0], *comm_args, *links),
+        grad_s - window_s)
+    exposed_s = np.where(overlap & (dp > 1),
+                         exposed_grad_s + (total_s - grad_s), total_s)
+
+    # Serial model-parallel charges: TP allgathers gate their GEMMs and
+    # the pipeline fill/drain is exposed.  Pure-DP and masked entries
+    # add exact zeros, so their floats stay bit for bit.
+    serial_s = 0.0
+    if np.any(tp > 1) or np.any(cuts > 0):
+        tp_mask = (tp > 1) & (tp_payload > 0)
+        pp_mask = (cuts > 0) & (boundary > 0)
+        serial_s = (
+            np.where(tp_mask, tensor_collective_seconds(
+                tp_payload, tp_collectives, tp, intra_bw, intra_lat), 0.0)
+            + np.where(pp_mask, pipeline_boundary_seconds(
+                boundary, cuts, cross_bw, cross_lat), 0.0))
+        # TP shards round per collective; the busiest (interior) stage
+        # moves 2*M boundary tensors over each cut it touches (<= 2).
+        tp_shard = (-(-(-(-tp_payload // np.maximum(tp_collectives, 1)))
+                      // np.maximum(tp, 1)))
+        wire = wire + np.where(tp_mask & (tp_collectives > 0),
+                               tp_collectives * (tp - 1) * tp_shard, 0)
+        per_cut = -(-boundary // np.maximum(cuts, 1))
+        touched = np.where(pp > 2, 2, 1)
+        wire = wire + np.where(pp_mask & (pp > 1),
+                               2 * microbatches * touched * per_cut, 0)
+
+    total_cycles = np.ceil((total_s + serial_s) * frequency).astype(np.int64)
+    exposed_cycles = np.minimum(
+        np.ceil((exposed_s + serial_s) * frequency).astype(np.int64),
+        total_cycles)
+    return exposed_cycles, total_cycles, wire
 
 
 def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) has no batched analogue; the batch engine self-profiles via `profiler`
@@ -475,7 +542,7 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
     if not (len(algorithm_names) == len(kind_names)
             == len(topology_names) == length):
         raise ValueError("grid columns must broadcast to one length")
-    cross_bw, cross_lat, intra_bw, intra_lat = _fabric_links(
+    links = _fabric_links(
         fabrics, length, link_bandwidth_bytes_per_s, link_latency_s)
 
     topo = topology_codes(topology_names)
@@ -492,26 +559,15 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
     dp = n_chips // mp
     if (global_batch % dp).any():
         bad = int(np.argmax(global_batch % dp != 0))
-        if int(mp[bad]) == 1:
-            raise ValueError(
-                f"global batch {int(global_batch[bad])} does not divide "
-                f"evenly across {int(n_chips[bad])} chips")
         plan = ParallelPlan(dp=int(dp[bad]), pp=int(pp_col[bad]),
                             tp=int(tp_col[bad]))
-        raise ValueError(
-            f"global batch {int(global_batch[bad])} does not divide "
-            f"evenly across {int(dp[bad])} data-parallel replicas of "
-            f"plan {plan}")
-    hier = topo == topology_codes(["hierarchical"])[0]
-    lopsided = hier & (dp > 1) & (dp % np.maximum(cpn, 1) != 0)
-    if lopsided.any():
-        bad = int(np.argmax(lopsided))
-        raise ValueError(
-            f"{int(dp[bad])} chips do not group into hierarchical "
-            f"nodes of {int(cpn[bad])}")
-    # Flat topologies ignore chips_per_node in the scalar model only
-    # because InterconnectConfig rejects it; mirror that contract.
-    if ((~hier) & (cpn != 1)).any():
+        across = (f"{int(n_chips[bad])} chips" if plan.is_pure_dp else
+                  f"{plan.dp} data-parallel replicas of plan {plan}")
+        raise ValueError(f"global batch {int(global_batch[bad])} does not "
+                         f"divide evenly across {across}")
+    # InterconnectConfig rejects chips_per_node on flat topologies;
+    # grid columns keep the same contract.
+    if ((topo != TOPOLOGY_CODES["hierarchical"]) & (cpn != 1)).any():
         raise ValueError(
             "chips_per_node is only meaningful for the 'hierarchical' "
             "topology")
@@ -602,54 +658,12 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
             cuts[i] = sched.cuts
             microbatches[i] = sched.microbatches
 
-    norm_payload = global_batch * GRAD_BYTES
-    comm_args = (dp, topo, bucket, cpn)
-    kwargs = {"bandwidth": cross_bw, "latency": cross_lat,
-              "intra_bandwidth": intra_bw, "intra_latency": intra_lat}
-    grad_s = allreduce_seconds_batch(grad_payload, *comm_args, **kwargs)
-    norm_s = allreduce_seconds_batch(norm_payload, *comm_args, **kwargs)
-    total_s = grad_s + np.where(private, norm_s, 0.0)
-    wire = link_bytes_per_chip_batch(grad_payload, *comm_args)
-    wire = wire + np.where(
-        private, link_bytes_per_chip_batch(norm_payload, *comm_args), 0)
-
-    # Overlap exposure: only the gradient-sum allreduce hides behind
-    # backward compute; the norm-bookkeeping collective stays serial.
-    buckets = np.maximum(n_buckets_batch(grad_payload, bucket), 1)
-    window_s = ((overlappable / frequency) * (buckets - 1)) / buckets
-    exposed_grad_s = np.maximum(
-        first_bucket_seconds_batch(grad_payload, *comm_args, **kwargs),
-        grad_s - window_s)
-    exposed_s = np.where(overlap & (dp > 1),
-                         exposed_grad_s + (total_s - grad_s), total_s)
-
-    # Serial model-parallel charges: TP allgathers gate their GEMMs and
-    # the pipeline boundary fill/drain is exposed by construction.
-    # Same link-polymorphic forms (and operand order) as the scalar
-    # Interconnect methods; masked entries contribute exact zero, so
-    # pure-DP points keep their legacy floats bit for bit.
-    tp_mask = (tp_col > 1) & (tp_payload > 0)
-    pp_mask = (cuts > 0) & (boundary > 0)
-    serial_s = (
-        np.where(tp_mask, tensor_collective_seconds(
-            tp_payload, tp_colls, tp_col, intra_bw, intra_lat), 0.0)
-        + np.where(pp_mask, pipeline_boundary_seconds(
-            boundary, cuts, cross_bw, cross_lat), 0.0))
-    tp_shard = -(-(-(-tp_payload // np.maximum(tp_colls, 1)))
-                 // np.maximum(tp_col, 1))
-    wire = wire + np.where(tp_mask & (tp_colls > 0),
-                           tp_colls * (tp_col - 1) * tp_shard, 0)
-    per_cut = -(-boundary // np.maximum(cuts, 1))
-    touched = np.where(pp_col > 2, 2, 1)
-    wire = wire + np.where(pp_mask & (pp_col > 1),
-                           2 * microbatches * touched * per_cut, 0)
-
-    comm_total_cycles = np.ceil(
-        (total_s + serial_s) * frequency).astype(np.int64)
-    comm_cycles = np.minimum(
-        np.ceil((exposed_s + serial_s) * frequency).astype(np.int64),
-        comm_total_cycles)
-
+    norm_payload = np.where(private, global_batch * GRAD_BYTES, 0)
+    comm_cycles, comm_total_cycles, wire = step_comm_cycles(
+        grad_payload, norm_payload, dp, topo, bucket, cpn, links,
+        overlappable, frequency, overlap, tp=tp_col, pp=pp_col,
+        tp_payload=tp_payload, tp_collectives=tp_colls, boundary=boundary,
+        cuts=cuts, microbatches=microbatches)
     return ShardedStepBatch(
         n_chips=n_chips,
         global_batch=global_batch,

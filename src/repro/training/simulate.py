@@ -56,8 +56,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from repro.arch.accelerator import Accelerator, OpRun
 from repro.arch.cluster import Cluster, ParallelPlan
+from repro.arch.interconnect import TOPOLOGY_CODES
 from repro.training.algorithms import Algorithm
 from repro.training.phases import CLUSTER_PHASE_ORDER, PHASE_ORDER, Phase
 from repro.training.plan import phase_gemms
@@ -619,13 +622,16 @@ def simulate_sharded_training_step(
 
     ``plan=None`` (default) is pure data parallelism over all ``N``
     chips; any explicit :class:`~repro.arch.cluster.ParallelPlan` with
-    ``pp == tp == 1`` routes through the identical code path, so both
-    spellings are bitwise-equal.  Plans with ``pp > 1`` or ``tp > 1``
-    take the 3D path: the declarative schedule splits into pipeline
-    stages (GPipe-style microbatching with closed-form bubble
-    accounting) and tensor-parallel GEMM shards whose activation
-    allgathers ride the fabric's intra-node link — see
-    :mod:`repro.training.parallel`.
+    ``pp == tp == 1`` is the same plan, so both spellings are
+    bitwise-equal.  Plans with ``pp > 1`` or ``tp > 1`` also split the
+    declarative schedule into pipeline stages (GPipe-style
+    microbatching with closed-form bubble accounting) and
+    tensor-parallel GEMM shards whose activation allgathers ride the
+    fabric's intra-node link — see :mod:`repro.training.parallel`.
+    Every plan prices its communication with
+    :func:`repro.training.batch.step_comm_cycles` on length-1 columns,
+    the composition :func:`~repro.training.batch.sharded_step_batch`
+    evaluates over whole grids.
 
     The global mini-batch must divide evenly by the data-parallel
     degree.  Each replica runs the full phase sequence on its
@@ -653,44 +659,68 @@ def simulate_sharded_training_step(
     collective stage, with any overlapped wire time rendered as an
     async ``hidden`` slice (see :mod:`repro.obs.trace`).
     """
+    from repro.training.batch import step_comm_cycles
+
     n = cluster.n_chips
     if plan is not None:
         plan.validate(n)
-        if not plan.is_pure_dp:
-            return _simulate_3d_step(
-                network, algorithm, cluster, global_batch, plan,
-                overlap=overlap, recorder=recorder)
+    pure_dp = plan is None or plan.is_pure_dp
+    dp = n if plan is None else plan.dp
     if global_batch <= 0:
         raise ValueError(f"global batch must be positive, got {global_batch}")
-    if global_batch % n:
-        raise ValueError(
-            f"global batch {global_batch} does not divide evenly across "
-            f"{n} chips")
+    if global_batch % dp:
+        across = (f"{n} chips" if pure_dp else
+                  f"{dp} data-parallel replicas of plan {plan}")
+        raise ValueError(f"global batch {global_batch} does not divide "
+                         f"evenly across {across}")
+    local_batch = global_batch // dp
+    tp = 1 if plan is None else plan.tp
     shard, op_log = _simulate_chip_step(
-        network, algorithm, cluster.chip, global_batch // n,
-        recorder is not None)
+        network, algorithm, cluster.chip, local_batch,
+        recorder is not None or not pure_dp, tp=tp)
     payloads = allreduce_payload_bytes(network, algorithm, global_batch)
-    total_s = sum(cluster.allreduce_seconds(p) for p in payloads)
-    wire_bytes = sum(cluster.link_bytes(p) for p in payloads)
-    exposed_s = total_s
-    if overlap and n > 1:
-        # Only the gradient-sum allreduce (the first payload) overlaps;
-        # the norm-bookkeeping collective stays serial.
+    norm_payload = payloads[1] if len(payloads) > 1 else 0
+    if pure_dp:
         grad_payload = payloads[0]
-        grad_s = cluster.allreduce_seconds(grad_payload)
-        buckets = cluster.interconnect.n_buckets(grad_payload)
-        window_s = (overlappable_backward_cycles(shard)
-                    / cluster.frequency_hz) * (buckets - 1) / buckets
-        exposed_grad_s = max(
-            cluster.interconnect.first_bucket_seconds(grad_payload, n),
-            grad_s - window_s)
-        exposed_s = exposed_grad_s + (total_s - grad_s)
-    total_cycles = cluster.cycles(total_s)
-    exposed_cycles = min(cluster.cycles(exposed_s), total_cycles)
+        overlappable = overlappable_backward_cycles(shard)
+        pp_fields, schedule = {}, {}
+    else:
+        from repro.training.parallel import build_pipeline_schedule
+
+        assert plan is not None and op_log is not None
+        sched = build_pipeline_schedule(
+            network, algorithm, [op for op, _ in op_log],
+            [run.cycles for _, run in op_log],
+            {phase: run.cycles for phase, run in shard.phases.items()},
+            local_batch, plan)
+        # The data-parallel gradient payload shrinks to one stage's
+        # TP-sharded parameters, and the overlap window to the
+        # bottleneck stage's share of the gradient-producing phase.
+        grad_payload = sched.dp_payload_bytes
+        overlappable = sched.overlappable_cycles
+        pp_fields = dict(
+            tp=plan.tp, pp=plan.pp, tp_payload=sched.tp_payload_bytes,
+            tp_collectives=sched.tp_collectives,
+            boundary=sched.boundary_micro_bytes, cuts=sched.cuts,
+            microbatches=sched.microbatches)
+        schedule = dict(
+            pipeline_cycles=sched.pipeline_cycles,
+            bubble_cycles=sched.bubble_cycles,
+            microbatches=sched.microbatches,
+            stage_cycles=sched.stage_cycles,
+            stage_bounds=sched.stage_bounds)
+
+    ic = cluster.interconnect.config
+    exposed, total, wire = step_comm_cycles(
+        np.array([grad_payload]), np.array([norm_payload]),
+        np.array([dp]), np.array([TOPOLOGY_CODES[ic.topology]]),
+        np.array([ic.bucket_bytes or 0]), np.array([ic.chips_per_node]),
+        ic.links.link_params(), overlappable, cluster.frequency_hz,
+        overlap, **pp_fields)
     comm = OpRun(
-        cycles=exposed_cycles,
-        hidden_cycles=total_cycles - exposed_cycles,
-        link_bytes=wire_bytes,
+        cycles=int(exposed[0]),
+        hidden_cycles=int(total[0] - exposed[0]),
+        link_bytes=int(wire[0]),
     )
     report = ClusterTrainingReport(
         cluster=cluster.name,
@@ -701,108 +731,12 @@ def simulate_sharded_training_step(
         comm=comm,
         overlap=overlap,
         plan=plan,
+        **schedule,
     )
     if recorder is not None:
         from repro.obs.trace import add_cluster_step_spans
 
         assert op_log is not None
-        add_cluster_step_spans(recorder, report, op_log)
-    return report
-
-
-def _simulate_3d_step(
-    network: Network,
-    algorithm: Algorithm,
-    cluster: Cluster,
-    global_batch: int,
-    plan: ParallelPlan,
-    *,
-    overlap: bool = True,
-    recorder: "TraceRecorder | None" = None,
-) -> ClusterTrainingReport:
-    """One 3D-parallel (DP x PP x TP) training step.
-
-    The replica's whole-step schedule is simulated once per TP rank
-    (``_simulate_chip_step`` with ``tp``-sharded GEMMs), then split
-    into pipeline stages by :func:`repro.training.parallel.
-    build_pipeline_schedule`; the communication phase layers the
-    data-parallel allreduces (with the existing overlap/bucketing
-    model, the window now being the bottleneck stage's share of the
-    gradient-producing phase) on top of the serial tensor-parallel
-    allgather and pipeline fill/drain charges.
-    """
-    from repro.training.parallel import build_pipeline_schedule
-
-    dp = plan.dp
-    if global_batch <= 0:
-        raise ValueError(f"global batch must be positive, got {global_batch}")
-    if global_batch % dp:
-        raise ValueError(
-            f"global batch {global_batch} does not divide evenly across "
-            f"{dp} data-parallel replicas of plan {plan}")
-    local_batch = global_batch // dp
-    shard, op_log = _simulate_chip_step(
-        network, algorithm, cluster.chip, local_batch, True, tp=plan.tp)
-    assert op_log is not None
-    sched = build_pipeline_schedule(
-        network, algorithm, [op for op, _ in op_log],
-        [run.cycles for _, run in op_log],
-        {phase: run.cycles for phase, run in shard.phases.items()},
-        local_batch, plan)
-
-    ic = cluster.interconnect
-    payloads = [sched.dp_payload_bytes]
-    if algorithm.is_private:
-        payloads.append(global_batch * GRAD_BYTES)
-    total_s = sum(ic.allreduce_seconds(p, dp) for p in payloads)
-    wire_bytes = sum(ic.link_bytes_per_chip(p, dp) for p in payloads)
-    exposed_s = total_s
-    if overlap and dp > 1:
-        grad_payload = payloads[0]
-        grad_s = ic.allreduce_seconds(grad_payload, dp)
-        buckets = ic.n_buckets(grad_payload)
-        window_s = (sched.overlappable_cycles
-                    / cluster.frequency_hz) * (buckets - 1) / buckets
-        exposed_grad_s = max(
-            ic.first_bucket_seconds(grad_payload, dp),
-            grad_s - window_s)
-        exposed_s = exposed_grad_s + (total_s - grad_s)
-    # TP allgathers serialize with compute (each GEMM waits on its
-    # gathered input); the pipeline boundary charge is the fill/drain
-    # exposure.  Both land on the critical path unconditionally.
-    serial_s = (
-        ic.tp_collective_seconds(
-            sched.tp_payload_bytes, sched.tp_collectives, plan.tp)
-        + ic.pp_boundary_seconds(sched.boundary_micro_bytes, sched.cuts))
-    wire_bytes += ic.tp_link_bytes_per_chip(
-        sched.tp_payload_bytes, sched.tp_collectives, plan.tp)
-    wire_bytes += ic.pp_link_bytes_per_chip(
-        sched.boundary_micro_bytes, sched.cuts, sched.microbatches, plan.pp)
-    total_cycles = cluster.cycles(total_s + serial_s)
-    exposed_cycles = min(cluster.cycles(exposed_s + serial_s), total_cycles)
-    comm = OpRun(
-        cycles=exposed_cycles,
-        hidden_cycles=total_cycles - exposed_cycles,
-        link_bytes=wire_bytes,
-    )
-    report = ClusterTrainingReport(
-        cluster=cluster.name,
-        n_chips=cluster.n_chips,
-        topology=cluster.topology,
-        global_batch=global_batch,
-        shard=shard,
-        comm=comm,
-        overlap=overlap,
-        plan=plan,
-        pipeline_cycles=sched.pipeline_cycles,
-        bubble_cycles=sched.bubble_cycles,
-        microbatches=sched.microbatches,
-        stage_cycles=sched.stage_cycles,
-        stage_bounds=sched.stage_bounds,
-    )
-    if recorder is not None:
-        from repro.obs.trace import add_cluster_step_spans
-
         add_cluster_step_spans(recorder, report, op_log)
     return report
 

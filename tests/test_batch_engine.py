@@ -5,6 +5,8 @@ integers, same floats — on every configuration; these tests pin that
 with hypothesis-driven random grids plus handcrafted edge shapes.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,11 @@ from repro.arch.batch import (
     topology_codes,
 )
 from repro.arch.engine import ArrayConfig
-from repro.arch.interconnect import Interconnect, InterconnectConfig
+from repro.arch.interconnect import (
+    Interconnect,
+    InterconnectConfig,
+    fabric_named,
+)
 from repro.arch.systolic import (
     OutputStationaryEngine,
     WeightStationaryEngine,
@@ -104,6 +110,87 @@ class TestGemmStatsBatch:
         _assert_batch_equals_scalar(fallback, EDGE_SHAPES[:3])
 
 
+# -- plain-Python collective oracle ------------------------------------------
+#
+# A loop-free scalar restatement of the allreduce model (bucket split,
+# per-topology time on the fabric's link classes, shard-first-rounded
+# wire bytes), independent of the NumPy forms in repro.arch.interconnect
+# that both the Interconnect methods and the batched step evaluate.
+
+def _oracle_bucket_shape(config, payload):
+    if payload <= 0:
+        return 0, 0, 0
+    size = config.bucket_bytes
+    if size is None or size >= payload:
+        return 1, payload, 0
+    full, rem = divmod(payload, size)
+    return full, size, rem
+
+
+def _oracle_one_allreduce_seconds(config, payload, n_chips):
+    fab = config.links
+    bw = fab.cross_node.bandwidth_bytes_per_s
+    lat = fab.cross_node.latency_s
+    if config.topology == "ring":
+        return 2 * (n_chips - 1) * (payload / (n_chips * bw) + lat)
+    if config.topology == "all_to_all":
+        return 2 * (payload / (n_chips * bw) + lat)
+    m = config.chips_per_node
+    k = n_chips // m
+    seconds = 0.0
+    if m > 1:
+        seconds += 2 * (payload / (m * fab.intra_node.bandwidth_bytes_per_s)
+                        + fab.intra_node.latency_s)
+    if k > 1:
+        seconds += 2 * (k - 1) * (payload / (m * k * bw) + lat)
+    return seconds
+
+
+def _oracle_one_link_bytes(config, payload, n_chips):
+    if config.topology != "hierarchical":
+        if n_chips <= 1 or payload <= 0:
+            return 0
+        return 2 * (n_chips - 1) * math.ceil(payload / n_chips)
+    m = config.chips_per_node
+    k = n_chips // m
+    shard = math.ceil(payload / m)
+    in_node = 2 * (m - 1) * shard if m > 1 else 0
+    cross = 2 * (k - 1) * math.ceil(shard / k) if k > 1 else 0
+    return in_node + cross
+
+
+def _oracle_allreduce_seconds(config, payload, n_chips):
+    if n_chips <= 1 or payload <= 0:
+        return 0.0
+    full, size, rem = _oracle_bucket_shape(config, payload)
+    seconds = full * _oracle_one_allreduce_seconds(config, size, n_chips)
+    if rem:
+        seconds += _oracle_one_allreduce_seconds(config, rem, n_chips)
+    return seconds
+
+
+def _oracle_first_bucket_seconds(config, payload, n_chips):
+    if n_chips <= 1 or payload <= 0:
+        return 0.0
+    return _oracle_one_allreduce_seconds(
+        config, _oracle_bucket_shape(config, payload)[1], n_chips)
+
+
+def _oracle_link_bytes_per_chip(config, payload, n_chips):
+    if n_chips <= 1 or payload <= 0:
+        return 0
+    full, size, rem = _oracle_bucket_shape(config, payload)
+    total = full * _oracle_one_link_bytes(config, size, n_chips)
+    if rem:
+        total += _oracle_one_link_bytes(config, rem, n_chips)
+    return total
+
+
+def _oracle_n_buckets(config, payload):
+    full, _, rem = _oracle_bucket_shape(config, payload)
+    return full + (1 if rem else 0)
+
+
 class TestCollectiveBatch:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -112,17 +199,21 @@ class TestCollectiveBatch:
         topology=st.sampled_from(["ring", "all_to_all", "hierarchical"]),
         bucket_mb=st.sampled_from([None, 1, 4, 25]),
         node_pow=st.integers(0, 3),
+        fabric=st.sampled_from([None, "two-tier"]),
     )
     def test_matches_scalar_interconnect(self, payload, n_chips, topology,
-                                         bucket_mb, node_pow):
+                                         bucket_mb, node_pow, fabric):
         chips_per_node = 2 ** node_pow if topology == "hierarchical" else 1
         if topology == "hierarchical" and n_chips % chips_per_node:
             n_chips = chips_per_node * max(1, n_chips // chips_per_node)
         bucket = bucket_mb * 2**20 if bucket_mb else None
         config = InterconnectConfig(
             topology=topology, bucket_bytes=bucket,
-            chips_per_node=chips_per_node)
-        scalar = Interconnect(config)
+            chips_per_node=chips_per_node,
+            fabric=fabric_named(fabric) if fabric else None)
+        adapter = Interconnect(config)
+        # The default link operands are the uniform fabric's.
+        links = config.links.link_params() if fabric else ()
 
         p = np.array([payload])
         n = np.array([n_chips])
@@ -130,13 +221,26 @@ class TestCollectiveBatch:
         b = np.array([0 if bucket is None else bucket])
         cpn = np.array([chips_per_node])
 
-        assert allreduce_seconds_batch(p, n, topo, b, cpn)[0] == \
-            scalar.allreduce_seconds(payload, n_chips)
-        assert first_bucket_seconds_batch(p, n, topo, b, cpn)[0] == \
-            scalar.first_bucket_seconds(payload, n_chips)
+        expected_s = _oracle_allreduce_seconds(config, payload, n_chips)
+        expected_first = _oracle_first_bucket_seconds(
+            config, payload, n_chips)
+        expected_bytes = _oracle_link_bytes_per_chip(
+            config, payload, n_chips)
+        expected_buckets = _oracle_n_buckets(config, payload)
+        assert allreduce_seconds_batch(p, n, topo, b, cpn, *links)[0] == \
+            expected_s
+        assert first_bucket_seconds_batch(p, n, topo, b, cpn, *links)[0] == \
+            expected_first
         assert int(link_bytes_per_chip_batch(p, n, topo, b, cpn)[0]) == \
-            scalar.link_bytes_per_chip(payload, n_chips)
-        assert int(n_buckets_batch(p, b)[0]) == scalar.n_buckets(payload)
+            expected_bytes
+        assert int(n_buckets_batch(p, b)[0]) == expected_buckets
+        # The Interconnect methods are adapters over the same forms.
+        assert adapter.allreduce_seconds(payload, n_chips) == expected_s
+        assert adapter.first_bucket_seconds(payload, n_chips) \
+            == expected_first
+        assert adapter.link_bytes_per_chip(payload, n_chips) \
+            == expected_bytes
+        assert adapter.n_buckets(payload) == expected_buckets
 
     def test_unknown_topology_rejected(self):
         with pytest.raises(ValueError, match="topology"):

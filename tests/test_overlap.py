@@ -127,7 +127,7 @@ class TestBucketing:
     def test_first_bucket_latency(self):
         ic = fabric(bucket_bytes=1000)
         assert ic.first_bucket_seconds(2500, 4) \
-            == ic._one_allreduce_seconds(1000, 4)
+            == fabric().allreduce_seconds(1000, 4)
         assert fabric().first_bucket_seconds(2500, 4) \
             == fabric().allreduce_seconds(2500, 4)
 

@@ -14,6 +14,7 @@ from repro.arch.interconnect import (
     DEFAULT_LINK_LATENCY_S,
     FABRICS,
     Fabric,
+    Interconnect,
     InterconnectConfig,
     LinkClass,
     fabric_named,
@@ -88,6 +89,16 @@ class TestFabric:
                 net, Algorithm.DP_SGD, cluster, 64).comm.busy_cycles
         # The two-tier NIC (25 GB/s) is 4x slower than the uniform link.
         assert times["two-tier"] > times[None]
+
+    def test_repr_shows_fabric_links(self):
+        uniform = Interconnect(InterconnectConfig())
+        assert repr(uniform) == "Interconnect(ring, 100 GB/s, 1.0 us)"
+        two_tier = Interconnect(InterconnectConfig(fabric=FABRICS["two-tier"]))
+        assert repr(two_tier) == (
+            "Interconnect(ring, cross nic 25 GB/s, 5.0 us; "
+            "intra nvlink 300 GB/s, 0.5 us)")
+        cluster = build_cluster("diva", n_chips=2, interconnect=two_tier)
+        assert repr(two_tier) in repr(cluster)
 
 
 # -- pure-DP identity (satellite: plans are strictly additive) --------------
