@@ -23,10 +23,12 @@ The pieces:
     repair downtime; capped exponential retry backoff.
 
 :class:`FaultRun`
-    The per-simulation state machine the fleet event loop drives,
-    when faults are on, through one :meth:`FaultRun.begin_attempt`
-    call per dispatch.  It owns checkpoint amortization (cadence from
-    the :class:`~repro.training.simulate.CheckpointConfig`, Young/Daly
+    The per-simulation state machine the fleet event loop drives when
+    faults are on: one :meth:`FaultRun.begin_attempt` call per dispatch,
+    bar the clean first attempts the loop runs inline
+    (:meth:`FaultRun.clean_first_attempts`).  It owns checkpoint
+    amortization (cadence from the
+    :class:`~repro.training.simulate.CheckpointConfig`, Young/Daly
     when unset), the crash ledger transactions
     (:meth:`~repro.serve.budget.AdmissionController.reprice_steps` /
     :meth:`~repro.serve.budget.AdmissionController.refund_steps`),
@@ -241,8 +243,9 @@ class FaultModel:
         scale = self._chip_scale_s / n_chips ** (1.0 / shape)
         return scale * (-math.log(u)) ** (1.0 / shape)
 
-    def first_failures_s(self, n_jobs: int, n_chips: int) -> list[float]:
-        """``time_to_failure_s(job, 1, n_chips)`` for jobs ``0..n_jobs-1``.
+    def first_failures_s(self, job_ids: NDArray[np.uint64],
+                         n_chips: int) -> list[float]:
+        """``time_to_failure_s(job, 1, n_chips)`` for every id in ``job_ids``.
 
         One array hash draws every job's first-attempt uniform; the log
         and power stay per-value ``math`` calls, since NumPy's
@@ -250,9 +253,7 @@ class FaultModel:
         the scalar draws bit for bit.
         """
         shape = self.config.weibull_shape
-        draws = _keyed_uniform(self.config.seed,
-                               np.arange(n_jobs, dtype=np.uint64), 1,
-                               _S_FAIL)
+        draws = _keyed_uniform(self.config.seed, job_ids, 1, _S_FAIL)
         scale = self._chip_scale_s / n_chips ** (1.0 / shape)
         exponent = 1.0 / shape
         log = math.log
@@ -344,7 +345,8 @@ class _JobState:
 class FaultRun:
     """Failure bookkeeping one simulation drives through its dispatches.
 
-    The event loop calls :meth:`begin_attempt` once per dispatch; every
+    The event loop calls :meth:`book_clean` for each clean first
+    attempt and :meth:`begin_attempt` for every other dispatch; every
     counter, ledger transaction and outcome below is a function of that
     call sequence alone.
 
@@ -384,15 +386,49 @@ class FaultRun:
         self._degraded: dict[tuple[str, str, int, int], float | None] = {}
         self._first_failure_s: "array[float]" = array("d")
 
-    def prime_first_failures(self, n_jobs: int) -> None:
-        """Draw the first-attempt failure time of jobs ``0..n_jobs-1`` now.
+    def prime_first_failures(self, admitted: NDArray[np.bool_]) -> None:
+        """Draw the first-attempt failure time of every admitted job now.
 
-        The event loop calls this once before its first dispatch;
-        :meth:`begin_attempt` then reads first attempts from the table
-        and draws retries (and ids outside it) one by one.
+        The event loop calls this once before its first dispatch, with
+        one flag per job id; rejected jobs never dispatch and keep a NaN
+        slot.  :meth:`begin_attempt` reads first attempts from the
+        table and draws retries (and NaN or out-of-table ids) one by one.
         """
-        self._first_failure_s = array("d", self.model.first_failures_s(
-            n_jobs, self.fleet.chips_per_cluster))
+        ids = np.flatnonzero(admitted).astype(np.uint64)
+        table = np.full(len(admitted), math.nan)
+        table[ids] = self.model.first_failures_s(
+            ids, self.fleet.chips_per_cluster)
+        self._first_failure_s = array("d", table.tobytes())
+
+    def clean_first_attempts(
+            self, service: NDArray[np.float64]) -> NDArray[np.bool_]:
+        """Which jobs' primed first attempts run exactly ``service[job]``.
+
+        Clean means no failure before ``service[job]`` and no straggle:
+        :meth:`begin_attempt` would then only book a completion at
+        ``now + service[job]``, which :meth:`book_clean` books as well.
+        Unprimed (NaN) slots are never clean.
+        """
+        table = np.frombuffer(self._first_failure_s, dtype=np.float64)
+        clean = table >= service
+        rate = self.model.config.straggler_rate
+        if rate > 0.0:
+            ids = np.flatnonzero(clean)
+            clean[ids] = _keyed_uniform(
+                self.model.config.seed, ids.astype(np.uint64), 1,
+                _S_STRAGGLE) >= rate
+        return clean
+
+    def book_clean(self, finish_s: float, service_s: float,
+                   truncated: bool) -> None:
+        """Book a clean first attempt's counters as :meth:`begin_attempt`
+        would, so ``busy_s`` stays one sum in dispatch order."""
+        self.busy_s += service_s
+        self.completed += 1
+        if truncated:
+            self.truncated += 1
+        if finish_s > self.makespan_s:
+            self.makespan_s = finish_s
 
     # -- checkpoint cadence ------------------------------------------------
 
@@ -511,9 +547,10 @@ class FaultRun:
         mult = self.model.straggler_multiplier(job_id, attempt)
         eff = step_s * mult + write_s / interval
         duration = remaining * eff
-        if attempt == 1 and 0 <= job_id < len(self._first_failure_s):
-            fail_after = self._first_failure_s[job_id]
-        else:
+        table = self._first_failure_s
+        fail_after = table[job_id] if attempt == 1 \
+            and 0 <= job_id < len(table) else math.nan
+        if math.isnan(fail_after):
             fail_after = self.model.time_to_failure_s(
                 job_id, attempt, fleet.chips_per_cluster)
 

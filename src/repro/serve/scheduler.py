@@ -464,13 +464,17 @@ def simulate_fleet_streaming(
     frun: FaultRun | None = None
     if faults is not None:
         frun = FaultRun(faults, fleet, admission, cache=cache)
-        frun.prime_first_failures(total)
+        frun.prime_first_failures(decisions.admitted)
         # Attempts take Python scalars; these two columns are derived.
         sampling_rate, private = trace.sampling_rate, trace.is_private
         if obs is not None:
             _finishes = obs.finish_sink(total)
     step, service = _job_service_seconds(trace, decisions, fleet,
                                          cache=cache, faults=frun)
+    # One byte per job (indexing yields 0/1): whose first attempt can
+    # neither crash nor straggle, so it runs inline like a zero-fault one.
+    clean = (frun.clean_first_attempts(service).tobytes()
+             if frun is not None else b"")
     state = (AutoscalerState(autoscaler,
                              initial_clusters=fleet.n_clusters,
                              chips_per_cluster=fleet.chips_per_cluster)
@@ -577,18 +581,23 @@ def simulate_fleet_streaming(
         while idle and queued:
             job = pop()
             idle -= 1
-            if frun is None:
+            if frun is None or clean[job]:
                 wait = float(now - arrival[job])
                 service_s = float(service[job])
                 finish = now + service_s
                 heapq.heappush(pending, (finish, _PRIO_COMPLETION, seq, job))
                 seq += 1
-                busy_s += service_s
-                completed += 1
-                if short[job]:
-                    truncated += 1
-                if finish > makespan:
-                    makespan = finish
+                if frun is None:
+                    busy_s += service_s
+                    completed += 1
+                    if short[job]:
+                        truncated += 1
+                    if finish > makespan:
+                        makespan = finish
+                else:
+                    frun.book_clean(finish, service_s, short[job])
+                    if _finishes is not None:
+                        _finishes[job] = finish
             else:
                 wait = float(now - frun.ready_s(job, float(arrival[job])))
                 model_name = trace.models[int(trace.model[job])]

@@ -130,24 +130,29 @@ class TestKeyedDraws:
                                                      n_chips, n_jobs):
         model = FaultModel(FaultConfig(mtbf_hours=mtbf_hours,
                                        weibull_shape=shape, seed=seed))
-        assert model.first_failures_s(n_jobs, n_chips) == [
-            model.time_to_failure_s(job, 1, n_chips)
-            for job in range(n_jobs)]
+        assert model.first_failures_s(
+            np.arange(n_jobs, dtype=np.uint64), n_chips) == [
+                model.time_to_failure_s(job, 1, n_chips)
+                for job in range(n_jobs)]
 
     def test_primed_run_matches_unprimed_run(self):
         # The table is an exact cache: a run that never primes draws
         # every attempt through time_to_failure_s and ends identical.
-        def drive(prime):
+        # Unprimed (NaN) slots of a partial table and ids past its end
+        # fall back to the same scalar draw.
+        def drive(admitted):
             frun, _ = _run(AGGRESSIVE,
                            FleetConfig(chips=4, chips_per_cluster=2))
-            if prime:
-                frun.prime_first_failures(40)
+            if admitted is not None:
+                frun.prime_first_failures(admitted)
             outcomes = [_attempt(frun, job_id=job, now=10.0 * job,
                                  granted=400, requested=400)
                         for job in range(50)]
             return outcomes, frun.events, frun.busy_s, frun.wasted_s
 
-        assert drive(True) == drive(False)
+        unprimed = drive(None)
+        assert drive(np.ones(40, dtype=bool)) == unprimed
+        assert drive(np.arange(40) % 3 != 0) == unprimed
 
 
 class TestFaultModel:
@@ -321,6 +326,73 @@ def _attempt(frun, *, job_id=0, now=0.0, step_s=0.05, granted=200,
         tenant=tenant, sampling_rate=0.01, noise_multiplier=1.1,
         private=private, model_name="SqueezeNet", algorithm="SGD",
         batch=batch)
+
+
+_COUNTERS = ("completed", "truncated", "failed", "failures", "retries",
+             "degradations", "busy_s", "wasted_s", "makespan_s",
+             "repair_total_s", "downtime", "events")
+
+
+def _counters(frun):
+    return tuple(getattr(frun, name) for name in _COUNTERS)
+
+
+class TestCleanFirstAttempts:
+    """The loop's inline fast path against ``begin_attempt`` alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(straggler_rate=st.sampled_from([0.0, 0.2, 1.0]),
+           shape=st.floats(0.5, 3.0), mtbf_hours=st.floats(1e-3, 100.0),
+           interval=st.sampled_from([None, 1, 10, 100]),
+           chips_per_cluster=st.sampled_from([1, 2, 4]),
+           seed=st.integers(0, 2**32), step_s=st.floats(1e-3, 0.5),
+           now=st.floats(0.0, 1e6),
+           jobs=st.lists(st.tuples(st.booleans(), st.integers(1, 2000),
+                                   st.integers(0, 500)),
+                         min_size=1, max_size=30))
+    def test_mask_matches_begin_attempt(self, straggler_rate, shape,
+                                        mtbf_hours, interval,
+                                        chips_per_cluster, seed, step_s,
+                                        now, jobs):
+        config = FaultConfig(
+            mtbf_hours=mtbf_hours, weibull_shape=shape,
+            straggler_rate=straggler_rate, seed=seed,
+            checkpoint=CheckpointConfig(interval_steps=interval))
+        fleet = FleetConfig(chips=chips_per_cluster,
+                            chips_per_cluster=chips_per_cluster)
+        admitted = np.array([flag for flag, _, _ in jobs])
+        granted = np.array([steps for _, steps, _ in jobs])
+
+        def primed():
+            frun, _ = _run(config, fleet)
+            frun.prime_first_failures(admitted)
+            return frun
+
+        # Clean jobs run through `attempts` in lockstep with `booked`;
+        # the rest go to their own run so the two stay comparable.
+        masker, attempts, booked, others = (primed() for _ in range(4))
+        # The simulator's service column: granted x amortized step.
+        service = granted * np.full(
+            len(jobs), masker.effective_step_seconds("SqueezeNet", step_s))
+        clean = masker.clean_first_attempts(service)
+        assert not clean[~admitted].any()
+        if straggler_rate == 1.0:
+            assert not clean.any()
+        for job, (flag, steps, extra) in enumerate(jobs):
+            if not flag:
+                continue
+            run = attempts if clean[job] else others
+            out = _attempt(run, job_id=job, now=now, step_s=step_s,
+                           granted=steps, requested=steps + extra)
+            if clean[job]:
+                finish = now + float(service[job])
+                assert out.completed and out.crash_s is None
+                assert out.finish_s == finish
+                booked.book_clean(finish, float(service[job]), extra > 0)
+                assert _counters(booked) == _counters(attempts)
+            else:
+                assert out.crash_s is not None \
+                    or masker.model.straggler_multiplier(job, 1) > 1.0
 
 
 class TestFaultRun:

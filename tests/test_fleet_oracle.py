@@ -168,6 +168,12 @@ FAULTS = FaultConfig(
     degrade_fraction=0.7, repair_hours=0.02,
     checkpoint=CheckpointConfig(interval_steps=100), seed=3)
 
+#: Fault-path extremes: no first attempt can fail or straggle, so all
+#: take the simulator's inline fast path; or every attempt straggles,
+#: so none does.
+ALL_CLEAN = dataclasses.replace(FAULTS, mtbf_hours=1e9, straggler_rate=0.0)
+NONE_CLEAN = dataclasses.replace(FAULTS, straggler_rate=1.0)
+
 #: Queues build at this arrival rate, so the policies disagree.
 ZERO_FAULT_TRACE = TraceConfig(jobs=2_000, seed=13, mean_interarrival_s=0.5)
 FAULTY_TRACE = TraceConfig(jobs=1_500, seed=5, shape="bursty",
@@ -207,13 +213,33 @@ class TestMatchesReferenceLoop:
         config = FAULTY_TRACE if faulty else ZERO_FAULT_TRACE
         self._check(_floored(traces[config]), policy, autoscaled, faulty)
 
-    @staticmethod
-    def _check(jobs, policy, autoscaled, faulty):
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("faults", (ALL_CLEAN, NONE_CLEAN),
+                             ids=("all-clean", "none-clean"))
+    def test_clean_attempt_extremes(self, traces, policy, faults):
+        # Every first attempt takes the simulator's inline fast path,
+        # or none does; the reference loop runs begin_attempt for all.
+        report = self._compare(
+            traces[FAULTY_TRACE], FleetConfig(chips=8, chips_per_cluster=2),
+            policy, None, FaultModel(faults))
+        assert report.completed > 0
+        assert (report.retries > 0) == (faults is NONE_CLEAN)
+
+    @classmethod
+    def _check(cls, jobs, policy, autoscaled, faulty):
         fleet = FleetConfig(chips=8, chips_per_cluster=2) if faulty \
             else FleetConfig(chips=4)
         autoscaler = AUTOSCALE if autoscaled else None
         faults = FaultModel(FAULTS) if faulty else None
+        report = cls._compare(jobs, fleet, policy, autoscaler, faults)
+        # The grid exercises what it claims to.
+        assert report.rejected > 0 and report.completed > 0
+        assert bool(report.scale_events) == autoscaled
+        assert (report.retries > 0) == faulty
 
+    @staticmethod
+    def _compare(jobs, fleet, policy, autoscaler, faults):
+        """Assert the simulator matches the reference; return its report."""
         ref_log, ref, ref_waits = reference_fleet(
             jobs, fleet, policy=policy, autoscaler=autoscaler,
             faults=faults,
@@ -230,7 +256,4 @@ class TestMatchesReferenceLoop:
         for pct in (50, 95, 99):
             assert getattr(report, f"wait_p{pct}_s") \
                 == percentile(ref_waits, pct)
-        # The grid exercises what it claims to.
-        assert report.rejected > 0 and report.completed > 0
-        assert bool(report.scale_events) == autoscaled
-        assert (report.retries > 0) == faulty
+        return report
