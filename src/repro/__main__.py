@@ -293,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     design = sub.add_parser(
         "design-space",
         help="sweep PE-array geometries (batched in-process, "
-             "JSON-cached)")
+             "result-cached)")
     design.add_argument("--models", nargs="+", default=["VGG-16",
                                                         "BERT-large"],
                         choices=MODEL_NAMES, metavar="MODEL")
@@ -309,14 +309,14 @@ def main(argv: list[str] | None = None) -> int:
                              "analytic and runs batched in-process "
                              "without workers")
     design.add_argument("--cache-dir", default=None,
-                        help="persist results as JSON under this "
-                             "directory, keyed by config hash")
+                        help="persist results in cache.sqlite under "
+                             "this directory, keyed by config hash")
     # Defaults resolve inside _cmd_scaling (None sentinels here) so
     # building the parser never imports the experiments package.
     scal = sub.add_parser(
         "scaling",
         help="multi-chip data-parallel DP-SGD scaling sweep "
-             "(batched in-process, JSON-cached)")
+             "(batched in-process, result-cached)")
     scal.add_argument("--chips", nargs="+", type=int, default=None,
                       metavar="N",
                       help="cluster sizes to sweep (default: 1 2 4 8)")
@@ -378,8 +378,8 @@ def main(argv: list[str] | None = None) -> int:
                            "analytic and runs batched in-process "
                            "without workers")
     scal.add_argument("--cache-dir", default=None,
-                      help="persist results as JSON under this "
-                           "directory, keyed by config hash")
+                      help="persist results in cache.sqlite under "
+                           "this directory, keyed by config hash")
     # Policy choices are inlined (not imported from repro.serve) so
     # building the parser never imports the serving stack.
     serve = sub.add_parser(
@@ -485,8 +485,8 @@ def main(argv: list[str] | None = None) -> int:
                             "transient straggler while faults are on "
                             "(default: 0.0)")
     serve.add_argument("--cache-dir", default=None,
-                       help="persist per-config step latencies as "
-                            "JSON under this directory")
+                       help="persist per-config step latencies in "
+                            "cache.sqlite under this directory")
     serve.add_argument("--trace", default=None, metavar="FILE",
                        help="write job-lifecycle spans, autoscaler "
                             "instants, and load counters for every "
@@ -562,8 +562,8 @@ def main(argv: list[str] | None = None) -> int:
                                "reports this fleet and exits 1 "
                                "(default: 4096)")
     capacity.add_argument("--cache-dir", default=None,
-                          help="persist per-config step latencies as "
-                               "JSON under this directory")
+                          help="persist per-config step latencies in "
+                               "cache.sqlite under this directory")
     trace = sub.add_parser(
         "trace",
         help="inspect a Chrome-trace JSON file (schema check + "

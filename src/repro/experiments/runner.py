@@ -1,4 +1,4 @@
-"""Parallel experiment runner: process-pool sweeps + persisted JSON caching.
+"""Parallel experiment runner: process-pool sweeps + a persisted result cache.
 
 The experiment harness spends its time in many independent simulations
 (one per model / design point / scale setting), so the natural speedup
@@ -17,7 +17,7 @@ API
     parallelism is disabled, a single job is requested, or there is at
     most one item.
 ``run_cached(key_obj, producer, *, cache=None)``
-    Persisted JSON memoization: returns ``producer()`` and stores it
+    Persisted memoization: returns ``producer()`` and stores it
     under ``config_hash(key_obj)``; later calls with an equal key load
     the stored value instead of recomputing.  ``producer`` must return
     a JSON-serializable value.  A ``None`` cache (the default when no
@@ -25,22 +25,27 @@ API
 ``cached_sweep(fn, items, *, key_fn, cache=None, ...)``
     :func:`sweep` with one persisted entry *per item* (keyed by
     ``config_hash(key_fn(item))``): growing a sweep recomputes only
-    the new points.
+    the new points, which are written in one ``put_many`` batch.
 ``cached_batch(batch_fn, items, *, key_fn, cache=None)``
     The in-process counterpart for *analytic* sweeps: one
     ``get_many`` lookup pass per grid, one batched evaluation of the
     missing items (``batch_fn`` gets the list, returns the values in
     order — this is where the NumPy batched engines plug in), one
-    ``put_many`` write batch with a single fsync.  The ``scaling`` and
+    ``put_many`` transaction for the new values.  The ``scaling`` and
     ``design-space`` experiments route through this; the process pool
     stays for non-analytic work.
 ``config_hash(obj)``
     Stable short SHA-256 of a canonical JSON rendering of ``obj``
     (dataclasses, enums, tuples and mappings are normalized first).
 ``ResultCache(root)``
-    The JSON file store: one ``<hash>.json`` per entry under ``root``,
-    written atomically, carrying both the key and the value so entries
-    stay debuggable.
+    The store: one SQLite table in ``<root>/cache.sqlite`` with one
+    ``(hash, key, value)`` row per entry (key and value JSON-encoded,
+    so entries stay debuggable).  ``get_many`` is one ``SELECT`` per
+    grid; ``put_many`` is one transaction, committed at SQLite's
+    default ``synchronous=FULL`` before it returns, and ``put`` is a
+    ``put_many`` of one entry.  Lookups never create the directory or
+    the database.  ``sqlite3`` is imported on first use, so importing
+    this module (as ``repro.serve`` does) does not load it.
 
 Caching and parallelism knobs
 -----------------------------
@@ -58,7 +63,10 @@ Stale-entry policy: a cache entry's hash covers every input the caller
 puts into ``key_obj`` — sweep parameters plus the relevant architecture
 config — so changing any knob produces a fresh entry.  Code changes are
 *not* hashed; delete the cache directory (or pass a versioned key) when
-the models themselves change.
+the models themselves change.  A stored value that is not JSON, or is
+``null``, reads as stale and is recomputed and overwritten.  Entries
+of the older one-``<hash>.json``-per-entry layout are not read: such a
+directory recomputes once into ``cache.sqlite``.
 
 Examples
 --------
@@ -73,7 +81,7 @@ scope so worker processes can import it)::
     runner.sweep(cube, [1, 2, 3], jobs=2)         # -> [1, 8, 27]
     runner.sweep(pow, [(2, 3), (3, 2)], star=True)  # -> [8, 9]
 
-Persist one JSON entry per design point, so growing a sweep recomputes
+Persist one entry per design point, so growing a sweep recomputes
 only the new combinations (this is how ``design-space`` and ``scaling``
 drive their CLI ``--cache-dir``)::
 
@@ -96,9 +104,8 @@ import enum
 import hashlib
 import json
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable
@@ -112,8 +119,8 @@ class CacheStats:
     """Outcome tally of one (or several) cached lookup passes.
 
     ``hits`` loaded a stored value, ``misses`` found no entry, and
-    ``stale`` found an entry that could not be used (unreadable file,
-    corrupt JSON, or a payload without a value) — stale entries are
+    ``stale`` found an entry that could not be used (a stored value
+    that is not JSON, or is ``null``) — stale entries are
     recomputed exactly like misses, the distinction only matters for
     reporting.  Pass one instance through several
     :func:`cached_sweep` / :func:`cached_batch` calls to accumulate.
@@ -225,39 +232,36 @@ def config_hash(obj: Any) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+#: Hashes per ``SELECT`` (SQLite's historical bound on parameters).
+_MAX_PARAMS = 999
+
+
 class ResultCache:
-    """One-JSON-file-per-entry result store keyed by config hash."""
+    """Result store keyed by config hash: one SQLite table per root.
+
+    Entries live in ``<root>/cache.sqlite`` as rows of
+    ``(hash, key, value)``; the JSON-encoded key is stored beside the
+    JSON-encoded value, so entries stay debuggable.  Every write is one
+    SQLite transaction at the default ``synchronous=FULL``: a reader
+    sees the old rows or the new ones, never a torn value, and a write
+    returns only once it is durable.  Each call opens its own
+    connection, so threads and worker processes can share one root.
+    """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-
-    def path(self, key_hash: str) -> Path:
-        return self.root / f"{key_hash}.json"
+        self._db = self.root / "cache.sqlite"
 
     def lookup(self, key_hash: str) -> tuple[Any | None, str]:
         """``(value, status)`` for one entry.
 
-        Status is ``"hit"`` (value loaded), ``"miss"`` (no entry on
-        disk), or ``"stale"`` (an entry exists but is unusable:
-        unreadable file, corrupt JSON, or a payload carrying no value).
-        Stale entries behave like misses — the caller recomputes and
-        overwrites them — but are tallied separately by
-        :class:`CacheStats`.
+        Status is ``"hit"`` (value loaded), ``"miss"`` (no entry), or
+        ``"stale"`` (an entry exists but is unusable: a stored value
+        that is not JSON, or is JSON ``null``).  Stale entries behave
+        like misses — the caller recomputes and overwrites them — but
+        are tallied separately by :class:`CacheStats`.
         """
-        try:
-            text = self.path(key_hash).read_text()
-        except FileNotFoundError:
-            return None, "miss"
-        except OSError:
-            return None, "stale"
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            return None, "stale"
-        value = payload.get("value") if isinstance(payload, dict) else None
-        if value is None:
-            return None, "stale"
-        return value, "hit"
+        return self._lookup_many([key_hash])[0]
 
     def get(self, key_hash: str) -> Any | None:
         """Stored value for ``key_hash``, or None (missing/corrupt)."""
@@ -265,87 +269,77 @@ class ResultCache:
 
     def get_many(self, key_hashes: Iterable[str], *,
                  stats: CacheStats | None = None) -> list[Any | None]:
-        """One :meth:`lookup` per hash, as a single batched lookup pass.
+        """:meth:`get` for every hash, in one ``SELECT`` per grid.
 
         The batched sweep paths resolve a whole grid's cache state up
-        front through this (one call per grid, not one per point), so
-        misses can be computed together in one vectorized evaluation.
-        ``stats`` tallies hit/miss/stale outcomes when given.
+        front through this, so misses can be computed together in one
+        vectorized evaluation.  ``stats`` tallies hit/miss/stale
+        outcomes when given.
         """
         values = []
-        for key_hash in key_hashes:
-            value, status = self.lookup(key_hash)
+        for value, status in self._lookup_many(list(key_hashes)):
             if stats is not None:
                 stats.record(status)
             values.append(value)
         return values
 
-    def _publish(self, key_hash: str, key: Any, value: Any,
-                 fsync_file: bool) -> None:
-        """Write one entry via temp-file + ``os.replace``.
+    def _lookup_many(self, key_hashes: list[str]) -> list[tuple[Any, str]]:
+        """:meth:`lookup` for every hash; never creates the database."""
+        stored: dict[str, str | None] = {}
+        if key_hashes and self._db.exists():
+            import sqlite3
 
-        The temp file lives *in the cache directory* (same filesystem,
-        so the rename cannot degrade to copy+delete); a reader can
-        observe the old entry or the new one, never torn JSON.
-        ``fsync_file`` controls whether the payload is flushed to disk
-        before publishing — the durability knob :meth:`put` and
-        :meth:`put_many` differ on.
-        """
-        payload = json.dumps({"key": _jsonable(key), "value": value},
-                             indent=2, sort_keys=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-                if fsync_file:
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            os.replace(tmp, self.path(key_hash))
-        except BaseException:
+            with closing(sqlite3.connect(self._db)) as db:
+                try:
+                    for start in range(0, len(key_hashes), _MAX_PARAMS):
+                        chunk = key_hashes[start:start + _MAX_PARAMS]
+                        stored.update(db.execute(
+                            "SELECT hash, value FROM entries WHERE hash IN "
+                            f"({','.join('?' * len(chunk))})", chunk))
+                except sqlite3.OperationalError as err:
+                    # A first writer creates the file before its table.
+                    if "no such table" not in str(err):
+                        raise
+        out: list[tuple[Any, str]] = []
+        for key_hash in key_hashes:
+            if key_hash not in stored:
+                out.append((None, "miss"))
+                continue
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+                value = json.loads(stored[key_hash] or "null")
+            except ValueError:
+                value = None
+            out.append((None, "stale") if value is None
+                       else (value, "hit"))
+        return out
 
     def put(self, key_hash: str, key: Any, value: Any) -> None:
-        """Atomically persist ``value`` (and its key, for debuggability).
+        """Persist ``value`` (and its key, for debuggability)."""
+        self.put_many([(key_hash, key, value)])
 
-        Concurrent sweep workers (and the serving scheduler's cached
-        step-latency lookups) may hammer the same entry: the payload is
-        flushed and fsynced, then published with ``os.replace`` — the
-        torn-read guarantee of :meth:`_publish`.
+    def put_many(self, entries: Iterable[tuple[str, Any, Any]]) -> None:
+        """Persist ``(key_hash, key, value)`` entries in one transaction.
+
+        Every row is JSON-encoded before the database is opened, so a
+        batch holding an unserializable value raises without storing
+        anything; the rest commits all-or-nothing.  The batched sweep
+        paths write a whole grid through this.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._publish(key_hash, key, value, fsync_file=True)
-
-    def put_many(
-        self, entries: Iterable[tuple[str, Any, Any]],
-    ) -> None:
-        """Persist ``(key_hash, key, value)`` entries, one fsync per batch.
-
-        Each entry still goes through :meth:`_publish` (temp file +
-        ``os.replace``), so readers keep :meth:`put`'s torn-read
-        guarantee — old entry or new entry, never torn JSON.  What is
-        amortized is *durability*: instead of fsyncing every file, the
-        batch issues a single directory fsync at the end — a crash can
-        lose the latest batch of entries (the cache would simply
-        recompute them) but can never surface a corrupt one.  The
-        batched sweep paths write a whole grid through this.
-        """
-        batch = list(entries)
-        if not batch:
+        rows = [(key_hash,
+                 json.dumps(_jsonable(key), sort_keys=True),
+                 json.dumps(value, sort_keys=True))
+                for key_hash, key, value in entries]
+        if not rows:
             return
+        import sqlite3
+
         self.root.mkdir(parents=True, exist_ok=True)
-        for key_hash, key, value in batch:
-            self._publish(key_hash, key, value, fsync_file=False)
-        dir_fd = os.open(self.root, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        except OSError:
-            pass  # some filesystems refuse directory fsync; best effort
-        finally:
-            os.close(dir_fd)
+        with closing(sqlite3.connect(self._db)) as db:
+            db.execute("CREATE TABLE IF NOT EXISTS entries "
+                       "(hash TEXT PRIMARY KEY, key TEXT, value TEXT)")
+            with db:
+                db.executemany(
+                    "INSERT OR REPLACE INTO entries VALUES (?, ?, ?)", rows)
 
 
 def default_cache() -> ResultCache | None:
@@ -390,35 +384,16 @@ def cached_sweep(
 
     Each item is cached under ``config_hash(key_fn(item))``, so growing
     a sweep only computes the new points — previously stored ones load
-    from disk.  ``fn`` must return JSON-serializable values.  Without a
-    cache this degrades to a plain :func:`sweep`.  ``stats`` tallies
+    from disk, and the new ones land in one :meth:`ResultCache.put_many`
+    transaction.  ``fn`` must return JSON-serializable values.  Without
+    a cache this degrades to a plain :func:`sweep`.  ``stats`` tallies
     hit/miss/stale lookup outcomes; ``profiler`` times the
     lookup/compute/write stages and counts sweep sizes.
     """
-    work = list(items)
-    if profiler is not None:
-        profiler.count("sweep_items", len(work))
-    if cache is None:
-        cache = default_cache()
-    if cache is None:
-        with _stage(profiler, "cache/compute"):
-            return sweep(fn, work, jobs=jobs, parallel=parallel, star=star)
-    with _stage(profiler, "cache/lookup"):
-        keys = [key_fn(item) for item in work]
-        hashes = [config_hash(key) for key in keys]
-        results = cache.get_many(hashes, stats=stats)
-    missing = [i for i, value in enumerate(results) if value is None]
-    if profiler is not None:
-        profiler.count("cache_hits", len(work) - len(missing))
-        profiler.count("cache_misses", len(missing))
-    with _stage(profiler, "cache/compute"):
-        computed = sweep(fn, [work[i] for i in missing],
-                         jobs=jobs, parallel=parallel, star=star)
-    with _stage(profiler, "cache/write"):
-        for index, value in zip(missing, computed):
-            cache.put(hashes[index], keys[index], value)
-            results[index] = value
-    return results
+    return _memoized(
+        lambda work: sweep(fn, work, jobs=jobs, parallel=parallel,
+                           star=star),
+        items, key_fn, cache, stats, profiler, "sweep_items")
 
 
 def cached_batch(
@@ -439,18 +414,32 @@ def cached_batch(
     batched NumPy engines evaluate the whole list in a few broadcast
     passes.  Cache lookups happen in one :meth:`ResultCache.get_many`
     pass per grid and new results land through one
-    :meth:`ResultCache.put_many` batch (single fsync).  ``stats``
-    tallies hit/miss/stale lookup outcomes; ``profiler`` times the
+    :meth:`ResultCache.put_many` transaction.  ``stats`` tallies
+    hit/miss/stale lookup outcomes; ``profiler`` times the
     lookup/compute/write stages and counts batch sizes.
     """
+    return _memoized(batch_fn, items, key_fn, cache, stats, profiler,
+                     "batch_items")
+
+
+def _memoized(
+    evaluate: Callable[[list], list],
+    items: Iterable,
+    key_fn: Callable[[Any], Any],
+    cache: ResultCache | None,
+    stats: CacheStats | None,
+    profiler: "Profiler | None",
+    size_counter: str,
+) -> list:
+    """Shared body of :func:`cached_sweep` and :func:`cached_batch`."""
     work = list(items)
     if profiler is not None:
-        profiler.count("batch_items", len(work))
+        profiler.count(size_counter, len(work))
     if cache is None:
         cache = default_cache()
     if cache is None:
         with _stage(profiler, "cache/compute"):
-            return batch_fn(work)
+            return evaluate(work)
     with _stage(profiler, "cache/lookup"):
         keys = [key_fn(item) for item in work]
         hashes = [config_hash(key) for key in keys]
@@ -460,7 +449,7 @@ def cached_batch(
         profiler.count("cache_hits", len(work) - len(missing))
         profiler.count("cache_misses", len(missing))
     with _stage(profiler, "cache/compute"):
-        computed = batch_fn([work[i] for i in missing])
+        computed = evaluate([work[i] for i in missing])
     if len(computed) != len(missing):
         raise ValueError(
             f"batch_fn returned {len(computed)} values for "

@@ -473,7 +473,7 @@ def test_cli_reports_seeded_violation(tmp_path):
 # regression: the stale-hit bug R002 surfaced in the design-space sweep
 # ---------------------------------------------------------------------------
 
-def test_design_space_key_includes_model_shape(tmp_path):
+def test_design_space_key_includes_model_shape(tmp_path, cache_table):
     """Key v2: sweeps differing only in seq_len must not share entries.
 
     Key v1 hashed only (model, height, width), so a second sweep with a
@@ -487,7 +487,7 @@ def test_design_space_key_includes_model_shape(tmp_path):
                              seq_len=32, cache=cache)
     long = design_space.run(models=("BERT-large",), heights=(64,),
                             seq_len=64, cache=cache)
-    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+    assert len(cache_table(tmp_path / "cache").keys()) == 2
     assert short[0]["ws_ms"] != long[0]["ws_ms"]
 
     # and the cached row is the one the scalar oracle would compute

@@ -224,12 +224,12 @@ class TestScalingExperiment:
                            jobs=1)
         assert [row["global_batch"] for row in rows] == [100, 800]
 
-    def test_results_persist_in_json_cache(self, tmp_path):
+    def test_results_persist_in_json_cache(self, tmp_path, cache_table):
         from repro.experiments.runner import ResultCache
         cache = ResultCache(tmp_path)
         rows = scaling.run(models=("SqueezeNet",), chips=(1, 2),
                            algorithms=("DP-SGD",), jobs=1, cache=cache)
-        assert len(list(tmp_path.glob("*.json"))) == 2
+        assert len(cache_table(tmp_path).keys()) == 2
         again = scaling.run(models=("SqueezeNet",), chips=(1, 2),
                             algorithms=("DP-SGD",), jobs=1, cache=cache)
         assert again == rows

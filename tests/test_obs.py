@@ -431,19 +431,22 @@ class TestProfiler:
 # Cache stats + profiled runner stages
 # ---------------------------------------------------------------------------
 class TestCacheStats:
-    def test_lookup_statuses(self, tmp_path):
+    def test_lookup_statuses(self, tmp_path, cache_table):
         from repro.experiments.runner import ResultCache
 
         cache = ResultCache(tmp_path)
         assert cache.lookup("aaaa") == (None, "miss")
-        cache.put("aaaa", {"k": 1}, {"v": 2})
+        cache.put_many([("aaaa", {"k": 1}, {"v": 2}),
+                        ("bbbb", {"k": 2}, {"v": 3}),
+                        ("cccc", {"k": 3}, {"v": 4})])
         assert cache.lookup("aaaa") == ({"v": 2}, "hit")
-        cache.path("bbbb").write_text("{ not json")
+        cache_table(tmp_path).set_value("bbbb", "{ not json")
         assert cache.lookup("bbbb") == (None, "stale")
-        cache.path("cccc").write_text(json.dumps({"key": 1}))
+        cache_table(tmp_path).set_value("cccc", "null")
         assert cache.lookup("cccc") == (None, "stale")
 
-    def test_cached_batch_tallies_and_profiles(self, tmp_path):
+    def test_cached_batch_tallies_and_profiles(self, tmp_path,
+                                               cache_table):
         from repro.experiments.runner import (
             CacheStats, ResultCache, cached_batch,
         )
@@ -473,7 +476,7 @@ class TestCacheStats:
 
         # Corrupt one entry: recomputed, tallied stale.
         from repro.experiments.runner import config_hash
-        cache.path(config_hash(key_fn(2))).write_text("garbage")
+        cache_table(tmp_path).set_value(config_hash(key_fn(2)), "garbage")
         out = cached_batch(lambda items: [i * 10 for i in items],
                            [1, 2, 3], key_fn=key_fn, cache=cache,
                            stats=stats)

@@ -349,7 +349,8 @@ class TestScalingExperimentKnobs:
         with pytest.raises(ValueError, match="bucket_bytes"):
             scaling.run(bucket_bytes=0)
 
-    def test_cache_key_distinguishes_new_dimensions(self, tmp_path):
+    def test_cache_key_distinguishes_new_dimensions(self, tmp_path,
+                                                    cache_table):
         from repro.experiments.runner import ResultCache
         cache = ResultCache(tmp_path)
         common = dict(models=("SqueezeNet",), chips=(2,),
@@ -357,7 +358,7 @@ class TestScalingExperimentKnobs:
         scaling.run(overlap=True, bucket_bytes=64 * 1024, **common)
         scaling.run(overlap=False, bucket_bytes=64 * 1024, **common)
         scaling.run(overlap=True, **common)
-        assert len(list(tmp_path.glob("*.json"))) == 3
+        assert len(cache_table(tmp_path).keys()) == 3
 
 
 class TestBatchClampFlag:

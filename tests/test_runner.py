@@ -1,9 +1,14 @@
 """Tests for the parallel experiment runner (repro.experiments.runner)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments import runner
 from repro.experiments.design_space import evaluate_point
 
@@ -82,17 +87,22 @@ class TestResultCache:
     def test_missing_returns_none(self, tmp_path):
         assert runner.ResultCache(tmp_path).get("nope") is None
 
-    def test_corrupt_returns_none(self, tmp_path):
+    def test_corrupt_returns_none(self, tmp_path, cache_table):
         cache = runner.ResultCache(tmp_path)
-        cache.root.mkdir(exist_ok=True)
-        cache.path("bad").write_text("{not json")
+        cache.put("bad", {"k": 1}, 1)
+        cache_table(tmp_path).set_value("bad", "{not json")
         assert cache.get("bad") is None
 
-    def test_entry_keeps_key_for_debugging(self, tmp_path):
+    def test_lookups_never_create_the_store(self, tmp_path):
+        cache = runner.ResultCache(tmp_path / "never-created")
+        assert cache.lookup("nope") == (None, "miss")
+        assert cache.get_many(["a", "b"]) == [None, None]
+        assert not (tmp_path / "never-created").exists()
+
+    def test_entry_keeps_key_for_debugging(self, tmp_path, cache_table):
         cache = runner.ResultCache(tmp_path)
         cache.put("abc", {"model": "VGG-16"}, 42)
-        payload = json.loads(cache.path("abc").read_text())
-        assert payload["key"] == {"model": "VGG-16"}
+        assert cache_table(tmp_path).keys()["abc"] == {"model": "VGG-16"}
 
     def test_run_cached_computes_once(self, tmp_path):
         cache = runner.ResultCache(tmp_path)
@@ -118,7 +128,7 @@ class TestResultCache:
         runner.run_cached({"k": 1}, producer, cache=None)
         assert len(calls) == 2
 
-    def test_cached_sweep_per_item_entries(self, tmp_path):
+    def test_cached_sweep_per_item_entries(self, tmp_path, cache_table):
         cache = runner.ResultCache(tmp_path)
         calls = []
 
@@ -135,22 +145,22 @@ class TestResultCache:
                                      cache=cache, parallel=False)
         assert second == [10, 20, 30]
         assert calls == [1, 2, 3]
-        assert len(list(tmp_path.glob("*.json"))) == 3
+        assert len(cache_table(tmp_path).keys()) == 3
 
     def test_cached_sweep_without_cache_is_plain_sweep(self):
         assert runner.cached_sweep(square, [2, 3],
                                    key_fn=lambda x: x,
                                    cache=None, parallel=False) == [4, 9]
 
-    def test_put_many_roundtrip_and_single_batch(self, tmp_path):
+    def test_put_many_roundtrip_and_single_batch(self, tmp_path,
+                                                 cache_table):
         cache = runner.ResultCache(tmp_path)
         entries = [(f"h{i}", {"k": i}, i * 10) for i in range(5)]
         cache.put_many(entries)
         assert cache.get_many([h for h, _, _ in entries]) == \
             [0, 10, 20, 30, 40]
         # Entries stay debuggable (key persisted alongside the value).
-        payload = json.loads(cache.path("h3").read_text())
-        assert payload["key"] == {"k": 3}
+        assert cache_table(tmp_path).keys()["h3"] == {"k": 3}
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_put_many_empty_is_noop(self, tmp_path):
@@ -164,8 +174,11 @@ class TestResultCache:
             cache.put_many([("ok", {"k": 1}, 1),
                             ("bad", {"k": 2}, object())])
         assert not list(tmp_path.glob("*.tmp"))
+        # All or nothing: the serializable entry was not stored either.
+        assert cache.get("ok") is None
 
-    def test_cached_batch_computes_only_misses(self, tmp_path):
+    def test_cached_batch_computes_only_misses(self, tmp_path,
+                                               cache_table):
         cache = runner.ResultCache(tmp_path)
         calls = []
 
@@ -182,7 +195,7 @@ class TestResultCache:
         assert second == [10, 20, 30]
         # One batched call per grid, covering only the misses.
         assert calls == [[1, 2], [3]]
-        assert len(list(tmp_path.glob("*.json"))) == 3
+        assert len(cache_table(tmp_path).keys()) == 3
 
     def test_cached_batch_without_cache_calls_through(self):
         assert runner.cached_batch(
@@ -197,8 +210,8 @@ class TestResultCache:
 
     def test_concurrent_writers_never_tear(self, tmp_path):
         """Hammer one entry from many threads while reading it back:
-        every read must observe a complete payload (old or new), never
-        torn JSON, and no temp files may leak."""
+        every read must observe a complete value (old or new), never a
+        stale one, no thread may raise, and no temp files may leak."""
         import threading
 
         cache = runner.ResultCache(tmp_path)
@@ -211,24 +224,23 @@ class TestResultCache:
                 cache.put("contended", {"k": 1}, payload)
 
         def reader():
-            # Parse the raw file directly: going through get() would
-            # mask a torn write as None and hide the very bug this
-            # test exists to catch.
-            path = cache.path("contended")
             for _ in range(200):
-                try:
-                    payload = json.loads(path.read_text())
-                except FileNotFoundError:
-                    continue  # no write published yet
-                except json.JSONDecodeError as err:
-                    errors.append(f"torn JSON: {err}")
-                    continue
-                if payload["value"] not in payloads:
-                    errors.append(payload["value"])
+                value, status = cache.lookup("contended")
+                if status == "miss":
+                    continue  # no write committed yet
+                if status != "hit" or value not in payloads:
+                    errors.append((status, value))
 
-        threads = [threading.Thread(target=writer, args=(p,))
+        def guarded(target, *args):
+            try:
+                target(*args)
+            except BaseException as err:  # surfaced by the assert below
+                errors.append(repr(err))
+
+        threads = [threading.Thread(target=guarded, args=(writer, p))
                    for p in payloads]
-        threads += [threading.Thread(target=reader) for _ in range(2)]
+        threads += [threading.Thread(target=guarded, args=(reader,))
+                    for _ in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -243,6 +255,17 @@ class TestResultCache:
             cache.put("bad", {"k": 1}, object())  # not JSON-serializable
         assert not list(tmp_path.glob("*.tmp"))
         assert cache.get("bad") is None
+
+    def test_import_does_not_load_sqlite3(self):
+        """``repro.serve`` imports the runner but never opens a cache,
+        so ``sqlite3`` loads only on the first cache access."""
+        src = Path(repro.__file__).resolve().parents[1]
+        code = ("import sys, repro.serve, repro.experiments.runner; "
+                "print('sqlite3' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, check=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.stdout.strip() == "False"
 
     def test_default_cache_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -259,7 +282,7 @@ class TestDesignSpace:
         assert row["speedup"] > 1.0
         assert row["ws_ms"] > row["diva_ms"]
 
-    def test_run_uses_cache(self, tmp_path):
+    def test_run_uses_cache(self, tmp_path, cache_table):
         from repro.experiments import design_space
 
         cache = runner.ResultCache(tmp_path)
@@ -268,7 +291,7 @@ class TestDesignSpace:
         again = design_space.run(models=("SqueezeNet",), heights=(128,),
                                  cache=cache, jobs=1)
         assert rows == again
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        assert len(cache_table(tmp_path).keys()) == 1
 
     def test_render_includes_rows(self):
         from repro.experiments import design_space

@@ -501,13 +501,12 @@ class TestServeExperiment:
         rows = serve_experiment.run(trace_jobs=5, chips=1)
         assert tuple(row["policy"] for row in rows) == POLICIES
 
-    def test_step_cache_persists(self, tmp_path):
+    def test_step_cache_persists(self, tmp_path, cache_table):
         from repro.experiments import runner
 
         cache = runner.ResultCache(tmp_path)
         serve_experiment.run(policies=("fifo",), trace_jobs=10,
                              chips=2, cache=cache)
-        entries = list(tmp_path.glob("*.json"))
-        assert entries
-        payload = json.loads(entries[0].read_text())
-        assert payload["key"]["experiment"] == "serve-step"
+        keys = list(cache_table(tmp_path).keys().values())
+        assert keys
+        assert keys[0]["experiment"] == "serve-step"
