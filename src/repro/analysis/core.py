@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 import re
 from typing import Iterable, Iterator, Sequence
@@ -92,7 +93,8 @@ class Project:
 
     ``root`` is the repository root (used for relative paths and so
     cross-cutting rules can peek at ``tests/``); ``modules`` are the
-    files rules walk.
+    files rules walk.  :meth:`functions_named` and :meth:`iter_classes`
+    read indexes built on first use, so rules may call them freely.
     """
 
     def __init__(self, root: Path, modules: Sequence[Module]) -> None:
@@ -144,18 +146,29 @@ class Project:
                     else:
                         stack.append((child, owner))
 
+    @cached_property
+    def _functions_by_name(self) -> dict[str, list[
+            tuple[Module, ast.FunctionDef, ast.ClassDef | None]]]:
+        """:meth:`iter_functions` grouped by name, walked once."""
+        index: dict[str, list[
+            tuple[Module, ast.FunctionDef, ast.ClassDef | None]]] = {}
+        for entry in self.iter_functions():
+            index.setdefault(entry[1].name, []).append(entry)
+        return index
+
     def functions_named(self, name: str) -> list[
             tuple[Module, ast.FunctionDef, ast.ClassDef | None]]:
         """All functions/methods with the given (unqualified) name."""
-        return [(module, node, owner)
-                for module, node, owner in self.iter_functions()
-                if node.name == name]
+        return list(self._functions_by_name.get(name, ()))
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[Module, ast.ClassDef], ...]:
+        return tuple((module, node) for module in self.modules
+                     for node in ast.walk(module.tree)
+                     if isinstance(node, ast.ClassDef))
 
     def iter_classes(self) -> Iterator[tuple[Module, ast.ClassDef]]:
-        for module in self.modules:
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ClassDef):
-                    yield module, node
+        return iter(self._classes)
 
 
 class Rule:

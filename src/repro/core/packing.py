@@ -47,6 +47,10 @@ class PackedOuterProductEngine(OuterProductEngine):
     """
 
     name = "DiVa-Pack"
+    #: Packing makes cycles depend on ``count`` per GEMM, which the
+    #: batched grid form does not model: ``gemm_stats_batch`` takes its
+    #: exact per-entry scalar loop instead.
+    grid_axes = None
 
     def __init__(self, config: ArrayConfig | None = None,
                  bus_segments: int = 4) -> None:

@@ -7,12 +7,14 @@ evaluates the *same* analytic model over a struct-of-arrays grid of
 configurations — workload x chips x bucket_bytes x topology x DP mode —
 in a few NumPy broadcast passes:
 
-* :func:`lowered_step` lowers one step's GEMM schedule once per
-  process: a bounded LRU keyed by everything
-  :func:`~repro.training.simulate.step_gemm_ops` reads (network
-  identity, algorithm, dataflow, norm fusion, batch, tp) holds the op
-  tuple plus read-only NumPy columns of it.  Misses call
-  ``step_gemm_ops`` itself, so the phase rules have one implementation.
+* :func:`lowered_step` lowers each ``(network, algorithm, dataflow,
+  norm fusion)`` once per process as batch-affine columns
+  (:class:`LoweredStep`): :func:`~repro.training.simulate.step_gemm_ops`
+  itself runs at batch 1 and 2, so the phase and flag rules have one
+  implementation, and a bounded LRU keeps the batch-1 columns plus
+  the int64 slope of m, k, n and count.  Any ``(batch, tp)`` is then
+  ``base + (batch - 1) * slope`` with ``n`` ceil-divided by ``tp``; a
+  schedule that is not batch-affine raises at lowering time.
 * :func:`training_step_batch` prices a list of single-chip step specs
   by concatenating their lowered columns into one flat array per
   engine, deduplicating shapes through packed int64 keys
@@ -20,15 +22,16 @@ in a few NumPy broadcast passes:
   :func:`repro.arch.batch.gemm_stats_batch`; no per-op Python object
   is built.  The handful of vector-unit kernels per spec reuse the
   scalar :func:`~repro.training.simulate.step_vector_runs` directly
-  (they are O(1) per spec and sharing the code path guarantees
-  equality).
+  (sharing the code path guarantees equality); they are O(1) per spec,
+  since the per-network sums they scale by ``batch`` are cached
+  :class:`~repro.workloads.model.Network` properties.
 * :func:`sharded_step_batch` reuses one shard evaluation for every
   grid point that shares a ``(kind, model, algorithm, local batch,
-  tp)``.  3D grid points (``pp``/``tp`` columns > 1) reuse the batched
-  per-op cycle arrays to build the same
-  :class:`~repro.training.parallel.PipelineSchedule` the scalar driver
-  builds — the schedule consumes only integers, so it is bit-identical
-  by construction.
+  tp)``.  3D grid points (``pp``/``tp`` columns > 1) hand their lowered
+  columns and batched per-op cycle arrays to
+  :func:`~repro.training.parallel.build_pipeline_schedule`, the builder
+  the scalar driver feeds from its own op log — the schedule consumes
+  only integers, so it is bit-identical by construction.
 * :func:`step_comm_cycles` is the one composition of a sharded step's
   collective charge; the scalar
   :func:`~repro.training.simulate.simulate_sharded_training_step`
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, ContextManager, Sequence
 
 import numpy as np
@@ -139,18 +142,19 @@ def _frozen(values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LoweredStep:
-    """One step's GEMM schedule, lowered once.
+    """One step's GEMM schedule as read-only columns.
 
-    ``ops`` is the :func:`~repro.training.simulate.step_gemm_ops` list
-    as a tuple; the read-only columns hold the same ops field by field
-    (``phase`` as a :data:`STEP_PHASES` index), ready to concatenate
-    into a batched pricing pass.
+    Entry ``j`` describes the ``j``-th
+    :func:`~repro.training.simulate.step_gemm_ops` op: its ``phase`` (a
+    :data:`STEP_PHASES` index), ``layer`` (an index into
+    ``network.layers``), GEMM dims, and execution flags — ready to
+    concatenate into a batched pricing pass or to split into pipeline
+    stages.
     """
 
-    #: Held so the identity key stays valid while the entry lives.
     network: Network
-    ops: tuple[GemmOp, ...]
     phase: np.ndarray
+    layer: np.ndarray
     m: np.ndarray
     k: np.ndarray
     n: np.ndarray
@@ -159,55 +163,117 @@ class LoweredStep:
     fuse_norm: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.phase)
+
+    @classmethod
+    def from_ops(cls, network: Network,
+                 ops: Sequence[GemmOp]) -> "LoweredStep":
+        """The columns of a :func:`step_gemm_ops` list.
+
+        An op whose layer ``network`` does not name rides with the
+        previous op's layer (schedule order is layer order).
+        """
+        index = {layer.name: i for i, layer in enumerate(network.layers)}
+        layers = []
+        previous = 0
+        for op in ops:
+            previous = index.get(op.gemm.layer, previous)
+            layers.append(previous)
+        return cls(
+            network=network,
+            phase=_frozen([_PHASE_INDEX[op.phase] for op in ops], np.int64),
+            layer=_frozen(layers, np.int64),
+            m=_frozen([op.gemm.m for op in ops], np.int64),
+            k=_frozen([op.gemm.k for op in ops], np.int64),
+            n=_frozen([op.gemm.n for op in ops], np.int64),
+            count=_frozen([op.gemm.count for op in ops], np.int64),
+            write_output=_frozen([op.write_output for op in ops], bool),
+            fuse_norm=_frozen([op.fuse_norm for op in ops], bool),
+        )
 
 
-#: Upper bound on memoized :class:`LoweredStep` entries (LRU eviction).
+@dataclass(frozen=True)
+class _AffineStep:
+    """A step lowered at batch 1, plus how its GEMM dims grow per example.
+
+    ``dims`` and ``slope`` are read-only ``(4, ops)`` int64 rows of m, k,
+    n and count: at batch ``b`` the dims are ``dims + (b - 1) * slope``.
+    """
+
+    base: LoweredStep
+    dims: np.ndarray
+    slope: np.ndarray
+
+
+def _dims(step: LoweredStep) -> np.ndarray:
+    return np.stack([step.m, step.k, step.n, step.count])
+
+
+def _lower_affine(network: Network, algorithm: Algorithm,
+                  accelerator: Accelerator) -> _AffineStep:
+    """Lower at batch 1 and 2 and check the schedule is batch-affine."""
+    one, two = (LoweredStep.from_ops(network, step_gemm_ops(
+        network, algorithm, accelerator, batch)) for batch in (1, 2))
+    dims = _dims(one)
+    same = len(one) == len(two) and all(
+        np.array_equal(getattr(one, column), getattr(two, column))
+        for column in ("phase", "layer", "write_output", "fuse_norm"))
+    slope = _dims(two) - dims if same else None
+    if slope is None or (slope < 0).any():
+        raise ValueError(
+            f"{network.name}: the {algorithm.value} step schedule is not "
+            f"batch-affine, so lowered_step cannot price it")
+    dims.flags.writeable = False
+    slope.flags.writeable = False
+    return _AffineStep(base=one, dims=dims, slope=slope)
+
+
+#: Upper bound on memoized lowerings (LRU eviction).
 LOWERED_STEP_CACHE_MAXSIZE = 512
 
-#: Shared bounded LRU keyed by everything :func:`step_gemm_ops` reads:
-#: ``(id(network), algorithm, dataflow, can_fuse_norm, batch, tp)``.
-#: Networks key by identity (zoo variants share names); entries hold
-#: their network, so a live key's id cannot be reused.
-_LOWERED_STEPS: "OrderedDict[tuple, LoweredStep]" = OrderedDict()
+#: Shared bounded LRU of batch-affine lowerings, keyed by everything
+#: :func:`step_gemm_ops` reads except batch and tp:
+#: ``(id(network), algorithm, dataflow, can_fuse_norm)``.  Networks key
+#: by identity (zoo variants share names); entries hold their network,
+#: so a live key's id cannot be reused.
+_LOWERED_STEPS: "OrderedDict[tuple, _AffineStep]" = OrderedDict()
 
 
 def clear_lowered_step_cache() -> None:
-    """Drop every memoized :class:`LoweredStep` (mainly for benchmarks)."""
+    """Drop every memoized lowering (mainly for benchmarks)."""
     _LOWERED_STEPS.clear()
 
 
 def lowered_step(network: Network, algorithm: Algorithm,
                  accelerator: Accelerator, batch: int,
                  tp: int = 1) -> LoweredStep:
-    """:func:`step_gemm_ops` for one step, memoized with its columns.
+    """The columns of :func:`step_gemm_ops` for one step.
 
-    Misses call ``step_gemm_ops`` itself, so the phase rules keep one
-    implementation; accelerators with the same dataflow and norm-fusion
-    ability share entries.
+    Each ``(network, algorithm, dataflow, norm fusion)`` is lowered once
+    by ``step_gemm_ops`` itself at batch 1 and 2, so the phase and flag
+    rules keep one implementation; any batch is then
+    ``dims(1) + (batch - 1) * (dims(2) - dims(1))`` and ``tp > 1``
+    column-shards ``n`` to ``ceil(n / tp)``, exactly as ``step_gemm_ops``
+    does.  A network whose schedule is not batch-affine raises.
     """
+    if batch <= 0:
+        raise ValueError(f"batch must be positive, got {batch}")
     key = (id(network), algorithm, accelerator.engine.dataflow,
-           accelerator.can_fuse_norm, batch, tp)
+           accelerator.can_fuse_norm)
     entry = _LOWERED_STEPS.get(key)
-    if entry is not None:
+    if entry is None:
+        entry = _LOWERED_STEPS[key] = _lower_affine(network, algorithm,
+                                                    accelerator)
+        if len(_LOWERED_STEPS) > LOWERED_STEP_CACHE_MAXSIZE:
+            _LOWERED_STEPS.popitem(last=False)
+    else:
         _LOWERED_STEPS.move_to_end(key)
-        return entry
-    ops = tuple(step_gemm_ops(network, algorithm, accelerator, batch, tp=tp))
-    entry = LoweredStep(
-        network=network,
-        ops=ops,
-        phase=_frozen([_PHASE_INDEX[op.phase] for op in ops], np.int64),
-        m=_frozen([op.gemm.m for op in ops], np.int64),
-        k=_frozen([op.gemm.k for op in ops], np.int64),
-        n=_frozen([op.gemm.n for op in ops], np.int64),
-        count=_frozen([op.gemm.count for op in ops], np.int64),
-        write_output=_frozen([op.write_output for op in ops], bool),
-        fuse_norm=_frozen([op.fuse_norm for op in ops], bool),
-    )
-    _LOWERED_STEPS[key] = entry
-    if len(_LOWERED_STEPS) > LOWERED_STEP_CACHE_MAXSIZE:
-        _LOWERED_STEPS.popitem(last=False)
-    return entry
+    dims = entry.dims + (batch - 1) * entry.slope
+    if tp > 1:
+        dims[2] = -(-dims[2] // tp)
+    dims.flags.writeable = False
+    m, k, n, count = dims
+    return replace(entry.base, m=m, k=k, n=n, count=count)
 
 
 def training_step_batch(
@@ -233,6 +299,10 @@ def training_step_batch(
     ``profiler`` (a :class:`repro.obs.profile.Profiler`) times the
     vector-kernel and batched-GEMM stages and counts specs / GEMM ops
     / unique shapes — purely additive bookkeeping.
+
+    GEMMs are priced once per distinct ``(m, k, n)`` and scaled by
+    ``count``, so an engine without ``grid_axes`` (whose cost need not
+    be linear in ``count``, e.g. a packing engine) raises ``ValueError``.
     """
     specs = list(specs)
     matrix = np.zeros((len(specs), len(STEP_PHASES)), dtype=np.int64)
@@ -257,6 +327,11 @@ def training_step_batch(
 
     with _stage(profiler, "step-batch/gemm"):
         for accel, indices, steps in groups.values():
+            if accel.engine.grid_axes is None:
+                raise ValueError(
+                    f"engine {accel.engine.name!r} has no grid_axes, so "
+                    f"its GEMM cost need not scale with count; price it "
+                    f"with simulate_training_step")
             lengths = np.array([len(step) for step in steps], dtype=np.int64)
             if not lengths.sum():
                 continue
@@ -639,10 +714,10 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
             sched = schedules.get(sched_key)
             if sched is None:
                 accel, network, algorithm, batch, tp = specs[u]
-                ops = lowered_step(network, algorithm, accel, batch, tp).ops
                 sched = build_pipeline_schedule(
-                    network, algorithm, ops,
-                    [int(c) for c in step.op_cycles.get(u, ())],
+                    network, algorithm,
+                    lowered_step(network, algorithm, accel, batch, tp),
+                    step.op_cycles.get(u, ()),
                     {p: int(step.phase_cycles[u, _PHASE_INDEX[p]])
                      for p in PHASE_ORDER},
                     batch,

@@ -1,12 +1,13 @@
 """Pipeline/tensor-parallel schedule partitioning for 3D plans.
 
 :func:`build_pipeline_schedule` splits one replica's whole-step
-schedule — the declarative :func:`repro.training.simulate.step_gemm_ops`
-list plus the per-phase vector totals — into ``pp`` contiguous layer
-stages and prices the GPipe-style microbatched pipeline in closed form.
-It consumes only *already-priced* integer op cycles, so the scalar
-driver and the NumPy batched evaluator (:mod:`repro.training.batch`)
-feed it the same integers and get bit-identical schedules back.
+schedule — the :func:`repro.training.simulate.step_gemm_ops` ops as
+:class:`~repro.training.batch.LoweredStep` columns plus the per-phase
+vector totals — into ``pp`` contiguous layer stages and prices the
+GPipe-style microbatched pipeline in closed form.  It consumes only
+*already-priced* integer op cycles, so the scalar driver and the NumPy
+batched evaluator (:mod:`repro.training.batch`) feed it the same
+integers and get bit-identical schedules back.
 
 Modeling choices
 ----------------
@@ -34,8 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.arch.cluster import ParallelPlan
 from repro.training.algorithms import Algorithm
+from repro.training.batch import STEP_PHASES, LoweredStep
 from repro.training.memory import MemoryBreakdown
 from repro.training.phases import PHASE_ORDER, Phase
 from repro.workloads.model import Network
@@ -44,8 +48,10 @@ from repro.workloads.model import Network
 _GRAD_BYTES = 4
 _ACT_BYTES = 2
 
-#: Phases whose GEMM outputs are activations that TP must allgather.
-_TP_GATHER_PHASES = (Phase.FWD, Phase.BWD_ACT_1, Phase.BWD_ACT_2)
+#: Per :data:`STEP_PHASES` row: do the phase's GEMM outputs hold
+#: activations that TP must allgather?
+_TP_GATHERS = np.array([p in (Phase.FWD, Phase.BWD_ACT_1, Phase.BWD_ACT_2)
+                        for p in STEP_PHASES])
 
 #: Phases whose vector work scales with activations, not parameters.
 _ACT_PHASES = frozenset((Phase.FWD, Phase.BWD_ACT_1, Phase.BWD_ACT_2))
@@ -142,68 +148,53 @@ def _apportion(value: int, weights: Sequence[int]) -> list[int]:
 def build_pipeline_schedule(
     network: Network,
     algorithm: Algorithm,
-    ops: Sequence,
-    op_cycles: Sequence[int],
+    step: LoweredStep,
+    op_cycles: "Sequence[int] | np.ndarray",
     phase_cycles: Mapping[Phase, int],
     local_batch: int,
     plan: ParallelPlan,
 ) -> PipelineSchedule:
     """Split one replica's priced schedule into a pipeline schedule.
 
-    ``ops`` / ``op_cycles`` are the step's
-    :class:`~repro.training.simulate.GemmOp` list (built with the
-    plan's ``tp``) and each op's integer cycles; ``phase_cycles`` maps
-    every phase of the step to its *total* cycles (GEMM + vector).
-    Both the scalar driver and the batched evaluator produce identical
-    integers here, which makes the resulting schedule — and everything
-    priced from it — bitwise-equal across the two paths.
+    ``step`` holds the step's GEMM ops as columns (built with the
+    plan's ``tp``; its ``layer`` column assigns each op to a layer) and
+    ``op_cycles`` each op's integer cycles; ``phase_cycles`` maps every
+    phase of the step to its *total* cycles (GEMM + vector).  The scalar
+    driver passes :meth:`LoweredStep.from_ops` of its op log and the
+    batched evaluator its :func:`~repro.training.batch.lowered_step`;
+    both produce identical integers here, which makes the resulting
+    schedule — and everything priced from it — bitwise-equal across the
+    two paths.  Per-op sums run in int64 NumPy.
     """
     pp, tp = plan.pp, plan.tp
     layers = network.layers
-    layer_index: dict[str, int] = {}
-    for i, layer in enumerate(layers):
-        layer_index.setdefault(layer.name, i)
-
-    # Map every op to its layer; ops from unnamed/unknown layers ride
-    # with the previous op's layer (schedule order is layer order).
-    op_layers: list[int] = []
-    previous = 0
-    for op in ops:
-        previous = layer_index.get(op.gemm.layer, previous)
-        op_layers.append(previous)
-
-    layer_cost = [0] * len(layers)
-    for idx, cycles in zip(op_layers, op_cycles):
-        layer_cost[idx] += cycles
-    bounds = partition_layers(layer_cost, pp)
-
-    def stage_of(layer: int) -> int:
-        for s in range(pp):
-            if layer < bounds[s + 1]:
-                return s
-        return pp - 1
+    cycles = np.asarray(op_cycles, dtype=np.int64)
+    layer_cost = np.zeros(len(layers), dtype=np.int64)
+    np.add.at(layer_cost, step.layer, cycles)
+    bounds = partition_layers(layer_cost.tolist(), pp)
 
     # -- per-stage, per-phase cycles ----------------------------------------
-    step_phases = [p for p in PHASE_ORDER if p in phase_cycles]
-    gemm_by_phase: dict[Phase, list[int]] = {p: [0] * pp for p in step_phases}
-    for op, idx, cycles in zip(ops, op_layers, op_cycles):
-        gemm_by_phase[op.phase][stage_of(idx)] += cycles
+    # Stage s holds layers below bounds[s + 1].
+    stage = np.searchsorted(bounds[1:], step.layer, side="right")
+    gemm = np.zeros((len(STEP_PHASES), pp), dtype=np.int64)
+    np.add.at(gemm, (step.phase, stage), cycles)
 
-    params_w = [sum(l.params for l in layers[bounds[s]:bounds[s + 1]])
-                for s in range(pp)]
-    act_w = [sum(l.out_elems for l in layers[bounds[s]:bounds[s + 1]]
-                 if not l.has_weights)
-             for s in range(pp)]
+    spans = list(zip(bounds, bounds[1:]))
+    params_w = [network.params_prefix[b] - network.params_prefix[a]
+                for a, b in spans]
+    act_w = [network.vector_path_prefix[b] - network.vector_path_prefix[a]
+             for a, b in spans]
 
-    stage_phase = {p: list(gemm_by_phase[p]) for p in step_phases}
-    for phase in step_phases:
-        vector = phase_cycles[phase] - sum(gemm_by_phase[phase])
+    stage_phase: dict[Phase, list[int]] = {}
+    for phase in PHASE_ORDER:
+        if phase not in phase_cycles:
+            continue
+        gemm_row = gemm[STEP_PHASES.index(phase)].tolist()
         weights = act_w if phase in _ACT_PHASES else params_w
-        for s, share in enumerate(_apportion(vector, weights)):
-            stage_phase[phase][s] += share
+        shares = _apportion(phase_cycles[phase] - sum(gemm_row), weights)
+        stage_phase[phase] = [g + v for g, v in zip(gemm_row, shares)]
 
-    stage_cycles = [sum(stage_phase[p][s] for p in step_phases)
-                    for s in range(pp)]
+    stage_cycles = [sum(column) for column in zip(*stage_phase.values())]
     tail = stage_phase.get(Phase.BWD_REDUCE_NOISE, [0] * pp)
     micro = [stage_cycles[s] - tail[s] for s in range(pp)]
 
@@ -225,11 +216,10 @@ def build_pipeline_schedule(
     tp_payload = 0
     tp_collectives = 0
     if tp > 1:
-        for op in ops:
-            if op.phase in _TP_GATHER_PHASES:
-                gemm = op.gemm
-                tp_payload += gemm.m * (gemm.n * tp) * gemm.count * _ACT_BYTES
-                tp_collectives += 1
+        gathers = _TP_GATHERS[step.phase]
+        tp_payload = (int((step.m * step.n * step.count)[gathers].sum())
+                      * tp * _ACT_BYTES)
+        tp_collectives = int(gathers.sum())
         if algorithm.is_private:
             # Per-example norm partials combine once across the TP group.
             tp_payload += local_batch * _GRAD_BYTES

@@ -65,7 +65,6 @@ from repro.training.algorithms import Algorithm
 from repro.training.phases import CLUSTER_PHASE_ORDER, PHASE_ORDER, Phase
 from repro.training.plan import phase_gemms
 from repro.workloads.gemms import Gemm
-from repro.workloads.layer import Embedding
 from repro.workloads.model import Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -275,21 +274,6 @@ class ClusterTrainingReport:
         return {str(p): self.phase_seconds(p) for p in CLUSTER_PHASE_ORDER}
 
 
-def _vector_path_elems(network: Network, batch: int) -> int:
-    """Activation elements of non-GEMM layers for a mini-batch."""
-    return batch * sum(
-        layer.out_elems for layer in network.layers if not layer.has_weights
-    )
-
-
-def _embedding_elems(network: Network, batch: int) -> int:
-    """Activation elements produced by embedding lookups."""
-    return batch * sum(
-        layer.out_elems for layer in network.layers
-        if isinstance(layer, Embedding)
-    )
-
-
 def _elementwise(accel: Accelerator, elems: int,
                  ops_per_elem: float = 1.0) -> OpRun:
     """Vector-unit pass over ``elems`` values with a DRAM round trip."""
@@ -406,7 +390,7 @@ def step_vector_runs(
         gemm_params = -(-gemm_params // tp)
         vector_params = -(-vector_params // tp)
         all_params = -(-all_params // tp)
-    act_elems = _vector_path_elems(network, batch)
+    act_elems = batch * network.vector_path_elems
     phases: dict[Phase, OpRun] = {}
 
     phases[Phase.FWD] = _elementwise(accelerator, act_elems)
@@ -659,7 +643,7 @@ def simulate_sharded_training_step(
     collective stage, with any overlapped wire time rendered as an
     async ``hidden`` slice (see :mod:`repro.obs.trace`).
     """
-    from repro.training.batch import step_comm_cycles
+    from repro.training.batch import LoweredStep, step_comm_cycles
 
     n = cluster.n_chips
     if plan is not None:
@@ -689,7 +673,8 @@ def simulate_sharded_training_step(
 
         assert plan is not None and op_log is not None
         sched = build_pipeline_schedule(
-            network, algorithm, [op for op, _ in op_log],
+            network, algorithm,
+            LoweredStep.from_ops(network, [op for op, _ in op_log]),
             [run.cycles for _, run in op_log],
             {phase: run.cycles for phase, run in shard.phases.items()},
             local_batch, plan)

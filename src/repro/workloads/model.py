@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from repro.workloads.gemms import Gemm, GemmKind
 from repro.workloads.layer import Embedding, Layer
@@ -86,6 +87,25 @@ class Network:
     def vector_grad_params(self) -> int:
         """Parameters whose gradients are derived on the vector path."""
         return self.params - self.gemm_params
+
+    @cached_property
+    def params_prefix(self) -> tuple[int, ...]:
+        """``params_prefix[i]``: parameters of the first ``i`` layers."""
+        return tuple(accumulate((layer.params for layer in self.layers),
+                                initial=0))
+
+    @cached_property
+    def vector_path_prefix(self) -> tuple[int, ...]:
+        """``vector_path_prefix[i]``: per-example activation elements of
+        the weightless (non-GEMM) layers among the first ``i`` layers."""
+        return tuple(accumulate(
+            (0 if layer.has_weights else layer.out_elems
+             for layer in self.layers), initial=0))
+
+    @cached_property
+    def vector_path_elems(self) -> int:
+        """Per-example activation elements of non-GEMM (weightless) layers."""
+        return self.vector_path_prefix[-1]
 
     @cached_property
     def max_layer_params(self) -> int:

@@ -8,6 +8,7 @@ service-time table consume.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.training import (
 from repro.training import batch as batch_mod
 from repro.training.batch import (
     _PHASE_INDEX,
+    LoweredStep,
     clear_lowered_step_cache,
     lowered_step,
 )
@@ -70,46 +72,93 @@ def _accelerators():
     return accels
 
 
-_COLUMNS = ("phase", "m", "k", "n", "count", "write_output", "fuse_norm")
+_COLUMNS = ("phase", "layer", "m", "k", "n", "count", "write_output",
+            "fuse_norm")
+
+
+def _op_columns(network, ops):
+    """The columns of a ``step_gemm_ops`` list, field by field; an op of
+    an unnamed layer rides with the previous op's layer."""
+    index = {layer.name: i for i, layer in enumerate(network.layers)}
+    layers, previous = [], 0
+    for op in ops:
+        previous = index.get(op.gemm.layer, previous)
+        layers.append(previous)
+    return {
+        "phase": [_PHASE_INDEX[op.phase] for op in ops],
+        "layer": layers,
+        "m": [op.gemm.m for op in ops],
+        "k": [op.gemm.k for op in ops],
+        "n": [op.gemm.n for op in ops],
+        "count": [op.gemm.count for op in ops],
+        "write_output": [op.write_output for op in ops],
+        "fuse_norm": [op.fuse_norm for op in ops],
+    }
+
+
+def _assert_columns(entry, network, ops, where=""):
+    assert len(entry) == len(ops), where
+    want = _op_columns(network, ops)
+    got = {column: getattr(entry, column).tolist() for column in _COLUMNS}
+    assert [c for c in _COLUMNS if got[c] != want[c]] == [], where
+
+
+def _column_lists(entry):
+    return tuple(getattr(entry, column).tolist() for column in _COLUMNS)
+
+
+@pytest.fixture
+def lowerings(monkeypatch):
+    """Record every ``step_gemm_ops`` call the memo makes."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return step_gemm_ops(*args, **kwargs)
+
+    monkeypatch.setattr(batch_mod, "step_gemm_ops", counting)
+    clear_lowered_step_cache()
+    yield calls
+    clear_lowered_step_cache()
 
 
 class TestLoweredStepMemo:
     @pytest.mark.parametrize("accel", _accelerators(),
                              ids=lambda a: f"{a.name}-ppu{a.ppu is not None}")
-    def test_entries_match_fresh_lowering(self, accel):
+    def test_entries_match_fresh_lowering(self, accel, lowerings):
         network = build_model("SqueezeNet")
         for algorithm, tp, batch in itertools.product(
                 ALGORITHMS, (1, 2, 3), (8, 32)):
             algorithm = Algorithm(algorithm)
             entry = lowered_step(network, algorithm, accel, batch, tp)
             fresh = step_gemm_ops(network, algorithm, accel, batch, tp=tp)
-            assert entry.ops == tuple(fresh)
-            want = {
-                "phase": [_PHASE_INDEX[op.phase] for op in fresh],
-                "m": [op.gemm.m for op in fresh],
-                "k": [op.gemm.k for op in fresh],
-                "n": [op.gemm.n for op in fresh],
-                "count": [op.gemm.count for op in fresh],
-                "write_output": [op.write_output for op in fresh],
-                "fuse_norm": [op.fuse_norm for op in fresh],
-            }
-            for column in _COLUMNS:
-                np.testing.assert_array_equal(
-                    getattr(entry, column), want[column], err_msg=column)
-            assert lowered_step(network, algorithm, accel, batch,
-                                tp) is entry
+            _assert_columns(entry, network, fresh)
+            # A repeat is a memo hit: it lowers nothing anew.
+            before = len(lowerings)
+            again = lowered_step(network, algorithm, accel, batch, tp)
+            assert len(lowerings) == before
+            assert _column_lists(again) == _column_lists(entry)
+        # Every batch and tp of one algorithm shares the lowerings at
+        # batch 1 and 2.
+        assert len(lowerings) == 2 * len(ALGORITHMS)
 
-    def test_entries_are_immutable(self):
-        entry = lowered_step(build_model("SqueezeNet"), Algorithm.DP_SGD,
-                             build_accelerator("diva"), 16)
-        assert isinstance(entry.ops, tuple)
+    def test_entries_are_immutable(self, lowerings):
+        network = build_model("SqueezeNet")
+        entry = lowered_step(network, Algorithm.DP_SGD,
+                             build_accelerator("diva"), 16, 2)
         for column in _COLUMNS:
             array = getattr(entry, column)
             assert not array.flags.writeable, column
             with pytest.raises(ValueError):
                 array[0] = array[0]
+        # The memoized lowering every batch derives from is read-only
+        # too, so no caller can change another caller's columns.
+        (memo,) = batch_mod._LOWERED_STEPS.values()
+        for array in (memo.dims, memo.slope,
+                      *(getattr(memo.base, c) for c in _COLUMNS)):
+            assert not array.flags.writeable
 
-    def test_networks_key_by_identity_not_name(self):
+    def test_networks_key_by_identity_not_name(self, lowerings):
         accel = build_accelerator("diva")
         variants = (build_model("MobileNet"),
                     build_model("MobileNet", native_groups=True),
@@ -117,27 +166,72 @@ class TestLoweredStepMemo:
         assert len({net.name for net in variants}) == 1
         entries = [lowered_step(net, Algorithm.DP_SGD, accel, 8)
                    for net in variants]
-        assert len({id(entry) for entry in entries}) == 3
+        assert len(batch_mod._LOWERED_STEPS) == 3
+        assert {id(memo.base.network)
+                for memo in batch_mod._LOWERED_STEPS.values()} \
+            == {id(net) for net in variants}
         for net, entry in zip(variants, entries):
             assert entry.network is net
-            assert entry.ops == tuple(
-                step_gemm_ops(net, Algorithm.DP_SGD, accel, 8))
-        assert entries[0].ops != entries[1].ops
-        assert entries[0].ops != entries[2].ops
+            _assert_columns(entry, net,
+                            step_gemm_ops(net, Algorithm.DP_SGD, accel, 8))
+        assert _column_lists(entries[0]) != _column_lists(entries[1])
+        assert _column_lists(entries[0]) != _column_lists(entries[2])
 
-    def test_lru_holds_its_bound(self, monkeypatch):
+    def test_lru_holds_its_bound(self, monkeypatch, lowerings):
         monkeypatch.setattr(batch_mod, "LOWERED_STEP_CACHE_MAXSIZE", 4)
-        clear_lowered_step_cache()
         network = build_model("SqueezeNet")
-        accel = build_accelerator("os")
-        entries = [lowered_step(network, Algorithm.SGD, accel, batch)
-                   for batch in range(1, 6)]
+        # Five distinct memo keys: (dataflow, algorithm) pairs.
+        keys = [(Algorithm(algorithm), build_accelerator(kind))
+                for kind in ("ws", "diva") for algorithm in ALGORITHMS][:5]
+        for algorithm, accel in keys:
+            lowered_step(network, algorithm, accel, 8)
         assert len(batch_mod._LOWERED_STEPS) == 4
+        assert len(lowerings) == 2 * 5
+        # A live key lowers nothing, whatever the batch and tp.
+        lowered_step(network, *keys[-1], 64, 2)
+        assert len(lowerings) == 2 * 5
         # The oldest key was evicted: asking again lowers it anew.
-        assert lowered_step(network, Algorithm.SGD, accel, 1) \
-            is not entries[0]
+        lowered_step(network, *keys[0], 8)
+        assert len(lowerings) == 2 * 6
         assert len(batch_mod._LOWERED_STEPS) == 4
-        clear_lowered_step_cache()
+
+    def test_unknown_layer_rides_with_previous_op(self):
+        network = build_model("SqueezeNet")
+        ops = step_gemm_ops(network, Algorithm.SGD,
+                            build_accelerator("diva"), 2)
+        named = LoweredStep.from_ops(network, ops).layer
+        unnamed = [0, 5, len(ops) - 1]
+        ops = [replace(op, gemm=replace(op.gemm, layer="")) if j in unnamed
+               else op for j, op in enumerate(ops)]
+        layer = LoweredStep.from_ops(network, ops).layer
+        assert layer[0] == 0
+        for j in unnamed[1:]:
+            assert layer[j] == layer[j - 1]
+        assert [layer[j] for j in range(len(ops)) if j not in unnamed] \
+            == [named[j] for j in range(len(ops)) if j not in unnamed]
+
+    def test_rejects_nonpositive_batch(self):
+        with pytest.raises(ValueError, match="batch must be positive"):
+            lowered_step(build_model("SqueezeNet"), Algorithm.SGD,
+                         build_accelerator("diva"), 0)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda ops, batch: ops[:-batch],
+        lambda ops, batch: [replace(op, fuse_norm=batch > 1) for op in ops],
+        lambda ops, batch: [replace(op, gemm=replace(op.gemm,
+                                                     k=op.gemm.k + 2 - batch))
+                            for op in ops],
+    ], ids=("length", "flags", "negative-slope"))
+    def test_non_affine_schedule_raises(self, monkeypatch, lowerings,
+                                        mutate):
+        def lowering(network, algorithm, accel, batch, tp=1):
+            return mutate(step_gemm_ops(network, algorithm, accel, batch,
+                                        tp=tp), batch)
+
+        monkeypatch.setattr(batch_mod, "step_gemm_ops", lowering)
+        with pytest.raises(ValueError, match="SqueezeNet.*batch-affine"):
+            lowered_step(build_model("SqueezeNet"), Algorithm.SGD,
+                         build_accelerator("diva"), 4)
 
     def test_cold_and_warm_memo_price_identically(self):
         accels = [build_accelerator(kind) for kind in ACCELERATOR_KINDS]
@@ -155,6 +249,38 @@ class TestLoweredStepMemo:
                                           warm.op_cycles[u])
             assert len(cold.op_cycles[u]) == len(
                 lowered_step(network, algorithm, accel, batch, tp))
+
+
+def _experiment_networks():
+    """Every zoo model at every shape option the experiments build."""
+    from repro.experiments.sensitivity import IMAGE_SIZES, SEQ_LENS
+    from repro.workloads.zoo import CNN_MODELS, MODEL_NAMES
+
+    nets = [build_model("MobileNet", native_groups=True)]
+    for name in MODEL_NAMES:
+        for size in (IMAGE_SIZES if name in CNN_MODELS else SEQ_LENS):
+            nets.append(build_model(name, input_size=size, seq_len=size))
+    return nets
+
+
+class TestAffineLowering:
+    """Pin: every experiment network's schedule is batch-affine, so the
+    memo's column arithmetic reproduces a fresh ``step_gemm_ops``."""
+
+    @pytest.mark.parametrize("network", _experiment_networks(),
+                             ids=lambda net: f"{net.name}-{net.input_elems}"
+                             f"x{len(net.layers)}")
+    def test_columns_equal_fresh_lowering(self, network):
+        accels = _accelerators()
+        for algorithm, accel in itertools.product(ALGORITHMS, accels):
+            algorithm = Algorithm(algorithm)
+            for batch, tp in itertools.product(
+                    (1, 2, 3, 64, 257, 8192), (1, 2, 3)):
+                _assert_columns(
+                    lowered_step(network, algorithm, accel, batch, tp),
+                    network,
+                    step_gemm_ops(network, algorithm, accel, batch, tp=tp),
+                    f"{algorithm.value} {accel.name} b={batch} tp={tp}")
 
 
 def _grid():

@@ -1,15 +1,23 @@
 """Tests for the spatial GEMM-packing extension (repro.core.packing)."""
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch.accelerator import Accelerator
+from repro.arch.batch import gemm_stats_batch
 from repro.arch.engine import ArrayConfig
+from repro.core import build_accelerator
 from repro.core.outer_product import OuterProductEngine
 from repro.core.packing import (
     PackedOuterProductEngine,
     packing_overhead_fraction,
 )
+from repro.training import Algorithm, training_step_batch
+from repro.workloads import build_model
 from repro.workloads.gemms import Gemm
 
 
@@ -77,6 +85,36 @@ class TestPackedStats:
         packed_stats = packed.gemm_stats(g)
         assert 0.0 < packed_stats.utilization <= 1.0
         assert packed_stats.compute_cycles <= base_stats.compute_cycles
+
+
+class TestBatchedPricing:
+    """The batched evaluator prices packed GEMMs exactly as the scalar
+    engine does, and the step evaluator refuses what it cannot price."""
+
+    #: m, k, n, count grids around the packing thresholds (quarter- and
+    #: sub-array footprints, counts below and above the segment count).
+    DIMS = list(itertools.product((1, 4, 9, 64, 130), (1, 16, 64),
+                                  (1, 4, 32, 128), (1, 3, 32, 100)))
+
+    @pytest.mark.parametrize("segments", (1, 4, 8))
+    def test_batched_equals_scalar(self, segments):
+        engine = PackedOuterProductEngine(bus_segments=segments)
+        m, k, n, count = (np.array(column) for column in zip(*self.DIMS))
+        batch = gemm_stats_batch(engine, m, k, n, count)
+        for i, dims in enumerate(self.DIMS):
+            scalar = engine.gemm_stats(Gemm(*dims))
+            for field in ("compute_cycles", "macs", "tiles",
+                          "sram_read_bytes", "sram_write_bytes"):
+                assert int(getattr(batch, field)[i]) \
+                    == getattr(scalar, field), (segments, dims, field)
+
+    def test_training_step_batch_refuses_packed_engine(self):
+        base = build_accelerator("diva")
+        packed = Accelerator("DiVa-Pack", PackedOuterProductEngine(
+            base.config), ppu=base.ppu)
+        with pytest.raises(ValueError, match="DiVa-Pack"):
+            training_step_batch([(packed, build_model("MobileNet"),
+                                  Algorithm.DP_SGD, 8)])
 
 
 class TestOverheadModel:

@@ -1,6 +1,7 @@
 """3D parallelism: fabrics, pipeline schedules, the placement planner,
 and the batched 3D grid engine (DP x PP x TP)."""
 
+import itertools
 import json
 
 import numpy as np
@@ -23,9 +24,14 @@ from repro.core import build_cluster
 from repro.training import Algorithm, simulate_sharded_training_step
 from repro.training.batch import sharded_step_batch
 from repro.training.memory import max_batch_size, memory_breakdown
-from repro.training.parallel import partition_layers, stage_memory_breakdown
+from repro.training.parallel import (
+    build_pipeline_schedule,
+    partition_layers,
+    stage_memory_breakdown,
+)
 from repro.training.plan import plan_placement
 from repro.workloads import build_model
+from repro.workloads.zoo import MODEL_NAMES
 
 ALGORITHMS = ("SGD", "DP-SGD", "DP-SGD(R)")
 
@@ -173,6 +179,73 @@ class TestPipelineSchedule:
         assert report.total_seconds >= base / 8
 
 
+    @pytest.mark.parametrize("model", ("SqueezeNet", "VGG-16", "BERT-base",
+                                       "LSTM-small"))
+    def test_column_sums_match_loop_reference(self, model):
+        """The schedule's int64 column sums equal plain Python loops over
+        the scalar op log: per-layer cost (hence the cuts), per-(phase,
+        stage) GEMM cycles and the TP-gather payload."""
+        from repro.core import build_accelerator
+        from repro.training.batch import LoweredStep
+        from repro.training.parallel import _ACT_PHASES, _apportion
+        from repro.training.phases import PHASE_ORDER, Phase
+        from repro.training.simulate import _simulate_chip_step
+
+        net = NETS.get(model) or build_model(model)
+        index = {layer.name: i for i, layer in enumerate(net.layers)}
+        batch = 8
+        for algorithm, pp, tp in itertools.product(ALGORITHMS, (2, 4),
+                                                   (1, 2)):
+            algorithm = Algorithm(algorithm)
+            report, op_log = _simulate_chip_step(
+                net, algorithm, build_accelerator("diva"), batch, True, tp)
+            layer_of, previous = [], 0
+            for op, _ in op_log:
+                previous = index.get(op.gemm.layer, previous)
+                layer_of.append(previous)
+            cost = [0] * len(net.layers)
+            for layer, (_, run) in zip(layer_of, op_log):
+                cost[layer] += run.cycles
+            bounds = partition_layers(cost, pp)
+            stage_of = [sum(layer >= b for b in bounds[1:-1])
+                        for layer in layer_of]
+            gemm = {phase: [0] * pp for phase in report.phases}
+            for s, (op, run) in zip(stage_of, op_log):
+                gemm[op.phase][s] += run.cycles
+            params = [sum(l.params for l in net.layers[a:b])
+                      for a, b in zip(bounds, bounds[1:])]
+            acts = [sum(l.out_elems for l in net.layers[a:b]
+                        if not l.has_weights)
+                    for a, b in zip(bounds, bounds[1:])]
+            stages = [0] * pp
+            for phase in PHASE_ORDER:
+                if phase in report.phases:
+                    vector = report.phases[phase].cycles - sum(gemm[phase])
+                    shares = _apportion(
+                        vector, acts if phase in _ACT_PHASES else params)
+                    for s in range(pp):
+                        stages[s] += gemm[phase][s] + shares[s]
+            gathers = [op.gemm for op, _ in op_log if op.phase in (
+                Phase.FWD, Phase.BWD_ACT_1, Phase.BWD_ACT_2)]
+
+            sched = build_pipeline_schedule(
+                net, algorithm,
+                LoweredStep.from_ops(net, [op for op, _ in op_log]),
+                [run.cycles for _, run in op_log],
+                {p: run.cycles for p, run in report.phases.items()},
+                batch, ParallelPlan(dp=1, pp=pp, tp=tp))
+            where = (algorithm, pp, tp)
+            assert sched.stage_bounds == bounds, where
+            assert sched.stage_params == tuple(params), where
+            assert sched.stage_cycles == tuple(stages), where
+            if tp > 1:
+                norm = (batch * 4, 1) if algorithm.is_private else (0, 0)
+                assert sched.tp_payload_bytes == sum(
+                    g.m * (g.n * tp) * g.count * 2 for g in gathers) \
+                    + norm[0], where
+                assert sched.tp_collectives == len(gathers) + norm[1], where
+
+
 # -- placement planner ------------------------------------------------------
 
 class TestPlacementPlanner:
@@ -258,6 +331,45 @@ class TestBatched3D:
         assert int(result.comm_total_cycles[0]) == report.comm.busy_cycles
         assert int(result.link_bytes[0]) == report.comm.link_bytes
         assert int(result.bubble_cycles[0]) == report.bubble_cycles
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_schedule_from_op_log_equals_lowered_step(self, model):
+        """The scalar path splits its own op log's columns; the batched
+        path splits ``lowered_step``'s.  The schedules are equal."""
+        from repro.core import build_accelerator
+        from repro.training.batch import (
+            STEP_PHASES,
+            LoweredStep,
+            lowered_step,
+            training_step_batch,
+        )
+        from repro.training.simulate import _simulate_chip_step
+
+        net = build_model(model)
+        accel = build_accelerator("diva")
+        batch = 12
+        for algorithm, tp in itertools.product(ALGORITHMS, (1, 2)):
+            algorithm = Algorithm(algorithm)
+            report, op_log = _simulate_chip_step(
+                net, algorithm, accel, batch, True, tp)
+            step = training_step_batch([(accel, net, algorithm, batch, tp)],
+                                       collect_ops=True)
+            batched_phases = {
+                phase: int(step.phase_cycles[0, STEP_PHASES.index(phase)])
+                for phase in report.phases}
+            for pp in (2, 4):
+                plan = ParallelPlan(dp=1, pp=pp, tp=tp)
+                scalar = build_pipeline_schedule(
+                    net, algorithm,
+                    LoweredStep.from_ops(net, [op for op, _ in op_log]),
+                    [run.cycles for _, run in op_log],
+                    {p: run.cycles for p, run in report.phases.items()},
+                    batch, plan)
+                batched = build_pipeline_schedule(
+                    net, algorithm,
+                    lowered_step(net, algorithm, accel, batch, tp),
+                    step.op_cycles[0], batched_phases, batch, plan)
+                assert scalar == batched, (algorithm, pp, tp)
 
     def test_mixed_grid_in_one_call(self):
         """Heterogeneous plans, fabrics and overlap in a single batch."""
