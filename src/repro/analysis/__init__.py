@@ -10,7 +10,7 @@ R001      units-of-measure consistency               :mod:`.units`
 R002      cache-key completeness                     :mod:`.cachekeys`
 R003      scalar-batched drift                       :mod:`.drift`
 R004      determinism (seeded RNG only)              :mod:`.determinism`
-R005      oracle-guard (scalar fallback reachable)   :mod:`.oracle`
+R005      oracle-guard (scalar oracle reachable)     :mod:`.oracle`
 R006      wall-clock isolation (repro.obs only)      :mod:`.walltime`
 R007      link-rate homing (arch.interconnect only)  :mod:`.bandwidth`
 R008      fault-path RNG isolation (keyed draws)     :mod:`.faultrng`

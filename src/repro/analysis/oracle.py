@@ -1,21 +1,19 @@
-"""R005: oracle-guard — closed-form engines keep the scalar path alive.
+"""R005: oracle-guard — closed-form engines keep the scalar oracle alive.
 
-An engine that sets :attr:`GemmEngine.grid_axes` opts into the batched
-closed-form evaluator, which is only trustworthy while the per-tile
-scalar reference stays implemented (it is the oracle every fast path is
-pinned against, and the fallback for shapes the closed form rejects).
-For every class assigning a non-``None`` ``grid_axes`` this rule
-requires *real* implementations — in the class body or inherited from a
-project base — of both method families:
+Every engine sets :attr:`GemmEngine.grid_axes` and is priced by the
+closed form (:func:`~repro.arch.engine.gemm_stats_batch`), which is only
+trustworthy while the per-tile scalar reference stays implemented: it is
+the oracle the closed form is pinned against.  For every class assigning
+a non-``None`` ``grid_axes`` this rule requires *real* implementations —
+in the class body or inherited from a project base — of both method
+families:
 
 * the scalar reference trio ``tiles`` / ``tile_cycle_phases`` /
   ``tile_sram_traffic``;
-* the closed-form quartet ``tile_grid`` / ``grid_tile_dims`` /
-  ``tile_phases_batch`` / ``tile_traffic_batch``.
+* the vectorized hooks ``tile_phases_batch`` / ``tile_traffic_batch``.
 
 A method is *not* an implementation when it is ``@abstractmethod``,
-only raises ``NotImplementedError``, or only ``return None`` (the
-base-class "no closed form" stub).
+only raises ``NotImplementedError``, or only ``return None``.
 """
 
 from __future__ import annotations
@@ -28,9 +26,8 @@ from repro.analysis.core import Finding, Project, Rule, register
 #: Scalar reference path every closed-form engine must keep reachable.
 REFERENCE_METHODS = ("tiles", "tile_cycle_phases", "tile_sram_traffic")
 
-#: Closed-form hooks grid_axes declares support for.
-CLOSED_FORM_METHODS = ("tile_grid", "grid_tile_dims",
-                       "tile_phases_batch", "tile_traffic_batch")
+#: Vectorized hooks the closed form evaluates per tile-shape class.
+CLOSED_FORM_METHODS = ("tile_phases_batch", "tile_traffic_batch")
 
 
 def _grid_axes_value(node: ast.ClassDef) -> tuple[ast.stmt, bool] | None:
@@ -84,10 +81,10 @@ def _is_stub(node: ast.FunctionDef) -> bool:
 
 @register
 class OracleGuardRule(Rule):
-    """Closed-form engines must keep scalar fallback + hooks implemented."""
+    """Closed-form engines must keep the scalar oracle + hooks implemented."""
 
     rule_id = "R005"
-    title = "oracle-guard (scalar fallback reachable)"
+    title = "oracle-guard (scalar oracle reachable)"
 
     def check(self, project: Project) -> Iterator[Finding]:
         classes = {node.name: node

@@ -8,20 +8,19 @@ accumulates per-tile cycle counts from dataflow-specific formulas
 everything downstream consumers need: compute cycles, MAC counts
 (→ FLOPS utilization, Figures 7/15) and SRAM traffic (→ energy model).
 
-Two accounting paths coexist:
+One closed form prices every GEMM: :func:`gemm_stats_batch` evaluates
+it over arrays of ``(m, k, n, count)``.  A tile grid has at most four
+distinct tile shapes (full x full, full x remainder, remainder x full,
+remainder x remainder), so cycles and traffic reduce to ``(G, 4)``
+integer arithmetic plus a fixed set of adjacent-tile pair classes, and
+spatial packing (:meth:`GemmEngine.rounds`) is one more column.
+:meth:`GemmEngine.gemm_stats` is its length-1 adapter, memoized per
+``(engine-config, gemm-dims)`` in an explicit bounded LRU shared by
+all engine instances.
 
-* the **closed-form path** (:meth:`GemmEngine.gemm_stats`) derives phase
-  counts analytically from the ``(m, k, n)`` chunk decomposition.  A
-  tile grid has at most four distinct tile shapes (full x full,
-  full x remainder, remainder x full, remainder x remainder), so cycles
-  and traffic reduce to NumPy-batched per-class arithmetic plus a small
-  enumeration of adjacent-tile pair classes — no per-tile Python loop.
-  Results are memoized per ``(engine-config, gemm-dims)`` in an
-  explicit bounded LRU shared by all engine instances;
-* the **reference path** (:meth:`GemmEngine.gemm_stats_reference`)
-  materializes every tile and loops over it in Python.  It is the
-  oracle the closed-form path is tested against, and the fallback for
-  subclasses that do not describe their tiling as a grid.
+The **reference path** (:meth:`GemmEngine.gemm_stats_reference`)
+materializes every tile and loops over it in Python.  It is the oracle
+the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from repro.workloads.gemms import Gemm
 
@@ -44,93 +43,6 @@ def chunk_sizes(total: int, size: int) -> list[int]:
         raise ValueError(f"chunk_sizes requires positive args, got {total}, {size}")
     full, rem = divmod(total, size)
     return [size] * full + ([rem] if rem else [])
-
-
-@dataclass(frozen=True)
-class ChunkSpec:
-    """Closed-form counterpart of :func:`chunk_sizes`.
-
-    ``full_count`` chunks of ``full_size`` followed by one optional
-    ``remainder`` chunk (0 means the dimension divides evenly).
-    """
-
-    full_size: int
-    full_count: int
-    remainder: int
-
-    @property
-    def count(self) -> int:
-        """Number of chunks."""
-        return self.full_count + (1 if self.remainder else 0)
-
-    @property
-    def total(self) -> int:
-        """The decomposed dimension."""
-        return self.full_size * self.full_count + self.remainder
-
-    def entries(self) -> list[tuple[int, int]]:
-        """Distinct ``(chunk_size, multiplicity)`` pairs, full first."""
-        out = []
-        if self.full_count:
-            out.append((self.full_size, self.full_count))
-        if self.remainder:
-            out.append((self.remainder, 1))
-        return out
-
-
-def chunk_spec(total: int, size: int) -> ChunkSpec:
-    """Closed-form chunk decomposition of ``total`` into ``size`` chunks."""
-    if total <= 0 or size <= 0:
-        raise ValueError(f"chunk_spec requires positive args, got {total}, {size}")
-    full, rem = divmod(total, size)
-    return ChunkSpec(full_size=size, full_count=full, remainder=rem)
-
-
-@dataclass(frozen=True)
-class TileGrid:
-    """Row-major tile decomposition of one GEMM onto the PE array.
-
-    ``outer`` chunks index grid rows (the slower-varying loop of
-    :meth:`GemmEngine.tiles`), ``inner`` chunks index columns.
-    """
-
-    outer: ChunkSpec
-    inner: ChunkSpec
-
-    @property
-    def tile_count(self) -> int:
-        return self.outer.count * self.inner.count
-
-
-def _grid_pair_classes(grid: TileGrid) -> list[tuple[int, int, int]]:
-    """Adjacent-tile shape-class pairs ``(from, to, count)`` in row-major order.
-
-    Shape classes are indexed ``outer_entry * n_inner_entries +
-    inner_entry`` with entries ordered full-before-remainder (matching
-    :meth:`ChunkSpec.entries`).  The counts enumerate every consecutive
-    tile pair: within-row neighbours plus the last-column→first-column
-    boundary between consecutive rows; they always sum to
-    ``tile_count - 1``.
-    """
-    n_inner = len(grid.inner.entries())
-    inner_full = grid.inner.full_count
-    outer_full = grid.outer.full_count
-    pairs: list[tuple[int, int, int]] = []
-    # Within-row neighbours, replicated over every row of each outer kind.
-    for outer_idx, (_, rows) in enumerate(grid.outer.entries()):
-        base = outer_idx * n_inner
-        if inner_full >= 2:
-            pairs.append((base, base, rows * (inner_full - 1)))
-        if grid.inner.remainder and inner_full >= 1:
-            pairs.append((base, base + n_inner - 1, rows))
-    # Row-to-row boundaries: last column of one row → first of the next.
-    last_col = n_inner - 1
-    if outer_full >= 2:
-        pairs.append((last_col, 0, outer_full - 1))
-    if grid.outer.remainder and outer_full >= 1:
-        rem_base = (len(grid.outer.entries()) - 1) * n_inner
-        pairs.append((last_col, rem_base, 1))
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -231,6 +143,37 @@ class GemmStats:
 
 
 @dataclass(frozen=True)
+class GemmStatsBatch:
+    """Struct-of-arrays counterpart of :class:`~repro.arch.engine.GemmStats`.
+
+    Every array has one entry per input GEMM; figures cover all
+    ``count`` instances of each GEMM (matching the scalar stats).
+    """
+
+    engine: str
+    peak_macs_per_cycle: int
+    m: NDArray[Any]
+    k: NDArray[Any]
+    n: NDArray[Any]
+    count: NDArray[Any]
+    compute_cycles: NDArray[Any]
+    macs: NDArray[Any]
+    tiles: NDArray[Any]
+    sram_read_bytes: NDArray[Any]
+    sram_write_bytes: NDArray[Any]
+
+    def __len__(self) -> int:
+        return self.m.shape[0]
+
+    @property
+    def utilization(self) -> NDArray[Any]:
+        """Effective FLOPS utilization per GEMM (0.0 where idle)."""
+        denom = self.compute_cycles * self.peak_macs_per_cycle
+        return np.divide(self.macs, denom, where=denom != 0,
+                         out=np.zeros(len(self), dtype=float))
+
+
+@dataclass(frozen=True)
 class TileShape:
     """One tile of a GEMM mapped onto the array."""
 
@@ -265,15 +208,19 @@ class GemmEngine(abc.ABC):
     name: str = "abstract"
     #: Dataflow family: "weight_stationary" or "output_stationary".
     dataflow: str = "abstract"
-    #: Which GEMM dims :meth:`tile_grid` chunks onto the PE grid, as
+    #: Which GEMM dims :meth:`tiles` chunks onto the PE grid, as
     #: ``(rows_axis, cols_axis)`` names in {"m", "k", "n"} — rows chunk
-    #: by ``height``, columns by ``width``.  ``None`` means the engine
-    #: has no declarative grid and the batched evaluator
-    #: (:func:`repro.arch.batch.gemm_stats_batch`) falls back to a
-    #: scalar loop.  Must agree with :meth:`tile_grid`.
-    grid_axes: tuple[str, str] | None = None
+    #: by ``height``, columns by ``width``.  Every engine declares it:
+    #: :func:`gemm_stats_batch` prices all GEMMs from it.
+    grid_axes: tuple[str, str]
+    #: Independent broadcast-bus sectors; up to this many instances of a
+    #: batched GEMM whose footprint fits side by side run concurrently
+    #: (see :meth:`rounds`).  1 means no spatial packing.
+    bus_segments: int = 1
 
     def __init__(self, config: ArrayConfig | None = None) -> None:
+        if getattr(self, "grid_axes", None) is None:
+            raise TypeError(f"{type(self).__name__} must declare grid_axes")
         self.config = config or ArrayConfig()
 
     # -- dataflow-specific hooks -------------------------------------------
@@ -295,32 +242,17 @@ class GemmEngine(abc.ABC):
     def tile_sram_traffic(self, tile: TileShape) -> tuple[int, int]:
         """Return ``(read_bytes, write_bytes)`` of SRAM traffic per tile."""
 
-    # -- closed-form hooks ---------------------------------------------------
-    def tile_grid(self, gemm: Gemm) -> TileGrid | None:
-        """Describe :meth:`tiles` as a row-major chunk grid, or ``None``.
-
-        Engines that return a grid get the analytic fast path; returning
-        ``None`` routes everything through the per-tile reference.
-        """
-        return None
-
-    def grid_tile_dims(
-        self, gemm: Gemm, outer_sizes: NDArray[Any], inner_sizes: NDArray[Any],
-    ) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
-        """Map chunk-size arrays to ``(m, k, n)`` tile-dimension arrays."""
-        raise NotImplementedError
-
+    @abc.abstractmethod
     def tile_phases_batch(
         self, m: NDArray[Any], k: NDArray[Any], n: NDArray[Any],
     ) -> tuple[NDArray[Any], NDArray[Any]]:
         """Vectorized :meth:`tile_cycle_phases` over tile-dim arrays."""
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def tile_traffic_batch(
         self, m: NDArray[Any], k: NDArray[Any], n: NDArray[Any],
     ) -> tuple[NDArray[Any], NDArray[Any]]:
         """Vectorized :meth:`tile_sram_traffic` over tile-dim arrays."""
-        raise NotImplementedError
 
     # -- shared machinery ----------------------------------------------------
     def _overlapped(self) -> bool:
@@ -328,72 +260,24 @@ class GemmEngine(abc.ABC):
             return self.config.weight_double_buffer
         return self.config.accum_double_buffer
 
-    def _closed_form(self, gemm: Gemm) -> tuple[int, int, int, int] | None:
-        """``(cycles, tiles, read_bytes, write_bytes)`` for one instance.
+    def rounds(self, m: NDArray[Any], n: NDArray[Any],
+               count: NDArray[Any]) -> NDArray[Any]:
+        """Sequential rounds that run ``count`` instances of ``m x n``.
 
-        Evaluates the dataflow hooks once per distinct tile shape class
-        (at most four) and scales by analytically derived class counts;
-        the overlapped-pipeline sum over consecutive tiles reduces to
-        the pair classes of :func:`_grid_pair_classes`.
+        ``(H // m) * (W // n)`` instances fit side by side on the array;
+        ``pack``, that fit capped by ``bus_segments`` and ``count`` (and
+        at least 1), run concurrently, so the batch takes
+        ``ceil(count / pack)`` rounds of one-instance latency.  With one
+        bus segment this is ``count``.
         """
-        grid = self.tile_grid(gemm)
-        if grid is None:
-            return None
-        outer_entries = grid.outer.entries()
-        inner_entries = grid.inner.entries()
-        n_inner = len(inner_entries)
-        outer_sizes = np.repeat(
-            np.array([size for size, _ in outer_entries], dtype=np.int64),
-            n_inner)
-        inner_sizes = np.tile(
-            np.array([size for size, _ in inner_entries], dtype=np.int64),
-            len(outer_entries))
-        counts = np.repeat(
-            np.array([mult for _, mult in outer_entries], dtype=np.int64),
-            n_inner,
-        ) * np.tile(
-            np.array([mult for _, mult in inner_entries], dtype=np.int64),
-            len(outer_entries))
-
-        m, k, n = self.grid_tile_dims(gemm, outer_sizes, inner_sizes)
-        overlap, main = self.tile_phases_batch(m, k, n)
-        reads, writes = self.tile_traffic_batch(m, k, n)
-
-        tiles = int(counts.sum())
-        read_bytes = int((counts * reads).sum())
-        write_bytes = int((counts * writes).sum())
-        fixed = (self.config.gemm_startup_cycles
-                 + tiles * self.config.tile_startup_cycles)
-        if not self._overlapped():
-            cycles = fixed + int((counts * (overlap + main)).sum())
-            return cycles, tiles, read_bytes, write_bytes
-
-        pairs = _grid_pair_classes(grid)
-        src = np.array([a for a, _, _ in pairs], dtype=np.intp)
-        dst = np.array([b for _, b, _ in pairs], dtype=np.intp)
-        mult = np.array([c for _, _, c in pairs], dtype=np.int64)
-        if self.dataflow == "weight_stationary":
-            # Fill precedes the stream: tile i+1's fill hides behind
-            # tile i's stream; the first fill is exposed.
-            boundary = int(overlap[0] + main[-1])
-            pair_terms = np.maximum(main[src], overlap[dst])
-        else:
-            # Drain follows the main phase: tile i's drain hides behind
-            # tile i+1's main phase; the last drain is exposed.
-            boundary = int(main[0] + overlap[-1])
-            pair_terms = np.maximum(overlap[src], main[dst])
-        cycles = fixed + boundary + int((mult * pair_terms).sum())
-        return cycles, tiles, read_bytes, write_bytes
-
-    def single_gemm_cycles(self, gemm: Gemm) -> tuple[int, int]:
-        """Cycles and tile count for one GEMM instance (count ignored)."""
-        closed = self._closed_form(gemm)
-        if closed is None:
-            return self.single_gemm_cycles_reference(gemm)
-        return closed[0], closed[1]
+        cfg = self.config
+        fit = (cfg.height // m) * (cfg.width // n)
+        pack = np.maximum(1, np.minimum(np.minimum(fit, self.bus_segments),
+                                        count))
+        return -(-count // pack)
 
     def single_gemm_cycles_reference(self, gemm: Gemm) -> tuple[int, int]:
-        """Per-tile-loop oracle for :meth:`single_gemm_cycles`.
+        """Per-tile-loop cycles and tile count of one GEMM instance.
 
         In the overlapped regime each tile's fill/drain phase is paired
         with the *neighbouring* tile's main phase; exactly one boundary
@@ -416,10 +300,11 @@ class GemmEngine(abc.ABC):
 
     def _cache_key(self) -> tuple[object, ...]:
         """Hashable identity of this engine's cycle model."""
-        return (type(self).__qualname__, self.config)
+        return (type(self).__qualname__, self.config, self.bus_segments)
 
     def gemm_stats(self, gemm: Gemm) -> GemmStats:
-        """Execute ``gemm`` (all ``count`` instances, sequentially).
+        """Execute ``gemm`` (all ``count`` instances): one row of
+        :func:`gemm_stats_batch`.
 
         Memoized in a bounded shared LRU; stats depend only on the GEMM
         dimensions, so entries are keyed by ``(m, k, n, count)`` and
@@ -432,28 +317,21 @@ class GemmEngine(abc.ABC):
             if cached.gemm == gemm:
                 return cached
             return replace(cached, gemm=gemm)
-        stats = self._compute_gemm_stats(gemm)
+        row = gemm_stats_batch(self, gemm.m, gemm.k, gemm.n, gemm.count)
+        stats = GemmStats(
+            gemm=gemm,
+            engine=self.name,
+            compute_cycles=int(row.compute_cycles[0]),
+            macs=gemm.macs,
+            peak_macs_per_cycle=row.peak_macs_per_cycle,
+            tiles=int(row.tiles[0]),
+            sram_read_bytes=int(row.sram_read_bytes[0]),
+            sram_write_bytes=int(row.sram_write_bytes[0]),
+        )
         _GEMM_STATS_CACHE[key] = stats
         if len(_GEMM_STATS_CACHE) > GEMM_STATS_CACHE_MAXSIZE:
             _GEMM_STATS_CACHE.popitem(last=False)
         return stats
-
-    def _compute_gemm_stats(self, gemm: Gemm) -> GemmStats:
-        """Uncached closed-form stats (reference fallback without a grid)."""
-        closed = self._closed_form(gemm)
-        if closed is None:
-            return self.gemm_stats_reference(gemm)
-        cycles, tiles, reads, writes = closed
-        return GemmStats(
-            gemm=gemm,
-            engine=self.name,
-            compute_cycles=cycles * gemm.count,
-            macs=gemm.macs,
-            peak_macs_per_cycle=self.config.peak_macs_per_cycle,
-            tiles=tiles * gemm.count,
-            sram_read_bytes=reads * gemm.count,
-            sram_write_bytes=writes * gemm.count,
-        )
 
     def gemm_stats_reference(self, gemm: Gemm) -> GemmStats:
         """Per-tile-loop oracle for :meth:`gemm_stats` (never cached)."""
@@ -481,3 +359,140 @@ class GemmEngine(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cfg = self.config
         return f"{type(self).__name__}({cfg.height}x{cfg.width}@{cfg.frequency_hz/1e6:.0f}MHz)"
+
+
+def _class_cycles_overlapped(engine: GemmEngine, overlap: NDArray[Any],
+                             main: NDArray[Any], fo: NDArray[Any],
+                             ro: NDArray[Any], fi: NDArray[Any],
+                             ri: NDArray[Any]) -> NDArray[Any]:
+    """Overlapped-pipeline cycle sum over the tile-pair classes.
+
+    Tile classes are indexed ``outer_kind * 2 + inner_kind`` with kind
+    0 = full-size and kind 1 = remainder; absent classes carry count 0.
+    The pair classes enumerate every consecutive tile pair of the
+    row-major tile order (:meth:`GemmEngine.tiles`): within-row
+    neighbours plus the last-column -> first-column boundary between
+    consecutive rows, ``tiles - 1`` pairs in all.
+    """
+    has_fo, has_ro = fo > 0, ro > 0
+    has_fi, has_ri = fi > 0, ri > 0
+    one = np.int64(1)
+    zero = np.int64(0)
+    rows = {0: fo, 1: has_ro.astype(np.int64)}
+    gemms = np.arange(len(fo))
+
+    first_i = np.where(has_fi, 0, 1)
+    last_i = np.where(has_ri, 1, 0)
+    first_o = np.where(has_fo, 0, 1)
+    last_o = np.where(has_ro, 1, 0)
+
+    # (src class, dst class, multiplicity) triples, all (G,) arrays.
+    pairs: list[tuple[NDArray[Any], NDArray[Any], NDArray[Any]]] = []
+    for o in (0, 1):
+        base = np.full_like(fo, o * 2)
+        # Within-row full->full neighbours.
+        pairs.append((base, base, rows[o] * np.maximum(fi - 1, 0)))
+        # Within-row full->remainder boundary, once per row.
+        pairs.append((base, base + 1,
+                      rows[o] * np.where(has_ri & has_fi, one, zero)))
+    # Row-to-row: last column of one row -> first column of the next.
+    pairs.append((last_i, first_i, np.maximum(fo - 1, 0)))
+    pairs.append((last_i, 2 + first_i,
+                  np.where(has_ro & has_fo, one, zero)))
+
+    c_first = first_o * 2 + first_i
+    c_last = last_o * 2 + last_i
+    if engine.dataflow == "weight_stationary":
+        # Fill precedes the stream: tile i+1's fill hides behind tile
+        # i's stream; the first fill is exposed.
+        boundary = overlap[gemms, c_first] + main[gemms, c_last]
+        terms = [mult * np.maximum(main[gemms, src], overlap[gemms, dst])
+                 for src, dst, mult in pairs]
+    else:
+        # Drain follows the main phase: tile i's drain hides behind
+        # tile i+1's main phase; the last drain is exposed.
+        boundary = main[gemms, c_first] + overlap[gemms, c_last]
+        terms = [mult * np.maximum(overlap[gemms, src], main[gemms, dst])
+                 for src, dst, mult in pairs]
+    total = boundary
+    for term in terms:
+        total = total + term
+    return total
+
+
+def gemm_stats_batch(engine: GemmEngine, m: "ArrayLike", k: "ArrayLike",
+                     n: "ArrayLike", count: "ArrayLike" = 1
+                     ) -> GemmStatsBatch:
+    """Evaluate the closed-form cycle model over arrays of GEMM dims.
+
+    ``m``, ``k``, ``n`` and ``count`` broadcast against each other;
+    every entry must be positive (the same contract as
+    :class:`~repro.workloads.gemms.Gemm`).  This is the only GEMM
+    pricer: :meth:`GemmEngine.gemm_stats` is its cached length-1
+    adapter.  Compute cycles are one instance's cycles times
+    :meth:`GemmEngine.rounds`; tiles and SRAM traffic scale with
+    ``count``.
+    """
+    m = np.asarray(m, dtype=np.int64)
+    k = np.asarray(k, dtype=np.int64)
+    n = np.asarray(n, dtype=np.int64)
+    count = np.asarray(count, dtype=np.int64)
+    m, k, n, count = (np.atleast_1d(a) for a in
+                      np.broadcast_arrays(m, k, n, count))
+    if m.size and (m.min() <= 0 or k.min() <= 0 or n.min() <= 0
+                   or count.min() <= 0):
+        raise ValueError("GEMM dims and count must be positive")
+    m, k, n, count = (np.ascontiguousarray(a) for a in (m, k, n, count))
+
+    axes = engine.grid_axes
+    cfg = engine.config
+    dims = {"m": m, "k": k, "n": n}
+    outer_total = dims[axes[0]]
+    inner_total = dims[axes[1]]
+    fo, ro = np.divmod(outer_total, np.int64(cfg.height))
+    fi, ri = np.divmod(inner_total, np.int64(cfg.width))
+
+    # Tile-shape classes, indexed outer_kind * 2 + inner_kind with
+    # kind 0 = full chunk, kind 1 = remainder; absent classes carry
+    # multiplicity zero and never contribute.
+    height = np.full_like(outer_total, cfg.height)
+    width = np.full_like(inner_total, cfg.width)
+    outer_sizes = np.stack([height, height, ro, ro], axis=1)
+    inner_sizes = np.stack([width, ri, width, ri], axis=1)
+    has_ro = (ro > 0).astype(np.int64)
+    has_ri = (ri > 0).astype(np.int64)
+    counts = np.stack([fo * fi, fo * has_ri, has_ro * fi,
+                       has_ro * has_ri], axis=1)
+
+    def tile_dim(axis: str) -> NDArray[Any]:
+        if axis == axes[0]:
+            return outer_sizes
+        if axis == axes[1]:
+            return inner_sizes
+        return np.broadcast_to(dims[axis][:, None], outer_sizes.shape)
+
+    tm, tk, tn = tile_dim("m"), tile_dim("k"), tile_dim("n")
+    overlap, main = engine.tile_phases_batch(tm, tk, tn)
+    reads, writes = engine.tile_traffic_batch(tm, tk, tn)
+
+    tiles = counts.sum(axis=1)
+    read_bytes = (counts * reads).sum(axis=1)
+    write_bytes = (counts * writes).sum(axis=1)
+    fixed = (np.int64(cfg.gemm_startup_cycles)
+             + tiles * np.int64(cfg.tile_startup_cycles))
+    if engine._overlapped():
+        cycles = fixed + _class_cycles_overlapped(
+            engine, overlap, main, fo, ro, fi, ri)
+    else:
+        cycles = fixed + (counts * (overlap + main)).sum(axis=1)
+
+    return GemmStatsBatch(
+        engine=engine.name,
+        peak_macs_per_cycle=cfg.peak_macs_per_cycle,
+        m=m, k=k, n=n, count=count,
+        compute_cycles=cycles * engine.rounds(m, n, count),
+        macs=m * k * n * count,
+        tiles=tiles * count,
+        sram_read_bytes=read_bytes * count,
+        sram_write_bytes=write_bytes * count,
+    )

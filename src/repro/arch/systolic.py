@@ -19,16 +19,9 @@ from __future__ import annotations
 import math
 from typing import Any
 
-import numpy as np
 from numpy.typing import NDArray
 
-from repro.arch.engine import (
-    GemmEngine,
-    TileGrid,
-    TileShape,
-    chunk_sizes,
-    chunk_spec,
-)
+from repro.arch.engine import GemmEngine, TileShape, chunk_sizes
 from repro.workloads.gemms import Gemm
 
 
@@ -47,17 +40,6 @@ class WeightStationaryEngine(GemmEngine):
             for kt in chunk_sizes(gemm.k, cfg.height)
             for nt in chunk_sizes(gemm.n, cfg.width)
         ]
-
-    def tile_grid(self, gemm: Gemm) -> TileGrid:
-        cfg = self.config
-        return TileGrid(outer=chunk_spec(gemm.k, cfg.height),
-                        inner=chunk_spec(gemm.n, cfg.width))
-
-    def grid_tile_dims(
-        self, gemm: Gemm, outer_sizes: NDArray[Any],
-        inner_sizes: NDArray[Any],
-    ) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
-        return np.full_like(outer_sizes, gemm.m), outer_sizes, inner_sizes
 
     def tile_cycle_phases(self, tile: TileShape) -> tuple[int, int]:
         cfg = self.config
@@ -103,17 +85,6 @@ class OutputStationaryEngine(GemmEngine):
             for mt in chunk_sizes(gemm.m, cfg.height)
             for nt in chunk_sizes(gemm.n, cfg.width)
         ]
-
-    def tile_grid(self, gemm: Gemm) -> TileGrid:
-        cfg = self.config
-        return TileGrid(outer=chunk_spec(gemm.m, cfg.height),
-                        inner=chunk_spec(gemm.n, cfg.width))
-
-    def grid_tile_dims(
-        self, gemm: Gemm, outer_sizes: NDArray[Any],
-        inner_sizes: NDArray[Any],
-    ) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
-        return outer_sizes, np.full_like(outer_sizes, gemm.k), inner_sizes
 
     def tile_cycle_phases(self, tile: TileShape) -> tuple[int, int]:
         cfg = self.config

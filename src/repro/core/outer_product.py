@@ -15,16 +15,9 @@ from __future__ import annotations
 import math
 from typing import Any
 
-import numpy as np
 from numpy.typing import NDArray
 
-from repro.arch.engine import (
-    GemmEngine,
-    TileGrid,
-    TileShape,
-    chunk_sizes,
-    chunk_spec,
-)
+from repro.arch.engine import GemmEngine, TileShape, chunk_sizes
 from repro.workloads.gemms import Gemm
 
 
@@ -43,17 +36,6 @@ class OuterProductEngine(GemmEngine):
             for mt in chunk_sizes(gemm.m, cfg.height)
             for nt in chunk_sizes(gemm.n, cfg.width)
         ]
-
-    def tile_grid(self, gemm: Gemm) -> TileGrid:
-        cfg = self.config
-        return TileGrid(outer=chunk_spec(gemm.m, cfg.height),
-                        inner=chunk_spec(gemm.n, cfg.width))
-
-    def grid_tile_dims(
-        self, gemm: Gemm, outer_sizes: NDArray[Any],
-        inner_sizes: NDArray[Any],
-    ) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
-        return outer_sizes, np.full_like(outer_sizes, gemm.k), inner_sizes
 
     def tile_cycle_phases(self, tile: TileShape) -> tuple[int, int]:
         """One rank-1 update per cycle: K cycles of compute, then drain."""

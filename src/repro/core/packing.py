@@ -43,14 +43,12 @@ class PackedOuterProductEngine(OuterProductEngine):
     only a fraction of the array, up to
     ``(H // m) * (W // n)`` instances (bounded by ``bus_segments``) are
     mapped onto disjoint sectors and execute concurrently — each sector
-    broadcasting its own operand pair.
+    broadcasting its own operand pair.  The closed form prices this
+    through :meth:`GemmEngine.rounds`; :meth:`packing_factor` is its
+    per-GEMM restatement for the per-tile reference.
     """
 
     name = "DiVa-Pack"
-    #: Packing makes cycles depend on ``count`` per GEMM, which the
-    #: batched grid form does not model: ``gemm_stats_batch`` takes its
-    #: exact per-entry scalar loop instead.
-    grid_axes = None
 
     def __init__(self, config: ArrayConfig | None = None,
                  bus_segments: int = 4) -> None:
@@ -69,13 +67,13 @@ class PackedOuterProductEngine(OuterProductEngine):
             return 1
         return max(1, min(self.bus_segments, fit, gemm.count))
 
-    def _cache_key(self) -> tuple[object, ...]:
-        return super()._cache_key() + (self.bus_segments,)
-
-    def _pack_stats(self, gemm: Gemm, per_instance: GemmStats,
-                    pack: int) -> GemmStats:
+    def gemm_stats_reference(self, gemm: Gemm) -> GemmStats:
+        pack = self.packing_factor(gemm)
+        if pack == 1:
+            return super().gemm_stats_reference(gemm)
         # `pack` instances run concurrently; the batch completes in
         # ceil(count / pack) sequential rounds of one-instance latency.
+        per_instance = super().gemm_stats_reference(gemm.single())
         rounds = math.ceil(gemm.count / pack)
         return GemmStats(
             gemm=gemm,
@@ -87,17 +85,3 @@ class PackedOuterProductEngine(OuterProductEngine):
             sram_read_bytes=per_instance.sram_read_bytes * gemm.count,
             sram_write_bytes=per_instance.sram_write_bytes * gemm.count,
         )
-
-    def _compute_gemm_stats(self, gemm: Gemm) -> GemmStats:
-        pack = self.packing_factor(gemm)
-        if pack == 1:
-            return super()._compute_gemm_stats(gemm)
-        return self._pack_stats(
-            gemm, super()._compute_gemm_stats(gemm.single()), pack)
-
-    def gemm_stats_reference(self, gemm: Gemm) -> GemmStats:
-        pack = self.packing_factor(gemm)
-        if pack == 1:
-            return super().gemm_stats_reference(gemm)
-        return self._pack_stats(
-            gemm, super().gemm_stats_reference(gemm.single()), pack)

@@ -300,9 +300,9 @@ def training_step_batch(
     vector-kernel and batched-GEMM stages and counts specs / GEMM ops
     / unique shapes — purely additive bookkeeping.
 
-    GEMMs are priced once per distinct ``(m, k, n)`` and scaled by
-    ``count``, so an engine without ``grid_axes`` (whose cost need not
-    be linear in ``count``, e.g. a packing engine) raises ``ValueError``.
+    GEMMs are priced once per distinct ``(m, k, n)`` and scaled by the
+    engine's :meth:`~repro.arch.engine.GemmEngine.rounds` column (which
+    is ``count`` unless the engine packs instances side by side).
     """
     specs = list(specs)
     matrix = np.zeros((len(specs), len(STEP_PHASES)), dtype=np.int64)
@@ -327,11 +327,6 @@ def training_step_batch(
 
     with _stage(profiler, "step-batch/gemm"):
         for accel, indices, steps in groups.values():
-            if accel.engine.grid_axes is None:
-                raise ValueError(
-                    f"engine {accel.engine.name!r} has no grid_axes, so "
-                    f"its GEMM cost need not scale with count; price it "
-                    f"with simulate_training_step")
             lengths = np.array([len(step) for step in steps], dtype=np.int64)
             if not lengths.sum():
                 continue
@@ -346,7 +341,8 @@ def training_step_batch(
                 profiler.count("unique_gemm_shapes", len(unique))
             stats = gemm_stats_batch(
                 accel.engine, unique[:, 0], unique[:, 1], unique[:, 2], 1)
-            compute = stats.compute_cycles[inverse] * count
+            compute = (stats.compute_cycles[inverse]
+                       * accel.engine.rounds(m, n, count))
 
             input_bytes = accel.config.input_bytes
             acc_bytes = accel.config.acc_bytes

@@ -258,12 +258,6 @@ ENGINE_FIXTURE = """
         def tile_sram_traffic(self, tile):
             raise NotImplementedError
 
-        def tile_grid(self, gemm):
-            return None
-
-        def grid_tile_dims(self, gemm, outer, inner):
-            raise NotImplementedError
-
         def tile_phases_batch(self, m, k, n):
             raise NotImplementedError
 
@@ -281,8 +275,7 @@ FULL_BODY = "\n".join(
         def {name}(self, *args):
             return 1"""
     for name in ("tiles", "tile_cycle_phases", "tile_sram_traffic",
-                 "tile_grid", "grid_tile_dims", "tile_phases_batch",
-                 "tile_traffic_batch"))
+                 "tile_phases_batch", "tile_traffic_batch"))
 
 
 def test_oracle_guard_pass(tmp_path):
@@ -292,11 +285,11 @@ def test_oracle_guard_pass(tmp_path):
 
 
 def test_oracle_guard_fail(tmp_path):
-    # Base stubs (raise / return None / abstract) are not real
-    # implementations, so the bare subclass misses all seven.
+    # Base stubs (raise / abstract) are not real implementations, so
+    # the bare subclass misses all five.
     findings = lint_source(
         tmp_path, ENGINE_FIXTURE.format(body="    pass"), select={"R005"})
-    assert len(findings) == 7
+    assert len(findings) == 5
     assert rule_ids(findings) == ["R005"]
     assert all("Closed" in finding.message for finding in findings)
 

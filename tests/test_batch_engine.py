@@ -59,7 +59,7 @@ def _assert_batch_equals_scalar(engine, dims):
     m, k, n, c = (np.array(column) for column in zip(*dims))
     batch = gemm_stats_batch(engine, m, k, n, c)
     for i, (mi, ki, ni, ci) in enumerate(dims):
-        scalar = engine.gemm_stats(Gemm(mi, ki, ni, ci))
+        scalar = engine.gemm_stats_reference(Gemm(mi, ki, ni, ci))
         for field in ("compute_cycles", "macs", "tiles",
                       "sram_read_bytes", "sram_write_bytes"):
             assert int(getattr(batch, field)[i]) == getattr(scalar, field), \
@@ -100,14 +100,14 @@ class TestGemmStatsBatch:
         with pytest.raises(ValueError):
             gemm_stats_batch(_engine("diva"), [0], [1], [1], [1])
 
-    def test_scalar_fallback_without_grid_axes(self):
+    def test_engine_without_grid_axes_is_rejected(self):
         engine = _engine("diva")
 
         class NoGrid(type(engine)):
             grid_axes = None
 
-        fallback = NoGrid(engine.config)
-        _assert_batch_equals_scalar(fallback, EDGE_SHAPES[:3])
+        with pytest.raises(TypeError, match="NoGrid must declare grid_axes"):
+            NoGrid(engine.config)
 
 
 # -- plain-Python collective oracle ------------------------------------------

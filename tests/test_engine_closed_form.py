@@ -1,8 +1,9 @@
 """Closed-form GEMM cycle engine vs the per-tile reference oracle.
 
-The closed-form path (:meth:`GemmEngine.gemm_stats`) derives phase
-counts analytically from the chunk decomposition; these tests pin it to
-the per-tile reference (:meth:`GemmEngine.gemm_stats_reference`) across
+The closed form (:func:`gemm_stats_batch` and its cached length-1
+adapter :meth:`GemmEngine.gemm_stats`) derives phase counts
+analytically from the chunk decomposition; these tests pin it to the
+per-tile reference (:meth:`GemmEngine.gemm_stats_reference`) across
 all three dataflows, remainder tile shapes, batched GEMMs and packing
 factors — plus hand-computed pipelines that lock in the corrected
 overlapped-regime formula (each tile's fill/drain phase pairs with the
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch.batch import gemm_stats_batch
 from repro.arch.engine import (
     ArrayConfig,
     GEMM_STATS_CACHE_MAXSIZE,
-    chunk_spec,
     clear_gemm_stats_cache,
     gemm_stats_cache_len,
 )
@@ -63,26 +64,6 @@ def assert_stats_equal(fast, oracle):
     assert fast.engine == oracle.engine
 
 
-class TestChunkSpec:
-    def test_exact_division(self):
-        spec = chunk_spec(256, 128)
-        assert (spec.full_size, spec.full_count, spec.remainder) == (128, 2, 0)
-        assert spec.count == 2 and spec.total == 256
-
-    def test_remainder(self):
-        spec = chunk_spec(300, 128)
-        assert spec.entries() == [(128, 2), (44, 1)]
-        assert spec.count == 3 and spec.total == 300
-
-    def test_smaller_than_chunk(self):
-        spec = chunk_spec(5, 128)
-        assert spec.entries() == [(5, 1)]
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            chunk_spec(0, 128)
-
-
 class TestEquivalenceSweep:
     @pytest.mark.parametrize("engine_cls", ENGINES)
     @pytest.mark.parametrize("config", CONFIGS)
@@ -104,22 +85,25 @@ class TestEquivalenceSweep:
                                engine.gemm_stats_reference(gemm))
 
     @settings(max_examples=60, deadline=None)
-    @given(m=st.integers(1, 700), k=st.integers(1, 700),
-           n=st.integers(1, 700), count=st.integers(1, 4))
+    @given(m=st.integers(1, 300), k=st.integers(1, 700),
+           n=st.integers(1, 300), count=st.integers(1, 40))
     def test_property_equivalence(self, m, k, n, count):
+        """Batched = adapter = per-tile reference on every engine; the
+        m/n range straddles the array so packed shapes occur."""
         gemm = Gemm(m, k, n, count=count)
-        for engine_cls in ENGINES:
-            engine = engine_cls()
-            assert_stats_equal(engine.gemm_stats(gemm),
-                               engine.gemm_stats_reference(gemm))
-
-    def test_single_gemm_cycles_paths_agree(self):
-        for engine_cls in ENGINES:
-            engine = engine_cls()
-            for m, k, n in SHAPES:
-                gemm = Gemm(m, k, n)
-                assert (engine.single_gemm_cycles(gemm)
-                        == engine.single_gemm_cycles_reference(gemm))
+        engines = [WeightStationaryEngine(), OutputStationaryEngine(),
+                   OuterProductEngine()] + [
+            PackedOuterProductEngine(bus_segments=segments)
+            for segments in (1, 4, 8)]
+        for engine in engines:
+            oracle = engine.gemm_stats_reference(gemm)
+            adapter = engine.gemm_stats(gemm)
+            assert_stats_equal(adapter, oracle)
+            batch = gemm_stats_batch(engine, m, k, n, count)
+            for field in ("compute_cycles", "macs", "tiles",
+                          "sram_read_bytes", "sram_write_bytes"):
+                assert int(getattr(batch, field)[0]) \
+                    == getattr(oracle, field), (engine.name, field)
 
 
 class TestOverlapFormulaHandComputed:
@@ -134,7 +118,8 @@ class TestOverlapFormulaHandComputed:
         # Pipeline: main0 | max(drain0, main1) | drain1 exposed
         #         = 4 + max(16, 4) + 16 = 36
         # Fixed: gemm startup 16 + 2 tiles * 2 = 20.  Total 56.
-        assert engine.single_gemm_cycles(gemm) == (56, 2)
+        stats = engine.gemm_stats(gemm)
+        assert (stats.compute_cycles, stats.tiles) == (56, 2)
         assert engine.single_gemm_cycles_reference(gemm) == (56, 2)
         # The pre-fix formula charged 16 + 16 + 2*(max(16,4)+2) = 68.
 
@@ -143,7 +128,8 @@ class TestOverlapFormulaHandComputed:
         gemm = Gemm(200, 4, 64)                # M-tiles of 128 and 72
         # Tile 0: drain ceil(128/8)=16, main 4; tile 1: drain 9, main 4.
         # 4 + max(16, 4) + 9 = 29, plus 16 startup + 2*2 = 49.
-        assert engine.single_gemm_cycles(gemm) == (49, 2)
+        stats = engine.gemm_stats(gemm)
+        assert (stats.compute_cycles, stats.tiles) == (49, 2)
         assert engine.single_gemm_cycles_reference(gemm) == (49, 2)
 
     def test_two_ws_tiles(self):
@@ -153,7 +139,8 @@ class TestOverlapFormulaHandComputed:
         # Tile 0: fill ceil(128/8)=16, stream 10+128+3=141;
         # tile 1: fill 8, stream 10+64+3=77.
         # 16 + max(141, 8) + 77 = 234, plus 16 startup + 2*2 = 254.
-        assert engine.single_gemm_cycles(gemm) == (254, 2)
+        stats = engine.gemm_stats(gemm)
+        assert (stats.compute_cycles, stats.tiles) == (254, 2)
         assert engine.single_gemm_cycles_reference(gemm) == (254, 2)
 
     def test_single_tile_has_no_overlap_benefit(self):
@@ -161,8 +148,9 @@ class TestOverlapFormulaHandComputed:
         overlapped = OuterProductEngine()
         serial = OuterProductEngine(ArrayConfig(accum_double_buffer=False))
         gemm = Gemm(64, 32, 64)
-        assert (overlapped.single_gemm_cycles(gemm)
-                == serial.single_gemm_cycles(gemm))
+        assert (overlapped.gemm_stats(gemm).compute_cycles
+                == serial.gemm_stats(gemm).compute_cycles)
+        assert overlapped.gemm_stats(gemm).tiles == 1
 
 
 class TestStatsCache:

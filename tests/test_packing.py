@@ -16,7 +16,12 @@ from repro.core.packing import (
     PackedOuterProductEngine,
     packing_overhead_fraction,
 )
-from repro.training import Algorithm, training_step_batch
+from repro.training import (
+    Algorithm,
+    simulate_training_step,
+    training_step_batch,
+)
+from repro.training.batch import _PHASE_INDEX
 from repro.workloads import build_model
 from repro.workloads.gemms import Gemm
 
@@ -88,8 +93,8 @@ class TestPackedStats:
 
 
 class TestBatchedPricing:
-    """The batched evaluator prices packed GEMMs exactly as the scalar
-    engine does, and the step evaluator refuses what it cannot price."""
+    """The batched evaluators price packed GEMMs exactly as the scalar
+    engine and the scalar step driver do."""
 
     #: m, k, n, count grids around the packing thresholds (quarter- and
     #: sub-array footprints, counts below and above the segment count).
@@ -102,19 +107,29 @@ class TestBatchedPricing:
         m, k, n, count = (np.array(column) for column in zip(*self.DIMS))
         batch = gemm_stats_batch(engine, m, k, n, count)
         for i, dims in enumerate(self.DIMS):
-            scalar = engine.gemm_stats(Gemm(*dims))
+            scalar = engine.gemm_stats_reference(Gemm(*dims))
             for field in ("compute_cycles", "macs", "tiles",
                           "sram_read_bytes", "sram_write_bytes"):
                 assert int(getattr(batch, field)[i]) \
                     == getattr(scalar, field), (segments, dims, field)
 
-    def test_training_step_batch_refuses_packed_engine(self):
+    @pytest.mark.parametrize("algorithm",
+                             (Algorithm.DP_SGD, Algorithm.DP_SGD_R))
+    def test_training_step_batch_equals_scalar(self, algorithm):
         base = build_accelerator("diva")
         packed = Accelerator("DiVa-Pack", PackedOuterProductEngine(
             base.config), ppu=base.ppu)
-        with pytest.raises(ValueError, match="DiVa-Pack"):
-            training_step_batch([(packed, build_model("MobileNet"),
-                                  Algorithm.DP_SGD, 8)])
+        network = build_model("MobileNet")
+        batches = (1, 8, 32)
+        step = training_step_batch(
+            [(packed, network, algorithm, batch) for batch in batches])
+        for i, batch in enumerate(batches):
+            report = simulate_training_step(network, algorithm, packed,
+                                            batch)
+            assert int(step.total_cycles[i]) == report.total_cycles
+            for phase, run in report.phases.items():
+                assert int(step.phase_cycles[i, _PHASE_INDEX[phase]]) \
+                    == run.cycles, (batch, phase)
 
 
 class TestOverheadModel:
