@@ -386,34 +386,34 @@ def _class_cycles_overlapped(engine: GemmEngine, overlap: NDArray[Any],
     first_o = np.where(has_fo, 0, 1)
     last_o = np.where(has_ro, 1, 0)
 
-    # (src class, dst class, multiplicity) triples, all (G,) arrays.
-    pairs: list[tuple[NDArray[Any], NDArray[Any], NDArray[Any]]] = []
-    for o in (0, 1):
-        base = np.full_like(fo, o * 2)
-        # Within-row full->full neighbours.
-        pairs.append((base, base, rows[o] * np.maximum(fi - 1, 0)))
-        # Within-row full->remainder boundary, once per row.
-        pairs.append((base, base + 1,
-                      rows[o] * np.where(has_ri & has_fi, one, zero)))
-    # Row-to-row: last column of one row -> first column of the next.
-    pairs.append((last_i, first_i, np.maximum(fo - 1, 0)))
-    pairs.append((last_i, 2 + first_i,
-                  np.where(has_ro & has_fo, one, zero)))
+    # Within-row neighbours keep one outer kind ``o``, so their classes
+    # are fixed columns: (src column, dst column, multiplicity), with
+    # full->full pairs and the full->remainder boundary once per row.
+    fixed = [(2 * o, 2 * o + to_rem,
+              rows[o] * (np.where(has_ri & has_fi, one, zero) if to_rem
+                         else np.maximum(fi - 1, 0)))
+             for o in (0, 1) for to_rem in (0, 1)]
+    # Row-to-row: last column of one row -> first column of the next
+    # (per-GEMM class arrays).
+    varying = [(last_i, first_i, np.maximum(fo - 1, 0)),
+               (last_i, 2 + first_i, np.where(has_ro & has_fo, one, zero))]
 
     c_first = first_o * 2 + first_i
     c_last = last_o * 2 + last_i
     if engine.dataflow == "weight_stationary":
         # Fill precedes the stream: tile i+1's fill hides behind tile
         # i's stream; the first fill is exposed.
+        before, after = main, overlap
         boundary = overlap[gemms, c_first] + main[gemms, c_last]
-        terms = [mult * np.maximum(main[gemms, src], overlap[gemms, dst])
-                 for src, dst, mult in pairs]
     else:
         # Drain follows the main phase: tile i's drain hides behind
         # tile i+1's main phase; the last drain is exposed.
+        before, after = overlap, main
         boundary = main[gemms, c_first] + overlap[gemms, c_last]
-        terms = [mult * np.maximum(overlap[gemms, src], main[gemms, dst])
-                 for src, dst, mult in pairs]
+    terms = [mult * np.maximum(before[:, src], after[:, dst])
+             for src, dst, mult in fixed]
+    terms += [mult * np.maximum(before[gemms, src], after[gemms, dst])
+              for src, dst, mult in varying]
     total = boundary
     for term in terms:
         total = total + term

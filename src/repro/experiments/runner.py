@@ -227,8 +227,12 @@ def _jsonable(obj: Any) -> Any:
 
 def config_hash(obj: Any) -> str:
     """Stable 16-hex-digit hash of a configuration object."""
-    payload = json.dumps(_jsonable(obj), sort_keys=True,
-                         separators=(",", ":"))
+    return _normalized_hash(_jsonable(obj))
+
+
+def _normalized_hash(key: Any) -> str:
+    """:func:`config_hash` of a key already through :func:`_jsonable`."""
+    payload = json.dumps(key, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -325,8 +329,14 @@ class ResultCache:
         anything; the rest commits all-or-nothing.  The batched sweep
         paths write a whole grid through this.
         """
+        self._put_normalized((key_hash, _jsonable(key), value)
+                             for key_hash, key, value in entries)
+
+    def _put_normalized(self, entries: Iterable[tuple[str, Any, Any]]
+                        ) -> None:
+        """:meth:`put_many` for keys already through :func:`_jsonable`."""
         rows = [(key_hash,
-                 json.dumps(_jsonable(key), sort_keys=True),
+                 json.dumps(key, sort_keys=True),
                  json.dumps(value, sort_keys=True))
                 for key_hash, key, value in entries]
         if not rows:
@@ -441,8 +451,9 @@ def _memoized(
         with _stage(profiler, "cache/compute"):
             return evaluate(work)
     with _stage(profiler, "cache/lookup"):
-        keys = [key_fn(item) for item in work]
-        hashes = [config_hash(key) for key in keys]
+        # Each key is normalized once, for its hash and its stored text.
+        keys = [_jsonable(key_fn(item)) for item in work]
+        hashes = [_normalized_hash(key) for key in keys]
         results = cache.get_many(hashes, stats=stats)
     missing = [i for i, value in enumerate(results) if value is None]
     if profiler is not None:
@@ -455,8 +466,8 @@ def _memoized(
             f"batch_fn returned {len(computed)} values for "
             f"{len(missing)} items")
     with _stage(profiler, "cache/write"):
-        cache.put_many((hashes[i], keys[i], value)
-                       for i, value in zip(missing, computed))
+        cache._put_normalized((hashes[i], keys[i], value)
+                              for i, value in zip(missing, computed))
     for index, value in zip(missing, computed):
         results[index] = value
     return results

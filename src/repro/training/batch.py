@@ -7,24 +7,25 @@ evaluates the *same* analytic model over a struct-of-arrays grid of
 configurations — workload x chips x bucket_bytes x topology x DP mode —
 in a few NumPy broadcast passes:
 
-* :func:`lowered_step` lowers each ``(network, algorithm, dataflow,
-  norm fusion)`` once per process as batch-affine columns
-  (:class:`LoweredStep`): :func:`~repro.training.simulate.step_gemm_ops`
-  itself runs at batch 1 and 2, so the phase and flag rules have one
-  implementation, and a bounded LRU keeps the batch-1 columns plus
-  the int64 slope of m, k, n and count.  Any ``(batch, tp)`` is then
-  ``base + (batch - 1) * slope`` with ``n`` ceil-divided by ``tp``; a
-  schedule that is not batch-affine raises at lowering time.
-* :func:`training_step_batch` prices a list of single-chip step specs
-  by concatenating their lowered columns into one flat array per
-  engine, deduplicating shapes through packed int64 keys
-  (:func:`repro.arch.batch.unique_rows`), and pushing them through
-  :func:`repro.arch.batch.gemm_stats_batch`; no per-op Python object
-  is built.  The handful of vector-unit kernels per spec reuse the
-  scalar :func:`~repro.training.simulate.step_vector_runs` directly
-  (sharing the code path guarantees equality); they are O(1) per spec,
-  since the per-network sums they scale by ``batch`` are cached
-  :class:`~repro.workloads.model.Network` properties.
+* :func:`lowered_step` expands the schedule rule
+  :func:`~repro.training.simulate.step_gemm_blocks` over per-kind
+  columns: each ``(network, GemmKind)`` is lowered once per process
+  from ``network.gemms`` at batch 1 and 2 into a bounded LRU of the
+  layer column, the batch-1 dims and the int64 slope of m, k, n and
+  count.  Any ``(batch, tp)`` is then ``base + (batch - 1) * slope``
+  with ``n`` ceil-divided by ``tp``; GEMMs that are not batch-affine
+  raise at lowering time.
+* :func:`training_step_batch` groups a list of single-chip step specs
+  by ``(accelerator, network, algorithm, tp)`` and broadcasts each
+  group's template over its batches by index arithmetic: the
+  :func:`~repro.training.simulate.step_vector_kernels` rows become one
+  ``specs x kernels`` column pass that repeats
+  :meth:`~repro.arch.accelerator.Accelerator.run_vector`'s float order,
+  and the GEMM blocks one ``specs x ops`` dims pass.  GEMM shapes are
+  deduplicated per engine through packed int64 keys
+  (:func:`repro.arch.batch.unique_rows`) and priced by
+  :func:`repro.arch.batch.gemm_stats_batch`.  Python visits a spec
+  only to group it and never visits an op.
 * :func:`sharded_step_batch` reuses one shard evaluation for every
   grid point that shares a ``(kind, model, algorithm, local batch,
   tp)``.  3D grid points (``pp``/``tp`` columns > 1) hand their lowered
@@ -48,8 +49,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, ContextManager, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, ContextManager, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,9 +79,16 @@ from repro.training.phases import PHASE_ORDER, Phase
 from repro.training.simulate import (
     GRAD_BYTES,
     GemmOp,
+    step_gemm_blocks,
+    step_vector_kernels,
+)
+# The scalar twins of the columns priced here, under the names
+# ``perfbench/tracing.py`` times through this module.
+from repro.training.simulate import (  # noqa: F401
     step_gemm_ops,
     step_vector_runs,
 )
+from repro.workloads.gemms import Gemm, GemmKind
 from repro.workloads.model import Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -112,6 +120,10 @@ class StepBatch:
     #: ``op_cycles[u][j]`` is the charge of spec ``u``'s ``j``-th
     #: :func:`~repro.training.simulate.step_gemm_ops` entry.
     op_cycles: "dict[int, np.ndarray] | None" = None
+    #: The matching op columns (only when collected): ``op_steps[u]``
+    #: equals ``lowered_step`` of spec ``u``, as read-only views of the
+    #: columns its cycles were priced from.
+    op_steps: "dict[int, LoweredStep] | None" = None
 
     def __len__(self) -> int:
         return self.phase_cycles.shape[0]
@@ -173,16 +185,11 @@ class LoweredStep:
         An op whose layer ``network`` does not name rides with the
         previous op's layer (schedule order is layer order).
         """
-        index = {layer.name: i for i, layer in enumerate(network.layers)}
-        layers = []
-        previous = 0
-        for op in ops:
-            previous = index.get(op.gemm.layer, previous)
-            layers.append(previous)
         return cls(
             network=network,
             phase=_frozen([_PHASE_INDEX[op.phase] for op in ops], np.int64),
-            layer=_frozen(layers, np.int64),
+            layer=_frozen(_layer_column(network, [op.gemm for op in ops]),
+                          np.int64),
             m=_frozen([op.gemm.m for op in ops], np.int64),
             k=_frozen([op.gemm.k for op in ops], np.int64),
             n=_frozen([op.gemm.n for op in ops], np.int64),
@@ -192,56 +199,217 @@ class LoweredStep:
         )
 
 
-@dataclass(frozen=True)
-class _AffineStep:
-    """A step lowered at batch 1, plus how its GEMM dims grow per example.
+def _layer_column(network: Network, gemms: Sequence[Gemm]) -> list[int]:
+    """Each GEMM's index into ``network.layers``; a GEMM whose layer the
+    network does not name rides with the previous GEMM's layer."""
+    index = {layer.name: i for i, layer in enumerate(network.layers)}
+    layers = []
+    previous = 0
+    for gemm in gemms:
+        previous = index.get(gemm.layer, previous)
+        layers.append(previous)
+    return layers
 
-    ``dims`` and ``slope`` are read-only ``(4, ops)`` int64 rows of m, k,
-    n and count: at batch ``b`` the dims are ``dims + (b - 1) * slope``.
+
+@dataclass(frozen=True)
+class _AffineGemms:
+    """One network's GEMMs of one kind, lowered at batch 1, plus how
+    their dims grow per example.
+
+    ``layer`` is the read-only int64 layer column; ``dims`` and ``slope``
+    are read-only ``(4, ops)`` int64 rows of m, k, n and count: at batch
+    ``b`` the dims are ``dims + (b - 1) * slope``.  The entry holds its
+    network, so the identity it is keyed by stays live.
     """
 
-    base: LoweredStep
+    network: Network
+    layer: np.ndarray
     dims: np.ndarray
     slope: np.ndarray
 
 
-def _dims(step: LoweredStep) -> np.ndarray:
-    return np.stack([step.m, step.k, step.n, step.count])
+def _gemm_dims(gemms: Sequence[Gemm]) -> np.ndarray:
+    return np.array([(g.m, g.k, g.n, g.count) for g in gemms],
+                    dtype=np.int64).reshape(-1, 4).T
 
 
-def _lower_affine(network: Network, algorithm: Algorithm,
-                  accelerator: Accelerator) -> _AffineStep:
-    """Lower at batch 1 and 2 and check the schedule is batch-affine."""
-    one, two = (LoweredStep.from_ops(network, step_gemm_ops(
-        network, algorithm, accelerator, batch)) for batch in (1, 2))
-    dims = _dims(one)
-    same = len(one) == len(two) and all(
-        np.array_equal(getattr(one, column), getattr(two, column))
-        for column in ("phase", "layer", "write_output", "fuse_norm"))
-    slope = _dims(two) - dims if same else None
+def _lower_kind(network: Network, kind: GemmKind) -> _AffineGemms:
+    """Lower ``network.gemms(kind, .)`` at batch 1 and 2 and check the
+    GEMMs are batch-affine: the same layers, with non-negative slopes."""
+    one, two = (network.gemms(kind, batch) for batch in (1, 2))
+    layer = _layer_column(network, one)
+    dims = _gemm_dims(one)
+    same = len(one) == len(two) and layer == _layer_column(network, two)
+    slope = _gemm_dims(two) - dims if same else None
     if slope is None or (slope < 0).any():
         raise ValueError(
-            f"{network.name}: the {algorithm.value} step schedule is not "
-            f"batch-affine, so lowered_step cannot price it")
+            f"{network.name}: the {kind.value} GEMMs are not batch-affine, "
+            f"so lowered_step cannot price them")
     dims.flags.writeable = False
     slope.flags.writeable = False
-    return _AffineStep(base=one, dims=dims, slope=slope)
+    return _AffineGemms(network=network, layer=_frozen(layer, np.int64),
+                        dims=dims, slope=slope)
 
 
-#: Upper bound on memoized lowerings (LRU eviction).
+#: Upper bound on memoized per-kind lowerings (LRU eviction).
 LOWERED_STEP_CACHE_MAXSIZE = 512
 
-#: Shared bounded LRU of batch-affine lowerings, keyed by everything
-#: :func:`step_gemm_ops` reads except batch and tp:
-#: ``(id(network), algorithm, dataflow, can_fuse_norm)``.  Networks key
-#: by identity (zoo variants share names); entries hold their network,
-#: so a live key's id cannot be reused.
-_LOWERED_STEPS: "OrderedDict[tuple, _AffineStep]" = OrderedDict()
+#: Shared bounded LRU of batch-affine per-kind lowerings, keyed by
+#: ``(id(network), GemmKind)`` — GEMM dims depend on nothing else, so
+#: every algorithm, dataflow and tp of a network shares them.  Networks
+#: key by identity (zoo variants share names); entries hold their
+#: network, so a live key's id cannot be reused.
+_LOWERED_KINDS: "OrderedDict[tuple[int, GemmKind], _AffineGemms]" = \
+    OrderedDict()
 
 
 def clear_lowered_step_cache() -> None:
     """Drop every memoized lowering (mainly for benchmarks)."""
-    _LOWERED_STEPS.clear()
+    _LOWERED_KINDS.clear()
+
+
+def _affine_gemms(network: Network, kind: GemmKind) -> _AffineGemms:
+    key = (id(network), kind)
+    entry = _LOWERED_KINDS.get(key)
+    if entry is None:
+        entry = _LOWERED_KINDS[key] = _lower_kind(network, kind)
+        if len(_LOWERED_KINDS) > LOWERED_STEP_CACHE_MAXSIZE:
+            _LOWERED_KINDS.popitem(last=False)
+    else:
+        _LOWERED_KINDS.move_to_end(key)
+    return entry
+
+
+@dataclass(frozen=True)
+class _SpecGroups:
+    """Step specs grouped by ``(accelerator, network, algorithm, tp)``.
+
+    ``heads`` holds each group's ``(accelerator, network, algorithm,
+    tp)``, groups of one accelerator adjacent (``engine_groups`` counts
+    them per accelerator, in first-appearance order).  Spec positions
+    run group by group, ``count[g]`` of them for group ``g``; position
+    ``p`` is spec ``index[p]`` at mini-batch ``batch[p]``.
+    """
+
+    heads: list[tuple[Accelerator, Network, Algorithm, int]]
+    engine_groups: list[int]
+    index: np.ndarray
+    batch: np.ndarray
+    count: np.ndarray
+
+
+def _group_specs(specs: Sequence[tuple]) -> _SpecGroups:
+    engines: dict[int, dict[tuple, tuple[tuple, list[int], list[int]]]] = {}
+    for index, (accel, network, algorithm, batch, *rest) in enumerate(specs):
+        tp = rest[0] if rest else 1
+        _, indices, batches = engines.setdefault(id(accel), {}).setdefault(
+            (id(network), algorithm, tp),
+            ((accel, network, algorithm, tp), [], []))
+        indices.append(index)
+        batches.append(batch)
+    groups = [group for by_group in engines.values()
+              for group in by_group.values()]
+    batch = np.array([b for *_, batches in groups for b in batches],
+                     dtype=np.int64)
+    if (batch <= 0).any():
+        raise ValueError(f"batch must be positive, got {int(batch.min())}")
+    return _SpecGroups(
+        heads=[head for head, _, _ in groups],
+        engine_groups=[len(by_group) for by_group in engines.values()],
+        index=np.array([u for _, indices, _ in groups for u in indices],
+                       dtype=np.int64),
+        batch=batch,
+        count=np.array([len(indices) for _, indices, _ in groups],
+                       dtype=np.int64),
+    )
+
+
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The runs ``arange(start, start + length)``, concatenated."""
+    begins = np.cumsum(lengths) - lengths
+    return (np.repeat(starts - begins, lengths)
+            + np.arange(int(lengths.sum()), dtype=np.int64))
+
+
+def _expand(groups: _SpecGroups, rows: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Broadcast per-group templates over the groups' specs.
+
+    Group ``g`` has a template of ``rows[g]`` consecutive rows (the
+    templates laid end to end).  Returns the ``(template row, spec
+    position)`` of every (group, spec, row), group by group and spec
+    by spec, so each spec's rows are one contiguous run in template
+    order."""
+    per_spec = np.repeat(rows, groups.count)
+    return (_ragged_arange(np.repeat(np.cumsum(rows) - rows, groups.count),
+                           per_spec),
+            np.repeat(np.arange(len(per_spec)), per_spec))
+
+
+class _GemmColumns(NamedTuple):
+    """Every GEMM op of a set of grouped specs, as columns.
+
+    ``position`` is each op's spec position (:class:`_SpecGroups`); the
+    ops of one spec are contiguous and in schedule order, and
+    ``op_count[g]`` is the number of ops of each spec of group ``g``.
+    """
+
+    position: np.ndarray
+    op_count: np.ndarray
+    phase: np.ndarray
+    layer: np.ndarray
+    m: np.ndarray
+    k: np.ndarray
+    n: np.ndarray
+    count: np.ndarray
+    write_output: np.ndarray
+    fuse_norm: np.ndarray
+
+
+def _gemm_columns(groups: _SpecGroups) -> _GemmColumns:
+    """Expand each group's :func:`step_gemm_blocks` over the per-kind
+    lowerings and broadcast it over the group's batches and ``tp``."""
+    # Template rows index the distinct per-kind lowerings, laid side by
+    # side in one (4, ops) table of batch-1 dims and one of slopes.
+    kinds: dict[tuple[int, GemmKind], tuple[int, _AffineGemms]] = {}
+    width = 0
+    blocks: list[tuple[int, int, int, bool, bool]] = []
+    op_count = []
+    for accel, network, algorithm, _ in groups.heads:
+        total = 0
+        for block in step_gemm_blocks(algorithm, accel):
+            key = (id(network), block.kind)
+            if key not in kinds:
+                entry = _affine_gemms(network, block.kind)
+                kinds[key] = (width, entry)
+                width += len(entry.layer)
+            start, entry = kinds[key]
+            blocks.append((start, len(entry.layer),
+                           _PHASE_INDEX[block.phase], block.write_output,
+                           block.fuse_norm))
+            total += len(entry.layer)
+        op_count.append(total)
+    base, slope, layer = (
+        np.concatenate([getattr(entry, name) for _, entry in kinds.values()],
+                       axis=-1) for name in ("dims", "slope", "layer"))
+    start, size, phase, write_output, fuse_norm = (
+        np.array(column, dtype=dtype) for column, dtype in zip(
+            zip(*blocks), (np.int64,) * 3 + (bool,) * 2))
+    template = _ragged_arange(start, size)
+    op_count = np.array(op_count, dtype=np.int64)
+    row, position = _expand(groups, op_count)
+    column = template[row]
+    grown = groups.batch[position] - 1
+    m, k, n, count = (base[i][column] + grown * slope[i][column]
+                      for i in range(4))
+    tp = np.repeat(np.array([head[3] for head in groups.heads],
+                            dtype=np.int64), groups.count)
+    return _GemmColumns(
+        position=position, op_count=op_count,
+        phase=np.repeat(phase, size)[row], layer=layer[column],
+        m=m, k=k, n=-(-n // tp[position]), count=count,
+        write_output=np.repeat(write_output, size)[row],
+        fuse_norm=np.repeat(fuse_norm, size)[row])
 
 
 def lowered_step(network: Network, algorithm: Algorithm,
@@ -249,31 +417,65 @@ def lowered_step(network: Network, algorithm: Algorithm,
                  tp: int = 1) -> LoweredStep:
     """The columns of :func:`step_gemm_ops` for one step.
 
-    Each ``(network, algorithm, dataflow, norm fusion)`` is lowered once
-    by ``step_gemm_ops`` itself at batch 1 and 2, so the phase and flag
-    rules keep one implementation; any batch is then
-    ``dims(1) + (batch - 1) * (dims(2) - dims(1))`` and ``tp > 1``
-    column-shards ``n`` to ``ceil(n / tp)``, exactly as ``step_gemm_ops``
-    does.  A network whose schedule is not batch-affine raises.
+    Expands the schedule rule :func:`step_gemm_blocks` over per-kind
+    lowerings: each ``(network, GemmKind)`` is lowered once, from
+    ``network.gemms`` at batch 1 and 2, into a bounded LRU; any batch
+    is then ``dims(1) + (batch - 1) * (dims(2) - dims(1))`` and
+    ``tp > 1`` column-shards ``n`` to ``ceil(n / tp)``, exactly as
+    ``step_gemm_ops`` does.  GEMMs that are not batch-affine raise.
+    :func:`training_step_batch` runs the same expansion over a whole
+    spec list.
     """
-    if batch <= 0:
-        raise ValueError(f"batch must be positive, got {batch}")
-    key = (id(network), algorithm, accelerator.engine.dataflow,
-           accelerator.can_fuse_norm)
-    entry = _LOWERED_STEPS.get(key)
-    if entry is None:
-        entry = _LOWERED_STEPS[key] = _lower_affine(network, algorithm,
-                                                    accelerator)
-        if len(_LOWERED_STEPS) > LOWERED_STEP_CACHE_MAXSIZE:
-            _LOWERED_STEPS.popitem(last=False)
-    else:
-        _LOWERED_STEPS.move_to_end(key)
-    dims = entry.dims + (batch - 1) * entry.slope
-    if tp > 1:
-        dims[2] = -(-dims[2] // tp)
-    dims.flags.writeable = False
-    m, k, n, count = dims
-    return replace(entry.base, m=m, k=k, n=n, count=count)
+    ops = _gemm_columns(_group_specs(
+        [(accelerator, network, algorithm, batch, tp)]))
+    return LoweredStep(network=network, **{
+        name: _frozen(getattr(ops, name), dtype) for name, dtype in (
+            ("phase", np.int64), ("layer", np.int64), ("m", np.int64),
+            ("k", np.int64), ("n", np.int64), ("count", np.int64),
+            ("write_output", bool), ("fuse_norm", bool))})
+
+
+def _vector_phase_cycles(groups: _SpecGroups, specs: int) -> np.ndarray:
+    """``(specs, phases)`` vector-unit cycles of every grouped spec.
+
+    One row per (group, :func:`step_vector_kernels` kernel) carries the
+    group's vector-unit and memory constants; broadcast over the
+    group's batches, the cycles follow the float order of
+    :meth:`Accelerator.run_vector`: ``ceil(elems * ops / lanes)`` (ops
+    pre-scaled by the reduction overhead for reductions) against
+    ``ceil(bytes / bytes_per_cycle) + latency`` when bytes move.
+    """
+    rows: list[tuple] = []
+    kernel_count = []
+    for accel, network, algorithm, tp in groups.heads:
+        kernels = step_vector_kernels(network, algorithm, accel, tp)
+        vector = accel.vector.config
+        memory = accel.memory
+        rows += [(
+            _PHASE_INDEX[k.phase], k.elems_per_example, k.elems_fixed,
+            k.read_per_example + k.write_per_example,
+            k.read_fixed + k.write_fixed,
+            k.ops_per_elem * vector.reduction_overhead_factor
+            if k.reduction else k.ops_per_elem,
+            vector.ops_per_cycle, memory.bytes_per_cycle,
+            memory.config.access_latency_cycles) for k in kernels]
+        kernel_count.append(len(kernels))
+    matrix = np.zeros((specs, len(STEP_PHASES)), dtype=np.int64)
+    (phase, per_example, fixed, bytes_per_example, bytes_fixed, ops,
+     ops_per_cycle, bytes_per_cycle, latency) = (
+        np.array(column, dtype=dtype) for column, dtype in zip(
+            zip(*rows), (np.int64,) * 5 + (float,) * 3 + (np.int64,)))
+    row, position = _expand(groups, np.array(kernel_count, dtype=np.int64))
+    batch = groups.batch[position]
+    elems = batch * per_example[row] + fixed[row]
+    compute = np.ceil(elems * ops[row] / ops_per_cycle[row]).astype(np.int64)
+    total_bytes = batch * bytes_per_example[row] + bytes_fixed[row]
+    transfer = _transfer_cycles(total_bytes, bytes_per_cycle[row],
+                                latency[row])
+    np.add.at(matrix.reshape(-1),
+              groups.index[position] * len(STEP_PHASES) + phase[row],
+              np.maximum(compute, transfer))
+    return matrix
 
 
 def training_step_batch(
@@ -292,9 +494,18 @@ def training_step_batch(
     group.  Returns per-phase cycle sums identical to running
     :func:`simulate_training_step` per spec.
 
+    Specs are grouped by ``(accelerator, network, algorithm, tp)``.
+    Each group contributes one template — its :func:`step_vector_kernels`
+    rows and its :func:`step_gemm_blocks` expanded over the per-kind
+    lowerings of :func:`lowered_step` — and every template row is
+    broadcast over the group's batches by index arithmetic, so the
+    vector cycles form one ``specs x kernels`` column pass and the GEMM
+    dims one ``specs x ops`` pass; Python visits a spec only to group
+    it.
+
     ``collect_ops=True`` additionally keeps each spec's per-op GEMM
-    cycle array (schedule order) — the input the pipeline-schedule
-    builder needs for 3D grid points.
+    cycle array (schedule order) and its op columns — the inputs the
+    pipeline-schedule builder needs for 3D grid points.
 
     ``profiler`` (a :class:`repro.obs.profile.Profiler`) times the
     vector-kernel and batched-GEMM stages and counts specs / GEMM ops
@@ -305,80 +516,104 @@ def training_step_batch(
     is ``count`` unless the engine packs instances side by side).
     """
     specs = list(specs)
-    matrix = np.zeros((len(specs), len(STEP_PHASES)), dtype=np.int64)
     frequency = np.array([accel.frequency_hz for accel, *_ in specs],
                          dtype=float)
-    op_store: "dict[int, np.ndarray] | None" = {} if collect_ops else None
     if profiler is not None:
         profiler.count("step_specs", len(specs))
+    if not specs:
+        return StepBatch(phase_cycles=np.zeros((0, len(STEP_PHASES)),
+                                               dtype=np.int64),
+                         frequency_hz=frequency,
+                         op_cycles={} if collect_ops else None,
+                         op_steps={} if collect_ops else None)
+    groups = _group_specs(specs)
 
-    groups: dict[int, tuple[Accelerator, list[int], list[LoweredStep]]] = {}
     with _stage(profiler, "step-batch/vector"):
-        for index, (accel, network, algorithm, batch,
-                    *rest) in enumerate(specs):
-            tp = rest[0] if rest else 1
-            runs = step_vector_runs(network, algorithm, accel, batch, tp=tp)
-            for phase, run in runs.items():
-                matrix[index, _PHASE_INDEX[phase]] += run.cycles
-            _, indices, steps = groups.setdefault(id(accel),
-                                                  (accel, [], []))
-            indices.append(index)
-            steps.append(lowered_step(network, algorithm, accel, batch, tp))
+        matrix = _vector_phase_cycles(groups, len(specs))
 
     with _stage(profiler, "step-batch/gemm"):
-        for accel, indices, steps in groups.values():
-            lengths = np.array([len(step) for step in steps], dtype=np.int64)
-            if not lengths.sum():
-                continue
-            spec_idx = np.repeat(np.array(indices, dtype=np.int64), lengths)
-            phase_idx, m, k, n, count, write_out, fuse = (
-                np.concatenate([getattr(step, column) for step in steps])
-                for column in ("phase", "m", "k", "n", "count",
-                              "write_output", "fuse_norm"))
-            unique, inverse = unique_rows(m, k, n)
-            if profiler is not None:
-                profiler.count("gemm_ops", len(m))
-                profiler.count("unique_gemm_shapes", len(unique))
-            stats = gemm_stats_batch(
-                accel.engine, unique[:, 0], unique[:, 1], unique[:, 2], 1)
-            compute = (stats.compute_cycles[inverse]
-                       * accel.engine.rounds(m, n, count))
+        ops = _gemm_columns(groups)
+        # Groups are engine-contiguous, so each engine prices one slice.
+        cycles = np.empty(len(ops.m), dtype=np.int64)
+        bounds = [0, *np.cumsum(ops.op_count * groups.count).tolist()]
+        first = 0
+        for size in groups.engine_groups:
+            accel = groups.heads[first][0]
+            start, end = bounds[first], bounds[first + size]
+            first += size
+            if start < end:
+                cycles[start:end] = _gemm_cycles(
+                    accel, *(column[start:end] for column in (
+                        ops.m, ops.k, ops.n, ops.count, ops.write_output,
+                        ops.fuse_norm)), profiler)
+        np.add.at(matrix.reshape(-1),
+                  groups.index[ops.position] * len(STEP_PHASES) + ops.phase,
+                  cycles)
 
-            input_bytes = accel.config.input_bytes
-            acc_bytes = accel.config.acc_bytes
-            dram_read = (m * k + k * n) * count * input_bytes
-            out_bytes = m * n * count * acc_bytes
-            dram_write = np.where(write_out, out_bytes, 0)
-            if fuse.any():
-                # Mirrors Accelerator.run_gemm's fuse_norm path: the
-                # per-GEMM PPU flush is compute-exposed and one norm
-                # scalar per GEMM goes off-chip alongside any
-                # persisted outputs.
-                flush = accel.ppu.flush_cycles()
-                compute = compute + np.where(fuse, flush * count, 0)
-                dram_write = np.where(fuse,
-                                      count * acc_bytes + dram_write,
-                                      dram_write)
-
-            total_bytes = dram_read + dram_write
-            transfer = np.where(
-                total_bytes > 0,
-                np.ceil(total_bytes / accel.memory.bytes_per_cycle)
-                .astype(np.int64)
-                + accel.memory.config.access_latency_cycles,
-                0)
-            cycles = np.maximum(compute, transfer)
-            np.add.at(matrix, (spec_idx, phase_idx), cycles)
-            if op_store is not None:
-                # Each spec's ops are one contiguous block, in schedule
-                # order.
-                ends = np.cumsum(lengths)
-                for u, end, size in zip(indices, ends, lengths):
-                    if size:
-                        op_store[u] = cycles[end - size:end]
-
+    if not collect_ops:
+        return StepBatch(phase_cycles=matrix, frequency_hz=frequency)
+    # Each spec's ops are one contiguous run, in schedule order.
+    columns = (*ops[2:], cycles)
+    for column in columns:
+        column.flags.writeable = False
+    op_cycles: dict[int, np.ndarray] = {}
+    op_steps: dict[int, LoweredStep] = {}
+    spec = iter(groups.index.tolist())
+    stop = 0
+    for (_, network, _, _), specs_in_group, size in zip(
+            groups.heads, groups.count.tolist(), ops.op_count.tolist()):
+        for _ in range(specs_in_group):
+            u = next(spec)
+            start, stop = stop, stop + size
+            *step, op_cycles[u] = (column[start:stop] for column in columns)
+            op_steps[u] = LoweredStep(network, *step)
     return StepBatch(phase_cycles=matrix, frequency_hz=frequency,
-                     op_cycles=op_store)
+                     op_cycles=op_cycles, op_steps=op_steps)
+
+
+def _gemm_cycles(accel: Accelerator, m: np.ndarray, k: np.ndarray,
+                 n: np.ndarray, count: np.ndarray, write_out: np.ndarray,
+                 fuse: np.ndarray, profiler: "Profiler | None"
+                 ) -> np.ndarray:
+    """Per-op cycles of one engine's GEMM columns, as
+    :meth:`Accelerator.run_gemm` charges them."""
+    unique, inverse = unique_rows(m, k, n)
+    if profiler is not None:
+        profiler.count("gemm_ops", len(m))
+        profiler.count("unique_gemm_shapes", len(unique))
+    stats = gemm_stats_batch(
+        accel.engine, unique[:, 0], unique[:, 1], unique[:, 2], 1)
+    compute = stats.compute_cycles[inverse] * accel.engine.rounds(m, n, count)
+
+    input_bytes = accel.config.input_bytes
+    acc_bytes = accel.config.acc_bytes
+    dram_read = (m * k + k * n) * count * input_bytes
+    out_bytes = m * n * count * acc_bytes
+    dram_write = np.where(write_out, out_bytes, 0)
+    if fuse.any():
+        # Mirrors Accelerator.run_gemm's fuse_norm path: the per-GEMM
+        # PPU flush is compute-exposed and one norm scalar per GEMM
+        # goes off-chip alongside any persisted outputs.
+        flush = accel.ppu.flush_cycles()
+        compute = compute + np.where(fuse, flush * count, 0)
+        dram_write = np.where(fuse, count * acc_bytes + dram_write,
+                              dram_write)
+
+    total_bytes = dram_read + dram_write
+    transfer = _transfer_cycles(total_bytes, accel.memory.bytes_per_cycle,
+                                accel.memory.config.access_latency_cycles)
+    return np.maximum(compute, transfer)
+
+
+def _transfer_cycles(total_bytes: np.ndarray, bytes_per_cycle,
+                     latency) -> np.ndarray:
+    """:meth:`~repro.arch.memory.MemorySystem.transfer_cycles` as a
+    column: ``ceil(bytes / bytes_per_cycle) + latency``, or 0 when no
+    bytes move."""
+    return np.where(
+        total_bytes > 0,
+        np.ceil(total_bytes / bytes_per_cycle).astype(np.int64) + latency,
+        0)
 
 
 @dataclass(frozen=True)
@@ -699,7 +934,7 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
     if any_3d:
         from repro.training.parallel import build_pipeline_schedule
 
-        assert step.op_cycles is not None
+        assert step.op_cycles is not None and step.op_steps is not None
         schedules: dict[tuple[int, int], Any] = {}
         shard_cycles = shard_cycles.copy()
         overlappable = overlappable.copy()
@@ -709,11 +944,9 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
             sched_key = (u, int(pp_col[i]))
             sched = schedules.get(sched_key)
             if sched is None:
-                accel, network, algorithm, batch, tp = specs[u]
+                _, network, algorithm, batch, tp = specs[u]
                 sched = build_pipeline_schedule(
-                    network, algorithm,
-                    lowered_step(network, algorithm, accel, batch, tp),
-                    step.op_cycles.get(u, ()),
+                    network, algorithm, step.op_steps[u], step.op_cycles[u],
                     {p: int(step.phase_cycles[u, _PHASE_INDEX[p]])
                      for p in PHASE_ORDER},
                     batch,

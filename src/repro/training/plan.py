@@ -25,6 +25,7 @@ from repro.training.memory import (
     DEFAULT_CAPACITY_BYTES, DEFAULT_RESERVED_FRACTION,
 )
 from repro.training.phases import Phase
+from repro.training.simulate import step_gemm_blocks
 from repro.workloads.gemms import Gemm, GemmKind
 from repro.workloads.model import Network
 
@@ -37,31 +38,22 @@ def phase_gemms(network: Network, algorithm: Algorithm,
                 batch: int) -> dict[Phase, list[Gemm]]:
     """GEMMs of each training phase for one mini-batch step.
 
-    Non-GEMM work (element-wise ops, norm derivation, clipping,
-    reduction, noise) is attached by the simulation driver; this mapping
-    covers only the matrix multiplications of Figure 6.
+    Expands the schedule rule
+    :func:`~repro.training.simulate.step_gemm_blocks` with
+    ``network.gemms(kind, batch)``.  Non-GEMM work (element-wise ops,
+    norm derivation, clipping, reduction, noise) is attached by the
+    simulation driver; this mapping covers only the matrix
+    multiplications of Figure 6.
     """
     if batch <= 0:
         raise ValueError(f"batch must be positive, got {batch}")
-
-    fwd = network.gemms(GemmKind.FORWARD, batch)
-    act = network.gemms(GemmKind.ACT_GRAD, batch)
+    gemms: dict[GemmKind, list[Gemm]] = {}
     plan: dict[Phase, list[Gemm]] = {phase: [] for phase in Phase}
-    plan[Phase.FWD] = fwd
-    plan[Phase.BWD_ACT_1] = act
-
-    if algorithm is Algorithm.SGD:
-        plan[Phase.BWD_BATCH_GRAD] = network.gemms(GemmKind.WGRAD_BATCH, batch)
-    elif algorithm is Algorithm.DP_SGD:
-        plan[Phase.BWD_EXAMPLE_GRAD] = network.gemms(
-            GemmKind.WGRAD_EXAMPLE, batch)
-    elif algorithm is Algorithm.DP_SGD_R:
-        plan[Phase.BWD_EXAMPLE_GRAD] = network.gemms(
-            GemmKind.WGRAD_EXAMPLE, batch)
-        plan[Phase.BWD_ACT_2] = list(act)
-        plan[Phase.BWD_BATCH_GRAD] = network.gemms(GemmKind.WGRAD_BATCH, batch)
-    else:  # pragma: no cover - exhaustive enum
-        raise AssertionError(f"unhandled algorithm {algorithm}")
+    for block in step_gemm_blocks(algorithm):
+        kind_gemms = gemms.get(block.kind)
+        if kind_gemms is None:
+            kind_gemms = gemms[block.kind] = network.gemms(block.kind, batch)
+        plan[block.phase] = list(kind_gemms)
     return plan
 
 

@@ -8,7 +8,9 @@ the PPU traffic claim) is derived.
 
 Modeling notes
 --------------
-* GEMMs follow the Figure 6 schedules from :mod:`repro.training.plan`.
+* GEMMs follow the Figure 6 schedules, stated once by
+  :func:`step_gemm_blocks`; the vector-unit work is stated once by
+  :func:`step_vector_kernels`.
 * Element-wise layers (ReLU, pooling, normalization math, residual
   adds, softmax) run on the vector unit with full DRAM round trips — a
   conservative, fusion-free model that is negligible next to the GEMM
@@ -54,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,8 +65,7 @@ from repro.arch.cluster import Cluster, ParallelPlan
 from repro.arch.interconnect import TOPOLOGY_CODES
 from repro.training.algorithms import Algorithm
 from repro.training.phases import CLUSTER_PHASE_ORDER, PHASE_ORDER, Phase
-from repro.training.plan import phase_gemms
-from repro.workloads.gemms import Gemm
+from repro.workloads.gemms import Gemm, GemmKind
 from repro.workloads.model import Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -274,19 +275,6 @@ class ClusterTrainingReport:
         return {str(p): self.phase_seconds(p) for p in CLUSTER_PHASE_ORDER}
 
 
-def _elementwise(accel: Accelerator, elems: int,
-                 ops_per_elem: float = 1.0) -> OpRun:
-    """Vector-unit pass over ``elems`` values with a DRAM round trip."""
-    if elems <= 0:
-        return OpRun.zero()
-    return accel.run_vector(
-        elems,
-        ops_per_elem=ops_per_elem,
-        dram_read_bytes=elems * ACT_BYTES,
-        dram_write_bytes=elems * ACT_BYTES,
-    )
-
-
 @dataclass(frozen=True)
 class GemmOp:
     """One GEMM of a training step, with its execution options.
@@ -301,6 +289,58 @@ class GemmOp:
     gemm: Gemm
     write_output: bool = True
     fuse_norm: bool = False
+
+
+class GemmBlock(NamedTuple):
+    """Every GEMM of one :class:`GemmKind`, run in one phase with one set
+    of execution options (see :func:`step_gemm_blocks`)."""
+
+    phase: Phase
+    kind: GemmKind
+    write_output: bool = True
+    fuse_norm: bool = False
+
+
+def step_gemm_blocks(
+    algorithm: Algorithm,
+    accelerator: "Accelerator | None" = None,
+) -> tuple[GemmBlock, ...]:
+    """The GEMM schedule rule of one training step, in schedule order.
+
+    The one statement of which Figure 6 GEMM kinds each phase runs and
+    with which flags: per-example weight-gradient GEMMs spill only when
+    the algorithm stores the gradients or the dataflow cannot forward
+    them (``write_output``), and norm derivation fuses into the drain
+    when the design has a matched PPU (``fuse_norm``).  The scalar
+    driver expands the blocks into :class:`GemmOp` lists
+    (:func:`step_gemm_ops`), :func:`repro.training.plan.phase_gemms`
+    into per-phase GEMM lists, and the batched evaluator
+    (:func:`repro.training.batch.lowered_step`) into columns.
+
+    ``accelerator=None`` keeps the default flags (every output written,
+    no fusion) — the phase-to-kind schedule alone.
+    """
+    blocks = [GemmBlock(Phase.FWD, GemmKind.FORWARD),
+              GemmBlock(Phase.BWD_ACT_1, GemmKind.ACT_GRAD)]
+    if algorithm.is_private:
+        write_grads, fuse = True, False
+        if accelerator is not None:
+            # Plain DP-SGD must keep the gradients for clipping.  Under
+            # DP-SGD(R) the gradients exist only for norm derivation:
+            # an output-stationary drain forwards them on the fly (to
+            # the PPU, or failing that the vector unit) and never
+            # writes them off-chip; only the WS baseline must spill
+            # them to DRAM (Figure 10).
+            os_drain = accelerator.engine.dataflow == "output_stationary"
+            write_grads = algorithm.stores_example_gradients or not os_drain
+            fuse = accelerator.can_fuse_norm
+        blocks.append(GemmBlock(Phase.BWD_EXAMPLE_GRAD,
+                                GemmKind.WGRAD_EXAMPLE, write_grads, fuse))
+    if algorithm is Algorithm.DP_SGD_R:
+        blocks.append(GemmBlock(Phase.BWD_ACT_2, GemmKind.ACT_GRAD))
+    if algorithm in (Algorithm.DP_SGD_R, Algorithm.SGD):
+        blocks.append(GemmBlock(Phase.BWD_BATCH_GRAD, GemmKind.WGRAD_BATCH))
+    return tuple(blocks)
 
 
 def _tp_shard_gemm(gemm: Gemm, tp: int) -> Gemm:
@@ -322,43 +362,175 @@ def step_gemm_ops(
 ) -> list[GemmOp]:
     """The GEMM operations of one training step, in schedule order.
 
-    Encodes the per-phase execution options of the Figure 6 schedules:
-    per-example weight-gradient GEMMs spill only when the algorithm
-    stores the gradients or the dataflow cannot forward them
-    (``write_output``), and norm derivation fuses into the drain when
-    the design has a matched PPU (``fuse_norm``) — see
-    :func:`simulate_training_step` for the modeling rationale.
+    Expands :func:`step_gemm_blocks` with ``network.gemms(kind,
+    batch)`` — see :func:`simulate_training_step` for the modeling
+    rationale of the per-phase execution options.
 
     ``tp > 1`` prices one tensor-parallel rank: every GEMM's output
     dimension is column-sharded ``tp`` ways (the activation allgathers
     stitching shards back together are charged by the cluster's
     communication phase, not here).
     """
-    plan = phase_gemms(network, algorithm, batch)
-    if tp > 1:
-        plan = {phase: [_tp_shard_gemm(g, tp) for g in gemms]
-                for phase, gemms in plan.items()}
-    ops = [GemmOp(Phase.FWD, g) for g in plan[Phase.FWD]]
-    ops += [GemmOp(Phase.BWD_ACT_1, g) for g in plan[Phase.BWD_ACT_1]]
-    if algorithm.is_private:
-        # Plain DP-SGD must keep the gradients for clipping.  Under
-        # DP-SGD(R) the gradients exist only for norm derivation:
-        # an output-stationary drain forwards them on the fly (to the
-        # PPU, or failing that the vector unit) and never writes them
-        # off-chip; only the WS baseline must spill them to DRAM
-        # (Figure 10).
-        os_drain = accelerator.engine.dataflow == "output_stationary"
-        write_grads = algorithm.stores_example_gradients or not os_drain
-        fuse = accelerator.can_fuse_norm
-        ops += [GemmOp(Phase.BWD_EXAMPLE_GRAD, g,
-                       write_output=write_grads, fuse_norm=fuse)
-                for g in plan[Phase.BWD_EXAMPLE_GRAD]]
-    if algorithm is Algorithm.DP_SGD_R:
-        ops += [GemmOp(Phase.BWD_ACT_2, g) for g in plan[Phase.BWD_ACT_2]]
-    if algorithm in (Algorithm.DP_SGD_R, Algorithm.SGD):
-        ops += [GemmOp(Phase.BWD_BATCH_GRAD, g)
-                for g in plan[Phase.BWD_BATCH_GRAD]]
+    if batch <= 0:
+        raise ValueError(f"batch must be positive, got {batch}")
+    gemms: dict[GemmKind, list[Gemm]] = {}
+    ops: list[GemmOp] = []
+    for block in step_gemm_blocks(algorithm, accelerator):
+        kind_gemms = gemms.get(block.kind)
+        if kind_gemms is None:
+            kind_gemms = gemms[block.kind] = network.gemms(block.kind, batch)
+            if tp > 1:
+                kind_gemms = gemms[block.kind] = [
+                    _tp_shard_gemm(g, tp) for g in kind_gemms]
+        ops += [GemmOp(block.phase, g, block.write_output, block.fuse_norm)
+                for g in kind_gemms]
     return ops
+
+
+class VectorKernel(NamedTuple):
+    """One vector-unit kernel of a training step, affine in the batch.
+
+    At mini-batch ``b`` the kernel runs over ``elems_per_example * b +
+    elems_fixed`` values and moves ``read_per_example * b + read_fixed``
+    DRAM bytes in and ``write_per_example * b + write_fixed`` out
+    (:meth:`Accelerator.run_vector` arguments).  A kernel over zero
+    values costs nothing; it still names its phase, which is how
+    GEMM-only phases enter the step's phase set.
+    """
+
+    phase: Phase
+    elems_per_example: int
+    elems_fixed: int = 0
+    ops_per_elem: float = 1.0
+    reduction: bool = False
+    read_per_example: int = 0
+    read_fixed: int = 0
+    write_per_example: int = 0
+    write_fixed: int = 0
+
+    def elems(self, batch: int) -> int:
+        return self.elems_per_example * batch + self.elems_fixed
+
+    def read_bytes(self, batch: int) -> int:
+        return self.read_per_example * batch + self.read_fixed
+
+    def write_bytes(self, batch: int) -> int:
+        return self.write_per_example * batch + self.write_fixed
+
+
+def _elementwise(phase: Phase, act_elems: int) -> VectorKernel:
+    """Vector-unit pass over activations with a DRAM round trip."""
+    act_bytes = act_elems * ACT_BYTES
+    return VectorKernel(phase, act_elems, read_per_example=act_bytes,
+                        write_per_example=act_bytes)
+
+
+def _noise_and_update(params: int) -> tuple[VectorKernel, ...]:
+    """Gaussian noise generation/addition plus the SGD weight update."""
+    noise = VectorKernel(
+        Phase.BWD_REDUCE_NOISE, 0, params,
+        ops_per_elem=3.0,  # RNG draw, scale, add
+        read_fixed=params * GRAD_BYTES,
+        write_fixed=params * GRAD_BYTES,
+    )
+    return (noise, *_update_only(params))
+
+
+def _update_only(params: int) -> tuple[VectorKernel, ...]:
+    """Weight update: read gradient + master weight, write new weight."""
+    return (VectorKernel(
+        Phase.BWD_REDUCE_NOISE, 0, params,
+        ops_per_elem=2.0,
+        read_fixed=2 * params * GRAD_BYTES,
+        write_fixed=params * GRAD_BYTES,
+    ),)
+
+
+def step_vector_kernels(
+    network: Network,
+    algorithm: Algorithm,
+    accelerator: Accelerator,
+    tp: int = 1,
+) -> tuple[VectorKernel, ...]:
+    """The vector-unit kernels of one step, in phase order.
+
+    The one statement of the step's non-GEMM work: the scalar driver
+    executes the rows (:func:`step_vector_runs`) and the batched
+    evaluator prices them as ``specs x kernels`` columns
+    (:func:`repro.training.batch.training_step_batch`).  Every phase the
+    step touches has at least one row; phases whose work is GEMM-only
+    carry one empty row.
+
+    ``tp > 1`` prices one tensor-parallel rank: parameter-proportional
+    kernels (per-example gradients, norms, clip, reduce/noise/update)
+    operate on the rank's ``ceil(params / tp)`` shard, while
+    activation-proportional element-wise work stays replicated (every
+    rank holds the full, allgathered activations).
+    """
+    gemm_params, vector_params, all_params = (
+        -(-params // tp) for params in (
+            network.gemm_params, network.vector_grad_params,
+            network.params))
+    act = network.vector_path_elems
+    kernels = [_elementwise(Phase.FWD, act),
+               _elementwise(Phase.BWD_ACT_1, act)]
+
+    if algorithm.is_private:
+        # Dense materialization of embedding / norm-affine per-example
+        # gradients (vector path on every design).
+        kernels.append(VectorKernel(
+            Phase.BWD_EXAMPLE_GRAD, vector_params,
+            write_per_example=vector_params * GRAD_BYTES))
+
+        # -- per-example gradient norms ---------------------------------------
+        norm = Phase.BWD_GRAD_NORM
+        if accelerator.can_fuse_norm:
+            # PPU path: tree outputs only need the final per-example
+            # accumulation — norm derivation rode along with the drain.
+            kernels.append(VectorKernel(
+                norm, len(network.weight_layers), reduction=True))
+        elif accelerator.engine.dataflow == "output_stationary":
+            # No PPU, but the fine-grained OS drain forwards each output
+            # tile to the vector unit, which square-reduces it while the
+            # GEMM engine stalls (Section IV-C): compute-serialized, no
+            # off-chip spill.
+            kernels.append(VectorKernel(
+                norm, gemm_params, ops_per_elem=2.0, reduction=True))
+        else:
+            # WS: fetch the DRAM-spilled gradients back and square-reduce
+            # them on the vector unit — the memory-bound stage of
+            # Section III-C.
+            kernels.append(VectorKernel(
+                norm, gemm_params, ops_per_elem=2.0, reduction=True,
+                read_per_example=gemm_params * GRAD_BYTES))
+        kernels.append(VectorKernel(
+            norm, vector_params, ops_per_elem=2.0, reduction=True,
+            read_per_example=vector_params * GRAD_BYTES))
+
+    if algorithm is Algorithm.DP_SGD:
+        # -- clip, then reduce + noise ----------------------------------------
+        grad_bytes = all_params * GRAD_BYTES
+        kernels.append(VectorKernel(
+            Phase.BWD_GRAD_CLIP, all_params,
+            read_per_example=grad_bytes, write_per_example=grad_bytes))
+        kernels.append(VectorKernel(
+            Phase.BWD_REDUCE_NOISE, all_params, reduction=True,
+            read_per_example=grad_bytes, write_fixed=grad_bytes))
+        kernels += _noise_and_update(all_params)
+
+    elif algorithm is Algorithm.DP_SGD_R:
+        # Reweighting the loss gradients by the clip scales is a tiny
+        # per-example scale riding with the second backward pass.
+        kernels += (_elementwise(Phase.BWD_ACT_2, act),
+                    VectorKernel(Phase.BWD_ACT_2, 1),
+                    VectorKernel(Phase.BWD_BATCH_GRAD, 0))
+        kernels += _noise_and_update(all_params)
+
+    else:  # non-private SGD
+        kernels.append(VectorKernel(Phase.BWD_BATCH_GRAD, 0))
+        kernels += _update_only(all_params)
+
+    return tuple(kernels)
 
 
 def step_vector_runs(
@@ -370,106 +542,26 @@ def step_vector_runs(
 ) -> dict[Phase, OpRun]:
     """Non-GEMM (vector / element-wise) work of one step, per phase.
 
-    Executes the vector-unit kernels of every phase the step touches
-    and returns them keyed by phase — phases whose work is GEMM-only
-    carry a zero :class:`OpRun` so the mapping's key set is exactly the
-    step's phase set.  Adding each phase's :func:`step_gemm_ops` GEMMs
-    on top reconstitutes the full report (OpRun addition commutes).
-
-    ``tp > 1`` prices one tensor-parallel rank: parameter-proportional
-    kernels (per-example gradients, norms, clip, reduce/noise/update)
-    operate on the rank's ``ceil(params / tp)`` shard, while
-    activation-proportional element-wise work stays replicated (every
-    rank holds the full, allgathered activations).
+    Executes the :func:`step_vector_kernels` rows through
+    :meth:`Accelerator.run_vector` and returns them keyed by phase —
+    phases whose work is GEMM-only carry a zero :class:`OpRun` so the
+    mapping's key set is exactly the step's phase set.  Adding each
+    phase's :func:`step_gemm_ops` GEMMs on top reconstitutes the full
+    report (OpRun addition commutes).
     """
-    fuse = accelerator.can_fuse_norm
-    gemm_params = network.gemm_params
-    vector_params = network.vector_grad_params
-    all_params = network.params
-    if tp > 1:
-        gemm_params = -(-gemm_params // tp)
-        vector_params = -(-vector_params // tp)
-        all_params = -(-all_params // tp)
-    act_elems = batch * network.vector_path_elems
     phases: dict[Phase, OpRun] = {}
-
-    phases[Phase.FWD] = _elementwise(accelerator, act_elems)
-    phases[Phase.BWD_ACT_1] = _elementwise(accelerator, act_elems)
-
-    if algorithm.is_private:
-        os_drain = accelerator.engine.dataflow == "output_stationary"
-        example = OpRun.zero()
-        if vector_params:
-            # Dense materialization of embedding / norm-affine
-            # per-example gradients (vector path on every design).
-            example = example + accelerator.run_vector(
-                batch * vector_params,
-                dram_write_bytes=batch * vector_params * GRAD_BYTES,
+    for kernel in step_vector_kernels(network, algorithm, accelerator, tp):
+        run = phases.get(kernel.phase, OpRun.zero())
+        elems = kernel.elems(batch)
+        if elems > 0:
+            run = run + accelerator.run_vector(
+                elems,
+                ops_per_elem=kernel.ops_per_elem,
+                dram_read_bytes=kernel.read_bytes(batch),
+                dram_write_bytes=kernel.write_bytes(batch),
+                reduction=kernel.reduction,
             )
-        phases[Phase.BWD_EXAMPLE_GRAD] = example
-
-        # -- per-example gradient norms ---------------------------------------
-        norm = OpRun.zero()
-        if fuse:
-            # PPU path: tree outputs only need the final per-example
-            # accumulation — norm derivation rode along with the drain.
-            norm = norm + accelerator.run_vector(
-                batch * len(network.weight_layers), reduction=True)
-        elif os_drain:
-            # No PPU, but the fine-grained OS drain forwards each output
-            # tile to the vector unit, which square-reduces it while the
-            # GEMM engine stalls (Section IV-C): compute-serialized, no
-            # off-chip spill.
-            norm = norm + accelerator.run_vector(
-                batch * gemm_params, ops_per_elem=2.0, reduction=True)
-        else:
-            # WS: fetch the DRAM-spilled gradients back and square-reduce
-            # them on the vector unit — the memory-bound stage of
-            # Section III-C.
-            norm = norm + accelerator.run_vector(
-                batch * gemm_params,
-                ops_per_elem=2.0,
-                dram_read_bytes=batch * gemm_params * GRAD_BYTES,
-                reduction=True,
-            )
-        if vector_params:
-            norm = norm + accelerator.run_vector(
-                batch * vector_params,
-                ops_per_elem=2.0,
-                dram_read_bytes=batch * vector_params * GRAD_BYTES,
-                reduction=True,
-            )
-        phases[Phase.BWD_GRAD_NORM] = norm
-
-    if algorithm is Algorithm.DP_SGD:
-        # -- clip, then reduce + noise ----------------------------------------
-        phases[Phase.BWD_GRAD_CLIP] = accelerator.run_vector(
-            batch * all_params,
-            dram_read_bytes=batch * all_params * GRAD_BYTES,
-            dram_write_bytes=batch * all_params * GRAD_BYTES,
-        )
-        reduce = accelerator.run_vector(
-            batch * all_params,
-            dram_read_bytes=batch * all_params * GRAD_BYTES,
-            dram_write_bytes=all_params * GRAD_BYTES,
-            reduction=True,
-        )
-        phases[Phase.BWD_REDUCE_NOISE] = reduce + _noise_and_update(
-            accelerator, all_params)
-
-    elif algorithm is Algorithm.DP_SGD_R:
-        # Reweighting the loss gradients by the clip scales is a tiny
-        # per-example scale riding with the second backward pass.
-        phases[Phase.BWD_ACT_2] = (_elementwise(accelerator, act_elems)
-                                   + accelerator.run_vector(batch))
-        phases[Phase.BWD_BATCH_GRAD] = OpRun.zero()
-        phases[Phase.BWD_REDUCE_NOISE] = _noise_and_update(
-            accelerator, all_params)
-
-    else:  # non-private SGD
-        phases[Phase.BWD_BATCH_GRAD] = OpRun.zero()
-        phases[Phase.BWD_REDUCE_NOISE] = _update_only(accelerator, all_params)
-
+        phases[kernel.phase] = run
     return phases
 
 
@@ -724,27 +816,6 @@ def simulate_sharded_training_step(
         assert op_log is not None
         add_cluster_step_spans(recorder, report, op_log)
     return report
-
-
-def _noise_and_update(accel: Accelerator, params: int) -> OpRun:
-    """Gaussian noise generation/addition plus the SGD weight update."""
-    noise = accel.run_vector(
-        params,
-        ops_per_elem=3.0,  # RNG draw, scale, add
-        dram_read_bytes=params * GRAD_BYTES,
-        dram_write_bytes=params * GRAD_BYTES,
-    )
-    return noise + _update_only(accel, params)
-
-
-def _update_only(accel: Accelerator, params: int) -> OpRun:
-    """Weight update: read gradient + master weight, write new weight."""
-    return accel.run_vector(
-        params,
-        ops_per_elem=2.0,
-        dram_read_bytes=2 * params * GRAD_BYTES,
-        dram_write_bytes=params * GRAD_BYTES,
-    )
 
 
 # -- checkpoint/restart cost model -------------------------------------------

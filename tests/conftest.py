@@ -24,6 +24,11 @@ class CacheTable:
             return {key_hash: json.loads(key) for key_hash, key
                     in db.execute("SELECT hash, key FROM entries")}
 
+    def rows(self):
+        """Every row's raw ``(hash, key text, value text)``."""
+        with closing(sqlite3.connect(self.db)) as db:
+            return list(db.execute("SELECT hash, key, value FROM entries"))
+
     def set_value(self, key_hash, text):
         """Overwrite one existing row's raw value text."""
         with closing(sqlite3.connect(self.db)) as db, db:

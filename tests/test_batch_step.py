@@ -8,15 +8,23 @@ service-time table consume.
 """
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.arch.accelerator import OpRun
 from repro.arch.interconnect import InterconnectConfig
+from repro.arch.memory import MemoryConfig
+from repro.arch.vector import VectorUnitConfig
 from repro.core import ACCELERATOR_KINDS, build_accelerator, build_cluster
+from repro.core.config import DivaConfig
 from repro.training import (
     Algorithm,
+    Phase,
     sharded_step_batch,
     simulate_sharded_training_step,
     simulate_training_step,
@@ -29,8 +37,15 @@ from repro.training.batch import (
     clear_lowered_step_cache,
     lowered_step,
 )
-from repro.training.simulate import step_gemm_ops
+from repro.training.simulate import (
+    step_gemm_ops,
+    step_vector_kernels,
+    step_vector_runs,
+)
 from repro.workloads import build_model
+from repro.workloads.gemms import GemmKind
+from repro.workloads.model import Network
+from repro.workloads.zoo import MODEL_NAMES
 
 MODELS = ("SqueezeNet", "MobileNet")
 ALGORITHMS = ("DP-SGD", "DP-SGD(R)", "SGD")
@@ -109,17 +124,36 @@ def _column_lists(entry):
 
 @pytest.fixture
 def lowerings(monkeypatch):
-    """Record every ``step_gemm_ops`` call the memo makes."""
-    calls = []
+    """Record the ``(network id, kind, batch)`` of every
+    ``Network.gemms`` call the per-kind lowering makes (the fresh
+    ``step_gemm_ops`` oracles are not recorded)."""
+    calls, lowering = [], []
+    original_gemms = Network.gemms
+    original_lower = batch_mod._lower_kind
 
-    def counting(*args, **kwargs):
-        calls.append(args[:2])
-        return step_gemm_ops(*args, **kwargs)
+    def gemms(network, kind, batch):
+        if lowering:
+            calls.append((id(network), kind, batch))
+        return original_gemms(network, kind, batch)
 
-    monkeypatch.setattr(batch_mod, "step_gemm_ops", counting)
+    def lower(network, kind):
+        lowering.append(kind)
+        try:
+            return original_lower(network, kind)
+        finally:
+            lowering.pop()
+
+    monkeypatch.setattr(Network, "gemms", gemms)
+    monkeypatch.setattr(batch_mod, "_lower_kind", lower)
     clear_lowered_step_cache()
     yield calls
     clear_lowered_step_cache()
+
+
+def _kind_lowerings(network, kinds):
+    """The lowering calls of ``kinds``: each at batch 1 and 2, once."""
+    return sorted(((id(network), kind, batch)
+                   for kind in kinds for batch in (1, 2)), key=repr)
 
 
 class TestLoweredStepMemo:
@@ -138,9 +172,10 @@ class TestLoweredStepMemo:
             again = lowered_step(network, algorithm, accel, batch, tp)
             assert len(lowerings) == before
             assert _column_lists(again) == _column_lists(entry)
-        # Every batch and tp of one algorithm shares the lowerings at
-        # batch 1 and 2.
-        assert len(lowerings) == 2 * len(ALGORITHMS)
+        # Every algorithm, batch and tp of one network shares one
+        # lowering per GEMM kind, at batch 1 and 2.
+        assert sorted(lowerings, key=repr) == _kind_lowerings(network,
+                                                              GemmKind)
 
     def test_entries_are_immutable(self, lowerings):
         network = build_model("SqueezeNet")
@@ -151,12 +186,13 @@ class TestLoweredStepMemo:
             assert not array.flags.writeable, column
             with pytest.raises(ValueError):
                 array[0] = array[0]
-        # The memoized lowering every batch derives from is read-only
+        # The memoized lowerings every batch derives from are read-only
         # too, so no caller can change another caller's columns.
-        (memo,) = batch_mod._LOWERED_STEPS.values()
-        for array in (memo.dims, memo.slope,
-                      *(getattr(memo.base, c) for c in _COLUMNS)):
-            assert not array.flags.writeable
+        memos = list(batch_mod._LOWERED_KINDS.values())
+        assert len(memos) == 3
+        for memo in memos:
+            for array in (memo.layer, memo.dims, memo.slope):
+                assert not array.flags.writeable
 
     def test_networks_key_by_identity_not_name(self, lowerings):
         accel = build_accelerator("diva")
@@ -166,9 +202,10 @@ class TestLoweredStepMemo:
         assert len({net.name for net in variants}) == 1
         entries = [lowered_step(net, Algorithm.DP_SGD, accel, 8)
                    for net in variants]
-        assert len(batch_mod._LOWERED_STEPS) == 3
-        assert {id(memo.base.network)
-                for memo in batch_mod._LOWERED_STEPS.values()} \
+        # DP-SGD runs three GEMM kinds; each variant lowers its own.
+        assert len(batch_mod._LOWERED_KINDS) == 3 * 3
+        assert {id(memo.network)
+                for memo in batch_mod._LOWERED_KINDS.values()} \
             == {id(net) for net in variants}
         for net, entry in zip(variants, entries):
             assert entry.network is net
@@ -179,21 +216,26 @@ class TestLoweredStepMemo:
 
     def test_lru_holds_its_bound(self, monkeypatch, lowerings):
         monkeypatch.setattr(batch_mod, "LOWERED_STEP_CACHE_MAXSIZE", 4)
-        network = build_model("SqueezeNet")
-        # Five distinct memo keys: (dataflow, algorithm) pairs.
-        keys = [(Algorithm(algorithm), build_accelerator(kind))
-                for kind in ("ws", "diva") for algorithm in ALGORITHMS][:5]
-        for algorithm, accel in keys:
-            lowered_step(network, algorithm, accel, 8)
-        assert len(batch_mod._LOWERED_STEPS) == 4
-        assert len(lowerings) == 2 * 5
-        # A live key lowers nothing, whatever the batch and tp.
-        lowered_step(network, *keys[-1], 64, 2)
-        assert len(lowerings) == 2 * 5
-        # The oldest key was evicted: asking again lowers it anew.
-        lowered_step(network, *keys[0], 8)
+        accel = build_accelerator("diva")
+        squeeze, mobile = build_model("SqueezeNet"), build_model("MobileNet")
+        sgd = (GemmKind.FORWARD, GemmKind.ACT_GRAD, GemmKind.WGRAD_BATCH)
+        dpsgd = (GemmKind.FORWARD, GemmKind.ACT_GRAD,
+                 GemmKind.WGRAD_EXAMPLE)
+        # Six distinct memo keys: (network, kind) pairs.
+        lowered_step(squeeze, Algorithm.SGD, accel, 8)
+        lowered_step(mobile, Algorithm.DP_SGD, accel, 8)
+        assert len(batch_mod._LOWERED_KINDS) == 4
+        assert sorted(lowerings, key=repr) == sorted(
+            _kind_lowerings(squeeze, sgd) + _kind_lowerings(mobile, dpsgd),
+            key=repr)
+        # Live keys lower nothing, whatever the batch and tp.
+        lowered_step(mobile, Algorithm.DP_SGD, accel, 64, 2)
         assert len(lowerings) == 2 * 6
-        assert len(batch_mod._LOWERED_STEPS) == 4
+        # The oldest keys were evicted: asking again lowers them anew.
+        del lowerings[:]
+        lowered_step(squeeze, Algorithm.SGD, accel, 8)
+        assert sorted(lowerings, key=repr) == _kind_lowerings(squeeze, sgd)
+        assert len(batch_mod._LOWERED_KINDS) == 4
 
     def test_unknown_layer_rides_with_previous_op(self):
         network = build_model("SqueezeNet")
@@ -216,19 +258,20 @@ class TestLoweredStepMemo:
                          build_accelerator("diva"), 0)
 
     @pytest.mark.parametrize("mutate", [
-        lambda ops, batch: ops[:-batch],
-        lambda ops, batch: [replace(op, fuse_norm=batch > 1) for op in ops],
-        lambda ops, batch: [replace(op, gemm=replace(op.gemm,
-                                                     k=op.gemm.k + 2 - batch))
-                            for op in ops],
-    ], ids=("length", "flags", "negative-slope"))
+        lambda network, gemms, batch: gemms[:-batch],
+        lambda network, gemms, batch: [
+            replace(g, layer=network.layers[batch].name) for g in gemms],
+        lambda network, gemms, batch: [replace(g, k=g.k + 2 - batch)
+                                       for g in gemms],
+    ], ids=("length", "layer", "negative-slope"))
     def test_non_affine_schedule_raises(self, monkeypatch, lowerings,
                                         mutate):
-        def lowering(network, algorithm, accel, batch, tp=1):
-            return mutate(step_gemm_ops(network, algorithm, accel, batch,
-                                        tp=tp), batch)
+        original = Network.gemms
 
-        monkeypatch.setattr(batch_mod, "step_gemm_ops", lowering)
+        def gemms(network, kind, batch):
+            return mutate(network, original(network, kind, batch), batch)
+
+        monkeypatch.setattr(Network, "gemms", gemms)
         with pytest.raises(ValueError, match="SqueezeNet.*batch-affine"):
             lowered_step(build_model("SqueezeNet"), Algorithm.SGD,
                          build_accelerator("diva"), 4)
@@ -247,8 +290,16 @@ class TestLoweredStepMemo:
         for u, (accel, network, algorithm, batch, tp) in enumerate(specs):
             np.testing.assert_array_equal(cold.op_cycles[u],
                                           warm.op_cycles[u])
-            assert len(cold.op_cycles[u]) == len(
-                lowered_step(network, algorithm, accel, batch, tp))
+            entry = lowered_step(network, algorithm, accel, batch, tp)
+            assert len(cold.op_cycles[u]) == len(entry)
+            # The collected op columns are the spec's lowered_step,
+            # read-only like it.
+            for collected in (cold.op_steps[u], warm.op_steps[u]):
+                assert collected.network is network
+                assert _column_lists(collected) == _column_lists(entry)
+                assert not any(getattr(collected, column).flags.writeable
+                               for column in _COLUMNS)
+            assert not cold.op_cycles[u].flags.writeable
 
 
 def _experiment_networks():
@@ -281,6 +332,112 @@ class TestAffineLowering:
                     network,
                     step_gemm_ops(network, algorithm, accel, batch, tp=tp),
                     f"{algorithm.value} {accel.name} b={batch} tp={tp}")
+
+
+def _vector_oracle(specs):
+    """Per-phase cycles of ``step_vector_runs`` for every spec, with the
+    phase set it reports."""
+    matrix = np.zeros((len(specs), len(_PHASE_INDEX)), dtype=np.int64)
+    touched = np.zeros_like(matrix, dtype=bool)
+    for u, (accel, network, algorithm, batch, tp) in enumerate(specs):
+        for phase, run in step_vector_runs(network, algorithm, accel,
+                                           batch, tp).items():
+            matrix[u, _PHASE_INDEX[phase]] = run.cycles
+            touched[u, _PHASE_INDEX[phase]] = True
+    return matrix, touched
+
+
+def _batched_vector(specs):
+    return batch_mod._vector_phase_cycles(batch_mod._group_specs(specs),
+                                          len(specs))
+
+
+class TestVectorKernels:
+    """Pin: the batched vector-kernel columns equal the scalar
+    ``step_vector_runs`` per phase, exactly, and both read the one
+    ``step_vector_kernels`` rule."""
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_batched_cycles_equal_scalar_runs(self, model):
+        network = build_model(model)
+        specs = [(accel, network, Algorithm(algorithm), batch, tp)
+                 for accel in _accelerators()
+                 for algorithm in ALGORITHMS for tp in (1, 2, 3)
+                 for batch in (1, 2, 3, 64, 257, 8192, 24576)]
+        want, touched = _vector_oracle(specs)
+        got = _batched_vector(specs)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        # Phases outside the step's phase set carry no vector work.
+        assert not got[~touched].any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(MODEL_NAMES),
+        algorithm=st.sampled_from(ALGORITHMS),
+        kind=st.sampled_from(("ws", "os", "os-noppu", "diva",
+                              "diva-noppu")),
+        lanes=st.integers(1, 512),
+        reduction=st.floats(1.0, 8.0),
+        bandwidth=st.floats(1e9, 2e12),
+        latency=st.integers(0, 500),
+        batches=st.lists(st.integers(1, 100_000), min_size=1, max_size=4),
+        tp=st.integers(1, 8),
+    )
+    def test_property_custom_units(self, model, algorithm, kind, lanes,
+                                   reduction, bandwidth, latency, batches,
+                                   tp):
+        """Any vector-unit and memory configuration, batch and tp: the
+        columns repeat the scalar float order bit for bit."""
+        config = DivaConfig(
+            memory=MemoryConfig(bandwidth_bytes_per_s=bandwidth,
+                                access_latency_cycles=latency),
+            vector=VectorUnitConfig(lanes=lanes,
+                                    reduction_overhead_factor=reduction))
+        name, _, ppu = kind.partition("-")
+        accel = build_accelerator(name, with_ppu=None if not ppu else False,
+                                  config=config)
+        network = build_model(model)
+        specs = [(accel, network, Algorithm(algorithm), batch, tp)
+                 for batch in batches]
+        np.testing.assert_array_equal(_batched_vector(specs),
+                                      _vector_oracle(specs)[0])
+
+    def test_float_order_at_a_ceil_boundary(self):
+        """A 75-lane unit (600 ops/cycle) prices the DP-SGD(R) per-example
+        scale over 4,200 values at exactly 7 cycles; dividing before
+        multiplying rounds 1/600 up and charges 8."""
+        assert (math.ceil(4200 * 1.0 / 600), math.ceil(4200 * (1.0 / 600))) \
+            == (7, 8)
+        accel = build_accelerator("diva", config=DivaConfig(
+            vector=VectorUnitConfig(lanes=75)))
+        specs = [(accel, build_model(model), Algorithm.DP_SGD_R, 4200, 1)
+                 for model in MODEL_NAMES]
+        np.testing.assert_array_equal(_batched_vector(specs),
+                                      _vector_oracle(specs)[0])
+
+    def test_scalar_runs_execute_the_kernel_rows(self):
+        """``step_vector_runs`` is the rows of ``step_vector_kernels``
+        executed through ``run_vector``; GEMM-only phases keep a zero
+        run so the phase set is the step's."""
+        network = build_model("BERT-base")
+        for accel in _accelerators():
+            for algorithm in map(Algorithm, ALGORITHMS):
+                kernels = step_vector_kernels(network, algorithm, accel, 2)
+                runs = step_vector_runs(network, algorithm, accel, 16, 2)
+                assert list(runs) == list(dict.fromkeys(
+                    kernel.phase for kernel in kernels))
+                for phase, run in runs.items():
+                    want = OpRun.zero()
+                    for kernel in kernels:
+                        if kernel.phase is phase and kernel.elems(16):
+                            want = want + accel.run_vector(
+                                kernel.elems(16), kernel.ops_per_elem,
+                                kernel.read_bytes(16),
+                                kernel.write_bytes(16), kernel.reduction)
+                    assert run == want, (accel.name, algorithm, phase)
+                if algorithm is not Algorithm.DP_SGD:
+                    assert runs[Phase.BWD_BATCH_GRAD] == OpRun.zero()
 
 
 def _grid():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,13 @@ import pytest
 import repro
 from repro.experiments import runner
 from repro.experiments.design_space import evaluate_point
+from repro.training import Algorithm
+
+
+@dataclass(frozen=True)
+class Knob:
+    height: int
+    scale: float = 0.5
 
 
 def square(x):
@@ -103,6 +111,27 @@ class TestResultCache:
         cache = runner.ResultCache(tmp_path)
         cache.put("abc", {"model": "VGG-16"}, 42)
         assert cache_table(tmp_path).keys()["abc"] == {"model": "VGG-16"}
+
+    def test_cached_batch_stored_row_is_pinned(self, tmp_path,
+                                               cache_table):
+        """One key's hash, stored key text and stored value text, byte
+        for byte: normalizing a key once per grid changes none of them."""
+        key = {"experiment": "scaling", "model": "ResNet-50",
+               "chips": (1, 16), "algorithm": Algorithm.DP_SGD_R,
+               "knob": Knob(64), "tags": {"b", "a"}, "bucket_bytes": None,
+               "overlap": True}
+        cache = runner.ResultCache(tmp_path)
+        runner.cached_batch(
+            lambda items: [{"speedup": 2.5, "rows": [1, 2]} for _ in items],
+            ["point"], key_fn=lambda item: key, cache=cache)
+        assert runner.config_hash(key) == "405b8a58de5a9150"
+        assert cache_table(tmp_path).rows() == [(
+            "405b8a58de5a9150",
+            '{"algorithm": "Algorithm.DP_SGD_R", "bucket_bytes": null, '
+            '"chips": [1, 16], "experiment": "scaling", "knob": '
+            '{"__dataclass__": "Knob", "height": 64, "scale": 0.5}, '
+            '"model": "ResNet-50", "overlap": true, "tags": ["a", "b"]}',
+            '{"rows": [1, 2], "speedup": 2.5}')]
 
     def test_run_cached_computes_once(self, tmp_path):
         cache = runner.ResultCache(tmp_path)
