@@ -15,7 +15,8 @@ Public API highlights
 ``repro.training``
     SGD / DP-SGD / DP-SGD(R) planners, memory model, simulation driver.
 ``repro.sim``
-    Event-driven pipeline simulation with DMA prefetch.
+    An event-driven scheduler of timed GEMM / vector / DMA operations
+    with bounded prefetch; it no longer prices training steps itself.
 ``repro.energy``
     65 nm power/area/energy models (Table III, Figure 16).
 ``repro.dpml``

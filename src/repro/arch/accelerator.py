@@ -1,10 +1,14 @@
 """Accelerator composition: GEMM engine + memory system + vector unit (+ PPU).
 
 An :class:`Accelerator` executes abstract operations (GEMMs, vector
-kernels, DRAM moves) and returns :class:`OpRun` records.  DMA transfers
-are double-buffered against compute, so an operation's latency is
-``max(compute cycles, DRAM transfer cycles)``; the DRAM access latency
-is exposed once per operation.  Aggregated OpRuns feed every downstream
+kernels, DRAM moves) and returns :class:`OpRun` records.  The per-op
+charge has one column form, :meth:`Accelerator.gemm_charges` /
+:meth:`Accelerator.vector_charges` (an :class:`OpCharges` struct of
+arrays); :meth:`Accelerator.run_gemm` / :meth:`Accelerator.run_vector`
+are its length-1 adapters.  DMA transfers are double-buffered against
+compute, so an operation's latency is ``max(compute cycles, DRAM
+transfer cycles)``; the DRAM access latency is exposed once per
+operation.  Aggregated OpRuns feed every downstream
 consumer: the paper-figure training reports (Figures 5/13/14/15), the
 energy model (Figure 16), and the multi-chip ``scaling`` experiment,
 where per-shard OpRuns combine with the cluster's allreduce OpRuns
@@ -13,8 +17,11 @@ where per-shard OpRuns combine with the cluster's allreduce OpRuns
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, NamedTuple
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.arch.engine import ArrayConfig, GemmEngine
 from repro.arch.memory import MemoryConfig, MemorySystem
@@ -107,6 +114,42 @@ class OpRun:
         return {name: value for name, value in fields if value}
 
 
+class OpCharges(NamedTuple):
+    """Struct-of-arrays :class:`OpRun` charges, one int64 entry per op.
+
+    The fields are :class:`OpRun`'s, in its order, less the two that no
+    single GEMM or vector kernel charges (``link_bytes``,
+    ``hidden_cycles``).  :meth:`Accelerator.gemm_charges` and
+    :meth:`Accelerator.vector_charges` produce them.
+    """
+
+    cycles: NDArray[Any]
+    compute_cycles: NDArray[Any]
+    vector_cycles: NDArray[Any]
+    ppu_cycles: NDArray[Any]
+    macs: NDArray[Any]
+    vector_ops: NDArray[Any]
+    dram_read_bytes: NDArray[Any]
+    dram_write_bytes: NDArray[Any]
+    sram_read_bytes: NDArray[Any]
+    sram_write_bytes: NDArray[Any]
+
+    def rows(self, index: Any) -> "OpCharges":
+        """The entries at ``index`` (a slice, mask or index array)."""
+        return OpCharges(*(column[index] for column in self))
+
+    def runs(self) -> list[OpRun]:
+        """Every entry as an :class:`OpRun`."""
+        return [OpRun(*row) for row in zip(*(c.tolist() for c in self))]
+
+    def sum_by(self, group: NDArray[Any], size: int) -> list[OpRun]:
+        """Entry sums per group: ``group[i]`` in ``range(size)`` names
+        entry ``i``'s group; empty groups sum to :meth:`OpRun.zero`."""
+        totals = np.zeros((size, len(self)), dtype=np.int64)
+        np.add.at(totals, group, np.stack(self, axis=1))
+        return [OpRun(*row) for row in totals.tolist()]
+
+
 class Accelerator:
     """A complete training accelerator model.
 
@@ -161,69 +204,126 @@ class Accelerator:
                     self.config.drain_rows_per_cycle, self.config.width))
 
     # -- operations -----------------------------------------------------------
-    def run_gemm(
+    def gemm_charges(
         self,
-        gemm: Gemm,
-        read_lhs: bool = True,
-        read_rhs: bool = True,
-        write_output: bool = True,
-        fuse_norm: bool = False,
-    ) -> OpRun:
-        """Execute a GEMM.
+        m: NDArray[Any],
+        k: NDArray[Any],
+        n: NDArray[Any],
+        count: NDArray[Any],
+        write_output: NDArray[Any],
+        fuse_norm: NDArray[Any],
+        compute_cycles: NDArray[Any],
+        sram_read_bytes: NDArray[Any],
+        sram_write_bytes: NDArray[Any],
+    ) -> OpCharges:
+        """Charge columns of GEMMs, one entry per GEMM.
 
-        ``read_lhs`` / ``read_rhs`` control whether the operands must be
-        fetched from DRAM (False models on-chip reuse from a producer).
-        ``write_output`` controls whether results are committed off-chip.
-        ``fuse_norm`` routes the drained outputs through the PPU for
-        on-the-fly L2-norm derivation (requires :attr:`can_fuse_norm`);
-        the outputs are then *consumed*, not written back.
+        ``compute_cycles`` and the SRAM traffic are the engine's charge
+        of all ``count`` instances (:meth:`GemmEngine.gemm_stats` or
+        :func:`~repro.arch.engine.gemm_stats_batch`); this adds the DRAM
+        traffic and its overlap.  Both operands are fetched from DRAM.
+        ``write_output`` commits the results off-chip.  ``fuse_norm``
+        routes the drained outputs through the PPU for on-the-fly
+        L2-norm derivation (requires :attr:`can_fuse_norm`); the
+        outputs are then *consumed*, not written back.
         """
-        if fuse_norm and not self.can_fuse_norm:
+        fused = bool(fuse_norm.any())
+        if fused and not self.can_fuse_norm:
             raise ValueError(
                 f"{self.name}: cannot fuse norm derivation "
                 "(needs an output-stationary drain into a PPU)"
             )
-        stats = self.engine.gemm_stats(gemm)
         input_bytes = self.config.input_bytes
         acc_bytes = self.config.acc_bytes
-
-        dram_read = 0
-        if read_lhs:
-            dram_read += gemm.lhs_elems * input_bytes
-        if read_rhs:
-            dram_read += gemm.rhs_elems * input_bytes
-        dram_write = 0
-        sram_write = stats.sram_write_bytes
-        compute = stats.compute_cycles
-        ppu_cycles = 0
-        if fuse_norm:
+        dram_read = (m * k + k * n) * count * input_bytes
+        dram_write = np.where(write_output, m * n * count * acc_bytes, 0)
+        ppu_cycles = zero = np.zeros_like(compute_cycles)
+        if fused:
+            assert self.ppu is not None
             # Outputs stream through the adder trees during the drain;
             # one norm scalar per GEMM is emitted.  If the gradients
             # themselves must persist (plain DP-SGD's clipping), they
             # are committed alongside; under DP-SGD(R) they are consumed.
             # Only the per-GEMM pipeline flush is PPU-exposed time — the
             # drain itself is already part of the GEMM cycle count.
-            ppu_cycles = self.ppu.flush_cycles() * gemm.count
-            compute += ppu_cycles
-            dram_write = gemm.count * acc_bytes
-            if write_output:
-                dram_write += gemm.out_elems * acc_bytes
-            else:
-                sram_write = gemm.count * acc_bytes
-        elif write_output:
-            dram_write = gemm.out_elems * acc_bytes
-
-        transfer = self.memory.transfer_cycles(dram_read + dram_write)
-        return OpRun(
-            cycles=max(compute, transfer),
-            compute_cycles=compute,
+            ppu_cycles = np.where(
+                fuse_norm, self.ppu.flush_cycles() * count, 0)
+            compute_cycles = compute_cycles + ppu_cycles
+            dram_write = np.where(fuse_norm, count * acc_bytes + dram_write,
+                                  dram_write)
+            sram_write_bytes = np.where(fuse_norm & ~write_output,
+                                        count * acc_bytes, sram_write_bytes)
+        transfer = self._transfer_cycles(dram_read + dram_write)
+        return OpCharges(
+            cycles=np.maximum(compute_cycles, transfer),
+            compute_cycles=compute_cycles,
+            vector_cycles=zero,
             ppu_cycles=ppu_cycles,
-            macs=stats.macs,
+            macs=m * k * n * count,
+            vector_ops=zero,
             dram_read_bytes=dram_read,
             dram_write_bytes=dram_write,
-            sram_read_bytes=stats.sram_read_bytes,
-            sram_write_bytes=sram_write,
+            sram_read_bytes=sram_read_bytes,
+            sram_write_bytes=sram_write_bytes,
         )
+
+    def vector_charges(
+        self,
+        elems: NDArray[Any],
+        ops_per_elem: NDArray[Any],
+        dram_read_bytes: NDArray[Any],
+        dram_write_bytes: NDArray[Any],
+        reduction: NDArray[Any],
+    ) -> OpCharges:
+        """Charge columns of element-wise or reduction vector kernels.
+
+        A reduction pre-scales its ops by the vector unit's reduction
+        overhead (:meth:`VectorUnit.reduction_cycles`), so each entry
+        repeats the scalar float order: ``ceil(elems * ops / lanes)``.
+        """
+        config = self.vector.config
+        ops = np.where(reduction,
+                       ops_per_elem * config.reduction_overhead_factor,
+                       ops_per_elem)
+        compute = np.ceil(elems * ops / config.ops_per_cycle).astype(np.int64)
+        sram = elems * self.config.acc_bytes
+        zero = np.zeros_like(compute)
+        return OpCharges(
+            cycles=np.maximum(compute, self._transfer_cycles(
+                dram_read_bytes + dram_write_bytes)),
+            compute_cycles=zero,
+            vector_cycles=compute,
+            ppu_cycles=zero,
+            macs=zero,
+            vector_ops=(elems * ops_per_elem).astype(np.int64),
+            dram_read_bytes=dram_read_bytes,
+            dram_write_bytes=dram_write_bytes,
+            sram_read_bytes=sram,
+            sram_write_bytes=sram,
+        )
+
+    def _transfer_cycles(self, total_bytes: NDArray[Any]) -> NDArray[Any]:
+        """:meth:`MemorySystem.transfer_cycles` as a column."""
+        memory = self.memory
+        return np.where(
+            total_bytes > 0,
+            np.ceil(total_bytes / memory.bytes_per_cycle).astype(np.int64)
+            + memory.config.access_latency_cycles,
+            0)
+
+    def run_gemm(
+        self,
+        gemm: Gemm,
+        write_output: bool = True,
+        fuse_norm: bool = False,
+    ) -> OpRun:
+        """Execute one GEMM: the one entry of :meth:`gemm_charges`, priced
+        by the engine's memoized :meth:`GemmEngine.gemm_stats`."""
+        stats = self.engine.gemm_stats(gemm)
+        return self.gemm_charges(*(np.array([value]) for value in (
+            gemm.m, gemm.k, gemm.n, gemm.count, write_output, fuse_norm,
+            stats.compute_cycles, stats.sram_read_bytes,
+            stats.sram_write_bytes))).runs()[0]
 
     def run_vector(
         self,
@@ -233,23 +333,11 @@ class Accelerator:
         dram_write_bytes: int = 0,
         reduction: bool = False,
     ) -> OpRun:
-        """Execute an element-wise or reduction kernel on the vector unit."""
-        if reduction:
-            compute = self.vector.reduction_cycles(elems, ops_per_elem)
-        else:
-            compute = self.vector.elementwise_cycles(elems, ops_per_elem)
-        transfer = self.memory.transfer_cycles(
-            dram_read_bytes + dram_write_bytes
-        )
-        return OpRun(
-            cycles=max(compute, transfer),
-            vector_cycles=compute,
-            vector_ops=int(elems * ops_per_elem),
-            dram_read_bytes=dram_read_bytes,
-            dram_write_bytes=dram_write_bytes,
-            sram_read_bytes=elems * self.config.acc_bytes,
-            sram_write_bytes=elems * self.config.acc_bytes,
-        )
+        """Execute an element-wise or reduction kernel on the vector unit:
+        the one entry of :meth:`vector_charges`."""
+        return self.vector_charges(*(np.array([value]) for value in (
+            elems, float(ops_per_elem), dram_read_bytes, dram_write_bytes,
+            reduction))).runs()[0]
 
     def run_ppu_reduction(self, elems: int) -> OpRun:
         """Execute a standalone reduction on the PPU (if present)."""

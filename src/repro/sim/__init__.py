@@ -6,13 +6,10 @@ from repro.sim.engine import (
     TimedOp,
     Timeline,
 )
-from repro.sim.pipeline import PipelineReport, pipeline_training_step
 
 __all__ = [
     "TimedOp",
     "OpTiming",
     "Timeline",
     "PipelineSimulator",
-    "PipelineReport",
-    "pipeline_training_step",
 ]

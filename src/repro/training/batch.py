@@ -1,11 +1,11 @@
-"""Batched closed-form evaluation of training steps over config grids.
+"""Closed-form pricing of training steps, from one step to config grids.
 
-The scalar drivers (:func:`repro.training.simulate.simulate_training_step`
-and :func:`~repro.training.simulate.simulate_sharded_training_step`)
-pay a Python round trip per GEMM and per design point.  This module
-evaluates the *same* analytic model over a struct-of-arrays grid of
-configurations — workload x chips x bucket_bytes x topology x DP mode —
-in a few NumPy broadcast passes:
+This module is the one pricer of a training step.
+:func:`repro.training.simulate.simulate_training_step` (and the shard of
+:func:`~repro.training.simulate.simulate_sharded_training_step`) is
+:func:`training_step_batch` on one spec; grids of configurations —
+workload x chips x bucket_bytes x topology x DP mode — run through the
+same code in a few NumPy broadcast passes:
 
 * :func:`lowered_step` expands the schedule rule
   :func:`~repro.training.simulate.step_gemm_blocks` over per-kind
@@ -19,30 +19,36 @@ in a few NumPy broadcast passes:
   by ``(accelerator, network, algorithm, tp)`` and broadcasts each
   group's template over its batches by index arithmetic: the
   :func:`~repro.training.simulate.step_vector_kernels` rows become one
-  ``specs x kernels`` column pass that repeats
-  :meth:`~repro.arch.accelerator.Accelerator.run_vector`'s float order,
-  and the GEMM blocks one ``specs x ops`` dims pass.  GEMM shapes are
-  deduplicated per engine through packed int64 keys
-  (:func:`repro.arch.batch.unique_rows`) and priced by
-  :func:`repro.arch.batch.gemm_stats_batch`.  Python visits a spec
-  only to group it and never visits an op.
+  ``specs x kernels`` column pass and the GEMM blocks one ``specs x
+  ops`` dims pass.  GEMM shapes are deduplicated per engine through
+  packed int64 keys (:func:`repro.arch.batch.unique_rows`) and priced
+  by :func:`repro.arch.batch.gemm_stats_batch`; each accelerator then
+  charges its rows with its column form
+  (:meth:`~repro.arch.accelerator.Accelerator.vector_charges`,
+  :meth:`~repro.arch.accelerator.Accelerator.gemm_charges`), every
+  :class:`~repro.arch.accelerator.OpRun` field per op.  A grid sums
+  only the cycles per phase; ``collect_ops=True`` keeps every op's
+  full charge (:attr:`StepBatch.ops`) for a step report, its trace and
+  the pipeline schedule.  Python visits a spec only to group it and
+  never visits an op.
 * :func:`sharded_step_batch` reuses one shard evaluation for every
   grid point that shares a ``(kind, model, algorithm, local batch,
-  tp)``.  3D grid points (``pp``/``tp`` columns > 1) hand their lowered
-  columns and batched per-op cycle arrays to
-  :func:`~repro.training.parallel.build_pipeline_schedule`, the builder
-  the scalar driver feeds from its own op log — the schedule consumes
-  only integers, so it is bit-identical by construction.
+  tp)``.  3D grid points (``pp``/``tp`` columns > 1) hand their
+  collected op columns and cycles to
+  :func:`~repro.training.parallel.build_pipeline_schedule`, exactly as
+  :func:`~repro.training.simulate.simulate_sharded_training_step` does.
 * :func:`step_comm_cycles` is the one composition of a sharded step's
   collective charge; the scalar
   :func:`~repro.training.simulate.simulate_sharded_training_step`
   calls it on length-1 columns and :func:`sharded_step_batch` on grids.
 
-``tests/test_batch_step.py`` pins the batched steps bitwise-identical
-to the scalar drivers.  The ``scaling`` and ``design-space``
-experiments and the fleet simulator's service-time table
-(:mod:`repro.serve.scheduler`) run their grids through this module;
-the process-pool runner remains for non-analytic work.
+``tests/test_batch_step.py`` pins the steps, every field of every
+phase, to the per-op Python oracle of ``tests/step_oracle.py``, and
+the batched sharded steps bitwise to the one-point sharded step.  The
+``scaling`` and ``design-space`` experiments and the fleet simulator's
+service-time table (:mod:`repro.serve.scheduler`) run their grids
+through this module; the process-pool runner remains for non-analytic
+work.
 """
 
 from __future__ import annotations
@@ -50,11 +56,18 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, ContextManager, NamedTuple, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    ContextManager,
+    Iterator,
+    NamedTuple,
+    Sequence,
+)
 
 import numpy as np
 
-from repro.arch.accelerator import Accelerator
+from repro.arch.accelerator import Accelerator, OpCharges, OpRun
 from repro.arch.batch import (
     allreduce_seconds_batch,
     first_bucket_seconds_batch,
@@ -82,12 +95,9 @@ from repro.training.simulate import (
     step_gemm_blocks,
     step_vector_kernels,
 )
-# The scalar twins of the columns priced here, under the names
-# ``perfbench/tracing.py`` times through this module.
-from repro.training.simulate import (  # noqa: F401
-    step_gemm_ops,
-    step_vector_runs,
-)
+# The GEMM op list, under the name ``perfbench/tracing.py`` times
+# through this module (as it does :func:`step_vector_runs`).
+from repro.training.simulate import step_gemm_ops  # noqa: F401
 from repro.workloads.gemms import Gemm, GemmKind
 from repro.workloads.model import Network
 
@@ -110,20 +120,14 @@ class StepBatch:
 
     ``phase_cycles[u, p]`` is spec ``u``'s cycle charge in phase
     ``STEP_PHASES[p]`` (zero for phases the algorithm does not touch) —
-    exactly the :class:`~repro.training.simulate.TrainingReport` phase
-    sums of the scalar driver.
+    the ``cycles`` of :attr:`~repro.training.simulate.TrainingReport.phases`.
     """
 
     phase_cycles: np.ndarray
     frequency_hz: np.ndarray
-    #: Per-spec schedule-ordered GEMM op cycles (only when collected):
-    #: ``op_cycles[u][j]`` is the charge of spec ``u``'s ``j``-th
-    #: :func:`~repro.training.simulate.step_gemm_ops` entry.
-    op_cycles: "dict[int, np.ndarray] | None" = None
-    #: The matching op columns (only when collected): ``op_steps[u]``
-    #: equals ``lowered_step`` of spec ``u``, as read-only views of the
-    #: columns its cycles were priced from.
-    op_steps: "dict[int, LoweredStep] | None" = None
+    #: Each spec's priced operations, every OpRun field (only when
+    #: collected), as read-only views of the columns priced.
+    ops: "dict[int, StepOps] | None" = None
 
     def __len__(self) -> int:
         return self.phase_cycles.shape[0]
@@ -177,26 +181,60 @@ class LoweredStep:
     def __len__(self) -> int:
         return len(self.phase)
 
-    @classmethod
-    def from_ops(cls, network: Network,
-                 ops: Sequence[GemmOp]) -> "LoweredStep":
-        """The columns of a :func:`step_gemm_ops` list.
 
-        An op whose layer ``network`` does not name rides with the
-        previous op's layer (schedule order is layer order).
-        """
-        return cls(
-            network=network,
-            phase=_frozen([_PHASE_INDEX[op.phase] for op in ops], np.int64),
-            layer=_frozen(_layer_column(network, [op.gemm for op in ops]),
-                          np.int64),
-            m=_frozen([op.gemm.m for op in ops], np.int64),
-            k=_frozen([op.gemm.k for op in ops], np.int64),
-            n=_frozen([op.gemm.n for op in ops], np.int64),
-            count=_frozen([op.gemm.count for op in ops], np.int64),
-            write_output=_frozen([op.write_output for op in ops], bool),
-            fuse_norm=_frozen([op.fuse_norm for op in ops], bool),
-        )
+class StepOps(NamedTuple):
+    """One step's priced operations (an entry of :attr:`StepBatch.ops`).
+
+    ``step`` holds the GEMM ops in schedule order and ``gemm`` their
+    charges; ``kernel_phase`` holds each
+    :func:`~repro.training.simulate.step_vector_kernels` row's
+    :data:`STEP_PHASES` index and ``vector`` its charge.
+    """
+
+    step: LoweredStep
+    gemm: OpCharges
+    kernel_phase: np.ndarray
+    vector: OpCharges
+
+    def phase_runs(self) -> dict[Phase, OpRun]:
+        """Every field of every phase: the vector kernels' plus the GEMM
+        ops' charges.  The key set is the step's phase set — every
+        phase has a kernel row — in kernel order."""
+        return _phase_runs(
+            np.concatenate([self.kernel_phase, self.step.phase]),
+            OpCharges(*map(np.concatenate, zip(self.vector, self.gemm))),
+            self.kernel_phase)
+
+    def op_log(self, algorithm: Algorithm, accelerator: Accelerator
+               ) -> list[tuple[GemmOp, OpRun]]:
+        """The GEMM ops as :class:`~repro.training.simulate.GemmOp`
+        records with their charges, in schedule order (the per-GEMM
+        spans of :mod:`repro.obs.trace`)."""
+        kinds = {block.phase: block.kind
+                 for block in step_gemm_blocks(algorithm, accelerator)}
+        layers = self.step.network.layers
+        log = []
+        for (p, layer, m, k, n, count, write_output, fuse_norm), run in zip(
+                zip(*(getattr(self.step, name).tolist()
+                      for name in _OP_COLUMNS)), self.gemm.runs()):
+            phase = STEP_PHASES[p]
+            gemm = Gemm(m, k, n, count, kinds[phase], layers[layer].name)
+            log.append((GemmOp(phase, gemm, write_output, fuse_norm), run))
+        return log
+
+
+def _phase_runs(phase: np.ndarray, charges: OpCharges,
+                kernel_phase: np.ndarray) -> dict[Phase, OpRun]:
+    """``charges`` summed by ``phase`` (:data:`STEP_PHASES` indices),
+    keyed by the phases of ``kernel_phase`` in first-appearance order."""
+    runs = charges.sum_by(phase, len(STEP_PHASES))
+    return {STEP_PHASES[p]: runs[p]
+            for p in dict.fromkeys(kernel_phase.tolist())}
+
+
+#: The :class:`LoweredStep` columns, in field order.
+_OP_COLUMNS = ("phase", "layer", "m", "k", "n", "count", "write_output",
+               "fuse_norm")
 
 
 def _layer_column(network: Network, gemms: Sequence[Gemm]) -> list[int]:
@@ -435,47 +473,86 @@ def lowered_step(network: Network, algorithm: Algorithm,
             ("write_output", bool), ("fuse_norm", bool))})
 
 
-def _vector_phase_cycles(groups: _SpecGroups, specs: int) -> np.ndarray:
-    """``(specs, phases)`` vector-unit cycles of every grouped spec.
+def _engine_rows(groups: _SpecGroups, per_spec: np.ndarray
+                 ) -> Iterator[tuple[Accelerator, slice]]:
+    """Each accelerator's contiguous run of rows, where every spec of
+    group ``g`` has ``per_spec[g]`` rows (a group's specs, and the
+    groups of one accelerator, are adjacent)."""
+    stops = np.cumsum(per_spec * groups.count).tolist()
+    first = stop = 0
+    for size in groups.engine_groups:
+        start, stop = stop, stops[first + size - 1]
+        yield groups.heads[first][0], slice(start, stop)
+        first += size
 
-    One row per (group, :func:`step_vector_kernels` kernel) carries the
-    group's vector-unit and memory constants; broadcast over the
-    group's batches, the cycles follow the float order of
-    :meth:`Accelerator.run_vector`: ``ceil(elems * ops / lanes)`` (ops
-    pre-scaled by the reduction overhead for reductions) against
-    ``ceil(bytes / bytes_per_cycle) + latency`` when bytes move.
+
+class _Kernels(NamedTuple):
+    """Every vector kernel of a set of grouped specs, priced.
+
+    ``position`` is each kernel's spec position (:class:`_SpecGroups`),
+    ``phase`` its :data:`STEP_PHASES` index, and ``kernel_count[g]`` the
+    number of kernels of each spec of group ``g``.
+    """
+
+    position: np.ndarray
+    phase: np.ndarray
+    kernel_count: np.ndarray
+    charges: OpCharges
+
+
+def _vector_kernels(groups: _SpecGroups) -> _Kernels:
+    """Price every grouped spec's :func:`step_vector_kernels` rows.
+
+    One template row per (group, kernel) is broadcast over the group's
+    batches (elements and DRAM bytes are affine in the batch) and
+    charged by :meth:`Accelerator.vector_charges`, one accelerator at a
+    time.
     """
     rows: list[tuple] = []
     kernel_count = []
     for accel, network, algorithm, tp in groups.heads:
         kernels = step_vector_kernels(network, algorithm, accel, tp)
-        vector = accel.vector.config
-        memory = accel.memory
-        rows += [(
-            _PHASE_INDEX[k.phase], k.elems_per_example, k.elems_fixed,
-            k.read_per_example + k.write_per_example,
-            k.read_fixed + k.write_fixed,
-            k.ops_per_elem * vector.reduction_overhead_factor
-            if k.reduction else k.ops_per_elem,
-            vector.ops_per_cycle, memory.bytes_per_cycle,
-            memory.config.access_latency_cycles) for k in kernels]
+        rows += [(_PHASE_INDEX[k.phase], k.elems_per_example, k.elems_fixed,
+                  k.read_per_example, k.read_fixed, k.write_per_example,
+                  k.write_fixed, k.ops_per_elem, k.reduction)
+                 for k in kernels]
         kernel_count.append(len(kernels))
-    matrix = np.zeros((specs, len(STEP_PHASES)), dtype=np.int64)
-    (phase, per_example, fixed, bytes_per_example, bytes_fixed, ops,
-     ops_per_cycle, bytes_per_cycle, latency) = (
+    (phase, elems_per_example, elems_fixed, read_per_example, read_fixed,
+     write_per_example, write_fixed, ops, reduction) = (
         np.array(column, dtype=dtype) for column, dtype in zip(
-            zip(*rows), (np.int64,) * 5 + (float,) * 3 + (np.int64,)))
-    row, position = _expand(groups, np.array(kernel_count, dtype=np.int64))
+            zip(*rows), (np.int64,) * 7 + (float, bool)))
+    counts = np.array(kernel_count, dtype=np.int64)
+    row, position = _expand(groups, counts)
     batch = groups.batch[position]
-    elems = batch * per_example[row] + fixed[row]
-    compute = np.ceil(elems * ops[row] / ops_per_cycle[row]).astype(np.int64)
-    total_bytes = batch * bytes_per_example[row] + bytes_fixed[row]
-    transfer = _transfer_cycles(total_bytes, bytes_per_cycle[row],
-                                latency[row])
-    np.add.at(matrix.reshape(-1),
-              groups.index[position] * len(STEP_PHASES) + phase[row],
-              np.maximum(compute, transfer))
-    return matrix
+    elems = batch * elems_per_example[row] + elems_fixed[row]
+    read = batch * read_per_example[row] + read_fixed[row]
+    write = batch * write_per_example[row] + write_fixed[row]
+    ops, reduction = ops[row], reduction[row]
+    charges = OpCharges(*map(np.concatenate, zip(*(
+        accel.vector_charges(elems[rows], ops[rows], read[rows],
+                             write[rows], reduction[rows])
+        for accel, rows in _engine_rows(groups, counts)))))
+    return _Kernels(position=position, phase=phase[row],
+                    kernel_count=counts, charges=charges)
+
+
+def step_vector_runs(
+    network: Network,
+    algorithm: Algorithm,
+    accelerator: Accelerator,
+    batch: int,
+    tp: int = 1,
+) -> dict[Phase, OpRun]:
+    """Non-GEMM (vector / element-wise) work of one step, per phase.
+
+    The :func:`step_vector_kernels` rows priced as in
+    :func:`training_step_batch` and summed per phase; phases whose work
+    is GEMM-only carry a zero :class:`OpRun`, so the key set is the
+    step's phase set.
+    """
+    kernels = _vector_kernels(_group_specs(
+        [(accelerator, network, algorithm, batch, tp)]))
+    return _phase_runs(kernels.phase, kernels.charges, kernels.phase)
 
 
 def training_step_batch(
@@ -491,21 +568,24 @@ def training_step_batch(
     them across specs lets the evaluator group their GEMMs into one
     vectorized pass).  A trailing ``tp`` column-shards every GEMM and
     parameter-proportional vector kernel across a tensor-parallel
-    group.  Returns per-phase cycle sums identical to running
-    :func:`simulate_training_step` per spec.
+    group.  :func:`~repro.training.simulate.simulate_training_step` is
+    this function on one spec.
 
     Specs are grouped by ``(accelerator, network, algorithm, tp)``.
     Each group contributes one template — its :func:`step_vector_kernels`
     rows and its :func:`step_gemm_blocks` expanded over the per-kind
     lowerings of :func:`lowered_step` — and every template row is
     broadcast over the group's batches by index arithmetic, so the
-    vector cycles form one ``specs x kernels`` column pass and the GEMM
-    dims one ``specs x ops`` pass; Python visits a spec only to group
-    it.
+    vector kernels form one ``specs x kernels`` column pass and the
+    GEMM dims one ``specs x ops`` pass; Python visits a spec only to
+    group it.  Every op is charged by
+    :meth:`~repro.arch.accelerator.Accelerator.vector_charges` /
+    :meth:`~repro.arch.accelerator.Accelerator.gemm_charges`; only the
+    cycles are summed into the phase matrix.
 
-    ``collect_ops=True`` additionally keeps each spec's per-op GEMM
-    cycle array (schedule order) and its op columns — the inputs the
-    pipeline-schedule builder needs for 3D grid points.
+    ``collect_ops=True`` additionally keeps every op's columns and full
+    charge in :attr:`StepBatch.ops` — the inputs of a step report, its
+    trace and the pipeline schedule of a 3D grid point.
 
     ``profiler`` (a :class:`repro.obs.profile.Profiler`) times the
     vector-kernel and batched-GEMM stages and counts specs / GEMM ops
@@ -520,100 +600,80 @@ def training_step_batch(
                          dtype=float)
     if profiler is not None:
         profiler.count("step_specs", len(specs))
+    matrix = np.zeros((len(specs), len(STEP_PHASES)), dtype=np.int64)
     if not specs:
-        return StepBatch(phase_cycles=np.zeros((0, len(STEP_PHASES)),
-                                               dtype=np.int64),
-                         frequency_hz=frequency,
-                         op_cycles={} if collect_ops else None,
-                         op_steps={} if collect_ops else None)
+        return StepBatch(phase_cycles=matrix, frequency_hz=frequency)
     groups = _group_specs(specs)
+    flat = matrix.reshape(-1)
 
     with _stage(profiler, "step-batch/vector"):
-        matrix = _vector_phase_cycles(groups, len(specs))
+        kernels = _vector_kernels(groups)
+        np.add.at(flat, groups.index[kernels.position] * len(STEP_PHASES)
+                  + kernels.phase, kernels.charges.cycles)
 
     with _stage(profiler, "step-batch/gemm"):
         ops = _gemm_columns(groups)
-        # Groups are engine-contiguous, so each engine prices one slice.
-        cycles = np.empty(len(ops.m), dtype=np.int64)
-        bounds = [0, *np.cumsum(ops.op_count * groups.count).tolist()]
-        first = 0
-        for size in groups.engine_groups:
-            accel = groups.heads[first][0]
-            start, end = bounds[first], bounds[first + size]
-            first += size
-            if start < end:
-                cycles[start:end] = _gemm_cycles(
-                    accel, *(column[start:end] for column in (
-                        ops.m, ops.k, ops.n, ops.count, ops.write_output,
-                        ops.fuse_norm)), profiler)
-        np.add.at(matrix.reshape(-1),
-                  groups.index[ops.position] * len(STEP_PHASES) + ops.phase,
-                  cycles)
+        charges = (
+            _gemm_charges(accel, *(column[rows] for column in (
+                ops.m, ops.k, ops.n, ops.count, ops.write_output,
+                ops.fuse_norm)), profiler)
+            for accel, rows in _engine_rows(groups, ops.op_count))
+        if collect_ops:
+            gemm = OpCharges(*map(np.concatenate, zip(*charges)))
+            cycles = gemm.cycles
+        else:
+            # A grid keeps only the cycles of each engine's charges.
+            cycles = np.concatenate([charge.cycles for charge in charges])
+        np.add.at(flat, groups.index[ops.position] * len(STEP_PHASES)
+                  + ops.phase, cycles)
 
     if not collect_ops:
         return StepBatch(phase_cycles=matrix, frequency_hz=frequency)
-    # Each spec's ops are one contiguous run, in schedule order.
-    columns = (*ops[2:], cycles)
-    for column in columns:
+    op_columns = [getattr(ops, name) for name in _OP_COLUMNS]
+    for column in (*op_columns, *gemm, kernels.phase, *kernels.charges):
         column.flags.writeable = False
-    op_cycles: dict[int, np.ndarray] = {}
-    op_steps: dict[int, LoweredStep] = {}
+    # Each spec's ops and kernels are contiguous runs, in schedule order.
+    by_spec: dict[int, StepOps] = {}
     spec = iter(groups.index.tolist())
-    stop = 0
-    for (_, network, _, _), specs_in_group, size in zip(
-            groups.heads, groups.count.tolist(), ops.op_count.tolist()):
+    op_stop = kernel_stop = 0
+    for (_, network, _, _), specs_in_group, op_count, kernel_count in zip(
+            groups.heads, groups.count.tolist(), ops.op_count.tolist(),
+            kernels.kernel_count.tolist()):
         for _ in range(specs_in_group):
-            u = next(spec)
-            start, stop = stop, stop + size
-            *step, op_cycles[u] = (column[start:stop] for column in columns)
-            op_steps[u] = LoweredStep(network, *step)
+            op_start, op_stop = op_stop, op_stop + op_count
+            kernel_start, kernel_stop = kernel_stop, kernel_stop + kernel_count
+            gemms = slice(op_start, op_stop)
+            rows = slice(kernel_start, kernel_stop)
+            by_spec[next(spec)] = StepOps(
+                LoweredStep(network, *(column[gemms]
+                                       for column in op_columns)),
+                gemm.rows(gemms), kernels.phase[rows],
+                kernels.charges.rows(rows))
     return StepBatch(phase_cycles=matrix, frequency_hz=frequency,
-                     op_cycles=op_cycles, op_steps=op_steps)
+                     ops=by_spec)
 
 
-def _gemm_cycles(accel: Accelerator, m: np.ndarray, k: np.ndarray,
-                 n: np.ndarray, count: np.ndarray, write_out: np.ndarray,
-                 fuse: np.ndarray, profiler: "Profiler | None"
-                 ) -> np.ndarray:
-    """Per-op cycles of one engine's GEMM columns, as
-    :meth:`Accelerator.run_gemm` charges them."""
+def _gemm_charges(accel: Accelerator, m: np.ndarray, k: np.ndarray,
+                  n: np.ndarray, count: np.ndarray, write_output: np.ndarray,
+                  fuse_norm: np.ndarray, profiler: "Profiler | None"
+                  ) -> OpCharges:
+    """One engine's GEMM columns, priced by :func:`gemm_stats_batch` once
+    per distinct ``(m, k, n)`` and charged by
+    :meth:`Accelerator.gemm_charges`."""
     unique, inverse = unique_rows(m, k, n)
     if profiler is not None:
         profiler.count("gemm_ops", len(m))
         profiler.count("unique_gemm_shapes", len(unique))
     stats = gemm_stats_batch(
         accel.engine, unique[:, 0], unique[:, 1], unique[:, 2], 1)
-    compute = stats.compute_cycles[inverse] * accel.engine.rounds(m, n, count)
-
-    input_bytes = accel.config.input_bytes
-    acc_bytes = accel.config.acc_bytes
-    dram_read = (m * k + k * n) * count * input_bytes
-    out_bytes = m * n * count * acc_bytes
-    dram_write = np.where(write_out, out_bytes, 0)
-    if fuse.any():
-        # Mirrors Accelerator.run_gemm's fuse_norm path: the per-GEMM
-        # PPU flush is compute-exposed and one norm scalar per GEMM
-        # goes off-chip alongside any persisted outputs.
-        flush = accel.ppu.flush_cycles()
-        compute = compute + np.where(fuse, flush * count, 0)
-        dram_write = np.where(fuse, count * acc_bytes + dram_write,
-                              dram_write)
-
-    total_bytes = dram_read + dram_write
-    transfer = _transfer_cycles(total_bytes, accel.memory.bytes_per_cycle,
-                                accel.memory.config.access_latency_cycles)
-    return np.maximum(compute, transfer)
-
-
-def _transfer_cycles(total_bytes: np.ndarray, bytes_per_cycle,
-                     latency) -> np.ndarray:
-    """:meth:`~repro.arch.memory.MemorySystem.transfer_cycles` as a
-    column: ``ceil(bytes / bytes_per_cycle) + latency``, or 0 when no
-    bytes move."""
-    return np.where(
-        total_bytes > 0,
-        np.ceil(total_bytes / bytes_per_cycle).astype(np.int64) + latency,
-        0)
+    # One instance's engine charge, scaled to all ``count`` of them as
+    # gemm_stats_batch scales it.
+    return accel.gemm_charges(
+        m, k, n, count, write_output, fuse_norm,
+        compute_cycles=(stats.compute_cycles[inverse]
+                        * accel.engine.rounds(m, n, count)),
+        sram_read_bytes=stats.sram_read_bytes[inverse] * count,
+        sram_write_bytes=stats.sram_write_bytes[inverse] * count)
 
 
 @dataclass(frozen=True)
@@ -934,7 +994,6 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
     if any_3d:
         from repro.training.parallel import build_pipeline_schedule
 
-        assert step.op_cycles is not None and step.op_steps is not None
         schedules: dict[tuple[int, int], Any] = {}
         shard_cycles = shard_cycles.copy()
         overlappable = overlappable.copy()
@@ -945,8 +1004,9 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
             sched = schedules.get(sched_key)
             if sched is None:
                 _, network, algorithm, batch, tp = specs[u]
+                ops = step.ops[u]
                 sched = build_pipeline_schedule(
-                    network, algorithm, step.op_steps[u], step.op_cycles[u],
+                    network, algorithm, ops.step, ops.gemm.cycles,
                     {p: int(step.phase_cycles[u, _PHASE_INDEX[p]])
                      for p in PHASE_ORDER},
                     batch,

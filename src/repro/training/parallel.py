@@ -5,9 +5,9 @@ schedule — the :func:`repro.training.simulate.step_gemm_ops` ops as
 :class:`~repro.training.batch.LoweredStep` columns plus the per-phase
 vector totals — into ``pp`` contiguous layer stages and prices the
 GPipe-style microbatched pipeline in closed form.  It consumes only
-*already-priced* integer op cycles, so the scalar driver and the NumPy
-batched evaluator (:mod:`repro.training.batch`) feed it the same
-integers and get bit-identical schedules back.
+*already-priced* integer op cycles: the one-point sharded step and the
+grid pass of :mod:`repro.training.batch` feed it the same collected
+columns and get bit-identical schedules back.
 
 Modeling choices
 ----------------
@@ -159,12 +159,11 @@ def build_pipeline_schedule(
     ``step`` holds the step's GEMM ops as columns (built with the
     plan's ``tp``; its ``layer`` column assigns each op to a layer) and
     ``op_cycles`` each op's integer cycles; ``phase_cycles`` maps every
-    phase of the step to its *total* cycles (GEMM + vector).  The scalar
-    driver passes :meth:`LoweredStep.from_ops` of its op log and the
-    batched evaluator its :func:`~repro.training.batch.lowered_step`;
-    both produce identical integers here, which makes the resulting
-    schedule — and everything priced from it — bitwise-equal across the
-    two paths.  Per-op sums run in int64 NumPy.
+    phase of the step to its *total* cycles (GEMM + vector).  Callers
+    pass the columns and cycles :meth:`~repro.training.batch.StepBatch.ops`
+    collected (equal to :func:`~repro.training.batch.lowered_step`);
+    the tests pin the schedule against the per-op oracle's op log.
+    Per-op sums run in int64 NumPy.
     """
     pp, tp = plan.pp, plan.tp
     layers = network.layers

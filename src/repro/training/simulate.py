@@ -1,10 +1,13 @@
-"""Training-step simulation driver.
+"""Training-step rules and the single-step simulation entry points.
 
-:func:`simulate_training_step` executes one mini-batch step of a given
+:func:`simulate_training_step` prices one mini-batch step of a given
 algorithm on a given accelerator model and returns a
 :class:`TrainingReport`: per-phase latency / traffic / MAC aggregates
 from which every performance figure of the paper (5, 13, 14, 15, 16 and
-the PPU traffic claim) is derived.
+the PPU traffic claim) is derived.  The step is one spec of
+:func:`repro.training.batch.training_step_batch`, the one step pricer;
+the phases sum every :class:`OpRun` field of its collected op charges.
+``tests/step_oracle.py`` keeps the per-op Python step as the oracle.
 
 Modeling notes
 --------------
@@ -70,6 +73,7 @@ from repro.workloads.model import Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import TraceRecorder
+    from repro.training.batch import StepOps
 
 #: Storage width of gradients / norms (FP32).
 GRAD_BYTES = 4
@@ -279,10 +283,9 @@ class ClusterTrainingReport:
 class GemmOp:
     """One GEMM of a training step, with its execution options.
 
-    The declarative form of a :meth:`Accelerator.run_gemm` call —
-    shared by the scalar driver (which executes it directly) and the
-    batched evaluator (:mod:`repro.training.batch`, which prices whole
-    grids of them in a few NumPy passes).
+    The declarative form of a :meth:`Accelerator.run_gemm` call: the
+    entries of :func:`step_gemm_ops` and of a step's trace op log
+    (:meth:`repro.training.batch.StepOps.op_log`).
     """
 
     phase: Phase
@@ -311,10 +314,10 @@ def step_gemm_blocks(
     with which flags: per-example weight-gradient GEMMs spill only when
     the algorithm stores the gradients or the dataflow cannot forward
     them (``write_output``), and norm derivation fuses into the drain
-    when the design has a matched PPU (``fuse_norm``).  The scalar
-    driver expands the blocks into :class:`GemmOp` lists
-    (:func:`step_gemm_ops`), :func:`repro.training.plan.phase_gemms`
-    into per-phase GEMM lists, and the batched evaluator
+    when the design has a matched PPU (``fuse_norm``).
+    :func:`step_gemm_ops` expands the blocks into :class:`GemmOp`
+    lists, :func:`repro.training.plan.phase_gemms` into per-phase GEMM
+    lists, and the step pricer
     (:func:`repro.training.batch.lowered_step`) into columns.
 
     ``accelerator=None`` keeps the default flags (every output written,
@@ -393,7 +396,7 @@ class VectorKernel(NamedTuple):
     At mini-batch ``b`` the kernel runs over ``elems_per_example * b +
     elems_fixed`` values and moves ``read_per_example * b + read_fixed``
     DRAM bytes in and ``write_per_example * b + write_fixed`` out
-    (:meth:`Accelerator.run_vector` arguments).  A kernel over zero
+    (:meth:`Accelerator.vector_charges` columns).  A kernel over zero
     values costs nothing; it still names its phase, which is how
     GEMM-only phases enter the step's phase set.
     """
@@ -454,10 +457,9 @@ def step_vector_kernels(
 ) -> tuple[VectorKernel, ...]:
     """The vector-unit kernels of one step, in phase order.
 
-    The one statement of the step's non-GEMM work: the scalar driver
-    executes the rows (:func:`step_vector_runs`) and the batched
-    evaluator prices them as ``specs x kernels`` columns
-    (:func:`repro.training.batch.training_step_batch`).  Every phase the
+    The one statement of the step's non-GEMM work:
+    :func:`repro.training.batch.training_step_batch` prices the rows as
+    ``specs x kernels`` columns.  Every phase the
     step touches has at least one row; phases whose work is GEMM-only
     carry one empty row.
 
@@ -533,61 +535,23 @@ def step_vector_kernels(
     return tuple(kernels)
 
 
-def step_vector_runs(
+def _chip_step(
     network: Network,
     algorithm: Algorithm,
     accelerator: Accelerator,
     batch: int,
     tp: int = 1,
-) -> dict[Phase, OpRun]:
-    """Non-GEMM (vector / element-wise) work of one step, per phase.
+) -> "tuple[TrainingReport, StepOps]":
+    """Price one single-chip step: the report and its priced operations.
 
-    Executes the :func:`step_vector_kernels` rows through
-    :meth:`Accelerator.run_vector` and returns them keyed by phase —
-    phases whose work is GEMM-only carry a zero :class:`OpRun` so the
-    mapping's key set is exactly the step's phase set.  Adding each
-    phase's :func:`step_gemm_ops` GEMMs on top reconstitutes the full
-    report (OpRun addition commutes).
+    One spec of :func:`repro.training.batch.training_step_batch`; the
+    report's phases sum every :class:`OpRun` field of the collected
+    vector kernels and GEMM ops.
     """
-    phases: dict[Phase, OpRun] = {}
-    for kernel in step_vector_kernels(network, algorithm, accelerator, tp):
-        run = phases.get(kernel.phase, OpRun.zero())
-        elems = kernel.elems(batch)
-        if elems > 0:
-            run = run + accelerator.run_vector(
-                elems,
-                ops_per_elem=kernel.ops_per_elem,
-                dram_read_bytes=kernel.read_bytes(batch),
-                dram_write_bytes=kernel.write_bytes(batch),
-                reduction=kernel.reduction,
-            )
-        phases[kernel.phase] = run
-    return phases
+    from repro.training.batch import training_step_batch
 
-
-def _simulate_chip_step(
-    network: Network,
-    algorithm: Algorithm,
-    accelerator: Accelerator,
-    batch: int,
-    collect_ops: bool,
-    tp: int = 1,
-) -> "tuple[TrainingReport, list[tuple[GemmOp, OpRun]] | None]":
-    """Execute one single-chip step; optionally keep per-GEMM records.
-
-    The op log only exists when a trace recorder asked for it
-    (``collect_ops``) — the default path allocates nothing and runs
-    the exact pre-observability sequence.
-    """
-    op_log: list[tuple[GemmOp, OpRun]] | None = \
-        [] if collect_ops else None
-    phases = step_vector_runs(network, algorithm, accelerator, batch, tp)
-    for op in step_gemm_ops(network, algorithm, accelerator, batch, tp):
-        run = accelerator.run_gemm(
-            op.gemm, write_output=op.write_output, fuse_norm=op.fuse_norm)
-        phases[op.phase] = phases[op.phase] + run
-        if op_log is not None:
-            op_log.append((op, run))
+    ops = training_step_batch([(accelerator, network, algorithm, batch, tp)],
+                              collect_ops=True).ops[0]
     report = TrainingReport(
         network=network.name,
         family=network.family,
@@ -596,9 +560,9 @@ def _simulate_chip_step(
         with_ppu=accelerator.ppu is not None,
         batch=batch,
         frequency_hz=accelerator.frequency_hz,
-        phases=phases,
+        phases=ops.phase_runs(),
     )
-    return report, op_log
+    return report, ops
 
 
 def simulate_training_step(
@@ -619,11 +583,12 @@ def simulate_training_step(
     and ``overlap`` only matter on that path (single-chip steps have no
     collectives).
 
-    The step decomposes into :func:`step_gemm_ops` (the GEMM schedule)
-    plus :func:`step_vector_runs` (everything the vector unit does);
-    :func:`repro.training.batch.training_step_batch` evaluates the same
-    decomposition over whole config grids in NumPy and is pinned
-    cycle-identical to this driver.
+    The step is one spec of
+    :func:`repro.training.batch.training_step_batch`: the GEMM schedule
+    of :func:`step_gemm_blocks` plus the vector kernels of
+    :func:`step_vector_kernels`, every op charged by the accelerator's
+    column form.  ``tests/step_oracle.py`` keeps the per-op Python
+    reference it is pinned against, field by field.
 
     ``recorder`` (a :class:`repro.obs.trace.TraceRecorder`) lays the
     step's per-phase and per-GEMM spans on the recorder's simulated
@@ -636,13 +601,12 @@ def simulate_training_step(
     if plan is not None and plan.n_chips != 1:
         raise ValueError(
             f"plan {plan} needs a Cluster, not a single accelerator")
-    report, op_log = _simulate_chip_step(
-        network, algorithm, accelerator, batch, recorder is not None)
+    report, ops = _chip_step(network, algorithm, accelerator, batch)
     if recorder is not None:
         from repro.obs.trace import add_training_step_spans
 
-        assert op_log is not None
-        add_training_step_spans(recorder, report, op_log)
+        add_training_step_spans(recorder, report,
+                                ops.op_log(algorithm, accelerator))
     return report
 
 
@@ -735,7 +699,7 @@ def simulate_sharded_training_step(
     collective stage, with any overlapped wire time rendered as an
     async ``hidden`` slice (see :mod:`repro.obs.trace`).
     """
-    from repro.training.batch import LoweredStep, step_comm_cycles
+    from repro.training.batch import step_comm_cycles
 
     n = cluster.n_chips
     if plan is not None:
@@ -751,9 +715,8 @@ def simulate_sharded_training_step(
                          f"evenly across {across}")
     local_batch = global_batch // dp
     tp = 1 if plan is None else plan.tp
-    shard, op_log = _simulate_chip_step(
-        network, algorithm, cluster.chip, local_batch,
-        recorder is not None or not pure_dp, tp=tp)
+    shard, ops = _chip_step(network, algorithm, cluster.chip, local_batch,
+                            tp)
     payloads = allreduce_payload_bytes(network, algorithm, global_batch)
     norm_payload = payloads[1] if len(payloads) > 1 else 0
     if pure_dp:
@@ -763,11 +726,9 @@ def simulate_sharded_training_step(
     else:
         from repro.training.parallel import build_pipeline_schedule
 
-        assert plan is not None and op_log is not None
+        assert plan is not None
         sched = build_pipeline_schedule(
-            network, algorithm,
-            LoweredStep.from_ops(network, [op for op, _ in op_log]),
-            [run.cycles for _, run in op_log],
+            network, algorithm, ops.step, ops.gemm.cycles,
             {phase: run.cycles for phase, run in shard.phases.items()},
             local_batch, plan)
         # The data-parallel gradient payload shrinks to one stage's
@@ -813,8 +774,8 @@ def simulate_sharded_training_step(
     if recorder is not None:
         from repro.obs.trace import add_cluster_step_spans
 
-        assert op_log is not None
-        add_cluster_step_spans(recorder, report, op_log)
+        add_cluster_step_spans(recorder, report,
+                               ops.op_log(algorithm, cluster.chip))
     return report
 
 

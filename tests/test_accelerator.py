@@ -40,9 +40,8 @@ class TestRunGemm:
     def test_skip_operand_reads(self):
         accel = build_accelerator("ws")
         g = Gemm(100, 50, 60)
-        run = accel.run_gemm(g, read_lhs=False, read_rhs=False,
-                             write_output=False)
-        assert run.dram_bytes == 0
+        run = accel.run_gemm(g, write_output=False)
+        assert run.dram_write_bytes == 0
 
     def test_latency_is_max_of_compute_and_memory(self):
         accel = build_accelerator("ws")

@@ -1,31 +1,40 @@
-"""Batched training/sharded-step evaluation vs the scalar simulators.
+"""Batched training/sharded-step evaluation vs the per-op oracle.
 
-``training_step_batch`` / ``sharded_step_batch`` must be bitwise
-identical to ``simulate_training_step`` / ``simulate_sharded_training_step``
-on every grid point — cycles, seconds, link bytes, everything the
-``scaling`` and ``design-space`` experiments and the serving
-service-time table consume.
+``simulate_training_step`` is one spec of ``training_step_batch``; both
+must equal the per-op Python step of ``tests/step_oracle.py`` in every
+``OpRun`` field of every phase, and ``run_gemm`` / ``run_vector`` (the
+length-1 adapters of the column charges) the oracle's per-op bodies.
+``sharded_step_batch`` must be bitwise identical to
+``simulate_sharded_training_step`` on every grid point — cycles,
+seconds, link bytes, everything the ``scaling`` and ``design-space``
+experiments and the serving service-time table consume.
 """
 
+import functools
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.accelerator import OpRun
+import step_oracle
+from repro.arch.accelerator import Accelerator, OpRun
+from repro.arch.cluster import Cluster, ParallelPlan
 from repro.arch.interconnect import InterconnectConfig
 from repro.arch.memory import MemoryConfig
 from repro.arch.vector import VectorUnitConfig
 from repro.core import ACCELERATOR_KINDS, build_accelerator, build_cluster
 from repro.core.config import DivaConfig
+from repro.core.packing import PackedOuterProductEngine
+from repro.core.ppu import PostProcessingUnit
 from repro.training import (
     Algorithm,
     Phase,
     sharded_step_batch,
+    step_vector_runs,
     simulate_sharded_training_step,
     simulate_training_step,
     training_step_batch,
@@ -33,17 +42,13 @@ from repro.training import (
 from repro.training import batch as batch_mod
 from repro.training.batch import (
     _PHASE_INDEX,
-    LoweredStep,
+    STEP_PHASES,
     clear_lowered_step_cache,
     lowered_step,
 )
-from repro.training.simulate import (
-    step_gemm_ops,
-    step_vector_kernels,
-    step_vector_runs,
-)
+from repro.training.simulate import step_gemm_ops, step_vector_kernels
 from repro.workloads import build_model
-from repro.workloads.gemms import GemmKind
+from repro.workloads.gemms import Gemm, GemmKind
 from repro.workloads.model import Network
 from repro.workloads.zoo import MODEL_NAMES
 
@@ -66,8 +71,8 @@ class TestTrainingStepBatch:
                     refs.append((network, Algorithm(algorithm), batch))
         step = training_step_batch(specs)
         for i, (network, algorithm, batch) in enumerate(refs):
-            report = simulate_training_step(network, algorithm, accel,
-                                            batch)
+            report, _ = step_oracle.chip_step(network, algorithm, accel,
+                                              batch)
             assert int(step.total_cycles[i]) == report.total_cycles
             assert float(step.total_seconds[i]) == report.total_seconds
             for phase, run in report.phases.items():
@@ -241,11 +246,11 @@ class TestLoweredStepMemo:
         network = build_model("SqueezeNet")
         ops = step_gemm_ops(network, Algorithm.SGD,
                             build_accelerator("diva"), 2)
-        named = LoweredStep.from_ops(network, ops).layer
+        named = step_oracle.from_ops(network, ops).layer
         unnamed = [0, 5, len(ops) - 1]
         ops = [replace(op, gemm=replace(op.gemm, layer="")) if j in unnamed
                else op for j, op in enumerate(ops)]
-        layer = LoweredStep.from_ops(network, ops).layer
+        layer = step_oracle.from_ops(network, ops).layer
         assert layer[0] == 0
         for j in unnamed[1:]:
             assert layer[j] == layer[j - 1]
@@ -285,21 +290,28 @@ class TestLoweredStepMemo:
         cold = training_step_batch(specs, collect_ops=True)
         warm = training_step_batch(specs, collect_ops=True)
         np.testing.assert_array_equal(cold.phase_cycles, warm.phase_cycles)
-        assert cold.op_cycles.keys() == warm.op_cycles.keys() \
-            == set(range(len(specs)))
         for u, (accel, network, algorithm, batch, tp) in enumerate(specs):
-            np.testing.assert_array_equal(cold.op_cycles[u],
-                                          warm.op_cycles[u])
+            cold_ops, warm_ops = cold.ops[u], warm.ops[u]
+            for name in ("gemm", "vector"):
+                for a, b in zip(getattr(cold_ops, name),
+                                getattr(warm_ops, name)):
+                    np.testing.assert_array_equal(a, b)
+                    assert not a.flags.writeable
             entry = lowered_step(network, algorithm, accel, batch, tp)
-            assert len(cold.op_cycles[u]) == len(entry)
+            assert len(cold_ops.gemm.cycles) == len(entry)
             # The collected op columns are the spec's lowered_step,
             # read-only like it.
-            for collected in (cold.op_steps[u], warm.op_steps[u]):
+            for collected in (cold_ops.step, warm_ops.step):
                 assert collected.network is network
                 assert _column_lists(collected) == _column_lists(entry)
                 assert not any(getattr(collected, column).flags.writeable
                                for column in _COLUMNS)
-            assert not cold.op_cycles[u].flags.writeable
+            # The phase cycles are the collected charges' sums.
+            assert {phase: run.cycles for phase, run
+                    in cold_ops.phase_runs().items()} == {
+                phase: int(cold.phase_cycles[u, _PHASE_INDEX[phase]])
+                for phase in cold_ops.phase_runs()}
+        assert training_step_batch(specs[:1]).ops is None
 
 
 def _experiment_networks():
@@ -335,27 +347,36 @@ class TestAffineLowering:
 
 
 def _vector_oracle(specs):
-    """Per-phase cycles of ``step_vector_runs`` for every spec, with the
-    phase set it reports."""
-    matrix = np.zeros((len(specs), len(_PHASE_INDEX)), dtype=np.int64)
-    touched = np.zeros_like(matrix, dtype=bool)
+    """``(specs, phases, OpRun fields)`` of the oracle's per-kernel
+    ``step_vector_runs`` for every spec, with the phase set it reports."""
+    matrix = np.zeros((len(specs), len(STEP_PHASES), len(astuple(OpRun()))),
+                      dtype=np.int64)
+    touched = np.zeros(matrix.shape[:2], dtype=bool)
     for u, (accel, network, algorithm, batch, tp) in enumerate(specs):
-        for phase, run in step_vector_runs(network, algorithm, accel,
-                                           batch, tp).items():
-            matrix[u, _PHASE_INDEX[phase]] = run.cycles
+        for phase, run in step_oracle.step_vector_runs(
+                network, algorithm, accel, batch, tp).items():
+            matrix[u, _PHASE_INDEX[phase]] = astuple(run)
             touched[u, _PHASE_INDEX[phase]] = True
     return matrix, touched
 
 
 def _batched_vector(specs):
-    return batch_mod._vector_phase_cycles(batch_mod._group_specs(specs),
-                                          len(specs))
+    """The same matrix and phase set from the batched kernel pass."""
+    groups = batch_mod._group_specs(specs)
+    kernels = batch_mod._vector_kernels(groups)
+    spec = groups.index[kernels.position]
+    runs = kernels.charges.sum_by(spec * len(STEP_PHASES) + kernels.phase,
+                                  len(specs) * len(STEP_PHASES))
+    matrix = np.array([astuple(run) for run in runs], dtype=np.int64)
+    touched = np.zeros((len(specs), len(STEP_PHASES)), dtype=bool)
+    touched[spec, kernels.phase] = True
+    return matrix.reshape(len(specs), len(STEP_PHASES), -1), touched
 
 
 class TestVectorKernels:
-    """Pin: the batched vector-kernel columns equal the scalar
-    ``step_vector_runs`` per phase, exactly, and both read the one
-    ``step_vector_kernels`` rule."""
+    """Pin: the batched vector-kernel columns equal the oracle's
+    per-kernel ``run_vector`` sums per phase, in every field, and both
+    read the one ``step_vector_kernels`` rule."""
 
     @pytest.mark.parametrize("model", MODEL_NAMES)
     def test_batched_cycles_equal_scalar_runs(self, model):
@@ -365,9 +386,9 @@ class TestVectorKernels:
                  for algorithm in ALGORITHMS for tp in (1, 2, 3)
                  for batch in (1, 2, 3, 64, 257, 8192, 24576)]
         want, touched = _vector_oracle(specs)
-        got = _batched_vector(specs)
-        assert got.dtype == np.int64
+        got, got_touched = _batched_vector(specs)
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_touched, touched)
         # Phases outside the step's phase set carry no vector work.
         assert not got[~touched].any()
 
@@ -400,7 +421,7 @@ class TestVectorKernels:
         network = build_model(model)
         specs = [(accel, network, Algorithm(algorithm), batch, tp)
                  for batch in batches]
-        np.testing.assert_array_equal(_batched_vector(specs),
+        np.testing.assert_array_equal(_batched_vector(specs)[0],
                                       _vector_oracle(specs)[0])
 
     def test_float_order_at_a_ceil_boundary(self):
@@ -413,13 +434,13 @@ class TestVectorKernels:
             vector=VectorUnitConfig(lanes=75)))
         specs = [(accel, build_model(model), Algorithm.DP_SGD_R, 4200, 1)
                  for model in MODEL_NAMES]
-        np.testing.assert_array_equal(_batched_vector(specs),
+        np.testing.assert_array_equal(_batched_vector(specs)[0],
                                       _vector_oracle(specs)[0])
 
     def test_scalar_runs_execute_the_kernel_rows(self):
         """``step_vector_runs`` is the rows of ``step_vector_kernels``
-        executed through ``run_vector``; GEMM-only phases keep a zero
-        run so the phase set is the step's."""
+        executed through the oracle's ``run_vector``; GEMM-only phases
+        keep a zero run so the phase set is the step's."""
         network = build_model("BERT-base")
         for accel in _accelerators():
             for algorithm in map(Algorithm, ALGORITHMS):
@@ -431,13 +452,102 @@ class TestVectorKernels:
                     want = OpRun.zero()
                     for kernel in kernels:
                         if kernel.phase is phase and kernel.elems(16):
-                            want = want + accel.run_vector(
-                                kernel.elems(16), kernel.ops_per_elem,
+                            want = want + step_oracle.run_vector(
+                                accel, kernel.elems(16), kernel.ops_per_elem,
                                 kernel.read_bytes(16),
                                 kernel.write_bytes(16), kernel.reduction)
                     assert run == want, (accel.name, algorithm, phase)
                 if algorithm is not Algorithm.DP_SGD:
                     assert runs[Phase.BWD_BATCH_GRAD] == OpRun.zero()
+
+
+def _oracle_accelerators():
+    """WS, OS and DiVa with and without the PPU, and DiVa's packed
+    outer-product engine (spatial packing makes ``rounds`` differ from
+    ``count``)."""
+    diva = build_accelerator("diva")
+    packed = Accelerator(
+        "DiVa-Pack", PackedOuterProductEngine(diva.config, bus_segments=4),
+        memory=diva.memory, vector=diva.vector,
+        ppu=PostProcessingUnit(DivaConfig().ppu))
+    return _accelerators() + [packed]
+
+
+def _sample_gemms():
+    """Every distinct GEMM a small step touches, plus edge shapes."""
+    gemms = {op.gemm for op in step_gemm_ops(
+        build_model("SqueezeNet"), Algorithm.DP_SGD,
+        build_accelerator("diva"), 3)}
+    gemms |= {Gemm(1, 1, 1), Gemm(128, 1, 128, count=2000),
+              Gemm(576, 16, 512, count=32), Gemm(7, 300, 5, count=9)}
+    return sorted(gemms, key=repr)
+
+
+class TestRunAdapters:
+    """Pin: ``run_gemm`` / ``run_vector``, the length-1 adapters of the
+    column charges, equal the oracle's per-op bodies field by field."""
+
+    @pytest.mark.parametrize("accel", _oracle_accelerators(),
+                             ids=lambda a: f"{a.name}-ppu{a.ppu is not None}")
+    def test_run_gemm_equals_per_op_body(self, accel):
+        for gemm in _sample_gemms():
+            for write_output, fuse_norm in itertools.product(
+                    (True, False), (False, accel.can_fuse_norm)):
+                got = accel.run_gemm(gemm, write_output=write_output,
+                                     fuse_norm=fuse_norm)
+                assert got == step_oracle.run_gemm(
+                    accel, gemm, write_output=write_output,
+                    fuse_norm=fuse_norm), (gemm, write_output, fuse_norm)
+        if not accel.can_fuse_norm:
+            for run_gemm in (accel.run_gemm, functools.partial(
+                    step_oracle.run_gemm, accel)):
+                with pytest.raises(ValueError, match="cannot fuse"):
+                    run_gemm(Gemm(8, 8, 8), fuse_norm=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(elems=st.integers(0, 10**12),
+           ops_per_elem=st.sampled_from((1.0, 2.0, 3.0, 0.5, 1.7)),
+           read=st.integers(0, 10**12), write=st.integers(0, 10**12),
+           reduction=st.booleans(), lanes=st.integers(1, 512),
+           factor=st.floats(1.0, 8.0), latency=st.integers(0, 500))
+    def test_run_vector_equals_per_op_body(self, elems, ops_per_elem, read,
+                                           write, reduction, lanes, factor,
+                                           latency):
+        accel = build_accelerator("diva", config=DivaConfig(
+            memory=MemoryConfig(access_latency_cycles=latency),
+            vector=VectorUnitConfig(lanes=lanes,
+                                    reduction_overhead_factor=factor)))
+        args = (elems, ops_per_elem, read, write, reduction)
+        assert accel.run_vector(*args) == step_oracle.run_vector(accel,
+                                                                 *args)
+
+
+class TestStepOracle:
+    """Pin: ``simulate_training_step`` (one spec of
+    ``training_step_batch``) equals the per-op Python step in every
+    ``OpRun`` field of every phase, with the same phase key set, on
+    every zoo model x algorithm x accelerator x tp x batch."""
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_every_field_of_every_phase(self, model):
+        network = build_model(model)
+        for accel, algorithm, tp, batch in itertools.product(
+                _oracle_accelerators(), map(Algorithm, ALGORITHMS),
+                (1, 2, 3), (1, 3, 64, 257)):
+            want, _ = step_oracle.chip_step(network, algorithm, accel,
+                                            batch, tp)
+            if tp == 1:
+                got = simulate_training_step(network, algorithm, accel,
+                                             batch)
+            else:
+                got = simulate_sharded_training_step(
+                    network, algorithm, Cluster([accel] * tp), batch,
+                    plan=ParallelPlan(dp=1, pp=1, tp=tp)).shard
+            where = (accel.name, accel.ppu is not None, algorithm.value,
+                     tp, batch)
+            assert list(got.phases) == list(want.phases), where
+            assert got.phases == want.phases, where
+            assert got == want, where
 
 
 def _grid():

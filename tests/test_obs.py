@@ -196,6 +196,51 @@ class TestTrainingTrace:
         hidden_s = report.comm.hidden_cycles / report.frequency_hz
         assert end["ts"] - begin["ts"] == pytest.approx(hidden_s * 1e6)
 
+    @pytest.mark.parametrize("model", ("ResNet-50", "BERT-base"))
+    def test_spans_equal_the_per_op_oracle(self, model):
+        """The single-chip and 3D sharded steps lay exactly the spans
+        (names such as ``gemm MxKxN xC [layer]``, timestamps, ``args``)
+        that the per-op oracle's report and op log lay."""
+        from dataclasses import replace
+
+        import step_oracle
+        from repro.arch.cluster import ParallelPlan
+        from repro.core import build_accelerator, build_cluster
+        from repro.obs.trace import (
+            add_cluster_step_spans, add_training_step_spans,
+        )
+        from repro.training import (
+            Algorithm, simulate_sharded_training_step,
+            simulate_training_step,
+        )
+        from repro.workloads import build_model
+
+        network = build_model(model)
+        accel = build_accelerator("diva")
+        cluster = build_cluster("diva", n_chips=8)
+        for algorithm in Algorithm:
+            got = TraceRecorder()
+            simulate_training_step(network, algorithm, accel, 16,
+                                   recorder=got)
+            want = TraceRecorder()
+            add_training_step_spans(
+                want, *step_oracle.chip_step(network, algorithm, accel, 16))
+            assert got.events == want.events, algorithm
+            assert any(e.get("cat") == "gemm" and " x16 [" in e["name"]
+                       for e in got.events) == algorithm.is_private
+
+            got = TraceRecorder()
+            report = simulate_sharded_training_step(
+                network, algorithm, cluster, 32,
+                plan=ParallelPlan(dp=2, pp=2, tp=2), recorder=got)
+            shard, op_log = step_oracle.chip_step(
+                network, algorithm, cluster.chip, 16, tp=2)
+            want = TraceRecorder()
+            add_cluster_step_spans(want, replace(report, shard=shard),
+                                   op_log)
+            assert got.events == want.events, algorithm
+            assert any(e.get("cat") == "pipeline" for e in got.events)
+
     def test_deterministic_bytes(self, tmp_path):
         paths = []
         for i in range(2):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import step_oracle
 from repro.arch.cluster import ParallelPlan
 from repro.arch.interconnect import (
     DEFAULT_LINK_BANDWIDTH_BYTES_PER_S,
@@ -183,13 +184,11 @@ class TestPipelineSchedule:
                                        "LSTM-small"))
     def test_column_sums_match_loop_reference(self, model):
         """The schedule's int64 column sums equal plain Python loops over
-        the scalar op log: per-layer cost (hence the cuts), per-(phase,
-        stage) GEMM cycles and the TP-gather payload."""
+        the oracle's per-op log: per-layer cost (hence the cuts),
+        per-(phase, stage) GEMM cycles and the TP-gather payload."""
         from repro.core import build_accelerator
-        from repro.training.batch import LoweredStep
         from repro.training.parallel import _ACT_PHASES, _apportion
         from repro.training.phases import PHASE_ORDER, Phase
-        from repro.training.simulate import _simulate_chip_step
 
         net = NETS.get(model) or build_model(model)
         index = {layer.name: i for i, layer in enumerate(net.layers)}
@@ -197,8 +196,8 @@ class TestPipelineSchedule:
         for algorithm, pp, tp in itertools.product(ALGORITHMS, (2, 4),
                                                    (1, 2)):
             algorithm = Algorithm(algorithm)
-            report, op_log = _simulate_chip_step(
-                net, algorithm, build_accelerator("diva"), batch, True, tp)
+            report, op_log = step_oracle.chip_step(
+                net, algorithm, build_accelerator("diva"), batch, tp)
             layer_of, previous = [], 0
             for op, _ in op_log:
                 previous = index.get(op.gemm.layer, previous)
@@ -230,7 +229,7 @@ class TestPipelineSchedule:
 
             sched = build_pipeline_schedule(
                 net, algorithm,
-                LoweredStep.from_ops(net, [op for op, _ in op_log]),
+                step_oracle.from_ops(net, [op for op, _ in op_log]),
                 [run.cycles for _, run in op_log],
                 {p: run.cycles for p, run in report.phases.items()},
                 batch, ParallelPlan(dp=1, pp=pp, tp=tp))
@@ -334,24 +333,22 @@ class TestBatched3D:
 
     @pytest.mark.parametrize("model", MODEL_NAMES)
     def test_schedule_from_op_log_equals_lowered_step(self, model):
-        """The scalar path splits its own op log's columns; the batched
-        path splits ``lowered_step``'s.  The schedules are equal."""
+        """The oracle splits its per-op log's columns; the batched path
+        splits ``lowered_step``'s.  The schedules are equal."""
         from repro.core import build_accelerator
         from repro.training.batch import (
             STEP_PHASES,
-            LoweredStep,
             lowered_step,
             training_step_batch,
         )
-        from repro.training.simulate import _simulate_chip_step
 
         net = build_model(model)
         accel = build_accelerator("diva")
         batch = 12
         for algorithm, tp in itertools.product(ALGORITHMS, (1, 2)):
             algorithm = Algorithm(algorithm)
-            report, op_log = _simulate_chip_step(
-                net, algorithm, accel, batch, True, tp)
+            report, op_log = step_oracle.chip_step(
+                net, algorithm, accel, batch, tp)
             step = training_step_batch([(accel, net, algorithm, batch, tp)],
                                        collect_ops=True)
             batched_phases = {
@@ -361,14 +358,14 @@ class TestBatched3D:
                 plan = ParallelPlan(dp=1, pp=pp, tp=tp)
                 scalar = build_pipeline_schedule(
                     net, algorithm,
-                    LoweredStep.from_ops(net, [op for op, _ in op_log]),
+                    step_oracle.from_ops(net, [op for op, _ in op_log]),
                     [run.cycles for _, run in op_log],
                     {p: run.cycles for p, run in report.phases.items()},
                     batch, plan)
                 batched = build_pipeline_schedule(
                     net, algorithm,
                     lowered_step(net, algorithm, accel, batch, tp),
-                    step.op_cycles[0], batched_phases, batch, plan)
+                    step.ops[0].gemm.cycles, batched_phases, batch, plan)
                 assert scalar == batched, (algorithm, pp, tp)
 
     def test_mixed_grid_in_one_call(self):

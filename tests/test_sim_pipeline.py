@@ -4,10 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import build_accelerator
-from repro.sim import PipelineSimulator, TimedOp, pipeline_training_step
-from repro.training import Algorithm
-from repro.workloads import build_model
+from repro.sim import PipelineSimulator, TimedOp
 
 
 def op(compute, dma=0, resource="gemm", label="op", tag="t"):
@@ -123,45 +120,3 @@ class TestScheduling:
         # The vector op [0? no — starts after fwd's start] finishes at
         # 30, inside fwd's [0, 50) span; bwd runs [50, 90).
         assert tags == {"norm": 30, "fwd": 20, "bwd": 40}
-
-
-class TestPipelineTrainingStep:
-    net = build_model("SqueezeNet")
-
-    def _run(self, kind="diva", with_ppu=True, algo=Algorithm.DP_SGD_R,
-             depth=1):
-        accel = (build_accelerator("ws") if kind == "ws"
-                 else build_accelerator(kind, with_ppu=with_ppu))
-        return pipeline_training_step(self.net, algo, accel, 32,
-                                      prefetch_depth=depth)
-
-    def test_deeper_buffering_monotonically_faster(self):
-        """More staging buffers -> strictly no worse latency, converging
-        toward the idealized per-op max(compute, dma) bound."""
-        totals = [self._run(depth=d).total_cycles for d in (0, 1, 2, 4)]
-        assert all(a >= b for a, b in zip(totals, totals[1:]))
-
-    def test_per_op_model_is_an_overlap_lower_bound(self):
-        """The phase-level model assumes unlimited buffering; the
-        event-driven pipeline can only approach it from above."""
-        report = self._run(depth=8)
-        assert report.total_cycles >= report.per_op_cycles * 0.8
-        assert report.total_cycles <= report.per_op_cycles * 1.3
-
-    @pytest.mark.parametrize("algo", list(Algorithm))
-    def test_all_algorithms_supported(self, algo):
-        report = self._run(algo=algo)
-        assert report.total_cycles > 0
-        assert report.algorithm is algo
-
-    def test_diva_still_beats_ws_under_overlap(self):
-        """The paper's ranking survives the tighter overlap model."""
-        diva = self._run("diva")
-        ws = self._run("ws")
-        assert diva.total_cycles < ws.total_cycles
-
-    def test_timeline_tags_match_phases(self):
-        report = self._run()
-        tags = set(report.timeline.tag_cycles())
-        assert "Fwdprop" in tags
-        assert "Bwd(per-example grad)" in tags
