@@ -9,8 +9,8 @@ batched in-process evaluation
 (:func:`repro.training.training_step_batch` via
 :func:`repro.experiments.runner.cached_batch`), with one JSON cache
 entry per point so extending the swept set only computes the new
-combinations; the per-point :func:`evaluate_point` stays as the pinned
-scalar oracle.
+combinations; :func:`evaluate_point` prices one point as a length-1
+grid.
 
 Run it from the CLI::
 
@@ -39,29 +39,11 @@ def evaluate_point(name: str, height: int, width: int,
     """One design point: DiVa vs WS at one array geometry (picklable).
 
     Returns a JSON-serializable dict so results can be persisted by
-    :func:`repro.experiments.runner.run_cached`.
+    :func:`repro.experiments.runner.run_cached`; it is
+    :func:`evaluate_points_batched` on this one work tuple.
     """
-    from repro.core import build_accelerator
-    from repro.training import Algorithm, max_batch_size, \
-        simulate_training_step
-    from repro.workloads import build_model
-
-    config = _design_config(height, width)
-    network = build_model(name, input_size=input_size, seq_len=seq_len)
-    batch = max_batch_size(network, Algorithm.DP_SGD)
-    ws = build_accelerator("ws", config=config)
-    diva = build_accelerator("diva", with_ppu=True, config=config)
-    base = simulate_training_step(network, Algorithm.DP_SGD_R, ws, batch)
-    ours = simulate_training_step(network, Algorithm.DP_SGD_R, diva, batch)
-    return {
-        "model": name,
-        "height": height,
-        "width": width,
-        "batch": batch,
-        "ws_ms": base.total_seconds * 1e3,
-        "diva_ms": ours.total_seconds * 1e3,
-        "speedup": base.total_seconds / ours.total_seconds,
-    }
+    return evaluate_points_batched(
+        [(name, height, width, input_size, seq_len)])[0]
 
 
 def _design_config(height: int, width: int) -> "DivaConfig":
@@ -78,13 +60,14 @@ def _design_config(height: int, width: int) -> "DivaConfig":
 
 
 def evaluate_points_batched(points: list[tuple]) -> list[dict]:
-    """Batched-engine evaluation of :func:`evaluate_point` work tuples.
+    """Rows of :func:`evaluate_point` work tuples, priced as one grid.
 
     Both design points of every geometry (the WS baseline and DiVa)
     become one spec list for
     :func:`repro.training.training_step_batch`, so the whole grid's
-    GEMMs are priced in a few NumPy passes.  Rows are value-identical
-    to the per-point scalar path (the pinned oracle).
+    GEMMs are priced in a few NumPy passes.  A work tuple may stop
+    after ``width``; the omitted trailing fields take
+    :func:`evaluate_point`'s defaults.
     """
     from repro.core import build_accelerator
     from repro.training import Algorithm, max_batch_size
@@ -95,10 +78,10 @@ def evaluate_points_batched(points: list[tuple]) -> list[dict]:
     accelerators: dict[tuple, object] = {}
     specs = []
     meta = []
+    defaults = evaluate_point.__defaults__ or ()
     for point in points:
-        name, height, width = point[:3]
-        input_size = point[3] if len(point) > 3 else 32
-        seq_len = point[4] if len(point) > 4 else 32
+        name, height, width, input_size, seq_len = (
+            tuple(point) + defaults[len(point) - 3:])
         net_key = (name, input_size, seq_len)
         network = build_model(name, input_size=input_size, seq_len=seq_len)
         if net_key not in batches:
@@ -156,11 +139,11 @@ def run(
     # One cache entry per point: growing the swept set only computes
     # the new combinations.  The sweep is fully analytic, so misses are
     # priced in one batched in-process evaluation (`jobs` is accepted
-    # for API stability; no workers are needed) — `evaluate_point`
-    # remains as the pinned scalar oracle.  Key v2: ``input_size`` and
-    # ``seq_len`` shape the built model, so they are part of the key
-    # (v1 omitted them — a stale-hit bug found by repro-lint R002; the
-    # added fields re-hash every entry, invalidating v1 caches).
+    # for API stability; no workers are needed).  Key v2:
+    # ``input_size`` and ``seq_len`` shape the built model, so they are
+    # part of the key (v1 omitted them — a stale-hit bug found by
+    # repro-lint R002; the added fields re-hash every entry,
+    # invalidating v1 caches).
     del jobs
     return runner.cached_batch(
         evaluate_points_batched, work, cache=cache,

@@ -3,7 +3,7 @@
 DiVa (MICRO 2022) evaluates one chip, but DP-SGD is data-parallel by
 construction: per-example clipping is local to a shard, and only the
 clipped-gradient sum plus per-example norm bookkeeping cross chips
-(:func:`repro.training.simulate.allreduce_payload_bytes`).  This
+(:func:`repro.training.simulate.simulate_sharded_training_step`).  This
 experiment sweeps chip count x workload x DP algorithm on a
 :class:`~repro.arch.cluster.Cluster` of DiVa chips and reports the
 speedup, scaling efficiency, and communication/compute breakdown of a
@@ -29,8 +29,8 @@ closed-form engine (:func:`repro.training.sharded_step_batch` via
 :func:`repro.experiments.runner.cached_batch`): cache lookups resolve
 in one pass per grid, every miss is priced in a few NumPy broadcast
 passes, and results persist with one JSON entry per point — growing
-the swept set still only computes the new combinations.  The
-per-point scalar :func:`evaluate_point` remains as the pinned oracle.
+the swept set still only computes the new combinations.
+:func:`evaluate_point` prices one point as a length-1 grid.
 
 Run it from the CLI::
 
@@ -102,73 +102,28 @@ def evaluate_point(model: str, chips: int, algorithm: str, mode: str,
     parallelism out of the chip count (data parallelism keeps the
     rest) and ``fabric`` names a heterogeneous link preset.  Returns a
     JSON-serializable dict so results can be persisted by
-    :mod:`repro.experiments.runner`.
+    :mod:`repro.experiments.runner`; it is
+    :func:`evaluate_points_batched` on this one work tuple.
     """
-    from repro.arch.cluster import ParallelPlan
-    from repro.arch.interconnect import InterconnectConfig, fabric_named
-    from repro.core import build_cluster
-    from repro.training import Algorithm, simulate_sharded_training_step
-    from repro.workloads import build_model
-
-    global_batch = base_batch * chips if mode == "weak" else base_batch
-    if chips % (pp * tp):
-        raise ValueError(
-            f"{chips} chips do not factor into pp={pp} x tp={tp} stages")
-    plan = (ParallelPlan(dp=chips // (pp * tp), pp=pp, tp=tp)
-            if pp * tp > 1 else None)
-    cluster = build_cluster(
-        "diva", n_chips=chips,
-        interconnect=InterconnectConfig(
-            topology=topology,
-            bucket_bytes=bucket_bytes,
-            chips_per_node=chips_per_node if topology == "hierarchical"
-            else 1,
-            fabric=fabric_named(fabric) if fabric else None))
-    report = simulate_sharded_training_step(
-        build_model(model), Algorithm(algorithm), cluster, global_batch,
-        overlap=overlap, plan=plan)
-    return {
-        "model": model,
-        "algorithm": algorithm,
-        "mode": mode,
-        "topology": topology,
-        "chips": chips,
-        "chips_per_node": chips_per_node,
-        "overlap": overlap,
-        "bucket_mb": (bucket_bytes / 2**20
-                      if bucket_bytes is not None else None),
-        "global_batch": global_batch,
-        "batch_clamped": batch_clamped,
-        "pp": pp,
-        "tp": tp,
-        "fabric": fabric,
-        "local_batch": report.local_batch,
-        "step_ms": report.total_seconds * 1e3,
-        "compute_ms": report.compute_seconds * 1e3,
-        "comm_ms": report.comm_seconds * 1e3,
-        "comm_total_ms": report.comm_total_seconds * 1e3,
-        "comm_hidden_ms": report.comm_hidden_seconds * 1e3,
-        "comm_fraction": report.comm_fraction,
-        "bubble_ms": report.bubble_cycles / report.frequency_hz * 1e3,
-        "link_mb_per_chip": report.comm.link_bytes / 1e6,
-    }
+    return evaluate_points_batched([(
+        model, chips, algorithm, mode, topology, base_batch, overlap,
+        bucket_bytes, chips_per_node, batch_clamped, pp, tp, fabric)])[0]
 
 
 def evaluate_points_batched(points: list[tuple]) -> list[dict]:
-    """Batched-engine evaluation of :func:`evaluate_point` work tuples.
+    """Rows of :func:`evaluate_point` work tuples, priced as one grid.
 
     One :func:`repro.training.sharded_step_batch` call prices the whole
-    grid (shared shard evaluations, vectorized collectives); the rows
-    are value-identical to the per-point scalar path, which stays as
-    the pinned oracle in the test suite.
+    grid (shared shard evaluations, vectorized collectives).  A work
+    tuple may stop after ``base_batch``; the omitted trailing fields
+    take :func:`evaluate_point`'s defaults.
     """
     from repro.training.batch import sharded_step_batch
 
     if not points:
         return []
-    # Pure-DP work tuples may omit the trailing (pp, tp, fabric).
-    points = [tuple(point) + (1, 1, None)[len(point) - 10:]
-              for point in points]
+    defaults = evaluate_point.__defaults__ or ()
+    points = [tuple(point) + defaults[len(point) - 6:] for point in points]
     (models, chips, algorithms, modes, topologies, bases, overlaps,
      buckets, nodes, clamped, pps, tps, fabrics) = map(list, zip(*points))
     global_batches = [base * n if mode == "weak" else base

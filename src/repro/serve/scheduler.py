@@ -46,7 +46,6 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -87,7 +86,7 @@ class FleetConfig:
     ``bucket_bytes`` and ``overlap`` configure the overlap-aware
     intra-cluster communication model
     (:mod:`repro.arch.interconnect`); service-time predictions pick
-    them up transparently through the memoized sharded step.
+    them up transparently through the batched sharded step.
     """
 
     chips: int = 4
@@ -172,33 +171,6 @@ class JobRecord:
         return self.start_s - self.job.arrival_s
 
 
-@lru_cache(maxsize=4096)
-def _step_seconds(kind: str, chips_per_cluster: int, topology: str,
-                  chips_per_node: int, bucket_bytes: int | None,
-                  overlap: bool, model: str, algorithm: str,
-                  batch: int, pp: int = 1, tp: int = 1,
-                  fabric: str | None = None) -> float:
-    """One sharded training step's latency, closed-form."""
-    from repro.arch.cluster import ParallelPlan
-    from repro.arch.interconnect import fabric_named
-    from repro.core import build_cluster
-    from repro.training import Algorithm, simulate_sharded_training_step
-    from repro.workloads import build_model
-
-    cluster = build_cluster(
-        kind, n_chips=chips_per_cluster,
-        interconnect=InterconnectConfig(
-            topology=topology, bucket_bytes=bucket_bytes,
-            chips_per_node=chips_per_node,
-            fabric=fabric_named(fabric) if fabric else None))
-    plan = ParallelPlan(dp=chips_per_cluster // (pp * tp), pp=pp, tp=tp) \
-        if pp * tp > 1 else None
-    report = simulate_sharded_training_step(
-        build_model(model), Algorithm(algorithm), cluster, batch,
-        overlap=overlap, plan=plan)
-    return report.total_seconds
-
-
 def predict_step_seconds(
     fleet: FleetConfig,
     job: TrainingJob,
@@ -207,27 +179,14 @@ def predict_step_seconds(
     """Step latency for ``job`` on one of ``fleet``'s clusters.
 
     The batch is rounded up to the nearest multiple of the cluster
-    width so the data-parallel shard divides evenly.  Results are
-    memoized in-process (traces repeat configurations) and optionally
-    persisted through the experiment runner's JSON cache.
+    width so the data-parallel shard divides evenly; the latency is
+    :func:`predict_step_seconds_batch` on that one configuration, so
+    it is optionally persisted through the experiment runner's JSON
+    cache under the same key.
     """
     batch = math.ceil(job.batch / fleet.dp) * fleet.dp
-    key = {"experiment": "serve-step", "kind": fleet.kind,
-           "chips_per_cluster": fleet.chips_per_cluster,
-           "topology": fleet.topology,
-           "chips_per_node": fleet.chips_per_node,
-           "bucket_bytes": fleet.bucket_bytes,
-           "overlap": fleet.overlap, "model": job.model,
-           "algorithm": job.algorithm, "batch": batch,
-           "pp": fleet.pp, "tp": fleet.tp, "fabric": fleet.fabric}
-    return float(runner.run_cached(
-        key,
-        lambda: _step_seconds(fleet.kind, fleet.chips_per_cluster,
-                              fleet.topology, fleet.chips_per_node,
-                              fleet.bucket_bytes, fleet.overlap,
-                              job.model, job.algorithm, batch,
-                              fleet.pp, fleet.tp, fleet.fabric),
-        cache=cache))
+    return float(predict_step_seconds_batch(
+        fleet, [job.model], [job.algorithm], [batch], cache)[0])
 
 
 #: Same-timestamp order of pending events: completions, then repaired
@@ -322,13 +281,10 @@ def predict_step_seconds_batch(
 ) -> NDArray[Any]:
     """Step latencies for many (model, algorithm, batch) configs at once.
 
-    The batched counterpart of :func:`predict_step_seconds`: one
-    :func:`repro.training.sharded_step_batch` call prices every
+    One :func:`repro.training.sharded_step_batch` call prices every
     cache-missing config (``batches`` must already be rounded to the
-    cluster width).  Cache keys are identical to the scalar path's, so
-    the two share persisted entries — and the values are identical
-    too, because the batched engine is pinned bitwise-equal to the
-    scalar simulator.
+    cluster width); :func:`predict_step_seconds` is this function on
+    one job.
     """
     from repro.training.batch import sharded_step_batch
 

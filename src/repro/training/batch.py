@@ -31,20 +31,18 @@ same code in a few NumPy broadcast passes:
   full charge (:attr:`StepBatch.ops`) for a step report, its trace and
   the pipeline schedule.  Python visits a spec only to group it and
   never visits an op.
-* :func:`sharded_step_batch` reuses one shard evaluation for every
-  grid point that shares a ``(kind, model, algorithm, local batch,
-  tp)``.  3D grid points (``pp``/``tp`` columns > 1) hand their
-  collected op columns and cycles to
-  :func:`~repro.training.parallel.build_pipeline_schedule`, exactly as
-  :func:`~repro.training.simulate.simulate_sharded_training_step` does.
-* :func:`step_comm_cycles` is the one composition of a sharded step's
-  collective charge; the scalar
-  :func:`~repro.training.simulate.simulate_sharded_training_step`
-  calls it on length-1 columns and :func:`sharded_step_batch` on grids.
+* :func:`sharded_step_batch` resolves a grid of names into the one
+  composition of a sharded step, :func:`_sharded_steps`, which
+  :func:`~repro.training.simulate.simulate_sharded_training_step` runs
+  on one point.  It reuses one shard evaluation for every point that
+  shares a ``(kind, model, algorithm, local batch, tp)``; 3D points
+  (``pp``/``tp`` > 1) hand their collected op columns and cycles to
+  :func:`~repro.training.parallel.build_pipeline_schedule`, and
+  :func:`step_comm_cycles` prices every point's collectives.
 
 ``tests/test_batch_step.py`` pins the steps, every field of every
-phase, to the per-op Python oracle of ``tests/step_oracle.py``, and
-the batched sharded steps bitwise to the one-point sharded step.  The
+phase, and the sharded steps, every report field, to the Python
+oracles of ``tests/step_oracle.py``.  The
 ``scaling`` and ``design-space`` experiments and the fleet simulator's
 service-time table (:mod:`repro.serve.scheduler`) run their grids
 through this module; the process-pool runner remains for non-analytic
@@ -103,6 +101,7 @@ from repro.workloads.model import Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profile import Profiler
+    from repro.training.parallel import PipelineSchedule
 
 #: Fixed phase axis of the batched per-phase cycle matrices.
 STEP_PHASES: tuple[Phase, ...] = tuple(Phase)
@@ -778,9 +777,7 @@ def step_comm_cycles(
     cycles, per-chip wire bytes)`` per grid entry.
 
     The one composition of the collective charge, called by
-    :func:`sharded_step_batch` on its grid and by the scalar
-    :func:`~repro.training.simulate.simulate_sharded_training_step` on
-    length-1 columns.  ``norm_payload`` is 0 for non-private
+    :func:`_sharded_steps`.  ``norm_payload`` is 0 for non-private
     algorithms, ``links`` is :meth:`Fabric.link_params` order, and the
     keyword fields carry a 3D plan's TP allgathers and pipeline
     boundary transfers (the pure-DP defaults add exact zeros).
@@ -872,13 +869,16 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
     degrees (data parallelism is the remaining ``chips / (pp*tp)``
     factor) and ``fabrics`` names each point's link classes (``None``
     = the uniform fabric from the scalar bandwidth/latency pair).
-    Returns quantities identical to running
-    :func:`simulate_sharded_training_step` per point — the shard is
-    evaluated once per distinct ``(kind, model, algorithm, local
-    batch, tp)``, pipeline schedules once per distinct ``(shard,
-    pp)``, and the collective model runs fully vectorized.
-    ``profiler`` forwards to :func:`training_step_batch` and counts
-    grid points / unique shard evaluations.
+
+    This front end resolves names and validates the grid; the step
+    itself is :func:`_sharded_steps`, the composition that
+    :func:`~repro.training.simulate.simulate_sharded_training_step`
+    runs on one point.  The shard is evaluated once per distinct
+    ``(kind, model, algorithm, local batch, tp)``, pipeline schedules
+    once per distinct ``(shard, pp)``, and the collective model runs
+    fully vectorized.  ``profiler`` forwards to
+    :func:`training_step_batch` and counts grid points / unique shard
+    evaluations.
     """
     from repro.core import build_accelerator
     from repro.workloads import build_model
@@ -912,8 +912,6 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
         fabrics, length, link_bandwidth_bytes_per_s, link_latency_s)
 
     topo = topology_codes(topology_names)
-    if (global_batch <= 0).any():
-        raise ValueError("global batches must be positive")
     if (pp_col < 1).any() or (tp_col < 1).any():
         raise ValueError("pp and tp degrees must be >= 1")
     mp = pp_col * tp_col
@@ -922,15 +920,6 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
         raise ValueError(
             f"{int(n_chips[bad])} chips do not factor into "
             f"pp={int(pp_col[bad])} x tp={int(tp_col[bad])} stages")
-    dp = n_chips // mp
-    if (global_batch % dp).any():
-        bad = int(np.argmax(global_batch % dp != 0))
-        plan = ParallelPlan(dp=int(dp[bad]), pp=int(pp_col[bad]),
-                            tp=int(tp_col[bad]))
-        across = (f"{int(n_chips[bad])} chips" if plan.is_pure_dp else
-                  f"{plan.dp} data-parallel replicas of plan {plan}")
-        raise ValueError(f"global batch {int(global_batch[bad])} does not "
-                         f"divide evenly across {across}")
     # InterconnectConfig rejects chips_per_node on flat topologies;
     # grid columns keep the same contract.
     if ((topo != TOPOLOGY_CODES["hierarchical"]) & (cpn != 1)).any():
@@ -938,80 +927,129 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
             "chips_per_node is only meaningful for the 'hierarchical' "
             "topology")
 
+    accels = {kind: build_accelerator(kind, config=config)
+              for kind in dict.fromkeys(kind_names)}
+    return _sharded_steps(
+        [accels[kind] for kind in kind_names],
+        [build_model(model) for model in models],
+        [Algorithm(algorithm) for algorithm in algorithm_names],
+        global_batch, n_chips // mp, pp_col, tp_col, topo, bucket, cpn,
+        links, overlap, profiler=profiler)[0]
+
+
+def _sharded_steps(
+    accelerators: Sequence[Accelerator],
+    networks: Sequence[Network],
+    algorithms: Sequence[Algorithm],
+    global_batch: np.ndarray,
+    dp: np.ndarray,
+    pp: np.ndarray,
+    tp: np.ndarray,
+    topology: np.ndarray,
+    bucket: np.ndarray,
+    chips_per_node: np.ndarray,
+    links: tuple[np.ndarray, ...],
+    overlap: np.ndarray,
+    *,
+    microbatches: "Sequence[int | None] | None" = None,
+    collect_ops: bool = False,
+    profiler: "Profiler | None" = None,
+) -> "tuple[ShardedStepBatch, StepBatch, list[PipelineSchedule | None]]":
+    """The one composition of a sharded (DP, or 3D DP x PP x TP) step.
+
+    Every column holds one entry per resolved grid point; ``links`` is
+    :meth:`Fabric.link_params` order and ``microbatches`` each point's
+    :attr:`ParallelPlan.microbatches` (all ``None`` when omitted).
+    Each point's replica runs ``global_batch / dp`` examples on one
+    :func:`training_step_batch` shard; the gradient allreduce moves
+    ``params * GRAD_BYTES`` (one pipeline stage's TP-sharded share
+    under a 3D plan) and private algorithms add one ``GRAD_BYTES``
+    norm per example of the global batch.  The allreduce may hide
+    behind the backward phase that produces the gradient sum bucket
+    by bucket: the clipping pass under DP-SGD, the per-batch
+    weight-gradient GEMMs otherwise (a 3D plan's bottleneck stage's
+    share of it).  :func:`step_comm_cycles` prices the collectives.
+
+    Returns the grid's steps, its distinct shards (one
+    :class:`StepBatch` row each, in first-appearance order, so the
+    first point's shard is row 0) and each point's pipeline schedule
+    (``None`` for pure-DP points).
+    """
+    if (global_batch <= 0).any():
+        raise ValueError(f"global batch must be positive, got "
+                         f"{int(global_batch.min())}")
+    if (global_batch % dp).any():
+        bad = int(np.argmax(global_batch % dp != 0))
+        plan = ParallelPlan(dp=int(dp[bad]), pp=int(pp[bad]),
+                            tp=int(tp[bad]))
+        across = (f"{plan.n_chips} chips" if plan.is_pure_dp else
+                  f"{plan.dp} data-parallel replicas of plan {plan}")
+        raise ValueError(f"global batch {int(global_batch[bad])} does not "
+                         f"divide evenly across {across}")
+    length = len(networks)
     local_batch = global_batch // dp
-    accels: dict[str, Accelerator] = {}
-    shard_keys: list[tuple] = []
+    specs: list[tuple] = []
     shard_index = np.empty(length, dtype=np.int64)
     key_to_index: dict[tuple, int] = {}
-    for i in range(length):
-        key = (kind_names[i], models[i], algorithm_names[i],
-               int(local_batch[i]), int(tp_col[i]))
+    for i, (accel, network, algorithm, batch, shards) in enumerate(zip(
+            accelerators, networks, algorithms, local_batch.tolist(),
+            tp.tolist())):
+        key = (id(accel), id(network), algorithm, batch, shards)
         index = key_to_index.get(key)
         if index is None:
-            index = len(shard_keys)
-            key_to_index[key] = index
-            shard_keys.append(key)
+            index = key_to_index[key] = len(specs)
+            specs.append((accel, network, algorithm, batch, shards))
         shard_index[i] = index
-
-    specs = []
-    for kind, model, algorithm, batch, tp in shard_keys:
-        accel = accels.get(kind)
-        if accel is None:
-            accel = accels[kind] = build_accelerator(kind, config=config)
-        specs.append((accel, build_model(model), Algorithm(algorithm),
-                      batch, tp))
     if profiler is not None:
         profiler.count("grid_points", length)
-        profiler.count("unique_shards", len(shard_keys))
-    any_3d = bool((mp > 1).any())
+        profiler.count("unique_shards", len(specs))
+    mp = pp * tp
     step = training_step_batch(specs, profiler=profiler,
-                               collect_ops=any_3d)
+                               collect_ops=collect_ops or bool(
+                                   (mp > 1).any()))
 
     shard_cycles = step.total_cycles[shard_index]
     frequency = step.frequency_hz[shard_index]
-    private = np.array([Algorithm(a).is_private for a in algorithm_names])
-    params = np.array([build_model(m).params for m in models],
-                      dtype=np.int64)
-    # Which backward phase the gradient allreduce may hide behind
-    # (overlappable_backward_cycles): the clipping pass under DP-SGD,
-    # the per-batch weight-gradient GEMMs otherwise.
-    dpsgd = np.array([Algorithm(a) is Algorithm.DP_SGD
-                      for a in algorithm_names])
-    clip = step.cycles_of(Phase.BWD_GRAD_CLIP)[shard_index]
-    batch_grad = step.cycles_of(Phase.BWD_BATCH_GRAD)[shard_index]
-    overlappable = np.where(dpsgd, clip, batch_grad)
+    grad_payload = np.array([network.params for network in networks],
+                            dtype=np.int64) * GRAD_BYTES
+    private = np.array([algorithm.is_private for algorithm in algorithms],
+                       dtype=bool)
+    norm_payload = np.where(private, global_batch * GRAD_BYTES, 0)
+    dpsgd = np.array([algorithm is Algorithm.DP_SGD
+                      for algorithm in algorithms], dtype=bool)
+    overlappable = np.where(
+        dpsgd, step.cycles_of(Phase.BWD_GRAD_CLIP)[shard_index],
+        step.cycles_of(Phase.BWD_BATCH_GRAD)[shard_index])
 
-    grad_payload = params * GRAD_BYTES
-    # 3D points: replace the whole-replica quantities with the pipeline
-    # schedule's — built from the same batched integers the scalar
-    # driver prices, so every derived number matches it bit for bit.
+    # 3D points: the pipeline schedule replaces the replica's cycles,
+    # gradient payload and overlap window, and adds the TP allgathers
+    # and stage-boundary transfers.
     tp_payload = np.zeros(length, dtype=np.int64)
     tp_colls = np.zeros(length, dtype=np.int64)
     boundary = np.zeros(length, dtype=np.int64)
     cuts = np.zeros(length, dtype=np.int64)
-    microbatches = np.ones(length, dtype=np.int64)
+    micro = np.ones(length, dtype=np.int64)
     bubble = np.zeros(length, dtype=np.int64)
-    if any_3d:
+    schedules: "list[PipelineSchedule | None]" = [None] * length
+    if (mp > 1).any():
         from repro.training.parallel import build_pipeline_schedule
 
-        schedules: dict[tuple[int, int], Any] = {}
-        shard_cycles = shard_cycles.copy()
-        overlappable = overlappable.copy()
-        grad_payload = grad_payload.copy()
-        for i in np.flatnonzero(mp > 1):
+        built: dict[tuple, PipelineSchedule] = {}
+        for i in np.flatnonzero(mp > 1).tolist():
             u = int(shard_index[i])
-            sched_key = (u, int(pp_col[i]))
-            sched = schedules.get(sched_key)
+            micro_i = None if microbatches is None else microbatches[i]
+            sched_key = (u, int(pp[i]), micro_i)
+            sched = built.get(sched_key)
             if sched is None:
-                _, network, algorithm, batch, tp = specs[u]
+                _, network, algorithm, batch, shards = specs[u]
                 ops = step.ops[u]
-                sched = build_pipeline_schedule(
+                sched = built[sched_key] = build_pipeline_schedule(
                     network, algorithm, ops.step, ops.gemm.cycles,
                     {p: int(step.phase_cycles[u, _PHASE_INDEX[p]])
                      for p in PHASE_ORDER},
-                    batch,
-                    ParallelPlan(dp=int(dp[i]), pp=int(pp_col[i]), tp=tp))
-                schedules[sched_key] = sched
+                    batch, ParallelPlan(dp=int(dp[i]), pp=int(pp[i]),
+                                        tp=shards, microbatches=micro_i))
+            schedules[i] = sched
             shard_cycles[i] = sched.pipeline_cycles
             bubble[i] = sched.bubble_cycles
             overlappable[i] = sched.overlappable_cycles
@@ -1020,16 +1058,15 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
             tp_colls[i] = sched.tp_collectives
             boundary[i] = sched.boundary_micro_bytes
             cuts[i] = sched.cuts
-            microbatches[i] = sched.microbatches
+            micro[i] = sched.microbatches
 
-    norm_payload = np.where(private, global_batch * GRAD_BYTES, 0)
     comm_cycles, comm_total_cycles, wire = step_comm_cycles(
-        grad_payload, norm_payload, dp, topo, bucket, cpn, links,
-        overlappable, frequency, overlap, tp=tp_col, pp=pp_col,
+        grad_payload, norm_payload, dp, topology, bucket, chips_per_node,
+        links, overlappable, frequency, overlap, tp=tp, pp=pp,
         tp_payload=tp_payload, tp_collectives=tp_colls, boundary=boundary,
-        cuts=cuts, microbatches=microbatches)
+        cuts=cuts, microbatches=micro)
     return ShardedStepBatch(
-        n_chips=n_chips,
+        n_chips=dp * mp,
         global_batch=global_batch,
         frequency_hz=frequency,
         shard_cycles=shard_cycles,
@@ -1038,4 +1075,4 @@ def sharded_step_batch(  # repro-lint: ignore[R003] per-step tracing (recorder) 
         link_bytes=wire,
         dp=dp,
         bubble_cycles=bubble,
-    )
+    ), step, schedules

@@ -5,9 +5,9 @@ schedule — the :func:`repro.training.simulate.step_gemm_ops` ops as
 :class:`~repro.training.batch.LoweredStep` columns plus the per-phase
 vector totals — into ``pp`` contiguous layer stages and prices the
 GPipe-style microbatched pipeline in closed form.  It consumes only
-*already-priced* integer op cycles: the one-point sharded step and the
-grid pass of :mod:`repro.training.batch` feed it the same collected
-columns and get bit-identical schedules back.
+*already-priced* integer op cycles: the sharded-step composition of
+:mod:`repro.training.batch` feeds it the collected columns, once per
+distinct shard and ``pp``, for a grid and for one point alike.
 
 Modeling choices
 ----------------

@@ -44,14 +44,14 @@ Modeling notes
   ``max(first-bucket latency, comm_total - overlappable backward
   cycles)``, with the hidden remainder recorded in
   ``OpRun.hidden_cycles`` so reports can show both.  The overlappable
-  window is the gradient-*producing* backward phase
-  (:func:`overlappable_backward_cycles`) scaled by ``(B-1)/B`` for
-  ``B`` buckets — the first bucket must exist before any wire time can
-  hide.  With one monolithic bucket nothing overlaps (the sum is only
-  ready when backward ends), so ``overlap`` changes nothing unless
-  bucketing is on; the tiny per-example norm allreduce (which feeds
-  the shared privacy accountant) is charged serially — conservative,
-  and negligible at ``B * 4`` bytes.
+  window is the gradient-*producing* backward phase (the clipping pass
+  under DP-SGD, the per-batch weight-gradient GEMMs otherwise) scaled
+  by ``(B-1)/B`` for ``B`` buckets — the first bucket must exist
+  before any wire time can hide.  With one monolithic bucket nothing
+  overlaps (the sum is only ready when backward ends), so ``overlap``
+  changes nothing unless bucketing is on; the tiny per-example norm
+  allreduce (which feeds the shared privacy accountant) is charged
+  serially — conservative, and negligible at ``B * 4`` bytes.
 """
 
 from __future__ import annotations
@@ -535,24 +535,12 @@ def step_vector_kernels(
     return tuple(kernels)
 
 
-def _chip_step(
-    network: Network,
-    algorithm: Algorithm,
-    accelerator: Accelerator,
-    batch: int,
-    tp: int = 1,
-) -> "tuple[TrainingReport, StepOps]":
-    """Price one single-chip step: the report and its priced operations.
-
-    One spec of :func:`repro.training.batch.training_step_batch`; the
-    report's phases sum every :class:`OpRun` field of the collected
-    vector kernels and GEMM ops.
-    """
-    from repro.training.batch import training_step_batch
-
-    ops = training_step_batch([(accelerator, network, algorithm, batch, tp)],
-                              collect_ops=True).ops[0]
-    report = TrainingReport(
+def _step_report(network: Network, algorithm: Algorithm,
+                 accelerator: Accelerator, batch: int,
+                 ops: "StepOps") -> TrainingReport:
+    """The report of one priced single-chip step: its phases sum every
+    :class:`OpRun` field of the collected vector kernels and GEMM ops."""
+    return TrainingReport(
         network=network.name,
         family=network.family,
         algorithm=algorithm,
@@ -562,7 +550,6 @@ def _chip_step(
         frequency_hz=accelerator.frequency_hz,
         phases=ops.phase_runs(),
     )
-    return report, ops
 
 
 def simulate_training_step(
@@ -601,51 +588,17 @@ def simulate_training_step(
     if plan is not None and plan.n_chips != 1:
         raise ValueError(
             f"plan {plan} needs a Cluster, not a single accelerator")
-    report, ops = _chip_step(network, algorithm, accelerator, batch)
+    from repro.training.batch import training_step_batch
+
+    ops = training_step_batch([(accelerator, network, algorithm, batch)],
+                              collect_ops=True).ops[0]
+    report = _step_report(network, algorithm, accelerator, batch, ops)
     if recorder is not None:
         from repro.obs.trace import add_training_step_spans
 
         add_training_step_spans(recorder, report,
                                 ops.op_log(algorithm, accelerator))
     return report
-
-
-def allreduce_payload_bytes(network: Network,
-                            algorithm: Algorithm,
-                            global_batch: int) -> list[int]:
-    """Per-collective payloads of one sharded step, in bytes.
-
-    Data-parallel DP-SGD needs at most two collectives:
-
-    * the per-batch (clipped) gradient sum — ``params * GRAD_BYTES``
-      for every algorithm, since each chip only holds its shard's
-      partial sum;
-    * per-example norm bookkeeping — ``global_batch * GRAD_BYTES``,
-      private algorithms only.  Clipping itself is local (each norm
-      belongs to one shard's example), but the clip-scale statistics
-      feed the shared privacy accountant, so one scalar per example
-      crosses chips.
-    """
-    payloads = [network.params * GRAD_BYTES]
-    if algorithm.is_private:
-        payloads.append(global_batch * GRAD_BYTES)
-    return payloads
-
-
-def overlappable_backward_cycles(report: TrainingReport) -> int:
-    """Backward cycles the gradient allreduce may hide behind.
-
-    The overlappable window is the phase that *produces* the per-batch
-    gradient payload bucket by bucket: under DP-SGD the clipping pass
-    (clip-and-accumulate finalizes the local sum for a parameter bucket
-    once every example's slice of it has been scaled), under DP-SGD(R)
-    and plain SGD the per-batch weight-gradient GEMMs (gradients
-    materialize layer by layer).  Everything after the allreduce
-    (reduce tail, noise, update) can never overlap and is excluded.
-    """
-    if report.algorithm is Algorithm.DP_SGD:
-        return report.phase_cycles(Phase.BWD_GRAD_CLIP)
-    return report.phase_cycles(Phase.BWD_BATCH_GRAD)
 
 
 def simulate_sharded_training_step(
@@ -668,22 +621,23 @@ def simulate_sharded_training_step(
     microbatching with closed-form bubble accounting) and
     tensor-parallel GEMM shards whose activation allgathers ride the
     fabric's intra-node link — see :mod:`repro.training.parallel`.
-    Every plan prices its communication with
-    :func:`repro.training.batch.step_comm_cycles` on length-1 columns,
-    the composition :func:`~repro.training.batch.sharded_step_batch`
-    evaluates over whole grids.
 
+    The step is the sharded-step composition of
+    :mod:`repro.training.batch` (which
+    :func:`~repro.training.batch.sharded_step_batch` evaluates over
+    whole grids) on one point: the cluster's chip, fabric and plan.
     The global mini-batch must divide evenly by the data-parallel
     degree.  Each replica runs the full phase sequence on its
     ``global_batch / dp`` shard (the per-batch reduce/noise/update tail
     is replicated, so it appears once — all chips execute it in
-    lock-step on identical data).  The communication phase charges one
-    allreduce per payload of :func:`allreduce_payload_bytes`; fractional
-    collective seconds accumulate across the step and quantize to
-    cluster cycles *once*, so no per-collective (or, with bucketing,
-    per-bucket) rounding surcharge creeps in.  On an ``N=1`` cluster
-    every collective is free and the shard report is bitwise-identical
-    to :func:`simulate_training_step` on the bare chip.
+    lock-step on identical data).  The communication phase charges the
+    clipped-gradient-sum allreduce plus, for private algorithms, one
+    norm per example of the global batch; fractional collective seconds
+    accumulate across the step and quantize to cluster cycles *once*,
+    so no per-collective (or, with bucketing, per-bucket) rounding
+    surcharge creeps in.  On an ``N=1`` cluster every collective is
+    free and the shard report is bitwise-identical to
+    :func:`simulate_training_step` on the bare chip.
 
     With ``overlap=True`` (default) and a bucketed interconnect, the
     gradient-sum allreduce overlaps the backward compute that produces
@@ -699,77 +653,46 @@ def simulate_sharded_training_step(
     collective stage, with any overlapped wire time rendered as an
     async ``hidden`` slice (see :mod:`repro.obs.trace`).
     """
-    from repro.training.batch import step_comm_cycles
+    from repro.training.batch import _sharded_steps
 
     n = cluster.n_chips
     if plan is not None:
         plan.validate(n)
-    pure_dp = plan is None or plan.is_pure_dp
-    dp = n if plan is None else plan.dp
-    if global_batch <= 0:
-        raise ValueError(f"global batch must be positive, got {global_batch}")
-    if global_batch % dp:
-        across = (f"{n} chips" if pure_dp else
-                  f"{dp} data-parallel replicas of plan {plan}")
-        raise ValueError(f"global batch {global_batch} does not divide "
-                         f"evenly across {across}")
-    local_batch = global_batch // dp
-    tp = 1 if plan is None else plan.tp
-    shard, ops = _chip_step(network, algorithm, cluster.chip, local_batch,
-                            tp)
-    payloads = allreduce_payload_bytes(network, algorithm, global_batch)
-    norm_payload = payloads[1] if len(payloads) > 1 else 0
-    if pure_dp:
-        grad_payload = payloads[0]
-        overlappable = overlappable_backward_cycles(shard)
-        pp_fields, schedule = {}, {}
-    else:
-        from repro.training.parallel import build_pipeline_schedule
-
-        assert plan is not None
-        sched = build_pipeline_schedule(
-            network, algorithm, ops.step, ops.gemm.cycles,
-            {phase: run.cycles for phase, run in shard.phases.items()},
-            local_batch, plan)
-        # The data-parallel gradient payload shrinks to one stage's
-        # TP-sharded parameters, and the overlap window to the
-        # bottleneck stage's share of the gradient-producing phase.
-        grad_payload = sched.dp_payload_bytes
-        overlappable = sched.overlappable_cycles
-        pp_fields = dict(
-            tp=plan.tp, pp=plan.pp, tp_payload=sched.tp_payload_bytes,
-            tp_collectives=sched.tp_collectives,
-            boundary=sched.boundary_micro_bytes, cuts=sched.cuts,
-            microbatches=sched.microbatches)
-        schedule = dict(
-            pipeline_cycles=sched.pipeline_cycles,
-            bubble_cycles=sched.bubble_cycles,
-            microbatches=sched.microbatches,
-            stage_cycles=sched.stage_cycles,
-            stage_bounds=sched.stage_bounds)
-
+    grid = plan or ParallelPlan(dp=n)
     ic = cluster.interconnect.config
-    exposed, total, wire = step_comm_cycles(
-        np.array([grad_payload]), np.array([norm_payload]),
-        np.array([dp]), np.array([TOPOLOGY_CODES[ic.topology]]),
-        np.array([ic.bucket_bytes or 0]), np.array([ic.chips_per_node]),
-        ic.links.link_params(), overlappable, cluster.frequency_hz,
-        overlap, **pp_fields)
-    comm = OpRun(
-        cycles=int(exposed[0]),
-        hidden_cycles=int(total[0] - exposed[0]),
-        link_bytes=int(wire[0]),
-    )
+
+    def column(value: object) -> np.ndarray:
+        return np.array([value])
+
+    sharded, shards, (schedule,) = _sharded_steps(
+        [cluster.chip], [network], [algorithm], column(global_batch),
+        column(grid.dp), column(grid.pp), column(grid.tp),
+        column(TOPOLOGY_CODES[ic.topology]), column(ic.bucket_bytes or 0),
+        column(ic.chips_per_node),
+        tuple(map(column, ic.links.link_params())), column(overlap),
+        microbatches=[grid.microbatches], collect_ops=True)
+    ops = shards.ops[0]
     report = ClusterTrainingReport(
         cluster=cluster.name,
         n_chips=n,
         topology=cluster.topology,
         global_batch=global_batch,
-        shard=shard,
-        comm=comm,
+        shard=_step_report(network, algorithm, cluster.chip,
+                           global_batch // grid.dp, ops),
+        comm=OpRun(
+            cycles=int(sharded.comm_cycles[0]),
+            hidden_cycles=int(sharded.comm_total_cycles[0]
+                              - sharded.comm_cycles[0]),
+            link_bytes=int(sharded.link_bytes[0]),
+        ),
         overlap=overlap,
         plan=plan,
-        **schedule,
+        **({} if schedule is None else dict(
+            pipeline_cycles=schedule.pipeline_cycles,
+            bubble_cycles=schedule.bubble_cycles,
+            microbatches=schedule.microbatches,
+            stage_cycles=schedule.stage_cycles,
+            stage_bounds=schedule.stage_bounds)),
     )
     if recorder is not None:
         from repro.obs.trace import add_cluster_step_spans

@@ -13,7 +13,12 @@ path against it field by field:
   ``accel``);
 * :func:`step_vector_runs` / :func:`chip_step` — the per-op step loop
   over ``step_vector_kernels`` and ``step_gemm_ops``;
-* :func:`from_ops` — the columns of an op log, built op by op.
+* :func:`from_ops` — the columns of an op log, built op by op;
+* :func:`sharded_step` — the sharded step composed point by point the
+  way ``simulate_sharded_training_step`` used to (its shard priced by
+  :func:`chip_step`), with the payload and overlap-window rules
+  :func:`allreduce_payload_bytes` / :func:`overlappable_backward_cycles`
+  it composed.
 
 Nothing under ``src/`` imports this module.
 """
@@ -21,8 +26,19 @@ Nothing under ``src/`` imports this module.
 import numpy as np
 
 from repro.arch.accelerator import OpRun
-from repro.training.batch import _PHASE_INDEX, LoweredStep, _layer_column
+from repro.arch.interconnect import TOPOLOGY_CODES
+from repro.training.algorithms import Algorithm
+from repro.training.batch import (
+    _PHASE_INDEX,
+    LoweredStep,
+    _layer_column,
+    step_comm_cycles,
+)
+from repro.training.parallel import build_pipeline_schedule
+from repro.training.phases import Phase
 from repro.training.simulate import (
+    GRAD_BYTES,
+    ClusterTrainingReport,
     TrainingReport,
     step_gemm_ops,
     step_vector_kernels,
@@ -176,3 +192,115 @@ def from_ops(network, ops):
         write_output=_frozen([op.write_output for op in ops], bool),
         fuse_norm=_frozen([op.fuse_norm for op in ops], bool),
     )
+
+
+def allreduce_payload_bytes(network, algorithm, global_batch):
+    """Per-collective payloads of one sharded step, in bytes.
+
+    Data-parallel DP-SGD needs at most two collectives:
+
+    * the per-batch (clipped) gradient sum — ``params * GRAD_BYTES``
+      for every algorithm, since each chip only holds its shard's
+      partial sum;
+    * per-example norm bookkeeping — ``global_batch * GRAD_BYTES``,
+      private algorithms only.  Clipping itself is local (each norm
+      belongs to one shard's example), but the clip-scale statistics
+      feed the shared privacy accountant, so one scalar per example
+      crosses chips.
+    """
+    payloads = [network.params * GRAD_BYTES]
+    if algorithm.is_private:
+        payloads.append(global_batch * GRAD_BYTES)
+    return payloads
+
+
+def overlappable_backward_cycles(report):
+    """Backward cycles the gradient allreduce may hide behind.
+
+    The overlappable window is the phase that *produces* the per-batch
+    gradient payload bucket by bucket: under DP-SGD the clipping pass
+    (clip-and-accumulate finalizes the local sum for a parameter bucket
+    once every example's slice of it has been scaled), under DP-SGD(R)
+    and plain SGD the per-batch weight-gradient GEMMs (gradients
+    materialize layer by layer).  Everything after the allreduce
+    (reduce tail, noise, update) can never overlap and is excluded.
+    """
+    if report.algorithm is Algorithm.DP_SGD:
+        return report.phase_cycles(Phase.BWD_GRAD_CLIP)
+    return report.phase_cycles(Phase.BWD_BATCH_GRAD)
+
+
+def sharded_step(network, algorithm, cluster, global_batch, *, plan=None,
+                 overlap=True):
+    """One (possibly 3D-)parallel step on a cluster, composed for one
+    point: ``(report, op log)``, the log being the shard's GEMM ops
+    with their runs, in schedule order."""
+    n = cluster.n_chips
+    if plan is not None:
+        plan.validate(n)
+    pure_dp = plan is None or plan.is_pure_dp
+    dp = n if plan is None else plan.dp
+    if global_batch <= 0:
+        raise ValueError(f"global batch must be positive, got {global_batch}")
+    if global_batch % dp:
+        across = (f"{n} chips" if pure_dp else
+                  f"{dp} data-parallel replicas of plan {plan}")
+        raise ValueError(f"global batch {global_batch} does not divide "
+                         f"evenly across {across}")
+    local_batch = global_batch // dp
+    tp = 1 if plan is None else plan.tp
+    shard, op_log = chip_step(network, algorithm, cluster.chip, local_batch,
+                              tp)
+    payloads = allreduce_payload_bytes(network, algorithm, global_batch)
+    norm_payload = payloads[1] if len(payloads) > 1 else 0
+    if pure_dp:
+        grad_payload = payloads[0]
+        overlappable = overlappable_backward_cycles(shard)
+        pp_fields, schedule = {}, {}
+    else:
+        sched = build_pipeline_schedule(
+            network, algorithm, from_ops(network, [op for op, _ in op_log]),
+            [run.cycles for _, run in op_log],
+            {phase: run.cycles for phase, run in shard.phases.items()},
+            local_batch, plan)
+        # The data-parallel gradient payload shrinks to one stage's
+        # TP-sharded parameters, and the overlap window to the
+        # bottleneck stage's share of the gradient-producing phase.
+        grad_payload = sched.dp_payload_bytes
+        overlappable = sched.overlappable_cycles
+        pp_fields = dict(
+            tp=plan.tp, pp=plan.pp, tp_payload=sched.tp_payload_bytes,
+            tp_collectives=sched.tp_collectives,
+            boundary=sched.boundary_micro_bytes, cuts=sched.cuts,
+            microbatches=sched.microbatches)
+        schedule = dict(
+            pipeline_cycles=sched.pipeline_cycles,
+            bubble_cycles=sched.bubble_cycles,
+            microbatches=sched.microbatches,
+            stage_cycles=sched.stage_cycles,
+            stage_bounds=sched.stage_bounds)
+
+    ic = cluster.interconnect.config
+    exposed, total, wire = step_comm_cycles(
+        np.array([grad_payload]), np.array([norm_payload]),
+        np.array([dp]), np.array([TOPOLOGY_CODES[ic.topology]]),
+        np.array([ic.bucket_bytes or 0]), np.array([ic.chips_per_node]),
+        ic.links.link_params(), overlappable, cluster.frequency_hz,
+        overlap, **pp_fields)
+    comm = OpRun(
+        cycles=int(exposed[0]),
+        hidden_cycles=int(total[0] - exposed[0]),
+        link_bytes=int(wire[0]),
+    )
+    report = ClusterTrainingReport(
+        cluster=cluster.name,
+        n_chips=n,
+        topology=cluster.topology,
+        global_batch=global_batch,
+        shard=shard,
+        comm=comm,
+        overlap=overlap,
+        plan=plan,
+        **schedule,
+    )
+    return report, op_log

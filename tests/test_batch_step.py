@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import step_oracle
 from repro.arch.accelerator import Accelerator, OpRun
 from repro.arch.cluster import Cluster, ParallelPlan
-from repro.arch.interconnect import InterconnectConfig
+from repro.arch.interconnect import InterconnectConfig, fabric_named
 from repro.arch.memory import MemoryConfig
 from repro.arch.vector import VectorUnitConfig
 from repro.core import ACCELERATOR_KINDS, build_accelerator, build_cluster
@@ -550,6 +550,53 @@ class TestStepOracle:
             assert got == want, where
 
 
+#: The plans of the sharded oracle pin on 8 chips: pure DP, pp {2, 4} x
+#: tp {1, 2}, and a fixed microbatch count.
+SHARDED_PLANS = (None, ParallelPlan(dp=4, pp=2),
+                 ParallelPlan(dp=2, pp=2, tp=2), ParallelPlan(dp=2, pp=4),
+                 ParallelPlan(dp=1, pp=4, tp=2),
+                 ParallelPlan(dp=2, pp=2, tp=2, microbatches=3))
+
+
+class TestShardedStepOracle:
+    """Pin: ``simulate_sharded_training_step`` (the sharded-step
+    composition of ``training_step_batch`` on one point) equals the
+    oracle's point-by-point composition in every
+    ``ClusterTrainingReport`` field — the shard's phases, ``comm``, the
+    pipeline schedule — on every algorithm x topology x bucket x
+    overlap x plan x fabric, for a CNN, a Transformer and an RNN."""
+
+    @pytest.mark.parametrize("model",
+                             ("SqueezeNet", "BERT-base", "LSTM-small"))
+    def test_every_report_field(self, model, monkeypatch):
+        # The oracle prices each distinct shard once per test: every
+        # cluster shares one chip.
+        monkeypatch.setattr(step_oracle, "chip_step", functools.lru_cache(
+            maxsize=None)(step_oracle.chip_step))
+        network = build_model(model)
+        chip = build_accelerator("diva")
+        for algorithm, topology, bucket, fabric in itertools.product(
+                Algorithm, ("ring", "all_to_all", "hierarchical"),
+                (None, 2**20), (None, "two-tier")):
+            cluster = Cluster([chip] * 8, InterconnectConfig(
+                topology=topology, bucket_bytes=bucket,
+                chips_per_node=2 if topology == "hierarchical" else 1,
+                fabric=fabric and fabric_named(fabric)))
+            for plan, overlap in itertools.product(SHARDED_PLANS,
+                                                   (True, False)):
+                got = simulate_sharded_training_step(
+                    network, algorithm, cluster, 32, plan=plan,
+                    overlap=overlap)
+                want, _ = step_oracle.sharded_step(
+                    network, algorithm, cluster, 32, plan=plan,
+                    overlap=overlap)
+                where = (algorithm.value, topology, bucket, fabric, plan,
+                         overlap)
+                assert list(got.phases) == list(want.phases), where
+                assert got.comm == want.comm, where
+                assert got == want, where
+
+
 def _grid():
     points = []
     for model, algorithm, chips, topology, bucket, overlap in \
@@ -626,6 +673,16 @@ class TestExperimentBatchedPaths:
         batched = scaling.evaluate_points_batched(work)
         scalar = [scaling.evaluate_point(*point) for point in work]
         assert batched == scalar
+
+    def test_short_work_tuples_take_evaluate_point_defaults(self):
+        from repro.experiments import scaling
+
+        full = ("SqueezeNet", 2, "DP-SGD", "strong", "ring", 32, True,
+                None, 1, False, 1, 1, None)
+        points = [full[:size] for size in range(6, len(full) + 1)]
+        rows = scaling.evaluate_points_batched(points)
+        assert rows == [scaling.evaluate_point(*point) for point in points]
+        assert rows == [scaling.evaluate_point(*full)] * len(points)
 
     def test_design_space_batched_rows_equal_scalar_oracle(self):
         from repro.experiments import design_space

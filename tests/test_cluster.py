@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from step_oracle import allreduce_payload_bytes
 from repro.arch import Cluster, Interconnect, InterconnectConfig, OpRun
 from repro.arch.engine import ArrayConfig
 from repro.core import build_accelerator, build_cluster
@@ -13,7 +14,6 @@ from repro.experiments import scaling
 from repro.training import (
     Algorithm,
     Phase,
-    allreduce_payload_bytes,
     simulate_sharded_training_step,
     simulate_training_step,
 )

@@ -3,9 +3,9 @@
 ``reference_fleet`` below is the simplest simulator that could be
 right: one event heap, every queued job in a plain list, the next job
 picked with ``min(queue, key)``, scalar admission
-(:meth:`AdmissionController.admit`) and scalar service-time
-prediction (:func:`predict_step_seconds`) per job, the autoscaler and
-the fault model driven through their public calls.  It keeps no
+(:meth:`AdmissionController.admit`), one service-time prediction
+(:func:`predict_step_seconds`) per job configuration, the autoscaler
+and the fault model driven through their public calls.  It keeps no
 observability and no per-job records, and it draws every failure one
 by one instead of priming the vectorized first-attempt table.
 
@@ -63,6 +63,9 @@ def reference_fleet(trace, fleet, *, policy, admission, autoscaler=None,
         if frun is not None else {}
 
     granted, step, service = {}, {}, {}
+    # predict_step_seconds per (model, algorithm, batch): traces repeat
+    # a few configurations over thousands of jobs.
+    prices = {}
     queue = []
     idle = fleet.n_clusters
     log, waits = [], []
@@ -87,7 +90,10 @@ def reference_fleet(trace, fleet, *, policy, admission, autoscaler=None,
             else:
                 jid = job.job_id
                 granted[jid] = decision.granted_steps
-                step[jid] = predict_step_seconds(fleet, job)
+                config = (job.model, job.algorithm, job.batch)
+                if config not in prices:
+                    prices[config] = predict_step_seconds(fleet, job)
+                step[jid] = prices[config]
                 per_step = (frun.effective_step_seconds(job.model, step[jid])
                             if frun is not None else step[jid])
                 service[jid] = granted[jid] * per_step

@@ -200,9 +200,7 @@ class TestTrainingTrace:
     def test_spans_equal_the_per_op_oracle(self, model):
         """The single-chip and 3D sharded steps lay exactly the spans
         (names such as ``gemm MxKxN xC [layer]``, timestamps, ``args``)
-        that the per-op oracle's report and op log lay."""
-        from dataclasses import replace
-
+        that the oracles' reports and op logs lay."""
         import step_oracle
         from repro.arch.cluster import ParallelPlan
         from repro.core import build_accelerator, build_cluster
@@ -229,15 +227,13 @@ class TestTrainingTrace:
             assert any(e.get("cat") == "gemm" and " x16 [" in e["name"]
                        for e in got.events) == algorithm.is_private
 
+            plan = ParallelPlan(dp=2, pp=2, tp=2)
             got = TraceRecorder()
-            report = simulate_sharded_training_step(
-                network, algorithm, cluster, 32,
-                plan=ParallelPlan(dp=2, pp=2, tp=2), recorder=got)
-            shard, op_log = step_oracle.chip_step(
-                network, algorithm, cluster.chip, 16, tp=2)
+            simulate_sharded_training_step(network, algorithm, cluster, 32,
+                                           plan=plan, recorder=got)
             want = TraceRecorder()
-            add_cluster_step_spans(want, replace(report, shard=shard),
-                                   op_log)
+            add_cluster_step_spans(want, *step_oracle.sharded_step(
+                network, algorithm, cluster, 32, plan=plan))
             assert got.events == want.events, algorithm
             assert any(e.get("cat") == "pipeline" for e in got.events)
 

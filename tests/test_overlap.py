@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from step_oracle import allreduce_payload_bytes, overlappable_backward_cycles
 from repro.arch import Interconnect, InterconnectConfig, OpRun
 from repro.arch.interconnect import TOPOLOGIES
 from repro.core import build_accelerator, build_cluster
@@ -15,8 +16,6 @@ from repro.experiments import scaling
 from repro.training import (
     Algorithm,
     Phase,
-    allreduce_payload_bytes,
-    overlappable_backward_cycles,
     simulate_sharded_training_step,
     simulate_training_step,
 )

@@ -369,22 +369,25 @@ class TestBatched3D:
                 assert scalar == batched, (algorithm, pp, tp)
 
     def test_mixed_grid_in_one_call(self):
-        """Heterogeneous plans, fabrics and overlap in a single batch."""
-        grids = [(1, 1), (2, 2), (8, 1), (1, 8), (4, 2)]
+        """Heterogeneous plans, fabrics and overlap in a single batch;
+        dp2·pp2·tp2 on 8 chips and dp2·pp4·tp2 on 16 share one shard
+        but not its pipeline schedule."""
+        grids = [(1, 1, 8), (2, 2, 8), (8, 1, 8), (1, 8, 8), (4, 2, 8),
+                 (4, 2, 16)]
+        fabrics = ["two-tier", None, "uniform", None, "two-tier", None]
         models = ["SqueezeNet"] * len(grids)
         algorithms = ["DP-SGD"] * len(grids)
         result = sharded_step_batch(
-            models, algorithms, np.full(len(grids), 32), 8,
+            models, algorithms, np.full(len(grids), 32),
+            np.array([g[2] for g in grids]),
             pps=np.array([g[0] for g in grids]),
-            tps=np.array([g[1] for g in grids]),
-            fabrics=["two-tier", None, "uniform", None, "two-tier"])
-        for i, (pp, tp) in enumerate(grids):
+            tps=np.array([g[1] for g in grids]), fabrics=fabrics)
+        for i, (pp, tp, chips) in enumerate(grids):
             cluster = build_cluster(
-                "diva", n_chips=8,
+                "diva", n_chips=chips,
                 interconnect=InterconnectConfig(fabric=fabric_named(
-                    ["two-tier", None, "uniform", None, "two-tier"][i])
-                    if i in (0, 2, 4) else None))
-            plan = ParallelPlan(dp=8 // (pp * tp), pp=pp, tp=tp)
+                    fabrics[i]) if fabrics[i] else None))
+            plan = ParallelPlan(dp=chips // (pp * tp), pp=pp, tp=tp)
             report = simulate_sharded_training_step(
                 NETS["SqueezeNet"], Algorithm.DP_SGD, cluster, 32,
                 plan=None if plan.is_pure_dp else plan)

@@ -385,8 +385,12 @@ class TestStreamingFleetEquivalence:
             fleet, [job.model for job in trace],
             [job.algorithm for job in trace],
             [-(-batch // 2) * 2 for batch in batches])
+        prices = {}  # per (model, algorithm, batch)
         for i, job in enumerate(trace):
-            assert float(batched[i]) == predict_step_seconds(fleet, job)
+            config = (job.model, job.algorithm, job.batch)
+            if config not in prices:
+                prices[config] = predict_step_seconds(fleet, job)
+            assert float(batched[i]) == prices[config]
 
 
 class TestAutoscaledDifferential:
