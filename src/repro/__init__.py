@@ -14,9 +14,6 @@ Public API highlights
     datapath emulation, used to validate the analytic models.
 ``repro.training``
     SGD / DP-SGD / DP-SGD(R) planners, memory model, simulation driver.
-``repro.sim``
-    An event-driven scheduler of timed GEMM / vector / DMA operations
-    with bounded prefetch; it no longer prices training steps itself.
 ``repro.energy``
     65 nm power/area/energy models (Table III, Figure 16).
 ``repro.dpml``

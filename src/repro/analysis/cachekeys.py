@@ -1,8 +1,8 @@
 """R002: cache-key completeness at memoization call sites.
 
 Every persistent memoization in the repo flows through
-``runner.run_cached`` / ``runner.cached_sweep`` / ``runner.cached_batch``
-with an explicit key dict hashed by ``config_hash``.  A config field
+``runner.cached_batch`` with an explicit ``key_fn`` dict hashed by
+``config_hash``.  A config field
 that influences the computed value but is missing from the key is a
 *silent stale-hit* bug: the cache returns a result computed under a
 different configuration, with no error anywhere.
@@ -10,9 +10,9 @@ different configuration, with no error anywhere.
 At each call site this rule cross-checks two read sets against the key:
 
 * **attribute reads** — ``param.field`` reads anywhere in the enclosing
-  function (which includes the producer lambda / local batch closure)
-  must appear in the key dict, either directly or through a one-level
-  alias (``batch = ceil(job.batch / ...)`` covers ``job.batch`` when
+  function (which includes the local batch closure) must appear in the
+  key dict, either directly or through a one-level alias
+  (``batch = ceil(job.batch / ...)`` covers ``job.batch`` when
   ``batch`` is keyed);
 * **work-tuple indices** — constant subscripts the batched evaluator
   performs on its work items (``point[3]``, ``point[:3]`` slices and
@@ -31,7 +31,7 @@ from typing import Iterator
 from repro.analysis.core import Finding, Module, Project, Rule, register
 
 #: Memoization entry points (matched by call name, dotted or bare).
-_CACHE_CALLS = {"run_cached", "cached_sweep", "cached_batch"}
+_CACHE_CALLS = {"cached_batch"}
 
 #: Enclosing-function parameters never expected in the key.
 _EXEMPT_PARAMS = {"self", "cls", "cache"}
@@ -215,10 +215,9 @@ class CacheKeyRule(Rule):
 
     def check(self, project: Project) -> Iterator[Finding]:
         for module in project.modules:
-            yield from self._check_module(project, module)
+            yield from self._check_module(module)
 
-    def _check_module(self, project: Project,
-                      module: Module) -> Iterator[Finding]:
+    def _check_module(self, module: Module) -> Iterator[Finding]:
         # Map every cache call to its innermost enclosing function.
         enclosing: dict[ast.Call, ast.FunctionDef | None] = {}
 
@@ -237,11 +236,7 @@ class CacheKeyRule(Rule):
         visit(module.tree, None)
         for call, owner in enclosing.items():
             site = _CallSite(module, call, owner)
-            name = _callee_name(call.func)
-            if name == "run_cached":
-                yield from self._check_run_cached(site)
-            else:
-                yield from self._check_cached_batch(project, site)
+            yield from self._check_cached_batch(site)
 
     # -- covered-by-key extraction ----------------------------------------
 
@@ -292,35 +287,9 @@ class CacheKeyRule(Rule):
                     covered |= _attr_reads(sub.value, roots)
         return covered
 
-    # -- run_cached --------------------------------------------------------
+    # -- cached_batch ------------------------------------------------------
 
-    def _check_run_cached(self, site: _CallSite) -> Iterator[Finding]:
-        if site.enclosing is None:
-            return
-        params = [p for p in _param_names(site.enclosing)
-                  if p not in _EXEMPT_PARAMS]
-        roots = set(params)
-        key_expr = site.call.args[0] if site.call.args \
-            else site.keyword("key_obj")
-        covered_attrs, covered_names, _, resolved = self._key_cover(
-            site, key_expr, roots)
-        if not resolved and not covered_attrs and not covered_names:
-            return  # key built elsewhere; nothing checkable statically
-        covered_attrs |= self._alias_cover(site, covered_names, roots)
-        reads = _attr_reads(site.enclosing, roots)
-        for root, attr in sorted(reads - covered_attrs):
-            if root in covered_names:
-                continue  # the whole object is part of the key
-            yield self._finding(
-                site, f"memoized result reads '{root}.{attr}' but the "
-                      f"cache key never includes it",
-                f"add '{attr}' (or a value derived from it) to the key "
-                "dict, or hash the whole object")
-
-    # -- cached_sweep / cached_batch --------------------------------------
-
-    def _check_cached_batch(self, project: Project,
-                            site: _CallSite) -> Iterator[Finding]:
+    def _check_cached_batch(self, site: _CallSite) -> Iterator[Finding]:
         key_fn = site.keyword("key_fn")
         fn_expr = site.call.args[0] if site.call.args else None
         roots: set[str] = set()

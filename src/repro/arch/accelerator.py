@@ -277,9 +277,10 @@ class Accelerator:
     ) -> OpCharges:
         """Charge columns of element-wise or reduction vector kernels.
 
-        A reduction pre-scales its ops by the vector unit's reduction
-        overhead (:meth:`VectorUnit.reduction_cycles`), so each entry
-        repeats the scalar float order: ``ceil(elems * ops / lanes)``.
+        A reduction pre-scales its ops by the vector unit's
+        ``reduction_overhead_factor`` (the permute/add passes of a
+        cross-lane reduction), so each entry is
+        ``ceil(elems * ops / lanes)`` in that float order.
         """
         config = self.vector.config
         ops = np.where(reduction,
@@ -338,19 +339,6 @@ class Accelerator:
         return self.vector_charges(*(np.array([value]) for value in (
             elems, float(ops_per_elem), dram_read_bytes, dram_write_bytes,
             reduction))).runs()[0]
-
-    def run_ppu_reduction(self, elems: int) -> OpRun:
-        """Execute a standalone reduction on the PPU (if present)."""
-        if self.ppu is None:
-            raise ValueError(f"{self.name} has no PPU")
-        cycles = self.ppu.reduction_cycles(elems)
-        return OpRun(
-            cycles=cycles,
-            ppu_cycles=cycles,
-            vector_ops=elems,
-            sram_read_bytes=elems * self.config.acc_bytes,
-            sram_write_bytes=self.config.acc_bytes,
-        )
 
     def seconds(self, cycles: int) -> float:
         """Convert engine cycles to wall-clock seconds."""

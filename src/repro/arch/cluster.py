@@ -4,8 +4,9 @@ A :class:`Cluster` composes ``N`` identical :class:`Accelerator` chips
 with an :class:`~repro.arch.interconnect.Interconnect`.  It is the unit
 of work for data-parallel DP-SGD sharding
 (:func:`repro.training.simulate.simulate_sharded_training_step`): each
-chip executes one shard of the mini-batch locally, and the cluster
-charges the cross-chip collectives as :class:`OpRun` records in the
+chip executes one shard of the mini-batch locally, and the step's
+cross-chip collectives
+(:func:`repro.training.batch.step_comm_cycles`) are charged in the
 chips' clock domain so they aggregate with every existing phase.
 
 The chips must share one clock frequency — the cluster exposes a single
@@ -17,11 +18,10 @@ collectives of a step before quantization).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.arch.accelerator import Accelerator, OpRun
+from repro.arch.accelerator import Accelerator
 from repro.arch.interconnect import Interconnect, InterconnectConfig
 
 
@@ -135,47 +135,6 @@ class Cluster:
     @property
     def frequency_hz(self) -> float:
         return self.chip.frequency_hz
-
-    def allreduce_seconds(self, payload_bytes: int) -> float:
-        """Fractional wall-clock seconds of one allreduce.
-
-        Kept un-ceiled so a multi-collective step can accumulate float
-        seconds and convert to cycles *once* — ceiling per collective
-        (the pre-overlap behavior) overcharged up to one cycle per
-        collective, and with bucketing would overcharge per bucket.
-        """
-        return self.interconnect.allreduce_seconds(
-            payload_bytes, self.n_chips)
-
-    def link_bytes(self, payload_bytes: int) -> int:
-        """Scheduled per-chip wire bytes of one allreduce."""
-        return self.interconnect.link_bytes_per_chip(
-            payload_bytes, self.n_chips)
-
-    def allreduce(self, payload_bytes: int) -> OpRun:
-        """Charge one *standalone* allreduce over ``payload_bytes``.
-
-        The cost is the closed-form collective time converted to chip
-        cycles; ``link_bytes`` records the per-chip wire traffic.  On a
-        single-chip cluster every collective is free (a zero OpRun), so
-        the N=1 cluster is cycle-identical to a bare accelerator.  The
-        sharded training step does *not* sum these records — it prices
-        its collectives with
-        :func:`~repro.training.batch.step_comm_cycles`, which
-        accumulates float seconds across them and ceils once.
-        """
-        return OpRun(
-            cycles=self.cycles(self.allreduce_seconds(payload_bytes)),
-            link_bytes=self.link_bytes(payload_bytes),
-        )
-
-    def cycles(self, seconds: float) -> int:
-        """Convert wall-clock seconds into (ceiled) cluster cycles."""
-        return math.ceil(seconds * self.frequency_hz)
-
-    def seconds(self, cycles: int) -> float:
-        """Convert cluster-domain cycles to wall-clock seconds."""
-        return cycles / self.frequency_hz
 
     def __repr__(self) -> str:
         return (f"Cluster({self.chip.name} x {self.n_chips}, "

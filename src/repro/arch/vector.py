@@ -11,7 +11,6 @@ need ``O(log)`` permute/add passes, modeled by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -32,26 +31,8 @@ class VectorUnitConfig:
 
 
 class VectorUnit:
-    """Latency model for element-wise and reduction vector kernels."""
+    """The vector unit of one accelerator; its kernels are priced by
+    :meth:`repro.arch.accelerator.Accelerator.vector_charges`."""
 
     def __init__(self, config: VectorUnitConfig | None = None) -> None:
         self.config = config or VectorUnitConfig()
-
-    def elementwise_cycles(self, elems: int, ops_per_elem: float = 1.0) -> int:
-        """Cycles for a pure element-wise kernel over ``elems`` values."""
-        if elems <= 0:
-            return 0
-        total_ops = elems * ops_per_elem
-        return math.ceil(total_ops / self.config.ops_per_cycle)
-
-    def reduction_cycles(self, elems: int, ops_per_elem: float = 1.0) -> int:
-        """Cycles to reduce ``elems`` values to one scalar.
-
-        ``ops_per_elem`` covers any per-element preprocessing (e.g. the
-        squaring step of an L2 norm costs one extra multiply).
-        """
-        if elems <= 0:
-            return 0
-        total_ops = elems * (ops_per_elem
-                             * self.config.reduction_overhead_factor)
-        return math.ceil(total_ops / self.config.ops_per_cycle)

@@ -64,14 +64,3 @@ class PostProcessingUnit:
         """Pipeline flush after the last drained row of a GEMM."""
         # Tree depth plus the final accumulate/sqrt of the norm scalar.
         return self.config.levels + 4
-
-    def reduction_cycles(self, elems: int) -> int:
-        """Cycles for a standalone reduction of ``elems`` values.
-
-        Input loading is O(1) per beat and output generation is
-        O(log2 E) — the tree property highlighted in Section IV-C.
-        """
-        if elems <= 0:
-            return 0
-        beats = math.ceil(elems / self.config.elements_per_cycle)
-        return beats + self.flush_cycles()

@@ -39,7 +39,7 @@ def evaluate_point(name: str, height: int, width: int,
     """One design point: DiVa vs WS at one array geometry (picklable).
 
     Returns a JSON-serializable dict so results can be persisted by
-    :func:`repro.experiments.runner.run_cached`; it is
+    :func:`repro.experiments.runner.cached_batch`; it is
     :func:`evaluate_points_batched` on this one work tuple.
     """
     return evaluate_points_batched(

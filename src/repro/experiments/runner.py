@@ -5,8 +5,9 @@ The experiment harness spends its time in many independent simulations
 is a process pool: :func:`sweep` maps a module-level function over a
 list of picklable work items with a ``ProcessPoolExecutor``, preserving
 input order.  ``run_all``, the GEMM robustness sweep, the Section VI-C
-sensitivity study and the ``design-space`` CLI subcommand all route
-their fan-out through it.
+sensitivity study and the scaling bench route their fan-out through
+it.  The analytic ``scaling`` and ``design-space`` grids instead
+evaluate in-process through :func:`cached_batch`.
 
 API
 ---
@@ -16,24 +17,16 @@ API
     positional arguments.  Falls back to a plain serial loop when
     parallelism is disabled, a single job is requested, or there is at
     most one item.
-``run_cached(key_obj, producer, *, cache=None)``
-    Persisted memoization: returns ``producer()`` and stores it
-    under ``config_hash(key_obj)``; later calls with an equal key load
-    the stored value instead of recomputing.  ``producer`` must return
-    a JSON-serializable value.  A ``None`` cache (the default when no
-    cache directory is configured) disables persistence.
-``cached_sweep(fn, items, *, key_fn, cache=None, ...)``
-    :func:`sweep` with one persisted entry *per item* (keyed by
-    ``config_hash(key_fn(item))``): growing a sweep recomputes only
-    the new points, which are written in one ``put_many`` batch.
 ``cached_batch(batch_fn, items, *, key_fn, cache=None)``
-    The in-process counterpart for *analytic* sweeps: one
-    ``get_many`` lookup pass per grid, one batched evaluation of the
-    missing items (``batch_fn`` gets the list, returns the values in
-    order — this is where the NumPy batched engines plug in), one
-    ``put_many`` transaction for the new values.  The ``scaling`` and
-    ``design-space`` experiments route through this; the process pool
-    stays for non-analytic work.
+    Persisted memoization with one entry *per item* (keyed by
+    ``config_hash(key_fn(item))``): one ``get_many`` lookup pass per
+    grid, one batched evaluation of the missing items (``batch_fn``
+    gets the list, returns the JSON-serializable values in order —
+    this is where the NumPy batched engines plug in), one
+    ``put_many`` transaction for the new values.  Growing a grid
+    recomputes only the new points.  A ``None`` cache (the default
+    when no cache directory is configured) disables persistence.  The
+    ``scaling`` and ``design-space`` experiments route through this.
 ``config_hash(obj)``
     Stable short SHA-256 of a canonical JSON rendering of ``obj``
     (dataclasses, enums, tuples and mappings are normalized first).
@@ -81,21 +74,16 @@ scope so worker processes can import it)::
     runner.sweep(cube, [1, 2, 3], jobs=2)         # -> [1, 8, 27]
     runner.sweep(pow, [(2, 3), (3, 2)], star=True)  # -> [8, 9]
 
-Persist one entry per design point, so growing a sweep recomputes
+Persist one entry per design point, so growing a grid recomputes
 only the new combinations (this is how ``design-space`` and ``scaling``
 drive their CLI ``--cache-dir``)::
 
     cache = runner.ResultCache(".repro_cache")
-    rows = runner.cached_sweep(
-        evaluate_point, work, star=True, cache=cache,
+    rows = runner.cached_batch(
+        evaluate_points, work, cache=cache,
         key_fn=lambda item: {"experiment": "design_space",
                              "model": item[0], "height": item[1],
                              "width": item[2]})
-
-Memoize a whole experiment under one key::
-
-    table = runner.run_cached({"experiment": "fig13", "rev": 2},
-                              lambda: fig13_speedup.run(), cache=cache)
 """
 
 from __future__ import annotations
@@ -123,7 +111,7 @@ class CacheStats:
     that is not JSON, or is ``null``) — stale entries are
     recomputed exactly like misses, the distinction only matters for
     reporting.  Pass one instance through several
-    :func:`cached_sweep` / :func:`cached_batch` calls to accumulate.
+    :func:`cached_batch` calls to accumulate.
     """
 
     hits: int = 0
@@ -358,54 +346,6 @@ def default_cache() -> ResultCache | None:
     return ResultCache(root) if root else None
 
 
-def run_cached(
-    key_obj: Any,
-    producer: Callable[[], Any],
-    *,
-    cache: ResultCache | None = None,
-) -> Any:
-    """Return ``producer()``, memoized persistently under ``key_obj``."""
-    if cache is None:
-        cache = default_cache()
-    if cache is None:
-        return producer()
-    key_hash = config_hash(key_obj)
-    hit = cache.get(key_hash)
-    if hit is not None:
-        return hit
-    value = producer()
-    cache.put(key_hash, key_obj, value)
-    return value
-
-
-def cached_sweep(
-    fn: Callable,
-    items: Iterable,
-    *,
-    key_fn: Callable[[Any], Any],
-    cache: ResultCache | None = None,
-    jobs: int | None = None,
-    parallel: bool | None = None,
-    star: bool = False,
-    stats: CacheStats | None = None,
-    profiler: "Profiler | None" = None,
-) -> list:
-    """:func:`sweep` with per-item persistent memoization.
-
-    Each item is cached under ``config_hash(key_fn(item))``, so growing
-    a sweep only computes the new points — previously stored ones load
-    from disk, and the new ones land in one :meth:`ResultCache.put_many`
-    transaction.  ``fn`` must return JSON-serializable values.  Without
-    a cache this degrades to a plain :func:`sweep`.  ``stats`` tallies
-    hit/miss/stale lookup outcomes; ``profiler`` times the
-    lookup/compute/write stages and counts sweep sizes.
-    """
-    return _memoized(
-        lambda work: sweep(fn, work, jobs=jobs, parallel=parallel,
-                           star=star),
-        items, key_fn, cache, stats, profiler, "sweep_items")
-
-
 def cached_batch(
     batch_fn: Callable[[list], list],
     items: Iterable,
@@ -417,39 +357,24 @@ def cached_batch(
 ) -> list:
     """Per-item persistent memoization around one *batched* evaluator.
 
-    The in-process analogue of :func:`cached_sweep` for analytic work:
-    instead of fanning items out to a process pool, ``batch_fn``
-    receives the list of cache-missing items in input order and must
-    return their (JSON-serializable) values in the same order — the
-    batched NumPy engines evaluate the whole list in a few broadcast
-    passes.  Cache lookups happen in one :meth:`ResultCache.get_many`
-    pass per grid and new results land through one
+    ``batch_fn`` receives the list of cache-missing items in input
+    order and must return their (JSON-serializable) values in the same
+    order — the batched NumPy engines evaluate the whole list in a few
+    broadcast passes.  Without a cache it is called on every item.
+    Cache lookups happen in one :meth:`ResultCache.get_many` pass per
+    grid and new results land through one
     :meth:`ResultCache.put_many` transaction.  ``stats`` tallies
     hit/miss/stale lookup outcomes; ``profiler`` times the
     lookup/compute/write stages and counts batch sizes.
     """
-    return _memoized(batch_fn, items, key_fn, cache, stats, profiler,
-                     "batch_items")
-
-
-def _memoized(
-    evaluate: Callable[[list], list],
-    items: Iterable,
-    key_fn: Callable[[Any], Any],
-    cache: ResultCache | None,
-    stats: CacheStats | None,
-    profiler: "Profiler | None",
-    size_counter: str,
-) -> list:
-    """Shared body of :func:`cached_sweep` and :func:`cached_batch`."""
     work = list(items)
     if profiler is not None:
-        profiler.count(size_counter, len(work))
+        profiler.count("batch_items", len(work))
     if cache is None:
         cache = default_cache()
     if cache is None:
         with _stage(profiler, "cache/compute"):
-            return evaluate(work)
+            return batch_fn(work)
     with _stage(profiler, "cache/lookup"):
         # Each key is normalized once, for its hash and its stored text.
         keys = [_jsonable(key_fn(item)) for item in work]
@@ -460,7 +385,7 @@ def _memoized(
         profiler.count("cache_hits", len(work) - len(missing))
         profiler.count("cache_misses", len(missing))
     with _stage(profiler, "cache/compute"):
-        computed = evaluate([work[i] for i in missing])
+        computed = batch_fn([work[i] for i in missing])
     if len(computed) != len(missing):
         raise ValueError(
             f"batch_fn returned {len(computed)} values for "

@@ -3,8 +3,7 @@
 Unlike the tracer and metrics registry — which observe *simulated*
 time — the :class:`Profiler` measures the harness itself: how long the
 cache lookup / batched evaluation / write-back stages of
-:func:`repro.experiments.runner.cached_batch` and
-:func:`~repro.experiments.runner.cached_sweep` actually took on the
+:func:`repro.experiments.runner.cached_batch` actually took on the
 host, plus counters the stages report (cache hits / misses / stale
 entries, batch sizes).  The result is a small per-run JSON manifest —
 the answer to "where did my sweep spend its time?".

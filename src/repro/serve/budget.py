@@ -38,7 +38,7 @@ from repro.dpml.accountant import (
     rdp_to_epsilon,
     step_rdp_rows,
 )
-from repro.serve.job import TraceArrays, TrainingJob
+from repro.serve.job import TraceArrays
 
 #: Jobs per chunk of the batched admission prefix pass — bounds the
 #: cumulative-RDP scratch matrix regardless of trace length.
@@ -183,44 +183,6 @@ class AdmissionController:
         return dict(self._counts.get(
             tenant, {"admitted": 0, "truncated": 0, "rejected": 0}))
 
-    def admit(self, job: TrainingJob) -> AdmissionDecision:
-        """Decide on ``job`` and reserve any granted budget."""
-        tally = self._counts.setdefault(
-            job.tenant, {"admitted": 0, "truncated": 0, "rejected": 0})
-        base = self._rdp.get(job.tenant)
-        if not job.is_private:
-            # Non-private jobs never touch the ledger.
-            tally["admitted"] += 1
-            spent = self.epsilon_spent(job.tenant)
-            return AdmissionDecision(
-                AdmissionStatus.ADMITTED, job.steps, 0.0, spent)
-
-        budget = self.budget_for(job.tenant)
-        spent_before = self.epsilon_spent(job.tenant)
-        affordable = max_steps_for_budget(
-            job.sampling_rate, job.noise_multiplier, budget.epsilon,
-            budget.delta, orders=self.orders, base_rdp=base,
-            max_steps=job.steps)
-        if affordable >= job.steps:
-            status, granted = AdmissionStatus.ADMITTED, job.steps
-        elif self.allow_truncation and affordable >= 1:
-            status, granted = AdmissionStatus.TRUNCATED, affordable
-        else:
-            tally["rejected"] += 1
-            return AdmissionDecision(
-                AdmissionStatus.REJECTED, 0, 0.0, spent_before)
-
-        per_step = compute_rdp(job.sampling_rate, job.noise_multiplier,
-                               1, self.orders)
-        if base is None:
-            base = np.zeros(len(self.orders))
-        self._rdp[job.tenant] = base + granted * per_step
-        spent_after = self.epsilon_spent(job.tenant)
-        tally["admitted" if status is AdmissionStatus.ADMITTED
-              else "truncated"] += 1
-        return AdmissionDecision(
-            status, granted, spent_after - spent_before, spent_after)
-
     # -- crash/retry ledger transactions --------------------------------------
 
     def reprice_steps(self, tenant: str, sampling_rate: float,
@@ -274,8 +236,9 @@ class AdmissionController:
     # -- batched (trace-at-once) admission -----------------------------------
 
     def admit_batch(self, trace: TraceArrays) -> "BatchAdmissionDecisions":
-        """Decide a whole trace at once, decision-identical to
-        :meth:`admit`.
+        """Decide a whole trace at once, decision-identical to the
+        scalar oracle in ``tests/`` (one job at a time, in arrival
+        order).
 
         Ledger updates are inherently sequential within a tenant (each
         grant changes the RDP base every later decision sees), but two
@@ -292,8 +255,8 @@ class AdmissionController:
         order, so the decisions (and the final per-tenant ledgers and
         tallies) are identical, not merely close.
 
-        Updates this controller's ledger/tally state exactly as the
-        equivalent sequence of :meth:`admit` calls would.
+        Updates this controller's ledger/tally state exactly as
+        deciding the jobs one by one, in arrival order, would.
         """
         n = len(trace)
         status = np.full(n, BatchAdmissionDecisions.REJECTED,

@@ -58,6 +58,7 @@ from numpy.typing import NDArray
 from repro.training.simulate import (
     CheckpointConfig,
     checkpoint_write_seconds,
+    checkpointed_step_seconds,
     young_daly_interval_s,
 )
 
@@ -457,7 +458,7 @@ class FaultRun:
                                step_s: float) -> float:
         """Step latency with the amortized checkpoint-write overhead."""
         write_s, interval = self._checkpoint(model_name, step_s)
-        return step_s + write_s / interval
+        return checkpointed_step_seconds(step_s, write_s, interval)
 
     # -- requeue bookkeeping the loop reads ----------------------------------
 

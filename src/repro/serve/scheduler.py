@@ -218,8 +218,9 @@ def simulate_fleet(
     point replays a trace.
 
     Records and ``dispatch_log`` carry the caller's job ids.
-    Each record's ``decision`` is what :meth:`AdmissionController.admit`
-    would have returned job by job; ``start_s`` is the first dispatch
+    Each record's ``decision`` is the job's
+    :meth:`~repro.serve.budget.AdmissionController.admit_batch`
+    outcome; ``start_s`` is the first dispatch
     and ``finish_s`` the final finish.  Fault draws, and the job names
     ``obs`` exports, are keyed by arrival position, which equals
     ``job_id`` for every generated trace.
@@ -370,8 +371,8 @@ def simulate_fleet_streaming(
     """Replay an array trace on ``fleet``; 8 bytes of metrics per dispatch.
 
     The fleet simulator.  Admission decides the whole trace in one
-    batched pass (decision-identical to
-    :meth:`~repro.serve.budget.AdmissionController.admit` job by job),
+    batched pass (decision-identical to deciding job by job, the scalar
+    oracle in ``tests/``),
     service times come from one precomputed batched step-latency
     table, the event loop walks the arrival arrays directly beside one
     heap of pending completions (plus repairs and retries under

@@ -7,14 +7,13 @@ This module is the one pricer of a training step.
 workload x chips x bucket_bytes x topology x DP mode — run through the
 same code in a few NumPy broadcast passes:
 
-* :func:`lowered_step` expands the schedule rule
-  :func:`~repro.training.simulate.step_gemm_blocks` over per-kind
-  columns: each ``(network, GemmKind)`` is lowered once per process
-  from ``network.gemms`` at batch 1 and 2 into a bounded LRU of the
-  layer column, the batch-1 dims and the int64 slope of m, k, n and
-  count.  Any ``(batch, tp)`` is then ``base + (batch - 1) * slope``
-  with ``n`` ceil-divided by ``tp``; GEMMs that are not batch-affine
-  raise at lowering time.
+* The schedule rule :func:`~repro.training.simulate.step_gemm_blocks`
+  expands over per-kind columns: each ``(network, GemmKind)`` is
+  lowered once per process from ``network.gemms`` at batch 1 and 2
+  into a bounded LRU of the layer column, the batch-1 dims and the
+  int64 slope of m, k, n and count.  Any ``(batch, tp)`` is then
+  ``base + (batch - 1) * slope`` with ``n`` ceil-divided by ``tp``;
+  GEMMs that are not batch-affine raise at lowering time.
 * :func:`training_step_batch` groups a list of single-chip step specs
   by ``(accelerator, network, algorithm, tp)`` and broadcasts each
   group's template over its batches by index arithmetic: the
@@ -281,7 +280,7 @@ def _lower_kind(network: Network, kind: GemmKind) -> _AffineGemms:
     if slope is None or (slope < 0).any():
         raise ValueError(
             f"{network.name}: the {kind.value} GEMMs are not batch-affine, "
-            f"so lowered_step cannot price them")
+            f"so the step pricer cannot lower them")
     dims.flags.writeable = False
     slope.flags.writeable = False
     return _AffineGemms(network=network, layer=_frozen(layer, np.int64),
@@ -449,29 +448,6 @@ def _gemm_columns(groups: _SpecGroups) -> _GemmColumns:
         fuse_norm=np.repeat(fuse_norm, size)[row])
 
 
-def lowered_step(network: Network, algorithm: Algorithm,
-                 accelerator: Accelerator, batch: int,
-                 tp: int = 1) -> LoweredStep:
-    """The columns of :func:`step_gemm_ops` for one step.
-
-    Expands the schedule rule :func:`step_gemm_blocks` over per-kind
-    lowerings: each ``(network, GemmKind)`` is lowered once, from
-    ``network.gemms`` at batch 1 and 2, into a bounded LRU; any batch
-    is then ``dims(1) + (batch - 1) * (dims(2) - dims(1))`` and
-    ``tp > 1`` column-shards ``n`` to ``ceil(n / tp)``, exactly as
-    ``step_gemm_ops`` does.  GEMMs that are not batch-affine raise.
-    :func:`training_step_batch` runs the same expansion over a whole
-    spec list.
-    """
-    ops = _gemm_columns(_group_specs(
-        [(accelerator, network, algorithm, batch, tp)]))
-    return LoweredStep(network=network, **{
-        name: _frozen(getattr(ops, name), dtype) for name, dtype in (
-            ("phase", np.int64), ("layer", np.int64), ("m", np.int64),
-            ("k", np.int64), ("n", np.int64), ("count", np.int64),
-            ("write_output", bool), ("fuse_norm", bool))})
-
-
 def _engine_rows(groups: _SpecGroups, per_spec: np.ndarray
                  ) -> Iterator[tuple[Accelerator, slice]]:
     """Each accelerator's contiguous run of rows, where every spec of
@@ -572,8 +548,8 @@ def training_step_batch(
 
     Specs are grouped by ``(accelerator, network, algorithm, tp)``.
     Each group contributes one template — its :func:`step_vector_kernels`
-    rows and its :func:`step_gemm_blocks` expanded over the per-kind
-    lowerings of :func:`lowered_step` — and every template row is
+    rows and its :func:`step_gemm_blocks` expanded over the memoized
+    per-kind lowerings — and every template row is
     broadcast over the group's batches by index arithmetic, so the
     vector kernels form one ``specs x kernels`` column pass and the
     GEMM dims one ``specs x ops`` pass; Python visits a spec only to

@@ -160,9 +160,9 @@ def build_pipeline_schedule(
     plan's ``tp``; its ``layer`` column assigns each op to a layer) and
     ``op_cycles`` each op's integer cycles; ``phase_cycles`` maps every
     phase of the step to its *total* cycles (GEMM + vector).  Callers
-    pass the columns and cycles :meth:`~repro.training.batch.StepBatch.ops`
-    collected (equal to :func:`~repro.training.batch.lowered_step`);
-    the tests pin the schedule against the per-op oracle's op log.
+    pass the columns and cycles :attr:`~repro.training.batch.StepBatch.ops`
+    collected; the tests pin the schedule against the per-op oracle's
+    op log.
     Per-op sums run in int64 NumPy.
     """
     pp, tp = plan.pp, plan.tp

@@ -318,7 +318,7 @@ def step_gemm_blocks(
     :func:`step_gemm_ops` expands the blocks into :class:`GemmOp`
     lists, :func:`repro.training.plan.phase_gemms` into per-phase GEMM
     lists, and the step pricer
-    (:func:`repro.training.batch.lowered_step`) into columns.
+    (:func:`repro.training.batch.training_step_batch`) into columns.
 
     ``accelerator=None`` keeps the default flags (every output written,
     no fusion) — the phase-to-kind schedule alone.

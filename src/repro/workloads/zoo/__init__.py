@@ -59,9 +59,9 @@ def build_model(name: str, input_size: int = 32, seq_len: int = 32,
         MobileNet.
 
     Equal arguments return the same (frozen) :class:`Network` object,
-    so its cached aggregates and identity-keyed memos such as
-    :func:`repro.training.batch.lowered_step` are shared by every
-    caller.
+    so its cached aggregates and identity-keyed memos such as the step
+    pricer's per-kind GEMM lowerings
+    (:mod:`repro.training.batch`) are shared by every caller.
     """
     return _build_model(name, input_size, seq_len, native_groups)
 

@@ -10,7 +10,9 @@ path against it field by field:
 * :func:`run_gemm` / :func:`run_vector` — the per-op charges, with the
   bodies ``Accelerator.run_gemm`` / ``run_vector`` had before they
   became length-1 adapters of the column charges (``self`` renamed
-  ``accel``);
+  ``accel``), and the vector-unit cycle counts
+  :func:`elementwise_cycles` / :func:`reduction_cycles` that
+  ``VectorUnit`` carried;
 * :func:`step_vector_runs` / :func:`chip_step` — the per-op step loop
   over ``step_vector_kernels`` and ``step_gemm_ops``;
 * :func:`from_ops` — the columns of an op log, built op by op;
@@ -22,6 +24,8 @@ path against it field by field:
 
 Nothing under ``src/`` imports this module.
 """
+
+import math
 
 import numpy as np
 
@@ -104,13 +108,35 @@ def run_gemm(accel, gemm, read_lhs=True, read_rhs=True, write_output=True,
     )
 
 
+def elementwise_cycles(config, elems, ops_per_elem=1.0):
+    """Vector-unit cycles (``config``: a ``VectorUnitConfig``) of a pure
+    element-wise kernel over ``elems`` values."""
+    if elems <= 0:
+        return 0
+    total_ops = elems * ops_per_elem
+    return math.ceil(total_ops / config.ops_per_cycle)
+
+
+def reduction_cycles(config, elems, ops_per_elem=1.0):
+    """Vector-unit cycles to reduce ``elems`` values to one scalar.
+
+    ``ops_per_elem`` covers any per-element preprocessing (e.g. the
+    squaring step of an L2 norm costs one extra multiply).
+    """
+    if elems <= 0:
+        return 0
+    total_ops = elems * (ops_per_elem * config.reduction_overhead_factor)
+    return math.ceil(total_ops / config.ops_per_cycle)
+
+
 def run_vector(accel, elems, ops_per_elem=1.0, dram_read_bytes=0,
                dram_write_bytes=0, reduction=False):
     """Execute an element-wise or reduction kernel on the vector unit."""
     if reduction:
-        compute = accel.vector.reduction_cycles(elems, ops_per_elem)
+        compute = reduction_cycles(accel.vector.config, elems, ops_per_elem)
     else:
-        compute = accel.vector.elementwise_cycles(elems, ops_per_elem)
+        compute = elementwise_cycles(accel.vector.config, elems,
+                                     ops_per_elem)
     transfer = accel.memory.transfer_cycles(
         dram_read_bytes + dram_write_bytes
     )

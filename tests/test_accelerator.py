@@ -132,15 +132,3 @@ class TestRunVector:
         fast = accel.run_vector(100_000)
         slow = accel.run_vector(100_000, reduction=True)
         assert slow.vector_cycles > fast.vector_cycles
-
-
-class TestPpuReduction:
-    def test_requires_ppu(self):
-        accel = build_accelerator("ws")
-        with pytest.raises(ValueError, match="PPU"):
-            accel.run_ppu_reduction(100)
-
-    def test_with_ppu(self):
-        accel = build_accelerator("diva", with_ppu=True)
-        run = accel.run_ppu_reduction(1024 * 10)
-        assert run.ppu_cycles == run.cycles > 0

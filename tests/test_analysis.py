@@ -141,10 +141,14 @@ def test_cache_key_fail_attribute(tmp_path):
         from repro.experiments import runner
 
         def predict(fleet, job, cache=None):
-            key = {"kind": fleet.kind, "model": job.model}
-            return runner.run_cached(
-                key, lambda: simulate(fleet.kind, fleet.chips, job.model),
-                cache=cache)
+            def evaluate(jobs):
+                return [simulate(fleet.kind, fleet.chips, job.model)
+                        for _ in jobs]
+
+            return runner.cached_batch(
+                evaluate, [job], cache=cache,
+                key_fn=lambda item: {"kind": fleet.kind,
+                                     "model": job.model})
     """, select={"R002"})
     assert rule_ids(findings) == ["R002"]
     assert "fleet.chips" in findings[0].message
@@ -157,9 +161,13 @@ def test_cache_key_alias_covers_derived_value(tmp_path):
 
         def predict(fleet, job, cache=None):
             batch = math.ceil(job.batch / fleet.width) * fleet.width
-            key = {"kind": fleet.kind, "batch": batch}
-            return runner.run_cached(
-                key, lambda: simulate(fleet.kind, batch), cache=cache)
+
+            def evaluate(jobs):
+                return [simulate(fleet.kind, batch) for _ in jobs]
+
+            return runner.cached_batch(
+                evaluate, [job], cache=cache,
+                key_fn=lambda item: {"kind": fleet.kind, "batch": batch})
     """, select={"R002"})
     assert findings == []
 

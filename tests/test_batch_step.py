@@ -43,8 +43,8 @@ from repro.training import batch as batch_mod
 from repro.training.batch import (
     _PHASE_INDEX,
     STEP_PHASES,
+    LoweredStep,
     clear_lowered_step_cache,
-    lowered_step,
 )
 from repro.training.simulate import step_gemm_ops, step_vector_kernels
 from repro.workloads import build_model
@@ -127,6 +127,21 @@ def _column_lists(entry):
     return tuple(getattr(entry, column).tolist() for column in _COLUMNS)
 
 
+def _lowered_step(network, algorithm, accel, batch, tp=1):
+    """One spec's GEMM op columns as ``training_step_batch`` collects
+    them (``StepOps.step``)."""
+    return training_step_batch([(accel, network, algorithm, batch, tp)],
+                               collect_ops=True).ops[0].step
+
+
+def _gemm_columns(network, algorithm, accel, batch, tp):
+    """One spec's GEMM op columns, unpriced: the pricer's expansion of
+    the schedule over its memoized per-kind lowerings."""
+    ops = batch_mod._gemm_columns(batch_mod._group_specs(
+        [(accel, network, algorithm, batch, tp)]))
+    return LoweredStep(network, *(getattr(ops, name) for name in _COLUMNS))
+
+
 @pytest.fixture
 def lowerings(monkeypatch):
     """Record the ``(network id, kind, batch)`` of every
@@ -169,12 +184,12 @@ class TestLoweredStepMemo:
         for algorithm, tp, batch in itertools.product(
                 ALGORITHMS, (1, 2, 3), (8, 32)):
             algorithm = Algorithm(algorithm)
-            entry = lowered_step(network, algorithm, accel, batch, tp)
+            entry = _lowered_step(network, algorithm, accel, batch, tp)
             fresh = step_gemm_ops(network, algorithm, accel, batch, tp=tp)
             _assert_columns(entry, network, fresh)
             # A repeat is a memo hit: it lowers nothing anew.
             before = len(lowerings)
-            again = lowered_step(network, algorithm, accel, batch, tp)
+            again = _lowered_step(network, algorithm, accel, batch, tp)
             assert len(lowerings) == before
             assert _column_lists(again) == _column_lists(entry)
         # Every algorithm, batch and tp of one network shares one
@@ -184,7 +199,7 @@ class TestLoweredStepMemo:
 
     def test_entries_are_immutable(self, lowerings):
         network = build_model("SqueezeNet")
-        entry = lowered_step(network, Algorithm.DP_SGD,
+        entry = _lowered_step(network, Algorithm.DP_SGD,
                              build_accelerator("diva"), 16, 2)
         for column in _COLUMNS:
             array = getattr(entry, column)
@@ -205,7 +220,7 @@ class TestLoweredStepMemo:
                     build_model("MobileNet", native_groups=True),
                     build_model("MobileNet", input_size=64))
         assert len({net.name for net in variants}) == 1
-        entries = [lowered_step(net, Algorithm.DP_SGD, accel, 8)
+        entries = [_lowered_step(net, Algorithm.DP_SGD, accel, 8)
                    for net in variants]
         # DP-SGD runs three GEMM kinds; each variant lowers its own.
         assert len(batch_mod._LOWERED_KINDS) == 3 * 3
@@ -227,18 +242,18 @@ class TestLoweredStepMemo:
         dpsgd = (GemmKind.FORWARD, GemmKind.ACT_GRAD,
                  GemmKind.WGRAD_EXAMPLE)
         # Six distinct memo keys: (network, kind) pairs.
-        lowered_step(squeeze, Algorithm.SGD, accel, 8)
-        lowered_step(mobile, Algorithm.DP_SGD, accel, 8)
+        _lowered_step(squeeze, Algorithm.SGD, accel, 8)
+        _lowered_step(mobile, Algorithm.DP_SGD, accel, 8)
         assert len(batch_mod._LOWERED_KINDS) == 4
         assert sorted(lowerings, key=repr) == sorted(
             _kind_lowerings(squeeze, sgd) + _kind_lowerings(mobile, dpsgd),
             key=repr)
         # Live keys lower nothing, whatever the batch and tp.
-        lowered_step(mobile, Algorithm.DP_SGD, accel, 64, 2)
+        _lowered_step(mobile, Algorithm.DP_SGD, accel, 64, 2)
         assert len(lowerings) == 2 * 6
         # The oldest keys were evicted: asking again lowers them anew.
         del lowerings[:]
-        lowered_step(squeeze, Algorithm.SGD, accel, 8)
+        _lowered_step(squeeze, Algorithm.SGD, accel, 8)
         assert sorted(lowerings, key=repr) == _kind_lowerings(squeeze, sgd)
         assert len(batch_mod._LOWERED_KINDS) == 4
 
@@ -259,7 +274,7 @@ class TestLoweredStepMemo:
 
     def test_rejects_nonpositive_batch(self):
         with pytest.raises(ValueError, match="batch must be positive"):
-            lowered_step(build_model("SqueezeNet"), Algorithm.SGD,
+            _lowered_step(build_model("SqueezeNet"), Algorithm.SGD,
                          build_accelerator("diva"), 0)
 
     @pytest.mark.parametrize("mutate", [
@@ -278,7 +293,7 @@ class TestLoweredStepMemo:
 
         monkeypatch.setattr(Network, "gemms", gemms)
         with pytest.raises(ValueError, match="SqueezeNet.*batch-affine"):
-            lowered_step(build_model("SqueezeNet"), Algorithm.SGD,
+            _lowered_step(build_model("SqueezeNet"), Algorithm.SGD,
                          build_accelerator("diva"), 4)
 
     def test_cold_and_warm_memo_price_identically(self):
@@ -297,13 +312,12 @@ class TestLoweredStepMemo:
                                 getattr(warm_ops, name)):
                     np.testing.assert_array_equal(a, b)
                     assert not a.flags.writeable
-            entry = lowered_step(network, algorithm, accel, batch, tp)
-            assert len(cold_ops.gemm.cycles) == len(entry)
-            # The collected op columns are the spec's lowered_step,
-            # read-only like it.
+            fresh = step_gemm_ops(network, algorithm, accel, batch, tp=tp)
+            assert len(cold_ops.gemm.cycles) == len(fresh)
+            # The collected op columns are a fresh lowering's, read-only.
             for collected in (cold_ops.step, warm_ops.step):
                 assert collected.network is network
-                assert _column_lists(collected) == _column_lists(entry)
+                _assert_columns(collected, network, fresh)
                 assert not any(getattr(collected, column).flags.writeable
                                for column in _COLUMNS)
             # The phase cycles are the collected charges' sums.
@@ -340,7 +354,7 @@ class TestAffineLowering:
             for batch, tp in itertools.product(
                     (1, 2, 3, 64, 257, 8192), (1, 2, 3)):
                 _assert_columns(
-                    lowered_step(network, algorithm, accel, batch, tp),
+                    _gemm_columns(network, algorithm, accel, batch, tp),
                     network,
                     step_gemm_ops(network, algorithm, accel, batch, tp=tp),
                     f"{algorithm.value} {accel.name} b={batch} tp={tp}")

@@ -80,17 +80,6 @@ class TestCluster:
         with pytest.raises(ValueError, match="frequency"):
             Cluster([fast, slow])
 
-    def test_allreduce_oprun_records_link_bytes(self):
-        cluster = build_cluster("diva", n_chips=4)
-        payload = 10**7
-        run = cluster.allreduce(payload)
-        assert run.link_bytes \
-            == Interconnect.allreduce_bytes_per_chip(payload, 4)
-        assert run.cycles == math.ceil(
-            cluster.interconnect.allreduce_seconds(payload, 4)
-            * cluster.frequency_hz)
-        assert run.dram_bytes == 0
-
     def test_factory_validates_chip_count(self):
         with pytest.raises(ValueError, match="n_chips"):
             build_cluster("diva", n_chips=0)

@@ -70,6 +70,21 @@ def test_declared_check_flags_unscannable_main(tmp_path):
     assert "no add_parser" in problems[0]
 
 
+def test_api_names_resolve():
+    problems = check_docs.check_api_names(check_docs.iter_doc_files())
+    assert problems == [], "\n".join(problems)
+
+
+def test_api_name_check_flags_deleted_name(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text("Resolves: `repro.serve.metrics.percentile`.\n"
+                   "Gone: `repro.sim.PipelineSimulator`.\n")
+    problems = check_docs.check_api_names([doc])
+    assert len(problems) == 1
+    assert "doc.md:2" in problems[0]
+    assert "repro.sim.PipelineSimulator" in problems[0]
+
+
 def test_main_aggregates_helper_problems(monkeypatch):
     # Wiring only — the helpers themselves are exercised above, so
     # don't repeat their subprocess fan-out here.

@@ -60,6 +60,8 @@ from repro.training import (
 )
 from repro.workloads import build_model
 
+from admission_oracle import ScalarAdmission
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = REPO_ROOT / "tests" / "data" / "golden_fleet_zero_fault.json"
 
@@ -314,7 +316,7 @@ class TestCheckpointMath:
 
 def _run(config, fleet=None, epsilon=3.0):
     fleet = fleet or FleetConfig(chips=2, chips_per_cluster=2)
-    admission = AdmissionController(TenantBudget(epsilon=epsilon))
+    admission = ScalarAdmission(TenantBudget(epsilon=epsilon))
     return FaultRun(FaultModel(config), fleet, admission), admission
 
 
@@ -505,9 +507,14 @@ class TestFaultRun:
         expected = max(1, round(
             young_daly_interval_s(write_s, mtbf_s) / 0.05))
         assert interval == expected
+        assert frun.effective_step_seconds("SqueezeNet", 0.05) \
+            == checkpointed_step_seconds(0.05, write_s, interval)
         fixed, _ = _run(FaultConfig(
             mtbf_hours=10.0, checkpoint=CheckpointConfig(interval_steps=7)))
-        assert fixed._checkpoint("SqueezeNet", 0.05)[1] == 7
+        fixed_write_s, fixed_interval = fixed._checkpoint("SqueezeNet", 0.05)
+        assert fixed_interval == 7
+        assert fixed.effective_step_seconds("SqueezeNet", 0.05) \
+            == checkpointed_step_seconds(0.05, fixed_write_s, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +552,7 @@ class TestLedgerNeverOverspends:
                 <= budget.epsilon + 1e-9
 
     def test_reprice_never_exceeds_request_and_refund_floors(self):
-        admission = AdmissionController(TenantBudget(epsilon=1.0))
+        admission = ScalarAdmission(TenantBudget(epsilon=1.0))
         job = _private_job()
         admission.admit(job)
         granted = admission.reprice_steps(

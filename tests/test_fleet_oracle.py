@@ -3,11 +3,12 @@
 ``reference_fleet`` below is the simplest simulator that could be
 right: one event heap, every queued job in a plain list, the next job
 picked with ``min(queue, key)``, scalar admission
-(:meth:`AdmissionController.admit`), one service-time prediction
-(:func:`predict_step_seconds`) per job configuration, the autoscaler
-and the fault model driven through their public calls.  It keeps no
-observability and no per-job records, and it draws every failure one
-by one instead of priming the vectorized first-attempt table.
+(``admission_oracle.ScalarAdmission.admit``), one service-time
+prediction (:func:`predict_step_seconds`) per job configuration, the
+autoscaler and the fault model driven through their public calls.  It
+keeps no observability and no per-job records, and it draws every
+failure one by one instead of priming the vectorized first-attempt
+table.
 
 On ≤2k-job traces, :func:`simulate_fleet_streaming` must reproduce its
 dispatch log and report exactly — for every policy, on static and
@@ -39,6 +40,8 @@ from repro.serve import (
 )
 from repro.serve.scheduler import POLICIES, predict_step_seconds
 from repro.training import CheckpointConfig
+
+from admission_oracle import ScalarAdmission
 
 #: Same-time event order: arrivals, provisioned clusters, completions,
 #: repaired clusters, retried jobs.
@@ -249,7 +252,7 @@ class TestMatchesReferenceLoop:
         ref_log, ref, ref_waits = reference_fleet(
             jobs, fleet, policy=policy, autoscaler=autoscaler,
             faults=faults,
-            admission=AdmissionController(TenantBudget(epsilon=3.0)))
+            admission=ScalarAdmission(TenantBudget(epsilon=3.0)))
         log = []
         report = simulate_fleet_streaming(
             TraceArrays.from_jobs(jobs), fleet, policy=policy,

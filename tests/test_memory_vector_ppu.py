@@ -1,13 +1,13 @@
 """Tests for the memory system, vector unit and PPU models."""
 
-import math
-
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.arch.memory import MemoryConfig, MemorySystem
-from repro.arch.vector import VectorUnit, VectorUnitConfig
+from repro.arch.vector import VectorUnitConfig
+from repro.core import build_accelerator
 from repro.core.ppu import PostProcessingUnit, PpuConfig
 
 
@@ -55,30 +55,39 @@ class TestMemorySystem:
             MemoryConfig(sram_bytes=0)
 
 
+def _vector_cycles(elems, reduction=False):
+    """Vector-unit cycles ``Accelerator.vector_charges`` charges one
+    single-op kernel per entry of ``elems`` (a TPUv3-like vector unit,
+    no DRAM traffic)."""
+    accel = build_accelerator("ws")
+    elems = np.asarray(elems, dtype=np.int64)
+    zero = np.zeros_like(elems)
+    charges = accel.vector_charges(
+        elems, np.ones(len(elems)), zero, zero,
+        np.full(len(elems), reduction))
+    return charges.vector_cycles.tolist()
+
+
 class TestVectorUnit:
     def test_ops_per_cycle(self):
         assert VectorUnitConfig().ops_per_cycle == 128 * 8
 
     def test_elementwise_cycles(self):
-        vu = VectorUnit()
-        assert vu.elementwise_cycles(1024) == 1
-        assert vu.elementwise_cycles(1025) == 2
+        assert _vector_cycles([1024, 1025]) == [1, 2]
 
     def test_zero_elems(self):
-        vu = VectorUnit()
-        assert vu.elementwise_cycles(0) == 0
-        assert vu.reduction_cycles(0) == 0
+        assert _vector_cycles([0]) == [0]
+        assert _vector_cycles([0], reduction=True) == [0]
 
     def test_reduction_overhead(self):
         """Reductions pay the permute overhead (Section IV-C)."""
-        vu = VectorUnit()
-        elems = 100_000
-        assert vu.reduction_cycles(elems) == 2 * vu.elementwise_cycles(elems)
+        elems = [100_000]
+        assert _vector_cycles(elems, reduction=True) \
+            == [2 * cycles for cycles in _vector_cycles(elems)]
 
     @given(elems=st.integers(1, 10**8))
     def test_cycles_positive(self, elems):
-        vu = VectorUnit()
-        assert vu.elementwise_cycles(elems) >= 1
+        assert _vector_cycles([elems]) >= [1]
 
 
 class TestPpu:
@@ -103,20 +112,6 @@ class TestPpu:
     def test_flush_includes_tree_depth(self):
         ppu = PostProcessingUnit()
         assert ppu.flush_cycles() >= 7
-
-    def test_reduction_throughput(self):
-        """Input loading is O(1) per beat: N elements need ~N/1024 beats."""
-        ppu = PostProcessingUnit()
-        big = ppu.reduction_cycles(1024 * 1000)
-        assert big == 1000 + ppu.flush_cycles()
-
-    def test_reduction_zero(self):
-        assert PostProcessingUnit().reduction_cycles(0) == 0
-
-    @given(elems=st.integers(1, 10**7))
-    def test_reduction_monotone(self, elems):
-        ppu = PostProcessingUnit()
-        assert ppu.reduction_cycles(elems) <= ppu.reduction_cycles(elems * 2)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

@@ -526,22 +526,6 @@ class TestCacheStats:
         assert stats.lookups == 9
         assert stats.render() == "cache: 5 hits, 3 misses, 1 stale"
 
-    def test_cached_sweep_tallies(self, tmp_path):
-        from repro.experiments.runner import (
-            CacheStats, ResultCache, cached_sweep,
-        )
-
-        cache = ResultCache(tmp_path)
-        stats = CacheStats()
-        out = cached_sweep(str, [1, 2], cache=cache, parallel=False,
-                           key_fn=lambda item: {"item": item},
-                           stats=stats)
-        assert out == ["1", "2"]
-        assert (stats.hits, stats.misses) == (0, 2)
-        cached_sweep(str, [1, 2], cache=cache, parallel=False,
-                     key_fn=lambda item: {"item": item}, stats=stats)
-        assert (stats.hits, stats.misses) == (2, 2)
-
     def test_record_rejects_unknown_status(self):
         from repro.experiments.runner import CacheStats
 

@@ -175,14 +175,14 @@ class TestCycleAccounting:
             interconnect=InterconnectConfig(link_latency_s=1.01e-6))
         payloads = allreduce_payload_bytes(NETWORK, Algorithm.DP_SGD, 64)
         assert len(payloads) == 2
-        float_sum = sum(cluster.allreduce_seconds(p) for p in payloads)
+        seconds = [cluster.interconnect.allreduce_seconds(p, 4)
+                   for p in payloads]
         report = simulate_sharded_training_step(
             NETWORK, Algorithm.DP_SGD, cluster, 64, overlap=False)
         assert report.comm.cycles \
-            == math.ceil(float_sum * cluster.frequency_hz)
-        per_collective = sum(
-            math.ceil(cluster.allreduce_seconds(p) * cluster.frequency_hz)
-            for p in payloads)
+            == math.ceil(sum(seconds) * cluster.frequency_hz)
+        per_collective = sum(math.ceil(s * cluster.frequency_hz)
+                             for s in seconds)
         assert report.comm.cycles == per_collective - 1
 
     def test_bucketed_step_does_not_pay_per_bucket_rounding(self):
@@ -190,19 +190,12 @@ class TestCycleAccounting:
             "diva", 4,
             interconnect=InterconnectConfig(bucket_bytes=100_000))
         payloads = allreduce_payload_bytes(NETWORK, Algorithm.DP_SGD, 64)
-        float_sum = sum(cluster.allreduce_seconds(p) for p in payloads)
+        float_sum = sum(cluster.interconnect.allreduce_seconds(p, 4)
+                        for p in payloads)
         report = simulate_sharded_training_step(
             NETWORK, Algorithm.DP_SGD, cluster, 64, overlap=False)
         assert report.comm.cycles \
             == math.ceil(float_sum * cluster.frequency_hz)
-
-    def test_standalone_allreduce_still_ceils(self):
-        cluster = build_cluster("diva", 4)
-        payload = 10**7
-        run = cluster.allreduce(payload)
-        assert run.cycles == math.ceil(
-            cluster.allreduce_seconds(payload) * cluster.frequency_hz)
-        assert run.link_bytes == cluster.link_bytes(payload)
 
 
 class TestOverlapModel:
@@ -261,10 +254,11 @@ class TestOverlapModel:
         payloads = allreduce_payload_bytes(NETWORK, Algorithm.DP_SGD, 64)
         first_s = cluster.interconnect.first_bucket_seconds(payloads[0], 4)
         window = overlappable_backward_cycles(report.shard)
-        comm_total_s = sum(cluster.allreduce_seconds(p) for p in payloads)
+        comm_total_s = sum(cluster.interconnect.allreduce_seconds(p, 4)
+                           for p in payloads)
         assert window / cluster.frequency_hz > comm_total_s
-        norm_s = cluster.allreduce_seconds(payloads[1])
-        expected = cluster.cycles(first_s + norm_s)
+        norm_s = cluster.interconnect.allreduce_seconds(payloads[1], 4)
+        expected = math.ceil((first_s + norm_s) * cluster.frequency_hz)
         assert report.comm.cycles == expected
         assert report.comm.hidden_cycles > 0
 

@@ -334,13 +334,10 @@ class TestBatched3D:
     @pytest.mark.parametrize("model", MODEL_NAMES)
     def test_schedule_from_op_log_equals_lowered_step(self, model):
         """The oracle splits its per-op log's columns; the batched path
-        splits ``lowered_step``'s.  The schedules are equal."""
+        splits the op columns ``training_step_batch`` collects.  The
+        schedules are equal."""
         from repro.core import build_accelerator
-        from repro.training.batch import (
-            STEP_PHASES,
-            lowered_step,
-            training_step_batch,
-        )
+        from repro.training.batch import STEP_PHASES, training_step_batch
 
         net = build_model(model)
         accel = build_accelerator("diva")
@@ -363,8 +360,7 @@ class TestBatched3D:
                     {p: run.cycles for p, run in report.phases.items()},
                     batch, plan)
                 batched = build_pipeline_schedule(
-                    net, algorithm,
-                    lowered_step(net, algorithm, accel, batch, tp),
+                    net, algorithm, step.ops[0].step,
                     step.ops[0].gemm.cycles, batched_phases, batch, plan)
                 assert scalar == batched, (algorithm, pp, tp)
 

@@ -133,54 +133,6 @@ class TestResultCache:
             '"model": "ResNet-50", "overlap": true, "tags": ["a", "b"]}',
             '{"rows": [1, 2], "speedup": 2.5}')]
 
-    def test_run_cached_computes_once(self, tmp_path):
-        cache = runner.ResultCache(tmp_path)
-        calls = []
-
-        def producer():
-            calls.append(1)
-            return {"x": 7}
-
-        key = {"sweep": [1, 2, 3]}
-        assert runner.run_cached(key, producer, cache=cache) == {"x": 7}
-        assert runner.run_cached(key, producer, cache=cache) == {"x": 7}
-        assert len(calls) == 1
-
-    def test_run_cached_without_cache_recomputes(self):
-        calls = []
-
-        def producer():
-            calls.append(1)
-            return 1
-
-        runner.run_cached({"k": 1}, producer, cache=None)
-        runner.run_cached({"k": 1}, producer, cache=None)
-        assert len(calls) == 2
-
-    def test_cached_sweep_per_item_entries(self, tmp_path, cache_table):
-        cache = runner.ResultCache(tmp_path)
-        calls = []
-
-        def record(x):
-            calls.append(x)
-            return x * 10
-
-        key_fn = lambda x: {"item": x}  # noqa: E731
-        first = runner.cached_sweep(record, [1, 2], key_fn=key_fn,
-                                    cache=cache, parallel=False)
-        assert first == [10, 20]
-        # Growing the sweep only computes the new point.
-        second = runner.cached_sweep(record, [1, 2, 3], key_fn=key_fn,
-                                     cache=cache, parallel=False)
-        assert second == [10, 20, 30]
-        assert calls == [1, 2, 3]
-        assert len(cache_table(tmp_path).keys()) == 3
-
-    def test_cached_sweep_without_cache_is_plain_sweep(self):
-        assert runner.cached_sweep(square, [2, 3],
-                                   key_fn=lambda x: x,
-                                   cache=None, parallel=False) == [4, 9]
-
     def test_put_many_roundtrip_and_single_batch(self, tmp_path,
                                                  cache_table):
         cache = runner.ResultCache(tmp_path)

@@ -27,6 +27,8 @@ from repro.serve import (
 )
 from repro.training import CheckpointConfig
 
+from admission_oracle import ScalarAdmission
+
 
 def _job(job_id, *, tenant="t0", model="SqueezeNet", algorithm="SGD",
          batch=64, steps=100, sigma=1.0, dataset=20_000, arrival=0.0):
@@ -94,14 +96,14 @@ class TestTraceGenerator:
 
 class TestAdmission:
     def test_non_private_is_free(self):
-        ctl = AdmissionController(TenantBudget(epsilon=1.0))
+        ctl = ScalarAdmission(TenantBudget(epsilon=1.0))
         decision = ctl.admit(_job(0, algorithm="SGD", steps=10**6))
         assert decision.status is AdmissionStatus.ADMITTED
         assert decision.epsilon_cost == 0.0
         assert ctl.epsilon_spent("t0") == 0.0
 
     def test_full_admit_within_budget(self):
-        ctl = AdmissionController(TenantBudget(epsilon=8.0))
+        ctl = ScalarAdmission(TenantBudget(epsilon=8.0))
         job = _job(0, algorithm="DP-SGD", batch=64, dataset=20_000,
                    sigma=1.3, steps=200)
         decision = ctl.admit(job)
@@ -111,7 +113,7 @@ class TestAdmission:
 
     def test_truncation(self):
         # q=256/20000, sigma=1.0: ~860 of 1500 steps fit eps=3.0.
-        ctl = AdmissionController(TenantBudget(epsilon=3.0))
+        ctl = ScalarAdmission(TenantBudget(epsilon=3.0))
         job = _job(0, algorithm="DP-SGD(R)", batch=256, dataset=20_000,
                    sigma=1.0, steps=1500)
         decision = ctl.admit(job)
@@ -120,8 +122,8 @@ class TestAdmission:
         assert decision.epsilon_after <= 3.0
 
     def test_rejection_when_truncation_disabled(self):
-        ctl = AdmissionController(TenantBudget(epsilon=3.0),
-                                  allow_truncation=False)
+        ctl = ScalarAdmission(TenantBudget(epsilon=3.0),
+                              allow_truncation=False)
         job = _job(0, algorithm="DP-SGD(R)", batch=256, dataset=20_000,
                    sigma=1.0, steps=1500)
         decision = ctl.admit(job)
@@ -130,7 +132,7 @@ class TestAdmission:
         assert ctl.epsilon_spent("t0") == 0.0
 
     def test_budget_never_exceeded_across_jobs(self):
-        ctl = AdmissionController(TenantBudget(epsilon=2.0))
+        ctl = ScalarAdmission(TenantBudget(epsilon=2.0))
         for i in range(20):
             ctl.admit(_job(i, algorithm="DP-SGD", batch=128,
                            dataset=20_000, sigma=1.0, steps=400))
@@ -143,7 +145,7 @@ class TestAdmission:
         assert ctl.budget_for("anyone-else").epsilon == 1.0
 
     def test_remaining_fraction_decreases(self):
-        ctl = AdmissionController(TenantBudget(epsilon=4.0))
+        ctl = ScalarAdmission(TenantBudget(epsilon=4.0))
         assert ctl.remaining_fraction("t0") == 1.0
         ctl.admit(_job(0, algorithm="DP-SGD", batch=128, dataset=20_000,
                        sigma=1.0, steps=300))
@@ -440,8 +442,8 @@ class TestJobListAdapter:
         # Both controllers arrive with the same partly spent ledger.
         prior = dataclasses.replace(ordered[0], job_id=-1,
                                     algorithm="DP-SGD")
-        sequential = AdmissionController(TenantBudget(epsilon=3.0))
-        admission = AdmissionController(TenantBudget(epsilon=3.0))
+        sequential = ScalarAdmission(TenantBudget(epsilon=3.0))
+        admission = ScalarAdmission(TenantBudget(epsilon=3.0))
         sequential.admit(prior)
         admission.admit(prior)
         expected = [sequential.admit(job) for job in ordered]

@@ -38,6 +38,8 @@ from repro.serve import TrainingJob
 from repro.serve.budget import BatchAdmissionDecisions
 from repro.arch.batch import unique_rows
 
+from admission_oracle import ScalarAdmission
+
 _STATUS_CODE = {"admitted": BatchAdmissionDecisions.ADMITTED,
                 "truncated": BatchAdmissionDecisions.TRUNCATED,
                 "rejected": BatchAdmissionDecisions.REJECTED}
@@ -97,8 +99,8 @@ class TestBatchAdmission:
     def test_decisions_identical_to_sequential(self, epsilon, truncation):
         trace = generate_trace(TraceConfig(jobs=150, seed=7))
         arrays = TraceArrays.from_jobs(trace)
-        sequential = AdmissionController(TenantBudget(epsilon=epsilon),
-                                         allow_truncation=truncation)
+        sequential = ScalarAdmission(TenantBudget(epsilon=epsilon),
+                                     allow_truncation=truncation)
         expected = [sequential.admit(job) for job in trace]
         batched = AdmissionController(TenantBudget(epsilon=epsilon),
                                       allow_truncation=truncation)
@@ -131,7 +133,7 @@ class TestBatchAdmission:
                         noise_multiplier=0.0 if i % 3 else 1.0,
                         dataset_size=50_000, arrival_s=float(i))
             for i in range(30))
-        sequential = AdmissionController(TenantBudget(epsilon=1.0))
+        sequential = ScalarAdmission(TenantBudget(epsilon=1.0))
         expected = [sequential.admit(job) for job in trace]
         # An inf row that leaked into arithmetic would raise here.
         with np.errstate(invalid="raise"):
@@ -161,7 +163,7 @@ class TestBatchAdmission:
         monkeypatch.setattr(accountant, "_step_rdp_memo", OrderedDict())
         monkeypatch.setattr(accountant, "rdp_table", counting)
         arrays = generate_trace_arrays(TraceConfig(jobs=300, seed=21))
-        controller = AdmissionController(TenantBudget(epsilon=3.0))
+        controller = ScalarAdmission(TenantBudget(epsilon=3.0))
         controller.admit_batch(arrays)
         distinct = {(float(q), float(sigma)) for q, sigma in
                     zip(arrays.sampling_rate, arrays.noise_multiplier)}

@@ -17,7 +17,10 @@ Checks, in order:
    ``--help`` exit cleanly;
 5. the lint-rule table in ``docs/static-analysis.md`` names exactly
    the rule ids registered in ``src/repro/analysis/`` (found
-   statically via ``rule_id = "..."`` assignments).
+   statically via ``rule_id = "..."`` assignments);
+6. every backticked dotted ``repro.…`` name in ``README.md`` and
+   ``docs/*.md`` resolves: its longest importable module prefix is
+   imported and the rest is looked up with ``getattr``.
 
 Exits nonzero (listing every problem) on any failure, so CI can gate
 on it; see the ``docs`` job in ``.github/workflows/ci.yml``.
@@ -25,6 +28,7 @@ on it; see the ``docs`` job in ``.github/workflows/ci.yml``.
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import subprocess
@@ -46,6 +50,8 @@ _RULE_ROW = re.compile(r"^\|\s*`(R\d{3})`\s*\|")
 #: Rule registrations in src/repro/analysis/: rule_id = "R001"
 _RULE_ID = re.compile(r"""^\s*rule_id\s*=\s*["'](R\d{3})["']""",
                       re.MULTILINE)
+#: Backticked dotted API names: `repro.serve.metrics.percentile`
+_API_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
 
 
 def iter_doc_files() -> list[Path]:
@@ -177,6 +183,44 @@ def check_rule_table(doc: Path, analysis_dir: Path) -> list[str]:
     return problems
 
 
+def resolve_api_name(name: str) -> str | None:
+    """Why ``name`` does not resolve, or None when it does."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:split])
+        try:
+            obj = importlib.import_module(module_name)
+        except ModuleNotFoundError as err:
+            missing = err.name or ""
+            if module_name == missing \
+                    or module_name.startswith(missing + "."):
+                continue  # not a module: try a shorter prefix
+            return f"importing {module_name} failed: {err}"
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return f"{module_name} has no {'.'.join(parts[split:])}"
+            obj = getattr(obj, attr)
+        return None
+    return f"no module of {name} imports"
+
+
+def check_api_names(doc_files: list[Path]) -> list[str]:
+    """Backticked ``repro.…`` names that do not resolve, as problem
+    strings.  ``src/`` is put on ``sys.path`` for the imports."""
+    src = str(REPO_ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    problems = []
+    for doc in doc_files:
+        for line_no, line in enumerate(doc.read_text().splitlines(), 1):
+            for name in _API_NAME.findall(line):
+                reason = resolve_api_name(name)
+                if reason is not None:
+                    problems.append(f"{doc.name}:{line_no}: `{name}` does "
+                                    f"not resolve ({reason})")
+    return problems
+
+
 def main() -> int:
     doc_files = iter_doc_files()
     if not doc_files:
@@ -190,6 +234,7 @@ def main() -> int:
     problems += check_rule_table(
         REPO_ROOT / "docs" / "static-analysis.md",
         REPO_ROOT / "src" / "repro" / "analysis")
+    problems += check_api_names(doc_files)
     if problems:
         for problem in problems:
             print(f"check_docs: {problem}", file=sys.stderr)
