@@ -304,7 +304,9 @@ class Accelerator:
         )
 
     def _transfer_cycles(self, total_bytes: NDArray[Any]) -> NDArray[Any]:
-        """:meth:`MemorySystem.transfer_cycles` as a column."""
+        """DRAM cycles of each entry's transfer: the bandwidth-only
+        streaming cycles plus the access latency, exposed once per
+        transfer (0 bytes cost 0 cycles)."""
         memory = self.memory
         return np.where(
             total_bytes > 0,

@@ -395,6 +395,17 @@ class InterconnectConfig:
                 "chips_per_node is only meaningful for the "
                 f"'hierarchical' topology, not {self.topology!r}")
 
+    def node_grouping_error(self, n_chips: int) -> str | None:
+        """Why ``n_chips`` chips cannot share this fabric (``None`` if
+        they can): a hierarchical group above one chip (which has no
+        collectives) must fill whole nodes."""
+        if self.topology == "hierarchical" and n_chips > 1 \
+                and n_chips % self.chips_per_node:
+            return (f"{n_chips} chips do not group into hierarchical "
+                    f"nodes of {self.chips_per_node}; pick a "
+                    f"chips_per_node that divides the chip count")
+        return None
+
 
 class Interconnect:
     """Closed-form collective cost model over an :class:`InterconnectConfig`.
@@ -410,23 +421,14 @@ class Interconnect:
     def topology(self) -> str:
         return self.config.topology
 
-    def _node_shape(self, n_chips: int) -> tuple[int, int]:
-        """``(chips_per_node, n_nodes)`` of the hierarchical fabric."""
-        m = self.config.chips_per_node
-        if n_chips % m:
-            raise ValueError(
-                f"{n_chips} chips do not group into hierarchical nodes "
-                f"of {m}")
-        return m, n_chips // m
-
     def _columns(self, payload_bytes: int, n_chips: int,
                  ) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any],
                             NDArray[Any], NDArray[Any]]:
         """Length-1 columns of one collective; validates the node shape."""
         cfg = self.config
-        if cfg.topology == "hierarchical" and n_chips > 1 \
-                and payload_bytes > 0:
-            self._node_shape(n_chips)
+        error = cfg.node_grouping_error(n_chips)
+        if error is not None and payload_bytes > 0:
+            raise ValueError(error)
         return (np.array([payload_bytes]), np.array([n_chips]),
                 np.array([TOPOLOGY_CODES[cfg.topology]]),
                 np.array([cfg.bucket_bytes or 0]),

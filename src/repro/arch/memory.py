@@ -9,7 +9,6 @@ once per transfer as an exposed startup.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -30,7 +29,9 @@ class MemoryConfig:
 
 
 class MemorySystem:
-    """Converts DRAM byte counts into engine-clock cycle counts."""
+    """DRAM bandwidth in engine-clock terms; transfers are charged as
+    columns by :meth:`repro.arch.accelerator.Accelerator.gemm_charges`
+    and :meth:`~repro.arch.accelerator.Accelerator.vector_charges`."""
 
     def __init__(self, config: MemoryConfig | None = None,
                  frequency_hz: float = 940e6) -> None:
@@ -41,32 +42,3 @@ class MemorySystem:
     def bytes_per_cycle(self) -> float:
         """DRAM bytes deliverable per engine clock."""
         return self.config.bandwidth_bytes_per_s / self.frequency_hz
-
-    def transfer_cycles(self, num_bytes: int | float) -> int:
-        """Cycles to move ``num_bytes`` to/from DRAM (0 bytes -> 0 cycles).
-
-        Includes the access latency, exposed once per isolated transfer.
-        """
-        if num_bytes <= 0:
-            return 0
-        return (self.streaming_cycles(num_bytes)
-                + self.config.access_latency_cycles)
-
-    def streaming_cycles(self, num_bytes: int | float) -> int:
-        """Bandwidth-only cycles, for back-to-back pipelined transfers.
-
-        The DMA engine keeps many requests in flight across the 16
-        channels, so consecutive transfers hide each other's access
-        latency; only the streaming time occupies the engine.
-        """
-        if num_bytes <= 0:
-            return 0
-        return math.ceil(num_bytes / self.bytes_per_cycle)
-
-    def seconds(self, num_bytes: int | float) -> float:
-        """Wall-clock seconds for a transfer of ``num_bytes``."""
-        return self.transfer_cycles(num_bytes) / self.frequency_hz
-
-    def fits_in_sram(self, num_bytes: int | float) -> bool:
-        """Whether a tensor fits in the on-chip SRAM buffer."""
-        return num_bytes <= self.config.sram_bytes

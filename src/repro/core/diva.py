@@ -95,13 +95,9 @@ def build_cluster(
         raise ValueError(f"n_chips must be >= 1, got {n_chips}")
     ic_config = interconnect.config \
         if isinstance(interconnect, Interconnect) else interconnect
-    if ic_config is not None and ic_config.topology == "hierarchical" \
-            and n_chips > 1 and n_chips % ic_config.chips_per_node:
-        # A 1-chip cluster is exempt: it has no collectives at all.
-        raise ValueError(
-            f"{n_chips} chips do not group into hierarchical nodes of "
-            f"{ic_config.chips_per_node}; pick a chips_per_node that "
-            f"divides the chip count")
+    if ic_config is not None and (
+            error := ic_config.node_grouping_error(n_chips)) is not None:
+        raise ValueError(error)
     chips = [build_accelerator(kind, with_ppu=with_ppu, config=config)
              for _ in range(n_chips)]
     return Cluster(chips, interconnect=interconnect)

@@ -33,7 +33,7 @@ The pieces:
     (:meth:`~repro.serve.budget.AdmissionController.reprice_steps` /
     :meth:`~repro.serve.budget.AdmissionController.refund_steps`),
     graceful degradation via
-    :func:`~repro.training.plan.plan_placement`, and every fault
+    :func:`~repro.training.plan.price_plans`, and every fault
     metric the report surfaces.  See ``docs/reliability.md``.
 
 Budget-safety invariant (tested property-style): steps that executed
@@ -480,41 +480,32 @@ class FaultRun:
 
         ``pp`` / ``tp`` stages are mandatory — each lost chip removes
         one data-parallel replica (its whole ``pp x tp`` grid stalls),
-        so only the ``dp`` axis shrinks.  ``None`` when no smaller
-        replica count fits (including ``dp == 1``: losing any chip of
-        a pure model-parallel grid stalls the job outright).
+        so only the ``dp`` axis shrinks: one
+        :func:`~repro.training.plan.price_plans` call prices
+        ``(dp', pp, tp)`` for every surviving ``dp'`` at the batch
+        rounded up to whole replicas, and the largest feasible ``dp'``
+        wins.  ``None`` when none fits (including ``dp == 1``: losing
+        any chip of a pure model-parallel grid stalls the job outright).
         """
         key = (model_name, algorithm, batch, chips_lost)
         if key in self._degraded:
             return self._degraded[key]
 
-        from repro.training import Algorithm, plan_placement
+        from repro.arch.cluster import ParallelPlan
+        from repro.training import Algorithm
+        from repro.training.plan import price_plans
         from repro.workloads import build_model
 
         fleet = self.fleet
-        replicas_lost = min(fleet.dp, chips_lost)
-        best: float | None = None
-        for dp2 in range(fleet.dp - replicas_lost, 0, -1):
-            chips2 = dp2 * fleet.pp * fleet.tp
-            rounded = math.ceil(batch / dp2) * dp2
-            try:
-                result = plan_placement(
-                    build_model(model_name), Algorithm(algorithm),
-                    chips2, rounded, kind=fleet.kind,
-                    topology=fleet.topology,
-                    bucket_bytes=fleet.bucket_bytes,
-                    chips_per_node=fleet.chips_per_node,
-                    fabric=fleet.fabric, overlap=fleet.overlap)
-            except ValueError:
-                continue
-            for cand in result.candidates:
-                if cand.feasible and cand.plan.dp == dp2 \
-                        and cand.plan.pp == fleet.pp \
-                        and cand.plan.tp == fleet.tp:
-                    best = cand.step_seconds
-                    break
-            if best is not None:
-                break
+        plans = [ParallelPlan(dp=dp2, pp=fleet.pp, tp=fleet.tp)
+                 for dp2 in range(fleet.dp - min(fleet.dp, chips_lost), 0, -1)]
+        candidates = price_plans(
+            build_model(model_name), Algorithm(algorithm), plans,
+            [math.ceil(batch / plan.dp) * plan.dp for plan in plans],
+            interconnect=fleet.interconnect, kind=fleet.kind,
+            overlap=fleet.overlap)
+        best = next((cand.step_seconds for cand in candidates
+                     if cand.feasible), None)
         self._degraded[key] = best
         return best
 

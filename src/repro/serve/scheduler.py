@@ -52,7 +52,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.arch.batch import unique_rows
-from repro.arch.interconnect import InterconnectConfig
+from repro.arch.interconnect import InterconnectConfig, fabric_named
 from repro.experiments import runner
 from repro.serve.autoscale import AutoscalerPolicy, AutoscalerState
 from repro.serve.budget import (
@@ -118,21 +118,23 @@ class FleetConfig:
             raise ValueError(
                 f"{self.chips_per_cluster} chips per cluster do not "
                 f"factor into pp={self.pp} x tp={self.tp} stages")
-        if self.fabric is not None:
-            from repro.arch.interconnect import fabric_named
-
-            fabric_named(self.fabric)  # validate the preset name
-        # The fabric knobs (topology, bucket_bytes, chips_per_node)
-        # validate themselves; only cluster divisibility is ours.
-        InterconnectConfig(topology=self.topology,
-                           bucket_bytes=self.bucket_bytes,
-                           chips_per_node=self.chips_per_node)
+        # The fabric knobs (fabric, topology, bucket_bytes,
+        # chips_per_node) validate themselves; divisibility is ours.
+        self.interconnect
         if self.topology == "hierarchical" and self.dp > 1 \
                 and self.dp % self.chips_per_node:
             # Single-replica clusters are exempt: no DP collectives.
             raise ValueError(
                 f"{self.dp} data-parallel chips per cluster do not "
                 f"group into hierarchical nodes of {self.chips_per_node}")
+
+    @property
+    def interconnect(self) -> InterconnectConfig:
+        """Each cluster's chip-to-chip fabric."""
+        return InterconnectConfig(
+            topology=self.topology, bucket_bytes=self.bucket_bytes,
+            chips_per_node=self.chips_per_node,
+            fabric=None if self.fabric is None else fabric_named(self.fabric))
 
     @property
     def n_clusters(self) -> int:

@@ -6,32 +6,35 @@ the accelerator simulation driver (:mod:`repro.training.simulate`) and
 the GPU comparison (Figure 17), which prices the same GEMM lists on the
 GPU model.
 
-:func:`plan_placement` searches the DP x PP x TP factorizations of a
-chip count: every candidate is simulated closed-form on the requested
-fabric, plans whose per-stage :func:`~repro.training.parallel.
-stage_memory_breakdown` exceeds the HBM budget are refused, and the
-fastest feasible plan wins (ties prefer fewer pipeline stages, then
-fewer tensor shards — the least invasive parallelism).
+:func:`price_plans` prices DP x PP x TP plans in one batched call,
+refusing those whose per-stage :func:`~repro.training.parallel.
+stage_memory_breakdown` exceeds the HBM budget; :func:`plan_placement`
+runs it over the factorizations of a chip count, and the fastest
+feasible plan wins (ties prefer fewer pipeline stages, then fewer
+tensor shards — the least invasive parallelism).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from repro.arch.cluster import ParallelPlan
+from repro.arch.interconnect import (
+    TOPOLOGY_CODES, Fabric, InterconnectConfig, fabric_named,
+)
+from repro.core.diva import build_accelerator
 from repro.training.algorithms import Algorithm
+from repro.training.batch import _broadcast_column, _sharded_steps
 from repro.training.memory import (
     DEFAULT_CAPACITY_BYTES, DEFAULT_RESERVED_FRACTION,
 )
+from repro.training.parallel import stage_memory_breakdown
 from repro.training.phases import Phase
 from repro.training.simulate import step_gemm_blocks
 from repro.workloads.gemms import Gemm, GemmKind
 from repro.workloads.model import Network
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.arch.cluster import ParallelPlan
-    from repro.arch.interconnect import Fabric
 
 
 def phase_gemms(network: Network, algorithm: Algorithm,
@@ -79,7 +82,7 @@ def bottleneck_gemms(network: Network, algorithm: Algorithm,
 class PlanCandidate:
     """One evaluated DP x PP x TP factorization."""
 
-    plan: "ParallelPlan"
+    plan: ParallelPlan
     feasible: bool
     #: Why the plan was refused ("" when feasible).
     reason: str
@@ -102,7 +105,7 @@ class PlacementResult:
     budget_bytes: int
 
     @property
-    def best(self) -> "ParallelPlan | None":
+    def best(self) -> ParallelPlan | None:
         """The fastest feasible plan (``None`` if nothing fits)."""
         feasible = [c for c in self.candidates if c.feasible]
         if not feasible:
@@ -111,10 +114,8 @@ class PlacementResult:
             c.step_seconds, c.plan.pp, c.plan.tp)).plan
 
 
-def _factorizations(n_chips: int) -> "list[ParallelPlan]":
+def _factorizations(n_chips: int) -> list[ParallelPlan]:
     """Every ``dp * pp * tp == n_chips`` grid, in deterministic order."""
-    from repro.arch.cluster import ParallelPlan
-
     plans = []
     for dp in range(1, n_chips + 1):
         if n_chips % dp:
@@ -129,6 +130,75 @@ def _factorizations(n_chips: int) -> "list[ParallelPlan]":
     return plans
 
 
+def _refusal(plan: ParallelPlan, global_batch: int, n_layers: int,
+             interconnect: InterconnectConfig) -> str | None:
+    """Why ``plan`` is refused before pricing (``None`` if it is priced)."""
+    if global_batch % plan.dp:
+        return f"global batch {global_batch} not divisible by dp={plan.dp}"
+    if plan.pp > n_layers:
+        return f"pp={plan.pp} exceeds the {n_layers}-layer network"
+    if (interconnect.topology == "hierarchical" and plan.dp > 1
+            and plan.dp % interconnect.chips_per_node):
+        return (f"dp={plan.dp} does not group into hierarchical nodes "
+                f"of {interconnect.chips_per_node}")
+    return interconnect.node_grouping_error(plan.n_chips)
+
+
+def price_plans(
+    network: Network,
+    algorithm: Algorithm,
+    plans: Sequence[ParallelPlan],
+    global_batches: Sequence[int],
+    *,
+    interconnect: InterconnectConfig,
+    budget_bytes: int = int(
+        DEFAULT_CAPACITY_BYTES * (1.0 - DEFAULT_RESERVED_FRACTION)),
+    kind: str = "diva",
+    overlap: bool = True,
+) -> list[PlanCandidate]:
+    """Price each plan at its own global batch in one batched call.
+
+    A plan :func:`_refusal` names a reason for is refused unpriced.
+    The rest go through one :func:`~repro.training.batch._sharded_steps`
+    call on a ``kind`` chip and are refused when a stage's
+    :func:`~repro.training.parallel.stage_memory_breakdown`, at the
+    local batch and stage bounds that call prices, exceeds
+    ``budget_bytes``: an accepted plan is exactly the executed plan.
+    """
+    n_layers = len(network.layers)
+    reasons = [_refusal(plan, batch, n_layers, interconnect)
+               for plan, batch in zip(plans, global_batches)]
+    priced = [i for i, reason in enumerate(reasons) if reason is None]
+    grid = [plans[i] for i in priced]
+    fits: dict[int, PlanCandidate] = {}
+    if grid:
+        ic, n = interconnect, len(grid)
+        steps, _, schedules = _sharded_steps(
+            [build_accelerator(kind)] * n, [network] * n, [algorithm] * n,
+            *(_broadcast_column(column, n) for column in (
+                [global_batches[i] for i in priced], [p.dp for p in grid],
+                [p.pp for p in grid], [p.tp for p in grid],
+                TOPOLOGY_CODES[ic.topology], ic.bucket_bytes or 0,
+                ic.chips_per_node)),
+            tuple(_broadcast_column(v, n) for v in ic.links.link_params()),
+            _broadcast_column(overlap, n),
+            microbatches=[p.microbatches for p in grid])
+        for j, (i, plan, schedule) in enumerate(zip(priced, grid,
+                                                    schedules)):
+            bounds = (schedule and schedule.stage_bounds) or (0, n_layers)
+            peak = max(b.total for b in stage_memory_breakdown(
+                network, algorithm, int(steps.local_batch[j]), bounds,
+                plan.tp))
+            reason = "" if peak <= budget_bytes else (
+                f"stage memory {peak / 2**30:.1f} GiB exceeds the "
+                f"{budget_bytes / 2**30:.1f} GiB budget")
+            fits[i] = PlanCandidate(plan, not reason, reason,
+                                    float(steps.total_seconds[j]), peak)
+    return [fits[i] if reason is None else
+            PlanCandidate(plans[i], False, reason, math.inf, 0)
+            for i, reason in enumerate(reasons)]
+
+
 def plan_placement(
     network: Network,
     algorithm: Algorithm,
@@ -141,80 +211,38 @@ def plan_placement(
     topology: str = "ring",
     bucket_bytes: int | None = None,
     chips_per_node: int = 1,
-    fabric: "Fabric | str | None" = None,
+    fabric: Fabric | str | None = None,
     overlap: bool = True,
 ) -> PlacementResult:
     """Search DP x PP x TP placements of one workload on ``n_chips``.
 
-    Every factorization of ``n_chips`` is either refused with a reason
-    (batch not divisible by ``dp``, more stages than layers, a stage's
-    memory footprint over the HBM budget) or simulated closed-form;
-    :attr:`PlacementResult.best` is the fastest feasible plan.  The
-    memory refusal uses the same per-stage partition the simulator
-    runs, so a plan the planner accepts is exactly the plan the
-    cluster executes.
+    Every factorization of ``n_chips`` is refused with a reason or
+    priced closed-form, all in one :func:`price_plans` call;
+    :attr:`PlacementResult.best` is the fastest feasible plan.  A
+    hierarchical ``n_chips`` that does not group into nodes raises, as
+    :func:`~repro.core.diva.build_cluster` does.
     """
-    from repro.arch.interconnect import InterconnectConfig, fabric_named
-    from repro.core.diva import build_cluster
-    from repro.training.parallel import stage_memory_breakdown
-    from repro.training.simulate import simulate_sharded_training_step
-
     if n_chips < 1:
         raise ValueError(f"n_chips must be >= 1, got {n_chips}")
     if global_batch < 1:
         raise ValueError(
             f"global batch must be positive, got {global_batch}")
-    if isinstance(fabric, str):
-        fabric = fabric_named(fabric)
-    cluster = build_cluster(
-        kind=kind, n_chips=n_chips,
-        interconnect=InterconnectConfig(
-            topology=topology, bucket_bytes=bucket_bytes,
-            chips_per_node=chips_per_node, fabric=fabric))
+    interconnect = InterconnectConfig(
+        topology=topology, bucket_bytes=bucket_bytes,
+        chips_per_node=chips_per_node,
+        fabric=fabric_named(fabric) if isinstance(fabric, str) else fabric)
+    if (error := interconnect.node_grouping_error(n_chips)) is not None:
+        raise ValueError(error)
     budget = int(capacity_bytes * (1.0 - reserved_fraction))
-    n_layers = len(network.layers)
-    candidates: list[PlanCandidate] = []
-    for plan in _factorizations(n_chips):
-        if global_batch % plan.dp:
-            candidates.append(PlanCandidate(
-                plan, False,
-                f"global batch {global_batch} not divisible by "
-                f"dp={plan.dp}", math.inf, 0))
-            continue
-        if plan.pp > n_layers:
-            candidates.append(PlanCandidate(
-                plan, False,
-                f"pp={plan.pp} exceeds the {n_layers}-layer network",
-                math.inf, 0))
-            continue
-        if (topology == "hierarchical" and plan.dp > 1
-                and plan.dp % chips_per_node):
-            candidates.append(PlanCandidate(
-                plan, False,
-                f"dp={plan.dp} does not group into hierarchical nodes "
-                f"of {chips_per_node}", math.inf, 0))
-            continue
-        report = simulate_sharded_training_step(
-            network, algorithm, cluster, global_batch, plan=plan,
-            overlap=overlap)
-        bounds = report.stage_bounds or (0, n_layers)
-        peak = max(
-            b.total for b in stage_memory_breakdown(
-                network, algorithm, report.local_batch, bounds, plan.tp))
-        if peak > budget:
-            candidates.append(PlanCandidate(
-                plan, False,
-                f"stage memory {peak / 2**30:.1f} GiB exceeds the "
-                f"{budget / 2**30:.1f} GiB budget",
-                report.total_seconds, peak))
-            continue
-        candidates.append(PlanCandidate(
-            plan, True, "", report.total_seconds, peak))
+    plans = _factorizations(n_chips)
     return PlacementResult(
         network=network.name,
         algorithm=algorithm,
         n_chips=n_chips,
         global_batch=global_batch,
-        candidates=tuple(candidates),
+        candidates=tuple(price_plans(
+            network, algorithm, plans, [global_batch] * len(plans),
+            budget_bytes=budget, interconnect=interconnect, kind=kind,
+            overlap=overlap)),
         budget_bytes=budget,
     )

@@ -7,14 +7,21 @@ the step priced one operation at a time, the way
 ``simulate_training_step`` used to, so the tests can pin the column
 path against it field by field:
 
+* :func:`transfer_cycles` / :func:`streaming_cycles` /
+  :func:`seconds` / :func:`fits_in_sram` — the scalar DRAM rule
+  ``MemorySystem`` carried before ``Accelerator._transfer_cycles``
+  charged it as a column (``self`` renamed ``memory``);
 * :func:`run_gemm` / :func:`run_vector` — the per-op charges, with the
   bodies ``Accelerator.run_gemm`` / ``run_vector`` had before they
   became length-1 adapters of the column charges (``self`` renamed
-  ``accel``), and the vector-unit cycle counts
-  :func:`elementwise_cycles` / :func:`reduction_cycles` that
-  ``VectorUnit`` carried;
+  ``accel``, the transfer priced by :func:`transfer_cycles`), and the
+  vector-unit cycle counts :func:`elementwise_cycles` /
+  :func:`reduction_cycles` that ``VectorUnit`` carried;
+* :func:`step_gemm_ops` — ``simulate.step_gemm_ops`` over a
+  session-wide memo of ``Network.gemms(kind, batch)``, keyed by network
+  identity, so the oracle pins lower each network once;
 * :func:`step_vector_runs` / :func:`chip_step` — the per-op step loop
-  over ``step_vector_kernels`` and ``step_gemm_ops``;
+  over ``step_vector_kernels`` and :func:`step_gemm_ops`;
 * :func:`from_ops` — the columns of an op log, built op by op;
 * :func:`sharded_step` — the sharded step composed point by point the
   way ``simulate_sharded_training_step`` used to (its shard priced by
@@ -38,15 +45,79 @@ from repro.training.batch import (
     _layer_column,
     step_comm_cycles,
 )
+from repro.training import simulate
 from repro.training.parallel import build_pipeline_schedule
 from repro.training.phases import Phase
 from repro.training.simulate import (
     GRAD_BYTES,
     ClusterTrainingReport,
     TrainingReport,
-    step_gemm_ops,
     step_vector_kernels,
 )
+
+
+class _LoweredNetwork:
+    """A network view whose ``gemms(kind, batch)`` lists are lowered
+    once; ``simulate.step_gemm_ops`` reads nothing else of it."""
+
+    def __init__(self, network):
+        self.network = network
+        self._gemms = {}
+
+    def gemms(self, kind, batch):
+        gemms = self._gemms.get((kind, batch))
+        if gemms is None:
+            gemms = self._gemms[kind, batch] = self.network.gemms(kind,
+                                                                  batch)
+        return gemms
+
+
+#: Session-wide lowering memo, by network identity (each view holds its
+#: network, so an id is never reused while its entry lives).
+_LOWERED = {}
+
+
+def step_gemm_ops(network, algorithm, accelerator, batch, tp=1):
+    """``simulate.step_gemm_ops``, lowering each ``network.gemms(kind,
+    batch)`` once per session: every oracle pin shares the lowering."""
+    lowered = _LOWERED.get(id(network))
+    if lowered is None:
+        lowered = _LOWERED[id(network)] = _LoweredNetwork(network)
+    return simulate.step_gemm_ops(lowered, algorithm, accelerator, batch,
+                                  tp)
+
+
+def transfer_cycles(memory, num_bytes):
+    """Cycles to move ``num_bytes`` to/from DRAM (0 bytes -> 0 cycles).
+
+    Includes the access latency, exposed once per isolated transfer.
+    """
+    if num_bytes <= 0:
+        return 0
+    return (streaming_cycles(memory, num_bytes)
+            + memory.config.access_latency_cycles)
+
+
+def streaming_cycles(memory, num_bytes):
+    """Bandwidth-only cycles, for back-to-back pipelined transfers.
+
+    The DMA engine keeps many requests in flight across the 16
+    channels, so consecutive transfers hide each other's access
+    latency; only the streaming time occupies the engine.
+    """
+    if num_bytes <= 0:
+        return 0
+    return math.ceil(num_bytes / memory.bytes_per_cycle)
+
+
+def seconds(memory, num_bytes):
+    """Wall-clock seconds for a transfer of ``num_bytes``."""
+    return transfer_cycles(memory, num_bytes) / memory.frequency_hz
+
+
+def fits_in_sram(memory, num_bytes):
+    """Whether a tensor fits in the on-chip SRAM buffer."""
+    return num_bytes <= memory.config.sram_bytes
 
 
 def run_gemm(accel, gemm, read_lhs=True, read_rhs=True, write_output=True,
@@ -95,7 +166,7 @@ def run_gemm(accel, gemm, read_lhs=True, read_rhs=True, write_output=True,
     elif write_output:
         dram_write = gemm.out_elems * acc_bytes
 
-    transfer = accel.memory.transfer_cycles(dram_read + dram_write)
+    transfer = transfer_cycles(accel.memory, dram_read + dram_write)
     return OpRun(
         cycles=max(compute, transfer),
         compute_cycles=compute,
@@ -137,8 +208,8 @@ def run_vector(accel, elems, ops_per_elem=1.0, dram_read_bytes=0,
     else:
         compute = elementwise_cycles(accel.vector.config, elems,
                                      ops_per_elem)
-    transfer = accel.memory.transfer_cycles(
-        dram_read_bytes + dram_write_bytes
+    transfer = transfer_cycles(
+        accel.memory, dram_read_bytes + dram_write_bytes
     )
     return OpRun(
         cycles=max(compute, transfer),

@@ -2,6 +2,7 @@
 
 import pytest
 
+import step_oracle
 from repro.arch.accelerator import OpRun
 from repro.core import build_accelerator
 from repro.workloads.gemms import Gemm
@@ -49,7 +50,7 @@ class TestRunGemm:
         run = accel.run_gemm(g)
         assert run.cycles == max(
             run.compute_cycles,
-            accel.memory.transfer_cycles(run.dram_bytes),
+            step_oracle.transfer_cycles(accel.memory, run.dram_bytes),
         )
 
     def test_memory_bound_gemm(self):
@@ -125,7 +126,7 @@ class TestRunVector:
     def test_memory_bound_vector_op(self):
         accel = build_accelerator("ws")
         run = accel.run_vector(1000, dram_read_bytes=10**9)
-        assert run.cycles == accel.memory.transfer_cycles(10**9)
+        assert run.cycles == step_oracle.transfer_cycles(accel.memory, 10**9)
 
     def test_reduction_slower_than_elementwise(self):
         accel = build_accelerator("ws")

@@ -342,7 +342,7 @@ def _experiment_networks():
 
 class TestAffineLowering:
     """Pin: every experiment network's schedule is batch-affine, so the
-    memo's column arithmetic reproduces a fresh ``step_gemm_ops``."""
+    memo's column arithmetic reproduces the oracle's ``step_gemm_ops``."""
 
     @pytest.mark.parametrize("network", _experiment_networks(),
                              ids=lambda net: f"{net.name}-{net.input_elems}"
@@ -356,7 +356,8 @@ class TestAffineLowering:
                 _assert_columns(
                     _gemm_columns(network, algorithm, accel, batch, tp),
                     network,
-                    step_gemm_ops(network, algorithm, accel, batch, tp=tp),
+                    step_oracle.step_gemm_ops(network, algorithm, accel,
+                                              batch, tp=tp),
                     f"{algorithm.value} {accel.name} b={batch} tp={tp}")
 
 
