@@ -1,9 +1,8 @@
-"""Legacy setup shim.
+"""Package metadata for ``pip install -e .`` / ``python setup.py develop``.
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so
-``pip install -e .`` / ``python setup.py develop`` work in offline
-environments that lack the ``wheel`` package needed for PEP 660
-editable installs.
+The runtime needs only NumPy.  SciPy is a test dependency: the tests
+pin the privacy accountant to ``scipy.special`` bit for bit
+(``pip install -e .[test]``).
 """
 
 from setuptools import find_packages, setup
@@ -14,5 +13,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
+    install_requires=["numpy>=1.24"],
+    extras_require={"test": ["scipy>=1.10", "pytest", "hypothesis"]},
 )

@@ -28,7 +28,7 @@ def _cmd_models(_: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(_: argparse.Namespace) -> int:
-    from repro.experiments import ALL_EXPERIMENTS
+    from repro.experiments.run_all import ALL_EXPERIMENTS
 
     for key, module in ALL_EXPERIMENTS.items():
         doc = (module.__doc__ or "").strip().splitlines()[0]
@@ -37,10 +37,9 @@ def _cmd_experiments(_: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments import ALL_EXPERIMENTS
+    from repro.experiments.run_all import ALL_EXPERIMENTS, main as run_all
 
     if args.experiment == "all":
-        from repro.experiments.run_all import main as run_all
         run_all(["--jobs", str(args.jobs)] if args.jobs else [])
         return 0
     module = ALL_EXPERIMENTS.get(args.experiment)

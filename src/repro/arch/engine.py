@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from typing import Any
 
@@ -316,7 +316,18 @@ class GemmEngine(abc.ABC):
             _GEMM_STATS_CACHE.move_to_end(key)
             if cached.gemm == gemm:
                 return cached
-            return replace(cached, gemm=gemm)
+            # Built field by field: ``dataclasses.replace`` re-reads the
+            # field list on every hit.
+            return GemmStats(
+                gemm=gemm,
+                engine=cached.engine,
+                compute_cycles=cached.compute_cycles,
+                macs=cached.macs,
+                peak_macs_per_cycle=cached.peak_macs_per_cycle,
+                tiles=cached.tiles,
+                sram_read_bytes=cached.sram_read_bytes,
+                sram_write_bytes=cached.sram_write_bytes,
+            )
         row = gemm_stats_batch(self, gemm.m, gemm.k, gemm.n, gemm.count)
         stats = GemmStats(
             gemm=gemm,

@@ -14,6 +14,13 @@ For sampling rate ``q``, noise multiplier ``sigma`` and integer order
 
 Special cases covered exactly: ``q == 0`` gives 0 (no data touched),
 ``q == 1`` reduces to the Gaussian mechanism's ``alpha / (2 sigma^2)``.
+
+The two special functions it needs are written here in NumPy and
+:mod:`math`, bit for bit equal to SciPy's (``tests/accountant_oracle.py``
+keeps the SciPy formulas as the oracle): ``log C(n, k)`` reads a table
+of ``log(n!)`` (:func:`_log_factorials`, Cephes ``lgam`` at the
+integers) and the reduction over ``k`` is :func:`_logsumexp`, SciPy's
+max-term-aside form.
 """
 
 from __future__ import annotations
@@ -24,51 +31,95 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy import special
 
 #: Default RDP orders, matching TF-Privacy's ladder.
 DEFAULT_ORDERS: tuple[int, ...] = tuple(range(2, 64)) + (
     128, 256, 512, 1024)
 
 
-def _log_comb(n: int, k: int) -> float:
-    return (special.gammaln(n + 1) - special.gammaln(k + 1)
-            - special.gammaln(n - k + 1))
+#: Cephes ``lgam``'s Stirling-series coefficients (``A``) and ``log(2 pi)/2``.
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+           7.93650340457716943945E-4, -2.77777777730099687205E-3,
+           8.33333333333331927722E-2)
+_LS2PI = 0.91893853320467274178
+#: ``_log_factorial_table[n] == log(n!)``; grown by :func:`_log_factorials`.
+_log_factorial_table: list[float] = []
+
+
+def _log_factorial(n: int) -> float:
+    """``log(n!)``, bitwise ``scipy.special.gammaln(n + 1)``.
+
+    Below 12 the factorial is exact, and Cephes ``lgam`` returns the log
+    of that same product.  From 12 on it repeats ``lgam``'s Stirling
+    branch at ``x = n + 1`` in the same operation order, with the libm
+    ``log`` SciPy calls: the 5-term polynomial below ``x = 1000``, the
+    3-term form from there, the bare series above ``1e8``.
+    """
+    if n < 12:
+        return math.log(math.factorial(n))
+    x = float(n + 1)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p
+                     - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    poly = _LGAM_A[0]
+    for coef in _LGAM_A[1:]:
+        poly = poly * p + coef
+    return q + poly / x
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """``log(k!)`` for ``k = 0..n``, grown on demand and kept."""
+    table = _log_factorial_table
+    table.extend(map(_log_factorial, range(len(table), n + 1)))
+    return np.array(table[:n + 1])
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(a)))`` over the last axis, bitwise SciPy 1.17's.
+
+    Every element equal to the maximum is set aside (``m`` of them),
+    ``s`` sums ``exp(a - a_max)`` over the rest, and the result is
+    ``log1p(s / m) + log(m) + a_max``.  Where that is not finite (an
+    infinite or NaN term), the row is ``log(sum(exp(a)))`` as in SciPy.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=-1, keepdims=True)
+        is_max = a == a_max
+        m = np.sum(is_max, axis=-1, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max),
+                   axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        direct = ~np.isfinite(out[..., 0])
+        if direct.any():
+            out[direct] = np.log(np.sum(np.exp(a[direct]), axis=-1,
+                                        keepdims=True))
+    return out[..., 0]
 
 
 def rdp_sampled_gaussian(q: float, sigma: float, order: int) -> float:
-    """RDP of one subsampled-Gaussian step at an integer ``order``."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"sampling rate must be in [0, 1], got {q}")
-    if order < 2 or int(order) != order:
-        raise ValueError(f"order must be an integer >= 2, got {order}")
-    if q == 0.0:
-        return 0.0
-    if sigma <= 0.0:
-        return math.inf
-    if q == 1.0:
-        return order / (2.0 * sigma * sigma)
-    order = int(order)
-    log_terms = [
-        _log_comb(order, k)
-        + (order - k) * math.log1p(-q)
-        + k * math.log(q)
-        + k * (k - 1) / (2.0 * sigma * sigma)
-        for k in range(order + 1)
-    ]
-    return float(special.logsumexp(log_terms)) / (order - 1)
+    """RDP of one subsampled-Gaussian step at an integer ``order``: the
+    one-entry :func:`rdp_table`."""
+    return float(rdp_table([q], [sigma], (order,))[0, 0])
 
 
 def rdp_table(qs: ArrayLike, sigmas: ArrayLike,
               orders: tuple[int, ...] = DEFAULT_ORDERS) -> np.ndarray:
     """Per-step RDP of many mechanisms: ``(len(qs), len(orders))``.
 
-    Row ``i`` is bitwise ``[rdp_sampled_gaussian(qs[i], sigmas[i], a)
-    for a in orders]``: each order's log-terms form one
-    ``(pairs x order+1)`` grid, evaluated in the scalar expression's
-    operation order and reduced by one row-wise ``logsumexp``.  The
-    logs of ``q`` come from :mod:`math` per pair, because NumPy's
-    ``log``/``log1p`` can differ from them by an ulp.
+    Row ``i`` is the curve of ``(qs[i], sigmas[i])`` over ``orders``:
+    each order's log-terms ``log C(a, k) + (a - k) log(1 - q) + k log q
+    + k (k - 1) / (2 sigma^2)`` form one ``(pairs x order+1)`` grid,
+    evaluated in that operation order and reduced by one row-wise
+    :func:`_logsumexp`.  The logs of ``q`` come from :mod:`math` per
+    pair, because NumPy's ``log``/``log1p`` can differ from them by an
+    ulp.
     """
     qs = np.asarray(qs, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
@@ -92,14 +143,14 @@ def rdp_table(qs: ArrayLike, sigmas: ArrayLike,
     log_1mq = np.array([math.log1p(-q) for q in qs[rows].tolist()])[:, None]
     log_q = np.array([math.log(q) for q in qs[rows].tolist()])[:, None]
     two_var = (2.0 * sigmas[rows] * sigmas[rows])[:, None]
+    log_fact = _log_factorials(int(max(orders, default=0)))
     for col, order in enumerate(orders):
         order = int(order)
         k = np.arange(order + 1)
-        log_comb = (special.gammaln(order + 1) - special.gammaln(k + 1)
-                    - special.gammaln(order - k + 1))
+        log_comb = log_fact[order] - log_fact[k] - log_fact[order - k]
         log_terms = (log_comb + (order - k) * log_1mq + k * log_q
                      + k * (k - 1) / two_var)
-        table[rows, col] = special.logsumexp(log_terms, axis=1) / (order - 1)
+        table[rows, col] = _logsumexp(log_terms) / (order - 1)
     return table
 
 

@@ -23,51 +23,7 @@ Module              Reproduces
 ==================  ==========================================
 
 Each module exposes ``run()`` returning structured results and
-``render()`` returning the paper-style text table.
+``render()`` returning the paper-style text table.  Their registry,
+``ALL_EXPERIMENTS``, lives in :mod:`repro.experiments.run_all`, so
+importing one experiment (or the sweep runner) loads no other.
 """
-
-from repro.experiments import (
-    ablation,
-    capacity,
-    design_space,
-    fig04_memory,
-    gemm_sweep,
-    fig05_breakdown,
-    fig07_utilization,
-    fig13_speedup,
-    fig14_breakdown,
-    fig15_flops,
-    fig16_energy,
-    fig17_gpu,
-    maxbatch,
-    ppu_traffic,
-    scaling,
-    sensitivity,
-    serve,
-    table1_bandwidth,
-    table3_area_power,
-)
-
-ALL_EXPERIMENTS = {
-    "fig04": fig04_memory,
-    "fig05": fig05_breakdown,
-    "fig07": fig07_utilization,
-    "fig13": fig13_speedup,
-    "fig14": fig14_breakdown,
-    "fig15": fig15_flops,
-    "fig16": fig16_energy,
-    "fig17": fig17_gpu,
-    "table1": table1_bandwidth,
-    "table3": table3_area_power,
-    "sensitivity": sensitivity,
-    "maxbatch": maxbatch,
-    "ppu_traffic": ppu_traffic,
-    "ablation": ablation,
-    "gemm_sweep": gemm_sweep,
-    "design_space": design_space,
-    "scaling": scaling,
-    "serve": serve,
-    "capacity": capacity,
-}
-
-__all__ = ["ALL_EXPERIMENTS"]

@@ -18,7 +18,51 @@ import argparse
 import os
 import time
 
-from repro.experiments import ALL_EXPERIMENTS, runner
+from repro.experiments import (
+    ablation,
+    capacity,
+    design_space,
+    fig04_memory,
+    gemm_sweep,
+    fig05_breakdown,
+    fig07_utilization,
+    fig13_speedup,
+    fig14_breakdown,
+    fig15_flops,
+    fig16_energy,
+    fig17_gpu,
+    maxbatch,
+    ppu_traffic,
+    runner,
+    scaling,
+    sensitivity,
+    serve,
+    table1_bandwidth,
+    table3_area_power,
+)
+
+#: Every experiment module by its CLI key (``python -m repro run KEY``).
+ALL_EXPERIMENTS = {
+    "fig04": fig04_memory,
+    "fig05": fig05_breakdown,
+    "fig07": fig07_utilization,
+    "fig13": fig13_speedup,
+    "fig14": fig14_breakdown,
+    "fig15": fig15_flops,
+    "fig16": fig16_energy,
+    "fig17": fig17_gpu,
+    "table1": table1_bandwidth,
+    "table3": table3_area_power,
+    "sensitivity": sensitivity,
+    "maxbatch": maxbatch,
+    "ppu_traffic": ppu_traffic,
+    "ablation": ablation,
+    "gemm_sweep": gemm_sweep,
+    "design_space": design_space,
+    "scaling": scaling,
+    "serve": serve,
+    "capacity": capacity,
+}
 
 _ORDER = ("maxbatch", "fig04", "fig05", "fig07", "table1", "fig13",
           "fig14", "fig15", "fig16", "table3", "fig17", "sensitivity",

@@ -194,8 +194,15 @@ def sweep(
         return [future.result() for future in futures]
 
 
+#: Types :func:`_jsonable` returns unchanged; checked first, since sweep
+#: keys are mostly such leaves (subclasses, e.g. enums, take the slow path).
+_JSON_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
 def _jsonable(obj: Any) -> Any:
     """Normalize ``obj`` into a canonical JSON-serializable structure."""
+    if type(obj) in _JSON_LEAVES:
+        return obj
     if is_dataclass(obj) and not isinstance(obj, type):
         return {"__dataclass__": type(obj).__qualname__,
                 **{key: _jsonable(value)

@@ -35,6 +35,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
+# ``np.unique`` (``_fold_metrics``) reads ``np.ma``: load it here, not
+# lazily inside the first export.
+import numpy.ma  # noqa: F401
 from numpy.typing import NDArray
 
 from repro.obs.trace import US_PER_S

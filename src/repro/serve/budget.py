@@ -156,18 +156,30 @@ class AdmissionController:
         self.allow_truncation = allow_truncation
         self.orders = orders
         self._rdp: dict[str, NDArray[Any]] = {}
+        #: ``epsilon_spent`` per tenant, computed on the first read after
+        #: a ledger write (``_set_ledger`` drops the stale value).
+        self._epsilon: dict[str, float] = {}
         self._counts: dict[str, dict[str, int]] = {}
 
     def budget_for(self, tenant: str) -> TenantBudget:
         return self._overrides.get(tenant, self._default)
 
+    def _set_ledger(self, tenant: str, rdp: NDArray[Any]) -> None:
+        """Write ``tenant``'s RDP ledger.  Every ledger write goes through
+        here, so the cached ``epsilon`` can never outlive its ledger."""
+        self._rdp[tenant] = rdp
+        self._epsilon.pop(tenant, None)
+
     def epsilon_spent(self, tenant: str) -> float:
         """Tenant's cumulative ``epsilon`` at its own ``delta``."""
-        rdp = self._rdp.get(tenant)
-        if rdp is None or not np.any(rdp):
-            return 0.0
-        return rdp_to_epsilon(self.orders, rdp,
-                              self.budget_for(tenant).delta)[0]
+        spent = self._epsilon.get(tenant)
+        if spent is None:
+            rdp = self._rdp.get(tenant)
+            spent = (rdp_to_epsilon(self.orders, rdp,
+                                    self.budget_for(tenant).delta)[0]
+                     if rdp is not None and np.any(rdp) else 0.0)
+            self._epsilon[tenant] = spent
+        return spent
 
     def remaining_fraction(self, tenant: str) -> float:
         """Unspent share of the tenant's epsilon budget, in [0, 1]."""
@@ -211,7 +223,7 @@ class AdmissionController:
                                1, self.orders)
         if base is None:
             base = np.zeros(len(self.orders))
-        self._rdp[tenant] = base + granted * per_step
+        self._set_ledger(tenant, base + granted * per_step)
         return granted
 
     def refund_steps(self, tenant: str, sampling_rate: float,
@@ -231,7 +243,7 @@ class AdmissionController:
             return
         per_step = compute_rdp(sampling_rate, noise_multiplier,
                                1, self.orders)
-        self._rdp[tenant] = np.maximum(base - steps * per_step, 0.0)
+        self._set_ledger(tenant, np.maximum(base - steps * per_step, 0.0))
 
     # -- batched (trace-at-once) admission -----------------------------------
 
@@ -373,7 +385,7 @@ class AdmissionController:
                     eps_after[pj] = eps_cum[:fits]
                     tally["admitted"] += fits
                     ledger = cumulative[fits - 1]
-                    self._rdp[name] = ledger
+                    self._set_ledger(name, ledger)
                     spent = float(eps_cum[fits - 1])
                 nj = jobs[span[~mask]]
                 status[nj] = admitted_code
@@ -408,7 +420,7 @@ class AdmissionController:
                     else:
                         high = mid
                 ledger = ledger + low * per_step
-                self._rdp[name] = ledger
+                self._set_ledger(name, ledger)
                 spent = eps_of(ledger)
                 status[job] = BatchAdmissionDecisions.TRUNCATED
                 granted[job] = low

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+# Loaded here, not lazily by the first trace's ``np.random.default_rng``.
+import numpy.random  # noqa: F401
 from numpy.typing import NDArray
 
 #: Algorithms a job may request; non-private SGD bypasses admission.

@@ -48,7 +48,7 @@ class ScalarAdmission(AdmissionController):
                                1, self.orders)
         if base is None:
             base = np.zeros(len(self.orders))
-        self._rdp[job.tenant] = base + granted * per_step
+        self._set_ledger(job.tenant, base + granted * per_step)
         spent_after = self.epsilon_spent(job.tenant)
         tally["admitted" if status is AdmissionStatus.ADMITTED
               else "truncated"] += 1

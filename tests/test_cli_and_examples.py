@@ -1,5 +1,6 @@
 """Smoke tests: the CLI and every example script run end-to-end."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from repro.__main__ import main as cli_main
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+SRC = EXAMPLES.parent / "src"
 
 
 class TestCli:
@@ -112,3 +114,18 @@ def test_example_runs(script, arg):
                             timeout=600)
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip()
+
+
+def test_startup_imports_skip_scipy_and_figures():
+    """Serving, observability and the sweeps load neither SciPy (a test
+    dependency only) nor any figure or table experiment."""
+    code = ("import sys, repro.serve, repro.obs, repro.experiments.scaling, "
+            "repro.experiments.design_space\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', "
+            "'repro.experiments.fig', 'repro.experiments.table'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"

@@ -85,6 +85,23 @@ class TestConfigHash:
             {"array": ArrayConfig(height=64), "algo": Algorithm.DP_SGD_R})
         assert first == second != other
 
+    def test_enum_leaves_keep_their_tag(self):
+        """Enums deriving from ``str``/``int`` are not plain leaves."""
+        import enum
+
+        class Level(enum.IntEnum):
+            LOW = 1
+
+        class Mode(str, enum.Enum):
+            FAST = "fast"
+
+        assert runner._jsonable(
+            {"level": Level.LOW, "mode": Mode.FAST, "n": 1, "x": 0.5,
+             "on": True, "none": None, "tag": "fast"}) == {
+            "level": f"{Level.__qualname__}.LOW",
+            "mode": f"{Mode.__qualname__}.FAST", "n": 1, "x": 0.5,
+            "on": True, "none": None, "tag": "fast"}
+
 
 class TestResultCache:
     def test_roundtrip(self, tmp_path):

@@ -33,6 +33,7 @@ from repro.serve import (
     simulate_fleet_streaming,
 )
 from repro.dpml import accountant
+from repro.dpml.accountant import rdp_to_epsilon
 from repro.obs.metrics import Histogram
 from repro.serve import TrainingJob
 from repro.serve.budget import BatchAdmissionDecisions
@@ -177,6 +178,57 @@ class TestBatchAdmission:
             controller.refund_steps(job.tenant, job.sampling_rate,
                                     job.noise_multiplier, 5)
         assert priced == []
+
+
+class TestEpsilonCache:
+    """``epsilon_spent`` reads a per-tenant cache that every ledger
+    write invalidates: read after each of any mix of batched and single
+    admits, reprices and refunds, it is bitwise the conversion of the
+    ledger."""
+
+    @staticmethod
+    def assert_fresh(controller):
+        for tenant, rdp in controller._rdp.items():
+            budget = controller.budget_for(tenant)
+            expected = (rdp_to_epsilon(controller.orders, rdp,
+                                       budget.delta)[0]
+                        if np.any(rdp) else 0.0)
+            spent = controller.epsilon_spent(tenant)
+            assert np.float64(spent).view(np.int64) == \
+                np.float64(expected).view(np.int64), tenant
+            assert controller._epsilon[tenant] is spent  # now cached
+            assert controller.remaining_fraction(tenant) == \
+                max(0.0, 1.0 - expected / budget.epsilon)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           epsilon=st.sampled_from([0.5, 3.0, 50.0]),
+           ops=st.lists(st.tuples(
+               st.sampled_from(["batch", "admit", "reprice", "refund"]),
+               st.integers(0, 39), st.integers(0, 3000)),
+               min_size=1, max_size=12))
+    def test_cache_matches_ledger_after_each_write(self, seed, epsilon,
+                                                   ops):
+        jobs = generate_trace_arrays(TraceConfig(jobs=40, seed=seed)).jobs()
+        # One tenant converts at its own delta.
+        controller = ScalarAdmission(
+            {"tenant-1": TenantBudget(epsilon=epsilon, delta=1e-7)},
+            default_budget=TenantBudget(epsilon=epsilon))
+        for op, index, steps in ops:
+            job = jobs[index]
+            if op == "batch":
+                controller.admit_batch(
+                    TraceArrays.from_jobs(jobs[index:index + 10]))
+            elif op == "admit":
+                controller.admit(job)
+            elif op == "reprice":
+                controller.reprice_steps(job.tenant, job.sampling_rate,
+                                         job.noise_multiplier, steps)
+            else:
+                controller.refund_steps(job.tenant, job.sampling_rate,
+                                        job.noise_multiplier, steps)
+            self.assert_fresh(controller)
+        assert controller.epsilon_spent("never-seen") == 0.0
 
 
 def _reuse_trace(n, algorithms, pick):
