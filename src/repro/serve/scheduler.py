@@ -46,7 +46,8 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -356,6 +357,16 @@ def _job_service_seconds(
     return table[inverse], decisions.granted_steps * effective[inverse]
 
 
+def _column(values: NDArray[Any], dtype: Any) -> memoryview[Any]:
+    """One per-job column as a memoryview of ``dtype`` items.
+
+    Indexing the view yields a Python scalar.  Zero-copy for the
+    contiguous columns every trace builder makes; a strided or
+    differently typed column is copied once.
+    """
+    return memoryview(np.ascontiguousarray(values, dtype=dtype))
+
+
 def simulate_fleet_streaming(
     trace: TraceArrays,
     fleet: FleetConfig = FleetConfig(),
@@ -379,7 +390,11 @@ def simulate_fleet_streaming(
     table, the event loop walks the arrival arrays directly beside one
     heap of pending completions (plus repairs and retries under
     faults), and metrics fold into running totals plus one 8-byte wait
-    per dispatch.  No per-job record list is ever materialized, so the
+    per dispatch.  The loop reads every per-job column through a
+    zero-copy ``memoryview`` (a strided or differently typed column is
+    copied once), so no event creates a NumPy scalar, and the policy's
+    queue ``push``/``pop`` are bound once per run.  No per-job record
+    list is ever materialized, so the
     report's ``records`` are empty (use :func:`simulate_fleet` for
     records); the wait percentiles are exact nearest-rank over the wait
     column.  Job ids are array positions.  Deterministic: the same
@@ -424,36 +439,39 @@ def simulate_fleet_streaming(
     if faults is not None:
         frun = FaultRun(faults, fleet, admission, cache=cache)
         frun.prime_first_failures(decisions.admitted)
-        # Attempts take Python scalars; these two columns are derived.
-        sampling_rate, private = trace.sampling_rate, trace.is_private
         if obs is not None:
             _finishes = obs.finish_sink(total)
-    step, service = _job_service_seconds(trace, decisions, fleet,
-                                         cache=cache, faults=frun)
-    # One byte per job (indexing yields 0/1): whose first attempt can
-    # neither crash nor straggle, so it runs inline like a zero-fault one.
-    clean = (frun.clean_first_attempts(service).tobytes()
-             if frun is not None else b"")
+    step_table, service_table = _job_service_seconds(
+        trace, decisions, fleet, cache=cache, faults=frun)
     state = (AutoscalerState(autoscaler,
                              initial_clusters=fleet.n_clusters,
                              chips_per_cluster=fleet.chips_per_cluster)
              if autoscaler is not None else None)
 
-    arrival = trace.arrival_s
-    admitted = decisions.admitted
-    granted = decisions.granted_steps
-    short = granted < trace.steps  # truncated by admission
-
-    # Queues hold array positions.  Arrivals are nondecreasing, so
-    # position order is (arrival, job_id) order, and a requeued retry
-    # re-sorts by its original arrival with no extra key.
-    fifo: list[int] = []
-    sjf: list[tuple[float, int]] = []
-    tenant_queues: list[list[int]] = [[] for _ in trace.tenants]
-    #: SJF's remaining-service predictions; a retry shrinks its job's
-    #: to the remaining reservation's service time.
-    service_live: list[float] = service.tolist() if policy == "sjf" else []
-    queued = 0
+    # The loop reads every per-job column through a memoryview, so an
+    # index yields a Python float/int/bool, never a NumPy scalar.
+    arrival = _column(trace.arrival_s, np.float64)
+    admitted_mask = decisions.admitted
+    admitted = _column(admitted_mask, np.bool_)
+    service = _column(service_table, np.float64)
+    # Truncated by admission.
+    short = _column(decisions.granted_steps < trace.steps, np.bool_)
+    tenant = _column(trace.tenant, np.int32)
+    epsilon_after = _column(decisions.epsilon_after, np.float64)
+    if frun is not None:
+        # Whose first attempt can neither crash nor straggle, so it
+        # runs inline like a zero-fault one; the rest go through
+        # begin_attempt, which reads the columns below.
+        clean = _column(frun.clean_first_attempts(service_table), np.bool_)
+        step = _column(step_table, np.float64)
+        granted = _column(decisions.granted_steps, np.int64)
+        requested = _column(trace.steps, np.int64)
+        sampling_rate = _column(trace.sampling_rate, np.float64)
+        noise = _column(trace.noise_multiplier, np.float64)
+        private = _column(trace.is_private, np.bool_)
+        model = _column(trace.model, np.int32)
+        algorithm = _column(trace.algorithm, np.int32)
+        batch = _column(trace.batch, np.int64)
 
     # The budget policy ranks tenants by unspent epsilon fraction.  A
     # faulty run reads the live ledger, which crashes re-price.  A clean
@@ -465,36 +483,53 @@ def simulate_fleet_streaming(
     ledger_remaining = admission.remaining_fraction
 
     if frun is None:
-        def remaining(tenant: int) -> float:
-            return max(0.0, 1.0 - spent[tenant] / budget_eps[tenant])
+        def remaining(group: int) -> float:
+            return max(0.0, 1.0 - spent[group] / budget_eps[group])
     else:
-        def remaining(tenant: int) -> float:
-            return ledger_remaining(trace.tenants[tenant])
+        def remaining(group: int) -> float:
+            return ledger_remaining(trace.tenants[group])
 
-    def push(job: int) -> None:
-        nonlocal queued
-        queued += 1
-        if policy == "fifo":
-            heapq.heappush(fifo, job)
-        elif policy == "sjf":
-            heapq.heappush(sjf, (service_live[job], job))
-        else:
-            heapq.heappush(tenant_queues[trace.tenant[job]], job)
+    # The queue discipline is bound once per run.  Queues hold array
+    # positions.  Arrivals are nondecreasing, so position order is
+    # (arrival, job_id) order, and a requeued retry re-sorts by its
+    # original arrival with no extra key.
+    heappush, heappop = heapq.heappush, heapq.heappop
+    push: Callable[[int], None]
+    pop: Callable[[], int]
+    if policy == "fifo":
+        fifo: list[int] = []
+        push, pop = partial(heappush, fifo), partial(heappop, fifo)
+    elif policy == "sjf":
+        sjf: list[tuple[float, int]] = []
+        # Remaining-service predictions; a retry shrinks its job's to
+        # the remaining reservation's service time (in a copy).
+        live = (_column(service_table.copy(), np.float64)
+                if frun is not None else service)
 
-    def pop() -> int:
-        nonlocal queued
-        queued -= 1
-        if policy == "fifo":
-            return heapq.heappop(fifo)
-        if policy == "sjf":
-            return heapq.heappop(sjf)[1]
-        best, best_key = 0, (math.inf, 0)
-        for tenant, backlog in enumerate(tenant_queues):
-            if backlog:
-                key = (-remaining(tenant), backlog[0])
-                if key < best_key:
-                    best, best_key = tenant, key
-        return heapq.heappop(tenant_queues[best])
+        def push_sjf(job: int) -> None:
+            heappush(sjf, (live[job], job))
+
+        def pop_sjf() -> int:
+            return heappop(sjf)[1]
+
+        push, pop = push_sjf, pop_sjf
+    else:
+        tenant_queues: list[list[int]] = [[] for _ in trace.tenants]
+
+        def push_budget(job: int) -> None:
+            heappush(tenant_queues[tenant[job]], job)
+
+        def pop_budget() -> int:
+            best, best_key = 0, (math.inf, 0)
+            for group, backlog in enumerate(tenant_queues):
+                if backlog:
+                    key = (-remaining(group), backlog[0])
+                    if key < best_key:
+                        best, best_key = group, key
+            return heappop(tenant_queues[best])
+
+        push, pop = push_budget, pop_budget
+    queued = 0
 
     # One 8-byte wait per dispatch; the report's percentiles are exact
     # over this column.  The autoscaler keeps its own p99 counters.
@@ -504,7 +539,8 @@ def simulate_fleet_streaming(
     # sampling deadline is mirrored into a local for the same reason —
     # the per-event guard stays one float compare either way.
     obs_dispatch = obs.dispatches.append if obs is not None else None
-    obs_next_sample_s = obs.next_sample_s if obs is not None else math.inf
+    inf = math.inf
+    obs_next_sample_s = obs.next_sample_s if obs is not None else inf
     # Completions, repairs and retries in one heap; the priority slot
     # orders same-time events across kinds, the sequence within one.
     pending: list[tuple[float, int, int, int]] = []
@@ -514,37 +550,40 @@ def simulate_fleet_streaming(
 
     while index < total or pending \
             or (state is not None and state.pending):
-        t_arrival = arrival[index] if index < total else math.inf
+        t_arrival = arrival[index] if index < total else inf
         t_provision = (state.next_provision_s() if state is not None
-                       else math.inf)
-        t_pending = pending[0][0] if pending else math.inf
+                       else inf)
+        t_pending = pending[0][0] if pending else inf
         if t_arrival <= t_provision and t_arrival <= t_pending:
             job = index
-            now = float(t_arrival)
+            now = t_arrival
             index += 1
             if track_spend:
-                spent[trace.tenant[job]] = decisions.epsilon_after[job]
+                spent[tenant[job]] = epsilon_after[job]
             if admitted[job]:
                 push(job)
+                queued += 1
         elif t_provision <= t_pending:
             assert state is not None
             now = t_provision
             state.activate_one(now)
             idle += 1
         else:
-            now, prio, _, job = heapq.heappop(pending)
+            now, prio, _, job = heappop(pending)
             if prio == _PRIO_RETRY:
                 push(job)
+                queued += 1
             else:  # completion or repair: capacity returns either way
                 idle += 1
         while idle and queued:
             job = pop()
+            queued -= 1
             idle -= 1
             if frun is None or clean[job]:
-                wait = float(now - arrival[job])
-                service_s = float(service[job])
+                wait = now - arrival[job]
+                service_s = service[job]
                 finish = now + service_s
-                heapq.heappush(pending, (finish, _PRIO_COMPLETION, seq, job))
+                heappush(pending, (finish, _PRIO_COMPLETION, seq, job))
                 seq += 1
                 if frun is None:
                     busy_s += service_s
@@ -558,22 +597,22 @@ def simulate_fleet_streaming(
                     if _finishes is not None:
                         _finishes[job] = finish
             else:
-                wait = float(now - frun.ready_s(job, float(arrival[job])))
-                model_name = trace.models[int(trace.model[job])]
+                wait = now - frun.ready_s(job, arrival[job])
+                model_name = trace.models[model[job]]
                 outcome = frun.begin_attempt(
                     job, now,
-                    step_s=float(step[job]),
-                    granted=int(granted[job]),
-                    requested=int(trace.steps[job]),
-                    tenant=trace.tenants[int(trace.tenant[job])],
-                    sampling_rate=float(sampling_rate[job]),
-                    noise_multiplier=float(trace.noise_multiplier[job]),
-                    private=bool(private[job]),
+                    step_s=step[job],
+                    granted=granted[job],
+                    requested=requested[job],
+                    tenant=trace.tenants[tenant[job]],
+                    sampling_rate=sampling_rate[job],
+                    noise_multiplier=noise[job],
+                    private=private[job],
                     model_name=model_name,
-                    algorithm=trace.algorithms[int(trace.algorithm[job])],
-                    batch=int(trace.batch[job]))
+                    algorithm=trace.algorithms[algorithm[job]],
+                    batch=batch[job])
                 prio = _PRIO_COMPLETION if outcome.completed else _PRIO_REPAIR
-                heapq.heappush(pending, (outcome.free_s, prio, seq, job))
+                heappush(pending, (outcome.free_s, prio, seq, job))
                 seq += 1
                 if outcome.completed:
                     if _finishes is not None:
@@ -581,12 +620,12 @@ def simulate_fleet_streaming(
                         _finishes[job] = outcome.finish_s
                 elif outcome.retry_s is not None:
                     if policy == "sjf":
-                        service_live[job] = frun.remaining_steps(
-                            job, int(granted[job])) * \
+                        live[job] = frun.remaining_steps(
+                            job, granted[job]) * \
                             frun.effective_step_seconds(model_name,
-                                                        float(step[job]))
-                    heapq.heappush(pending, (outcome.retry_s, _PRIO_RETRY,
-                                             seq, job))
+                                                        step[job])
+                    heappush(pending, (outcome.retry_s, _PRIO_RETRY,
+                                       seq, job))
                     seq += 1
             waits.append(wait)
             if state is not None:
@@ -616,7 +655,7 @@ def simulate_fleet_streaming(
         busy_s, makespan = frun.busy_s, frun.makespan_s
     if obs is not None:
         obs.attach(policy=policy, trace=trace,
-                   decisions=decisions, service=service,
+                   decisions=decisions, service=service_table,
                    state=state, faults=frun)
     return build_streaming_report(
         policy=policy,
@@ -626,7 +665,7 @@ def simulate_fleet_streaming(
         submitted=total,
         completed=completed,
         truncated=truncated,
-        rejected=int((~admitted).sum()),
+        rejected=int((~admitted_mask).sum()),
         makespan_s=makespan,
         busy_s=busy_s,
         waits=waits,

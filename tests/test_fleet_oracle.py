@@ -36,6 +36,7 @@ from repro.serve import (
     build_streaming_report,
     generate_trace,
     percentile,
+    simulate_fleet,
     simulate_fleet_streaming,
 )
 from repro.serve.scheduler import POLICIES, predict_step_seconds
@@ -201,6 +202,43 @@ def _floored(jobs):
         job.arrival_s))) for job in jobs]
 
 
+def _tied_to_completions(jobs, fleet, policy, faults, ties):
+    """``(jobs', instants)``: ``jobs`` plus ``ties`` short SGD jobs, each
+    arriving exactly at a completion instant of a replay before it.
+
+    The k-th added job lands on a finish of the replay of the trace
+    with the first k-1 added; job ids are renumbered to arrival
+    positions.  An arrival moves nothing before it (fault draws are
+    keyed by position, and a non-private job spends no budget), so
+    every instant is still a finish in the final trace's replay.
+    """
+    jobs = sorted(jobs, key=lambda j: (j.arrival_s, j.job_id))
+    template = min((j for j in jobs if j.algorithm == "SGD"),
+                   key=lambda j: j.steps)
+    tenants = sorted({j.tenant for j in jobs})
+    instants = []
+    for k in range(ties):
+        later = sorted(
+            record.finish_s for record in _replay(jobs, fleet, policy, faults)
+            if record.finish_s is not None
+            and record.finish_s > (instants[-1] if instants else 0.0))
+        instants.append(later[len(later) // (ties - k + 1)])
+        jobs = sorted([*jobs, dataclasses.replace(
+            template, tenant=tenants[k % len(tenants)],
+            arrival_s=instants[-1])],
+            key=lambda j: j.arrival_s)
+        jobs = [dataclasses.replace(job, job_id=pos)
+                for pos, job in enumerate(jobs)]
+    return jobs, instants
+
+
+def _replay(jobs, fleet, policy, faults):
+    """Per-job records of one simulator replay at the oracle's budget."""
+    return simulate_fleet(
+        jobs, fleet, policy=policy, faults=faults,
+        admission=AdmissionController(TenantBudget(epsilon=3.0))).records
+
+
 class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("autoscaled", (False, True),
@@ -233,6 +271,24 @@ class TestMatchesReferenceLoop:
             policy, None, FaultModel(faults))
         assert report.completed > 0
         assert (report.retries > 0) == (faults is NONE_CLEAN)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("faulty", (False, True),
+                             ids=("zero-fault", "faulty"))
+    def test_arrivals_tied_to_completions(self, traces, policy, faulty):
+        # An arrival at a completion's instant queues before the freed
+        # cluster picks its next job.
+        config = FAULTY_TRACE if faulty else ZERO_FAULT_TRACE
+        fleet = FleetConfig(chips=8, chips_per_cluster=2) if faulty \
+            else FleetConfig(chips=4)
+        faults = FaultModel(FAULTS) if faulty else None
+        jobs, instants = _tied_to_completions(
+            traces[config][:300], fleet, policy, faults, ties=6)
+        self._compare(jobs, fleet, policy, None, faults)
+        finishes = {record.finish_s
+                    for record in _replay(jobs, fleet, policy, faults)}
+        assert set(instants) <= finishes
+        assert {job.arrival_s for job in jobs} >= set(instants)
 
     @classmethod
     def _check(cls, jobs, policy, autoscaled, faulty):
