@@ -151,7 +151,7 @@ def test_streaming_serve_throughput(capsys):
         "overhead_ratio": overhead,
         "export_seconds": export_wall,
         "export_ratio": export_ratio,
-        "trace_events": len(obs.recorder.events),
+        "trace_events": len(obs.recorder),
         "jobs_per_sec": jobs / instrumented_wall,
         "peak_rss_mb": _peak_rss_mb(),
     })
@@ -223,7 +223,7 @@ def test_streaming_serve_throughput(capsys):
                   f"{point['peak_rss_mb']:.0f} MB) -> {BENCH_JSON.name}")
         print(f"serve streaming — observability in-loop overhead "
               f"{overhead:.3f}x, export {export_wall:.1f}s for "
-              f"{len(obs.recorder.events):,} events "
+              f"{len(obs.recorder):,} events "
               f"({export_ratio:.2f}x the loop)")
         print(f"serve streaming — fault machinery zero-failure "
               f"overhead {fault_overhead:.3f}x, "

@@ -93,7 +93,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                   f"({base / report.total_seconds:.2f}x)")
     if recorder is not None:
         recorder.write(args.trace)
-        print(f"trace: {len(recorder.events)} events -> {args.trace}")
+        print(f"trace: {len(recorder)} events -> {args.trace}")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Fleet-simulator observability: job-lifecycle spans + windowed metrics.
 
 One :class:`FleetObs` observes one fleet simulation.  The contract is
-split to keep the event loop fast:
+split in three, to keep the event loop fast and the answers cheap:
 
 * **During the run** the simulator touches only O(1) surfaces: an
   inline ``(job_id, start_s)`` append per dispatch, one finish-time
@@ -10,15 +10,23 @@ split to keep the event loop fast:
   else runs in-loop, which is what keeps the measured
   enabled-vs-disabled overhead inside the ``check_bench`` ceiling.
 * **At the end of the run** the simulator attaches its raw materials
-  (:meth:`~FleetObs.attach` — references, no copies).  All
-  span construction and metric folding happens in
-  :meth:`~FleetObs.export`, which the caller runs after the
-  simulation; it is a separate cost, not a free one — benchmarks time
-  it on its own (``export_seconds``, ``obs.fleet.export.s``).
+  (:meth:`~FleetObs.attach` — references, no copies), and the caller
+  runs :meth:`~FleetObs.export`.  Export is column work only: it
+  rebuilds per-job NumPy columns (:func:`job_columns`), hands the
+  recorder the job lifecycles as column blocks (``_JobSpans``, cut
+  where each tenant's thread is first named) plus the load counters
+  as one block (``_LoadCounters``) and the few autoscaler and fault
+  events as dicts, and folds the metrics with array operations
+  (:meth:`~repro.obs.metrics.TimeSeries.add_many`).  It builds no
+  per-event dict.  Benchmarks time it on its own
+  (``export_seconds``, ``obs.fleet.export.s``).
+* **On write** :meth:`~repro.obs.trace.TraceRecorder.write` and
+  :meth:`~repro.obs.metrics.MetricsRegistry.write` stream the blocks
+  through per-event-kind templates in fixed-size chunks, byte for
+  byte ``json.dumps(to_dict(), indent=1) + "\\n"``.  Only
+  ``recorder.events`` / ``to_dict`` build the event dicts, on demand.
 
-Export rebuilds per-job NumPy columns (:func:`job_columns`, which
-:func:`~repro.serve.scheduler.simulate_fleet` also uses for its job
-records) before emitting, and a multi-policy comparison can share one
+A multi-policy comparison can share one
 :class:`~repro.obs.trace.TraceRecorder` (each run gets its own trace
 process, named after its policy).  Under faults a job's ``wait`` span
 runs from arrival to its *first* dispatch and its ``run`` span from
@@ -27,12 +35,13 @@ there to its final finish; an abandoned job gets the wait span only.
 
 from __future__ import annotations
 
-import gc
+import json
 import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 # ``np.unique`` (``_fold_metrics``) reads ``np.ma``: load it here, not
@@ -40,6 +49,7 @@ import numpy as np
 import numpy.ma  # noqa: F401
 from numpy.typing import NDArray
 
+from repro.obs.jsonstream import BATCH_ROWS, numbers, template
 from repro.obs.trace import US_PER_S
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -160,24 +170,14 @@ class FleetObs:
             tuple(state.events) if state is not None else ()
         fault_events: "list[FaultEvent]" = \
             faults.events if faults is not None else []
-        # Export allocates one dict per event and nothing cyclic, so the
-        # cyclic collector would only rescan the growing event list
-        # (about 45 % of a 1M-job export); pause it for the duration.
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            jobs = job_columns(run["trace"], run["decisions"],
-                               run["service"], self.dispatches,
-                               self.finishes)
-            if self.recorder is not None:
-                _emit_spans(self.recorder, policy, jobs, self.samples,
-                            scale_events, fault_events)
-            if self.metrics is not None:
-                _fold_metrics(self.metrics, policy, jobs, self.samples,
-                              scale_events, fault_events)
-        finally:
-            if collecting:
-                gc.enable()
+        jobs = job_columns(run["trace"], run["decisions"], run["service"],
+                           self.dispatches, self.finishes)
+        if self.recorder is not None:
+            _emit_spans(self.recorder, policy, jobs, self.samples,
+                        scale_events, fault_events)
+        if self.metrics is not None:
+            _fold_metrics(self.metrics, policy, jobs, self.samples,
+                          scale_events, fault_events)
 
 
 def job_columns(trace: "TraceArrays",
@@ -198,7 +198,9 @@ def job_columns(trace: "TraceArrays",
     n = len(trace)
     start = np.full(n, np.nan)
     if dispatches:
-        sink = np.array(dispatches)  # job ids stay exact below 2**53
+        # Job ids stay exact below 2**53.
+        sink = np.fromiter(chain.from_iterable(dispatches), dtype=float,
+                           count=2 * len(dispatches)).reshape(-1, 2)
         ids = sink[:, 0].astype(np.int64)
         _, first = np.unique(ids, return_index=True)
         start[ids[first]] = sink[first, 1]
@@ -221,6 +223,107 @@ def job_columns(trace: "TraceArrays",
         finish_s=finish)
 
 
+#: The fleet's event layouts, one template per event kind, as items of
+#: the ``traceEvents`` list.
+_REJECTED = template({
+    "name": "job-%d rejected", "ph": "i", "cat": "admission", "s": "t",
+    "ts": "%s", "pid": "%s", "tid": "%s",
+    "args": {"model": "%s", "requested_steps": "%s",
+             "epsilon_after": "%s"}}, 2)
+_WAIT = template({
+    "name": "job-%d wait", "ph": "X", "cat": "queue", "ts": "%s",
+    "dur": "%s", "pid": "%s", "tid": "%s"}, 2)
+_RUN_SHAPE = {
+    "name": "job-%d run", "ph": "X", "cat": "run", "ts": "%s",
+    "dur": "%s", "pid": "%s", "tid": "%s",
+    "args": {"model": "%s", "granted_steps": "%s",
+             "requested_steps": "%s", "epsilon_after": "%s"}}
+_RUN = template(_RUN_SHAPE, 2)
+_RUN_TRUNCATED = template(
+    {**_RUN_SHAPE, "args": {**_RUN_SHAPE["args"], "truncated": True}}, 2)
+_QUEUE_DEPTH = template({
+    "name": "queue depth", "ph": "C", "cat": "metrics", "ts": "%s",
+    "pid": "%s", "tid": 0, "args": {"queued": "%s"}}, 2)
+_CLUSTERS = template({
+    "name": "clusters", "ph": "C", "cat": "metrics", "ts": "%s",
+    "pid": "%s", "tid": 0,
+    "args": {"running": "%s", "idle": "%s", "pending": "%s"}}, 2)
+
+
+class _JobSpans:
+    """Job-lifecycle events of consecutive jobs, kept as columns.
+
+    Per job: a rejected job is one ``admission`` instant at arrival; a
+    dispatched job gets a ``wait`` span (arrival to first dispatch)
+    and, if it completed, a ``run`` span (first dispatch to final
+    finish).  ``columns`` hold, per job: id, tid, model index, kind
+    (0 rejected, 1 wait only, 2 wait and run), admission status,
+    granted and requested steps, epsilon after admission, and the
+    arrival, wait, first-dispatch and run times in microseconds.
+    """
+
+    def __init__(self, pid: int, models: Sequence[str],
+                 columns: "list[NDArray[Any]]") -> None:
+        self.pid = pid
+        self.models = models
+        self.columns = columns
+        kind = columns[3]
+        self._len = len(kind) + int(np.count_nonzero(kind == 2))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def texts(self) -> "Iterator[list[str]]":
+        pid = self.pid
+        models = [json.dumps(model) for model in self.models]
+        for lo in range(0, len(self.columns[0]), BATCH_ROWS):
+            rows = [column[lo:lo + BATCH_ROWS] for column in self.columns]
+            ints = [column.tolist() for column in rows[:7]]
+            floats = [numbers(column) for column in rows[7:]]
+            texts: list[str] = []
+            append = texts.append
+            for (job, tid, model, what, status, granted, requested,
+                 eps_after, ts, wait, run_ts, run) in zip(*ints, *floats):
+                if what == 0:
+                    append(_REJECTED % (job, ts, pid, tid, models[model],
+                                        requested, eps_after))
+                    continue
+                append(_WAIT % (job, ts, wait, pid, tid))
+                if what == 2:
+                    append((_RUN_TRUNCATED if status == 1 else _RUN)
+                           % (job, run_ts, run, pid, tid, models[model],
+                              granted, requested, eps_after))
+            yield texts
+
+
+class _LoadCounters:
+    """The windowed load samples as ``queue depth`` and ``clusters``
+    counter events, two per sample."""
+
+    def __init__(self, pid: int,
+                 samples: "list[tuple[float, int, int, int, int]]"
+                 ) -> None:
+        self.pid = pid
+        self.samples = samples
+
+    def __len__(self) -> int:
+        return 2 * len(self.samples)
+
+    def texts(self) -> "Iterator[list[str]]":
+        pid = self.pid
+        for lo in range(0, len(self.samples), BATCH_ROWS):
+            t, queued, idle, active, pending = zip(
+                *self.samples[lo:lo + BATCH_ROWS])
+            columns = (numbers(np.array(t) * US_PER_S), queued,
+                       [a - i for a, i in zip(active, idle)], idle,
+                       pending)
+            texts: list[str] = []
+            for ts, depth, *clusters in zip(*columns):
+                texts.append(_QUEUE_DEPTH % (ts, pid, depth))
+                texts.append(_CLUSTERS % (ts, pid, *clusters))
+            yield texts
+
+
 def _emit_spans(recorder: "TraceRecorder", policy: str,
                 jobs: JobColumns,
                 samples: "list[tuple[float, int, int, int, int]]",
@@ -228,54 +331,33 @@ def _emit_spans(recorder: "TraceRecorder", policy: str,
                 fault_events: "list[FaultEvent]") -> None:
     """Job-lifecycle spans, autoscaler / fault instants, load counters.
 
-    Per job: a rejected job is one ``admission`` instant at arrival;
-    a dispatched job gets a ``wait`` span (arrival to first dispatch)
-    and, if it completed, a ``run`` span (first dispatch to final
-    finish).  Event dicts are built inline with
-    :meth:`~repro.obs.trace.TraceRecorder.span` /
-    :meth:`~repro.obs.trace.TraceRecorder.instant`'s key layout, and
-    each tenant's thread is named where it is first used.
+    The jobs go to the recorder as :class:`_JobSpans` column blocks,
+    cut where a tenant first appears: its thread is named (a metadata
+    event) right before its first job, as a per-job loop would.  The
+    few autoscaler and fault events are plain dicts; the load samples
+    are one :class:`_LoadCounters` block.
     """
     pid = recorder.pid(f"fleet: {policy}")
-    append = recorder.events.append
     start, finish = jobs.start_s, jobs.finish_s
     rejected = (jobs.status == 2) | np.isnan(start)
     # 0: rejected instant, 1: wait span only (abandoned), 2: wait + run.
     kind = np.where(rejected, 0, np.where(np.isnan(finish), 1, 2))
-    arrival_us = (jobs.arrival_s * US_PER_S).tolist()
-    wait_us = ((start - jobs.arrival_s) * US_PER_S).tolist()
-    start_us = (start * US_PER_S).tolist()
-    run_us = ((finish - start) * US_PER_S).tolist()
-    models = [jobs.models[m] for m in jobs.model.tolist()]
-    tenant_names = jobs.tenants
-    tids: list[int | None] = [None] * len(tenant_names)
-    for (job, tenant, model, what, status, granted, requested, eps_after,
-         ts, wait, run_ts, run) in zip(
-            jobs.job_id.tolist(), jobs.tenant.tolist(), models,
-            kind.tolist(), jobs.status.tolist(), jobs.granted.tolist(),
-            jobs.requested.tolist(), jobs.epsilon_after.tolist(),
-            arrival_us, wait_us, start_us, run_us):
-        tid = tids[tenant]
-        if tid is None:
-            tid = tids[tenant] = recorder.tid(pid, tenant_names[tenant])
-        if what == 0:
-            append({"name": f"job-{job} rejected", "ph": "i",
-                    "cat": "admission", "s": "t", "ts": ts, "pid": pid,
-                    "tid": tid,
-                    "args": {"model": model, "requested_steps": requested,
-                             "epsilon_after": eps_after}})
-            continue
-        append({"name": f"job-{job} wait", "ph": "X", "cat": "queue",
-                "ts": ts, "dur": wait, "pid": pid, "tid": tid})
-        if what == 2:
-            args = {"model": model, "granted_steps": granted,
-                    "requested_steps": requested,
-                    "epsilon_after": eps_after}
-            if status == 1:
-                args["truncated"] = True
-            append({"name": f"job-{job} run", "ph": "X", "cat": "run",
-                    "ts": run_ts, "dur": run, "pid": pid, "tid": tid,
-                    "args": args})
+    tenants, firsts = np.unique(jobs.tenant, return_index=True)
+    order = np.argsort(firsts)
+    tenants, firsts = tenants[order].tolist(), firsts[order].tolist()
+    tid_of = np.zeros(len(jobs.tenants), dtype=np.int64)
+    tids = np.empty(len(jobs.job_id), dtype=np.int64)  # set per range
+    columns = [
+        jobs.job_id, tids, jobs.model, kind, jobs.status,
+        jobs.granted, jobs.requested, jobs.epsilon_after,
+        jobs.arrival_s * US_PER_S, (start - jobs.arrival_s) * US_PER_S,
+        start * US_PER_S, (finish - start) * US_PER_S]
+    for tenant, lo, hi in zip(tenants, firsts,
+                              [*firsts[1:], len(jobs.job_id)]):
+        tid_of[tenant] = recorder.tid(pid, jobs.tenants[tenant])
+        tids[lo:hi] = tid_of[jobs.tenant[lo:hi]]
+        recorder.add_block(_JobSpans(
+            pid, jobs.models, [column[lo:hi] for column in columns]))
     scale_tid = recorder.tid(pid, "autoscaler")
     for event in scale_events:
         recorder.instant(
@@ -299,11 +381,8 @@ def _emit_spans(recorder: "TraceRecorder", policy: str,
                 recorder.instant(
                     f"job-{fault.job_id} {fault.kind}", fault.time_s,
                     pid=pid, tid=fault_tid, cat="fault", args=fault_args)
-    for t, queued, idle, active, pending in samples:
-        recorder.counter("queue depth", t, {"queued": queued}, pid=pid)
-        recorder.counter("clusters", t,
-                         {"running": active - idle, "idle": idle,
-                          "pending": pending}, pid=pid)
+    if samples:
+        recorder.add_block(_LoadCounters(pid, samples))
 
 
 def _fold_metrics(metrics: "MetricsRegistry", policy: str,
@@ -333,12 +412,12 @@ def _fold_metrics(metrics: "MetricsRegistry", policy: str,
         times = arrival[jobs.status == status]
         metrics.series("arrival_rate", policy=policy,
                        outcome=_OUTCOMES[status]).add_many(
-            times, [1.0] * len(times))
+            times, np.ones(len(times)))
     for tenant in np.unique(jobs.tenant).tolist():
         mine = jobs.tenant == tenant
         metrics.series("tenant_epsilon_spent", policy=policy,
                        tenant=jobs.tenants[tenant]).add_many(
-            arrival[mine], jobs.epsilon_after[mine].tolist())
+            arrival[mine], jobs.epsilon_after[mine])
     dispatched = ~np.isnan(jobs.start_s)
     waits.observe_many(
         (jobs.start_s - arrival)[dispatched].tolist())
@@ -346,19 +425,21 @@ def _fold_metrics(metrics: "MetricsRegistry", policy: str,
     service.observe_many(
         (jobs.finish_s - jobs.start_s)[completed].tolist())
     if samples:
-        times_s, queued, idle, active, _ = (list(column)
-                                            for column in zip(*samples))
-        running = [a - i for a, i in zip(active, idle)]
+        times_s, queued, idle, active, _ = (
+            np.array(column) for column in zip(*samples))
+        running = active - idle
         metrics.series("queue_depth", policy=policy).add_many(
             times_s, queued)
         metrics.series("running_jobs", policy=policy).add_many(
             times_s, running)
         metrics.series("active_clusters", policy=policy).add_many(
             times_s, active)
+        # r / a of two ints is the correctly rounded quotient either way.
         metrics.series("utilization", policy=policy).add_many(
-            times_s, [r / a if a > 0 else 0.0
-                      for r, a in zip(running, active)])
-        metrics.gauge("peak_queue_depth", policy=policy).set(max(queued))
+            times_s, np.where(active > 0,
+                              running / np.maximum(active, 1), 0.0))
+        metrics.gauge("peak_queue_depth", policy=policy).set(
+            int(queued.max()))
     for (action, reason), count in Counter(
             (event.action, event.reason) for event in scale_events).items():
         metrics.counter("scale_decisions", policy=policy,

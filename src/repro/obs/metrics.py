@@ -16,7 +16,9 @@ model, clocked on *simulated* time:
 Metrics are keyed by ``(name, sorted labels)`` through one
 :class:`MetricsRegistry`, whose :meth:`~MetricsRegistry.to_dict` /
 :meth:`~MetricsRegistry.write` emit a deterministic JSON document —
-identical runs serialize byte-identically.
+identical runs serialize byte-identically.  ``write`` streams the
+same bytes as ``json.dumps(to_dict(), indent=1)``, rendering each
+series' window columns through one template.
 """
 
 from __future__ import annotations
@@ -24,14 +26,20 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from functools import reduce
-from operator import add
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
-from numpy.typing import ArrayLike
+from numpy.typing import ArrayLike, NDArray
 
+from repro.obs.jsonstream import (
+    BATCH_ROWS,
+    ChunkedWriter,
+    dumps_at,
+    numbers,
+    template,
+    write_list,
+)
 from repro.serve.metrics import percentile
 
 #: A metric's identity: name plus its sorted label pairs.
@@ -118,45 +126,64 @@ class Histogram:
         return summary
 
 
+#: A closed window's fields, in document order.
+POINT_FIELDS = ("t", "count", "sum", "min", "max", "last")
+
+#: Windows longer than this fold their sums one at a time; the rest
+#: fold together, one column step per sample position.
+_COLUMN_STEPS = 64
+
+_POINT = template(dict.fromkeys(POINT_FIELDS, "%s"), 4)
+
+
 class TimeSeries:
     """Per-window aggregates of a value sampled in time order.
 
     ``add(t, v)`` folds ``v`` into the window ``floor(t / window_s)``;
     samples must arrive with nondecreasing ``t`` (simulation event
     order), so each window closes exactly once and memory is one open
-    window plus the closed points.
+    window plus the closed windows, kept as columns: one array per
+    field of :data:`POINT_FIELDS`.
     """
 
     kind = "series"
 
-    __slots__ = ("window_s", "points", "_window", "_count", "_total",
+    __slots__ = ("window_s", "_closed", "_window", "_count", "_total",
                  "_min", "_max", "_last")
 
     def __init__(self, window_s: float = 60.0) -> None:
         if window_s <= 0:
             raise ValueError(f"window_s must be positive, got {window_s}")
         self.window_s = window_s
-        self.points: list[dict[str, float]] = []
+        #: Closed windows as blocks of one array per field.  An array's
+        #: ``tolist`` gives back the Python types ``add`` would keep.
+        self._closed: list[tuple[NDArray[Any], ...]] = []
         self._window: int | None = None
         self._count = 0
         self._total = 0.0
-        self._min = 0.0
-        self._max = 0.0
-        self._last = 0.0
+        self._min: Any = 0.0
+        self._max: Any = 0.0
+        self._last: Any = 0.0
+
+    @property
+    def points(self) -> list[dict[str, Any]]:
+        """Closed windows as one dict each (built on each access)."""
+        return [dict(zip(POINT_FIELDS, row)) for block in self._closed
+                for row in zip(*(column.tolist() for column in block))]
 
     def _close(self) -> None:
         if self._window is None:
             return
-        self.points.append({
-            "t": self._window * self.window_s,
-            "count": self._count,
-            "sum": self._total,
-            "min": self._min,
-            "max": self._max,
-            "last": self._last,
-        })
+        self._closed.append(tuple(np.array([value]) for value in (
+            self._window * self.window_s, self._count, self._total,
+            self._min, self._max, self._last)))
         self._count = 0
         self._total = 0.0
+
+    def _seal(self) -> None:
+        """Close the open window; the next sample opens a new one."""
+        self._close()
+        self._window = None
 
     def add(self, t: float, value: float) -> None:
         window = int(t // self.window_s)
@@ -174,15 +201,20 @@ class TimeSeries:
         self._total += value
         self._last = value
 
-    def add_many(self, times: ArrayLike, values: Sequence[Any]) -> None:
+    def add_many(self, times: ArrayLike, values: Any) -> None:
         """Fold time-ordered samples; bitwise equal to ``add`` per sample.
 
-        Window indices come from one vectorized floor division.  Each
-        closed window's min / max / last come from the builtins over its
-        slice (the same left fold ``add`` performs), and its sum is a
-        sequential left fold (``functools.reduce``), never a pairwise
-        NumPy sum, so totals match ``add``'s running ``+=`` exactly.
-        ``values`` keep their Python types (int samples stay ints).
+        Samples joining the already-open window fold one by one.  The
+        rest fold as columns with no per-window Python: counts and
+        last values come from the window cuts, min / max from
+        ``np.minimum`` / ``np.maximum.reduceat`` (a window holding a
+        NaN or a negative zero takes the builtins' left fold instead,
+        which keeps the first of equal values and skips a later NaN),
+        and sums from :func:`_window_sums`, the same sequential left
+        fold ``add``'s running ``+=`` performs.  ``values`` is an
+        int64 or float64 array or a list of one Python number type:
+        int samples stay ints, float samples floats.  Anything else
+        (mixed types, bools, other dtypes) folds one by one.
         """
         stamps = np.asarray(times, dtype=float)
         windows = (stamps // self.window_s).astype(np.int64)
@@ -193,36 +225,102 @@ class TimeSeries:
                 or np.any(windows[1:] < windows[:-1]):
             raise ValueError("samples must arrive in nondecreasing time, "
                              "at or after the open window")
+        column = _sample_column(values)
+        if column is None:
+            for t, value in zip(stamps.tolist(), values):
+                self.add(t, value)
+            return
         lo = 0
         if windows[0] == self._window:
-            # Samples joining the already-open window fold one by one.
             lo = int(np.searchsorted(windows, windows[0], side="right"))
-            for t, value in zip(stamps[:lo].tolist(), values[:lo]):
+            for t, value in zip(stamps[:lo].tolist(),
+                                column[:lo].tolist()):
                 self.add(t, value)
             if lo == n:
                 return
-        cuts = (np.flatnonzero(np.diff(windows[lo:])) + lo + 1).tolist()
-        firsts = [lo, *cuts]
-        chunks = [values[a:b] for a, b in zip(firsts, [*cuts, n])]
-        opened = windows[firsts].tolist()
+        windows, column = windows[lo:], column[lo:]
+        cuts = np.flatnonzero(windows[1:] != windows[:-1]) + 1
+        firsts = np.concatenate(([0], cuts))
+        ends = np.append(cuts, len(column))
+        lows = np.minimum.reduceat(column, firsts)
+        highs = np.maximum.reduceat(column, firsts)
+        if column.dtype.kind == "f":
+            odd = np.isnan(column) | ((column == 0) & np.signbit(column))
+            if odd.any():
+                for k in np.flatnonzero(
+                        np.logical_or.reduceat(odd, firsts)).tolist():
+                    chunk = column[firsts[k]:ends[k]].tolist()
+                    lows[k], highs[k] = min(chunk), max(chunk)
+        counts = ends - firsts
+        block = (windows[firsts] * self.window_s, counts,
+                 _window_sums(column, firsts, counts), lows, highs,
+                 column[ends - 1])
         self._close()
-        self.points.extend(
-            {"t": window * self.window_s, "count": len(chunk),
-             "sum": reduce(add, chunk, 0.0), "min": min(chunk),
-             "max": max(chunk), "last": chunk[-1]}
-            for window, chunk in zip(opened[:-1], chunks[:-1]))
-        chunk = chunks[-1]
-        self._window = opened[-1]
-        self._count = len(chunk)
-        self._total = reduce(add, chunk, 0.0)
-        self._min = min(chunk)
-        self._max = max(chunk)
-        self._last = chunk[-1]
+        if len(firsts) > 1:
+            self._closed.append(tuple(field[:-1] for field in block))
+        self._window = int(windows[-1])
+        (_, self._count, self._total, self._min, self._max,
+         self._last) = (field[-1].item() for field in block)
+
+    def point_texts(self) -> Iterator[list[str]]:
+        """Batches of the closed windows as JSON text at depth 4 (an
+        item of a metric's ``points`` list)."""
+        for block in self._closed:
+            for lo in range(0, len(block[0]), BATCH_ROWS):
+                rows = zip(*(numbers(column[lo:lo + BATCH_ROWS])
+                             for column in block))
+                yield [_POINT % row for row in rows]
 
     def to_dict(self) -> dict[str, Any]:
-        self._close()
-        self._window = None
-        return {"window_s": self.window_s, "points": list(self.points)}
+        self._seal()
+        return {"window_s": self.window_s, "points": self.points}
+
+
+def _sample_column(values: Any) -> NDArray[Any] | None:
+    """``values`` as an int64 or float64 array whose ``tolist`` gives
+    back the samples' own Python types; None if there is no such
+    array (mixed or other types)."""
+    if isinstance(values, np.ndarray):
+        column = values
+    else:
+        kinds = set(map(type, values))
+        if kinds not in ({int}, {float}):
+            return None
+        column = np.asarray(values)
+    return column if column.dtype in (np.int64, np.float64) else None
+
+
+@np.errstate(over="ignore", invalid="ignore")  # silent, as Python's +
+def _window_sums(values: NDArray[Any], firsts: NDArray[np.int64],
+                 counts: NDArray[np.int64]) -> NDArray[np.float64]:
+    """``functools.reduce(operator.add, window, 0.0)`` of every window,
+    bit for bit.
+
+    Windows of up to :data:`_COLUMN_STEPS` samples fold together:
+    step ``j`` adds each window's ``j``-th sample to its running sum,
+    which starts at ``+0.0`` as the fold does.  Sorting the windows
+    longest first makes the windows still open at step ``j`` a prefix.
+    A longer window folds through ``np.add.accumulate``, whose running
+    sum is the fold's once its first term is ``0.0 + x`` (the final
+    ``+ 0.0`` turns the only possible difference, a ``-0.0``, into
+    the fold's ``+0.0``).
+    """
+    sums = np.zeros(len(firsts))
+    short = np.flatnonzero(counts <= _COLUMN_STEPS)
+    short = short[np.argsort(-counts[short], kind="stable")]
+    if len(short):
+        starts, lengths = firsts[short], counts[short]
+        running = np.zeros(len(short))
+        steps = int(lengths[0])
+        # Windows still open at each step (lengths sorted descending).
+        live = np.searchsorted(-lengths, -np.arange(steps), side="left")
+        for step, open_ in enumerate(live.tolist()):
+            running[:open_] += values[starts[:open_] + step]
+        sums[short] = running
+    for k in np.flatnonzero(counts > _COLUMN_STEPS).tolist():
+        window = values[firsts[k]:firsts[k] + counts[k]]
+        sums[k] = np.add.accumulate(window, dtype=float)[-1] + 0.0
+    return sums
 
 
 class MetricsRegistry:
@@ -271,16 +369,48 @@ class MetricsRegistry:
         return self._get(name, labels,
                          lambda: TimeSeries(self.window_s))
 
+    def _sorted(self) -> list[tuple[dict[str, Any], Any]]:
+        return [({"name": name, "labels": dict(labels),
+                  "kind": metric.kind}, metric)
+                for (name, labels), metric in sorted(
+                    self._metrics.items(), key=lambda item: item[0])]
+
     def to_dict(self) -> dict[str, Any]:
         """Deterministic JSON document: one entry per metric, sorted."""
-        metrics = []
-        for (name, labels), metric in sorted(
-                self._metrics.items(), key=lambda item: item[0]):
-            metrics.append({"name": name, "labels": dict(labels),
-                            "kind": metric.kind, **metric.to_dict()})
-        return {"window_s": self.window_s, "metrics": metrics}
+        return {"window_s": self.window_s,
+                "metrics": [{**head, **metric.to_dict()}
+                            for head, metric in self._sorted()]}
 
     def write(self, path: str | Path) -> Path:
+        """Write :meth:`to_dict` as ``json.dumps(..., indent=1) + "\\n"``.
+
+        The bytes are streamed in fixed-size chunks: a series renders
+        its point columns through one template, and no point dict is
+        built.  Like :meth:`to_dict`, it closes every open window.
+        """
         path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=1) + "\n")
+        with open(path, "w") as handle:
+            out = ChunkedWriter(handle)
+            out.write('{\n "window_s": %s,\n "metrics": '
+                      % json.dumps(self.window_s))
+            write_list(out, self._entry_texts(out), 1)
+            out.write("\n}\n")
+            out.flush()
         return path
+
+    def _entry_texts(self, out: ChunkedWriter) -> Iterator[list[str]]:
+        """One metric entry per batch, at depth 2.  A series writes its
+        points straight to ``out`` between its entry's head and tail."""
+        slot = json.dumps("%s")
+        for head, metric in self._sorted():
+            if not isinstance(metric, TimeSeries):
+                yield [dumps_at({**head, **metric.to_dict()}, 2)]
+                continue
+            metric._seal()
+            text = dumps_at({**head, "window_s": metric.window_s,
+                             "points": "%s"}, 2)
+            # ``points`` is the entry's last key: its slot is the last.
+            before, _, after = text.rpartition(slot)
+            yield [before]
+            write_list(out, metric.point_texts(), 3)
+            out.write(after)

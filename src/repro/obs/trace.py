@@ -11,6 +11,10 @@ converted to the format's microsecond unit.
 The recorder is deliberately dumb — callers hand it fully-resolved
 events and it never reads a wall clock, so identical simulation inputs
 produce byte-identical trace files (pinned by the determinism tests).
+It keeps its events in emission order as plain dicts and column
+blocks (:class:`EventBlock`); :meth:`TraceRecorder.write` streams both
+as the exact ``json.dumps(..., indent=1)`` bytes, in fixed-size
+chunks, without building a dict per block row.
 Layout helpers for the two producers live alongside it:
 
 * :func:`add_training_step_spans` /
@@ -31,7 +35,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Protocol
+
+from repro.obs.jsonstream import ChunkedWriter, dumps_at, write_list
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.training.simulate import (
@@ -45,6 +51,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 US_PER_S = 1e6
 
 
+class EventBlock(Protocol):
+    """Events kept as columns, rendered only when read or written.
+
+    ``texts()`` yields batches of the block's events as the text
+    ``json.dumps(event, indent=1)`` gives for an item of the
+    ``traceEvents`` list (nested at depth 2); ``len()`` counts them.
+    """
+
+    def __len__(self) -> int: ...
+
+    def texts(self) -> Iterator[list[str]]: ...
+
+
 class TraceRecorder:
     """Accumulates Chrome-trace events over simulated time.
 
@@ -56,12 +75,40 @@ class TraceRecorder:
     """
 
     def __init__(self) -> None:
-        self.events: list[dict[str, Any]] = []
+        #: Emission order: plain dict events and event blocks.
+        self._parts: list[dict[str, Any] | EventBlock] = []
+        self._count = 0
         self._pids: dict[str, int] = {}
         self._tids: dict[tuple[int, str], int] = {}
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self._count
+
+    @property
+    def events(self) -> list[dict[str, Any]]:
+        """Every event as a dict, in emission order.
+
+        A block's dicts are parsed back from its rendered text on each
+        access, so the event layout is stated once, in the block's
+        templates; the writer (:meth:`write`) never needs them.
+        """
+        events: list[dict[str, Any]] = []
+        for part in self._parts:
+            if isinstance(part, dict):
+                events.append(part)
+                continue
+            for batch in part.texts():
+                events.extend(json.loads("[" + ",".join(batch) + "]"))
+        return events
+
+    def _emit(self, event: dict[str, Any]) -> None:
+        self._parts.append(event)
+        self._count += 1
+
+    def add_block(self, block: EventBlock) -> None:
+        """Append a column block of events after everything so far."""
+        self._parts.append(block)
+        self._count += len(block)
 
     # -- id allocation -----------------------------------------------------
 
@@ -69,7 +116,7 @@ class TraceRecorder:
         """Process id for ``name``, allocating (and naming) on first use."""
         if name not in self._pids:
             pid = self._pids[name] = len(self._pids)
-            self.events.append({
+            self._emit({
                 "name": "process_name", "ph": "M", "ts": 0.0,
                 "pid": pid, "tid": 0, "args": {"name": name}})
         return self._pids[name]
@@ -80,7 +127,7 @@ class TraceRecorder:
         if key not in self._tids:
             tid = self._tids[key] = sum(
                 1 for (p, _) in self._tids if p == pid)
-            self.events.append({
+            self._emit({
                 "name": "thread_name", "ph": "M", "ts": 0.0,
                 "pid": pid, "tid": tid, "args": {"name": name}})
         return self._tids[key]
@@ -96,7 +143,7 @@ class TraceRecorder:
                  "pid": pid, "tid": tid}
         if args:
             event["args"] = dict(args)
-        self.events.append(event)
+        self._emit(event)
 
     def instant(self, name: str, ts_s: float, *,
                 pid: int = 0, tid: int = 0, cat: str = "sim",
@@ -106,12 +153,12 @@ class TraceRecorder:
                  "ts": ts_s * US_PER_S, "pid": pid, "tid": tid}
         if args:
             event["args"] = dict(args)
-        self.events.append(event)
+        self._emit(event)
 
     def counter(self, name: str, ts_s: float,
                 values: Mapping[str, float], *, pid: int = 0) -> None:
         """One counter (``ph="C"``) sample — Perfetto plots each key."""
-        self.events.append({
+        self._emit({
             "name": name, "ph": "C", "cat": "metrics",
             "ts": ts_s * US_PER_S, "pid": pid, "tid": 0,
             "args": dict(values)})
@@ -132,25 +179,42 @@ class TraceRecorder:
                  "id": span_id}
         if args:
             begin["args"] = dict(args)
-        self.events.append(begin)
-        self.events.append({"name": name, "ph": "e", "cat": cat,
-                            "ts": (start_s + dur_s) * US_PER_S,
-                            "pid": pid, "tid": tid, "id": span_id})
+        self._emit(begin)
+        self._emit({"name": name, "ph": "e", "cat": cat,
+                    "ts": (start_s + dur_s) * US_PER_S,
+                    "pid": pid, "tid": tid, "id": span_id})
 
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        return {"traceEvents": list(self.events),
-                "displayTimeUnit": "ms"}
+        return {"traceEvents": self.events, "displayTimeUnit": "ms"}
 
     def to_json(self, *, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
     def write(self, path: str | Path) -> Path:
-        """Serialize to ``path``; returns the written path."""
+        """Serialize to ``path``; returns the written path.
+
+        The bytes are exactly ``to_json(indent=1) + "\\n"``, streamed
+        part by part in fixed-size chunks: blocks render their rows
+        through templates, and no event dict is built for them.
+        """
         path = Path(path)
-        path.write_text(self.to_json(indent=1) + "\n")
+        with open(path, "w") as handle:
+            out = ChunkedWriter(handle)
+            out.write('{\n "traceEvents": ')
+            write_list(out, self._texts(), 1)
+            out.write(',\n "displayTimeUnit": "ms"\n}\n')
+            out.flush()
         return path
+
+    def _texts(self) -> Iterator[list[str]]:
+        """Batches of event texts at depth 2, in emission order."""
+        for part in self._parts:
+            if isinstance(part, dict):
+                yield [dumps_at(part, 2)]
+            else:
+                yield from part.texts()
 
 
 # -- training-step span layout ---------------------------------------------

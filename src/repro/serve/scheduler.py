@@ -237,24 +237,17 @@ def simulate_fleet(
     spent = {name: admission.epsilon_spent(name) for name in arrays.tenants}
     decisions = admission.admit_batch(arrays)
     positions: list[tuple[int, float]] = []
-    # Fault runs' finish sink; obs brings its own when given.
-    finishes = (array("d", [math.nan]) * len(jobs)
-                if faults is not None and obs is None else None)
+    sink: dict[str, Any] = {}
     report = simulate_fleet_streaming(
         arrays, fleet, policy=policy, admission=admission,
         decisions=decisions, autoscaler=autoscaler, faults=faults,
-        cache=cache, dispatch_log=positions, obs=obs,
-        _finishes=finishes)
-    if obs is not None:
-        finishes = obs.finishes
+        cache=cache, dispatch_log=positions, obs=obs, _sink=sink)
     if dispatch_log is not None:
         dispatch_log.extend((jobs[pos].job_id, now)
                             for pos, now in positions)
-    _, service = _job_service_seconds(
-        arrays, decisions, fleet, cache=cache,
-        faults=(FaultRun(faults, fleet, admission, cache=cache)
-                if faults is not None else None))
-    columns = job_columns(arrays, decisions, service, positions, finishes)
+    service = sink["service"]
+    columns = job_columns(arrays, decisions, service, positions,
+                          sink["finishes"])
     statuses = (AdmissionStatus.ADMITTED, AdmissionStatus.TRUNCATED,
                 AdmissionStatus.REJECTED)
     records: list[JobRecord] = []
@@ -379,7 +372,7 @@ def simulate_fleet_streaming(
     cache: "runner.ResultCache | None" = None,
     dispatch_log: "list[tuple[int, float]] | None" = None,
     obs: "FleetObs | None" = None,
-    _finishes: "array[float] | None" = None,
+    _sink: "dict[str, Any] | None" = None,
 ) -> FleetReport:
     """Replay an array trace on ``fleet``; 8 bytes of metrics per dispatch.
 
@@ -436,13 +429,21 @@ def simulate_fleet_streaming(
         decisions = admission.admit_batch(trace)
     total = len(trace)
     frun: FaultRun | None = None
+    # Per-job final finishes, stored under faults when someone reads
+    # them: the observer, or the job-list front end (``_sink``).
+    finishes: "array[float] | None" = None
     if faults is not None:
         frun = FaultRun(faults, fleet, admission, cache=cache)
         frun.prime_first_failures(decisions.admitted)
         if obs is not None:
-            _finishes = obs.finish_sink(total)
+            finishes = obs.finish_sink(total)
+        elif _sink is not None:
+            finishes = array("d", [math.nan]) * total
     step_table, service_table = _job_service_seconds(
         trace, decisions, fleet, cache=cache, faults=frun)
+    if _sink is not None:
+        # The job-list front end fills its records from these.
+        _sink.update(service=service_table, finishes=finishes)
     state = (AutoscalerState(autoscaler,
                              initial_clusters=fleet.n_clusters,
                              chips_per_cluster=fleet.chips_per_cluster)
@@ -594,8 +595,8 @@ def simulate_fleet_streaming(
                         makespan = finish
                 else:
                     frun.book_clean(finish, service_s, short[job])
-                    if _finishes is not None:
-                        _finishes[job] = finish
+                    if finishes is not None:
+                        finishes[job] = finish
             else:
                 wait = now - frun.ready_s(job, arrival[job])
                 model_name = trace.models[model[job]]
@@ -615,9 +616,9 @@ def simulate_fleet_streaming(
                 heappush(pending, (outcome.free_s, prio, seq, job))
                 seq += 1
                 if outcome.completed:
-                    if _finishes is not None:
+                    if finishes is not None:
                         assert outcome.finish_s is not None  # completed
-                        _finishes[job] = outcome.finish_s
+                        finishes[job] = outcome.finish_s
                 elif outcome.retry_s is not None:
                     if policy == "sjf":
                         live[job] = frun.remaining_steps(

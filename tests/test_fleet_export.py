@@ -19,6 +19,7 @@ Hypothesis pins the batched ``TimeSeries.add_many`` to repeated
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -363,19 +364,23 @@ _steps = st.lists(st.one_of(
     st.sampled_from([WINDOW_S, 2 * WINDOW_S, 1000 * WINDOW_S]),
     st.floats(0.0, 3 * WINDOW_S, allow_nan=False)), max_size=60)
 _float_values = st.floats(-1e6, 1e6, allow_nan=False)
+#: NaN, the infinities and both zeros, where ``np.minimum`` /
+#: ``np.maximum`` and the builtins' left fold can disagree.
+_odd_floats = st.one_of(_float_values, st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0]))
 
 
 def _series_dict(series):
     return json.dumps(series.to_dict())
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(steps=_steps, data=st.data(), split=st.integers(0, 60),
-       ints=st.booleans())
-def test_add_many_equals_repeated_add(steps, data, split, ints):
+       ints=st.booleans(), arrays=st.booleans())
+def test_add_many_equals_repeated_add(steps, data, split, ints, arrays):
     times = np.cumsum([0.0, *steps]).tolist()
     values = data.draw(st.lists(
-        st.integers(-50, 50) if ints else _float_values,
+        st.integers(-50, 50) if ints else _odd_floats,
         min_size=len(times), max_size=len(times)))
     one_by_one = TimeSeries(WINDOW_S)
     for t, value in zip(times, values):
@@ -383,9 +388,64 @@ def test_add_many_equals_repeated_add(steps, data, split, ints):
     batched = TimeSeries(WINDOW_S)
     # Two batches: the second may continue the first's open window.
     split = min(split, len(times))
-    batched.add_many(np.array(times[:split]), values[:split])
-    batched.add_many(times[split:], values[split:])
+    first, second = values[:split], values[split:]
+    if arrays:  # int64 / float64 columns instead of Python lists
+        dtype = np.int64 if ints else float
+        first, second = (np.array(part, dtype=dtype)
+                         for part in (first, second))
+    batched.add_many(np.array(times[:split]), first)
+    batched.add_many(times[split:], second)
     assert _series_dict(batched) == _series_dict(one_by_one)
+
+
+@pytest.mark.parametrize("values", (
+    [math.nan, 1.0, -1.0], [1.0, math.nan, -1.0], [0.0, -0.0, 0.0],
+    [-0.0, 0.0], [math.inf, math.nan, -math.inf], [-0.0]))
+def test_add_many_non_finite_and_signed_zero_windows(values):
+    """Builtin ``min`` / ``max`` keep a leading NaN, skip a later one
+    and keep the first of two equal zeros; ``np.minimum`` would not."""
+    times = [1.0] * len(values) + [70.0]
+    one_by_one = TimeSeries(WINDOW_S)
+    for t, value in zip(times, [*values, 0.0]):
+        one_by_one.add(t, value)
+    batched = TimeSeries(WINDOW_S)
+    batched.add_many(times, np.array([*values, 0.0]))
+    assert _series_dict(batched) == _series_dict(one_by_one)
+
+
+@pytest.mark.parametrize("values", (
+    [-0.0] * 100, [1e16] + [1.0] * 99 + [-1e16],
+    [1, 2**53, 1] * 40, [math.inf] * 70 + [-math.inf]))
+def test_add_many_long_window_sums(values):
+    """Windows longer than the column-step limit (64 samples) fold one
+    at a time, still as sequential left folds."""
+    times = [1.0] * len(values) + [70.0] * 3
+    one_by_one = TimeSeries(WINDOW_S)
+    for t, value in zip(times, [*values, *values[:3]]):
+        one_by_one.add(t, value)
+    batched = TimeSeries(WINDOW_S)
+    batched.add_many(times, [*values, *values[:3]])
+    assert _series_dict(batched) == _series_dict(one_by_one)
+
+
+def test_int_batch_continuing_an_open_window_stays_int():
+    """An int batch whose first samples join the open window: same
+    points as ``add``, with int min / max / last in the JSON."""
+    times, values = [5.0, 30.0, 59.0, 61.0, 130.0], [4, -2, 9, 7, 3]
+    one_by_one = TimeSeries(WINDOW_S)
+    for t, value in zip(times, values):
+        one_by_one.add(t, value)
+    batched = TimeSeries(WINDOW_S)
+    batched.add(times[0], values[0])
+    batched.add_many(times[1:], values[1:])
+    assert _series_dict(batched) == _series_dict(one_by_one)
+    points = batched.to_dict()["points"]
+    assert points[0] == {"t": 0.0, "count": 3, "sum": 11.0, "min": -2,
+                         "max": 9, "last": 9}
+    for point in points:
+        for field in ("min", "max", "last"):
+            assert type(point[field]) is int
+        assert type(point["count"]) is int and type(point["sum"]) is float
 
 
 @settings(max_examples=100, deadline=None)

@@ -372,6 +372,9 @@ AGGRESSIVE = FaultConfig(
     mtbf_hours=0.05, straggler_rate=0.2, correlated_fraction=0.3,
     degrade_fraction=0.7, repair_hours=0.02,
     checkpoint=CheckpointConfig(interval_steps=100), seed=3)
+#: No retries: every crash abandons its job.
+ABANDONING = FaultConfig(mtbf_hours=0.05, repair_hours=0.02,
+                         degrade_fraction=0.0, max_retries=0, seed=3)
 
 
 def _caller_trace():
@@ -390,11 +393,12 @@ class TestJobListAdapter:
 
     FLEET = FleetConfig(chips=4, chips_per_cluster=2)
 
-    @pytest.mark.parametrize("faulty", (False, True),
-                             ids=("zero-fault", "faulty"))
-    def test_records_follow_the_array_run(self, faulty):
+    @pytest.mark.parametrize("config", (None, AGGRESSIVE, ABANDONING),
+                             ids=("zero-fault", "faulty", "abandoning"))
+    def test_records_follow_the_array_run(self, config):
         jobs = _caller_trace()
-        faults = FaultModel(AGGRESSIVE) if faulty else None
+        faulty = config is not None
+        faults = FaultModel(config) if faulty else None
         log: list = []
         report = simulate_fleet(
             jobs, self.FLEET, faults=faults, dispatch_log=log,
@@ -412,6 +416,9 @@ class TestJobListAdapter:
 
         assert [r.job for r in report.records] == ordered
         assert log == [(ordered[pos].job_id, now) for pos, now in positions]
+        # Each record's planned service is the run's own service table.
+        assert [r.service_s for r in report.records] \
+            == obs._run["service"].tolist()
         first: dict = {}
         for job_id, now in log:
             first.setdefault(job_id, now)
@@ -433,8 +440,10 @@ class TestJobListAdapter:
         assert sum(r.finish_s is not None for r in report.records) \
             == report.completed
         assert sum(r.failed for r in report.records) == report.failed
-        if faulty:
+        if config is AGGRESSIVE:
             assert report.failed > 0 and report.retries > 0
+        elif config is ABANDONING:
+            assert report.failed > 0 and report.retries == 0
 
     def test_decisions_match_sequential_admission(self):
         jobs = _caller_trace()
