@@ -158,6 +158,49 @@ def test_batched_sweep_speedup_vs_pool(capsys):
         assert section["speedup"] >= 5.0
 
 
+#: Design-space models (the perfbench ``sweep`` set) and array sides:
+#: every fourth side gives the 16-geometry grid, all of them the 256.
+DESIGN_MODELS = ("SqueezeNet", "MobileNet", "ResNet-50", "VGG-16",
+                 "BERT-base")
+DESIGN_SIDES = tuple(range(32, 288, 16))
+
+
+def test_design_space_geometry_scaling(capsys):
+    """Time the design-space grid at 16 and at 256 array geometries.
+
+    ``training_step_batch`` prices every geometry of an engine class in
+    one pass, so a grid's points per second should hold or grow with
+    its geometry count.  Records a ``design_space_geometries`` section
+    in ``BENCH_scaling.json`` (best of three cold runs each); CI floors
+    the 256-geometry rate (``tools/check_bench.py``).
+    """
+    from repro.experiments import design_space
+
+    sections = {}
+    for sides in (DESIGN_SIDES[::4], DESIGN_SIDES):
+        work = [(model, height, width) for model in DESIGN_MODELS
+                for height in sides for width in sides]
+        seconds = min(_timed(design_space.evaluate_points_batched, work)[1]
+                      for _ in range(3))
+        sections[str(len(sides) ** 2)] = {
+            "points": len(work),
+            "seconds": seconds,
+            "points_per_sec": len(work) / seconds,
+        }
+
+    payload = {}
+    if BENCH_JSON.exists():
+        payload = json.loads(BENCH_JSON.read_text())
+    payload["design_space_geometries"] = sections
+    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    with capsys.disabled():
+        for geometries, section in sections.items():
+            print(f"\ndesign space, {geometries} geometries — "
+                  f"{section['points']} points in "
+                  f"{section['seconds'] * 1e3:.0f}ms "
+                  f"({section['points_per_sec']:.0f}/s)")
+
+
 def test_grid3d_sweep(capsys):
     """Time a batched DP x PP x TP grid and persist its throughput.
 

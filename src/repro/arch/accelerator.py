@@ -5,10 +5,12 @@ kernels, DRAM moves) and returns :class:`OpRun` records.  The per-op
 charge has one column form, :meth:`Accelerator.gemm_charges` /
 :meth:`Accelerator.vector_charges` (an :class:`OpCharges` struct of
 arrays); :meth:`Accelerator.run_gemm` / :meth:`Accelerator.run_vector`
-are its length-1 adapters.  DMA transfers are double-buffered against
-compute, so an operation's latency is ``max(compute cycles, DRAM
-transfer cycles)``; the DRAM access latency is exposed once per
-operation.  Aggregated OpRuns feed every downstream
+are its length-1 adapters.  The accelerator's own parameters are
+columns too (:class:`ChargeColumns`), so one call charges ops that ran
+on many accelerators, each op on its own.  DMA transfers are
+double-buffered against compute, so an operation's latency is
+``max(compute cycles, DRAM transfer cycles)``; the DRAM access latency
+is exposed once per operation.  Aggregated OpRuns feed every downstream
 consumer: the paper-figure training reports (Figures 5/13/14/15), the
 energy model (Figure 16), and the multi-chip ``scaling`` experiment,
 where per-shard OpRuns combine with the cluster's allreduce OpRuns
@@ -18,12 +20,12 @@ where per-shard OpRuns combine with the cluster's allreduce OpRuns
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.arch.engine import ArrayConfig, GemmEngine
+from repro.arch.engine import ArrayConfig, GemmEngine, unit_columns
 from repro.arch.memory import MemoryConfig, MemorySystem
 from repro.arch.vector import VectorUnit, VectorUnitConfig
 from repro.workloads.gemms import Gemm
@@ -150,6 +152,47 @@ class OpCharges(NamedTuple):
         return [OpRun(*row) for row in totals.tolist()]
 
 
+class ChargeColumns(NamedTuple):
+    """The accelerator parameters the op charges read, as scalars or
+    columns.
+
+    :attr:`Accelerator.charge_columns` is one accelerator's all-scalar
+    form; :func:`charge_columns` stacks several, and
+    :func:`~repro.arch.engine.take_rows` gives each op its accelerator's
+    entries.  :meth:`Accelerator.gemm_charges` and
+    :meth:`Accelerator.vector_charges` broadcast over either form.
+    """
+
+    input_bytes: Any
+    acc_bytes: Any
+    can_fuse_norm: Any
+    #: The PPU's per-GEMM pipeline flush (0 without a PPU).
+    ppu_flush_cycles: Any
+    dram_bytes_per_cycle: Any
+    access_latency_cycles: Any
+    vector_ops_per_cycle: Any
+    reduction_overhead_factor: Any
+
+
+def charge_columns(accelerators: "Sequence[Accelerator]") -> ChargeColumns:
+    """The charge parameters of ``accelerators``, one entry per
+    accelerator: rows of it charge ops each on its own accelerator."""
+    return unit_columns(ChargeColumns,
+                        [accel.charge_columns for accel in accelerators])
+
+
+def _transfer_cycles(total_bytes: NDArray[Any],
+                     unit: ChargeColumns) -> NDArray[Any]:
+    """DRAM cycles of each entry's transfer: the bandwidth-only streaming
+    cycles plus the access latency, exposed once per transfer (0 bytes
+    cost 0 cycles)."""
+    return np.where(
+        total_bytes > 0,
+        np.ceil(total_bytes / unit.dram_bytes_per_cycle).astype(np.int64)
+        + unit.access_latency_cycles,
+        0)
+
+
 class Accelerator:
     """A complete training accelerator model.
 
@@ -203,6 +246,18 @@ class Accelerator:
                 and self.ppu.matches_drain_rate(
                     self.config.drain_rows_per_cycle, self.config.width))
 
+    @property
+    def charge_columns(self) -> ChargeColumns:
+        """This accelerator's parameters as the op charges read them."""
+        vector = self.vector.config
+        return ChargeColumns(
+            self.config.input_bytes, self.config.acc_bytes,
+            self.can_fuse_norm,
+            0 if self.ppu is None else self.ppu.flush_cycles(),
+            self.memory.bytes_per_cycle,
+            self.memory.config.access_latency_cycles,
+            vector.ops_per_cycle, vector.reduction_overhead_factor)
+
     # -- operations -----------------------------------------------------------
     def gemm_charges(
         self,
@@ -215,6 +270,7 @@ class Accelerator:
         compute_cycles: NDArray[Any],
         sram_read_bytes: NDArray[Any],
         sram_write_bytes: NDArray[Any],
+        columns: ChargeColumns | None = None,
     ) -> OpCharges:
         """Charge columns of GEMMs, one entry per GEMM.
 
@@ -226,20 +282,22 @@ class Accelerator:
         routes the drained outputs through the PPU for on-the-fly
         L2-norm derivation (requires :attr:`can_fuse_norm`); the
         outputs are then *consumed*, not written back.
+
+        ``columns`` (:func:`charge_columns` rows, one per GEMM) charges
+        each GEMM on its own accelerator instead of this one.
         """
+        unit = self.charge_columns if columns is None else columns
         fused = bool(fuse_norm.any())
-        if fused and not self.can_fuse_norm:
+        if fused and np.any(fuse_norm & np.logical_not(unit.can_fuse_norm)):
             raise ValueError(
                 f"{self.name}: cannot fuse norm derivation "
                 "(needs an output-stationary drain into a PPU)"
             )
-        input_bytes = self.config.input_bytes
-        acc_bytes = self.config.acc_bytes
-        dram_read = (m * k + k * n) * count * input_bytes
+        acc_bytes = unit.acc_bytes
+        dram_read = (m * k + k * n) * count * unit.input_bytes
         dram_write = np.where(write_output, m * n * count * acc_bytes, 0)
         ppu_cycles = zero = np.zeros_like(compute_cycles)
         if fused:
-            assert self.ppu is not None
             # Outputs stream through the adder trees during the drain;
             # one norm scalar per GEMM is emitted.  If the gradients
             # themselves must persist (plain DP-SGD's clipping), they
@@ -247,13 +305,13 @@ class Accelerator:
             # Only the per-GEMM pipeline flush is PPU-exposed time — the
             # drain itself is already part of the GEMM cycle count.
             ppu_cycles = np.where(
-                fuse_norm, self.ppu.flush_cycles() * count, 0)
+                fuse_norm, unit.ppu_flush_cycles * count, 0)
             compute_cycles = compute_cycles + ppu_cycles
             dram_write = np.where(fuse_norm, count * acc_bytes + dram_write,
                                   dram_write)
             sram_write_bytes = np.where(fuse_norm & ~write_output,
                                         count * acc_bytes, sram_write_bytes)
-        transfer = self._transfer_cycles(dram_read + dram_write)
+        transfer = _transfer_cycles(dram_read + dram_write, unit)
         return OpCharges(
             cycles=np.maximum(compute_cycles, transfer),
             compute_cycles=compute_cycles,
@@ -274,24 +332,28 @@ class Accelerator:
         dram_read_bytes: NDArray[Any],
         dram_write_bytes: NDArray[Any],
         reduction: NDArray[Any],
+        columns: ChargeColumns | None = None,
     ) -> OpCharges:
         """Charge columns of element-wise or reduction vector kernels.
 
         A reduction pre-scales its ops by the vector unit's
         ``reduction_overhead_factor`` (the permute/add passes of a
         cross-lane reduction), so each entry is
-        ``ceil(elems * ops / lanes)`` in that float order.
+        ``ceil(elems * ops / lanes)`` in that float order.  ``columns``
+        (:func:`charge_columns` rows, one per kernel) charges each
+        kernel on its own accelerator instead of this one.
         """
-        config = self.vector.config
+        unit = self.charge_columns if columns is None else columns
         ops = np.where(reduction,
-                       ops_per_elem * config.reduction_overhead_factor,
+                       ops_per_elem * unit.reduction_overhead_factor,
                        ops_per_elem)
-        compute = np.ceil(elems * ops / config.ops_per_cycle).astype(np.int64)
-        sram = elems * self.config.acc_bytes
+        compute = np.ceil(
+            elems * ops / unit.vector_ops_per_cycle).astype(np.int64)
+        sram = elems * unit.acc_bytes
         zero = np.zeros_like(compute)
         return OpCharges(
-            cycles=np.maximum(compute, self._transfer_cycles(
-                dram_read_bytes + dram_write_bytes)),
+            cycles=np.maximum(compute, _transfer_cycles(
+                dram_read_bytes + dram_write_bytes, unit)),
             compute_cycles=zero,
             vector_cycles=compute,
             ppu_cycles=zero,
@@ -302,17 +364,6 @@ class Accelerator:
             sram_read_bytes=sram,
             sram_write_bytes=sram,
         )
-
-    def _transfer_cycles(self, total_bytes: NDArray[Any]) -> NDArray[Any]:
-        """DRAM cycles of each entry's transfer: the bandwidth-only
-        streaming cycles plus the access latency, exposed once per
-        transfer (0 bytes cost 0 cycles)."""
-        memory = self.memory
-        return np.where(
-            total_bytes > 0,
-            np.ceil(total_bytes / memory.bytes_per_cycle).astype(np.int64)
-            + memory.config.access_latency_cycles,
-            0)
 
     def run_gemm(
         self,

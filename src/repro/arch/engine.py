@@ -13,9 +13,11 @@ it over arrays of ``(m, k, n, count)``.  A tile grid has at most four
 distinct tile shapes (full x full, full x remainder, remainder x full,
 remainder x remainder), so cycles and traffic reduce to ``(G, 4)``
 integer arithmetic plus a fixed set of adjacent-tile pair classes, and
-spatial packing (:meth:`GemmEngine.rounds`) is one more column.
-:meth:`GemmEngine.gemm_stats` is its length-1 adapter, memoized per
-``(engine-config, gemm-dims)`` in an explicit bounded LRU shared by
+spatial packing (:meth:`GemmEngine.rounds`) is one more column.  The
+engine's parameters are columns too (:class:`ArrayColumns`): one call
+prices rows on many geometries of one engine class, each row on its
+own.  :meth:`GemmEngine.gemm_stats` is its length-1 adapter, memoized
+per ``(engine-config, gemm-dims)`` in an explicit bounded LRU shared by
 all engine instances.
 
 The **reference path** (:meth:`GemmEngine.gemm_stats_reference`)
@@ -29,7 +31,7 @@ import abc
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from typing import Any
+from typing import Any, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -104,6 +106,64 @@ class ArrayConfig:
         return 2.0 * self.peak_macs_per_cycle * self.frequency_hz
 
 
+_Columns = TypeVar("_Columns", bound="tuple[Any, ...]")
+
+
+def unit_columns(cls: "type[_Columns]",
+                 units: "Sequence[tuple[Any, ...]]") -> _Columns:
+    """``cls`` (a NamedTuple of parameters) over several units' values.
+
+    ``units`` holds one parameter tuple per unit (an engine, an
+    accelerator).  A field every unit shares stays that scalar, so a
+    uniform parameter costs no per-row work; any other field becomes an
+    array with one entry per unit, for :func:`take_rows` to gather.
+    """
+    fields: list[Any] = []
+    for values in zip(*units):
+        first = values[0]
+        fields.append(first if values.count(first) == len(values)
+                      else np.array(values))
+    return cls(*fields)
+
+
+def take_rows(columns: _Columns, index: Any) -> _Columns:
+    """``columns`` at ``index`` (unit indices, one per row): array fields
+    are gathered, scalar fields apply to every row as they are."""
+    return type(columns)(*(value[index] if isinstance(value, np.ndarray)
+                           else value for value in columns))
+
+
+class ArrayColumns(NamedTuple):
+    """The engine parameters the closed form reads, as scalars or columns.
+
+    The fields are :class:`ArrayConfig`'s cycle and traffic parameters
+    plus the engine's :attr:`~GemmEngine.bus_segments`.
+    :attr:`GemmEngine.columns` is one engine's all-scalar form;
+    :func:`engine_columns` stacks several engines of one class, and
+    :func:`take_rows` gives each GEMM row its engine's entries.  The
+    formulas (:func:`gemm_stats_batch`, :meth:`GemmEngine.rounds`, the
+    ``tile_*_batch`` hooks) broadcast over either form.
+    """
+
+    height: Any
+    width: Any
+    fill_rows_per_cycle: Any
+    drain_rows_per_cycle: Any
+    input_bytes: Any
+    acc_bytes: Any
+    weight_double_buffer: Any
+    accum_double_buffer: Any
+    tile_startup_cycles: Any
+    gemm_startup_cycles: Any
+    bus_segments: Any
+
+
+def engine_columns(engines: "Sequence[GemmEngine]") -> ArrayColumns:
+    """The parameters of ``engines`` (one engine class), one entry per
+    engine: rows of it price GEMMs each on its own engine."""
+    return unit_columns(ArrayColumns, [engine.columns for engine in engines])
+
+
 @dataclass(frozen=True)
 class GemmStats:
     """Execution statistics of one (possibly batched) GEMM on an engine.
@@ -148,10 +208,12 @@ class GemmStatsBatch:
 
     Every array has one entry per input GEMM; figures cover all
     ``count`` instances of each GEMM (matching the scalar stats).
+    ``peak_macs_per_cycle`` is an array too when the GEMMs ran on
+    engines of several geometries.
     """
 
     engine: str
-    peak_macs_per_cycle: int
+    peak_macs_per_cycle: "int | NDArray[Any]"
     m: NDArray[Any]
     k: NDArray[Any]
     n: NDArray[Any]
@@ -245,34 +307,60 @@ class GemmEngine(abc.ABC):
     @abc.abstractmethod
     def tile_phases_batch(
         self, m: NDArray[Any], k: NDArray[Any], n: NDArray[Any],
+        cfg: ArrayColumns,
     ) -> tuple[NDArray[Any], NDArray[Any]]:
-        """Vectorized :meth:`tile_cycle_phases` over tile-dim arrays."""
+        """Vectorized :meth:`tile_cycle_phases` over tile-dim arrays,
+        with the parameters ``cfg`` (scalars, or columns that broadcast
+        against the tile dims)."""
 
     @abc.abstractmethod
     def tile_traffic_batch(
         self, m: NDArray[Any], k: NDArray[Any], n: NDArray[Any],
+        cfg: ArrayColumns,
     ) -> tuple[NDArray[Any], NDArray[Any]]:
-        """Vectorized :meth:`tile_sram_traffic` over tile-dim arrays."""
+        """Vectorized :meth:`tile_sram_traffic` over tile-dim arrays,
+        with the parameters ``cfg``."""
 
     # -- shared machinery ----------------------------------------------------
-    def _overlapped(self) -> bool:
+    @property
+    def columns(self) -> ArrayColumns:
+        """This engine's parameters as the closed form reads them."""
+        cfg = self.config
+        return ArrayColumns(
+            cfg.height, cfg.width, cfg.fill_rows_per_cycle,
+            cfg.drain_rows_per_cycle, cfg.input_bytes, cfg.acc_bytes,
+            cfg.weight_double_buffer, cfg.accum_double_buffer,
+            cfg.tile_startup_cycles, cfg.gemm_startup_cycles,
+            self.bus_segments)
+
+    def _overlapped(self, cfg: "ArrayConfig | ArrayColumns | None" = None
+                    ) -> Any:
+        cfg = self.config if cfg is None else cfg
         if self.dataflow == "weight_stationary":
-            return self.config.weight_double_buffer
-        return self.config.accum_double_buffer
+            return cfg.weight_double_buffer
+        return cfg.accum_double_buffer
 
     def rounds(self, m: NDArray[Any], n: NDArray[Any],
-               count: NDArray[Any]) -> NDArray[Any]:
+               count: NDArray[Any], columns: ArrayColumns | None = None,
+               unit: NDArray[Any] | None = None) -> NDArray[Any]:
         """Sequential rounds that run ``count`` instances of ``m x n``.
 
         ``(H // m) * (W // n)`` instances fit side by side on the array;
         ``pack``, that fit capped by ``bus_segments`` and ``count`` (and
         at least 1), run concurrently, so the batch takes
         ``ceil(count / pack)`` rounds of one-instance latency.  With one
-        bus segment this is ``count``.
+        bus segment this is ``count``.  ``columns`` gives each row its
+        own engine's parameters: one entry per row, or, with ``unit``,
+        one per engine (:func:`engine_columns`) and ``unit`` each row's
+        engine.
         """
-        cfg = self.config
+        cfg = self.columns if columns is None else columns
+        if np.all(cfg.bus_segments == 1):
+            return count
+        if unit is not None:
+            cfg = take_rows(cfg, unit)
         fit = (cfg.height // m) * (cfg.width // n)
-        pack = np.maximum(1, np.minimum(np.minimum(fit, self.bus_segments),
+        pack = np.maximum(1, np.minimum(np.minimum(fit, cfg.bus_segments),
                                         count))
         return -(-count // pack)
 
@@ -432,7 +520,8 @@ def _class_cycles_overlapped(engine: GemmEngine, overlap: NDArray[Any],
 
 
 def gemm_stats_batch(engine: GemmEngine, m: "ArrayLike", k: "ArrayLike",
-                     n: "ArrayLike", count: "ArrayLike" = 1
+                     n: "ArrayLike", count: "ArrayLike" = 1,
+                     columns: ArrayColumns | None = None,
                      ) -> GemmStatsBatch:
     """Evaluate the closed-form cycle model over arrays of GEMM dims.
 
@@ -443,6 +532,13 @@ def gemm_stats_batch(engine: GemmEngine, m: "ArrayLike", k: "ArrayLike",
     adapter.  Compute cycles are one instance's cycles times
     :meth:`GemmEngine.rounds`; tiles and SRAM traffic scale with
     ``count``.
+
+    ``columns`` prices each row on its own geometry: the rows of
+    :func:`engine_columns` over engines of ``engine``'s class (one
+    entry per GEMM, or scalars).  Without it every row runs on
+    ``engine``.  Either way the dataflow and tiling axes are the
+    class's, so one call prices a whole design-space grid of one
+    engine class.
     """
     m = np.asarray(m, dtype=np.int64)
     k = np.asarray(k, dtype=np.int64)
@@ -456,12 +552,14 @@ def gemm_stats_batch(engine: GemmEngine, m: "ArrayLike", k: "ArrayLike",
     m, k, n, count = (np.ascontiguousarray(a) for a in (m, k, n, count))
 
     axes = engine.grid_axes
-    cfg = engine.config
+    cfg = engine.columns if columns is None else columns
     dims = {"m": m, "k": k, "n": n}
     outer_total = dims[axes[0]]
     inner_total = dims[axes[1]]
     fo, ro = np.divmod(outer_total, np.int64(cfg.height))
     fi, ri = np.divmod(inner_total, np.int64(cfg.width))
+    # Per-row parameters broadcast against the (G, 4) tile classes.
+    tile_cfg = take_rows(cfg, np.s_[:, None])
 
     # Tile-shape classes, indexed outer_kind * 2 + inner_kind with
     # kind 0 = full chunk, kind 1 = remainder; absent classes carry
@@ -483,25 +581,31 @@ def gemm_stats_batch(engine: GemmEngine, m: "ArrayLike", k: "ArrayLike",
         return np.broadcast_to(dims[axis][:, None], outer_sizes.shape)
 
     tm, tk, tn = tile_dim("m"), tile_dim("k"), tile_dim("n")
-    overlap, main = engine.tile_phases_batch(tm, tk, tn)
-    reads, writes = engine.tile_traffic_batch(tm, tk, tn)
+    overlap, main = engine.tile_phases_batch(tm, tk, tn, tile_cfg)
+    reads, writes = engine.tile_traffic_batch(tm, tk, tn, tile_cfg)
 
     tiles = counts.sum(axis=1)
     read_bytes = (counts * reads).sum(axis=1)
     write_bytes = (counts * writes).sum(axis=1)
     fixed = (np.int64(cfg.gemm_startup_cycles)
              + tiles * np.int64(cfg.tile_startup_cycles))
-    if engine._overlapped():
-        cycles = fixed + _class_cycles_overlapped(
-            engine, overlap, main, fo, ro, fi, ri)
+    # A column of double-buffer flags prices both regimes and picks.
+    overlapped = engine._overlapped(cfg)
+    if np.any(overlapped):
+        cycles = _class_cycles_overlapped(engine, overlap, main, fo, ro,
+                                          fi, ri)
+        if not np.all(overlapped):
+            cycles = np.where(overlapped, cycles,
+                              (counts * (overlap + main)).sum(axis=1))
     else:
-        cycles = fixed + (counts * (overlap + main)).sum(axis=1)
+        cycles = (counts * (overlap + main)).sum(axis=1)
+    cycles = fixed + cycles
 
     return GemmStatsBatch(
         engine=engine.name,
-        peak_macs_per_cycle=cfg.peak_macs_per_cycle,
+        peak_macs_per_cycle=cfg.height * cfg.width,
         m=m, k=k, n=n, count=count,
-        compute_cycles=cycles * engine.rounds(m, n, count),
+        compute_cycles=cycles * engine.rounds(m, n, count, cfg),
         macs=m * k * n * count,
         tiles=tiles * count,
         sram_read_bytes=read_bytes * count,

@@ -21,7 +21,12 @@ from typing import Any
 
 from numpy.typing import NDArray
 
-from repro.arch.engine import GemmEngine, TileShape, chunk_sizes
+from repro.arch.engine import (
+    ArrayColumns,
+    GemmEngine,
+    TileShape,
+    chunk_sizes,
+)
 from repro.workloads.gemms import Gemm
 
 
@@ -49,8 +54,8 @@ class WeightStationaryEngine(GemmEngine):
 
     def tile_phases_batch(
         self, m: NDArray[Any], k: NDArray[Any], n: NDArray[Any],
+        cfg: ArrayColumns,
     ) -> tuple[NDArray[Any], NDArray[Any]]:
-        cfg = self.config
         fill = (k + cfg.fill_rows_per_cycle - 1) // cfg.fill_rows_per_cycle
         stream = m + k + cfg.width - 1
         return fill, stream
@@ -63,8 +68,8 @@ class WeightStationaryEngine(GemmEngine):
 
     def tile_traffic_batch(
         self, m: NDArray[Any], k: NDArray[Any], n: NDArray[Any],
+        cfg: ArrayColumns,
     ) -> tuple[NDArray[Any], NDArray[Any]]:
-        cfg = self.config
         reads = (m * k + k * n) * cfg.input_bytes
         writes = m * n * cfg.acc_bytes
         return reads, writes
@@ -94,8 +99,8 @@ class OutputStationaryEngine(GemmEngine):
 
     def tile_phases_batch(
         self, m: NDArray[Any], k: NDArray[Any], n: NDArray[Any],
+        cfg: ArrayColumns,
     ) -> tuple[NDArray[Any], NDArray[Any]]:
-        cfg = self.config
         drain = (m + cfg.drain_rows_per_cycle - 1) // cfg.drain_rows_per_cycle
         wavefront = k + m + n - 1
         return drain, wavefront
@@ -108,8 +113,8 @@ class OutputStationaryEngine(GemmEngine):
 
     def tile_traffic_batch(
         self, m: NDArray[Any], k: NDArray[Any], n: NDArray[Any],
+        cfg: ArrayColumns,
     ) -> tuple[NDArray[Any], NDArray[Any]]:
-        cfg = self.config
         reads = (m * k + k * n) * cfg.input_bytes
         writes = m * n * cfg.acc_bytes
         return reads, writes

@@ -17,7 +17,12 @@ from typing import Any
 
 from numpy.typing import NDArray
 
-from repro.arch.engine import GemmEngine, TileShape, chunk_sizes
+from repro.arch.engine import (
+    ArrayColumns,
+    GemmEngine,
+    TileShape,
+    chunk_sizes,
+)
 from repro.workloads.gemms import Gemm
 
 
@@ -45,8 +50,8 @@ class OuterProductEngine(GemmEngine):
 
     def tile_phases_batch(
         self, m: NDArray[Any], k: NDArray[Any], n: NDArray[Any],
+        cfg: ArrayColumns,
     ) -> tuple[NDArray[Any], NDArray[Any]]:
-        cfg = self.config
         drain = (m + cfg.drain_rows_per_cycle - 1) // cfg.drain_rows_per_cycle
         return drain, k
 
@@ -59,8 +64,8 @@ class OuterProductEngine(GemmEngine):
 
     def tile_traffic_batch(
         self, m: NDArray[Any], k: NDArray[Any], n: NDArray[Any],
+        cfg: ArrayColumns,
     ) -> tuple[NDArray[Any], NDArray[Any]]:
-        cfg = self.config
         reads = (m + n) * k * cfg.input_bytes
         writes = m * n * cfg.acc_bytes
         return reads, writes

@@ -62,10 +62,11 @@ def _design_config(height: int, width: int) -> "DivaConfig":
 def evaluate_points_batched(points: list[tuple]) -> list[dict]:
     """Rows of :func:`evaluate_point` work tuples, priced as one grid.
 
-    Both design points of every geometry (the WS baseline and DiVa)
-    become one spec list for
-    :func:`repro.training.training_step_batch`, so the whole grid's
-    GEMMs are priced in a few NumPy passes.  A work tuple may stop
+    Each distinct network and each distinct geometry's pair of design
+    points (the WS baseline and DiVa) is built once, and every point
+    becomes two specs of one
+    :func:`repro.training.training_step_batch` call, which prices every
+    geometry of an engine class in one pass.  A work tuple may stop
     after ``width``; the omitted trailing fields take
     :func:`evaluate_point`'s defaults.
     """
@@ -74,43 +75,38 @@ def evaluate_points_batched(points: list[tuple]) -> list[dict]:
     from repro.training.batch import training_step_batch
     from repro.workloads import build_model
 
-    batches: dict[tuple, int] = {}
-    accelerators: dict[tuple, object] = {}
-    specs = []
-    meta = []
     defaults = evaluate_point.__defaults__ or ()
-    for point in points:
-        name, height, width, input_size, seq_len = (
-            tuple(point) + defaults[len(point) - 3:])
-        net_key = (name, input_size, seq_len)
-        network = build_model(name, input_size=input_size, seq_len=seq_len)
-        if net_key not in batches:
-            batches[net_key] = max_batch_size(network, Algorithm.DP_SGD)
-        batch = batches[net_key]
-        pair = []
-        for kind in ("ws", "diva"):
-            accel_key = (kind, height, width)
-            accel = accelerators.get(accel_key)
-            if accel is None:
-                accel = accelerators[accel_key] = build_accelerator(
-                    kind, with_ppu=(kind == "diva"),
-                    config=_design_config(height, width))
-            pair.append(len(specs))
-            specs.append((accel, network, Algorithm.DP_SGD_R, batch))
-        meta.append((name, height, width, batch, pair[0], pair[1]))
+    points = [tuple(point) + defaults[len(point) - 3:] for point in points]
+    networks = {
+        key: build_model(key[0], input_size=key[1], seq_len=key[2])
+        for key in dict.fromkeys((name, input_size, seq_len) for
+                                 name, _, _, input_size, seq_len in points)}
+    batches = {key: max_batch_size(network, Algorithm.DP_SGD)
+               for key, network in networks.items()}
+    designs = {
+        (height, width): [build_accelerator(
+            kind, with_ppu=(kind == "diva"),
+            config=_design_config(height, width)) for kind in ("ws", "diva")]
+        for height, width in dict.fromkeys(
+            (height, width) for _, height, width, _, _ in points)}
+    specs = [(accel, networks[name, input_size, seq_len],
+              Algorithm.DP_SGD_R, batches[name, input_size, seq_len])
+             for name, height, width, input_size, seq_len in points
+             for accel in designs[height, width]]
 
-    seconds = training_step_batch(specs).total_seconds
+    seconds = training_step_batch(specs).total_seconds.tolist()
     return [
         {
             "model": name,
             "height": height,
             "width": width,
-            "batch": batch,
-            "ws_ms": float(seconds[ws_i]) * 1e3,
-            "diva_ms": float(seconds[diva_i]) * 1e3,
-            "speedup": float(seconds[ws_i]) / float(seconds[diva_i]),
+            "batch": batches[name, input_size, seq_len],
+            "ws_ms": ws_s * 1e3,
+            "diva_ms": diva_s * 1e3,
+            "speedup": ws_s / diva_s,
         }
-        for name, height, width, batch, ws_i, diva_i in meta
+        for (name, height, width, input_size, seq_len), ws_s, diva_s in zip(
+            points, seconds[::2], seconds[1::2])
     ]
 
 

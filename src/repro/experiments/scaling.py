@@ -17,6 +17,10 @@ sharded training step, under either scaling regime:
     The per-chip shard is fixed and the global batch grows with the
     cluster, so ideal scaling keeps the step time flat.
 
+Under ``--plan auto`` the default batch comes from the placement
+planner's HBM budget instead (:func:`auto_global_batch_info`), and a
+point no placement can hold becomes a refusal row.
+
 The communication model is overlap-aware: ``bucket_bytes`` splits the
 gradient allreduce into pipelined buckets, ``overlap`` hides them
 behind the backward pass, and the ``hierarchical`` topology composes
@@ -73,6 +77,41 @@ def default_global_batch_info(
     from repro.workloads import build_model
 
     batch = max_batch_size(build_model(model), Algorithm.DP_SGD)
+    lcm = math.lcm(*chip_counts)
+    if batch < lcm:
+        return lcm, True
+    return batch // lcm * lcm, False
+
+
+def auto_global_batch_info(
+        model: str, chip_counts: tuple[int, ...], mode: str = "strong",
+        hbm_gb: float | None = None) -> tuple[int, bool]:
+    """``(batch, clamped)`` for the default batch of a ``--plan auto``
+    sweep, from the placement planner's HBM budget.
+
+    The largest DP-SGD batch that pure data parallelism, the one
+    placement every cluster size has, holds on the sweep's smallest
+    cluster under the planner's budget (``hbm_gb`` GiB per chip, less
+    the reserved fraction): a per-chip shard of at most
+    :func:`~repro.training.memory.max_batch_size` examples, counted per
+    chip of the smallest cluster under strong scaling and once under
+    weak scaling.  It is rounded down to a multiple of
+    ``lcm(chip_counts)``; below the LCM it is clamped up to it
+    (``clamped=True``), and the planner refuses the points that cannot
+    hold it.
+    """
+    from repro.training import Algorithm, max_batch_size
+    from repro.training.memory import DEFAULT_CAPACITY_BYTES
+    from repro.workloads import build_model
+
+    capacity = (int(hbm_gb * 2**30) if hbm_gb is not None
+                else DEFAULT_CAPACITY_BYTES)
+    try:
+        shard = max_batch_size(build_model(model), Algorithm.DP_SGD,
+                               capacity_bytes=capacity, power_of_two=False)
+    except ValueError:  # not even one example fits a chip
+        shard = 0
+    batch = shard * min(chip_counts) if mode == "strong" else shard
     lcm = math.lcm(*chip_counts)
     if batch < lcm:
         return lcm, True
@@ -269,30 +308,40 @@ def run(
                     f"global batch {batch} does not divide evenly "
                     f"across chip counts {indivisible}")
     work = []
+    # Refusal rows of auto-planned points, by their place in the sweep.
+    refused: dict[int, dict] = {}
     for model in models:
         if batch is not None:
             base, clamped = batch, False
+        elif plan_mode == "auto":
+            base, clamped = auto_global_batch_info(model, chip_counts,
+                                                   mode, hbm_gb)
         else:
             base, clamped = default_global_batch_info(model, chip_counts)
         for algorithm in algorithms:
             for n in chip_counts:
-                point_pp, point_tp = pp, tp
+                point = (model, n, algorithm, mode, topology, base,
+                         overlap, bucket_bytes, chips_per_node, clamped,
+                         pp, tp, fabric)
                 if plan_mode == "auto":
-                    point_pp, point_tp = _auto_plan(
+                    plan = _auto_plan(
                         model, algorithm, n,
                         base * n if mode == "weak" else base,
                         topology=topology, bucket_bytes=bucket_bytes,
                         chips_per_node=chips_per_node, fabric=fabric,
                         overlap=overlap, hbm_gb=hbm_gb)
-                work.append((model, n, algorithm, mode, topology, base,
-                             overlap, bucket_bytes, chips_per_node,
-                             clamped, point_pp, point_tp, fabric))
+                    if isinstance(plan, str):
+                        refused[len(work) + len(refused)] = _refusal_row(
+                            point, plan)
+                        continue
+                    point = point[:10] + plan + point[12:]
+                work.append(point)
     # The sweep is fully analytic, so it goes through the in-process
     # batched engine (one vectorized evaluation of every cache miss)
     # rather than the process pool; `jobs` is accepted for API
     # stability but the batched path needs no workers.
     del jobs
-    return runner.cached_batch(
+    rows = runner.cached_batch(
         evaluate_points_batched, work, cache=cache,
         stats=stats, profiler=profiler,
         key_fn=lambda point: {"experiment": "scaling",
@@ -306,13 +355,38 @@ def run(
                               "pp": point[10], "tp": point[11],
                               "fabric": point[12]},
     )
+    for index in sorted(refused):
+        rows.insert(index, refused[index])
+    return rows
+
+
+def _refusal_row(point: tuple, reason: str) -> dict:
+    """The row of a point no placement can hold: its identity and why."""
+    (model, n, algorithm, mode, topology, base, overlap, bucket_bytes,
+     chips_per_node, clamped, _, _, fabric) = point
+    return {
+        "model": model,
+        "algorithm": algorithm,
+        "mode": mode,
+        "topology": topology,
+        "chips": n,
+        "chips_per_node": chips_per_node,
+        "overlap": overlap,
+        "bucket_mb": (bucket_bytes / 2**20
+                      if bucket_bytes is not None else None),
+        "global_batch": base * n if mode == "weak" else base,
+        "batch_clamped": clamped,
+        "fabric": fabric,
+        "refused": reason,
+    }
 
 
 def _auto_plan(model: str, algorithm: str, n_chips: int, global_batch: int,
                *, topology: str, bucket_bytes: int | None,
                chips_per_node: int, fabric: str | None, overlap: bool,
-               hbm_gb: float | None) -> tuple[int, int]:
-    """Resolve one point's ``(pp, tp)`` via the placement planner."""
+               hbm_gb: float | None) -> tuple[int, int] | str:
+    """Resolve one point's ``(pp, tp)`` via the placement planner, or
+    say why no placement holds it."""
     from repro.training import Algorithm
     from repro.training.memory import DEFAULT_CAPACITY_BYTES
     from repro.training.plan import plan_placement
@@ -330,11 +404,9 @@ def _auto_plan(model: str, algorithm: str, n_chips: int, global_batch: int,
     if best is None:
         reasons = sorted({c.reason for c in placement.candidates
                           if not c.feasible})
-        raise ValueError(
-            f"no feasible DP x PP x TP placement for {model}/{algorithm} "
-            f"at batch {global_batch} on {n_chips} chips "
-            f"({placement.budget_bytes / 2**30:.1f} GiB budget): "
-            + "; ".join(reasons))
+        return (f"no feasible DP x PP x TP placement at batch "
+                f"{global_batch} ({placement.budget_bytes / 2**30:.1f} GiB "
+                f"budget): " + "; ".join(reasons))
     return best.pp, best.tp
 
 
@@ -347,7 +419,8 @@ def annotate(rows: list[dict]) -> list[dict]:
     regimes compare throughput (examples per second), which reduces to
     the plain latency ratio under strong scaling and to step-time
     flatness under weak scaling.  Efficiency is speedup over the ideal
-    chip ratio.
+    chip ratio.  A refusal row (``--plan auto`` on a point no placement
+    holds) is passed through and is no series' baseline.
     """
     def series_key(row: dict) -> tuple:
         return (row["model"], row["algorithm"], row["mode"],
@@ -358,10 +431,14 @@ def annotate(rows: list[dict]) -> list[dict]:
     baselines: dict[tuple, dict] = {}
     for row in rows:
         best = baselines.get(series_key(row))
-        if best is None or row["chips"] < best["chips"]:
+        if "refused" not in row and (best is None
+                                     or row["chips"] < best["chips"]):
             baselines[series_key(row)] = row
     out = []
     for row in rows:
+        if "refused" in row:
+            out.append(row)
+            continue
         base = baselines[series_key(row)]
         throughput = row["global_batch"] / row["step_ms"]
         base_throughput = base["global_batch"] / base["step_ms"]
@@ -378,7 +455,8 @@ def render(rows: list[dict] | None = None) -> str:
     Batches clamped up to ``lcm(chips)`` (see
     :func:`default_global_batch_info`) are marked ``*`` in the
     ``Global B`` column, with a footnote — those points exceed one
-    chip's HBM and measure latency scaling only.
+    chip's HBM and measure latency scaling only.  A refusal row reads
+    ``refused†``, with its reason in a footnote.
     """
     rows = annotate(rows if rows is not None else run())
     mode = rows[0]["mode"] if rows else "strong"
@@ -389,6 +467,8 @@ def render(rows: list[dict] | None = None) -> str:
     any_3d = any(row.get("pp", 1) * row.get("tp", 1) > 1 for row in rows)
 
     def grid_label(row: dict) -> str:
+        if "refused" in row:
+            return "-"
         pp, tp = row.get("pp", 1), row.get("tp", 1)
         dp = row["chips"] // (pp * tp)
         return f"dp{dp}·pp{pp}·tp{tp}"
@@ -398,10 +478,11 @@ def render(rows: list[dict] | None = None) -> str:
          *([grid_label(row)] if any_3d else []),
          (f"{row['global_batch']}*" if row.get("batch_clamped")
           else row["global_batch"]),
-         row["step_ms"], row["comm_ms"],
-         row.get("comm_total_ms", row["comm_ms"]),
-         100.0 * row["comm_fraction"],
-         row["speedup"], row["efficiency"]]
+         *(["refused†"] + ["-"] * 5 if "refused" in row else [
+             row["step_ms"], row["comm_ms"],
+             row.get("comm_total_ms", row["comm_ms"]),
+             100.0 * row["comm_fraction"],
+             row["speedup"], row["efficiency"]])]
         for row in rows
     ]
     comm_label = ("bucketed " if bucket_mb else "") + topology
@@ -418,6 +499,11 @@ def render(rows: list[dict] | None = None) -> str:
         text += ("\n* global batch clamped up to lcm(chips) — exceeds "
                  "one chip's max DP-SGD batch (latency model only, not "
                  "capacity-feasible)")
+    for row in rows:
+        if "refused" in row:
+            chips = f"{row['chips']} chip" + "s" * (row["chips"] != 1)
+            text += (f"\n† {row['model']}/{row['algorithm']} on {chips}: "
+                     f"{row['refused']}")
     return text
 
 

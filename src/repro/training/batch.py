@@ -11,18 +11,27 @@ same code in a few NumPy broadcast passes:
   expands over per-kind columns: each ``(network, GemmKind)`` is
   lowered once per process from ``network.gemms`` at batch 1 and 2
   into a bounded LRU of the layer column, the batch-1 dims and the
-  int64 slope of m, k, n and count.  Any ``(batch, tp)`` is then
-  ``base + (batch - 1) * slope`` with ``n`` ceil-divided by ``tp``;
-  GEMMs that are not batch-affine raise at lowering time.
+  int64 slope of m, k, n and count, deduplicated once into its
+  distinct rows and shapes.  Any ``(batch, tp)`` is then ``base +
+  (batch - 1) * slope`` with ``n`` ceil-divided by ``tp``; GEMMs that
+  are not batch-affine raise at lowering time.
 * :func:`training_step_batch` groups a list of single-chip step specs
-  by ``(accelerator, network, algorithm, tp)`` and broadcasts each
-  group's template over its batches by index arithmetic: the
+  by engine class (WS, OS, DiVa, packed), then by ``(network,
+  algorithm, tp, can_fuse_norm)`` — every geometry of a class shares
+  one group — and broadcasts each group's template over its specs by
+  index arithmetic: the
   :func:`~repro.training.simulate.step_vector_kernels` rows become one
   ``specs x kernels`` column pass and the GEMM blocks one ``specs x
-  ops`` dims pass.  GEMM shapes are deduplicated per engine through
-  packed int64 keys (:func:`repro.arch.batch.unique_rows`) and priced
-  by :func:`repro.arch.batch.gemm_stats_batch`; each accelerator then
-  charges its rows with its column form
+  ops`` dims pass (a grid prices each distinct GEMM of a block once,
+  weighted by its ops).  Every parameter that differs between the
+  accelerators — array geometry, drain and fill rates, PPU, memory,
+  vector unit — is a column gathered per row
+  (:class:`~repro.arch.engine.ArrayColumns`,
+  :class:`~repro.arch.accelerator.ChargeColumns`).  Each engine class
+  prices its distinct ``(shape, batch, tp, accelerator)`` instances,
+  numbered by integer arithmetic, in one
+  :func:`repro.arch.batch.gemm_stats_batch` pass, and every op is
+  charged on its own accelerator by the column forms
   (:meth:`~repro.arch.accelerator.Accelerator.vector_charges`,
   :meth:`~repro.arch.accelerator.Accelerator.gemm_charges`), every
   :class:`~repro.arch.accelerator.OpRun` field per op.  A grid sums
@@ -64,7 +73,13 @@ from typing import (
 
 import numpy as np
 
-from repro.arch.accelerator import Accelerator, OpCharges, OpRun
+from repro.arch.accelerator import (
+    Accelerator,
+    ChargeColumns,
+    OpCharges,
+    OpRun,
+    charge_columns,
+)
 from repro.arch.batch import (
     allreduce_seconds_batch,
     first_bucket_seconds_batch,
@@ -72,9 +87,9 @@ from repro.arch.batch import (
     link_bytes_per_chip_batch,
     n_buckets_batch,
     topology_codes,
-    unique_rows,
 )
 from repro.arch.cluster import ParallelPlan
+from repro.arch.engine import GemmEngine, engine_columns, take_rows
 from repro.arch.interconnect import (
     DEFAULT_LINK_BANDWIDTH_BYTES_PER_S,
     DEFAULT_LINK_LATENCY_S,
@@ -250,18 +265,29 @@ def _layer_column(network: Network, gemms: Sequence[Gemm]) -> list[int]:
 @dataclass(frozen=True)
 class _AffineGemms:
     """One network's GEMMs of one kind, lowered at batch 1, plus how
-    their dims grow per example.
+    their dims grow per example, deduplicated.
 
     ``layer`` is the read-only int64 layer column; ``dims`` and ``slope``
     are read-only ``(4, ops)`` int64 rows of m, k, n and count: at batch
-    ``b`` the dims are ``dims + (b - 1) * slope``.  The entry holds its
-    network, so the identity it is keyed by stays live.
+    ``b`` the dims are ``dims + (b - 1) * slope``.  Rows with equal dims
+    and slopes are one GEMM at every batch: ``first`` holds the first
+    row of each distinct one and ``weight`` how many rows repeat it (a
+    transformer's encoder layers repeat a handful of GEMMs).  Rows with
+    equal m, k and n dims and slopes are one *shape*: ``shapes`` holds
+    the distinct ``(m, k, n, m slope, k slope, n slope)`` tuples in
+    first-appearance order, and ``shape`` each row's index into it.
+    The arrays are read-only.  The entry holds its network, so the
+    identity it is keyed by stays live.
     """
 
     network: Network
     layer: np.ndarray
     dims: np.ndarray
     slope: np.ndarray
+    first: np.ndarray
+    weight: np.ndarray
+    shape: np.ndarray
+    shapes: tuple[tuple[int, ...], ...]
 
 
 def _gemm_dims(gemms: Sequence[Gemm]) -> np.ndarray:
@@ -270,8 +296,9 @@ def _gemm_dims(gemms: Sequence[Gemm]) -> np.ndarray:
 
 
 def _lower_kind(network: Network, kind: GemmKind) -> _AffineGemms:
-    """Lower ``network.gemms(kind, .)`` at batch 1 and 2 and check the
-    GEMMs are batch-affine: the same layers, with non-negative slopes."""
+    """Lower ``network.gemms(kind, .)`` at batch 1 and 2, check the
+    GEMMs are batch-affine (the same layers, with non-negative slopes)
+    and deduplicate their rows and shapes."""
     one, two = (network.gemms(kind, batch) for batch in (1, 2))
     layer = _layer_column(network, one)
     dims = _gemm_dims(one)
@@ -281,10 +308,21 @@ def _lower_kind(network: Network, kind: GemmKind) -> _AffineGemms:
         raise ValueError(
             f"{network.name}: the {kind.value} GEMMs are not batch-affine, "
             f"so the step pricer cannot lower them")
+    rows: dict[tuple[int, ...], int] = {}
+    shapes: dict[tuple[int, ...], int] = {}
+    first, row_of, shape = [], [], []
+    for j, row in enumerate(map(tuple, np.concatenate([dims, slope])
+                                .T.tolist())):
+        row_of.append(rows.setdefault(row, len(rows)))
+        if row_of[-1] == len(first):
+            first.append(j)
+        shape.append(shapes.setdefault(row[:3] + row[4:7], len(shapes)))
     dims.flags.writeable = False
     slope.flags.writeable = False
     return _AffineGemms(network=network, layer=_frozen(layer, np.int64),
-                        dims=dims, slope=slope)
+                        dims=dims, slope=slope, first=_frozen(first, np.int64),
+                        weight=_frozen(np.bincount(row_of), np.int64),
+                        shape=_frozen(shape, np.int64), shapes=tuple(shapes))
 
 
 #: Upper bound on memoized per-kind lowerings (LRU eviction).
@@ -318,44 +356,79 @@ def _affine_gemms(network: Network, kind: GemmKind) -> _AffineGemms:
 
 @dataclass(frozen=True)
 class _SpecGroups:
-    """Step specs grouped by ``(accelerator, network, algorithm, tp)``.
+    """Step specs grouped by engine class, then by step template.
 
-    ``heads`` holds each group's ``(accelerator, network, algorithm,
-    tp)``, groups of one accelerator adjacent (``engine_groups`` counts
-    them per accelerator, in first-appearance order).  Spec positions
-    run group by group, ``count[g]`` of them for group ``g``; position
-    ``p`` is spec ``index[p]`` at mini-batch ``batch[p]``.
+    A group is the specs of one engine class that share ``(network,
+    algorithm, tp, can_fuse_norm)``: the dataflow and norm fusion are
+    all a step template reads of an accelerator, so one group holds
+    every geometry of a design-space grid.  ``heads`` holds each
+    group's ``(accelerator, network, algorithm, tp)``, the accelerator
+    being any one of the group's; groups of one class are adjacent
+    (``class_groups`` counts them per class, in first-appearance order).
+    Spec positions run group by group, ``count[g]`` of them for group
+    ``g``; position ``p`` is spec ``index[p]`` at mini-batch
+    ``batch[p]`` on accelerator ``units[unit[p]]``.  The distinct
+    accelerators are numbered class by class (``class_units`` counts
+    them per class), and ``unit_charges`` holds their charge
+    parameters.
     """
 
     heads: list[tuple[Accelerator, Network, Algorithm, int]]
-    engine_groups: list[int]
+    class_groups: list[int]
+    units: list[Accelerator]
+    class_units: list[int]
+    unit_charges: ChargeColumns
     index: np.ndarray
     batch: np.ndarray
+    unit: np.ndarray
     count: np.ndarray
 
 
 def _group_specs(specs: Sequence[tuple]) -> _SpecGroups:
-    engines: dict[int, dict[tuple, tuple[tuple, list[int], list[int]]]] = {}
+    # Engine class -> (its accelerators, its groups by template key).
+    classes: dict[type, tuple[list[Accelerator], dict[tuple, tuple]]] = {}
+    # Accelerator id -> (its class's groups, index in class, can fuse).
+    units: dict[int, tuple[dict[tuple, tuple], int, bool]] = {}
     for index, (accel, network, algorithm, batch, *rest) in enumerate(specs):
         tp = rest[0] if rest else 1
-        _, indices, batches = engines.setdefault(id(accel), {}).setdefault(
-            (id(network), algorithm, tp),
-            ((accel, network, algorithm, tp), [], []))
-        indices.append(index)
-        batches.append(batch)
-    groups = [group for by_group in engines.values()
-              for group in by_group.values()]
-    batch = np.array([b for *_, batches in groups for b in batches],
+        unit = units.get(id(accel))
+        if unit is None:
+            accels, by_group = classes.setdefault(type(accel.engine),
+                                                  ([], {}))
+            unit = units[id(accel)] = (by_group, len(accels),
+                                       accel.can_fuse_norm)
+            accels.append(accel)
+        by_group, local, fuse = unit
+        group = by_group.get((id(network), algorithm, tp, fuse))
+        if group is None:
+            group = by_group[id(network), algorithm, tp, fuse] = (
+                (accel, network, algorithm, tp), [], [], [])
+        group[1].append(index)
+        group[2].append(batch)
+        group[3].append(local)
+    groups = []
+    unit_list: list[Accelerator] = []
+    for accels, by_group in classes.values():
+        offset = len(unit_list)
+        unit_list += accels
+        groups += [(head, indices, batches, [offset + u for u in locals_])
+                   for head, indices, batches, locals_ in by_group.values()]
+    batch = np.array([b for _, _, batches, _ in groups for b in batches],
                      dtype=np.int64)
     if (batch <= 0).any():
         raise ValueError(f"batch must be positive, got {int(batch.min())}")
     return _SpecGroups(
-        heads=[head for head, _, _ in groups],
-        engine_groups=[len(by_group) for by_group in engines.values()],
-        index=np.array([u for _, indices, _ in groups for u in indices],
+        heads=[head for head, *_ in groups],
+        class_groups=[len(by_group) for _, by_group in classes.values()],
+        units=unit_list,
+        class_units=[len(accels) for accels, _ in classes.values()],
+        unit_charges=charge_columns(unit_list),
+        index=np.array([u for _, indices, _, _ in groups for u in indices],
                        dtype=np.int64),
         batch=batch,
-        count=np.array([len(indices) for _, indices, _ in groups],
+        unit=np.array([u for *_, units in groups for u in units],
+                      dtype=np.int64),
+        count=np.array([len(indices) for _, indices, _, _ in groups],
                        dtype=np.int64),
     )
 
@@ -382,12 +455,42 @@ def _expand(groups: _SpecGroups, rows: np.ndarray
             np.repeat(np.arange(len(per_spec)), per_spec))
 
 
+def _dense_unique(key: np.ndarray, space: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)``: an entry of each distinct value of ``key``
+    (ints in ``range(space)``), in increasing value order, and each
+    entry's distinct index.
+
+    Marks the values in a table of ``space`` flags, so it costs two
+    passes over ``key`` and none of a sort; a key space much larger
+    than the key falls back to ``np.unique``'s sort.
+    """
+    if space > 4 * len(key) + 4096:
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        return first, inverse
+    seen = np.zeros(space, dtype=bool)
+    seen[key] = True
+    values = np.flatnonzero(seen)
+    slot = np.empty(space, dtype=np.int64)
+    slot[values] = np.arange(len(values))
+    inverse = slot[key]
+    first = np.empty(len(values), dtype=np.int64)
+    first[inverse] = np.arange(len(key))
+    return first, inverse
+
+
 class _GemmColumns(NamedTuple):
     """Every GEMM op of a set of grouped specs, as columns.
 
     ``position`` is each op's spec position (:class:`_SpecGroups`); the
     ops of one spec are contiguous and in schedule order, and
     ``op_count[g]`` is the number of ops of each spec of group ``g``.
+    ``shape`` is each op's template shape (:class:`_AffineGemms`),
+    numbered across the entries in use so that equal shapes of two
+    entries are one, and ``varies[s]`` whether shape ``s``'s m, k or n
+    grows with the batch.  ``weight`` is how many ops each row stands
+    for (``None`` when every row is one op).
     """
 
     position: np.ndarray
@@ -400,34 +503,61 @@ class _GemmColumns(NamedTuple):
     count: np.ndarray
     write_output: np.ndarray
     fuse_norm: np.ndarray
+    shape: np.ndarray
+    varies: np.ndarray
+    weight: np.ndarray | None
 
 
-def _gemm_columns(groups: _SpecGroups) -> _GemmColumns:
+def _gemm_columns(groups: _SpecGroups, every_op: bool = True
+                  ) -> _GemmColumns:
     """Expand each group's :func:`step_gemm_blocks` over the per-kind
-    lowerings and broadcast it over the group's batches and ``tp``."""
-    # Template rows index the distinct per-kind lowerings, laid side by
-    # side in one (4, ops) table of batch-1 dims and one of slopes.
-    kinds: dict[tuple[int, GemmKind], tuple[int, _AffineGemms]] = {}
+    lowerings and broadcast it over the group's batches and ``tp``.
+
+    With ``every_op`` each GEMM op is one row, in schedule order.
+    Without it each distinct GEMM of a block is one row, with the
+    number of ops repeating it as its ``weight`` and the layer of its
+    first op: the phase cycles are the weighted sums, in a fraction of
+    the rows.
+    """
+    # Template rows index the per-kind lowerings (every row, or each
+    # distinct row), laid side by side in one (4, rows) table of
+    # batch-1 dims and one of slopes.  Entries of one call can share
+    # shapes (kinds and networks repeat layers), so their shapes are
+    # numbered once more, across entries.
+    kinds: dict[tuple, tuple[int, int, _AffineGemms, Any]] = {}
+    rules: dict[tuple, list[tuple[GemmKind, int, bool, bool]]] = {}
     width = 0
     blocks: list[tuple[int, int, int, bool, bool]] = []
     op_count = []
     for accel, network, algorithm, _ in groups.heads:
+        rule = (algorithm, accel.engine.dataflow, accel.can_fuse_norm)
+        if rule not in rules:
+            rules[rule] = [
+                (block.kind, _PHASE_INDEX[block.phase], block.write_output,
+                 block.fuse_norm)
+                for block in step_gemm_blocks(algorithm, accel)]
         total = 0
-        for block in step_gemm_blocks(algorithm, accel):
-            key = (id(network), block.kind)
-            if key not in kinds:
-                entry = _affine_gemms(network, block.kind)
-                kinds[key] = (width, entry)
-                width += len(entry.layer)
-            start, entry = kinds[key]
-            blocks.append((start, len(entry.layer),
-                           _PHASE_INDEX[block.phase], block.write_output,
-                           block.fuse_norm))
-            total += len(entry.layer)
+        for kind, phase, write_output, fuse_norm in rules[rule]:
+            lowered = kinds.get((id(network), kind))
+            if lowered is None:
+                entry = _affine_gemms(network, kind)
+                rows = slice(None) if every_op else entry.first
+                lowered = kinds[id(network), kind] = (
+                    width, len(entry.layer[rows]), entry, rows)
+                width += lowered[1]
+            start, size, _, _ = lowered
+            blocks.append((start, size, phase, write_output, fuse_norm))
+            total += size
         op_count.append(total)
     base, slope, layer = (
-        np.concatenate([getattr(entry, name) for _, entry in kinds.values()],
-                       axis=-1) for name in ("dims", "slope", "layer"))
+        np.concatenate([getattr(entry, name)[..., rows]
+                        for _, _, entry, rows in kinds.values()], axis=-1)
+        for name in ("dims", "slope", "layer"))
+    shapes: dict[tuple[int, ...], int] = {}
+    shape = np.concatenate([
+        np.array([shapes.setdefault(row, len(shapes)) for row in entry.shapes],
+                 dtype=np.int64)[entry.shape[rows]]
+        for _, _, entry, rows in kinds.values()])
     start, size, phase, write_output, fuse_norm = (
         np.array(column, dtype=dtype) for column, dtype in zip(
             zip(*blocks), (np.int64,) * 3 + (bool,) * 2))
@@ -445,19 +575,29 @@ def _gemm_columns(groups: _SpecGroups) -> _GemmColumns:
         phase=np.repeat(phase, size)[row], layer=layer[column],
         m=m, k=k, n=-(-n // tp[position]), count=count,
         write_output=np.repeat(write_output, size)[row],
-        fuse_norm=np.repeat(fuse_norm, size)[row])
+        fuse_norm=np.repeat(fuse_norm, size)[row], shape=shape[column],
+        varies=np.array([any(row[3:]) for row in shapes], dtype=bool),
+        weight=None if every_op else np.concatenate(
+            [entry.weight for _, _, entry, _ in kinds.values()])[column])
 
 
-def _engine_rows(groups: _SpecGroups, per_spec: np.ndarray
-                 ) -> Iterator[tuple[Accelerator, slice]]:
-    """Each accelerator's contiguous run of rows, where every spec of
-    group ``g`` has ``per_spec[g]`` rows (a group's specs, and the
-    groups of one accelerator, are adjacent)."""
+def _class_rows(groups: _SpecGroups, per_spec: np.ndarray
+                ) -> Iterator[tuple[GemmEngine, slice, slice, slice]]:
+    """Each engine class's ``(engine, units, positions, rows)``: one
+    engine of the class, its slices of :attr:`_SpecGroups.units` and of
+    the spec positions, and its contiguous run of rows, where every
+    spec of group ``g`` has ``per_spec[g]`` rows (a group's specs, and
+    the groups of one class, are adjacent)."""
     stops = np.cumsum(per_spec * groups.count).tolist()
-    first = stop = 0
-    for size in groups.engine_groups:
+    position_stops = np.cumsum(groups.count).tolist()
+    first = stop = unit_stop = position_stop = 0
+    for size, units in zip(groups.class_groups, groups.class_units):
         start, stop = stop, stops[first + size - 1]
-        yield groups.heads[first][0], slice(start, stop)
+        unit_start, unit_stop = unit_stop, unit_stop + units
+        position_start, position_stop = (position_stop,
+                                          position_stops[first + size - 1])
+        yield (groups.heads[first][0].engine, slice(unit_start, unit_stop),
+               slice(position_start, position_stop), slice(start, stop))
         first += size
 
 
@@ -478,20 +618,27 @@ class _Kernels(NamedTuple):
 def _vector_kernels(groups: _SpecGroups) -> _Kernels:
     """Price every grouped spec's :func:`step_vector_kernels` rows.
 
-    One template row per (group, kernel) is broadcast over the group's
-    batches (elements and DRAM bytes are affine in the batch) and
-    charged by :meth:`Accelerator.vector_charges`, one accelerator at a
-    time.
+    The rows are stated once per ``(network, algorithm, tp, dataflow,
+    can_fuse_norm)``, one template row per (group, kernel) is broadcast
+    over the group's batches (elements and DRAM bytes are affine in the
+    batch), and one :meth:`Accelerator.vector_charges` call charges
+    every kernel on its own accelerator.
     """
     rows: list[tuple] = []
     kernel_count = []
+    templates: dict[tuple, list[tuple]] = {}
     for accel, network, algorithm, tp in groups.heads:
-        kernels = step_vector_kernels(network, algorithm, accel, tp)
-        rows += [(_PHASE_INDEX[k.phase], k.elems_per_example, k.elems_fixed,
-                  k.read_per_example, k.read_fixed, k.write_per_example,
-                  k.write_fixed, k.ops_per_elem, k.reduction)
-                 for k in kernels]
-        kernel_count.append(len(kernels))
+        key = (id(network), algorithm, tp, accel.engine.dataflow,
+               accel.can_fuse_norm)
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = [
+                (_PHASE_INDEX[k.phase], k.elems_per_example, k.elems_fixed,
+                 k.read_per_example, k.read_fixed, k.write_per_example,
+                 k.write_fixed, k.ops_per_elem, k.reduction)
+                for k in step_vector_kernels(network, algorithm, accel, tp)]
+        rows += template
+        kernel_count.append(len(template))
     (phase, elems_per_example, elems_fixed, read_per_example, read_fixed,
      write_per_example, write_fixed, ops, reduction) = (
         np.array(column, dtype=dtype) for column, dtype in zip(
@@ -499,14 +646,11 @@ def _vector_kernels(groups: _SpecGroups) -> _Kernels:
     counts = np.array(kernel_count, dtype=np.int64)
     row, position = _expand(groups, counts)
     batch = groups.batch[position]
-    elems = batch * elems_per_example[row] + elems_fixed[row]
-    read = batch * read_per_example[row] + read_fixed[row]
-    write = batch * write_per_example[row] + write_fixed[row]
-    ops, reduction = ops[row], reduction[row]
-    charges = OpCharges(*map(np.concatenate, zip(*(
-        accel.vector_charges(elems[rows], ops[rows], read[rows],
-                             write[rows], reduction[rows])
-        for accel, rows in _engine_rows(groups, counts)))))
+    charges = groups.units[0].vector_charges(
+        batch * elems_per_example[row] + elems_fixed[row], ops[row],
+        batch * read_per_example[row] + read_fixed[row],
+        batch * write_per_example[row] + write_fixed[row], reduction[row],
+        columns=take_rows(groups.unit_charges, groups.unit[position]))
     return _Kernels(position=position, phase=phase[row],
                     kernel_count=counts, charges=charges)
 
@@ -536,27 +680,29 @@ def training_step_batch(
     *,
     collect_ops: bool = False,
 ) -> StepBatch:
-    """Price single-chip training steps, batching all GEMMs per engine.
+    """Price single-chip training steps in one pass per engine class.
 
     ``specs`` is a sequence of ``(accelerator, network, algorithm,
-    batch[, tp])`` tuples; accelerator objects may repeat (and sharing
-    them across specs lets the evaluator group their GEMMs into one
-    vectorized pass).  A trailing ``tp`` column-shards every GEMM and
-    parameter-proportional vector kernel across a tensor-parallel
-    group.  :func:`~repro.training.simulate.simulate_training_step` is
-    this function on one spec.
+    batch[, tp])`` tuples; accelerators may repeat or differ freely.  A
+    trailing ``tp`` column-shards every GEMM and parameter-proportional
+    vector kernel across a tensor-parallel group.
+    :func:`~repro.training.simulate.simulate_training_step` is this
+    function on one spec.
 
-    Specs are grouped by ``(accelerator, network, algorithm, tp)``.
-    Each group contributes one template — its :func:`step_vector_kernels`
-    rows and its :func:`step_gemm_blocks` expanded over the memoized
-    per-kind lowerings — and every template row is
-    broadcast over the group's batches by index arithmetic, so the
+    Specs are grouped by engine class (WS, OS, DiVa, packed), then by
+    ``(network, algorithm, tp, can_fuse_norm)``: every geometry of a
+    class shares one group.  Each group contributes one template — its
+    :func:`step_vector_kernels` rows and its :func:`step_gemm_blocks`
+    expanded over the memoized per-kind lowerings — and every template
+    row is broadcast over the group's specs by index arithmetic, so the
     vector kernels form one ``specs x kernels`` column pass and the
     GEMM dims one ``specs x ops`` pass; Python visits a spec only to
-    group it.  Every op is charged by
-    :meth:`~repro.arch.accelerator.Accelerator.vector_charges` /
-    :meth:`~repro.arch.accelerator.Accelerator.gemm_charges`; only the
-    cycles are summed into the phase matrix.
+    group it.  Every op is charged on its own accelerator, whose
+    parameters are gathered as columns, by one
+    :meth:`~repro.arch.accelerator.Accelerator.vector_charges` and one
+    :meth:`~repro.arch.accelerator.Accelerator.gemm_charges` call
+    (:func:`_gemm_charges` prices the GEMMs); only the cycles are
+    summed into the phase matrix.
 
     ``collect_ops=True`` additionally keeps every op's columns and full
     charge in :attr:`StepBatch.ops` — the inputs of a step report, its
@@ -564,11 +710,7 @@ def training_step_batch(
 
     ``profiler`` (a :class:`repro.obs.profile.Profiler`) times the
     vector-kernel and batched-GEMM stages and counts specs / GEMM ops
-    / unique shapes — purely additive bookkeeping.
-
-    GEMMs are priced once per distinct ``(m, k, n)`` and scaled by the
-    engine's :meth:`~repro.arch.engine.GemmEngine.rounds` column (which
-    is ``count`` unless the engine packs instances side by side).
+    / priced GEMM instances — purely additive bookkeeping.
     """
     specs = list(specs)
     frequency = np.array([accel.frequency_hz for accel, *_ in specs],
@@ -587,18 +729,16 @@ def training_step_batch(
                   + kernels.phase, kernels.charges.cycles)
 
     with _stage(profiler, "step-batch/gemm"):
-        ops = _gemm_columns(groups)
-        charges = (
-            _gemm_charges(accel, *(column[rows] for column in (
-                ops.m, ops.k, ops.n, ops.count, ops.write_output,
-                ops.fuse_norm)), profiler)
-            for accel, rows in _engine_rows(groups, ops.op_count))
+        ops = _gemm_columns(groups, every_op=collect_ops)
+        charges = _gemm_charges(groups, ops, profiler)
         if collect_ops:
             gemm = OpCharges(*map(np.concatenate, zip(*charges)))
             cycles = gemm.cycles
         else:
-            # A grid keeps only the cycles of each engine's charges.
-            cycles = np.concatenate([charge.cycles for charge in charges])
+            # A grid keeps only the cycles of each class's charges, one
+            # row per distinct GEMM of a block, weighted by its ops.
+            cycles = np.concatenate([charge.cycles for charge in charges]
+                                    ) * ops.weight
         np.add.at(flat, groups.index[ops.position] * len(STEP_PHASES)
                   + ops.phase, cycles)
 
@@ -628,27 +768,84 @@ def training_step_batch(
                      ops=by_spec)
 
 
-def _gemm_charges(accel: Accelerator, m: np.ndarray, k: np.ndarray,
-                  n: np.ndarray, count: np.ndarray, write_output: np.ndarray,
-                  fuse_norm: np.ndarray, profiler: "Profiler | None"
-                  ) -> OpCharges:
-    """One engine's GEMM columns, priced by :func:`gemm_stats_batch` once
-    per distinct ``(m, k, n)`` and charged by
-    :meth:`Accelerator.gemm_charges`."""
-    unique, inverse = unique_rows(m, k, n)
-    if profiler is not None:
-        profiler.count("gemm_ops", len(m))
-        profiler.count("unique_gemm_shapes", len(unique))
-    stats = gemm_stats_batch(
-        accel.engine, unique[:, 0], unique[:, 1], unique[:, 2], 1)
-    # One instance's engine charge, scaled to all ``count`` of them as
-    # gemm_stats_batch scales it.
-    return accel.gemm_charges(
-        m, k, n, count, write_output, fuse_norm,
-        compute_cycles=(stats.compute_cycles[inverse]
-                        * accel.engine.rounds(m, n, count)),
-        sram_read_bytes=stats.sram_read_bytes[inverse] * count,
-        sram_write_bytes=stats.sram_write_bytes[inverse] * count)
+#: Rows per :func:`gemm_stats_batch` and
+#: :meth:`Accelerator.gemm_charges` call of :func:`_gemm_charges`: the
+#: bound on its temporaries.
+_CHUNK = 4096
+
+
+def _chunks(length: int) -> Iterator[slice]:
+    """``range(length)`` in slices of at most :data:`_CHUNK` entries."""
+    return (slice(start, min(start + _CHUNK, length))
+            for start in range(0, length, _CHUNK))
+
+
+def _gemm_charges(groups: _SpecGroups, ops: _GemmColumns,
+                  profiler: "Profiler | None") -> Iterator[OpCharges]:
+    """The GEMM ops' charges, in row order, engine class by engine class.
+
+    A priced *instance* is a template shape (:class:`_AffineGemms`) at
+    one ``(batch, tp)`` on one accelerator; a shape whose m, k and n do
+    not grow with the batch is one instance at every batch.  Instances
+    are numbered by integer arithmetic on the ops' shape, the rank of
+    their spec's ``(batch, tp)`` and their accelerator's index in its
+    class (:func:`_dense_unique`), so no op row is sorted.  Each class
+    prices its distinct instances once by :func:`gemm_stats_batch`,
+    each on its own geometry (:func:`~repro.arch.engine.engine_columns`
+    rows), scales them to every op's ``count`` by
+    :meth:`~repro.arch.engine.GemmEngine.rounds` and charges every op on
+    its own accelerator by :meth:`Accelerator.gemm_charges`.  Both run
+    over :data:`_CHUNK` rows at a time.
+    """
+    # Rank every spec position's (batch, tp) pair, then its (1, tp) pair.
+    tp = np.repeat(np.array([head[3] for head in groups.heads],
+                            dtype=np.int64), groups.count)
+    pairs, rank = np.unique(
+        np.concatenate([groups.batch, np.ones_like(groups.batch)])
+        * (int(tp.max()) + 1) + np.concatenate([tp, tp]),
+        return_inverse=True)
+    rank = rank.reshape(2, -1)
+
+    for engine, units, positions, rows in _class_rows(groups, ops.op_count):
+        geometry = engine_columns(
+            [accel.engine for accel in groups.units[units]])
+        size = units.stop - units.start
+        # Each position's accelerator in the class, and its instance
+        # key but for the shape: (rank, accelerator) at its batch (row
+        # 0) and at batch 1 (row 1).
+        local = groups.unit[positions] - units.start
+        at = rank[:, positions] * size + local
+        position = ops.position[rows] - positions.start
+        shape = ops.shape[rows]
+        first, inverse = _dense_unique(
+            shape * (len(pairs) * size) + np.where(
+                ops.varies[shape], at[0][position], at[1][position]),
+            len(ops.varies) * len(pairs) * size)
+        if profiler is not None:
+            profiler.count("gemm_ops", len(position))
+            profiler.count("unique_gemm_shapes", len(first))
+        m, k, n, count, write_output, fuse_norm = (
+            column[rows] for column in (ops.m, ops.k, ops.n, ops.count,
+                                        ops.write_output, ops.fuse_norm))
+        priced = [gemm_stats_batch(engine, m[rep], k[rep], n[rep], 1,
+                                   take_rows(geometry, local[position[rep]]))
+                  for rep in map(first.__getitem__, _chunks(len(first)))]
+        compute, sram_read, sram_write = (
+            np.concatenate([getattr(stats, name) for stats in priced])
+            for name in ("compute_cycles", "sram_read_bytes",
+                         "sram_write_bytes"))
+        for part in _chunks(len(position)):
+            instance, unit = inverse[part], local[position[part]]
+            # One instance's engine charge, scaled to all ``count`` of
+            # them as gemm_stats_batch scales it.
+            yield groups.units[0].gemm_charges(
+                m[part], k[part], n[part], count[part], write_output[part],
+                fuse_norm[part],
+                compute_cycles=compute[instance] * engine.rounds(
+                    m[part], n[part], count[part], geometry, unit),
+                sram_read_bytes=sram_read[instance] * count[part],
+                sram_write_bytes=sram_write[instance] * count[part],
+                columns=take_rows(groups.unit_charges, unit + units.start))
 
 
 @dataclass(frozen=True)

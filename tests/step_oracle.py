@@ -9,8 +9,9 @@ path against it field by field:
 
 * :func:`transfer_cycles` / :func:`streaming_cycles` /
   :func:`seconds` / :func:`fits_in_sram` — the scalar DRAM rule
-  ``MemorySystem`` carried before ``Accelerator._transfer_cycles``
-  charged it as a column (``self`` renamed ``memory``);
+  ``MemorySystem`` carried before ``repro.arch.accelerator``'s
+  ``_transfer_cycles`` charged it as a column (``self`` renamed
+  ``memory``);
 * :func:`run_gemm` / :func:`run_vector` — the per-op charges, with the
   bodies ``Accelerator.run_gemm`` / ``run_vector`` had before they
   became length-1 adapters of the column charges (``self`` renamed
@@ -21,7 +22,9 @@ path against it field by field:
   session-wide memo of ``Network.gemms(kind, batch)``, keyed by network
   identity, so the oracle pins lower each network once;
 * :func:`step_vector_runs` / :func:`chip_step` — the per-op step loop
-  over ``step_vector_kernels`` and :func:`step_gemm_ops`;
+  over ``step_vector_kernels`` and :func:`step_gemm_ops`, the step
+  memoized session-wide by network identity (:data:`_STEPS`), so the
+  pins that re-price a step pay for its Python loop once;
 * :func:`from_ops` — the columns of an op log, built op by op;
 * :func:`sharded_step` — the sharded step composed point by point the
   way ``simulate_sharded_training_step`` used to (its shard priced by
@@ -33,6 +36,7 @@ Nothing under ``src/`` imports this module.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -242,14 +246,66 @@ def step_vector_runs(network, algorithm, accelerator, batch, tp=1):
     return phases
 
 
+#: Session-wide memo of :func:`chip_step`, by network identity: each
+#: entry holds its network (so an id is never reused while its entry
+#: lives) and, per ``(accelerator, algorithm, batch, tp)``, the step's
+#: report and its GEMM ops' runs, one int64 row of ``OpRun`` fields per
+#: op (a tenth of the memory of the run objects).
+_STEPS = {}
+
+_RUN_FIELDS = [field.name for field in fields(OpRun)]
+
+
+def _accelerator_key(accel):
+    """Everything of ``accel`` a step's price reads, by value: equal
+    accelerators built by different tests share memo entries."""
+    engine = accel.engine
+    return (type(accel), accel.name, type(engine), engine.config,
+            engine.bus_segments, accel.ppu and accel.ppu.config,
+            accel.memory.config, accel.memory.frequency_hz,
+            accel.vector.config)
+
+
 def chip_step(network, algorithm, accelerator, batch, tp=1):
     """One single-chip step, one op at a time: ``(report, op log)``,
-    the log holding each GEMM op with its run, in schedule order."""
+    the log holding each GEMM op with its run, in schedule order.
+
+    Priced once per session (:data:`_STEPS`); a repeat rebuilds the
+    op log from the memoized runs."""
+    _, steps = _STEPS.setdefault(id(network), (network, {}))
+    key = (_accelerator_key(accelerator), algorithm, batch, tp)
+    if key in steps:
+        report, runs = steps[key]
+        ops = step_gemm_ops(network, algorithm, accelerator, batch, tp)
+        return report, [(op, OpRun(*row))
+                        for op, row in zip(ops, runs.tolist())]
+    report, op_log = _chip_step(network, algorithm, accelerator, batch, tp)
+    steps[key] = (report, np.array(
+        [[getattr(run, name) for name in _RUN_FIELDS] for _, run in op_log],
+        dtype=np.int64).reshape(-1, len(_RUN_FIELDS)))
+    return report, op_log
+
+
+#: The runs of the last-priced network's GEMM ops, by accelerator and
+#: op: the algorithms of one step share their forward and
+#: activation-gradient ops, so each is priced once.
+_RUNS = [None, {}]
+
+
+def _chip_step(network, algorithm, accelerator, batch, tp):
+    """The per-op step loop of :func:`chip_step`."""
+    if _RUNS[0] is not network:
+        _RUNS[:] = [network, {}]
+    runs, unit = _RUNS[1], _accelerator_key(accelerator)
     op_log = []
     phases = step_vector_runs(network, algorithm, accelerator, batch, tp)
     for op in step_gemm_ops(network, algorithm, accelerator, batch, tp):
-        run = run_gemm(accelerator, op.gemm, write_output=op.write_output,
-                       fuse_norm=op.fuse_norm)
+        key = (unit, op.gemm, op.write_output, op.fuse_norm)
+        run = runs.get(key)
+        if run is None:
+            run = runs[key] = run_gemm(accelerator, op.gemm,
+                                       write_output=op.write_output,
+                                       fuse_norm=op.fuse_norm)
         phases[op.phase] = phases[op.phase] + run
         op_log.append((op, run))
     report = TrainingReport(

@@ -13,6 +13,7 @@ experiments and the serving service-time table consume.
 import functools
 import itertools
 import math
+import random
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -23,13 +24,14 @@ from hypothesis import strategies as st
 import step_oracle
 from repro.arch.accelerator import Accelerator, OpRun
 from repro.arch.cluster import Cluster, ParallelPlan
+from repro.arch.engine import ArrayConfig
 from repro.arch.interconnect import InterconnectConfig, fabric_named
 from repro.arch.memory import MemoryConfig
 from repro.arch.vector import VectorUnitConfig
 from repro.core import ACCELERATOR_KINDS, build_accelerator, build_cluster
 from repro.core.config import DivaConfig
 from repro.core.packing import PackedOuterProductEngine
-from repro.core.ppu import PostProcessingUnit
+from repro.core.ppu import PostProcessingUnit, PpuConfig
 from repro.training import (
     Algorithm,
     Phase,
@@ -565,6 +567,131 @@ class TestStepOracle:
             assert got == want, where
 
 
+def _geometry_accelerators():
+    """WS, OS, DiVa and packed DiVa at geometries where every parameter
+    the pricer reads differs from the default somewhere: array shape,
+    frequency, fill and drain rates, operand widths, double buffering,
+    tile and GEMM start-up, PPU trees (one too few for its drain, so
+    no fusion), bus segments, DRAM bandwidth and latency, vector lanes
+    and reduction factor."""
+    def design(kind, with_ppu, array, ppu=None, **units):
+        return build_accelerator(kind, with_ppu=with_ppu, config=DivaConfig(
+            array=ArrayConfig(**array),
+            ppu=ppu or PpuConfig(tree_width=max(array.get("width", 128),
+                                                128)), **units))
+
+    packed_array = ArrayConfig(height=64, width=64, acc_bytes=8,
+                               accum_double_buffer=False)
+    return [
+        design("ws", None, dict(height=64, width=32, fill_rows_per_cycle=4,
+                                input_bytes=1, weight_double_buffer=False),
+               memory=MemoryConfig(bandwidth_bytes_per_s=900e9)),
+        design("os", True, dict(height=32, width=64, drain_rows_per_cycle=4,
+                                tile_startup_cycles=5, frequency_hz=1.2e9),
+               ppu=PpuConfig(num_trees=4, tree_width=64),
+               vector=VectorUnitConfig(lanes=64)),
+        design("os", True, dict(drain_rows_per_cycle=16)),
+        design("diva", True, dict(height=256, width=128,
+                                  drain_rows_per_cycle=16,
+                                  gemm_startup_cycles=40),
+               ppu=PpuConfig(num_trees=16),
+               memory=MemoryConfig(access_latency_cycles=40)),
+        design("diva", False, dict(height=96, width=160),
+               vector=VectorUnitConfig(reduction_overhead_factor=3.0)),
+        Accelerator("DiVa-Pack", PackedOuterProductEngine(
+            packed_array, bus_segments=8),
+            ppu=PostProcessingUnit(PpuConfig(tree_width=64))),
+    ]
+
+
+#: Every engine class at the default geometry and at the others.
+MIXED_ACCELERATORS = _oracle_accelerators() + _geometry_accelerators()
+
+
+class TestMixedGeometry:
+    """Pin: ``training_step_batch`` prices every geometry of an engine
+    class in one pass, each op on its own accelerator's parameters, and
+    the grouping does not change a bit."""
+
+    def test_every_op_equals_the_oracle(self):
+        """One shuffled spec list over every engine class and geometry:
+        every collected op equals the per-op oracle's, field by field,
+        and so does every phase."""
+        specs = [(accel, build_model(model), Algorithm(algorithm), batch, tp)
+                 for model in ("SqueezeNet", "BERT-base")
+                 for accel in MIXED_ACCELERATORS
+                 for algorithm in ALGORITHMS
+                 for tp, batch in itertools.product((1, 2), (3, 64))]
+        random.Random(31).shuffle(specs)
+        step = training_step_batch(specs, collect_ops=True)
+        # A grid call prices each distinct GEMM of a block once, weighted
+        # by its ops: the same phase cycles.
+        np.testing.assert_array_equal(training_step_batch(specs).phase_cycles,
+                                      step.phase_cycles)
+        for u, (accel, network, algorithm, batch, tp) in enumerate(specs):
+            want, want_log = step_oracle.chip_step(network, algorithm, accel,
+                                                   batch, tp)
+            where = (accel.name, accel.config.height, accel.config.width,
+                     network.name, algorithm.value, batch, tp)
+            assert step.ops[u].op_log(algorithm, accel) == want_log, where
+            phases = step.ops[u].phase_runs()
+            assert list(phases) == list(want.phases), where
+            assert phases == want.phases, where
+            assert step.frequency_hz[u] == accel.frequency_hz, where
+            assert {phase: int(step.phase_cycles[u, _PHASE_INDEX[phase]])
+                    for phase in want.phases} == {
+                phase: run.cycles for phase, run in want.phases.items()}
+
+    @settings(max_examples=30, deadline=None)
+    @given(picks=st.lists(st.tuples(
+        st.integers(0, len(MIXED_ACCELERATORS) - 1),
+        st.sampled_from(("SqueezeNet", "MobileNet", "LSTM-small")),
+        st.sampled_from(ALGORITHMS), st.integers(1, 300),
+        st.integers(1, 3)), min_size=1, max_size=12),
+        order=st.randoms(use_true_random=False))
+    def test_grouping_changes_no_bit(self, picks, order):
+        """A shuffled mixed spec list prices bit for bit as one call per
+        accelerator: phase cycles, frequency and every collected
+        column; and a grid call (each distinct GEMM priced once,
+        weighted) as a collecting one."""
+        specs = [(MIXED_ACCELERATORS[a], build_model(model),
+                  Algorithm(algorithm), batch, tp)
+                 for a, model, algorithm, batch, tp in picks]
+        order.shuffle(specs)
+        whole = training_step_batch(specs, collect_ops=True)
+        np.testing.assert_array_equal(training_step_batch(specs).phase_cycles,
+                                      whole.phase_cycles)
+        for accel in {id(spec[0]): spec[0] for spec in specs}.values():
+            mine = [u for u, spec in enumerate(specs) if spec[0] is accel]
+            part = training_step_batch([specs[u] for u in mine],
+                                       collect_ops=True)
+            np.testing.assert_array_equal(whole.phase_cycles[mine],
+                                          part.phase_cycles)
+            np.testing.assert_array_equal(whole.frequency_hz[mine],
+                                          part.frequency_hz)
+            for j, u in enumerate(mine):
+                got, want = whole.ops[u], part.ops[j]
+                for a, b in zip((*_column_lists(got.step), *got.gemm,
+                                 got.kernel_phase, *got.vector),
+                                (*_column_lists(want.step), *want.gemm,
+                                 want.kernel_phase, *want.vector)):
+                    assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.lists(st.integers(0, 5000), min_size=1, max_size=300),
+       spread=st.sampled_from((1, 10**6)))
+def test_instance_numbering_equals_np_unique(key, spread):
+    """The pricer numbers GEMM instances by a table of flags, or by
+    ``np.unique``'s sort when the key space is sparse (``spread``): both
+    give ``np.unique``'s values, in its order, with its inverse."""
+    key = np.array(key, dtype=np.int64) * spread
+    first, inverse = batch_mod._dense_unique(key, int(key.max()) + 1)
+    values, want = np.unique(key, return_inverse=True)
+    np.testing.assert_array_equal(key[first], values)
+    np.testing.assert_array_equal(inverse, want)
+
+
 #: The plans of the sharded oracle pin on 8 chips: pure DP, pp {2, 4} x
 #: tp {1, 2}, and a fixed microbatch count.
 SHARDED_PLANS = (None, ParallelPlan(dp=4, pp=2),
@@ -583,11 +710,9 @@ class TestShardedStepOracle:
 
     @pytest.mark.parametrize("model",
                              ("SqueezeNet", "BERT-base", "LSTM-small"))
-    def test_every_report_field(self, model, monkeypatch):
-        # The oracle prices each distinct shard once per test: every
-        # cluster shares one chip.
-        monkeypatch.setattr(step_oracle, "chip_step", functools.lru_cache(
-            maxsize=None)(step_oracle.chip_step))
+    def test_every_report_field(self, model):
+        # The oracle prices each distinct shard once (its step memo):
+        # every cluster shares one chip.
         network = build_model(model)
         chip = build_accelerator("diva")
         for algorithm, topology, bucket, fabric in itertools.product(

@@ -47,6 +47,33 @@ class TestCli:
         assert "Efficiency" in out
         assert "SqueezeNet" in out
 
+    def test_scaling_plan_auto_defaults(self, capsys):
+        """``scaling --plan auto`` on its defaults takes each model's
+        batch from the planner's budget (VGG-16: the 109 examples one
+        chip holds, rounded down to 104 = 13 x lcm(1, 2, 4, 8)), and
+        the one point no placement holds becomes a refusal row instead
+        of an exit 2: BERT-large's DP-SGD step at batch 8 needs 14.6
+        GiB of one chip's 14.4 GiB budget."""
+        assert cli_main(["scaling", "--plan", "auto"]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split("|") for line in out.splitlines()
+                if line.count("|") == 10]
+        assert len(rows) == 1 + 2 * 2 * 4
+        batches = {(row[0].strip(), row[4].strip()) for row in rows[1:]}
+        assert batches == {("VGG-16", "104"), ("BERT-large", "8*")}
+        refused = [row for row in rows if "refused" in row[5]]
+        assert [[cell.strip() for cell in row[:3]] for row in refused] \
+            == [["BERT-large", "DP-SGD", "1"]]
+        assert ("† BERT-large/DP-SGD on 1 chip: no feasible DP x PP x TP "
+                "placement at batch 8 (14.4 GiB budget): stage memory "
+                "14.6 GiB exceeds the 14.4 GiB budget") in out
+        # The refused point is no series' baseline: the series starts
+        # at its smallest priced cluster.
+        assert [row[9].strip() for row in rows
+                if row[0].strip() == "BERT-large"
+                and row[1].strip() == "DP-SGD"] == ["-", "1.00", "1.80",
+                                                    "2.92"]
+
     def test_scaling_rejects_bad_sweep_cleanly(self, capsys):
         assert cli_main(["scaling", "--chips", "1", "8",
                          "--models", "SqueezeNet", "--batch", "100"]) == 2

@@ -19,7 +19,9 @@ from repro.arch.engine import (
     ArrayConfig,
     GEMM_STATS_CACHE_MAXSIZE,
     clear_gemm_stats_cache,
+    engine_columns,
     gemm_stats_cache_len,
+    take_rows,
 )
 from repro.arch.systolic import OutputStationaryEngine, WeightStationaryEngine
 from repro.core.outer_product import OuterProductEngine
@@ -104,6 +106,36 @@ class TestEquivalenceSweep:
                           "sram_read_bytes", "sram_write_bytes"):
                 assert int(getattr(batch, field)[0]) \
                     == getattr(oracle, field), (engine.name, field)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(engine_cls=st.sampled_from(ENGINES),
+           rows=st.lists(st.tuples(
+               st.integers(0, len(CONFIGS) - 1), st.integers(1, 300),
+               st.integers(1, 700), st.integers(1, 300),
+               st.integers(1, 40)), min_size=1, max_size=12))
+    def test_geometry_columns_price_each_row_on_its_engine(self, engine_cls,
+                                                           rows):
+        """One call over engines of every ``CONFIGS`` geometry (array
+        shape, fill and drain rates, double buffering, start-up cycles;
+        bus segments on the packed class), each row on its own engine's
+        parameters, equals that engine's per-tile reference."""
+        if engine_cls is PackedOuterProductEngine:
+            engines = [engine_cls(config, bus_segments=segments)
+                       for config, segments in zip(CONFIGS, (1, 4, 8, 2))]
+        else:
+            engines = [engine_cls(config) for config in CONFIGS]
+        unit, m, k, n, count = (list(column) for column in zip(*rows))
+        batch = gemm_stats_batch(engines[0], m, k, n, count, take_rows(
+            engine_columns(engines), unit))
+        for i, (u, *dims) in enumerate(rows):
+            oracle = engines[u].gemm_stats_reference(Gemm(*dims))
+            for field in ("compute_cycles", "macs", "tiles",
+                          "sram_read_bytes", "sram_write_bytes"):
+                assert int(getattr(batch, field)[i]) \
+                    == getattr(oracle, field), (u, dims, field)
+            assert int(batch.peak_macs_per_cycle[i]) \
+                == oracle.peak_macs_per_cycle
 
 
 class TestOverlapFormulaHandComputed:

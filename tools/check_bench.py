@@ -33,6 +33,11 @@ SCALING_POINTS_PER_SEC_FLOOR = 2.0
 #: floor still catches a fallback to per-point scheduling.
 GRID3D_POINTS_PER_SEC_FLOOR = 10.0
 BATCHED_VS_POOL_SPEEDUP_FLOOR = 5.0
+#: The 256-geometry design-space grid (5 models, 1,280 points; best of
+#: three cold runs): twice the rate of the per-accelerator pricer it
+#: replaced, which read a median of 2,821 points/s over 11 runs on a
+#: 2-core x86-64 VM (one vector and one GEMM pass per geometry).
+DESIGN_GEOMETRY_POINTS_PER_SEC_FLOOR = 5_600.0
 #: Small traces are dominated by fixed setup (service table, RDP
 #: curves), so they get a lower floor than the million-job point where
 #: per-job throughput is the signal.
@@ -101,6 +106,13 @@ def check_scaling(failures: list[str]) -> None:
             failures.append(
                 f"3D-grid sweep: {rate:.1f} points/s "
                 f"< floor {GRID3D_POINTS_PER_SEC_FLOOR:.0f}/s")
+    grid = record.get("design_space_geometries", {}).get("256")
+    if grid is not None:
+        rate = grid.get("points_per_sec", 0.0)
+        if rate < DESIGN_GEOMETRY_POINTS_PER_SEC_FLOOR:
+            failures.append(
+                f"256-geometry design-space grid: {rate:.0f} points/s "
+                f"< floor {DESIGN_GEOMETRY_POINTS_PER_SEC_FLOOR:.0f}/s")
     for name, section in record.get("batched_vs_pool", {}).items():
         speedup = section.get("speedup", 0.0)
         if speedup < BATCHED_VS_POOL_SPEEDUP_FLOOR:
