@@ -3,9 +3,9 @@
 One :class:`FleetObs` observes one fleet simulation.  The contract is
 split in three, to keep the event loop fast and the answers cheap:
 
-* **During the run** the simulator touches only O(1) surfaces: an
-  inline ``(job_id, start_s)`` append per dispatch, one finish-time
-  store per completion under fault injection, and one
+* **During the run** the simulator touches only O(1) surfaces: one
+  first-start store per job in a preallocated slot column, one
+  finish-time store per completion under fault injection, and one
   :meth:`~FleetObs.sample` call per elapsed metrics window.  Nothing
   else runs in-loop, which is what keeps the measured
   enabled-vs-disabled overhead inside the ``check_bench`` ceiling.
@@ -40,7 +40,6 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
@@ -109,9 +108,8 @@ class FleetObs:
         self.metrics = metrics
         self.window_s = metrics.window_s if metrics is not None \
             else window_s
-        #: Dispatch sink: ``(job_id, start_s)`` appended inline by the
-        #: scheduler's dispatch loop.
-        self.dispatches: list[tuple[int, float]] = []
+        #: Per-job first-dispatch slots (:meth:`start_sink`).
+        self.starts: "array[float]" = array("d")
         #: Faulty-loop completion sink (:meth:`finish_sink`).
         self.finishes: "array[float] | None" = None
         #: Windowed load samples: ``(t, queued, idle, active, pending)``.
@@ -129,6 +127,15 @@ class FleetObs:
         self.samples.append((now, queued, idle, active, pending))
         self.next_sample_s = (int(now // self.window_s) + 1) \
             * self.window_s
+
+    def start_sink(self, jobs: int) -> "array[float]":
+        """Per-job first-dispatch slots (NaN until the job first runs).
+
+        The simulator stores each job's first start at its job id — one
+        O(1) store per dispatch, 8 bytes per job; a retry leaves it.
+        """
+        self.starts = array("d", [math.nan]) * jobs
+        return self.starts
 
     def finish_sink(self, jobs: int) -> "array[float]":
         """Per-job final-finish slots (NaN until the job completes).
@@ -171,7 +178,7 @@ class FleetObs:
         fault_events: "list[FaultEvent]" = \
             faults.events if faults is not None else []
         jobs = job_columns(run["trace"], run["decisions"], run["service"],
-                           self.dispatches, self.finishes)
+                           self.starts, self.finishes)
         if self.recorder is not None:
             _emit_spans(self.recorder, policy, jobs, self.samples,
                         scale_events, fault_events)
@@ -183,27 +190,20 @@ class FleetObs:
 def job_columns(trace: "TraceArrays",
                 decisions: "BatchAdmissionDecisions",
                 service: NDArray[np.float64],
-                dispatches: "list[tuple[int, float]]",
+                starts: "array[float]",
                 finishes: "array[float] | None") -> JobColumns:
     """Columns rebuilt from one run's arrays and sinks.
 
     The event loop never materializes job records, so lifecycles are
     rebuilt here: arrival and admission from the trace and the
-    batched decisions, the first dispatch from the dispatch sink.  Under
+    batched decisions, the first dispatch from the start slots.  Under
     faults the finish sink gives each job's final finish; without
     faults every job runs exactly once, so its finish is
     ``start + service`` — bitwise the float the loop pushed onto its
-    pending heap.
+    capacity-return heap.
     """
     n = len(trace)
-    start = np.full(n, np.nan)
-    if dispatches:
-        # Job ids stay exact below 2**53.
-        sink = np.fromiter(chain.from_iterable(dispatches), dtype=float,
-                           count=2 * len(dispatches)).reshape(-1, 2)
-        ids = sink[:, 0].astype(np.int64)
-        _, first = np.unique(ids, return_index=True)
-        start[ids[first]] = sink[first, 1]
+    start = np.frombuffer(starts, dtype=float)
     if finishes is None:
         finish = start + service
     else:

@@ -323,6 +323,13 @@ class AdmissionController:
             return float(np.min(rdp + log_term))
 
         spent = eps_of(ledger)
+        # Prefix rows never decrease when no increment or ledger entry
+        # is negative, so a nonzero row stays nonzero.  Tiny sampling
+        # rates (q below about 1e-10) round some per-step entries to
+        # about -1e-31, so the signs are checked, not assumed.
+        monotone = bool((per_step_table >= 0.0).all()
+                        and (ledger >= 0.0).all())
+        shifted = np.empty((min(total, _ADMIT_CHUNK), len(self.orders)))
         admitted_code = BatchAdmissionDecisions.ADMITTED
         rejected_code = BatchAdmissionDecisions.REJECTED
 
@@ -358,17 +365,25 @@ class AdmissionController:
                     tally["admitted"] += hi - pos
                     pos = hi
                     continue
-                increments = (steps[chunk_priv, None]
-                              * per_step_table[classes[chunk_priv]])
-                # Left-associated prefix sums: row j is bitwise the
-                # ledger the scalar path holds after fully granting
-                # the first j+1 private jobs of the chunk.
-                cumulative = np.cumsum(
-                    np.concatenate([ledger[None, :], increments]),
-                    axis=0)[1:]
-                eps_cum = np.min(cumulative + log_term, axis=1)
-                eps_cum = np.where(np.any(cumulative, axis=1),
-                                   eps_cum, 0.0)
+                # The chunk's increments, in place in one gathered
+                # matrix; row 0 takes the ledger (``inc0 + ledger`` is
+                # bitwise ``ledger + inc0``).  Left-associated prefix
+                # sums: row j is then bitwise the ledger the scalar
+                # path holds after fully granting the first j+1
+                # private jobs of the chunk.
+                cumulative = per_step_table[classes[chunk_priv]]
+                np.multiply(cumulative, steps[chunk_priv, None],
+                            out=cumulative)
+                cumulative[0] += ledger
+                np.cumsum(cumulative, axis=0, out=cumulative)
+                eps_cum = np.add(cumulative, log_term,
+                                 out=shifted[:len(chunk_priv)]).min(axis=1)
+                if not (monotone and cumulative[0].any()):
+                    # Only an all-zero row converts to epsilon 0; with
+                    # nonnegative increments, none follows a nonzero
+                    # row 0.
+                    eps_cum = np.where(np.any(cumulative, axis=1),
+                                       eps_cum, 0.0)
                 over = eps_cum > target
                 fits = int(np.argmax(over)) if over.any() \
                     else len(chunk_priv)

@@ -18,6 +18,18 @@ its job-list front end, which adds one :class:`JobRecord` per job.
 3. **Completion** — the cluster frees and the dispatch loop runs again
    (under ``faults`` an attempt may crash instead, then requeue).
 
+The event loop draws from four sources, and at one instant they fire
+in this order: arrivals (a pointer into the arrival column), then
+provisioned clusters (the autoscaler's pending activations), then
+capacity returns (a heap of plain float times: completions, degraded
+continuations and repair ends, each handing one cluster back to the
+idle pool), then retries (a ``(ready_s, seq, job)`` heap, pushed only
+under faults; ``seq`` keeps same-instant retries in push order).
+Clusters are anonymous, so same-instant capacity returns need no
+order among themselves.  An admitted arrival that finds an idle
+cluster and an empty queue dispatches at once: every policy's queue
+would hand that job straight back.
+
 Each dispatch appends its queueing wait to one ``array('d')`` column;
 the report's p50/p95/p99 are exact nearest-rank percentiles over it
 (:func:`~repro.serve.metrics.build_streaming_report`), so they depend
@@ -192,13 +204,6 @@ def predict_step_seconds(
         fleet, [job.model], [job.algorithm], [batch], cache)[0])
 
 
-#: Same-timestamp order of pending events: completions, then repaired
-#: clusters rejoining, then retried jobs requeueing (only fault runs
-#: push the last two).  Arrivals precede all three, and provisioned
-#: clusters come online after arrivals and before any of them.
-_PRIO_COMPLETION, _PRIO_REPAIR, _PRIO_RETRY = 0, 1, 2
-
-
 def simulate_fleet(
     trace: Sequence[TrainingJob],
     fleet: FleetConfig = FleetConfig(),
@@ -246,7 +251,12 @@ def simulate_fleet(
         dispatch_log.extend((jobs[pos].job_id, now)
                             for pos, now in positions)
     service = sink["service"]
-    columns = job_columns(arrays, decisions, service, positions,
+    # First dispatch per job: walking the log backwards, a job's first
+    # start is written last.
+    starts = array("d", [math.nan]) * len(arrays)
+    for pos, now in reversed(positions):
+        starts[pos] = now
+    columns = job_columns(arrays, decisions, service, starts,
                           sink["finishes"])
     statuses = (AdmissionStatus.ADMITTED, AdmissionStatus.TRUNCATED,
                 AdmissionStatus.REJECTED)
@@ -323,31 +333,52 @@ def _job_service_seconds(
     fleet: FleetConfig,
     cache: "runner.ResultCache | None" = None,
     faults: FaultRun | None = None,
-) -> tuple[NDArray[Any], NDArray[Any]]:
+) -> tuple[NDArray[Any] | None, NDArray[Any]]:
     """Per-job ``(base step latency, service time)`` from one table.
 
     One batched evaluation prices every unique
     (model, algorithm, rounded-batch) configuration of the trace; the
     service time is ``granted_steps x step latency``.  With ``faults``
     the step latency is checkpoint-amortized, through the same scalar
-    helper (and memo) the fault model uses per attempt.
+    helper (and memo) the fault model uses per attempt, and the base
+    latency column is returned for the attempts to read; without, it
+    is ``None``.
     """
+    # Each job's (model, algorithm, batch) as one code over the
+    # vocabularies (batches ranked among their distinct values), then
+    # as its position among the codes in use: in-place passes and
+    # value sorts, no per-job argsort.
+    batches = np.unique(trace.batch)
+    code = trace.model.astype(np.int64)
+    code *= len(trace.algorithms)
+    code += trace.algorithm
+    code *= len(batches)
+    code += np.searchsorted(batches, trace.batch)
+    used = np.unique(code)
+    code = np.searchsorted(used, code)
+    model_algorithm, batch = np.divmod(used, len(batches))
+    model, algorithm = np.divmod(model_algorithm, len(trace.algorithms))
     width = fleet.dp
-    rounded = np.ceil(trace.batch / width).astype(np.int64) * width
-    unique, inverse = unique_rows(trace.model, trace.algorithm, rounded)
+    rounded = np.ceil(batches[batch] / width).astype(np.int64) * width
+    # The priced rows, and their order, are the per-job rows'.
+    unique, row_of = unique_rows(model, algorithm, rounded)
     table = predict_step_seconds_batch(
         fleet,
         [trace.models[int(row[0])] for row in unique],
         [trace.algorithms[int(row[1])] for row in unique],
         unique[:, 2].tolist(),
         cache=cache)
+    step: NDArray[Any] | None = None
     effective = table
     if faults is not None:
+        step = table[row_of][code]
         effective = np.array([
             faults.effective_step_seconds(trace.models[int(row[0])],
                                           float(table[pos]))
             for pos, row in enumerate(unique)])
-    return table[inverse], decisions.granted_steps * effective[inverse]
+    service = effective[row_of][code]
+    np.multiply(decisions.granted_steps, service, out=service)
+    return step, service
 
 
 def _column(values: NDArray[Any], dtype: Any) -> memoryview[Any]:
@@ -380,15 +411,15 @@ def simulate_fleet_streaming(
     batched pass (decision-identical to deciding job by job, the scalar
     oracle in ``tests/``),
     service times come from one precomputed batched step-latency
-    table, the event loop walks the arrival arrays directly beside one
-    heap of pending completions (plus repairs and retries under
-    faults), and metrics fold into running totals plus one 8-byte wait
-    per dispatch.  The loop reads every per-job column through a
-    zero-copy ``memoryview`` (a strided or differently typed column is
-    copied once), so no event creates a NumPy scalar, and the policy's
-    queue ``push``/``pop`` are bound once per run.  No per-job record
-    list is ever materialized, so the
-    report's ``records`` are empty (use :func:`simulate_fleet` for
+    table, the event loop walks the arrival arrays directly beside a
+    float heap of capacity returns (plus a retry heap under faults; the
+    module docstring gives the same-instant order), and metrics fold
+    into running totals plus one 8-byte wait per dispatch.  The loop
+    reads every per-job column through a zero-copy ``memoryview`` (a
+    strided or differently typed column is copied once), so no event
+    creates a NumPy scalar, and the policy's queue ``push``/``pop`` are
+    bound once per run.  No per-job record list is ever materialized,
+    so the report's ``records`` are empty (use :func:`simulate_fleet` for
     records); the wait percentiles are exact nearest-rank over the wait
     column.  Job ids are array positions.  Deterministic: the same
     trace, fleet, policy and admission configuration always produce
@@ -414,10 +445,10 @@ def simulate_fleet_streaming(
     ``None`` (default) books every dispatch as a clean completion.
 
     ``obs`` (a :class:`repro.obs.fleet.FleetObs`) observes the run:
-    each dispatch appends ``(job_id, start_s)`` to the observer's sink
-    (and, with faults on, each completion stores its finish time), one
-    windowed load sample is taken per elapsed metrics window, and
-    ``obs.export()`` rebuilds job lifecycles afterwards.  ``None``
+    each job's first dispatch stores its start time in the observer's
+    per-job slot (and, with faults on, each completion stores its
+    finish time), one windowed load sample is taken per elapsed metrics
+    window, and ``obs.export()`` rebuilds job lifecycles afterwards.  ``None``
     (default) skips every hook.
     """
     if policy not in POLICIES:
@@ -464,6 +495,7 @@ def simulate_fleet_streaming(
         # runs inline like a zero-fault one; the rest go through
         # begin_attempt, which reads the columns below.
         clean = _column(frun.clean_first_attempts(service_table), np.bool_)
+        assert step_table is not None  # priced whenever faults are on
         step = _column(step_table, np.float64)
         granted = _column(decisions.granted_steps, np.int64)
         requested = _column(trace.steps, np.int64)
@@ -535,57 +567,69 @@ def simulate_fleet_streaming(
     # One 8-byte wait per dispatch; the report's percentiles are exact
     # over this column.  The autoscaler keeps its own p99 counters.
     waits: array[float] = array("d")
-    # Pre-bound dispatch sink: one local-None check per dispatch when
-    # observability is off, one list append when it is on.  The
-    # sampling deadline is mirrored into a local for the same reason —
-    # the per-event guard stays one float compare either way.
-    obs_dispatch = obs.dispatches.append if obs is not None else None
+    # Per-dispatch hooks sit behind one flag: the autoscaler's wait
+    # counters, the caller's dispatch log and the observer's per-job
+    # first-start slots.  The sampling deadline is mirrored into a
+    # local, so the per-event guard stays one float compare.
+    starts = obs.start_sink(total) if obs is not None else None
+    hooks = state is not None or dispatch_log is not None \
+        or starts is not None
+    isnan = math.isnan
     inf = math.inf
     obs_next_sample_s = obs.next_sample_s if obs is not None else inf
-    # Completions, repairs and retries in one heap; the priority slot
-    # orders same-time events across kinds, the sequence within one.
-    pending: list[tuple[float, int, int, int]] = []
+    # Two of the four event sources (module docstring).
+    returns: list[float] = []
+    retries: list[tuple[float, int, int]] = []
     idle = fleet.n_clusters
     busy_s = makespan = now = 0.0
     completed = truncated = index = seq = 0
 
-    while index < total or pending \
+    while index < total or returns or retries \
             or (state is not None and state.pending):
         t_arrival = arrival[index] if index < total else inf
         t_provision = (state.next_provision_s() if state is not None
                        else inf)
-        t_pending = pending[0][0] if pending else inf
-        if t_arrival <= t_provision and t_arrival <= t_pending:
-            job = index
+        t_return = returns[0] if returns else inf
+        t_retry = retries[0][0] if retries else inf
+        # Same instant: arrival < provision < capacity return < retry.
+        # ``job`` >= 0 is an arrival to dispatch without queueing.
+        job = -1
+        if t_arrival <= t_provision and t_arrival <= t_return \
+                and t_arrival <= t_retry:
             now = t_arrival
-            index += 1
             if track_spend:
-                spent[tenant[job]] = epsilon_after[job]
-            if admitted[job]:
-                push(job)
-                queued += 1
-        elif t_provision <= t_pending:
+                spent[tenant[index]] = epsilon_after[index]
+            if admitted[index]:
+                if queued or not idle:
+                    push(index)
+                    queued += 1
+                else:
+                    # Idle cluster, empty queue: any policy's pop
+                    # would return this job.
+                    job = index
+            index += 1
+        elif t_provision <= t_return and t_provision <= t_retry:
             assert state is not None
             now = t_provision
             state.activate_one(now)
             idle += 1
+        elif t_return <= t_retry:
+            now = heappop(returns)
+            idle += 1
         else:
-            now, prio, _, job = heappop(pending)
-            if prio == _PRIO_RETRY:
-                push(job)
-                queued += 1
-            else:  # completion or repair: capacity returns either way
-                idle += 1
-        while idle and queued:
-            job = pop()
-            queued -= 1
+            now, _, retried = heappop(retries)
+            push(retried)
+            queued += 1
+        while job >= 0 or (idle and queued):
+            if job < 0:
+                job = pop()
+                queued -= 1
             idle -= 1
             if frun is None or clean[job]:
                 wait = now - arrival[job]
                 service_s = service[job]
                 finish = now + service_s
-                heappush(pending, (finish, _PRIO_COMPLETION, seq, job))
-                seq += 1
+                heappush(returns, finish)
                 if frun is None:
                     busy_s += service_s
                     completed += 1
@@ -612,9 +656,7 @@ def simulate_fleet_streaming(
                     model_name=model_name,
                     algorithm=trace.algorithms[algorithm[job]],
                     batch=batch[job])
-                prio = _PRIO_COMPLETION if outcome.completed else _PRIO_REPAIR
-                heappush(pending, (outcome.free_s, prio, seq, job))
-                seq += 1
+                heappush(returns, outcome.free_s)
                 if outcome.completed:
                     if finishes is not None:
                         assert outcome.finish_s is not None  # completed
@@ -625,16 +667,19 @@ def simulate_fleet_streaming(
                             job, granted[job]) * \
                             frun.effective_step_seconds(model_name,
                                                         step[job])
-                    heappush(pending, (outcome.retry_s, _PRIO_RETRY,
-                                       seq, job))
+                    heappush(retries, (outcome.retry_s, seq, job))
                     seq += 1
             waits.append(wait)
-            if state is not None:
-                state.record_wait(wait)
-            if dispatch_log is not None:
-                dispatch_log.append((job, now))
-            if obs_dispatch is not None:
-                obs_dispatch((job, now))
+            if hooks:
+                if state is not None:
+                    state.record_wait(wait)
+                if dispatch_log is not None:
+                    dispatch_log.append((job, now))
+                # A retry keeps its job's first start.
+                if starts is not None \
+                        and (frun is None or isnan(starts[job])):
+                    starts[job] = now
+            job = -1
         if state is not None:
             delta = state.decide(now, queued, idle)
             if delta < 0:

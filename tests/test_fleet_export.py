@@ -74,12 +74,12 @@ def _record_rows(records):
                rec.start_s, rec.finish_s)
 
 
-def _streaming_rows(trace, decisions, service, dispatches):
-    """Zero-fault streaming rows: one dispatch per job, finish = start +
-    service (the float the loop pushed onto its completion heap)."""
-    starts = dict(dispatches)
+def _streaming_rows(trace, decisions, service, starts):
+    """Zero-fault streaming rows: one dispatch per job (its start slot,
+    NaN if it never ran), finish = start + service (the float the loop
+    pushed onto its capacity-return heap)."""
     for job in range(len(trace)):
-        start = starts.get(job)
+        start = None if math.isnan(starts[job]) else starts[job]
         finish = float(start + service[job]) if start is not None \
             else None
         yield (job, trace.tenants[int(trace.tenant[job])],
@@ -191,7 +191,7 @@ def _reference(obs, records=None):
     else:
         assert run["faults"] is None  # the per-row twin is zero-fault
         rows = list(_streaming_rows(run["trace"], run["decisions"],
-                                    run["service"], obs.dispatches))
+                                    run["service"], obs.starts))
     scale_events = tuple(run["state"].events) \
         if run["state"] is not None else ()
     fault_events = run["faults"].events if run["faults"] is not None \

@@ -19,7 +19,9 @@ import dataclasses
 import heapq
 import itertools
 import math
+import random
 
+import numpy as np
 import pytest
 
 from repro.serve import (
@@ -33,12 +35,15 @@ from repro.serve import (
     TenantBudget,
     TraceArrays,
     TraceConfig,
+    TrainingJob,
     build_streaming_report,
     generate_trace,
     percentile,
     simulate_fleet,
     simulate_fleet_streaming,
 )
+from repro.obs import FleetObs, MetricsRegistry
+from repro.serve import scheduler
 from repro.serve.scheduler import POLICIES, predict_step_seconds
 from repro.training import CheckpointConfig
 
@@ -190,6 +195,55 @@ FAULTY_TRACE = TraceConfig(jobs=1_500, seed=5, shape="bursty",
                            mean_interarrival_s=0.3)
 
 
+#: Seconds per lattice tick (:class:`_LatticeFaults`).
+TICK = 10.0
+
+
+class _LatticeFaults(FaultModel):
+    """Failure, repair and backoff times on a whole-tick lattice.
+
+    With one-second steps and a negligible checkpoint write, every
+    event time is a whole number of ticks, so completions, repair
+    ends, retries and provisioned clusters often land on one instant.
+    """
+
+    def time_to_failure_s(self, job_id, attempt, n_chips):
+        if (job_id + attempt) % 3 == 0:
+            return math.inf
+        return TICK * (1 + (job_id * 7 + attempt) % 4)
+
+    def first_failures_s(self, job_ids, n_chips):
+        return [self.time_to_failure_s(job, 1, n_chips)
+                for job in job_ids.tolist()]
+
+    def repair_seconds(self, job_id, attempt):
+        return TICK * (1 + (job_id + 2 * attempt) % 3)
+
+
+LATTICE_FAULTS = _LatticeFaults(FaultConfig(
+    degrade_fraction=0.0, backoff_base_s=TICK, backoff_cap_s=4 * TICK,
+    max_retries=2, checkpoint=CheckpointConfig(
+        interval_steps=10, storage_bytes_per_s=1e300)))
+#: Scales up and down through bursts, one tick after each decision.
+LATTICE_AUTOSCALE = AutoscalerPolicy(
+    max_clusters=6, up_queue_per_cluster=1.0, provision_delay_s=TICK,
+    cooldown_s=0.0, down_idle_fraction=0.0)
+
+
+def _lattice_trace(jobs=200, seed=1):
+    """Bursts of whole-tick arrivals with whole-tick step counts."""
+    rng = random.Random(seed)
+    arrivals = sorted(TICK * (20 * rng.randrange(8) + rng.randrange(4))
+                      for _ in range(jobs))
+    return [TrainingJob(
+        job_id=i, tenant=f"t{i % 3}", model="ResNet-50",
+        algorithm="DP-SGD" if i % 4 == 0 else "SGD", batch=256,
+        steps=int(TICK) * rng.randrange(1, 7),
+        noise_multiplier=1.0 if i % 4 == 0 else 0.0,
+        dataset_size=50_000, arrival_s=arrival)
+        for i, arrival in enumerate(arrivals)]
+
+
 @pytest.fixture(scope="module")
 def traces():
     return {config: generate_trace(config)
@@ -289,6 +343,36 @@ class TestMatchesReferenceLoop:
                     for record in _replay(jobs, fleet, policy, faults)}
         assert set(instants) <= finishes
         assert {job.arrival_s for job in jobs} >= set(instants)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_four_sources_on_one_instant(self, monkeypatch, policy):
+        # A completion, a repair end, a retry and a provisioned cluster
+        # share an instant; they must fire as provision, capacity
+        # returns, then retry.  One-second steps keep times whole.
+        monkeypatch.setattr(
+            scheduler, "predict_step_seconds_batch",
+            lambda fleet, models, algorithms, batches, cache=None:
+            np.ones(len(batches)))
+        jobs = _lattice_trace()
+        fleet = FleetConfig(chips=4, chips_per_cluster=2)
+        self._compare(jobs, fleet, policy, LATTICE_AUTOSCALE,
+                      LATTICE_FAULTS)
+        obs = FleetObs(metrics=MetricsRegistry())
+        simulate_fleet_streaming(
+            TraceArrays.from_jobs(jobs), fleet, policy=policy,
+            autoscaler=LATTICE_AUTOSCALE, faults=LATTICE_FAULTS, obs=obs,
+            admission=AdmissionController(TenantBudget(epsilon=3.0)))
+        finishes = np.frombuffer(obs.finishes)
+        events = obs._run["faults"].events
+        provisions = {event.time_s + LATTICE_AUTOSCALE.provision_delay_s
+                      for event in obs._run["state"].events
+                      if event.action == "up"}
+        shared = (set(finishes[~np.isnan(finishes)].tolist())
+                  & {e.time_s for e in events if e.kind == "repair"}
+                  & {e.time_s for e in events if e.kind == "retry"}
+                  & provisions)
+        assert shared
+        assert all(t % TICK == 0 for t in shared)
 
     @classmethod
     def _check(cls, jobs, policy, autoscaled, faulty):

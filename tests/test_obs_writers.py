@@ -120,7 +120,7 @@ def test_names_needing_escapes_and_non_finite_floats(tmp_path):
     epsilon[:3] = (math.nan, math.inf, -math.inf)
     decisions = dataclasses.replace(decisions, epsilon_after=epsilon)
     obs = FleetObs(recorder=TraceRecorder(), metrics=MetricsRegistry())
-    obs.dispatches = run.dispatches
+    obs.starts = run.starts
     obs.samples = run.samples
     obs.attach(policy='fifo "quoted" ∞', trace=renamed,
                decisions=decisions, service=attached["service"],
