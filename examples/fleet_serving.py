@@ -19,8 +19,8 @@ from repro.serve import (
     FleetConfig,
     TenantBudget,
     TraceConfig,
-    generate_trace,
-    simulate_fleet,
+    generate_trace_arrays,
+    simulate_fleet_streaming,
 )
 from repro.serve.metrics import render_tenant_table
 
@@ -38,8 +38,8 @@ def main(trace_jobs: int = 60) -> None:
 
     # -- 2. a synthetic multi-tenant trace -----------------------------
     config = TraceConfig(jobs=trace_jobs)
-    trace = generate_trace(config)
-    private = sum(1 for job in trace if job.is_private)
+    trace = generate_trace_arrays(config)
+    private = int(trace.is_private.sum())
     print(f"Trace: {len(trace)} jobs from {config.n_tenants} tenants "
           f"({private} private), models {', '.join(config.models)}, "
           f"mean inter-arrival {config.mean_interarrival_s:.0f} s")
@@ -53,8 +53,8 @@ def main(trace_jobs: int = 60) -> None:
     last = None
     for policy in ("fifo", "sjf", "budget"):
         admission = AdmissionController(TenantBudget(epsilon=3.0))
-        report = simulate_fleet(trace, fleet, policy=policy,
-                                admission=admission)
+        report = simulate_fleet_streaming(trace, fleet, policy=policy,
+                                          admission=admission)
         print(f"{policy:8s}{report.completed:6d}{report.truncated:7d}"
               f"{report.rejected:6d}{report.wait_p95_s:9.1f}s"
               f"{report.utilization * 100:6.1f}%")

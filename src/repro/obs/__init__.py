@@ -15,7 +15,7 @@ pin the disabled path byte-identical to the pre-observability code):
   hit/miss counts) written to a per-run JSON manifest.
 
 :class:`FleetObs` binds a recorder and/or registry to one fleet
-simulation (``simulate_fleet(..., obs=FleetObs(recorder=...))``).
+simulation (``simulate_fleet_streaming(..., obs=FleetObs(recorder=...))``).
 """
 
 from repro.obs.fleet import FleetObs

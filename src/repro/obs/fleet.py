@@ -155,7 +155,7 @@ class FleetObs:
         if self._run is not None:
             raise RuntimeError(
                 "FleetObs already observed a run; use one instance per "
-                "simulate_fleet/simulate_fleet_streaming call")
+                "simulate_fleet_streaming call")
         self._run = {"policy": policy, "trace": trace,
                      "decisions": decisions, "service": service,
                      "state": state, "faults": faults}

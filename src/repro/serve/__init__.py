@@ -34,8 +34,6 @@ from repro.serve.job import (
     TRACE_SHAPES,
     TraceArrays,
     TraceConfig,
-    TrainingJob,
-    generate_trace,
     generate_trace_arrays,
 )
 from repro.serve.metrics import (
@@ -47,20 +45,15 @@ from repro.serve.metrics import (
 from repro.serve.scheduler import (
     POLICIES,
     FleetConfig,
-    JobRecord,
-    predict_step_seconds,
     predict_step_seconds_batch,
-    simulate_fleet,
     simulate_fleet_streaming,
 )
 
 __all__ = [
     "JOB_ALGORITHMS",
     "TRACE_SHAPES",
-    "TrainingJob",
     "TraceConfig",
     "TraceArrays",
-    "generate_trace",
     "generate_trace_arrays",
     "SCALE_REASONS",
     "AutoscalerPolicy",
@@ -81,10 +74,7 @@ __all__ = [
     "BatchAdmissionDecisions",
     "POLICIES",
     "FleetConfig",
-    "JobRecord",
-    "predict_step_seconds",
     "predict_step_seconds_batch",
-    "simulate_fleet",
     "simulate_fleet_streaming",
     "FleetReport",
     "TenantUsage",

@@ -1,23 +1,21 @@
-"""Training jobs and synthetic multi-tenant traces.
+"""Synthetic multi-tenant DP-training job traces.
 
-A :class:`TrainingJob` is the unit of work the fleet simulator
-schedules: one tenant asking for ``steps`` DP-SGD iterations of one
-zoo workload at a given mini-batch and noise multiplier.  The privacy
-cost of a job follows from exactly three of its fields — sampling rate
-``batch / dataset_size``, ``noise_multiplier`` and ``steps`` — which is
-what lets admission control (:mod:`repro.serve.budget`) price a job
+A job is the unit of work the fleet simulator schedules: one tenant
+asking for ``steps`` DP-SGD iterations of one zoo workload at a given
+mini-batch and noise multiplier.  The privacy cost of a job follows
+from exactly three of its fields — sampling rate
+``batch / dataset_size``, ``noise_multiplier`` and ``steps`` — which
+is what lets admission control (:mod:`repro.serve.budget`) price a job
 before a single cycle is simulated.
 
 :func:`generate_trace_arrays` produces a seeded synthetic arrival
-stream as a :class:`TraceArrays` struct of arrays: Poisson (or
-diurnal / bursty / multiregion) arrivals over a configurable tenant /
-workload / algorithm mix, in the spirit of the budget-and-model
-diversity documented by Jayaraman & Evans ("Evaluating Differentially
-Private Machine Learning in Practice").  :func:`generate_trace` is the
-same trace materialized as :class:`TrainingJob` objects.  There is one
-sampler, deterministic in ``TraceConfig.seed``: the same config always
-yields the identical trace, so the same seed gives the identical
-fleet report through either simulator entry point.
+stream as a :class:`TraceArrays` struct of arrays, one entry per job:
+Poisson (or diurnal / bursty / multiregion) arrivals over a
+configurable tenant / workload / algorithm mix, in the spirit of the
+budget-and-model diversity documented by Jayaraman & Evans
+("Evaluating Differentially Private Machine Learning in Practice").
+The sampler is deterministic in ``TraceConfig.seed``: the same config
+always yields the identical trace, and so the identical fleet report.
 """
 
 from __future__ import annotations
@@ -46,74 +44,6 @@ JOB_ALGORITHMS = ("SGD", "DP-SGD", "DP-SGD(R)")
 #:     Superposition of phase-shifted diurnal regions, each owning a
 #:     slice of the tenant population.
 TRACE_SHAPES = ("poisson", "diurnal", "bursty", "multiregion")
-
-
-@dataclass(frozen=True)
-class TrainingJob:
-    """One tenant's training request.
-
-    Parameters
-    ----------
-    job_id:
-        Unique within a trace (ties in every scheduling policy break
-        on it, keeping simulations deterministic).
-    tenant:
-        Owner of the privacy budget this job draws from.
-    model:
-        A :data:`repro.workloads.MODEL_NAMES` entry.
-    algorithm:
-        ``"SGD"``, ``"DP-SGD"`` or ``"DP-SGD(R)"``.
-    batch:
-        Global mini-batch per step.
-    steps:
-        Requested optimizer steps (admission may truncate them).
-    noise_multiplier:
-        ``sigma`` of Algorithm 1; ignored for non-private jobs.
-    dataset_size:
-        Tenant dataset cardinality ``N``; the Poisson sampling rate is
-        ``batch / N``.
-    arrival_s:
-        Submission time on the simulated clock.
-    """
-
-    job_id: int
-    tenant: str
-    model: str
-    algorithm: str
-    batch: int
-    steps: int
-    noise_multiplier: float
-    dataset_size: int
-    arrival_s: float
-
-    def __post_init__(self) -> None:
-        if self.algorithm not in JOB_ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; "
-                f"choose from {JOB_ALGORITHMS}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.dataset_size < 1:
-            raise ValueError(
-                f"dataset_size must be >= 1, got {self.dataset_size}")
-        if self.arrival_s < 0:
-            raise ValueError(
-                f"arrival_s must be >= 0, got {self.arrival_s}")
-        if self.is_private and self.noise_multiplier <= 0:
-            raise ValueError(
-                "private jobs need a positive noise multiplier, got "
-                f"{self.noise_multiplier}")
-
-    @property
-    def is_private(self) -> bool:
-        return self.algorithm != "SGD"
-
-    @property
-    def sampling_rate(self) -> float:
-        """Poisson sampling rate ``q = batch / dataset_size`` (capped)."""
-        return min(1.0, self.batch / self.dataset_size)
 
 
 @dataclass(frozen=True)
@@ -204,6 +134,20 @@ class TraceConfig:
         if not 1 <= lo <= hi:
             raise ValueError(
                 f"steps_range must satisfy 1 <= lo <= hi, got {lo, hi}")
+        unknown = set(self.algorithms) - set(JOB_ALGORITHMS)
+        if unknown:
+            raise ValueError(f"unknown algorithms {sorted(unknown)}; "
+                             f"choose from {JOB_ALGORITHMS}")
+        if any(batch < 1 for batch in self.batches):
+            raise ValueError(f"batches must be >= 1, got {self.batches}")
+        if any(size < 1 for size in self.dataset_sizes):
+            raise ValueError(
+                f"dataset_sizes must be >= 1, got {self.dataset_sizes}")
+        if set(self.algorithms) - {"SGD"} \
+                and any(sigma <= 0 for sigma in self.noise_multipliers):
+            raise ValueError(
+                "noise_multipliers must be > 0 for a private mix, got "
+                f"{self.noise_multipliers}")
 
     @property
     def tenants(self) -> tuple[str, ...]:
@@ -230,27 +174,13 @@ def _region_tenants(config: TraceConfig, region: int) -> tuple[str, ...]:
     return config.tenants[region::config.regions]
 
 
-def generate_trace(config: TraceConfig = TraceConfig()
-                   ) -> tuple[TrainingJob, ...]:
-    """Draw a deterministic synthetic job stream from ``config``.
-
-    The materialized view of :func:`generate_trace_arrays` — the same
-    PCG64 draws as :class:`TrainingJob` objects with ``job_id`` equal
-    to the arrival position — so a config and seed name one trace no
-    matter which simulator entry point replays it.
-    """
-    return generate_trace_arrays(config).jobs()
-
-
 @dataclass(frozen=True)
 class TraceArrays:
     """A job trace as a struct of NumPy arrays (one entry per job).
 
-    The memory-flat counterpart of a ``tuple[TrainingJob, ...]`` —
-    ~50 bytes per job instead of a Python object graph — and the only
-    trace representation the fleet simulator
-    (:func:`repro.serve.scheduler.simulate_fleet_streaming`) and the
-    batched admission controller consume.  ``tenant`` / ``model`` /
+    ~50 bytes per job, and the only trace representation the fleet
+    simulator (:func:`repro.serve.scheduler.simulate_fleet_streaming`)
+    and the batched admission controller consume.  ``tenant`` / ``model`` /
     ``algorithm`` are indices into the ``tenants`` / ``models`` /
     ``algorithms`` vocabularies; job ids are implicit array positions
     and arrivals are nondecreasing.
@@ -290,51 +220,6 @@ class TraceArrays:
     def sampling_rate(self) -> NDArray[Any]:
         """Per-job Poisson sampling rate ``min(1, batch / dataset)``."""
         return np.minimum(1.0, self.batch / self.dataset_size)
-
-    @classmethod
-    def from_jobs(cls, jobs: "tuple[TrainingJob, ...] | list[TrainingJob]"
-                  ) -> "TraceArrays":
-        """Convert a materialized job tuple (ordered by arrival)."""
-        jobs = sorted(jobs, key=lambda j: (j.arrival_s, j.job_id))
-        tenants = tuple(dict.fromkeys(j.tenant for j in jobs))
-        models = tuple(dict.fromkeys(j.model for j in jobs))
-        algorithms = tuple(dict.fromkeys(j.algorithm for j in jobs))
-        tenant_idx = {name: i for i, name in enumerate(tenants)}
-        model_idx = {name: i for i, name in enumerate(models)}
-        algo_idx = {name: i for i, name in enumerate(algorithms)}
-        return cls(
-            tenants=tenants, models=models, algorithms=algorithms,
-            arrival_s=np.array([j.arrival_s for j in jobs], dtype=float),
-            tenant=np.array([tenant_idx[j.tenant] for j in jobs],
-                            dtype=np.int32),
-            model=np.array([model_idx[j.model] for j in jobs],
-                           dtype=np.int32),
-            algorithm=np.array([algo_idx[j.algorithm] for j in jobs],
-                               dtype=np.int32),
-            batch=np.array([j.batch for j in jobs], dtype=np.int64),
-            steps=np.array([j.steps for j in jobs], dtype=np.int64),
-            noise_multiplier=np.array(
-                [j.noise_multiplier for j in jobs], dtype=float),
-            dataset_size=np.array([j.dataset_size for j in jobs],
-                                  dtype=np.int64),
-        )
-
-    def jobs(self) -> tuple[TrainingJob, ...]:
-        """Materialize :class:`TrainingJob` objects (small traces only)."""
-        return tuple(
-            TrainingJob(
-                job_id=i,
-                tenant=self.tenants[self.tenant[i]],
-                model=self.models[self.model[i]],
-                algorithm=self.algorithms[self.algorithm[i]],
-                batch=int(self.batch[i]),
-                steps=int(self.steps[i]),
-                noise_multiplier=float(self.noise_multiplier[i]),
-                dataset_size=int(self.dataset_size[i]),
-                arrival_s=float(self.arrival_s[i]),
-            )
-            for i in range(len(self))
-        )
 
 
 def _thinned_arrivals_array(config: TraceConfig, rng: np.random.Generator,

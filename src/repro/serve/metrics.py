@@ -21,7 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.autoscale import AutoscalerState, ScaleEvent
     from repro.serve.budget import AdmissionController
     from repro.serve.faults import FaultRun
-    from repro.serve.scheduler import JobRecord
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -105,9 +104,8 @@ class FleetReport:
     wait_p95_s: float
     wait_p99_s: float
     tenants: tuple[TenantUsage, ...]
-    #: Per-job records, filled by :func:`~repro.serve.scheduler.
-    #: simulate_fleet` only.
-    records: tuple[JobRecord, ...] = ()
+    #: Always empty; ``perfbench/workloads.py`` still checks it.
+    records: tuple[()] = ()
     scale_events: tuple[ScaleEvent, ...] = ()
     peak_clusters: int = 0
     chip_hours: float = 0.0
@@ -129,7 +127,7 @@ class FleetReport:
         raise KeyError(f"unknown tenant {name!r}")
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable summary (per-job records excluded)."""
+        """JSON-serializable summary."""
         data: dict[str, Any] = {
             "policy": self.policy,
             "chips": self.chips,

@@ -2,8 +2,7 @@
 
 :func:`simulate_fleet_streaming` replays an array trace
 (:class:`~repro.serve.job.TraceArrays`) against a pool of identical
-:class:`~repro.arch.cluster.Cluster`\\ s; :func:`simulate_fleet` is
-its job-list front end, which adds one :class:`JobRecord` per job.
+:class:`~repro.arch.cluster.Cluster`\\ s.
 
 1. **Arrival** — the admission controller prices the job against its
    tenant's ``(epsilon, delta)`` budget (reject / truncate / admit) and
@@ -53,7 +52,6 @@ deterministic given a trace and a policy.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 from array import array
@@ -68,14 +66,9 @@ from repro.arch.batch import unique_rows
 from repro.arch.interconnect import InterconnectConfig, fabric_named
 from repro.experiments import runner
 from repro.serve.autoscale import AutoscalerPolicy, AutoscalerState
-from repro.serve.budget import (
-    AdmissionController,
-    AdmissionDecision,
-    AdmissionStatus,
-    BatchAdmissionDecisions,
-)
+from repro.serve.budget import AdmissionController, BatchAdmissionDecisions
 from repro.serve.faults import FaultModel, FaultRun
-from repro.serve.job import TraceArrays, TrainingJob
+from repro.serve.job import TraceArrays
 from repro.serve.metrics import FleetReport, build_streaming_report
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -159,126 +152,6 @@ class FleetConfig:
         return self.chips_per_cluster // (self.pp * self.tp)
 
 
-@dataclass
-class JobRecord:
-    """Lifecycle of one job through the fleet.
-
-    ``service_s`` is the planned service time of the granted steps
-    (checkpoint-amortized under fault injection).  ``start_s`` is the
-    first dispatch and ``finish_s`` the final completion; both stay
-    ``None`` for a rejected job, and a job abandoned after its retry
-    cap keeps its ``start_s``, has no ``finish_s`` and is ``failed``.
-    """
-
-    job: TrainingJob
-    decision: AdmissionDecision
-    service_s: float = 0.0
-    start_s: float | None = None
-    finish_s: float | None = None
-    #: Abandoned after exhausting its retries (fault injection only).
-    failed: bool = False
-
-    @property
-    def wait_s(self) -> float:
-        """Queueing delay between arrival and first dispatch."""
-        if self.start_s is None:
-            return 0.0
-        return self.start_s - self.job.arrival_s
-
-
-def predict_step_seconds(
-    fleet: FleetConfig,
-    job: TrainingJob,
-    cache: "runner.ResultCache | None" = None,
-) -> float:
-    """Step latency for ``job`` on one of ``fleet``'s clusters.
-
-    The batch is rounded up to the nearest multiple of the cluster
-    width so the data-parallel shard divides evenly; the latency is
-    :func:`predict_step_seconds_batch` on that one configuration, so
-    it is optionally persisted through the experiment runner's JSON
-    cache under the same key.
-    """
-    batch = math.ceil(job.batch / fleet.dp) * fleet.dp
-    return float(predict_step_seconds_batch(
-        fleet, [job.model], [job.algorithm], [batch], cache)[0])
-
-
-def simulate_fleet(
-    trace: Sequence[TrainingJob],
-    fleet: FleetConfig = FleetConfig(),
-    *,
-    policy: str = "fifo",
-    admission: AdmissionController | None = None,
-    autoscaler: AutoscalerPolicy | None = None,
-    faults: FaultModel | None = None,
-    cache: "runner.ResultCache | None" = None,
-    dispatch_log: "list[tuple[int, float]] | None" = None,
-    obs: "FleetObs | None" = None,
-) -> FleetReport:
-    """Replay a list of jobs on ``fleet`` and report, with per-job records.
-
-    The job-list front end of :func:`simulate_fleet_streaming`: the
-    trace converts to :class:`~repro.serve.job.TraceArrays` (arrival
-    order, ties on ``job_id``), runs through the array path, and the
-    report gains one :class:`JobRecord` per job in that order.  The
-    summary is therefore exactly the array path's, whichever entry
-    point replays a trace.
-
-    Records and ``dispatch_log`` carry the caller's job ids.
-    Each record's ``decision`` is the job's
-    :meth:`~repro.serve.budget.AdmissionController.admit_batch`
-    outcome; ``start_s`` is the first dispatch
-    and ``finish_s`` the final finish.  Fault draws, and the job names
-    ``obs`` exports, are keyed by arrival position, which equals
-    ``job_id`` for every generated trace.
-    """
-    from repro.obs.fleet import job_columns
-
-    if admission is None:
-        admission = AdmissionController()
-    jobs = sorted(trace, key=lambda j: (j.arrival_s, j.job_id))
-    arrays = TraceArrays.from_jobs(jobs)
-    spent = {name: admission.epsilon_spent(name) for name in arrays.tenants}
-    decisions = admission.admit_batch(arrays)
-    positions: list[tuple[int, float]] = []
-    sink: dict[str, Any] = {}
-    report = simulate_fleet_streaming(
-        arrays, fleet, policy=policy, admission=admission,
-        decisions=decisions, autoscaler=autoscaler, faults=faults,
-        cache=cache, dispatch_log=positions, obs=obs, _sink=sink)
-    if dispatch_log is not None:
-        dispatch_log.extend((jobs[pos].job_id, now)
-                            for pos, now in positions)
-    service = sink["service"]
-    # First dispatch per job: walking the log backwards, a job's first
-    # start is written last.
-    starts = array("d", [math.nan]) * len(arrays)
-    for pos, now in reversed(positions):
-        starts[pos] = now
-    columns = job_columns(arrays, decisions, service, starts,
-                          sink["finishes"])
-    statuses = (AdmissionStatus.ADMITTED, AdmissionStatus.TRUNCATED,
-                AdmissionStatus.REJECTED)
-    records: list[JobRecord] = []
-    for job, status, granted, eps_after, service_s, start, finish in zip(
-            jobs, columns.status.tolist(), columns.granted.tolist(),
-            columns.epsilon_after.tolist(), service.tolist(),
-            columns.start_s.tolist(), columns.finish_s.tolist()):
-        cost = eps_after - spent[job.tenant]
-        spent[job.tenant] = eps_after
-        ran, done = not math.isnan(start), not math.isnan(finish)
-        records.append(JobRecord(
-            job=job,
-            decision=AdmissionDecision(statuses[status], granted, cost,
-                                       eps_after),
-            service_s=service_s,
-            start_s=start if ran else None,
-            finish_s=finish if done else None,
-            failed=ran and not done))
-    return dataclasses.replace(report, records=tuple(records))
-
-
 def predict_step_seconds_batch(
     fleet: FleetConfig,
     models: Sequence[str],
@@ -290,8 +163,7 @@ def predict_step_seconds_batch(
 
     One :func:`repro.training.sharded_step_batch` call prices every
     cache-missing config (``batches`` must already be rounded to the
-    cluster width); :func:`predict_step_seconds` is this function on
-    one job.
+    cluster width).
     """
     from repro.training.batch import sharded_step_batch
 
@@ -403,7 +275,6 @@ def simulate_fleet_streaming(
     cache: "runner.ResultCache | None" = None,
     dispatch_log: "list[tuple[int, float]] | None" = None,
     obs: "FleetObs | None" = None,
-    _sink: "dict[str, Any] | None" = None,
 ) -> FleetReport:
     """Replay an array trace on ``fleet``; 8 bytes of metrics per dispatch.
 
@@ -418,12 +289,11 @@ def simulate_fleet_streaming(
     reads every per-job column through a zero-copy ``memoryview`` (a
     strided or differently typed column is copied once), so no event
     creates a NumPy scalar, and the policy's queue ``push``/``pop`` are
-    bound once per run.  No per-job record list is ever materialized,
-    so the report's ``records`` are empty (use :func:`simulate_fleet` for
-    records); the wait percentiles are exact nearest-rank over the wait
-    column.  Job ids are array positions.  Deterministic: the same
-    trace, fleet, policy and admission configuration always produce
-    the identical report.
+    bound once per run.  No per-job record list is ever materialized
+    (``obs`` rebuilds per-job columns afterwards); the wait percentiles
+    are exact nearest-rank over the wait column.  Job ids are array
+    positions.  Deterministic: the same trace, fleet, policy and
+    admission configuration always produce the identical report.
 
     Pass ``decisions`` to reuse one admission pass across policies
     (admission happens at arrival, so it is policy-invariant); the
@@ -460,21 +330,15 @@ def simulate_fleet_streaming(
         decisions = admission.admit_batch(trace)
     total = len(trace)
     frun: FaultRun | None = None
-    # Per-job final finishes, stored under faults when someone reads
-    # them: the observer, or the job-list front end (``_sink``).
+    # Per-job final finishes, stored under faults for the observer.
     finishes: "array[float] | None" = None
     if faults is not None:
         frun = FaultRun(faults, fleet, admission, cache=cache)
         frun.prime_first_failures(decisions.admitted)
         if obs is not None:
             finishes = obs.finish_sink(total)
-        elif _sink is not None:
-            finishes = array("d", [math.nan]) * total
     step_table, service_table = _job_service_seconds(
         trace, decisions, fleet, cache=cache, faults=frun)
-    if _sink is not None:
-        # The job-list front end fills its records from these.
-        _sink.update(service=service_table, finishes=finishes)
     state = (AutoscalerState(autoscaler,
                              initial_clusters=fleet.n_clusters,
                              chips_per_cluster=fleet.chips_per_cluster)

@@ -2,14 +2,13 @@
 
 Pins the three contracts ``repro.serve.faults`` makes:
 
-* **Zero-failure identity** — with ``faults=None`` both entry points
-  (arrays and job list) reproduce the pre-faults golden dispatch logs
-  and reports byte for byte
-  (``tests/data/golden_fleet_zero_fault.json``).
-* **Decision identity under faults** — both entry points draw the
-  same failures, make the same ledger transactions, and emit
-  identical dispatch logs and reports, across every policy, with and
-  without the autoscaler (the naive reference loop of
+* **Zero-failure identity** — with ``faults=None`` the simulator
+  reproduces the pre-faults golden dispatch logs and reports byte for
+  byte (``tests/data/golden_fleet_zero_fault.json``).
+* **Decision identity under faults** — an observed run draws the same
+  failures, makes the same ledger transactions, and emits the same
+  dispatch log and report as a plain one, across every policy, with
+  and without the autoscaler (the naive reference loop of
   ``test_fleet_oracle.py`` pins the loop itself).
 * **Budget safety** — no crash/retry/refund interleaving ever pushes
   a tenant's spent epsilon past its ``(epsilon, delta)`` budget
@@ -31,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import Project, run_rules
 from repro.analysis.faultrng import FaultPathRNGRule
+from repro.obs import FleetObs, MetricsRegistry
 from repro.serve import (
     AdmissionController,
     AutoscalerPolicy,
@@ -39,11 +39,8 @@ from repro.serve import (
     FaultRun,
     FleetConfig,
     TenantBudget,
-    TraceArrays,
     TraceConfig,
-    generate_trace,
     generate_trace_arrays,
-    simulate_fleet,
     simulate_fleet_streaming,
 )
 from repro.serve.faults import _keyed_uniform
@@ -61,6 +58,7 @@ from repro.training import (
 from repro.workloads import build_model
 
 from admission_oracle import ScalarAdmission
+from job_oracle import TrainingJob
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = REPO_ROOT / "tests" / "data" / "golden_fleet_zero_fault.json"
@@ -79,8 +77,6 @@ def _digest(dispatch_log):
 
 
 def _private_job():
-    from repro.serve import TrainingJob
-
     return TrainingJob(job_id=0, tenant="tenant-0", model="SqueezeNet",
                        algorithm="DP-SGD", batch=32, steps=400,
                        noise_multiplier=1.1, dataset_size=50_000,
@@ -535,17 +531,17 @@ class TestLedgerNeverOverspends:
         # Satellite property: however crashes, retries, re-pricing and
         # refunds interleave, no tenant's spent epsilon exceeds its
         # budget.
-        trace = generate_trace(TraceConfig(jobs=30, seed=seed,
-                                           shape="bursty",
-                                           mean_interarrival_s=0.2))
+        trace = generate_trace_arrays(TraceConfig(
+            jobs=30, seed=seed, shape="bursty", mean_interarrival_s=0.2))
         admission = AdmissionController(TenantBudget(epsilon=2.0))
         faults = FaultModel(FaultConfig(
             mtbf_hours=mtbf_hours, degrade_fraction=degrade,
             max_retries=max_retries, repair_hours=0.01,
             checkpoint=CheckpointConfig(interval_steps=50),
             seed=fault_seed))
-        simulate_fleet(trace, FleetConfig(chips=4, chips_per_cluster=2),
-                       policy="fifo", admission=admission, faults=faults)
+        simulate_fleet_streaming(
+            trace, FleetConfig(chips=4, chips_per_cluster=2),
+            policy="fifo", admission=admission, faults=faults)
         for tenant in admission.seen_tenants():
             budget = admission.budget_for(tenant)
             assert admission.epsilon_spent(tenant) \
@@ -585,30 +581,24 @@ class TestZeroFailureGolden:
                     if auto else None
                 expected = golden[
                     f"streaming/{policy}-{'auto' if auto else 'static'}"]
-                for simulate, trace in (
-                        (simulate_fleet_streaming,
-                         generate_trace_arrays(config)),
-                        (simulate_fleet, generate_trace(config))):
-                    log = []
-                    report = simulate(
-                        trace, fleet, policy=policy,
-                        admission=AdmissionController(
-                            TenantBudget(epsilon=3.0)),
-                        autoscaler=scaler, dispatch_log=log)
-                    assert _digest(log) == expected["dispatch_sha256"]
-                    assert report.to_dict() == expected["report"]
+                log = []
+                report = simulate_fleet_streaming(
+                    generate_trace_arrays(config), fleet, policy=policy,
+                    admission=AdmissionController(TenantBudget(epsilon=3.0)),
+                    autoscaler=scaler, dispatch_log=log)
+                assert _digest(log) == expected["dispatch_sha256"]
+                assert report.to_dict() == expected["report"]
 
 
 # ---------------------------------------------------------------------------
-# Job-list/array decision identity under faults
+# Observed/plain decision identity under faults
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def shared_trace():
-    trace = generate_trace(TraceConfig(jobs=1_500, seed=5, shape="bursty",
-                                       mean_interarrival_s=0.3))
-    return trace, TraceArrays.from_jobs(trace)
+    return generate_trace_arrays(TraceConfig(
+        jobs=1_500, seed=5, shape="bursty", mean_interarrival_s=0.3))
 
 
 class TestFaultyDifferential:
@@ -616,24 +606,23 @@ class TestFaultyDifferential:
     @pytest.mark.parametrize("auto", [False, True],
                              ids=["static", "autoscaled"])
     def test_policies_match_under_fire(self, shared_trace, policy, auto):
-        trace, arrays = shared_trace
+        # The faulty loop writes the observer's start and finish slots;
+        # that must change no dispatch and no number.
         fleet = FleetConfig(chips=8, chips_per_cluster=2)
         faults = FaultModel(AGGRESSIVE)
         scaler = AutoscalerPolicy(max_clusters=10,
                                   provision_delay_s=20.0) if auto else None
-        jobs_log, stream_log = [], []
-        from_jobs = simulate_fleet(
-            trace, fleet, policy=policy,
-            admission=AdmissionController(TenantBudget(epsilon=3.0)),
-            autoscaler=scaler, faults=faults, dispatch_log=jobs_log)
-        stream = simulate_fleet_streaming(
-            arrays, fleet, policy=policy,
-            admission=AdmissionController(TenantBudget(epsilon=3.0)),
-            autoscaler=scaler, faults=faults, dispatch_log=stream_log)
-        assert jobs_log == stream_log
-        assert from_jobs.to_dict() == stream.to_dict()
-        assert from_jobs.faults_enabled
-        assert from_jobs.retries > 0  # the trace actually exercised faults
+        runs = []
+        for obs in (None, FleetObs(metrics=MetricsRegistry())):
+            log: list = []
+            report = simulate_fleet_streaming(
+                shared_trace, fleet, policy=policy,
+                admission=AdmissionController(TenantBudget(epsilon=3.0)),
+                autoscaler=scaler, faults=faults, dispatch_log=log, obs=obs)
+            runs.append((log, report.to_dict()))
+        assert runs[0] == runs[1]
+        assert report.faults_enabled
+        assert report.retries > 0  # the trace actually exercised faults
 
 
 # ---------------------------------------------------------------------------
@@ -643,18 +632,17 @@ class TestFaultyDifferential:
 
 class TestFaultReporting:
     def _faulty_report(self):
-        trace = generate_trace(TraceConfig(jobs=120, seed=5,
-                                           shape="bursty",
-                                           mean_interarrival_s=0.3))
-        return simulate_fleet(
+        trace = generate_trace_arrays(TraceConfig(
+            jobs=120, seed=5, shape="bursty", mean_interarrival_s=0.3))
+        return simulate_fleet_streaming(
             trace, FleetConfig(chips=4, chips_per_cluster=2),
             policy="fifo",
             admission=AdmissionController(TenantBudget(epsilon=3.0)),
             faults=FaultModel(AGGRESSIVE))
 
     def test_to_dict_gains_faults_only_when_enabled(self):
-        trace = generate_trace(TraceConfig(jobs=30, seed=1))
-        plain = simulate_fleet(
+        trace = generate_trace_arrays(TraceConfig(jobs=30, seed=1))
+        plain = simulate_fleet_streaming(
             trace, FleetConfig(chips=2),
             admission=AdmissionController(TenantBudget(epsilon=3.0)))
         assert not plain.faults_enabled
@@ -681,10 +669,9 @@ class TestFaultReporting:
     def test_repair_downtime_still_billed(self):
         # The utilization denominator shrinks by the downtime, but the
         # chip-hour/cost ledger keeps billing the cluster under repair.
-        trace = generate_trace(TraceConfig(jobs=120, seed=5,
-                                           shape="bursty",
-                                           mean_interarrival_s=0.3))
-        report = simulate_fleet(
+        trace = generate_trace_arrays(TraceConfig(
+            jobs=120, seed=5, shape="bursty", mean_interarrival_s=0.3))
+        report = simulate_fleet_streaming(
             trace, FleetConfig(chips=4, chips_per_cluster=2),
             policy="fifo",
             admission=AdmissionController(TenantBudget(epsilon=3.0)),

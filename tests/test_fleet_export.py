@@ -9,10 +9,10 @@ the two:
 * over fifo / sjf / budget on static and autoscaled fleets at
   ``epsilon=3`` (rejects and truncations present), plus a fully
   admitted run and a faulty run whose ``wait_s`` / ``service_s``
-  histograms hold over 4,096 observations each — the faulty reference
-  rows come from ``simulate_fleet``'s job records;
-* between the job-list and array entry points under faults, for a
-  retry/degrade failure process and one that abandons jobs.
+  histograms hold over 4,096 observations each;
+* under faults, for a retry/degrade failure process and one that
+  abandons jobs.  The faulty reference rows take each job's start
+  from the run's dispatch log, not from the observer's start slots.
 
 Hypothesis pins the batched ``TimeSeries.add_many`` to repeated
 ``add``, bit for bit.
@@ -37,11 +37,9 @@ from repro.serve import (
     TenantBudget,
     TraceConfig,
     generate_trace_arrays,
-    simulate_fleet,
     simulate_fleet_streaming,
 )
 from repro.serve.autoscale import AutoscalerPolicy
-from repro.serve.budget import AdmissionStatus
 
 _OUTCOMES = ("admitted", "truncated", "rejected")
 
@@ -63,25 +61,10 @@ FAULTY_FLEET = FleetConfig(chips=16, chips_per_cluster=2)
 # ---------------------------------------------------------------------------
 
 
-def _record_rows(records):
-    code = {AdmissionStatus.ADMITTED: 0, AdmissionStatus.TRUNCATED: 1,
-            AdmissionStatus.REJECTED: 2}
-    for rec in records:
-        yield (rec.job.job_id, rec.job.tenant, rec.job.model,
-               float(rec.job.arrival_s), code[rec.decision.status],
-               int(rec.decision.granted_steps), int(rec.job.steps),
-               float(rec.decision.epsilon_after),
-               rec.start_s, rec.finish_s)
-
-
-def _streaming_rows(trace, decisions, service, starts):
-    """Zero-fault streaming rows: one dispatch per job (its start slot,
-    NaN if it never ran), finish = start + service (the float the loop
-    pushed onto its capacity-return heap)."""
+def _rows(trace, decisions, starts, finishes):
+    """One row per job; ``starts[job]`` is its first dispatch and
+    ``finishes[job]`` its final finish, ``None`` where there is none."""
     for job in range(len(trace)):
-        start = None if math.isnan(starts[job]) else starts[job]
-        finish = float(start + service[job]) if start is not None \
-            else None
         yield (job, trace.tenants[int(trace.tenant[job])],
                trace.models[int(trace.model[job])],
                float(trace.arrival_s[job]),
@@ -89,7 +72,7 @@ def _streaming_rows(trace, decisions, service, starts):
                int(decisions.granted_steps[job]),
                int(trace.steps[job]),
                float(decisions.epsilon_after[job]),
-               start, finish)
+               starts[job], finishes[job])
 
 
 def _emit_spans(recorder, policy, rows, samples, scale_events,
@@ -179,19 +162,28 @@ def _fold_metrics(metrics, policy, rows, samples, scale_events,
             max(sample[1] for sample in samples))
 
 
-def _reference(obs, records=None):
+def _reference(obs, dispatch_log=None):
     """Per-row trace + metrics JSON of the run ``obs`` observed.
 
-    Faulty runs need ``records`` (``simulate_fleet``'s job records):
-    the per-row zero-fault rows cannot see retries.
+    A zero-fault job runs once: from its start slot (NaN if it never
+    ran) until start + service, the float the loop pushed onto its
+    capacity-return heap.  A faulty run needs its ``dispatch_log``: a
+    job starts at its first dispatch there, and finishes at the
+    observer's finish slot (NaN if it never completed).
     """
     run = obs._run
-    if records is not None:
-        rows = list(_record_rows(records))
+    if dispatch_log is None:
+        assert run["faults"] is None
+        starts = [None if math.isnan(t) else t for t in obs.starts]
+        finishes = [None if start is None
+                    else float(start + run["service"][job])
+                    for job, start in enumerate(starts)]
     else:
-        assert run["faults"] is None  # the per-row twin is zero-fault
-        rows = list(_streaming_rows(run["trace"], run["decisions"],
-                                    run["service"], obs.starts))
+        starts = [None] * len(run["trace"])
+        for job, now in reversed(dispatch_log):
+            starts[job] = now
+        finishes = [None if math.isnan(t) else t for t in obs.finishes]
+    rows = list(_rows(run["trace"], run["decisions"], starts, finishes))
     scale_events = tuple(run["state"].events) \
         if run["state"] is not None else ()
     fault_events = run["faults"].events if run["faults"] is not None \
@@ -270,12 +262,13 @@ class TestReferenceExport:
         trace = generate_trace_arrays(TraceConfig(
             jobs=5_000, seed=3, mean_interarrival_s=10.0))
         obs = _observer()
-        report = simulate_fleet(
-            trace.jobs(), FAULTY_FLEET, policy="fifo",
+        log: list = []
+        report = simulate_fleet_streaming(
+            trace, FAULTY_FLEET, policy="fifo",
             admission=AdmissionController(TenantBudget(epsilon=1e6)),
-            faults=FaultModel(RETRY_FAULTS), obs=obs)
+            faults=FaultModel(RETRY_FAULTS), dispatch_log=log, obs=obs)
         assert report.retries > 0 and report.degradations > 0
-        expected = _reference(obs, report.records)
+        expected = _reference(obs, log)
         exported = _exported(obs)
         _assert_identical(exported, expected)
         waits = next(m for m in json.loads(exported[1])["metrics"]
@@ -284,7 +277,7 @@ class TestReferenceExport:
 
 
 # ---------------------------------------------------------------------------
-# Job-list and array exports agree under faults
+# Faulty exports: retried and abandoned jobs
 # ---------------------------------------------------------------------------
 
 
@@ -299,24 +292,17 @@ class TestFaultyExportDifferential:
                              ids=("retry", "abandon"))
     def test_scalar_and_streaming_exports_identical(self, faulty_trace,
                                                     config):
-        outputs, reports = [], []
-        for mode in ("jobs", "arrays"):
-            obs = _observer()
-            admission = AdmissionController(TenantBudget(epsilon=1e6))
-            if mode == "jobs":
-                reports.append(simulate_fleet(
-                    faulty_trace.jobs(), FAULTY_FLEET,
-                    admission=admission, faults=FaultModel(config),
-                    obs=obs))
-            else:
-                reports.append(simulate_fleet_streaming(
-                    faulty_trace, FAULTY_FLEET,
-                    admission=admission, faults=FaultModel(config),
-                    obs=obs))
-            outputs.append(_exported(obs))
-        _assert_identical(outputs[1], outputs[0])
-        report = reports[0]
-        events = json.loads(outputs[0][0])["traceEvents"]
+        # The per-row reference against the column export.
+        obs = _observer()
+        log: list = []
+        report = simulate_fleet_streaming(
+            faulty_trace, FAULTY_FLEET,
+            admission=AdmissionController(TenantBudget(epsilon=1e6)),
+            faults=FaultModel(config), dispatch_log=log, obs=obs)
+        expected = _reference(obs, log)
+        exported = _exported(obs)
+        _assert_identical(exported, expected)
+        events = json.loads(exported[0])["traceEvents"]
         runs = [e for e in events if e["ph"] == "X" and e["cat"] == "run"]
         waits = [e for e in events
                  if e["ph"] == "X" and e["cat"] == "queue"]

@@ -4,8 +4,9 @@
 right: one event heap, every queued job in a plain list, the next job
 picked with ``min(queue, key)``, scalar admission
 (``admission_oracle.ScalarAdmission.admit``), one service-time
-prediction (:func:`predict_step_seconds`) per job configuration, the
-autoscaler and the fault model driven through their public calls.  It
+prediction (``job_oracle.predict_step_seconds``) per job
+configuration, the autoscaler and the fault model driven through
+their public calls.  It
 keeps no observability and no per-job records, and it draws every
 failure one by one instead of priming the vectorized first-attempt
 table.
@@ -33,21 +34,25 @@ from repro.serve import (
     FaultRun,
     FleetConfig,
     TenantBudget,
-    TraceArrays,
     TraceConfig,
-    TrainingJob,
     build_streaming_report,
-    generate_trace,
+    generate_trace_arrays,
     percentile,
-    simulate_fleet,
     simulate_fleet_streaming,
 )
 from repro.obs import FleetObs, MetricsRegistry
 from repro.serve import scheduler
-from repro.serve.scheduler import POLICIES, predict_step_seconds
+from repro.serve.scheduler import POLICIES
 from repro.training import CheckpointConfig
 
 from admission_oracle import ScalarAdmission
+from job_oracle import (
+    TrainingJob,
+    jobs_of,
+    observed_run,
+    predict_step_seconds,
+    to_arrays,
+)
 
 #: Same-time event order: arrivals, provisioned clusters, completions,
 #: repaired clusters, retried jobs.
@@ -246,7 +251,7 @@ def _lattice_trace(jobs=200, seed=1):
 
 @pytest.fixture(scope="module")
 def traces():
-    return {config: generate_trace(config)
+    return {config: jobs_of(generate_trace_arrays(config))
             for config in (ZERO_FAULT_TRACE, FAULTY_TRACE)}
 
 
@@ -273,9 +278,8 @@ def _tied_to_completions(jobs, fleet, policy, faults, ties):
     instants = []
     for k in range(ties):
         later = sorted(
-            record.finish_s for record in _replay(jobs, fleet, policy, faults)
-            if record.finish_s is not None
-            and record.finish_s > (instants[-1] if instants else 0.0))
+            finish for finish in _finishes(jobs, fleet, policy, faults)
+            if finish > (instants[-1] if instants else 0.0))
         instants.append(later[len(later) // (ties - k + 1)])
         jobs = sorted([*jobs, dataclasses.replace(
             template, tenant=tenants[k % len(tenants)],
@@ -286,11 +290,13 @@ def _tied_to_completions(jobs, fleet, policy, faults, ties):
     return jobs, instants
 
 
-def _replay(jobs, fleet, policy, faults):
-    """Per-job records of one simulator replay at the oracle's budget."""
-    return simulate_fleet(
-        jobs, fleet, policy=policy, faults=faults,
-        admission=AdmissionController(TenantBudget(epsilon=3.0))).records
+def _finishes(jobs, fleet, policy, faults):
+    """Final finish times of one simulator replay at the oracle's budget."""
+    _, columns = observed_run(
+        to_arrays(jobs), fleet, policy=policy, faults=faults,
+        admission=AdmissionController(TenantBudget(epsilon=3.0)))
+    finish = columns.finish_s
+    return finish[~np.isnan(finish)].tolist()
 
 
 class TestMatchesReferenceLoop:
@@ -339,9 +345,7 @@ class TestMatchesReferenceLoop:
         jobs, instants = _tied_to_completions(
             traces[config][:300], fleet, policy, faults, ties=6)
         self._compare(jobs, fleet, policy, None, faults)
-        finishes = {record.finish_s
-                    for record in _replay(jobs, fleet, policy, faults)}
-        assert set(instants) <= finishes
+        assert set(instants) <= set(_finishes(jobs, fleet, policy, faults))
         assert {job.arrival_s for job in jobs} >= set(instants)
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -359,7 +363,7 @@ class TestMatchesReferenceLoop:
                       LATTICE_FAULTS)
         obs = FleetObs(metrics=MetricsRegistry())
         simulate_fleet_streaming(
-            TraceArrays.from_jobs(jobs), fleet, policy=policy,
+            to_arrays(jobs), fleet, policy=policy,
             autoscaler=LATTICE_AUTOSCALE, faults=LATTICE_FAULTS, obs=obs,
             admission=AdmissionController(TenantBudget(epsilon=3.0)))
         finishes = np.frombuffer(obs.finishes)
@@ -373,6 +377,30 @@ class TestMatchesReferenceLoop:
                   & provisions)
         assert shared
         assert all(t % TICK == 0 for t in shared)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_provision_before_capacity_return(self, monkeypatch, policy):
+        # Four 10 s jobs reach one cluster at t=0: one runs, three
+        # queue, and the autoscaler asks for a cluster (cooldown then
+        # holds it).  At t=10 that cluster comes online as the first
+        # job finishes.  Provision first, ``decide`` sees two queued
+        # jobs over two active clusters and waits; return first, it
+        # would see them over one and scale up again.
+        monkeypatch.setattr(
+            scheduler, "predict_step_seconds_batch",
+            lambda fleet, models, algorithms, batches, cache=None:
+            np.ones(len(batches)))
+        jobs = [TrainingJob(
+            job_id=i, tenant="t0", model="ResNet-50", algorithm="SGD",
+            batch=256, steps=10, noise_multiplier=0.0, dataset_size=50_000,
+            arrival_s=0.0) for i in range(4)]
+        scaler = AutoscalerPolicy(
+            max_clusters=3, up_queue_per_cluster=1.0, provision_delay_s=10.0,
+            cooldown_s=5.0, down_idle_fraction=1.0)
+        report = self._compare(jobs, FleetConfig(chips=1), policy, scaler,
+                               None)
+        assert [(e.time_s, e.action) for e in report.scale_events] \
+            == [(0.0, "up")]
 
     @classmethod
     def _check(cls, jobs, policy, autoscaled, faulty):
@@ -395,7 +423,7 @@ class TestMatchesReferenceLoop:
             admission=ScalarAdmission(TenantBudget(epsilon=3.0)))
         log = []
         report = simulate_fleet_streaming(
-            TraceArrays.from_jobs(jobs), fleet, policy=policy,
+            to_arrays(jobs), fleet, policy=policy,
             autoscaler=autoscaler, faults=faults, dispatch_log=log,
             admission=AdmissionController(TenantBudget(epsilon=3.0)))
 

@@ -7,8 +7,8 @@ The load-bearing contracts:
   loader effectively applies);
 * identical simulation inputs produce byte-identical trace files
   (the recorder never reads a host clock);
-* a scalar and a streaming fleet run of the same trace produce
-  *identical* span sets and metrics documents;
+* an exported fleet run's spans and metrics account for every job
+  (the per-row export reference is ``test_fleet_export.py``);
 * observability off (the default) changes nothing — reports and
   dispatch logs are equal with and without an observer attached.
 """
@@ -36,9 +36,7 @@ from repro.serve import (
     FleetConfig,
     TenantBudget,
     TraceConfig,
-    generate_trace,
     generate_trace_arrays,
-    simulate_fleet,
     simulate_fleet_streaming,
 )
 from repro.serve.autoscale import AutoscalerPolicy
@@ -255,8 +253,7 @@ AUTOSCALE = AutoscalerPolicy(max_clusters=32, provision_delay_s=30.0,
 
 def _fleet_inputs(jobs=2_000, seed=13):
     config = TraceConfig(jobs=jobs, seed=seed, mean_interarrival_s=0.5)
-    arrays = generate_trace_arrays(config)
-    return arrays, arrays.jobs(), FleetConfig(chips=4)
+    return generate_trace_arrays(config), FleetConfig(chips=4)
 
 
 class TestFleetObs:
@@ -270,27 +267,27 @@ class TestFleetObs:
             obs.export()
 
     def test_one_obs_per_run(self):
-        arrays, jobs, fleet = _fleet_inputs(jobs=50)
+        trace, fleet = _fleet_inputs(jobs=50)
         obs = FleetObs(metrics=MetricsRegistry())
-        simulate_fleet(
-            jobs, fleet, policy="fifo", obs=obs,
+        simulate_fleet_streaming(
+            trace, fleet, policy="fifo", obs=obs,
             admission=AdmissionController(TenantBudget(epsilon=3.0)))
         with pytest.raises(RuntimeError, match="already observed"):
-            simulate_fleet(
-                jobs, fleet, policy="fifo", obs=obs,
+            simulate_fleet_streaming(
+                trace, fleet, policy="fifo", obs=obs,
                 admission=AdmissionController(TenantBudget(epsilon=3.0)))
 
     def test_disabled_path_is_byte_identical(self):
         """obs=None (the default) changes no decision and no output."""
-        arrays, jobs, fleet = _fleet_inputs()
+        trace, fleet = _fleet_inputs()
         log_plain: list = []
         log_obs: list = []
-        plain = simulate_fleet(
-            jobs, fleet, policy="sjf", autoscaler=AUTOSCALE,
+        plain = simulate_fleet_streaming(
+            trace, fleet, policy="sjf", autoscaler=AUTOSCALE,
             admission=AdmissionController(TenantBudget(epsilon=3.0)),
             dispatch_log=log_plain)
-        observed = simulate_fleet(
-            jobs, fleet, policy="sjf", autoscaler=AUTOSCALE,
+        observed = simulate_fleet_streaming(
+            trace, fleet, policy="sjf", autoscaler=AUTOSCALE,
             admission=AdmissionController(TenantBudget(epsilon=3.0)),
             dispatch_log=log_obs,
             obs=FleetObs(recorder=TraceRecorder(),
@@ -299,43 +296,13 @@ class TestFleetObs:
         assert plain.to_dict() == observed.to_dict()
         assert plain.render() == observed.render()
 
-    @pytest.mark.parametrize("policy", ("fifo", "sjf", "budget"))
-    @pytest.mark.parametrize("autoscaled", (False, True),
-                             ids=("static", "autoscaled"))
-    def test_scalar_and_streaming_spans_identical(self, policy,
-                                                  autoscaled):
-        """Same trace, either entry point (job list or arrays):
-        identical events and metrics."""
-        arrays, jobs, fleet = _fleet_inputs()
-        autoscaler = AUTOSCALE if autoscaled else None
-        outputs = []
-        for mode in ("jobs", "arrays"):
-            recorder = TraceRecorder()
-            metrics = MetricsRegistry()
-            obs = FleetObs(recorder=recorder, metrics=metrics)
-            admission = AdmissionController(TenantBudget(epsilon=3.0))
-            if mode == "jobs":
-                simulate_fleet(jobs, fleet, policy=policy,
-                               autoscaler=autoscaler,
-                               admission=admission, obs=obs)
-            else:
-                simulate_fleet_streaming(arrays, fleet, policy=policy,
-                                         autoscaler=autoscaler,
-                                         admission=admission, obs=obs)
-            obs.export()
-            assert validate_events(recorder.events) == []
-            outputs.append((recorder.to_json(),
-                            json.dumps(metrics.to_dict())))
-        assert outputs[0][0] == outputs[1][0]
-        assert outputs[0][1] == outputs[1][1]
-
     def test_exported_content_reflects_the_run(self):
-        arrays, jobs, fleet = _fleet_inputs()
+        trace, fleet = _fleet_inputs()
         recorder = TraceRecorder()
         metrics = MetricsRegistry()
         obs = FleetObs(recorder=recorder, metrics=metrics)
-        report = simulate_fleet(
-            jobs, fleet, policy="fifo", autoscaler=AUTOSCALE,
+        report = simulate_fleet_streaming(
+            trace, fleet, policy="fifo", autoscaler=AUTOSCALE,
             admission=AdmissionController(TenantBudget(epsilon=3.0)),
             obs=obs)
         obs.export()
@@ -553,8 +520,8 @@ tenant-3 |       3.00 |      3.00 | 100% |        0 |         2 |       10"""
 
 class TestFleetReportGolden:
     def test_render_matches_golden(self):
-        trace = generate_trace(TraceConfig(jobs=40, seed=3))
-        report = simulate_fleet(
+        trace = generate_trace_arrays(TraceConfig(jobs=40, seed=3))
+        report = simulate_fleet_streaming(
             trace, FleetConfig(chips=4), policy="fifo",
             admission=AdmissionController(TenantBudget(epsilon=3.0)))
         assert report.render() == GOLDEN_RENDER

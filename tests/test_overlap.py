@@ -400,18 +400,11 @@ class TestServePicksUpOverlapModel:
             FleetConfig(bucket_bytes=0)
 
     def test_service_time_reflects_overlap(self):
-        from repro.serve import FleetConfig
-        from repro.serve.scheduler import predict_step_seconds
-        from repro.serve.job import TrainingJob
+        from repro.serve import FleetConfig, predict_step_seconds_batch
 
-        job = TrainingJob(job_id=1, tenant="t0", model="SqueezeNet",
-                          algorithm="DP-SGD", batch=64, steps=10,
-                          noise_multiplier=1.0, dataset_size=10_000,
-                          arrival_s=0.0)
         base = dict(chips=4, chips_per_cluster=4,
                     bucket_bytes=128 * 1024)
-        fast = predict_step_seconds(
-            FleetConfig(overlap=True, **base), job)
-        slow = predict_step_seconds(
-            FleetConfig(overlap=False, **base), job)
+        fast, slow = (predict_step_seconds_batch(
+            FleetConfig(overlap=overlap, **base), ["SqueezeNet"],
+            ["DP-SGD"], [64])[0] for overlap in (True, False))
         assert fast <= slow

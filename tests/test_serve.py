@@ -2,32 +2,29 @@
 
 import dataclasses
 import json
-import math
 
+import numpy as np
 import pytest
 
 from repro.experiments import serve as serve_experiment
-from repro.obs import FleetObs, MetricsRegistry
 from repro.serve import scheduler
 from repro.serve import (
     AdmissionController,
+    AdmissionDecision,
     AdmissionStatus,
     FaultConfig,
     FaultModel,
     FleetConfig,
     TenantBudget,
-    TraceArrays,
     TraceConfig,
-    TrainingJob,
-    generate_trace,
     generate_trace_arrays,
     percentile,
-    simulate_fleet,
     simulate_fleet_streaming,
 )
 from repro.training import CheckpointConfig
 
 from admission_oracle import ScalarAdmission
+from job_oracle import TrainingJob, jobs_of, observed_run, to_arrays
 
 
 def _job(job_id, *, tenant="t0", model="SqueezeNet", algorithm="SGD",
@@ -61,27 +58,31 @@ class TestTrainingJob:
         assert not _job(0, algorithm="SGD", sigma=0.0).is_private
 
 
+def _trace(**config):
+    return generate_trace_arrays(TraceConfig(**config))
+
+
 class TestTraceGenerator:
     def test_deterministic(self):
-        config = TraceConfig(jobs=25, seed=3)
-        assert generate_trace(config) == generate_trace(config)
+        assert jobs_of(_trace(jobs=25, seed=3)) \
+            == jobs_of(_trace(jobs=25, seed=3))
 
     def test_seed_changes_trace(self):
-        assert (generate_trace(TraceConfig(jobs=25, seed=3))
-                != generate_trace(TraceConfig(jobs=25, seed=4)))
+        assert (jobs_of(_trace(jobs=25, seed=3))
+                != jobs_of(_trace(jobs=25, seed=4)))
 
     def test_shape_and_monotone_arrivals(self):
-        trace = generate_trace(TraceConfig(jobs=40, seed=1))
+        trace = _trace(jobs=40, seed=1)
         assert len(trace) == 40
-        assert [j.job_id for j in trace] == list(range(40))
-        arrivals = [j.arrival_s for j in trace]
-        assert arrivals == sorted(arrivals)
+        assert (np.diff(trace.arrival_s) >= 0).all()
         config = TraceConfig()
-        assert {j.tenant for j in trace} <= set(config.tenants)
-        assert {j.model for j in trace} <= set(config.models)
+        assert trace.tenants == config.tenants
+        assert trace.models == config.models
+        assert set(trace.tenant.tolist()) <= set(range(len(trace.tenants)))
+        assert set(trace.model.tolist()) <= set(range(len(trace.models)))
 
     def test_empty_trace(self):
-        assert generate_trace(TraceConfig(jobs=0)) == ()
+        assert len(_trace(jobs=0)) == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -154,7 +155,7 @@ class TestAdmission:
 
 class TestSchedulerEdgeCases:
     def test_empty_trace(self):
-        report = simulate_fleet((), FleetConfig(chips=2))
+        report = simulate_fleet_streaming(_trace(jobs=0), FleetConfig(chips=2))
         assert report.submitted == 0
         assert report.completed == 0
         assert report.rejected == 0
@@ -163,21 +164,22 @@ class TestSchedulerEdgeCases:
         assert report.wait_p99_s == 0.0
 
     def test_single_chip_fleet(self):
-        trace = generate_trace(TraceConfig(jobs=10, seed=2))
-        report = simulate_fleet(trace, FleetConfig(chips=1))
+        report, jobs = observed_run(_trace(jobs=10, seed=2),
+                                    FleetConfig(chips=1))
         assert report.n_clusters == 1
         assert report.submitted == 10
         assert report.completed + report.rejected == 10
         assert 0.0 <= report.utilization <= 1.0
-        assert all(r.wait_s >= 0.0 for r in report.records)
+        ran = ~np.isnan(jobs.start_s)
+        assert ran.sum() == report.completed
+        assert (jobs.start_s[ran] >= jobs.arrival_s[ran]).all()
 
     def test_all_jobs_rejected_budget(self):
         # All-private trace against a budget below the RDP conversion
         # floor: not even one step fits, everything is rejected.
-        trace = generate_trace(TraceConfig(
-            jobs=8, seed=5, algorithms=("DP-SGD(R)",),
-            algorithm_weights=(1.0,)))
-        report = simulate_fleet(
+        trace = _trace(jobs=8, seed=5, algorithms=("DP-SGD(R)",),
+                       algorithm_weights=(1.0,))
+        report = simulate_fleet_streaming(
             trace, FleetConfig(chips=2),
             admission=AdmissionController(TenantBudget(epsilon=0.005)))
         assert report.rejected == 8
@@ -186,16 +188,18 @@ class TestSchedulerEdgeCases:
         assert all(t.epsilon_spent == 0.0 for t in report.tenants)
 
     def test_seeded_trace_is_deterministic(self):
-        trace = generate_trace(TraceConfig(jobs=30, seed=11))
-        first = simulate_fleet(trace, FleetConfig(chips=3), policy="sjf",
-                               admission=AdmissionController())
-        second = simulate_fleet(trace, FleetConfig(chips=3), policy="sjf",
-                                admission=AdmissionController())
+        trace = _trace(jobs=30, seed=11)
+        first = simulate_fleet_streaming(
+            trace, FleetConfig(chips=3), policy="sjf",
+            admission=AdmissionController())
+        second = simulate_fleet_streaming(
+            trace, FleetConfig(chips=3), policy="sjf",
+            admission=AdmissionController())
         assert first.to_dict() == second.to_dict()
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="policy"):
-            simulate_fleet((), policy="priority")
+            simulate_fleet_streaming(_trace(jobs=0), policy="priority")
 
     def test_fleet_config_validation(self):
         with pytest.raises(ValueError):
@@ -209,48 +213,45 @@ class TestPolicies:
         # Three SGD jobs hit one cluster at t=0: the first dispatches
         # immediately; of the two queued, SJF picks the short one and
         # FIFO the earlier one.
-        trace = (
+        trace = to_arrays([
             _job(0, steps=1000),
             _job(1, steps=1000),
             _job(2, steps=10),
-        )
-        sjf = simulate_fleet(trace, FleetConfig(chips=1), policy="sjf")
-        fifo = simulate_fleet(trace, FleetConfig(chips=1), policy="fifo")
+        ])
 
-        def start_order(report):
-            started = sorted(report.records, key=lambda r: r.start_s)
-            return [r.job.job_id for r in started]
+        def start_order(policy):
+            log: list = []
+            simulate_fleet_streaming(trace, FleetConfig(chips=1),
+                                     policy=policy, dispatch_log=log)
+            return [job for job, _ in log]
 
-        assert start_order(fifo) == [0, 1, 2]
-        assert start_order(sjf) == [0, 2, 1]
+        assert start_order("fifo") == [0, 1, 2]
+        assert start_order("sjf") == [0, 2, 1]
 
     def test_budget_policy_favors_unspent_tenant(self):
         # Tenant "spender" burns budget at t=0; of the two jobs queued
         # behind the running one, the budget policy dispatches the
         # fresh tenant's job first even though it arrived later.
-        trace = (
+        trace = to_arrays([
             _job(0, tenant="spender", algorithm="DP-SGD", batch=128,
                  dataset=20_000, sigma=1.0, steps=400),
             _job(1, tenant="spender", algorithm="DP-SGD", batch=128,
                  dataset=20_000, sigma=1.0, steps=400),
             _job(2, tenant="fresh", algorithm="SGD", steps=400),
-        )
-        report = simulate_fleet(trace, FleetConfig(chips=1),
-                                policy="budget",
-                                admission=AdmissionController(
-                                    TenantBudget(epsilon=8.0)))
-        started = sorted((r for r in report.records
-                          if r.start_s is not None),
-                         key=lambda r: r.start_s)
-        assert [r.job.job_id for r in started] == [0, 2, 1]
+        ])
+        log: list = []
+        simulate_fleet_streaming(
+            trace, FleetConfig(chips=1), policy="budget", dispatch_log=log,
+            admission=AdmissionController(TenantBudget(epsilon=8.0)))
+        assert [job for job, _ in log] == [0, 2, 1]
 
     def test_policy_does_not_change_admission(self):
-        trace = generate_trace(TraceConfig(jobs=25, seed=13))
+        trace = _trace(jobs=25, seed=13)
         ledgers = []
         for policy in ("fifo", "sjf", "budget"):
-            report = simulate_fleet(trace, FleetConfig(chips=2),
-                                    policy=policy,
-                                    admission=AdmissionController())
+            report = simulate_fleet_streaming(
+                trace, FleetConfig(chips=2), policy=policy,
+                admission=AdmissionController())
             ledgers.append([t.to_dict() for t in report.tenants])
         assert ledgers[0] == ledgers[1] == ledgers[2]
 
@@ -259,31 +260,29 @@ class TestFleetInvariants:
     def test_demo_trace_budget_and_rejections(self):
         """The acceptance invariant: epsilon never exceeds the budget
         and the default demo trace trips admission control."""
-        trace = generate_trace(TraceConfig())
-        report = simulate_fleet(trace, FleetConfig(chips=4),
-                                admission=AdmissionController())
+        report = simulate_fleet_streaming(
+            generate_trace_arrays(TraceConfig()), FleetConfig(chips=4),
+            admission=AdmissionController())
         assert report.rejected >= 1
         for usage in report.tenants:
             assert usage.within_budget
             assert usage.epsilon_spent <= usage.budget_epsilon + 1e-9
 
     def test_served_steps_bounded_by_request(self):
-        trace = generate_trace(TraceConfig(jobs=20, seed=9))
-        report = simulate_fleet(trace, FleetConfig(chips=2))
-        for record in report.records:
-            assert record.decision.granted_steps <= record.job.steps
+        _, jobs = observed_run(_trace(jobs=20, seed=9), FleetConfig(chips=2))
+        assert (jobs.granted <= jobs.requested).all()
 
     def test_report_serializable(self):
-        trace = generate_trace(TraceConfig(jobs=10, seed=1))
-        report = simulate_fleet(trace, FleetConfig(chips=2))
+        report = simulate_fleet_streaming(_trace(jobs=10, seed=1),
+                                          FleetConfig(chips=2))
         payload = json.dumps(report.to_dict())
         assert "tenant-0" in payload
 
 
 class TestPathIndependence:
     """A fleet result is a function of config and seed alone: the serve
-    experiment, the job-list entry point and the array entry point
-    report the same numbers for one config."""
+    experiment and a direct call of the simulator report the same
+    numbers for one config."""
 
     @pytest.mark.parametrize("mtbf_hours", (None, 0.25),
                              ids=("zero-fault", "faulty"))
@@ -294,23 +293,18 @@ class TestPathIndependence:
                                     seed=config.seed, chips=fleet.chips,
                                     mtbf_hours=mtbf_hours)
 
-        def replay(simulate, trace, policy):
+        trace = generate_trace_arrays(config)
+        for row in rows:
             faults = None
             if mtbf_hours is not None:
                 faults = FaultModel(FaultConfig(
                     mtbf_hours=mtbf_hours, seed=config.seed,
                     checkpoint=CheckpointConfig(interval_steps=None)))
-            return simulate(
-                trace, fleet, policy=policy, faults=faults,
+            assert simulate_fleet_streaming(
+                trace, fleet, policy=row["policy"], faults=faults,
                 admission=AdmissionController(TenantBudget(
                     epsilon=serve_experiment.DEFAULT_EPSILON_BUDGET,
-                    delta=serve_experiment.DEFAULT_DELTA))).to_dict()
-
-        jobs, arrays = generate_trace(config), generate_trace_arrays(config)
-        for row in rows:
-            assert replay(simulate_fleet, jobs, row["policy"]) == row
-            assert replay(simulate_fleet_streaming, arrays,
-                          row["policy"]) == row
+                    delta=serve_experiment.DEFAULT_DELTA))).to_dict() == row
         assert rows[0]["completed"] > 0 and rows[0]["rejected"] > 0
         if mtbf_hours is not None:
             assert rows[0]["faults"]["retries"] > 0
@@ -380,8 +374,8 @@ ABANDONING = FaultConfig(mtbf_hours=0.05, repair_hours=0.02,
 def _caller_trace():
     """Jobs with descending, non-contiguous ids (id order is not arrival
     order), two of them arriving together, handed over shuffled."""
-    base = generate_trace(TraceConfig(jobs=200, seed=5, shape="bursty",
-                                      mean_interarrival_s=0.3))
+    base = jobs_of(_trace(jobs=200, seed=5, shape="bursty",
+                          mean_interarrival_s=0.3))
     jobs = [dataclasses.replace(job, job_id=10_000 - 7 * i)
             for i, job in enumerate(base)]
     jobs[1] = dataclasses.replace(jobs[1], arrival_s=jobs[0].arrival_s)
@@ -389,7 +383,11 @@ def _caller_trace():
 
 
 class TestJobListAdapter:
-    """``simulate_fleet`` rebuilds per-job records from the array run."""
+    """A caller's job list (ids neither positions nor in arrival order)
+    runs on the array path through the test-side adapter
+    (``job_oracle.to_arrays``): the run's per-job columns agree with its
+    dispatch log and report, and its decisions are the sequential
+    controller's."""
 
     FLEET = FleetConfig(chips=4, chips_per_cluster=2)
 
@@ -397,49 +395,29 @@ class TestJobListAdapter:
                              ids=("zero-fault", "faulty", "abandoning"))
     def test_records_follow_the_array_run(self, config):
         jobs = _caller_trace()
-        faulty = config is not None
-        faults = FaultModel(config) if faulty else None
-        log: list = []
-        report = simulate_fleet(
-            jobs, self.FLEET, faults=faults, dispatch_log=log,
-            admission=AdmissionController(TenantBudget(epsilon=3.0)))
-        # The same run on arrays, observed: its finish sink holds every
-        # job's final finish, keyed by arrival position.
         ordered = sorted(jobs, key=lambda j: (j.arrival_s, j.job_id))
         assert ordered[0].job_id < ordered[1].job_id
-        obs = FleetObs(metrics=MetricsRegistry())
-        positions: list = []
-        simulate_fleet_streaming(
-            TraceArrays.from_jobs(jobs), self.FLEET, faults=faults,
-            dispatch_log=positions, obs=obs,
+        log: list = []
+        report, columns = observed_run(
+            to_arrays(jobs), self.FLEET, dispatch_log=log,
+            faults=FaultModel(config) if config is not None else None,
             admission=AdmissionController(TenantBudget(epsilon=3.0)))
 
-        assert [r.job for r in report.records] == ordered
-        assert log == [(ordered[pos].job_id, now) for pos, now in positions]
-        # Each record's planned service is the run's own service table.
-        assert [r.service_s for r in report.records] \
-            == obs._run["service"].tolist()
+        assert columns.arrival_s.tolist() == [j.arrival_s for j in ordered]
         first: dict = {}
-        for job_id, now in log:
-            first.setdefault(job_id, now)
-        for pos, record in enumerate(report.records):
-            if record.job.job_id not in first:
-                assert not record.decision.admitted
-                assert record.start_s is record.finish_s is None
-                assert not record.failed
-                continue
-            assert record.start_s == first[record.job.job_id]
-            assert record.wait_s == record.start_s - record.job.arrival_s
-            if faulty:
-                finish = obs.finishes[pos]
-                assert record.finish_s == (None if math.isnan(finish)
-                                           else finish)
-            else:
-                assert record.finish_s == record.start_s + record.service_s
-            assert record.failed == (record.finish_s is None)
-        assert sum(r.finish_s is not None for r in report.records) \
-            == report.completed
-        assert sum(r.failed for r in report.records) == report.failed
+        for pos, now in log:
+            first.setdefault(pos, now)
+        start, finish = columns.start_s, columns.finish_s
+        ran = ~np.isnan(start)
+        assert np.flatnonzero(ran).tolist() == sorted(first)
+        assert start[ran].tolist() == [first[pos] for pos in sorted(first)]
+        # A job that never ran was rejected; one that ran and has no
+        # finish was abandoned.
+        assert (columns.status[~ran] == 2).all()
+        assert np.isnan(finish[~ran]).all()
+        done = ~np.isnan(finish)
+        assert done.sum() == report.completed
+        assert (ran & ~done).sum() == report.failed
         if config is AGGRESSIVE:
             assert report.failed > 0 and report.retries > 0
         elif config is ABANDONING:
@@ -456,8 +434,20 @@ class TestJobListAdapter:
         sequential.admit(prior)
         admission.admit(prior)
         expected = [sequential.admit(job) for job in ordered]
-        report = simulate_fleet(jobs, self.FLEET, admission=admission)
-        assert [r.decision for r in report.records] == expected
+        spent = {job.tenant: admission.epsilon_spent(job.tenant)
+                 for job in ordered}
+        _, columns = observed_run(to_arrays(jobs), self.FLEET,
+                                  admission=admission)
+        statuses = (AdmissionStatus.ADMITTED, AdmissionStatus.TRUNCATED,
+                    AdmissionStatus.REJECTED)
+        decisions = []
+        for job, status, granted, after in zip(
+                ordered, columns.status.tolist(), columns.granted.tolist(),
+                columns.epsilon_after.tolist()):
+            decisions.append(AdmissionDecision(
+                statuses[status], granted, after - spent[job.tenant], after))
+            spent[job.tenant] = after
+        assert decisions == expected
         assert {d.status for d in expected} == set(AdmissionStatus)
         assert any(d.epsilon_cost > 0 for d in expected)
 

@@ -1,11 +1,9 @@
 """Array serve path: array traces, batched admission, exact metrics.
 
 Batched admission must reproduce the sequential controller's decisions
-exactly, the report's wait percentiles must be exact nearest-rank at
-every size, and the job-list front end (``simulate_fleet``) must
-report exactly what the array path reports.  The decision-for-decision
-differential against a naive reference loop is in
-``test_fleet_oracle.py``.
+exactly, and the report's wait percentiles must be exact nearest-rank
+at every size.  The decision-for-decision differential against a
+naive reference loop is in ``test_fleet_oracle.py``.
 """
 
 import dataclasses
@@ -27,10 +25,8 @@ from repro.serve import (
     TraceArrays,
     TraceConfig,
     build_streaming_report,
-    generate_trace,
     generate_trace_arrays,
     percentile,
-    simulate_fleet,
     simulate_fleet_streaming,
 )
 from repro.serve import FaultConfig, FaultModel
@@ -38,12 +34,13 @@ from repro.serve.scheduler import POLICIES
 from repro.dpml import accountant
 from repro.dpml.accountant import rdp_to_epsilon
 from repro.obs.metrics import Histogram
-from repro.serve import TrainingJob
 from repro.serve import budget
 from repro.serve.budget import BatchAdmissionDecisions
 from repro.arch.batch import unique_rows
 
 from admission_oracle import ScalarAdmission
+from job_oracle import TrainingJob, jobs_of, predict_step_seconds, to_arrays
+from test_fleet_oracle import reference_fleet
 
 _STATUS_CODE = {"admitted": BatchAdmissionDecisions.ADMITTED,
                 "truncated": BatchAdmissionDecisions.TRUNCATED,
@@ -52,8 +49,8 @@ _STATUS_CODE = {"admitted": BatchAdmissionDecisions.ADMITTED,
 
 class TestTraceArrays:
     def test_round_trip_preserves_jobs(self):
-        trace = generate_trace(TraceConfig(jobs=40, seed=3))
-        assert TraceArrays.from_jobs(trace).jobs() == trace
+        trace = jobs_of(generate_trace_arrays(TraceConfig(jobs=40, seed=3)))
+        assert jobs_of(to_arrays(trace)) == trace
 
     def test_generate_deterministic_and_shaped(self):
         config = TraceConfig(jobs=500, seed=11)
@@ -87,9 +84,8 @@ class TestTraceArrays:
             dataclasses.replace(trace, tenant=trace.tenant[:-1])
 
     def test_private_mask_and_sampling_rate(self):
-        trace = generate_trace(TraceConfig(jobs=30, seed=5))
-        arrays = TraceArrays.from_jobs(trace)
-        for i, job in enumerate(trace):
+        arrays = generate_trace_arrays(TraceConfig(jobs=30, seed=5))
+        for i, job in enumerate(jobs_of(arrays)):
             assert bool(arrays.is_private[i]) == job.is_private
             assert float(arrays.sampling_rate[i]) == job.sampling_rate
 
@@ -102,8 +98,8 @@ class TestBatchAdmission:
         (1000.0, True),   # everything admitted in full
     ])
     def test_decisions_identical_to_sequential(self, epsilon, truncation):
-        trace = generate_trace(TraceConfig(jobs=150, seed=7))
-        arrays = TraceArrays.from_jobs(trace)
+        arrays = generate_trace_arrays(TraceConfig(jobs=150, seed=7))
+        trace = jobs_of(arrays)
         sequential = ScalarAdmission(TenantBudget(epsilon=epsilon),
                                      allow_truncation=truncation)
         expected = [sequential.admit(job) for job in trace]
@@ -128,7 +124,7 @@ class TestBatchAdmission:
         oracle deciding the same jobs one by one, bit for bit:
         decisions, epsilons, tallies and final ledgers.  Returns the
         batched decisions of each pass."""
-        jobs = arrays.jobs()
+        jobs = jobs_of(arrays)
         sequential = ScalarAdmission(TenantBudget(epsilon=epsilon),
                                      allow_truncation=truncation)
         batched = AdmissionController(TenantBudget(epsilon=epsilon),
@@ -201,7 +197,7 @@ class TestBatchAdmission:
         # An inf row that leaked into arithmetic would raise here.
         with np.errstate(invalid="raise"):
             result = AdmissionController(TenantBudget(epsilon=1.0)) \
-                .admit_batch(TraceArrays.from_jobs(trace))
+                .admit_batch(to_arrays(trace))
         assert not np.isnan(result.epsilon_after).any()
         assert {d.status.value for d in expected} >= {"admitted",
                                                       "rejected"}
@@ -233,7 +229,7 @@ class TestBatchAdmission:
         assert calls == [len(distinct)]
         assert set(priced) == distinct
         priced.clear()
-        for job in arrays.jobs()[:40]:
+        for job in jobs_of(arrays)[:40]:
             controller.admit(job)
             controller.reprice_steps(job.tenant, job.sampling_rate,
                                      job.noise_multiplier, 10)
@@ -271,7 +267,7 @@ class TestEpsilonCache:
                min_size=1, max_size=12))
     def test_cache_matches_ledger_after_each_write(self, seed, epsilon,
                                                    ops):
-        jobs = generate_trace_arrays(TraceConfig(jobs=40, seed=seed)).jobs()
+        jobs = jobs_of(generate_trace_arrays(TraceConfig(jobs=40, seed=seed)))
         # One tenant converts at its own delta.
         controller = ScalarAdmission(
             {"tenant-1": TenantBudget(epsilon=epsilon, delta=1e-7)},
@@ -279,8 +275,7 @@ class TestEpsilonCache:
         for op, index, steps in ops:
             job = jobs[index]
             if op == "batch":
-                controller.admit_batch(
-                    TraceArrays.from_jobs(jobs[index:index + 10]))
+                controller.admit_batch(to_arrays(jobs[index:index + 10]))
             elif op == "admit":
                 controller.admit(job)
             elif op == "reprice":
@@ -446,19 +441,20 @@ class TestStreamingQuantiles:
 class TestStreamingFleetEquivalence:
     @pytest.mark.parametrize("policy", ("fifo", "sjf", "budget"))
     def test_matches_scalar_simulator(self, policy):
-        """The job-list entry point reports exactly what the array path
-        reports, and only it attaches per-job records."""
-        trace = generate_trace(TraceConfig(jobs=120, seed=7))
-        arrays = TraceArrays.from_jobs(trace)
+        """On two-chip (data-parallel) clusters the array path reports
+        and dispatches exactly what the naive reference loop does, and
+        keeps no per-job records."""
+        arrays = generate_trace_arrays(TraceConfig(jobs=120, seed=7))
         fleet = FleetConfig(chips=4, chips_per_cluster=2)
-        from_jobs = simulate_fleet(
-            trace, fleet, policy=policy,
-            admission=AdmissionController(TenantBudget(epsilon=3.0)))
+        ref_log, ref, _ = reference_fleet(
+            jobs_of(arrays), fleet, policy=policy,
+            admission=ScalarAdmission(TenantBudget(epsilon=3.0)))
+        log: list = []
         streaming = simulate_fleet_streaming(
-            arrays, fleet, policy=policy,
+            arrays, fleet, policy=policy, dispatch_log=log,
             admission=AdmissionController(TenantBudget(epsilon=3.0)))
-        assert from_jobs.to_dict() == streaming.to_dict()
-        assert len(from_jobs.records) == len(trace)
+        assert log == ref_log
+        assert streaming.to_dict() == ref.to_dict()
         assert streaming.records == ()
 
     def test_empty_trace(self):
@@ -491,11 +487,10 @@ class TestStreamingFleetEquivalence:
 
     def test_service_times_match_scalar_prediction(self):
         from repro.serve import predict_step_seconds_batch
-        from repro.serve.scheduler import predict_step_seconds
 
         fleet = FleetConfig(chips=4, chips_per_cluster=2,
                             bucket_bytes=2**20)
-        trace = generate_trace(TraceConfig(jobs=25, seed=3))
+        trace = jobs_of(generate_trace_arrays(TraceConfig(jobs=25, seed=3)))
         batches = [job.batch for job in trace]
         batched = predict_step_seconds_batch(
             fleet, [job.model for job in trace],
@@ -569,14 +564,14 @@ class TestLoopColumns:
 class TestAutoscaledDifferential:
     def test_static_run_identical_to_pre_autoscaler_model(self):
         """autoscaler=None is byte-for-byte the static simulator."""
-        jobs = generate_trace(
+        jobs = generate_trace_arrays(
             TraceConfig(jobs=2_000, seed=13, mean_interarrival_s=0.5))
         fleet = FleetConfig(chips=4)
         log: list = []
-        default = simulate_fleet(
+        default = simulate_fleet_streaming(
             jobs, fleet, policy="fifo",
             admission=AdmissionController(TenantBudget(epsilon=3.0)))
-        explicit = simulate_fleet(
+        explicit = simulate_fleet_streaming(
             jobs, fleet, policy="fifo", autoscaler=None,
             admission=AdmissionController(TenantBudget(epsilon=3.0)),
             dispatch_log=log)

@@ -16,9 +16,10 @@ import pytest
 from repro.serve import (
     TRACE_SHAPES,
     TraceConfig,
-    generate_trace,
     generate_trace_arrays,
 )
+
+from job_oracle import jobs_of
 
 #: Enough arrivals that empirical rates settle within the tolerance
 #: below for every shape (bursty converges slowest: the rate estimate
@@ -37,8 +38,10 @@ def _shape_config(shape: str, seed: int = 7) -> TraceConfig:
 class TestSeedDeterminism:
     @pytest.mark.parametrize("shape", TRACE_SHAPES)
     def test_scalar_same_seed_identical(self, shape):
+        # Every column of every job, through the job-object view.
         config = TraceConfig(jobs=300, seed=11, shape=shape)
-        assert generate_trace(config) == generate_trace(config)
+        assert jobs_of(generate_trace_arrays(config)) \
+            == jobs_of(generate_trace_arrays(config))
 
     @pytest.mark.parametrize("shape", TRACE_SHAPES)
     def test_arrays_same_seed_identical(self, shape):
@@ -60,21 +63,16 @@ class TestSeedDeterminism:
 
     @pytest.mark.parametrize("shape", TRACE_SHAPES)
     def test_arrivals_nondecreasing_and_positive(self, shape):
-        for trace_arrivals in (
-            np.array([job.arrival_s for job in generate_trace(
-                TraceConfig(jobs=500, seed=3, shape=shape))]),
-            generate_trace_arrays(
-                TraceConfig(jobs=500, seed=3, shape=shape)).arrival_s,
-        ):
-            assert trace_arrivals.shape == (500,)
-            assert trace_arrivals[0] > 0.0
-            assert (np.diff(trace_arrivals) >= 0.0).all()
+        arrivals = generate_trace_arrays(
+            TraceConfig(jobs=500, seed=3, shape=shape)).arrival_s
+        assert arrivals.shape == (500,)
+        assert arrivals[0] > 0.0
+        assert (np.diff(arrivals) >= 0.0).all()
 
     @pytest.mark.parametrize("shape", TRACE_SHAPES)
     def test_empty_trace(self, shape):
-        config = TraceConfig(jobs=0, shape=shape)
-        assert generate_trace(config) == ()
-        assert len(generate_trace_arrays(config)) == 0
+        assert len(generate_trace_arrays(TraceConfig(jobs=0,
+                                                     shape=shape))) == 0
 
 
 class TestStatisticalSanity:
@@ -116,15 +114,15 @@ class TestStatisticalSanity:
         assert bursty_dispersion > 2.0 * poisson_dispersion
 
     def test_multiregion_partitions_tenants(self):
-        """Tenant i belongs to region i % regions, on arrays and jobs."""
+        """Tenant i belongs to region i % regions."""
         config = _shape_config("multiregion")
         arrays = generate_trace_arrays(config)
         assert set(np.unique(arrays.tenant)) <= set(
             range(config.n_tenants))
-        scalar = generate_trace(TraceConfig(
+        six = generate_trace_arrays(TraceConfig(
             jobs=2000, seed=5, shape="multiregion", n_tenants=6,
             regions=3))
-        seen = {job.tenant for job in scalar}
+        seen = {six.tenants[code] for code in np.unique(six.tenant)}
         assert seen == {f"tenant-{i}" for i in range(6)}
 
     def test_multiregion_total_rate_flat(self):
@@ -146,6 +144,21 @@ class TestShapeValidation:
     def test_multiregion_needs_enough_tenants(self):
         with pytest.raises(ValueError, match="regions"):
             TraceConfig(shape="multiregion", n_tenants=2, regions=3)
+
+    @pytest.mark.parametrize("field,value", [
+        ("algorithms", ("SGD", "DP-SGD", "Adam")),
+        ("batches", (64, 0)),
+        ("dataset_sizes", (0,)),
+        ("noise_multipliers", (1.0, 0.0)),
+        ("noise_multipliers", (-1.0,)),
+    ])
+    def test_bad_job_mix_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TraceConfig(**{field: value})
+
+    def test_non_private_mix_ignores_noise(self):
+        TraceConfig(algorithms=("SGD",), algorithm_weights=(1.0,),
+                    noise_multipliers=(0.0,))
 
     @pytest.mark.parametrize("field,value", [
         ("diurnal_period_s", 0.0),
