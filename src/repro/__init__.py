@@ -9,9 +9,6 @@ Public API highlights
     Cycle models for WS/OS systolic arrays, DiVa's outer-product engine,
     the PPU, memory system, vector unit and GPU baselines - plus the
     Section VII packing extension (``repro.core.packing``).
-``repro.functional``
-    Cycle-by-cycle register simulators, tiled functional GEMM and BF16
-    datapath emulation, used to validate the analytic models.
 ``repro.training``
     SGD / DP-SGD / DP-SGD(R) planners, memory model, simulation driver.
 ``repro.energy``

@@ -14,6 +14,7 @@ R005      oracle-guard (scalar oracle reachable)     :mod:`.oracle`
 R006      wall-clock isolation (repro.obs only)      :mod:`.walltime`
 R007      link-rate homing (arch.interconnect only)  :mod:`.bandwidth`
 R008      fault-path RNG isolation (keyed draws)     :mod:`.faultrng`
+R009      test-only definitions (runtime reach)      :mod:`.testonly`
 ========  =========================================  ==================
 
 Run it through ``tools/repro_lint.py`` (the ``lint`` CI job does);
@@ -28,8 +29,8 @@ from repro.analysis.core import (
 
 # Importing the rule modules populates the registry.
 from repro.analysis import (  # noqa: F401  (imported for side effects)
-    bandwidth, cachekeys, determinism, drift, faultrng, oracle, units,
-    walltime,
+    bandwidth, cachekeys, determinism, drift, faultrng, oracle, testonly,
+    units, walltime,
 )
 
 __all__ = [

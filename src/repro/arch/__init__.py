@@ -15,7 +15,6 @@ from repro.arch.interconnect import (
 from repro.arch.bandwidth import (
     SramBandwidth,
     os_bandwidth,
-    outer_product_bandwidth,
     ws_bandwidth,
 )
 from repro.arch.engine import ArrayConfig, GemmEngine, GemmStats, TileShape
@@ -48,5 +47,4 @@ __all__ = [
     "SramBandwidth",
     "ws_bandwidth",
     "os_bandwidth",
-    "outer_product_bandwidth",
 ]

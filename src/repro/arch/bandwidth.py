@@ -51,8 +51,3 @@ def os_bandwidth(config: ArrayConfig | None = None) -> SramBandwidth:
         rhs_read=cfg.width * cfg.input_bytes,
         output_write=cfg.width * cfg.drain_rows_per_cycle * cfg.acc_bytes,
     )
-
-
-def outer_product_bandwidth(config: ArrayConfig | None = None) -> SramBandwidth:
-    """Alias for :func:`os_bandwidth` — identical requirements (IV-D)."""
-    return os_bandwidth(config)

@@ -258,11 +258,6 @@ def clear_gemm_stats_cache() -> None:
     _GEMM_STATS_CACHE.clear()
 
 
-def gemm_stats_cache_len() -> int:
-    """Current number of memoized entries."""
-    return len(_GEMM_STATS_CACHE)
-
-
 class GemmEngine(abc.ABC):
     """Abstract GEMM engine with dataflow-specific tiling and cycles."""
 

@@ -436,23 +436,13 @@ class Interconnect:
 
     # -- bucketing -----------------------------------------------------------
 
-    def bucket_sizes(self, payload_bytes: int) -> list[int]:
-        """The payload split into wire buckets, in schedule order.
+    def n_buckets(self, payload_bytes: int) -> int:
+        """Number of wire buckets the payload splits into (0 if empty).
 
         ``bucket_bytes=None`` (or a bucket at least as large as the
-        payload) yields one monolithic bucket; otherwise full buckets
-        of ``bucket_bytes`` plus one remainder bucket.  Inspection
-        helper — the cost forms use the closed-form
-        ``(full, size, remainder)`` split and never materialize this
-        list.
+        payload) gives one monolithic bucket; otherwise full buckets of
+        ``bucket_bytes`` plus one remainder bucket.
         """
-        full, size, rem = (int(column[0]) for column in _bucket_split(
-            np.array([payload_bytes]),
-            np.array([self.config.bucket_bytes or 0])))
-        return [size] * full + ([rem] if rem else [])
-
-    def n_buckets(self, payload_bytes: int) -> int:
-        """Number of wire buckets the payload splits into (0 if empty)."""
         return int(n_buckets_batch(
             np.array([payload_bytes]),
             np.array([self.config.bucket_bytes or 0]))[0])
@@ -486,28 +476,17 @@ class Interconnect:
 
     # -- wire bytes ----------------------------------------------------------
 
-    @staticmethod
-    def allreduce_bytes_per_chip(payload_bytes: int, n_chips: int) -> int:
-        """Wire bytes each chip moves for one *flat-topology* allreduce.
-
-        ``2*(N-1) * ceil(payload/N)``: the shard is rounded *first*, so
-        the bytes never undercount the ``2*(N-1)`` scheduled transfers.
-        The hierarchical topology rounds per stage (``ceil(payload/M)``
-        in-node, then ``ceil(shard/K)``) and can land slightly off this
-        reference; :meth:`link_bytes_per_chip` gives the scheduled bytes
-        of the configured fabric.  Every topology stays at or above the
-        unrounded ``2*(N-1)/N * payload`` lower bound.
-        """
-        return int(link_bytes_per_chip_batch(
-            np.array([payload_bytes]), np.array([n_chips]),
-            topology_codes(["ring"]), np.array([0]), np.array([1]))[0])
-
     def link_bytes_per_chip(self, payload_bytes: int, n_chips: int) -> int:
         """Scheduled per-chip wire bytes, bucket- and topology-aware.
 
         Sums the shard-first-rounded transfers of every bucket, so the
         reported traffic can never undercount what the schedule moves
-        (bucketing pays its rounding overhead per bucket).
+        (bucketing pays its rounding overhead per bucket).  An
+        unbucketed flat fabric moves ``2*(N-1) * ceil(payload/N)``;
+        the hierarchical topology rounds per stage (``ceil(payload/M)``
+        in-node, then ``ceil(shard/K)``) and can land slightly off that.
+        Every topology stays at or above the unrounded
+        ``2*(N-1)/N * payload`` lower bound.
         """
         return int(link_bytes_per_chip_batch(
             *self._columns(payload_bytes, n_chips))[0])

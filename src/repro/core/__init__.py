@@ -5,7 +5,6 @@ from repro.core.diva import (
     ACCELERATOR_KINDS,
     build_accelerator,
     build_cluster,
-    build_diva,
 )
 from repro.core.outer_product import OuterProductEngine
 from repro.core.ppu import PostProcessingUnit, PpuConfig
@@ -18,5 +17,4 @@ __all__ = [
     "ACCELERATOR_KINDS",
     "build_accelerator",
     "build_cluster",
-    "build_diva",
 ]

@@ -72,12 +72,6 @@ def build_accelerator(
     )
 
 
-def build_diva(config: DivaConfig | None = None,
-               with_ppu: bool = True) -> Accelerator:
-    """Convenience builder for the full DiVa design."""
-    return build_accelerator("diva", with_ppu=with_ppu, config=config)
-
-
 def build_cluster(
     kind: str = "diva",
     n_chips: int = 1,

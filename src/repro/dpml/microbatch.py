@@ -26,19 +26,10 @@ def clipped_grad_sum(per_example: np.ndarray,
     einsum ``b...,b->...``) instead of materializing the
     ``B x params`` scaled-gradient intermediate and reducing it — the
     hot inner op of every per-example clip-and-accumulate step.
-    :func:`clipped_grad_sum_loop` is the per-example loop oracle the
-    test suite pins this against.
+    ``tests/test_microbatch_sweep.py`` pins it against a per-example
+    loop.
     """
     return np.tensordot(scales, per_example, axes=(0, 0))
-
-
-def clipped_grad_sum_loop(per_example: np.ndarray,
-                          scales: np.ndarray) -> np.ndarray:
-    """Per-example loop oracle for :func:`clipped_grad_sum`."""
-    total = np.zeros_like(per_example[0])
-    for gradient, scale in zip(per_example, scales):
-        total = total + scale * gradient
-    return total
 
 
 class MicrobatchDpSgdOptimizer(DpSgdOptimizer):

@@ -6,7 +6,6 @@ from repro.energy.constants import (
     PowerConstants,
 )
 from repro.energy.model import EnergyBreakdown, EnergyModel, EngineProfile
-from repro.energy.sram import SramEstimate, estimate_sram
 
 __all__ = [
     "PowerConstants",
@@ -15,6 +14,4 @@ __all__ = [
     "EnergyModel",
     "EnergyBreakdown",
     "EngineProfile",
-    "estimate_sram",
-    "SramEstimate",
 ]

@@ -29,13 +29,6 @@ class Fig7Row:
     batch: int
     utilization: dict[GemmKind, float]
 
-    @property
-    def example_grad_penalty(self) -> float:
-        """How much lower per-example-gradient utilization is vs forward."""
-        fwd = self.utilization[GemmKind.FORWARD]
-        ex = self.utilization[GemmKind.WGRAD_EXAMPLE]
-        return fwd / ex if ex else float("inf")
-
 
 def run(models: tuple[str, ...] | None = None,
         kind: str = "ws", with_ppu: bool = False) -> list[Fig7Row]:

@@ -3,8 +3,8 @@
 The paper validated its TPUv3 model "across a wide range of GEMM
 shapes" (Pearson 0.95, Section V) and argues DiVa's outer product is
 robust where systolic arrays are not.  This experiment maps the
-utilization surface over the K dimension (the axis DP-SGD stresses) and
-over matrix aspect ratios, making the crossovers explicit.
+utilization surface over the K dimension (the axis DP-SGD stresses),
+making the crossover explicit.
 """
 
 from __future__ import annotations
@@ -48,17 +48,6 @@ def k_sweep(m: int = 1024, n: int = 512,
             ks: tuple[int, ...] = K_SWEEP) -> list[SweepPoint]:
     """Sweep the K dimension at a fixed (M, N) footprint."""
     return runner.sweep(sweep_point, [(m, k, n) for k in ks], star=True)
-
-
-def aspect_sweep(macs: int = 2**24) -> list[SweepPoint]:
-    """Sweep aspect ratios at constant MAC count (square -> skinny)."""
-    shapes = []
-    side = round(macs ** (1 / 3))
-    for squish in (1, 4, 16, 64, 256):
-        k = max(1, side // squish)
-        mn = int((macs / k) ** 0.5)
-        shapes.append((mn, k, mn))
-    return runner.sweep(sweep_point, shapes, star=True)
 
 
 def render(points: list[SweepPoint] | None = None) -> str:

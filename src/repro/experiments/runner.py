@@ -35,10 +35,10 @@ API
     ``(hash, key, value)`` row per entry (key and value JSON-encoded,
     so entries stay debuggable).  ``get_many`` is one ``SELECT`` per
     grid; ``put_many`` is one transaction, committed at SQLite's
-    default ``synchronous=FULL`` before it returns, and ``put`` is a
-    ``put_many`` of one entry.  Lookups never create the directory or
-    the database.  ``sqlite3`` is imported on first use, so importing
-    this module (as ``repro.serve`` does) does not load it.
+    default ``synchronous=FULL`` before it returns.  Lookups never
+    create the directory or the database.  ``sqlite3`` is imported on
+    first use, so importing this module (as ``repro.serve`` does) does
+    not load it.
 
 Caching and parallelism knobs
 -----------------------------
@@ -117,10 +117,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     stale: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses + self.stale
 
     def record(self, status: str) -> None:
         """Count one lookup outcome (``"hit"``/``"miss"``/``"stale"``)."""
@@ -251,29 +247,17 @@ class ResultCache:
         self.root = Path(root)
         self._db = self.root / "cache.sqlite"
 
-    def lookup(self, key_hash: str) -> tuple[Any | None, str]:
-        """``(value, status)`` for one entry.
-
-        Status is ``"hit"`` (value loaded), ``"miss"`` (no entry), or
-        ``"stale"`` (an entry exists but is unusable: a stored value
-        that is not JSON, or is JSON ``null``).  Stale entries behave
-        like misses — the caller recomputes and overwrites them — but
-        are tallied separately by :class:`CacheStats`.
-        """
-        return self._lookup_many([key_hash])[0]
-
-    def get(self, key_hash: str) -> Any | None:
-        """Stored value for ``key_hash``, or None (missing/corrupt)."""
-        return self.lookup(key_hash)[0]
-
     def get_many(self, key_hashes: Iterable[str], *,
                  stats: CacheStats | None = None) -> list[Any | None]:
-        """:meth:`get` for every hash, in one ``SELECT`` per grid.
+        """Stored value for every hash (None when missing or unusable),
+        in one ``SELECT`` per grid.
 
         The batched sweep paths resolve a whole grid's cache state up
         front through this, so misses can be computed together in one
         vectorized evaluation.  ``stats`` tallies hit/miss/stale
-        outcomes when given.
+        outcomes when given: a stale entry exists but holds a value
+        that is not JSON, or is JSON ``null``; it reads as a miss and
+        is recomputed and overwritten.
         """
         values = []
         for value, status in self._lookup_many(list(key_hashes)):
@@ -283,7 +267,8 @@ class ResultCache:
         return values
 
     def _lookup_many(self, key_hashes: list[str]) -> list[tuple[Any, str]]:
-        """:meth:`lookup` for every hash; never creates the database."""
+        """``(value, status)`` per hash, status ``"hit"``, ``"miss"`` or
+        ``"stale"``; never creates the database."""
         stored: dict[str, str | None] = {}
         if key_hashes and self._db.exists():
             import sqlite3
@@ -311,10 +296,6 @@ class ResultCache:
             out.append((None, "stale") if value is None
                        else (value, "hit"))
         return out
-
-    def put(self, key_hash: str, key: Any, value: Any) -> None:
-        """Persist ``value`` (and its key, for debuggability)."""
-        self.put_many([(key_hash, key, value)])
 
     def put_many(self, entries: Iterable[tuple[str, Any, Any]]) -> None:
         """Persist ``(key_hash, key, value)`` entries in one transaction.

@@ -118,15 +118,6 @@ def auto_global_batch_info(
     return batch // lcm * lcm, False
 
 
-def default_global_batch(model: str, chip_counts: tuple[int, ...]) -> int:
-    """Largest DP-SGD-feasible batch divisible by every chip count.
-
-    See :func:`default_global_batch_info` for the clamping rule applied
-    when the max batch is below ``lcm(chip_counts)``.
-    """
-    return default_global_batch_info(model, chip_counts)[0]
-
-
 def evaluate_point(model: str, chips: int, algorithm: str, mode: str,
                    topology: str, base_batch: int,
                    overlap: bool = True, bucket_bytes: int | None = None,

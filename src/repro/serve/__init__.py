@@ -16,8 +16,6 @@ from repro.serve.autoscale import (
 )
 from repro.serve.budget import (
     AdmissionController,
-    AdmissionDecision,
-    AdmissionStatus,
     BatchAdmissionDecisions,
     TenantBudget,
 )
@@ -68,8 +66,6 @@ __all__ = [
     "FaultModel",
     "FaultRun",
     "TenantBudget",
-    "AdmissionStatus",
-    "AdmissionDecision",
     "AdmissionController",
     "BatchAdmissionDecisions",
     "POLICIES",

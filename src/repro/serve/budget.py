@@ -20,7 +20,6 @@ truncation is allowed, and rejected outright otherwise.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -61,43 +60,13 @@ class TenantBudget:
                 f"budget delta must be in (0, 1), got {self.delta}")
 
 
-class AdmissionStatus(enum.Enum):
-    """Outcome of one admission decision."""
-
-    ADMITTED = "admitted"
-    TRUNCATED = "truncated"
-    REJECTED = "rejected"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
-
-@dataclass(frozen=True)
-class AdmissionDecision:
-    """What the controller granted, and what it cost.
-
-    ``granted_steps`` is ``job.steps`` for a full admit, the truncated
-    count for a partial one, and 0 for a rejection.  ``epsilon_after``
-    is the tenant's cumulative spend once the grant is reserved.
-    """
-
-    status: AdmissionStatus
-    granted_steps: int
-    epsilon_cost: float
-    epsilon_after: float
-
-    @property
-    def admitted(self) -> bool:
-        return self.status is not AdmissionStatus.REJECTED
-
-
 @dataclass(frozen=True)
 class BatchAdmissionDecisions:
     """Struct-of-arrays outcome of :meth:`AdmissionController.admit_batch`.
 
     ``status`` uses the integer codes below; ``epsilon_after`` is the
-    tenant's cumulative spend once the job's grant is reserved (the
-    scalar decision's ``epsilon_after``), which the streaming
+    tenant's cumulative spend once the job's grant is reserved, which
+    the streaming
     scheduler's budget policy reads as the tenant's position at each
     arrival.
     """

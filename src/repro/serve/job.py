@@ -20,6 +20,7 @@ always yields the identical trace, and so the identical fleet report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -127,9 +128,19 @@ class TraceConfig:
                 f"{self.n_tenants} tenants over {self.regions} regions")
         if self.n_tenants < 1:
             raise ValueError(f"n_tenants must be >= 1, got {self.n_tenants}")
-        if len(self.algorithms) != len(self.algorithm_weights):
+        for name in ("models", "algorithms", "batches",
+                     "noise_multipliers", "dataset_sizes"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
+        weights = self.algorithm_weights
+        if len(self.algorithms) != len(weights):
             raise ValueError(
                 "algorithms and algorithm_weights must align")
+        if not all(math.isfinite(w) and w >= 0 for w in weights) \
+                or sum(weights) <= 0:
+            raise ValueError(
+                "algorithm_weights must be finite, >= 0 and not all "
+                f"zero, got {weights}")
         lo, hi = self.steps_range
         if not 1 <= lo <= hi:
             raise ValueError(

@@ -42,8 +42,6 @@ from repro.training.simulate import (
     TrainingReport,
     checkpoint_write_seconds,
     checkpointed_step_seconds,
-    expected_completion_seconds,
-    simulate_checkpointed_run,
     simulate_sharded_training_step,
     simulate_training_step,
     stage_utilization,
@@ -70,8 +68,6 @@ __all__ = [
     "CheckpointConfig",
     "checkpoint_write_seconds",
     "checkpointed_step_seconds",
-    "expected_completion_seconds",
-    "simulate_checkpointed_run",
     "young_daly_interval_s",
     "TrainingReport",
     "ClusterTrainingReport",

@@ -42,8 +42,3 @@ class Algorithm(enum.Enum):
         DP-SGD(R) consumes them on the fly during its first pass.
         """
         return self is Algorithm.DP_SGD
-
-    @property
-    def backprop_passes(self) -> int:
-        """Number of backpropagation passes per training step."""
-        return 2 if self is Algorithm.DP_SGD_R else 1

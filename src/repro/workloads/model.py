@@ -60,16 +60,6 @@ class Network:
         return sum(layer.params for layer in self.layers)
 
     @cached_property
-    def dense_grad_params(self) -> int:
-        """Parameters whose per-example gradients are materialized densely.
-
-        All weights count: DP-SGD frameworks densify even embedding
-        gradients for per-example norm derivation (see
-        :class:`repro.workloads.layer.Embedding`).
-        """
-        return self.params
-
-    @cached_property
     def gemm_params(self) -> int:
         """Parameters of layers whose gradients are derived via GEMM.
 

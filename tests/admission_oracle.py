@@ -4,14 +4,45 @@
 passes.  :class:`ScalarAdmission` keeps the per-job decision
 ``AdmissionController.admit`` made before admission became batch-only,
 so the tests can pin the batched ledger, its tallies and the fleet's
-decisions against it.  Nothing under ``src/`` imports this module.
+decisions against it.  :class:`AdmissionDecision` is that one-job
+decision, with the :class:`AdmissionStatus` it reports.  Nothing under
+``src/`` imports this module.
 """
+
+import enum
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.dpml.accountant import compute_rdp, max_steps_for_budget
 from repro.serve import AdmissionController
-from repro.serve.budget import AdmissionDecision, AdmissionStatus
+
+
+class AdmissionStatus(enum.Enum):
+    """Outcome of one admission decision."""
+
+    ADMITTED = "admitted"
+    TRUNCATED = "truncated"
+    REJECTED = "rejected"
+
+
+@dataclass(frozen=True)
+class AdmissionDecision:
+    """What the controller granted, and what it cost.
+
+    ``granted_steps`` is ``job.steps`` for a full admit, the truncated
+    count for a partial one, and 0 for a rejection.  ``epsilon_after``
+    is the tenant's cumulative spend once the grant is reserved.
+    """
+
+    status: AdmissionStatus
+    granted_steps: int
+    epsilon_cost: float
+    epsilon_after: float
+
+    @property
+    def admitted(self) -> bool:
+        return self.status is not AdmissionStatus.REJECTED
 
 
 class ScalarAdmission(AdmissionController):

@@ -30,7 +30,9 @@ path against it field by field:
   way ``simulate_sharded_training_step`` used to (its shard priced by
   :func:`chip_step`), with the payload and overlap-window rules
   :func:`allreduce_payload_bytes` / :func:`overlappable_backward_cycles`
-  it composed.
+  it composed;
+* :func:`flat_allreduce_bytes_per_chip` — the flat-fabric wire bytes
+  ``Interconnect.link_bytes_per_chip`` is checked against.
 
 Nothing under ``src/`` imports this module.
 """
@@ -365,6 +367,17 @@ def allreduce_payload_bytes(network, algorithm, global_batch):
     if algorithm.is_private:
         payloads.append(global_batch * GRAD_BYTES)
     return payloads
+
+
+def flat_allreduce_bytes_per_chip(payload_bytes, n_chips):
+    """Wire bytes each chip moves in one unbucketed flat allreduce.
+
+    ``2*(N-1) * ceil(payload/N)``: the shard is rounded *first*, so the
+    bytes never undercount the ``2*(N-1)`` scheduled transfers.
+    """
+    if n_chips <= 1 or payload_bytes <= 0:
+        return 0
+    return 2 * (n_chips - 1) * math.ceil(payload_bytes / n_chips)
 
 
 def overlappable_backward_cycles(report):

@@ -405,6 +405,125 @@ def test_bandwidth_allowlists_interconnect_home():
 
 
 # ---------------------------------------------------------------------------
+# R009: test-only definitions
+# ---------------------------------------------------------------------------
+
+LIBRARY = """
+    def helper(n):
+        return helper(n - 1) if n else 0  # its own body is no use
+"""
+TEST_USE = """
+    from repro.mod import helper
+
+    def test_helper():
+        assert helper(2) == 0
+"""
+
+
+def lint_tree(root, files, allowlist=None):
+    """R009 findings over a fixture repository laid out under ``root``."""
+    from repro.analysis.testonly import OnlyTestedRule
+
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+    project = Project.load(root, [root / "src" / "repro"])
+    return run_rules(project, [OnlyTestedRule(allowlist or {})])
+
+
+def test_r009_flags_definition_used_only_from_tests(tmp_path):
+    findings = lint_tree(tmp_path, {"src/repro/mod.py": LIBRARY,
+                                    "tests/test_mod.py": TEST_USE})
+    assert [(f.rule_id, f.path, f.message) for f in findings] == [
+        ("R009", "src/repro/mod.py",
+         "'repro.mod.helper' is not referenced outside tests/")]
+
+
+def test_r009_flags_what_only_test_only_code_uses(tmp_path):
+    findings = lint_tree(tmp_path, {
+        "src/repro/mod.py": LIBRARY + """
+    class Result:
+        pass
+
+    def oracle():
+        return Result(), helper(1)
+
+    def runtime():
+        return 0
+
+    print(runtime())
+""",
+        "tests/test_mod.py": "from repro.mod import oracle\noracle()\n",
+    })
+    assert sorted(f.message for f in findings) == [
+        "'repro.mod.Result' is not referenced outside tests/",
+        "'repro.mod.helper' is not referenced outside tests/",
+        "'repro.mod.oracle' is not referenced outside tests/"]
+
+
+def test_r009_passes_definition_used_from_examples(tmp_path):
+    assert lint_tree(tmp_path, {
+        "src/repro/mod.py": LIBRARY,
+        "tests/test_mod.py": TEST_USE,
+        "examples/demo.py": "from repro import mod\nprint(mod.helper(3))\n",
+    }) == []
+
+
+def test_r009_registered_class_passes(tmp_path):
+    assert lint_tree(tmp_path, {"src/repro/mod.py": """
+        from repro.registry import register
+
+        @register
+        class PluginRule:
+            rule_id = "X001"
+    """, "src/repro/registry.py": """
+        def register(cls):
+            return cls
+    """}) == []
+
+
+def test_r009_reexport_and_all_entry_do_not_count(tmp_path):
+    findings = lint_tree(tmp_path, {
+        "src/repro/mod.py": LIBRARY,
+        "src/repro/__init__.py": """
+            from repro.mod import helper
+
+            __all__ = ["helper"]
+        """,
+    })
+    assert [f.message for f in findings] == [
+        "'repro.mod.helper' is not referenced outside tests/"]
+
+
+def test_r009_allowlisted_name_and_what_it_uses_pass(tmp_path):
+    assert lint_tree(tmp_path, {"src/repro/mod.py": LIBRARY + """
+    def kept():
+        return helper(1)
+""", "tests/test_mod.py": TEST_USE},
+                     allowlist={"repro.mod.kept": "kept on purpose"}) == []
+
+
+def test_r009_stale_allowlist_entries_fail(tmp_path):
+    findings = lint_tree(tmp_path, {
+        "src/repro/mod.py": LIBRARY,
+        "examples/demo.py": "from repro.mod import helper\nhelper(1)\n",
+    }, allowlist={"repro.mod.helper": "now used by an example",
+                  "repro.mod.gone": "deleted since"})
+    assert sorted(f.message for f in findings) == [
+        "stale allowlist entry 'repro.mod.gone': it is deleted",
+        "stale allowlist entry 'repro.mod.helper': it is used outside "
+        "tests/"]
+
+
+def test_r009_allowlist_is_small_and_explained():
+    from repro.analysis.testonly import ALLOWLIST
+
+    assert len(ALLOWLIST) <= 12
+    assert all(reason.strip() for reason in ALLOWLIST.values())
+
+
+# ---------------------------------------------------------------------------
 # framework: pragmas, baseline, CLI, registry
 # ---------------------------------------------------------------------------
 
@@ -437,10 +556,10 @@ def test_baseline_split(tmp_path):
     assert stale == ["bogus::R9::x"]
 
 
-def test_registry_has_eight_rules():
+def test_registry_has_nine_rules():
     ids = [rule.rule_id for rule in all_rules()]
     assert ids == ["R001", "R002", "R003", "R004", "R005", "R006",
-                   "R007", "R008"]
+                   "R007", "R008", "R009"]
     assert all(rule.title for rule in all_rules())
 
 

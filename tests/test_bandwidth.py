@@ -2,7 +2,6 @@
 
 from repro.arch.bandwidth import (
     os_bandwidth,
-    outer_product_bandwidth,
     ws_bandwidth,
 )
 from repro.arch.engine import ArrayConfig
@@ -30,10 +29,6 @@ class TestTable1Defaults:
         assert bw.lhs_read == 128 * 2
         assert bw.rhs_read == 128 * 2
         assert bw.output_write == 128 * 8 * 4
-
-    def test_outer_product_identical_to_os(self):
-        """Section IV-D: outer-product needs are no worse than OS."""
-        assert outer_product_bandwidth() == os_bandwidth()
 
     def test_os_needs_more_than_ws(self):
         """The paper's trade-off: OS-style drain costs SRAM bandwidth."""

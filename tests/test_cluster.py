@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from step_oracle import allreduce_payload_bytes
+from step_oracle import allreduce_payload_bytes, flat_allreduce_bytes_per_chip
 from repro.arch import Cluster, Interconnect, InterconnectConfig, OpRun
 from repro.arch.engine import ArrayConfig
 from repro.core import build_accelerator, build_cluster
@@ -45,15 +45,18 @@ class TestInterconnect:
         # The schedule moves 2*(N-1) transfers of a ceil(payload/N)-byte
         # shard; rounding the product instead could undercount them.
         payload = 4 * 10**6
-        assert Interconnect.allreduce_bytes_per_chip(payload, n) \
-            == 2 * (n - 1) * math.ceil(payload / n)
-        assert Interconnect.allreduce_bytes_per_chip(payload, n) \
+        for topology in ("ring", "all_to_all"):
+            fabric = Interconnect(InterconnectConfig(topology=topology))
+            assert fabric.link_bytes_per_chip(payload, n) \
+                == flat_allreduce_bytes_per_chip(payload, n) \
+                == 2 * (n - 1) * math.ceil(payload / n)
+        assert flat_allreduce_bytes_per_chip(payload, n) \
             >= math.ceil(2 * (n - 1) * payload / n)
 
     def test_single_chip_collectives_are_free(self):
         fabric = Interconnect()
         assert fabric.allreduce_seconds(10**9, 1) == 0.0
-        assert Interconnect.allreduce_bytes_per_chip(10**9, 1) == 0
+        assert fabric.link_bytes_per_chip(10**9, 1) == 0
 
     def test_all_to_all_beats_ring_on_latency(self):
         # Same wire bytes, fewer latency hops: a latency-bound payload
@@ -189,7 +192,8 @@ class TestScalingExperiment:
         assert by_chips[1]["local_batch"] == by_chips[2]["local_batch"] == 32
 
     def test_default_global_batch_divisible_by_all_chip_counts(self):
-        batch = scaling.default_global_batch("BERT-large", (1, 2, 4, 8))
+        batch, _ = scaling.default_global_batch_info(
+            "BERT-large", (1, 2, 4, 8))
         assert batch >= 8
         for n in (1, 2, 4, 8):
             assert batch % n == 0

@@ -7,7 +7,6 @@ from repro.core import (
     ACCELERATOR_KINDS,
     DivaConfig,
     build_accelerator,
-    build_diva,
 )
 from repro.core.ppu import PpuConfig
 
@@ -42,11 +41,6 @@ class TestFactory:
 
     def test_case_insensitive(self):
         assert build_accelerator("DiVa").name == "DiVa"
-
-    def test_build_diva_helper(self):
-        accel = build_diva()
-        assert accel.name == "DiVa"
-        assert accel.can_fuse_norm
 
     def test_shared_frequency(self):
         accel = build_accelerator("diva")

@@ -85,6 +85,29 @@ def test_api_name_check_flags_deleted_name(tmp_path):
     assert "repro.sim.PipelineSimulator" in problems[0]
 
 
+def test_allowlist_table_matches_rule():
+    problems = check_docs.check_allowlist_table(
+        REPO_ROOT / "docs" / "static-analysis.md",
+        REPO_ROOT / "src" / "repro" / "analysis" / "testonly.py")
+    assert problems == [], "\n".join(problems)
+
+
+def test_allowlist_check_flags_drift_both_ways(tmp_path):
+    rule = tmp_path / "testonly.py"
+    rule.write_text('ALLOWLIST: dict[str, str] = {\n'
+                    '    "repro.a.kept": "why",\n'
+                    '    "repro.a.undocumented": "why",\n}\n')
+    doc = tmp_path / "static-analysis.md"
+    doc.write_text("## R009 allowlist\n\n| Name | Why |\n|---|---|\n"
+                   "| `repro.a.kept` | why |\n"
+                   "| `repro.a.removed` | why |\n\n"
+                   "## Next\n\n| `repro.a.undocumented` | elsewhere |\n")
+    problems = check_docs.check_allowlist_table(doc, rule)
+    assert len(problems) == 2
+    assert "missing 'repro.a.undocumented'" in problems[0]
+    assert "lists 'repro.a.removed'" in problems[1]
+
+
 def test_main_aggregates_helper_problems(monkeypatch):
     # Wiring only — the helpers themselves are exercised above, so
     # don't repeat their subprocess fan-out here.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import build_accelerator
-from repro.energy import EnergyModel, estimate_sram
+from repro.energy import EnergyModel
 from repro.training import Algorithm, simulate_training_step
 from repro.workloads import build_model
 
@@ -96,31 +96,3 @@ class TestTrainingEnergy:
         fused = MODEL.training_energy(self._report("diva", True), "diva")
         assert fused.dram_j < spill.dram_j / 2
 
-
-class TestSramEstimator:
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            estimate_sram(0)
-
-    def test_area_scales_with_capacity(self):
-        small = estimate_sram(2 * 2**20)
-        large = estimate_sram(16 * 2**20)
-        assert large.area_mm2 == pytest.approx(8 * small.area_mm2, rel=0.01)
-
-    def test_16mb_area_plausible(self):
-        """16 MB at 65 nm lands in the tens of mm^2 (CACTI ballpark)."""
-        est = estimate_sram(16 * 2**20)
-        assert 20 < est.area_mm2 < 80
-
-    def test_access_energy_grows_with_bank(self):
-        small = estimate_sram(2 * 2**20, bank_bytes=2 * 2**20)
-        big_bank = estimate_sram(16 * 2**20, bank_bytes=16 * 2**20)
-        assert big_bank.read_pj_per_byte > small.read_pj_per_byte
-
-    def test_write_costs_more_than_read(self):
-        est = estimate_sram(4 * 2**20)
-        assert est.write_pj_per_byte > est.read_pj_per_byte
-
-    def test_leakage_scales(self):
-        assert (estimate_sram(16 * 2**20).leakage_mw
-                == pytest.approx(8 * estimate_sram(2 * 2**20).leakage_mw))

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch import engine as engine_module
 from repro.arch.batch import gemm_stats_batch
 from repro.arch.engine import (
     ArrayConfig,
     GEMM_STATS_CACHE_MAXSIZE,
     clear_gemm_stats_cache,
     engine_columns,
-    gemm_stats_cache_len,
     take_rows,
 )
 from repro.arch.systolic import OutputStationaryEngine, WeightStationaryEngine
@@ -199,9 +199,9 @@ class TestStatsCache:
         a = OuterProductEngine()
         b = OuterProductEngine()
         a.gemm_stats(Gemm(128, 128, 128))
-        before = gemm_stats_cache_len()
+        before = len(engine_module._GEMM_STATS_CACHE)
         b.gemm_stats(Gemm(128, 128, 128))
-        assert gemm_stats_cache_len() == before
+        assert len(engine_module._GEMM_STATS_CACHE) == before
 
     def test_hit_retags_kind_and_layer(self):
         engine = OuterProductEngine()
@@ -229,4 +229,4 @@ class TestStatsCache:
         engine = OuterProductEngine()
         for m in range(1, GEMM_STATS_CACHE_MAXSIZE + 50):
             engine.gemm_stats(Gemm(m, 1, 1))
-        assert gemm_stats_cache_len() <= GEMM_STATS_CACHE_MAXSIZE
+        assert len(engine_module._GEMM_STATS_CACHE) <= GEMM_STATS_CACHE_MAXSIZE

@@ -51,13 +51,15 @@ from repro.training import (
     checkpoint_bytes,
     checkpoint_write_seconds,
     checkpointed_step_seconds,
-    expected_completion_seconds,
-    simulate_checkpointed_run,
     young_daly_interval_s,
 )
 from repro.workloads import build_model
 
 from admission_oracle import ScalarAdmission
+from checkpoint_oracle import (
+    expected_completion_seconds,
+    simulate_checkpointed_run,
+)
 from job_oracle import TrainingJob
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.functional import (
+from functional_oracle import (
     os_wavefront_cycles,
     simulate_adder_tree,
     simulate_os,
@@ -203,12 +203,12 @@ class TestAdderTree:
         np.testing.assert_allclose(result.sums, rows.sum(axis=1))
 
     def test_rejects_width_one(self):
-        from repro.functional.adder_tree import PipelinedAdderTree
+        from functional_oracle import PipelinedAdderTree
         with pytest.raises(ValueError):
             PipelinedAdderTree(1)
 
     def test_rejects_wrong_row_width(self):
-        from repro.functional.adder_tree import PipelinedAdderTree
+        from functional_oracle import PipelinedAdderTree
         tree = PipelinedAdderTree(8)
         with pytest.raises(ValueError):
             tree.step(np.ones(9))

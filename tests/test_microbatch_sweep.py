@@ -12,8 +12,16 @@ from repro.dpml import (
     Sequential,
     synthetic_classification,
 )
-from repro.dpml.microbatch import clipped_grad_sum, clipped_grad_sum_loop
+from repro.dpml.microbatch import clipped_grad_sum
 from repro.experiments import gemm_sweep
+
+
+def clipped_grad_sum_loop(per_example, scales):
+    """Per-example loop oracle for :func:`clipped_grad_sum`."""
+    total = np.zeros_like(per_example[0])
+    for gradient, scale in zip(per_example, scales):
+        total = total + scale * gradient
+    return total
 
 
 class TestClippedGradSum:
@@ -105,13 +113,6 @@ class TestGemmSweep:
         diva = [p.utilization["DiVa"] for p in self.points
                 if p.gemm.k >= 16]
         assert max(diva) / min(diva) < 1.5
-
-    def test_aspect_sweep_runs(self):
-        points = gemm_sweep.aspect_sweep()
-        assert len(points) == 5
-        for p in points:
-            for value in p.utilization.values():
-                assert 0 < value <= 1
 
     def test_render(self):
         text = gemm_sweep.render(self.points)

@@ -440,18 +440,25 @@ class TestProfiler:
 # ---------------------------------------------------------------------------
 class TestCacheStats:
     def test_lookup_statuses(self, tmp_path, cache_table):
-        from repro.experiments.runner import ResultCache
+        from repro.experiments.runner import CacheStats, ResultCache
+
+        def lookup(key_hash):
+            stats = CacheStats()
+            [value] = cache.get_many([key_hash], stats=stats)
+            status = ("hit" if stats.hits else
+                      "miss" if stats.misses else "stale")
+            return value, status
 
         cache = ResultCache(tmp_path)
-        assert cache.lookup("aaaa") == (None, "miss")
+        assert lookup("aaaa") == (None, "miss")
         cache.put_many([("aaaa", {"k": 1}, {"v": 2}),
                         ("bbbb", {"k": 2}, {"v": 3}),
                         ("cccc", {"k": 3}, {"v": 4})])
-        assert cache.lookup("aaaa") == ({"v": 2}, "hit")
+        assert lookup("aaaa") == ({"v": 2}, "hit")
         cache_table(tmp_path).set_value("bbbb", "{ not json")
-        assert cache.lookup("bbbb") == (None, "stale")
+        assert lookup("bbbb") == (None, "stale")
         cache_table(tmp_path).set_value("cccc", "null")
-        assert cache.lookup("cccc") == (None, "stale")
+        assert lookup("cccc") == (None, "stale")
 
     def test_cached_batch_tallies_and_profiles(self, tmp_path,
                                                cache_table):
@@ -490,7 +497,6 @@ class TestCacheStats:
                            stats=stats)
         assert out == [10, 20, 30]
         assert (stats.hits, stats.misses, stats.stale) == (5, 3, 1)
-        assert stats.lookups == 9
         assert stats.render() == "cache: 5 hits, 3 misses, 1 stale"
 
     def test_record_rejects_unknown_status(self):

@@ -4,13 +4,17 @@ and the cluster cycle-rounding bugfixes."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from step_oracle import allreduce_payload_bytes, overlappable_backward_cycles
+from step_oracle import (
+    allreduce_payload_bytes, flat_allreduce_bytes_per_chip,
+    overlappable_backward_cycles,
+)
 from repro.arch import Interconnect, InterconnectConfig, OpRun
-from repro.arch.interconnect import TOPOLOGIES
+from repro.arch.interconnect import TOPOLOGIES, n_buckets_batch
 from repro.core import build_accelerator, build_cluster
 from repro.experiments import scaling
 from repro.training import (
@@ -90,15 +94,19 @@ class TestHierarchicalTopology:
 class TestBucketing:
     def test_bucket_sizes_split_with_remainder(self):
         ic = fabric(bucket_bytes=1000)
-        assert ic.bucket_sizes(2500) == [1000, 1000, 500]
-        assert ic.bucket_sizes(2000) == [1000, 1000]
-        assert ic.bucket_sizes(0) == []
-        assert ic.n_buckets(2500) == 3
+        assert ic.n_buckets(2500) == 3  # two full buckets + remainder
+        assert ic.n_buckets(2000) == 2
+        assert ic.n_buckets(0) == 0
+        assert n_buckets_batch(np.array([2500, 2000, 0]),
+                               np.array([1000, 1000, 1000])).tolist() \
+            == [3, 2, 0]
 
     def test_monolithic_when_bucket_covers_payload(self):
         for cfg in (dict(bucket_bytes=None), dict(bucket_bytes=10**9)):
             ic = fabric(**cfg)
-            assert ic.bucket_sizes(10**6) == [10**6]
+            assert ic.n_buckets(10**6) == 1
+            assert ic.first_bucket_seconds(10**6, 4) \
+                == ic.allreduce_seconds(10**6, 4)
 
     @pytest.mark.parametrize("topology,cpn",
                              [("ring", 1), ("all_to_all", 1),
@@ -139,7 +147,8 @@ class TestLinkBytes:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_static_lower_bound_rounds_shard_first(self, n):
         payload = 10**6 + 1
-        assert Interconnect.allreduce_bytes_per_chip(payload, n) \
+        assert fabric().link_bytes_per_chip(payload, n) \
+            == flat_allreduce_bytes_per_chip(payload, n) \
             == 2 * (n - 1) * math.ceil(payload / n)
 
     @settings(max_examples=50, deadline=None)
@@ -362,8 +371,6 @@ class TestBatchClampFlag:
             "SqueezeNet", (3, 4096))
         assert clamped
         assert batch == math.lcm(3, 4096)
-        assert scaling.default_global_batch("SqueezeNet", (3, 4096)) \
-            == batch
 
     def test_info_no_clamp_for_feasible_sweeps(self):
         batch, clamped = scaling.default_global_batch_info(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.functional import (
+from functional_oracle import (
     bf16_matmul,
     bf16_relative_error,
     tiled_matmul,

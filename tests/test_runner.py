@@ -106,27 +106,28 @@ class TestConfigHash:
 class TestResultCache:
     def test_roundtrip(self, tmp_path):
         cache = runner.ResultCache(tmp_path)
-        cache.put("abc123", {"k": 1}, [{"speedup": 2.5}])
-        assert cache.get("abc123") == [{"speedup": 2.5}]
+        cache.put_many([("abc123", {"k": 1}, [{"speedup": 2.5}])])
+        assert cache.get_many(["abc123"]) == [[{"speedup": 2.5}]]
 
     def test_missing_returns_none(self, tmp_path):
-        assert runner.ResultCache(tmp_path).get("nope") is None
+        assert runner.ResultCache(tmp_path).get_many(["nope"]) == [None]
 
     def test_corrupt_returns_none(self, tmp_path, cache_table):
         cache = runner.ResultCache(tmp_path)
-        cache.put("bad", {"k": 1}, 1)
+        cache.put_many([("bad", {"k": 1}, 1)])
         cache_table(tmp_path).set_value("bad", "{not json")
-        assert cache.get("bad") is None
+        assert cache.get_many(["bad"]) == [None]
 
     def test_lookups_never_create_the_store(self, tmp_path):
         cache = runner.ResultCache(tmp_path / "never-created")
-        assert cache.lookup("nope") == (None, "miss")
-        assert cache.get_many(["a", "b"]) == [None, None]
+        stats = runner.CacheStats()
+        assert cache.get_many(["a", "b"], stats=stats) == [None, None]
+        assert (stats.hits, stats.misses, stats.stale) == (0, 2, 0)
         assert not (tmp_path / "never-created").exists()
 
     def test_entry_keeps_key_for_debugging(self, tmp_path, cache_table):
         cache = runner.ResultCache(tmp_path)
-        cache.put("abc", {"model": "VGG-16"}, 42)
+        cache.put_many([("abc", {"model": "VGG-16"}, 42)])
         assert cache_table(tmp_path).keys()["abc"] == {"model": "VGG-16"}
 
     def test_cached_batch_stored_row_is_pinned(self, tmp_path,
@@ -173,7 +174,7 @@ class TestResultCache:
                             ("bad", {"k": 2}, object())])
         assert not list(tmp_path.glob("*.tmp"))
         # All or nothing: the serializable entry was not stored either.
-        assert cache.get("ok") is None
+        assert cache.get_many(["ok"]) == [None]
 
     def test_cached_batch_computes_only_misses(self, tmp_path,
                                                cache_table):
@@ -219,15 +220,16 @@ class TestResultCache:
 
         def writer(payload):
             for _ in range(25):
-                cache.put("contended", {"k": 1}, payload)
+                cache.put_many([("contended", {"k": 1}, payload)])
 
         def reader():
             for _ in range(200):
-                value, status = cache.lookup("contended")
-                if status == "miss":
+                stats = runner.CacheStats()
+                [value] = cache.get_many(["contended"], stats=stats)
+                if stats.misses:
                     continue  # no write committed yet
-                if status != "hit" or value not in payloads:
-                    errors.append((status, value))
+                if stats.hits != 1 or value not in payloads:
+                    errors.append((stats, value))
 
         def guarded(target, *args):
             try:
@@ -244,15 +246,16 @@ class TestResultCache:
         for thread in threads:
             thread.join()
         assert not errors
-        assert cache.get("contended") in payloads
+        assert cache.get_many(["contended"])[0] in payloads
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_put_failure_leaves_no_temp_files(self, tmp_path):
         cache = runner.ResultCache(tmp_path)
         with pytest.raises(TypeError):
-            cache.put("bad", {"k": 1}, object())  # not JSON-serializable
+            # not JSON-serializable
+            cache.put_many([("bad", {"k": 1}, object())])
         assert not list(tmp_path.glob("*.tmp"))
-        assert cache.get("bad") is None
+        assert cache.get_many(["bad"]) == [None]
 
     def test_import_does_not_load_sqlite3(self):
         """``repro.serve`` imports the runner but never opens a cache,

@@ -10,8 +10,6 @@ from repro.experiments import serve as serve_experiment
 from repro.serve import scheduler
 from repro.serve import (
     AdmissionController,
-    AdmissionDecision,
-    AdmissionStatus,
     FaultConfig,
     FaultModel,
     FleetConfig,
@@ -23,7 +21,7 @@ from repro.serve import (
 )
 from repro.training import CheckpointConfig
 
-from admission_oracle import ScalarAdmission
+from admission_oracle import AdmissionDecision, AdmissionStatus, ScalarAdmission
 from job_oracle import TrainingJob, jobs_of, observed_run, to_arrays
 
 

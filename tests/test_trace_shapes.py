@@ -151,10 +151,22 @@ class TestShapeValidation:
         ("dataset_sizes", (0,)),
         ("noise_multipliers", (1.0, 0.0)),
         ("noise_multipliers", (-1.0,)),
+        ("models", ()),
+        ("algorithms", ()),
+        ("batches", ()),
+        ("dataset_sizes", ()),
+        ("noise_multipliers", ()),
+        ("algorithm_weights", (0.5, -0.5, 1.0)),
+        ("algorithm_weights", (0.5, float("nan"), 1.0)),
+        ("algorithm_weights", (0.5, float("inf"), 1.0)),
+        ("algorithm_weights", (0.0, 0.0, 0.0)),
     ])
     def test_bad_job_mix_rejected(self, field, value):
+        overrides = {field: value}
+        if field == "algorithms":  # weights stay aligned with the list
+            overrides["algorithm_weights"] = (1.0,) * len(value)
         with pytest.raises(ValueError, match=field):
-            TraceConfig(**{field: value})
+            TraceConfig(**overrides)
 
     def test_non_private_mix_ignores_noise(self):
         TraceConfig(algorithms=("SGD",), algorithm_weights=(1.0,),

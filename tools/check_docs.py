@@ -18,7 +18,10 @@ Checks, in order:
 5. the lint-rule table in ``docs/static-analysis.md`` names exactly
    the rule ids registered in ``src/repro/analysis/`` (found
    statically via ``rule_id = "..."`` assignments);
-6. every backticked dotted ``repro.…`` name in ``README.md`` and
+6. the R009 allowlist table in the same doc names exactly the keys of
+   ``ALLOWLIST`` in ``src/repro/analysis/testonly.py`` (read
+   statically);
+7. every backticked dotted ``repro.…`` name in ``README.md`` and
    ``docs/*.md`` resolves: its longest importable module prefix is
    imported and the rest is looked up with ``getattr``.
 
@@ -28,6 +31,7 @@ on it; see the ``docs`` job in ``.github/workflows/ci.yml``.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
@@ -50,6 +54,9 @@ _RULE_ROW = re.compile(r"^\|\s*`(R\d{3})`\s*\|")
 #: Rule registrations in src/repro/analysis/: rule_id = "R001"
 _RULE_ID = re.compile(r"""^\s*rule_id\s*=\s*["'](R\d{3})["']""",
                       re.MULTILINE)
+#: Heading of the R009 allowlist section, and its rows: | `repro.x.y` | ...
+_ALLOWLIST_HEADING = "## R009 allowlist"
+_ALLOWLIST_ROW = re.compile(r"^\|\s*`(repro(?:\.\w+)+)`\s*\|")
 #: Backticked dotted API names: `repro.serve.metrics.percentile`
 _API_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
 
@@ -183,6 +190,47 @@ def check_rule_table(doc: Path, analysis_dir: Path) -> list[str]:
     return problems
 
 
+def allowlist_keys(source: Path) -> set[str] | None:
+    """Keys of the module-level ``ALLOWLIST`` dict literal in ``source``."""
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "ALLOWLIST"
+                   for t in targets) and node.value is not None:
+                return set(ast.literal_eval(node.value))
+    return None
+
+
+def check_allowlist_table(doc: Path, rule_source: Path) -> list[str]:
+    """R009 allowlist drift between the doc's table and the constant.
+
+    The table under ``## R009 allowlist`` must name exactly the keys of
+    ``ALLOWLIST``, so the list of test-only definitions kept on purpose
+    is written down once in the doc and can only shrink with the code.
+    """
+    registered = allowlist_keys(rule_source)
+    if registered is None:
+        return [f"{rule_source.name}: no ALLOWLIST literal found "
+                "(check_docs cannot verify the R009 allowlist)"]
+    lines = doc.read_text().splitlines() if doc.exists() else []
+    rel = doc.name
+    if _ALLOWLIST_HEADING not in lines:
+        return [f"{rel}: no '{_ALLOWLIST_HEADING}' section"]
+    documented = set()
+    for line in lines[lines.index(_ALLOWLIST_HEADING) + 1:]:
+        if line.startswith("## "):
+            break
+        if match := _ALLOWLIST_ROW.match(line.strip()):
+            documented.add(match.group(1))
+    problems = [f"{rel}: R009 allowlist table is missing {name!r}"
+                for name in sorted(registered - documented)]
+    problems += [f"{rel}: R009 allowlist table lists {name!r}, which "
+                 "ALLOWLIST does not"
+                 for name in sorted(documented - registered)]
+    return problems
+
+
 def resolve_api_name(name: str) -> str | None:
     """Why ``name`` does not resolve, or None when it does."""
     parts = name.split(".")
@@ -234,6 +282,9 @@ def main() -> int:
     problems += check_rule_table(
         REPO_ROOT / "docs" / "static-analysis.md",
         REPO_ROOT / "src" / "repro" / "analysis")
+    problems += check_allowlist_table(
+        REPO_ROOT / "docs" / "static-analysis.md",
+        REPO_ROOT / "src" / "repro" / "analysis" / "testonly.py")
     problems += check_api_names(doc_files)
     if problems:
         for problem in problems:
